@@ -15,22 +15,9 @@ Eager Kamino lands between the two: it already avoids undo's log-arena
 data capture, but still pays the copy before commit returns.
 """
 
-from repro.bench import TraceCollector, build_stack, format_table, replay
-from repro.workloads import YCSBWorkload
+from repro.bench import format_table, replay, trace_ycsb
 
 NTHREADS = 4
-
-
-def _trace(engine_name, nrecords, nops, **engine_kwargs):
-    stack = build_stack(engine_name, value_size=1008, **engine_kwargs)
-    workload = YCSBWorkload("A", nrecords, 1008, seed=3)
-    workload.load(stack.kv)
-    stack.device.stats.reset()
-    collector = TraceCollector(stack.device, stack.engine)
-    collector.run_ops(
-        workload.run_ops(nops), lambda op: workload.execute(stack.kv, op)
-    )
-    return collector.records
 
 
 def run(nrecords=500, nops=1200):
@@ -42,7 +29,9 @@ def run(nrecords=500, nops=1200):
     rows = []
     lat = {}
     for label, engine_name, kwargs in configs:
-        records = _trace(engine_name, nrecords, nops, **kwargs)
+        records = trace_ycsb(
+            engine_name, "A", nrecords=nrecords, nops=nops, value_size=1008, seed=3, **kwargs
+        )
         result = replay(records, NTHREADS, engine_name, "A")
         lat[label] = result.mean_latency_us
         rows.append([label, result.throughput_kops / 1e3, result.mean_latency_us])

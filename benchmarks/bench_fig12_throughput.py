@@ -26,7 +26,7 @@ THREADS = [2, 4, 8]
 def run(nrecords=800, nops=1600):
     results = run_ycsb_matrix(
         ENGINES, WORKLOADS, nthreads_list=THREADS, nrecords=nrecords, nops=nops,
-        value_size=1008, online=True, coalesce_flushes=True,
+        value_size=1008, coalesce_flushes=True,
     )
     rows = []
     for workload in WORKLOADS:

@@ -8,7 +8,7 @@ schemes converge because the transaction time is dominated by copying
 immediate dependent re-update) and both hit the memory bandwidth limit.
 """
 
-from repro.bench import TraceCollector, build_stack, format_table, replay
+from repro.bench import build_stack, format_table, replay
 from repro.workloads import WorstCaseWorkload, YCSBWorkload
 
 # payload sizes chosen so payload + 16B object header lands on a size
@@ -22,11 +22,9 @@ def run_case(engine, object_size, nobjects, nops):
     workload = WorstCaseWorkload(object_size=object_size, nobjects=nobjects)
     workload.load(stack.kv)
     stack.device.stats.reset()
-    collector = TraceCollector(stack.device, stack.engine)
-    collector.run_ops(
-        workload.ops(nops), lambda op: YCSBWorkload.execute(stack.kv, op)
+    return stack.ctx.run_ops(
+        workload.ops(nops), lambda op: YCSBWorkload.execute(stack.kv, op), charge=False
     )
-    return collector.records
 
 
 def run(nops=800):

@@ -1,6 +1,7 @@
-"""Benchmark harness: trace collection, virtual-time replay, reporting."""
+"""Paper-figure benchmark glue: stack builders, runners, reporting."""
 
-from .harness import ReplayResult, TraceCollector, TxRecord, replay
+from ..runtime.online import replay_records as replay
+from ..runtime.records import ReplayResult, TxRecord
 from .plot import bar_chart, grouped_bar_chart
 from .report import format_table, speedup_note
 from .runners import (
@@ -25,7 +26,6 @@ __all__ = [
     "ReplayResult",
     "Stack",
     "bar_chart",
-    "TraceCollector",
     "TxRecord",
     "build_stack",
     "format_table",

@@ -22,7 +22,6 @@ from ..runtime.context import ExecutionContext
 from ..runtime.online import run_online
 from ..runtime.records import ReplayResult, TxRecord
 from ..workloads import TPCCLite, YCSBWorkload
-from .harness import replay
 
 #: scaled-down benchmark defaults (paper: 10 M records, 1 KB values)
 DEFAULT_RECORDS = 2000
@@ -240,15 +239,11 @@ def run_ycsb_matrix(
     value_size: int = DEFAULT_VALUE_SIZE,
     model: LatencyModel = NVDIMM,
     engine_kwargs: Optional[Dict[str, dict]] = None,
-    online: bool = False,
     coalesce_flushes: bool = False,
 ) -> Dict[Tuple[str, str, int], ReplayResult]:
-    """The full cross product used by Figures 12–15.
+    """The engine x workload x thread-count cross product behind Figure 12.
 
-    With ``online=False`` (the historical mode) each (engine, workload)
-    pair is traced once and the trace replayed per thread count — cheap,
-    and exact for independent transactions.  With ``online=True`` each
-    cell runs a fresh online simulation, so dependent transactions
+    Each cell runs a fresh online simulation, so dependent transactions
     execute at their true virtual times and the flush coalescer
     (``coalesce_flushes``) can be engaged.
     """
@@ -256,35 +251,16 @@ def run_ycsb_matrix(
     results: Dict[Tuple[str, str, int], ReplayResult] = {}
     for engine_name in engines:
         for workload_name in workloads:
-            if online:
-                for nthreads in nthreads_list:
-                    results[(engine_name, workload_name, nthreads)] = run_ycsb_online(
-                        engine_name,
-                        workload_name,
-                        nthreads,
-                        nrecords=nrecords,
-                        nops=nops,
-                        value_size=value_size,
-                        model=model,
-                        coalesce_flushes=coalesce_flushes,
-                        **engine_kwargs.get(engine_name, {}),
-                    )
-                continue
-            records = trace_ycsb(
-                engine_name,
-                workload_name,
-                nrecords=nrecords,
-                nops=nops,
-                value_size=value_size,
-                model=model,
-                **engine_kwargs.get(engine_name, {}),
-            )
             for nthreads in nthreads_list:
-                results[(engine_name, workload_name, nthreads)] = replay(
-                    records,
-                    nthreads,
+                results[(engine_name, workload_name, nthreads)] = run_ycsb_online(
                     engine_name,
-                    workload=workload_name,
+                    workload_name,
+                    nthreads,
+                    nrecords=nrecords,
+                    nops=nops,
+                    value_size=value_size,
                     model=model,
+                    coalesce_flushes=coalesce_flushes,
+                    **engine_kwargs.get(engine_name, {}),
                 )
     return results

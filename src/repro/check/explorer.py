@@ -771,6 +771,8 @@ def sweep_registry(
     fans each explorer's scenario replays over a process pool; the
     reports are byte-identical for any worker count.
     """
+    for name in engines or ():
+        engine_info(name)  # an unknown name would sweep nothing and pass vacuously
     reports: List[ExplorationReport] = []
     for name, info in registered_engines().items():
         if engines is not None and name not in engines:

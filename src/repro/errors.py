@@ -165,6 +165,12 @@ class RecoveryError(TxError):
     """Crash recovery detected an inconsistency it cannot repair."""
 
 
+class UnknownEngineError(TxError, ValueError):
+    """An engine name is not in the registry; the message lists the
+    registered names.  Also a :class:`ValueError`, so callers that catch
+    that for a bad argument keep working."""
+
+
 # ---------------------------------------------------------------------------
 # Replication errors
 # ---------------------------------------------------------------------------

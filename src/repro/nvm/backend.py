@@ -50,8 +50,7 @@ def available_backends() -> Tuple[str, ...]:
 
 def set_default_backend(name: Optional[str]) -> None:
     """Pin the process-wide default backend (``None`` restores
-    auto-detection).  The wall-clock harness uses this to measure the
-    same benchmark under both backends in one process."""
+    auto-detection); the CLI's ``--backend`` flag lands here."""
     if name is not None:
         name = resolve_backend(name)
     global _default

@@ -20,9 +20,8 @@ Hot-path implementation notes (the *invariance contract*, see
 operations through this class, so the data path is written for CPython
 speed — span-mask lookup tables instead of per-word loops, a single-line
 fast path (the dominant case for 64-byte objects), a bulk dirty-range
-representation for large line-aligned copies (the full-mirror seed), an
-optional lock-elided mode for single-threaded execution contexts, and a
-dedicated internal copy path that never touches the load/store counters.
+representation for large line-aligned copies (the full-mirror seed), and
+a dedicated internal copy path that never touches the load/store counters.
 None of this may be visible in simulated results: durable bytes,
 :class:`~repro.nvm.stats.NVMStats`, and crash-surviving state must be
 bit-identical to the naive :class:`~repro.nvm.reference.ReferenceNVMDevice`,
@@ -70,18 +69,6 @@ _BULK_THRESHOLD = 64 * CACHE_LINE
 _REC_START = itemgetter(0)
 
 
-class _NullLock:
-    """Context-manager stand-in when the caller opts out of locking."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
 class CrashPolicy(Enum):
     """What happens to unflushed dirty words at crash time.
 
@@ -115,14 +102,6 @@ class NVMDevice:
             exactly the same program points; only the cost accounting
             (``NVMStats.flush_bursts``) changes, which the crash-state
             equivalence property test asserts.
-        lock_mode: ``"locked"`` (default) serialises every access behind
-            an ``RLock`` so worker threads and the background syncer can
-            share the device.  ``"uncontended"`` binds the public data
-            path directly to the lock-free implementations — an opt-in
-            for single-threaded :class:`~repro.runtime.context.
-            ExecutionContext` runs (the virtual-client scheduler is one
-            OS thread), where the per-call lock round trip is pure
-            interpreter overhead.  Semantics and stats are identical.
     """
 
     def __init__(
@@ -131,16 +110,12 @@ class NVMDevice:
         model: LatencyModel = NVDIMM,
         seed: Optional[int] = None,
         coalesce_flushes: bool = False,
-        lock_mode: str = "locked",
     ):
         if size <= 0:
             raise ValueError("device size must be positive")
-        if lock_mode not in ("locked", "uncontended"):
-            raise ValueError(f"unknown lock_mode {lock_mode!r}")
         self.size = size
         self.model = model
         self.coalesce_flushes = coalesce_flushes
-        self.lock_mode = lock_mode
         self.stats = NVMStats()
         self._alloc_store(size)
         # line index -> (line buffer, dirty-word bitmask)
@@ -162,21 +137,11 @@ class NVMDevice:
         # one mutex serialises all device access: worker threads and the
         # background syncer share the overlay dictionaries (cheap under
         # the GIL; the benchmarks run single-threaded traces anyway)
-        self._mutex = threading.RLock() if lock_mode == "locked" else _NullLock()
+        self._mutex = threading.RLock()
         # scheduled fail-point: crash after N more mutating operations
         self._crash_countdown: Optional[int] = None
         self._crash_policy = CrashPolicy.DROP_ALL
         self._crash_survival = 0.5
-        if lock_mode == "uncontended":
-            # elide the lock wrappers entirely: bind the public names to
-            # the internal implementations on this instance
-            self.read = self._read_locked
-            self.write = self._write_locked
-            self.copy = self._copy_locked
-            self.flush = self._flush_unlocked
-            self.flush_multi = self._flush_multi_locked
-            self.fence = self._fence_locked
-            self.persist_all = self._persist_all_locked
 
     # -- helpers -----------------------------------------------------------
 
@@ -522,11 +487,6 @@ class NVMDevice:
         with self._mutex:
             self._flush_locked(addr, size)
 
-    def _flush_unlocked(self, addr: int, size: int) -> None:
-        if size <= 0:
-            return
-        self._flush_locked(addr, size)
-
     def flush_multi(self, ranges: Iterable[Tuple[int, int]]) -> None:
         """Flush several ranges under one lock acquisition.
 
@@ -536,12 +496,9 @@ class NVMDevice:
         what the commit path and the backup syncer pay per intent.
         """
         with self._mutex:
-            self._flush_multi_locked(ranges)
-
-    def _flush_multi_locked(self, ranges: Iterable[Tuple[int, int]]) -> None:
-        for addr, size in ranges:
-            if size > 0:
-                self._flush_locked(addr, size)
+            for addr, size in ranges:
+                if size > 0:
+                    self._flush_locked(addr, size)
 
     def _flush_locked(self, addr: int, size: int) -> None:
         if self._crash_countdown is not None:
@@ -653,14 +610,11 @@ class NVMDevice:
     def fence(self) -> None:
         """Ordering fence; a cost-model event (flushes persist eagerly)."""
         with self._mutex:
-            self._fence_locked()
-
-    def _fence_locked(self) -> None:
-        if self._crash_countdown is not None:
-            self._tick_failpoint()
-        if self._crashed:
-            raise DeviceCrashedError("device crashed; call restart() first")
-        self.stats.fences += 1
+            if self._crash_countdown is not None:
+                self._tick_failpoint()
+            if self._crashed:
+                raise DeviceCrashedError("device crashed; call restart() first")
+            self.stats.fences += 1
 
     def persist_all(self) -> None:
         """Flush every dirty line (used at pool close / test setup)."""
@@ -826,7 +780,6 @@ class NVMDevice:
             model=self.model,
             seed=seed,
             coalesce_flushes=self.coalesce_flushes,
-            lock_mode=self.lock_mode,
         )
         clone._durable[:] = self._durable
         clone._crashed = self._crashed

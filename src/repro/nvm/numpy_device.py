@@ -588,7 +588,6 @@ class NumpyNVMDevice(NVMDevice):
             model=self.model,
             seed=seed,
             coalesce_flushes=self.coalesce_flushes,
-            lock_mode=self.lock_mode,
         )
         clone._np_durable[:] = self._np_durable
         clone._crashed = self._crashed

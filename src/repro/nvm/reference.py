@@ -9,44 +9,17 @@ of the *invariance contract* (docs/INTERNALS.md): the differential tests
 drive randomized operation / crash / recovery sequences through both
 devices and assert bit-identical durable bytes, crash-surviving state,
 and :class:`~repro.nvm.stats.NVMStats`.
-
-It is also the "naive" baseline the wall-clock benchmark harness
-(:mod:`repro.bench.wallclock`) measures speedups against, which keeps
-the committed ``BENCH_*.json`` trajectory honest: the denominator is a
-living, tested implementation, not a number from an old commit.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import DeviceCrashedError
 from .device import _WORDS_PER_LINE, CrashPolicy, NVMDevice
-from .latency import CACHE_LINE, WORD, NVDIMM, LatencyModel
+from .latency import CACHE_LINE, WORD
 
 
 class ReferenceNVMDevice(NVMDevice):
-    """Per-word-loop implementation of the device contract.
-
-    Accepts (and ignores) ``lock_mode`` so it can be dropped in wherever
-    a device class is configurable; it always locks.
-    """
-
-    def __init__(
-        self,
-        size: int,
-        model: LatencyModel = NVDIMM,
-        seed: Optional[int] = None,
-        coalesce_flushes: bool = False,
-        lock_mode: str = "locked",
-    ):
-        super().__init__(
-            size,
-            model=model,
-            seed=seed,
-            coalesce_flushes=coalesce_flushes,
-            lock_mode="locked",
-        )
+    """Per-word-loop implementation of the device contract."""
 
     # -- raw overlay data path ---------------------------------------------
 

@@ -1,7 +1,7 @@
 """Process-parallel fan-out with deterministic merge.
 
-Every sweep in this repo — crash points, nemesis seeds, shard groups,
-benchmark cells — is a bag of *independent* jobs: each one builds its
+Every sweep in this repo — crash points, nemesis seeds, shard groups —
+is a bag of *independent* jobs: each one builds its
 own simulated stack from picklable parameters, runs it, and returns a
 picklable result.  :func:`fan_out` runs such a bag over a
 ``multiprocessing.Pool`` and returns the results **in job order**, so a

@@ -2,11 +2,9 @@
 
 Kamino-Tx's central claim is that atomicity schemes differ only in *what
 bytes move when* under an identical hook surface.  The reproduction
-honours that for correctness (``tx/_common.py``), but cost accounting
-used to be fragmented: the device counted primitives, the benchmark
-harness re-derived virtual time in a separate trace-replay pass, and the
-replication layer kept its own simulator.  An :class:`ExecutionContext`
-is the single runtime core every layer plugs into:
+honours that for correctness (``tx/_common.py``) and, for cost
+accounting, with one runtime core every layer plugs into — an
+:class:`ExecutionContext`:
 
 * the :class:`~repro.nvm.device.NVMDevice` (with its
   :class:`~repro.nvm.stats.NVMStats`) — what bytes moved;
@@ -135,9 +133,7 @@ class ExecutionContext:
         seed: int = 0,
         coalesce_flushes: bool = False,
         resources: Optional[SharedResources] = None,
-        device_cls: Optional[type] = None,
         backend: Optional[str] = None,
-        lock_mode: str = "locked",
         **engine_kwargs,
     ) -> "ExecutionContext":
         """Build the full stack for ``engine_name``.
@@ -145,38 +141,27 @@ class ExecutionContext:
         The pool is sized for the worst-case engine footprint (full
         mirror + logs), so every engine sees an identically sized heap.
 
-        ``device_cls`` pins an explicit device implementation (the
-        wall-clock harness passes :class:`~repro.nvm.reference.
-        ReferenceNVMDevice` for its naive baseline); otherwise
         ``backend`` (``"pure"`` / ``"numpy"`` / ``None`` for
-        auto-detect) selects one via :func:`repro.nvm.backend.
-        device_class`.  ``lock_mode="uncontended"`` elides the device
-        mutex for single-threaded drivers.  None of these change any
-        simulated result.
+        auto-detect) selects the device implementation via
+        :func:`repro.nvm.backend.device_class`; it changes no simulated
+        result.
         """
         from ..heap import PersistentHeap
         from ..kvstore import KVStore
         from ..nvm.backend import device_class
         from ..nvm.pool import PmemPool
 
-        if device_cls is None:
-            device_cls = device_class(backend)
         heap_bytes = heap_mb << 20
         pool_bytes = heap_bytes * 2 + (32 << 20)
-        device = device_cls(
+        device = device_class(backend)(
             pool_bytes,
             model=model,
             seed=seed,
             coalesce_flushes=coalesce_flushes,
-            lock_mode=lock_mode,
         )
         pool = PmemPool.create(device)
         engine = make_engine(engine_name, **engine_kwargs)
         heap = PersistentHeap.create(pool, engine, heap_size=heap_bytes)
-        if lock_mode == "uncontended" and hasattr(engine, "set_lock_mode"):
-            # single-threaded driver: elide the engine-side thread
-            # synchronisation too (lock table + log slot pool)
-            engine.set_lock_mode(lock_mode)
         kv = KVStore.create(heap, value_size=value_size, fanout=fanout)
         return cls(
             model=model,

@@ -13,7 +13,7 @@ One scheduler covers both execution modes:
 
 * **Trace replay** (:func:`replay_records`) — pre-collected
   :class:`~repro.runtime.records.TxRecord` streams are driven through the
-  identical event flow.  This is what :func:`repro.bench.replay` wraps;
+  identical event flow.  :func:`repro.bench.replay` is this function;
   it exists for experiments that deliberately reuse one trace across
   thread counts or latency models.
 

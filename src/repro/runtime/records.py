@@ -1,9 +1,7 @@
 """Per-transaction cost records and aggregate simulation results.
 
-These used to live in :mod:`repro.bench.harness`; they moved here when
-cost accounting was unified under :mod:`repro.runtime` so the context,
-the scheduler, and the benchmark layer all speak the same record type.
-:mod:`repro.bench` re-exports them for backwards compatibility.
+One record type for the context, the scheduler, and the benchmark layer
+(:mod:`repro.bench` re-exports them next to its runners).
 """
 
 from __future__ import annotations

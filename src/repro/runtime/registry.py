@@ -31,6 +31,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+from ..errors import UnknownEngineError
+
 __all__ = [
     "EngineCapabilities",
     "EngineInfo",
@@ -188,7 +190,7 @@ def engine_info(name: str) -> EngineInfo:
     """Like :func:`find_registered` but raising on unknown names."""
     info = find_registered(name)
     if info is None:
-        raise ValueError(
+        raise UnknownEngineError(
             f"unknown engine '{name}'; choose from {sorted(registered_engines())}"
         )
     return info
@@ -200,7 +202,7 @@ def make_engine(name: str, **kwargs):
     try:
         info = _REGISTRY[name]
     except KeyError:
-        raise ValueError(
+        raise UnknownEngineError(
             f"unknown engine '{name}'; choose from {sorted(_REGISTRY)}"
         ) from None
     return info.factory(**kwargs)

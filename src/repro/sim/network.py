@@ -178,20 +178,6 @@ class SimNetwork:
         self._node_group: Dict[str, str] = {}
         self.stats = NetStats()
 
-    # -- legacy counter views --------------------------------------------------
-
-    @property
-    def sent(self) -> int:
-        return self.stats.sent
-
-    @property
-    def delivered(self) -> int:
-        return self.stats.delivered
-
-    @property
-    def dropped(self) -> int:
-        return self.stats.dropped
-
     # -- membership -----------------------------------------------------------
 
     def register(self, node_id: str, handler: Callable[[str, Any], None]) -> None:

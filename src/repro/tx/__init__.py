@@ -3,11 +3,11 @@
 Engines self-register with :mod:`repro.runtime.registry` via the
 ``@register_engine`` decorator; importing this package pulls in every
 builtin module, which is how the registry's lazy loader materialises
-them.  :func:`make_engine` and ``ENGINE_FACTORIES`` are re-exported here
-for compatibility — the registry is the single source of truth.
+them.  :func:`make_engine` is re-exported here; the registry is the
+single source of truth.
 """
 
-from ..runtime.registry import make_engine, registered_engines
+from ..runtime.registry import make_engine
 from .backup import BACKUP_REGION, BackupStrategy, BackupSyncer, FullBackup
 from .base import (
     AtomicityEngine,
@@ -35,7 +35,6 @@ __all__ = [
     "BackupSyncer",
     "CoWEngine",
     "DynamicBackup",
-    "ENGINE_FACTORIES",
     "ENTRY_SIZE",
     "FineGrainedKaminoEngine",
     "FullBackup",
@@ -64,15 +63,3 @@ __all__ = [
     "run_transaction",
     "verify_backup_consistency",
 ]
-
-def __getattr__(name):
-    """Legacy view of the registry (name -> factory), computed on demand.
-
-    A static snapshot would miss registrations the registry defers past
-    the bootstrap import (the replication package's in-place engine).
-    Prefer :func:`repro.runtime.registry.registered_engines`, which also
-    carries each engine's capabilities.
-    """
-    if name == "ENGINE_FACTORIES":
-        return {info.name: info.factory for info in registered_engines().values()}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

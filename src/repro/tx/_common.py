@@ -51,15 +51,6 @@ class LockingLogEngine(AtomicityEngine):
         if hook is not None:
             hook(name)
 
-    def set_lock_mode(self, mode: str) -> None:
-        """Propagate the driver's lock mode (see the device's
-        ``lock_mode``) to the lock table and log-slot pool.  Call only
-        after :meth:`attach` so the log manager exists; ``"uncontended"``
-        is sound only for single-threaded drivers."""
-        self.locks.set_mode(mode)
-        if self.log is not None:
-            self.log.set_mode(mode)
-
     # -- attach ---------------------------------------------------------------
 
     def attach(self, pool: PmemPool, heap_region: PmemRegion) -> None:

@@ -241,20 +241,6 @@ class LogManager:
         self._free_cond = threading.Condition(self._mutex)
         self._free: List[int] = list(range(n_slots - 1, -1, -1))
 
-    def set_mode(self, mode: str) -> None:
-        """Elide (or restore) the slot-pool mutex; see
-        :meth:`repro.tx.locks.ObjectLockTable.set_mode`."""
-        from .locks import _PLAIN_SYNC
-
-        if mode == "uncontended":
-            self._mutex = _PLAIN_SYNC  # type: ignore[assignment]
-            self._free_cond = _PLAIN_SYNC  # type: ignore[assignment]
-        elif mode == "locked":
-            self._mutex = threading.Lock()
-            self._free_cond = threading.Condition(self._mutex)
-        else:
-            raise ValueError(f"unknown lock mode '{mode}'")
-
     # -- sizing ----------------------------------------------------------------
 
     @staticmethod

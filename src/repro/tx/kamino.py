@@ -67,8 +67,8 @@ class KaminoEngine(LockingLogEngine):
             (adjacent pending ranges become one bulk ``device.copy``).
             Simulated results — durable bytes, ``NVMStats``, virtual
             time — are bit-identical either way; ``False`` keeps the
-            historical entry-at-a-time loop, which the equivalence tests
-            and the wall-clock harness's naive baseline use.
+            entry-at-a-time loop, the reference leg of the equivalence
+            suites.
     """
 
     name = "kamino"

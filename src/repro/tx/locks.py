@@ -45,58 +45,6 @@ class _Entry:
     pending_sync: bool = False  # writer committed, backup not yet caught up
 
 
-class _PlainSync:
-    """Drop-in for the table's lock/condition when the driver guarantees
-    a single thread (``lock_mode="uncontended"``).
-
-    Enter/exit and notify are no-ops; a wait can never be satisfied by
-    another thread, so it just burns its timeout and lets the caller's
-    deadline logic raise the same :class:`LockTimeoutError` the locked
-    mode would eventually raise.  The locking *logic* (entries, pending
-    flags, stats) is untouched — only the thread-synchronisation cost is
-    elided, exactly like the device's uncontended mode.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_PlainSync":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-    def acquire(self) -> None:
-        pass
-
-    def release(self) -> None:
-        pass
-
-    def notify(self, n: int = 1) -> None:
-        pass
-
-    def notify_all(self) -> None:
-        pass
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        if timeout:
-            import time
-
-            time.sleep(timeout)
-        return False
-
-    def wait_for(self, predicate, timeout: Optional[float] = None) -> bool:
-        result = predicate()
-        if not result and timeout:
-            import time
-
-            time.sleep(timeout)
-            result = predicate()
-        return result
-
-
-_PLAIN_SYNC = _PlainSync()
-
-
 class ObjectLockTable:
     """Per-offset reader-writer locks keyed by range start offset.
 
@@ -120,19 +68,6 @@ class ObjectLockTable:
 
     def set_resolver(self, resolver: Optional[Callable[[int], None]]) -> None:
         self._resolver = resolver
-
-    def set_mode(self, mode: str) -> None:
-        """Switch thread-synchronisation on (``"locked"``) or off
-        (``"uncontended"``, single-threaded drivers only).  Lock *logic*
-        and stats are identical in both modes."""
-        if mode == "uncontended":
-            self._mutex = _PLAIN_SYNC  # type: ignore[assignment]
-            self._cond = _PLAIN_SYNC  # type: ignore[assignment]
-        elif mode == "locked":
-            self._mutex = threading.Lock()
-            self._cond = threading.Condition(self._mutex)
-        else:
-            raise ValueError(f"unknown lock mode '{mode}'")
 
     # -- acquisition ---------------------------------------------------------
 

@@ -122,10 +122,6 @@ class StripedLockTable:
         for table in self._tables:
             table.set_resolver(resolver)
 
-    def set_mode(self, mode: str) -> None:
-        for table in self._tables:
-            table.set_mode(mode)
-
     # -- acquisition -----------------------------------------------------------
 
     def acquire_write(self, txid: int, offset: int) -> None:

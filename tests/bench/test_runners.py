@@ -41,7 +41,7 @@ class TestMatrix:
             ["kamino-simple"], ["C"], nthreads_list=(1, 4), nrecords=40, nops=60,
             value_size=128,
         )
-        # read-only trace: 4 threads must beat 1 thread on the same trace
+        # read-only workload: 4 virtual clients must beat 1
         assert (
             results[("kamino-simple", "C", 4)].throughput_kops
             > results[("kamino-simple", "C", 1)].throughput_kops

@@ -154,16 +154,6 @@ def test_randomized_sequences_are_indistinguishable(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_uncontended_lock_mode_is_equivalent(seed):
-    """Lock elision changes no observable, only the lock overhead."""
-    rng = random.Random(1000 + seed)
-    ops = _random_ops(rng, nops=80)
-    opt = NVMDevice(DEVICE_SIZE, seed=seed, lock_mode="uncontended")
-    ref = ReferenceNVMDevice(DEVICE_SIZE, seed=seed)
-    _drive_pair(opt, ref, ops)
-
-
-@pytest.mark.parametrize("seed", range(6))
 def test_coalesce_flushes_matches_reference_coalescer(seed):
     """Burst accounting survives the rewrite: both devices coalescing."""
     rng = random.Random(2000 + seed)

@@ -95,14 +95,13 @@ def _drive(device, ops):
 
 @given(
     ops=op_sequences(),
-    lock_mode=st.sampled_from(["locked", "uncontended"]),
     policy=st.sampled_from(POLICIES),
     seed=st.integers(0, 2**16),
     survival=st.floats(0.0, 1.0),
 )
 @SETTINGS
-def test_optimized_device_is_observationally_equal(ops, lock_mode, policy, seed, survival):
-    opt = NVMDevice(DEVICE_SIZE, seed=seed, lock_mode=lock_mode)
+def test_optimized_device_is_observationally_equal(ops, policy, seed, survival):
+    opt = NVMDevice(DEVICE_SIZE, seed=seed)
     ref = ReferenceNVMDevice(DEVICE_SIZE, seed=seed)
     _drive(opt, ops)
     _drive(ref, ops)

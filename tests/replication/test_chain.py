@@ -135,14 +135,14 @@ class TestAborts:
         for node in cluster.chain:
             node.register_proc("aborting_put", aborting_put)
         run_clients(cluster, [write_stream(5, key_space=5)])
-        fwd_before = cluster.net.sent
+        fwd_before = cluster.net.stats.sent
         done = []
         cluster.submit_write("aborting_put", (3, b"x" * 16), [3], lambda r, l: done.append(r))
         cluster.drain()
         assert cluster.aborted == 1
         assert done == [None]
         # no TxForward left the head for the aborted transaction
-        assert cluster.net.sent == fwd_before
+        assert cluster.net.stats.sent == fwd_before
         cluster.assert_replicas_consistent()
 
     def test_abort_rolls_back_head_locally(self):

@@ -155,8 +155,3 @@ class TestCostModelIntegration:
             assert cost_model_for("undo-free") is ENGINE_COST_MODELS["kamino"]
         finally:
             unregister_engine("undo-free")
-
-    def test_legacy_view_matches_registry(self):
-        from repro.tx import ENGINE_FACTORIES
-
-        assert set(ENGINE_FACTORIES) == set(registered_engines())

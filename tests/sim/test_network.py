@@ -42,7 +42,7 @@ class TestDelivery:
         sim, net = make_net()
         net.send("a", "ghost", "x")
         sim.run()
-        assert net.dropped == 1
+        assert net.stats.dropped == 1
 
 
 class TestFailures:
@@ -54,7 +54,7 @@ class TestFailures:
         net.send("a", "b", "x")
         sim.run()
         assert got == []
-        assert net.dropped == 1
+        assert net.stats.dropped == 1
 
     def test_revive_restores_delivery(self):
         sim, net = make_net()
@@ -116,7 +116,7 @@ class TestSplitDropCounters:
         sim.run()
         assert net.stats.dropped_fault == 1
         # the aggregate legacy view sums all three
-        assert net.dropped == 1
+        assert net.stats.dropped == 1
 
     def test_snapshot_delta_contract(self):
         sim, net = make_net()

@@ -87,30 +87,22 @@ class TestCommands:
         assert rc == 2
         assert "unknown workload" in capsys.readouterr().err
 
-    def test_bench_quick_writes_json(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        rc = main([
-            "bench", "--quick", "--names", "fig12_hot_loop",
-            "--out", str(out_path),
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "fig12_hot_loop" in out
-        assert out_path.exists()
+    @pytest.mark.parametrize("argv", [
+        ["crash", "--engine", "quantum"],
+        ["ycsb", "--engines", "quantum"],
+        ["check", "--engine", "quantum", "--quick"],
+    ])
+    def test_unknown_engine_is_a_one_line_error(self, argv, capsys):
+        rc = main(argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: unknown engine 'quantum'; choose from [")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_bench_compare_regression_fails(self, capsys, tmp_path):
-        import json
-
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps({
-            "benchmarks": {"fig12_hot_loop": {"speedup_vs_naive": 10_000.0}}
-        }))
-        rc = main([
-            "bench", "--quick", "--names", "fig12_hot_loop",
-            "--compare", str(baseline),
-        ])
-        assert rc == 1
-        assert "REGRESSION" in capsys.readouterr().err
+    def test_bench_verb_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
 
 
 class TestScrub:

@@ -13,19 +13,27 @@ enumeration:
    logical state after setup and after every step
    (:class:`~repro.check.oracle.Ledger`).
 3. For every crash point (or an evenly-spaced sample in quick mode),
-   **replay** the workload with the fail-point armed, let the power
-   failure fire, recover with :func:`~repro.tx.recovery.reopen_after_crash`,
-   and judge the recovered heap with the ledger oracle, the workload's
-   structure validators, and (for backup engines) main/backup agreement.
-4. **Prune** redundant states: the device records a digest of the
-   pre-resolution crash image (durable bytes + dirty-line overlay) at
-   crash time; two points with equal digests behave identically under
-   every crash policy, so only the first is explored.  Points separated
-   only by reads, or by a fence that persisted nothing new, collapse.
+   **replay** the workload with the fail-point armed and let the power
+   failure fire (*run-to-crash*), then recover with
+   :func:`~repro.tx.recovery.reopen_after_crash` and judge the recovered
+   heap with the ledger oracle, the workload's structure validators, and
+   (for backup engines) main/backup agreement (*finish*).
+4. **Prune** redundant states: at a base point (``DROP_ALL``, no nested
+   crash) the device records a digest of the pre-resolution crash image
+   (durable bytes + dirty-line overlay) at crash time; two points with
+   equal digests behave identically under every crash policy, so only
+   the first is explored.  Points separated only by reads, or by a fence
+   that persisted nothing new, collapse.  No other crash is digested —
+   nothing reads it.
 5. **Nest**: for each novel crash state, re-crash at every mutating
    operation *of recovery itself* (and its post-recovery sync drain),
    then recover again — recovery must be idempotent under its own power
-   failures (paper §3: "both directions are idempotent").
+   failures (paper §3: "both directions are idempotent").  The state is
+   run to its crash *once*; counting recovery's operations and every
+   nested point each *fork* that image (:meth:`NVMDevice.clone_durable`
+   copies the pages the run wrote, not the pool) and go straight to
+   *finish*, which is the same code a from-scratch replay of that
+   scenario runs.
 
 RANDOM-policy sampling replays surviving-word lotteries with distinct
 device seeds, covering torn writes beyond the all-or-nothing policies.
@@ -59,7 +67,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import (
     DeviceCrashedError,
@@ -76,6 +84,11 @@ from .workload import CANNED_WORKLOADS, CheckWorkload, build_stack
 
 #: fail-point budget no sane canned workload exhausts
 OP_BUDGET = 1_000_000
+
+#: the "fingerprint" of a replay whose fail-point fired but whose crash
+#: state nobody dedups on (lotteries, nested scenarios): not ``None``,
+#: which means the point lies beyond the workload
+NOT_DIGESTED = ""
 
 _LINE_SHIFT = CACHE_LINE.bit_length() - 1
 
@@ -172,6 +185,28 @@ class ExplorationReport:
             f"ops={self.n_ops:<4} explored={self.states_explored:<5} "
             f"pruned={self.states_pruned:<5} nested={self.nested_explored:<5} {status}"
         )
+
+
+@dataclass
+class _Crashed:
+    """A workload run up to its fail-point — everything the rest of a
+    replay (recovery and judgment) needs.
+
+    ``device`` is crashed, with the scenario's media rot already in it;
+    ``workload`` holds the handles setup recorded; ``steps_done`` is how
+    many steps had returned.  Recovery is destructive, so each replay
+    needs the image to itself: :meth:`fork` clones the durable media
+    (the workload object is shared — it re-opens its structures on
+    whichever heap it is shown).
+    """
+
+    device: NVMDevice
+    workload: CheckWorkload
+    steps_done: int
+    fingerprint: str
+
+    def fork(self, seed: int) -> "_Crashed":
+        return replace(self, device=self.device.clone_durable(seed=seed))
 
 
 def _sample_points(lo: int, hi: int, limit: Optional[int]) -> List[int]:
@@ -353,39 +388,77 @@ class CrashExplorer:
     # -- one scenario --------------------------------------------------------
 
     def replay(
-        self, scenario: Scenario, ledger: Optional[Ledger] = None
+        self,
+        scenario: Scenario,
+        ledger: Optional[Ledger] = None,
+        crashed: Optional["_Crashed"] = None,
     ) -> Tuple[Optional[CheckFailure], Optional[str]]:
         """Run one scenario; returns (failure-or-None, crash fingerprint).
 
         A ``None`` fingerprint means the fail-point never fired (the
         point lies beyond the workload), in which case nothing was
-        checked.
+        checked.  Only a *base point* (``DROP_ALL``, no nested crash)
+        carries a digest — it is the one the sweep prunes on; any other
+        scenario that fired reports :data:`NOT_DIGESTED`.
+
+        A replay is :meth:`_run_to_crash` then :meth:`_finish`.  The
+        sweep hands nested scenarios the crashed image their base
+        already produced (``crashed``, a private fork of it) instead of
+        having each re-run the prefix; what runs from there is the same
+        :meth:`_finish` either way.
         """
         if ledger is None:
             ledger = self.golden_ledger()
+        if crashed is None:
+            crashed = self._run_to_crash(
+                scenario,
+                digest=scenario.policy is CrashPolicy.DROP_ALL
+                and scenario.nested_after is None,
+            )
+            if crashed is None:
+                return None, None
+        return self._finish(scenario, crashed, ledger), crashed.fingerprint
+
+    def _run_to_crash(self, scenario: Scenario, digest: bool) -> Optional["_Crashed"]:
+        """Build the stack, run setup and the steps until the scenario's
+        fail-point fires, then rot the crashed image as the scenario
+        asks.  ``None`` when the workload finishes first.  ``digest``
+        records the pre-resolution crash fingerprint (base points only:
+        nobody reads it anywhere else)."""
         heap, _engine, device, workload = self._fresh(
             scenario.device_seed, media=scenario.media, tree=scenario.tree
         )
         snap = self._stale_snapshot(device, heap, scenario)
+        device.fingerprint_crashes = digest
         device.schedule_crash(
             scenario.crash_after, scenario.policy, scenario.survival
         )
         steps_done = 0
-        crashed = False
         try:
             for i in range(workload.n_steps):
                 workload.step(heap, i)
                 steps_done += 1
             heap.drain()
         except DeviceCrashedError:
-            crashed = True
-        if not crashed:
+            pass
+        else:
             device.cancel_scheduled_crash()
-            return None, None
-        fingerprint = device.last_crash_fingerprint
+            return None
+        # a crash inside recovery is never a pruning key
+        device.fingerprint_crashes = False
         self._inject_corruption(device, heap, scenario)
         self._inject_stale(device, scenario, snap)
+        return _Crashed(
+            device, workload, steps_done, device.last_crash_fingerprint or NOT_DIGESTED
+        )
 
+    def _finish(
+        self, scenario: Scenario, crashed: "_Crashed", ledger: Ledger
+    ) -> Optional[CheckFailure]:
+        """From a crashed image to a verdict: the optional crash inside
+        recovery, the final recovery, the oracles.  Consumes
+        ``crashed.device``."""
+        device = crashed.device
         if scenario.nested_after is not None:
             try:
                 crashed_again = self._crash_inside_recovery(device, scenario)
@@ -398,15 +471,17 @@ class CrashExplorer:
                 # the post-open scrub could mark the line.
                 device.cancel_scheduled_crash()
                 if scenario.media == "protected":
-                    return None, fingerprint
+                    return None
                 raise
             if not crashed_again:
-                return None, fingerprint
+                return None
 
-        violation = self._judge(device, workload, ledger, steps_done, scenario.media)
+        violation = self._judge(
+            device, crashed.workload, ledger, crashed.steps_done, scenario.media
+        )
         if violation is None:
-            return None, fingerprint
-        return CheckFailure(scenario=scenario, violation=violation), fingerprint
+            return None
+        return CheckFailure(scenario=scenario, violation=violation)
 
     def _crash_inside_recovery(self, device: NVMDevice, scenario: Scenario) -> bool:
         """Arm the nested fail-point and run recovery until it fires."""
@@ -537,50 +612,73 @@ class CrashExplorer:
             raise RuntimeError("recovery exceeded the fail-point budget")
         return OP_BUDGET - remaining
 
-    def _crash_image(self, scenario: Scenario) -> Optional[NVMDevice]:
-        """The durable post-crash device image for ``scenario``, if the
-        fail-point fires."""
-        heap, _engine, device, _workload = self._fresh(
-            scenario.device_seed, media=scenario.media, tree=scenario.tree
-        )
-        snap = self._stale_snapshot(device, heap, scenario)
-        device.schedule_crash(
-            scenario.crash_after, scenario.policy, scenario.survival
-        )
-        try:
-            wl = _workload
-            for i in range(wl.n_steps):
-                wl.step(heap, i)
-            heap.drain()
-        except DeviceCrashedError:
-            self._inject_corruption(device, heap, scenario)
-            self._inject_stale(device, scenario, snap)
-            return device.clone_durable(seed=self.device_seed)
-        device.cancel_scheduled_crash()
-        return None
-
     # -- the sweep -----------------------------------------------------------
+
+    def _fan_out(
+        self,
+        serial: Callable[..., Any],
+        job_fn: Callable[[Tuple], Any],
+        jobs: Sequence[Tuple],
+        workers: int,
+    ) -> Iterator[Any]:
+        """``serial(*job)`` for every job — lazily, in job order,
+        optionally on a process pool (``job_fn`` is ``serial``'s
+        module-level, picklable twin).
+
+        Results arrive in job order either way (see
+        :mod:`repro.parallel`), so the caller's fold — pruning, counter
+        updates, failure collection — is byte-identical for any worker
+        count, and one at a time, so the fold (and ``progress``) keeps
+        pace with the sweep.  Explorers built from closures (custom
+        factories) cannot cross a process boundary and fall back to the
+        serial loop.
+        """
+        if workers and workers != 1 and len(jobs) > 1 and self._portable:
+            from ..parallel import fan_out_iter
+
+            return fan_out_iter(job_fn, jobs, workers)
+        return (serial(*job) for job in jobs)
 
     def _replay_many(
         self,
         scenarios: Sequence[Scenario],
         ledger: Ledger,
         workers: int,
-    ) -> List[Tuple[Optional[CheckFailure], Optional[str]]]:
-        """Replay a batch of scenarios, optionally on a process pool.
+    ) -> Iterator[Tuple[Optional[CheckFailure], Optional[str]]]:
+        """Replay a batch of scenarios from scratch, one result each."""
+        return self._fan_out(
+            self.replay, _replay_job, [(s, ledger) for s in scenarios], workers
+        )
 
-        Results come back in scenario order either way (see
-        :mod:`repro.parallel`), so the caller's fold — pruning, counter
-        updates, failure collection — is byte-identical for any worker
-        count.  Explorers built from closures (custom factories) cannot
-        cross a process boundary and fall back to the serial loop.
+    def _replay_nested(
+        self,
+        base: Scenario,
+        ledger: Ledger,
+        max_nested_points: Optional[int],
+    ) -> List[Optional[CheckFailure]]:
+        """Every crash-during-recovery scenario nested under ``base``,
+        replayed from *one* run of the prefix; one verdict each.
+
+        Runs ``base`` to its crash once, counts recovery's mutating ops
+        on a clone of that image, and hands each sampled nested point
+        its own fork.  One call is one unit of parallel work: the image
+        is built where its nested points run.
         """
-        if workers and workers != 1 and len(scenarios) > 1 and self._portable:
-            from ..parallel import fan_out
-
-            jobs = [(scenario, ledger) for scenario in scenarios]
-            return fan_out(_replay_job, jobs, workers)
-        return [self.replay(scenario, ledger) for scenario in scenarios]
+        crashed = self._run_to_crash(base, digest=False)
+        if crashed is None:
+            return []
+        try:
+            n_recovery_ops = self._count_recovery_ops(crashed.device)
+        except (MediaError, PoolCorruptionError):
+            # recovery on this image degrades with a typed error before
+            # quiescing; there is no op timeline to nest crashes into
+            return []
+        return [
+            self.replay(
+                replace(base, nested_after=q), ledger, crashed.fork(base.device_seed)
+            )[0]
+            for q in _sample_points(0, n_recovery_ops - 1, max_nested_points)
+        ]
 
     def explore(
         self,
@@ -617,15 +715,17 @@ class CrashExplorer:
                 setup-time bytes and forged matching CRCs between each
                 crash and its recovery.  Checksum-only protection
                 verifies the replay clean; only a tree catches it.
-            workers: fan scenario replays over this many processes
-                (0/1 = serial).  Each replay builds its own stack, so
-                the report is byte-identical for any worker count; only
-                wall-clock changes.
+            workers: fan the sweep over this many processes (0/1 =
+                serial).  A unit of work — a base point, a lottery, or a
+                novel state's whole nested family — builds its own
+                stack, so the report is byte-identical for any worker
+                count; only wall-clock changes.
 
         The sweep runs in three deterministic phases — base points,
         RANDOM lotteries for the novel states, nested recovery crashes —
         so the batches are wide enough to fan out.  Every phase folds
-        its ordered result list the same way serial exploration would.
+        its ordered results, as they arrive, the same way serial
+        exploration would.
         """
         report = ExplorationReport(engine=self.engine_name, workload=self.workload_name)
         report.n_ops = self.count_ops()
@@ -686,56 +786,43 @@ class CrashExplorer:
                 if failure is not None:
                     report.failures.append(failure)
         if nested:
-            nested_scenarios: List[Scenario] = []
-            for base in novel:
-                nested_scenarios.extend(
-                    self._nested_scenarios(base, max_nested_points)
-                )
-            for failure, fired in self._replay_many(nested_scenarios, ledger, workers):
-                if fired is None:
-                    continue
-                report.nested_explored += 1
-                if failure is not None:
-                    report.failures.append(failure)
+            families = self._fan_out(
+                self._replay_nested,
+                _nested_job,
+                [(base, ledger, max_nested_points) for base in novel],
+                workers,
+            )
+            for family in families:
+                report.nested_explored += len(family)
+                report.failures.extend(f for f in family if f is not None)
         return report
 
-    def _nested_scenarios(
-        self,
-        base: Scenario,
-        max_nested_points: Optional[int],
-    ) -> List[Scenario]:
-        """The crash-during-recovery scenarios nested under ``base``."""
-        image = self._crash_image(base)
-        if image is None:
-            return []
-        try:
-            n_recovery_ops = self._count_recovery_ops(image)
-        except (MediaError, PoolCorruptionError):
-            # recovery on this image degrades with a typed error before
-            # quiescing; there is no op timeline to nest crashes into
-            return []
-        return [
-            replace(base, nested_after=q)
-            for q in _sample_points(0, n_recovery_ops - 1, max_nested_points)
-        ]
+
+def _worker_explorer(scenario: Scenario) -> CrashExplorer:
+    """The explorer a worker process runs ``scenario`` on, rebuilt from
+    the scenario's registry names (engine, workload) — the same "restart
+    with the same binary" the recovery path already relies on."""
+    return CrashExplorer(
+        scenario.engine,
+        workload=scenario.workload,
+        device_seed=scenario.device_seed,
+    )
 
 
 def _replay_job(
     job: Tuple[Scenario, Ledger]
 ) -> Tuple[Optional[CheckFailure], Optional[str]]:
-    """One scenario replay in a worker process.
-
-    Module-level so it pickles; the explorer is rebuilt from the
-    scenario's registry names (engine, workload) — the same "restart
-    with the same binary" the recovery path already relies on.
-    """
+    """:meth:`CrashExplorer.replay` in a worker (module-level: pickles)."""
     scenario, ledger = job
-    explorer = CrashExplorer(
-        scenario.engine,
-        workload=scenario.workload,
-        device_seed=scenario.device_seed,
-    )
-    return explorer.replay(scenario, ledger)
+    return _worker_explorer(scenario).replay(scenario, ledger)
+
+
+def _nested_job(
+    job: Tuple[Scenario, Ledger, Optional[int]]
+) -> List[Optional[CheckFailure]]:
+    """:meth:`CrashExplorer._replay_nested` in a worker."""
+    base, ledger, max_nested_points = job
+    return _worker_explorer(base)._replay_nested(base, ledger, max_nested_points)
 
 
 def replay_scenario(

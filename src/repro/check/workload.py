@@ -27,8 +27,10 @@ from ..nvm.device import NVMDevice
 from ..nvm.pool import PmemPool
 
 #: the pool must fit every engine's worst-case footprint (undo's
-#: data-carrying log region, kamino's full mirror); the heap is kept
-#: small so crash-state fingerprints hash quickly
+#: data-carrying log region, kamino's full mirror); it costs nothing to
+#: oversize — a device costs the pages a run writes, not its capacity.
+#: The heap is kept small because the full mirror seeds (copies and
+#: flushes) all of it in every replay.
 POOL_SIZE = 8 << 20
 HEAP_SIZE = 1 << 20
 
@@ -60,7 +62,6 @@ def build_stack(
     if tree != "off" and media != "protected":
         raise ValueError("integrity tree requires media='protected'")
     device = make_device(pool_size, seed=seed)
-    device.fingerprint_crashes = True
     if media != "off":
         device.attach_media(
             seed=seed,

@@ -231,7 +231,7 @@ def cmd_check(args) -> int:
     )
 
     if args.quick:
-        explore_kwargs = dict(max_points=16, random_samples=1, max_nested_points=3)
+        explore_kwargs = dict(max_points=24, random_samples=1, max_nested_points=4)
         chain_kwargs = dict(max_points=3, max_device_points=3)
     else:
         explore_kwargs = dict(

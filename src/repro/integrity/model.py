@@ -28,6 +28,12 @@ write is a crash artifact for recovery to handle, not a media fault —
 except lines carrying still-uninspected injected corruption, whose stale
 checksum keeps them detectable.
 
+Every write the model makes to the media — a flip, a stuck bit
+re-asserting, a stale replay, a controller repair — goes through
+:meth:`~repro.nvm.device.NVMDevice.poke_durable`, so the device knows
+which pages hold something even where no flush ever reached: the crash
+fingerprint sees the write and a durable clone carries it.
+
 Everything is deterministic under ``seed``; with no faults injected the
 model is invisible: no :class:`~repro.nvm.stats.NVMStats` counter moves
 and durable bytes are untouched, which the differential property tests
@@ -206,7 +212,7 @@ class MediaFaultModel:
             byte = durable[base + off]
             forced = byte | (1 << bit) if value else byte & ~(1 << bit)
             if forced != byte:
-                durable[base + off] = forced
+                self.device.poke_durable(base + off, bytes([forced]))
                 changed = True
         if changed:
             self.tainted.add(line)
@@ -223,9 +229,10 @@ class MediaFaultModel:
         """Invert one durable bit (a latent media flip)."""
         line = addr >> _LINE_SHIFT
         self.bless(line)
-        self.device._durable[addr] ^= 1 << bit
+        device = self.device
+        device.poke_durable(addr, bytes([device._durable[addr] ^ (1 << bit)]))
         self.tainted.add(line)
-        self.device.stats.media_flips += 1
+        device.stats.media_flips += 1
 
     def inject_flips(
         self,
@@ -331,7 +338,7 @@ class MediaFaultModel:
             raise ValueError("repair_line wants exactly one cache line")
         base = line << _LINE_SHIFT
         durable = self.device._durable
-        durable[base : base + CACHE_LINE] = data
+        self.device.poke_durable(base, data)
         self.tainted.discard(line)
         self.lost.discard(line)
         if self.sidecar is not None:
@@ -382,14 +389,12 @@ class MediaFaultModel:
         line.  The tree is deliberately *not* told about the replay.
         Returns the lines actually replayed (those present in ``images``).
         """
-        durable = self.device._durable
         replayed: List[int] = []
         for line in lines:
             image = images.get(line)
             if image is None:
                 continue
-            base = line << _LINE_SHIFT
-            durable[base : base + CACHE_LINE] = image
+            self.device.poke_durable(line << _LINE_SHIFT, image)
             if self.sidecar is not None:
                 self.sidecar._crcs[line] = zlib.crc32(image)
             # no taint: taint models *detected-by-checksum* corruption and

@@ -22,22 +22,30 @@ speed — span-mask lookup tables instead of per-word loops, a single-line
 fast path (the dominant case for 64-byte objects), a bulk dirty-range
 representation for large line-aligned copies (the full-mirror seed), and
 a dedicated internal copy path that never touches the load/store counters.
+The crash checker builds, crashes, fingerprints and clones thousands of
+devices per sweep, so those cost the lines a run wrote rather than the
+pool: the store is a lazily-zeroed mapping (:func:`lazy_zeros`), every
+persist path records the 4 KiB pages it writes, and
+:meth:`NVMDevice.overlay_fingerprint` / :meth:`NVMDevice.clone_durable`
+visit only those.
 None of this may be visible in simulated results: durable bytes,
 :class:`~repro.nvm.stats.NVMStats`, and crash-surviving state must be
-bit-identical to the naive :class:`~repro.nvm.reference.ReferenceNVMDevice`,
-which the differential property tests enforce.
+bit-identical to the naive :class:`~repro.nvm.reference.ReferenceNVMDevice`
+(which also hashes and copies its whole pool), which the differential
+property tests enforce.
 """
 
 from __future__ import annotations
 
 import hashlib
+import mmap
 import random
 import struct
 import threading
 from bisect import bisect_right, insort
 from enum import Enum
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import DeviceCrashedError, OutOfBoundsError
 from .latency import CACHE_LINE, WORD, NVDIMM, LatencyModel
@@ -67,6 +75,62 @@ _BULK_THRESHOLD = 64 * CACHE_LINE
 
 #: bisect key for the sorted-by-start-line bulk record list
 _REC_START = itemgetter(0)
+
+#: granularity at which a device remembers which durable bytes it ever
+#: wrote (the host page size: an untouched page of a lazily-zeroed store
+#: is never resident, see :func:`lazy_zeros`)
+PAGE = 4096
+_PAGE_SHIFT = PAGE.bit_length() - 1
+_PAGE_LINE_SHIFT = _PAGE_SHIFT - _LINE_SHIFT  # line index -> page index
+_ZERO_PAGE = bytes(PAGE)
+assert 1 << _PAGE_SHIFT == PAGE
+
+
+def lazy_zeros(n: int) -> mmap.mmap:
+    """``n`` writable zero bytes that cost nothing until they are written.
+
+    A *private* anonymous mapping: creation is O(1), a page that was
+    never written is never resident, and reading one maps the shared
+    zero page instead of allocating.  (Python's default
+    ``mmap.mmap(-1, n)`` is *shared* anonymous memory, where a mere read
+    allocates a real page.)  A simulated pool is mostly untouched space,
+    so this is what keeps constructing, cloning and dropping a device
+    proportional to the lines a run wrote, not to the pool.
+    """
+    return mmap.mmap(-1, n, access=mmap.ACCESS_COPY)
+
+
+def crash_digest(
+    pages: Iterable[Tuple[int, bytes]],
+    lines: Iterable[Tuple[int, int, object]],
+    media=None,
+) -> str:
+    """The crash-state fingerprint — its one definition, for every device.
+
+    ``pages`` are the ``(page index, bytes)`` of every durable page that
+    is not all-zero, ascending; ``lines`` are the ``(line, dirty-word
+    mask, line bytes)`` of every unflushed cache line, ascending.  The
+    digest is therefore a pure function of *(durable bytes, volatile
+    overlay, media fault maps)*: how the state was reached — which pages
+    were ever written, whether a dirty line arrived by a store or a bulk
+    copy — does not enter it, so a device that tracks the pages it wrote
+    and a device that scans its whole pool compute the same value.
+    """
+    digest = hashlib.sha1()
+    update = digest.update
+    pack = struct.pack
+    for page, data in pages:
+        update(pack("<Q", page))
+        update(data)
+    update(b"overlay")
+    for line, mask, data in lines:
+        update(pack("<QQ", line, mask))
+        update(data)
+    if media is not None:
+        # equal bytes with different dead/stuck maps are different
+        # crash states (one read raises, the other doesn't)
+        update(media.fingerprint_token())
+    return digest.hexdigest()
 
 
 class CrashPolicy(Enum):
@@ -118,6 +182,9 @@ class NVMDevice:
         self.coalesce_flushes = coalesce_flushes
         self.stats = NVMStats()
         self._alloc_store(size)
+        # pages of ``_durable`` this device ever wrote; every other page
+        # is still zero, so fingerprints and clones visit only these
+        self._touched: Set[int] = set()
         # line index -> (line buffer, dirty-word bitmask)
         self._dirty: Dict[int, Tuple[bytearray, int]] = {}
         # large line-aligned dirty ranges (e.g. the mirror seed copy),
@@ -154,10 +221,20 @@ class NVMDevice:
 
         Whatever the representation, ``self._durable`` must remain a
         byte-addressable, slice-assignable buffer of exactly ``size``
-        bytes — the media-fault model, the scrubber, and tests poke it
-        directly.
+        bytes that starts out zero *without being written* — the
+        media-fault model, the scrubber, and tests read it directly;
+        whoever writes it goes through :meth:`poke_durable`.
         """
-        self._durable = bytearray(size)
+        self._durable = memoryview(lazy_zeros(size))
+
+    def _touch(self, first: int, last: int) -> None:
+        """Durable lines ``first..last`` were just written."""
+        first >>= _PAGE_LINE_SHIFT
+        last >>= _PAGE_LINE_SHIFT
+        if first == last:
+            self._touched.add(first)
+        else:
+            self._touched.update(range(first, last + 1))
 
     def _check(self, addr: int, size: int) -> None:
         if self._crashed:
@@ -522,6 +599,7 @@ class NVMDevice:
                 persisted.extend(range(max(start, first), min(end, last + 1)))
         if bi == bj:
             nrange = last - first + 1
+            touch = self._touched.add
             if len(dirty) * 4 < nrange:
                 # sparse overlay, wide flush: walk the dirty lines, not
                 # the whole address range
@@ -530,6 +608,7 @@ class NVMDevice:
                     durable[line << _LINE_SHIFT : (line + 1) << _LINE_SHIFT] = dirty.pop(
                         line
                     )[0]
+                    touch(line >> _PAGE_LINE_SHIFT)
                     flushed += 1
                     if line != prev + 1:
                         bursts += 1
@@ -542,6 +621,7 @@ class NVMDevice:
                         in_burst = False
                         continue
                     durable[line << _LINE_SHIFT : (line + 1) << _LINE_SHIFT] = entry[0]
+                    touch(line >> _PAGE_LINE_SHIFT)
                     flushed += 1
                     if not in_burst:
                         bursts += 1
@@ -588,6 +668,7 @@ class NVMDevice:
                 bursts += 1
             prev_end = e
             flushed += e - s
+            self._touch(s, e - 1)
             if rec is None:
                 for line in range(s, e):
                     durable[line << _LINE_SHIFT : (line + 1) << _LINE_SHIFT] = dirty.pop(
@@ -647,6 +728,7 @@ class NVMDevice:
                 bursts += 1
             prev_end = e
             flushed += e - s
+            self._touch(s, e - 1)
             if buf is None:
                 durable[s << _LINE_SHIFT : e << _LINE_SHIFT] = dirty[s][0]
             else:
@@ -700,19 +782,11 @@ class NVMDevice:
                     crash_lines.extend(
                         (start + i, full) for i in range(len(buf) >> _LINE_SHIFT)
                     )
-            entries: List[Tuple[int, object, int]] = [
-                (line, buf, mask) for line, (buf, mask) in self._dirty.items()
-            ]
-            for start, buf in self._bulk:
-                view = memoryview(buf)
-                for i in range(len(buf) >> _LINE_SHIFT):
-                    entries.append(
-                        (start + i, view[i << _LINE_SHIFT : (i + 1) << _LINE_SHIFT], _FULL_MASK)
-                    )
-            entries.sort(key=lambda entry: entry[0])
+            touch = self._touched.add
             if policy is CrashPolicy.KEEP_ALL:
-                for line, buf, mask in entries:
+                for line, mask, buf in self._overlay_lines():
                     base = line << _LINE_SHIFT
+                    touch(line >> _PAGE_LINE_SHIFT)
                     if mask == _FULL_MASK:
                         durable[base : base + CACHE_LINE] = buf
                         continue
@@ -722,8 +796,9 @@ class NVMDevice:
                             durable[base + off : base + off + WORD] = buf[off : off + WORD]
             else:
                 rng = self._rng.random
-                for line, buf, mask in entries:
+                for line, mask, buf in self._overlay_lines():
                     base = line << _LINE_SHIFT
+                    touch(line >> _PAGE_LINE_SHIFT)
                     for w in range(_WORDS_PER_LINE):
                         if mask & (1 << w) and rng() < survival_prob:
                             off = w * WORD
@@ -742,7 +817,36 @@ class NVMDevice:
     def crashed(self) -> bool:
         return self._crashed
 
-    # -- introspection (tests) ----------------------------------------------
+    # -- the crash image: fingerprint, clone, out-of-band media writes -------
+
+    def _overlay_lines(self) -> List[Tuple[int, int, object]]:
+        """``(line, dirty-word mask, line bytes)`` of every unflushed
+        line in ascending line order — the order crash resolution draws
+        its lottery in and the fingerprint hashes in.  A bulk record is
+        just that many lines with a full mask."""
+        lines: List[Tuple[int, int, object]] = [
+            (line, mask, buf) for line, (buf, mask) in self._dirty.items()
+        ]
+        for start, buf in self._bulk:
+            view = memoryview(buf)
+            lines.extend(
+                (start + i, _FULL_MASK, view[i << _LINE_SHIFT : (i + 1) << _LINE_SHIFT])
+                for i in range(len(buf) >> _LINE_SHIFT)
+            )
+        lines.sort(key=_REC_START)
+        return lines
+
+    def _durable_pages(self) -> Iterator[Tuple[int, bytes]]:
+        """``(page index, bytes)`` of every durable page that is not
+        all-zero, ascending.  Only pages this device wrote can be
+        non-zero, so only those are looked at; a written page that holds
+        zeros again is skipped, which keeps what this yields a function
+        of the durable bytes alone (see :func:`crash_digest`)."""
+        durable = self._durable
+        for page in sorted(self._touched):
+            data = bytes(durable[page << _PAGE_SHIFT : (page + 1) << _PAGE_SHIFT])
+            if not _ZERO_PAGE.startswith(data):
+                yield page, data
 
     def overlay_fingerprint(self) -> str:
         """Digest of (durable bytes, dirty-line set) — the crash state.
@@ -751,37 +855,28 @@ class NVMDevice:
         media *and* identical unflushed overlay contents/word masks, so
         every crash policy resolves them to the same reachable set of
         post-crash images.  The crash-consistency checker uses this to
-        explore each distinct pre-crash state exactly once.
+        explore each distinct pre-crash state exactly once.  Costs the
+        pages this device wrote plus its dirty lines, not the pool.
         """
-        digest = hashlib.sha1(bytes(self._durable))
-        for line in sorted(self._dirty):
-            buf, mask = self._dirty[line]
-            digest.update(struct.pack("<QQ", line, mask))
-            digest.update(bytes(buf))
-        for start, buf in self._bulk:
-            digest.update(struct.pack("<Qq", start, -1))
-            digest.update(bytes(buf))
-        if self._media is not None:
-            # equal bytes with different dead/stuck maps are different
-            # crash states (one read raises, the other doesn't)
-            digest.update(self._media.fingerprint_token())
-        return digest.hexdigest()
+        return crash_digest(self._durable_pages(), self._overlay_lines(), self._media)
 
     def clone_durable(self, seed: Optional[int] = None) -> "NVMDevice":
         """A fresh device with this device's durable media and no overlay.
 
         The clone starts in the same crashed/running state but with no
-        scheduled fail-point.  The checker replays recovery from one
+        scheduled fail-point.  The checker runs recovery from one
         post-crash image many times (once per nested crash point), which
         needs the image preserved across destructive recovery runs.
+        Copies the non-zero pages only — everything else is zero on both
+        sides already.
         """
-        clone = NVMDevice(
+        clone = type(self)(
             self.size,
             model=self.model,
             seed=seed,
             coalesce_flushes=self.coalesce_flushes,
         )
-        clone._durable[:] = self._durable
+        self._copy_durable_to(clone)
         clone._crashed = self._crashed
         clone.fingerprint_crashes = self.fingerprint_crashes
         if self._media is not None:
@@ -789,6 +884,30 @@ class NVMDevice:
             # resurrect dead lines or forget the checksum sidecar
             clone._media = self._media.clone(clone)
         return clone
+
+    def _copy_durable_to(self, clone: "NVMDevice") -> None:
+        for page, data in self._durable_pages():
+            clone.poke_durable(page << _PAGE_SHIFT, data)
+
+    def poke_durable(self, addr: int, data) -> None:
+        """Write ``data`` straight onto the media — no overlay, no
+        counters, no fail-point tick.
+
+        The one door for whatever changes durable bytes behind the
+        cache's back: the media-fault model's flips, stuck bits, stale
+        replays and controller repairs, and a clone receiving its image.
+        Going through here is what makes such a write visible to
+        :meth:`overlay_fingerprint` and carried by :meth:`clone_durable`
+        even when it lands in space no flush ever reached.
+        """
+        size = len(data)
+        if addr < 0 or addr + size > self.size:
+            raise OutOfBoundsError(
+                f"access [{addr}, {addr + size}) outside device of {self.size} bytes"
+            )
+        if size:
+            self._durable[addr : addr + size] = data
+            self._touch(addr >> _LINE_SHIFT, (addr + size - 1) >> _LINE_SHIFT)
 
     def durable_read(self, addr: int, size: int) -> bytes:
         """Read the media directly, ignoring the volatile overlay.

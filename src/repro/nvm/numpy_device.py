@@ -17,11 +17,18 @@ flush-burst accounting), crash-surviving state under every
 :class:`~repro.nvm.device.CrashPolicy`, RNG consumption order for
 ``RANDOM`` survival, media-hook call sequences, *and*
 ``overlay_fingerprint`` digests must be bit-identical to the
-pure-python device.  The last one is the subtle part: the pure device
-hashes its per-line dict entries and its bulk-range records
-differently, so this class tracks which dirty lines belong to bulk
-copy records (``_ranges``) purely to reproduce the same digests — the
-bytes all live in the one overlay array either way.
+pure-python device.  The digest has one definition
+(:func:`~repro.nvm.device.crash_digest`: non-zero durable pages, then
+every dirty line as ``(line, mask, bytes)``), so this class only says
+which lines its mask array marks dirty; the fingerprint and the durable
+clone themselves are the base class's.
+
+All three arrays sit on lazily-zeroed private mappings
+(:func:`~repro.nvm.device.lazy_zeros`) and every persist path records
+the pages it writes, so a device costs what its run touched: nothing
+here zero-fills, copies, scans or hashes the pool.  The one structure
+walked whole is the per-line mask array (1/64 of the pool), and only
+while lines are dirty.
 
 Burst accounting note: the pure device's segment walk increments the
 burst counter exactly once per maximal run of consecutive dirty lines
@@ -32,25 +39,22 @@ provably identical.
 
 from __future__ import annotations
 
-import hashlib
-import struct
-from bisect import insort
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import DeviceCrashedError
 from .device import (
-    _BULK_THRESHOLD,
     _FULL_MASK,
     _LINE_MASK,
     _LINE_SHIFT,
-    _REC_START,
+    _PAGE_LINE_SHIFT,
     _SPAN_MASKS,
     _WORD_SHIFT,
     _WORDS_PER_LINE,
     CrashPolicy,
     NVMDevice,
+    lazy_zeros,
 )
 from .latency import CACHE_LINE, WORD
 
@@ -101,10 +105,13 @@ class NumpyNVMDevice(NVMDevice):
         # durable media and volatile overlay, padded so whole-line slice
         # ops never clamp; padding bytes stay zero on both sides forever
         # (no store can reach them), so copying them around is harmless
-        self._np_durable = np.zeros(padded, dtype=np.uint8)
-        self._np_overlay = np.zeros(padded, dtype=np.uint8)
+        self._np_durable = np.frombuffer(lazy_zeros(padded), dtype=np.uint8)
+        self._np_overlay = np.frombuffer(lazy_zeros(padded), dtype=np.uint8)
         #: per-line dirty-word bitmask; 0 == clean line
-        self._np_masks = np.zeros(n_lines, dtype=np.uint8)
+        self._np_masks = np.frombuffer(lazy_zeros(n_lines), dtype=np.uint8)
+        # the same bytes as booleans, for finding the dirty lines:
+        # numpy's nonzero scan is ~15x faster over bool than over uint8
+        self._np_dirty = self._np_masks.view(np.bool_)
         # memoryview aliases: python-speed scalar/small-slice access to
         # the exact same memory the vectorized paths operate on
         self._mv_durable = memoryview(self._np_durable)
@@ -113,38 +120,9 @@ class NumpyNVMDevice(NVMDevice):
         # the public durable buffer is clamped to the device size — the
         # media-fault model, the scrubber, and tests index/slice it
         self._durable = self._mv_durable[:size] if padded != size else self._mv_durable
-        #: bulk copy records as [start_line, n_lines], sorted/disjoint.
-        #: The *data* lives in the overlay like any dirty line; this
-        #: list only preserves the pure device's fingerprint structure.
-        self._ranges: List[List[int]] = []
         #: total dirty lines (== np.count_nonzero(self._np_masks)),
         #: maintained incrementally so the hot paths never scan
         self._dirty_count = 0
-
-    # -- bulk-range bookkeeping --------------------------------------------
-
-    def _range_clean(self, addr: int, size: int) -> bool:
-        if not self._dirty_count:
-            return True
-        first = addr >> _LINE_SHIFT
-        last = (addr + size - 1) >> _LINE_SHIFT
-        return not self._np_masks[first : last + 1].any()
-
-    def _trim_ranges(self, first: int, last: int) -> None:
-        """Drop the flushed window ``[first, last]`` from the bulk
-        records, keeping left/right remnants (mirrors the pure device's
-        ``_flush_segments`` record splitting)."""
-        out = []
-        for start, n in self._ranges:
-            end = start + n
-            if end <= first or start > last:
-                out.append([start, n])
-                continue
-            if start < first:
-                out.append([start, first - start])
-            if end > last + 1:
-                out.append([last + 1, end - last - 1])
-        self._ranges = out
 
     # -- raw overlay data path (no stats, no checks) -----------------------
 
@@ -357,22 +335,6 @@ class NumpyNVMDevice(NVMDevice):
         stats.copy_bytes += size
         if self._media is not None:
             self._media.check_read(src, size)
-        if (
-            size >= _BULK_THRESHOLD
-            and dst & _LINE_MASK == 0
-            and size & _LINE_MASK == 0
-            and self._range_clean(dst, size)
-        ):
-            # the mirror-seed fast path: one array memmove plus a bulk
-            # record so fingerprints match the pure device's
-            data = self._peek_arr(src, size)
-            self._np_overlay[dst : dst + size] = data
-            start = dst >> _LINE_SHIFT
-            n = size >> _LINE_SHIFT
-            self._np_masks[start : start + n] = _FULL_MASK
-            self._dirty_count += n
-            insort(self._ranges, [start, n], key=_REC_START)
-            return
         if size >= _VEC_BYTES:
             self._poke(dst, self._peek_arr(src, size))
         else:
@@ -403,6 +365,14 @@ class NumpyNVMDevice(NVMDevice):
                         hi = (last + 1) << _LINE_SHIFT
                         dmv[lo:hi] = omv[lo:hi]
                         masks[first : last + 1] = _ZEROS[n]
+                        # self._touch(first, last), inlined: the hot flush
+                        page = first >> _PAGE_LINE_SHIFT
+                        if page == last >> _PAGE_LINE_SHIFT:
+                            self._touched.add(page)
+                        else:
+                            self._touched.update(
+                                range(page, (last >> _PAGE_LINE_SHIFT) + 1)
+                            )
                         flushed = n
                         bursts = 1
                         if self._media is not None:
@@ -410,6 +380,7 @@ class NumpyNVMDevice(NVMDevice):
                     else:
                         prev = -2
                         lines = [] if self._media is not None else None
+                        touch = self._touched.add
                         for i in range(n):
                             if combined & (0xFF << (i << 3)):
                                 ln = first + i
@@ -417,6 +388,7 @@ class NumpyNVMDevice(NVMDevice):
                                 dmv[base : base + CACHE_LINE] = omv[
                                     base : base + CACHE_LINE
                                 ]
+                                touch(ln >> _PAGE_LINE_SHIFT)
                                 masks[ln] = 0
                                 flushed += 1
                                 if ln != prev + 1:
@@ -427,10 +399,7 @@ class NumpyNVMDevice(NVMDevice):
                         persisted = lines
             else:
                 flushed, bursts, persisted = self._flush_window_vec(first, last)
-            if flushed:
-                self._dirty_count -= flushed
-                if self._ranges:
-                    self._trim_ranges(first, last)
+            self._dirty_count -= flushed
         stats = self.stats
         stats.flushes += 1
         stats.flushed_lines += flushed
@@ -452,6 +421,7 @@ class NumpyNVMDevice(NVMDevice):
             lo = first << _LINE_SHIFT
             hi = (last + 1) << _LINE_SHIFT
             dmv[lo:hi] = omv[lo:hi]
+            self._touch(first, last)
             persisted = (
                 list(range(first, last + 1)) if self._media is not None else None
             )
@@ -459,7 +429,8 @@ class NumpyNVMDevice(NVMDevice):
             return flushed, 1, persisted
         # sparse window: one memcpy per run of consecutive dirty lines
         # (the run count doubles as the burst count)
-        lines = (np.nonzero(window)[0] + first).tolist()
+        idx = np.flatnonzero(self._np_dirty[first : last + 1])
+        lines = (idx + first).tolist()
         bursts = 0
         run_start = prev = -2
         for ln in lines:
@@ -468,14 +439,16 @@ class NumpyNVMDevice(NVMDevice):
                     dmv[run_start << _LINE_SHIFT : (prev + 1) << _LINE_SHIFT] = omv[
                         run_start << _LINE_SHIFT : (prev + 1) << _LINE_SHIFT
                     ]
+                    self._touch(run_start, prev)
                 bursts += 1
                 run_start = ln
             prev = ln
         dmv[run_start << _LINE_SHIFT : (prev + 1) << _LINE_SHIFT] = omv[
             run_start << _LINE_SHIFT : (prev + 1) << _LINE_SHIFT
         ]
+        self._touch(run_start, prev)
         persisted = lines if self._media is not None else None
-        window[:] = 0
+        window[idx] = 0
         return flushed, bursts, persisted
 
     def _persist_all_locked(self) -> None:
@@ -487,7 +460,6 @@ class NumpyNVMDevice(NVMDevice):
         if self._dirty_count:
             flushed, bursts, persisted = self._flush_window_vec(0, self._n_lines - 1)
             self._dirty_count = 0
-            self._ranges = []
         stats = self.stats
         stats.flushes += 1
         stats.flushed_lines += flushed
@@ -512,86 +484,60 @@ class NumpyNVMDevice(NVMDevice):
             self.last_crash_fingerprint = self.overlay_fingerprint()
         media = self._media
         crash_lines: Optional[List[Tuple[int, bool]]] = None
-        if policy is not CrashPolicy.DROP_ALL and self._dirty_count:
-            masks = self._np_masks
-            idx = np.nonzero(masks)[0]
-            lines = idx.tolist()
-            mvals = masks[idx].tolist()
-            if media is not None:
-                full = policy is CrashPolicy.KEEP_ALL
-                crash_lines = [
-                    (ln, full and m == _FULL_MASK) for ln, m in zip(lines, mvals)
-                ]
-            if policy is CrashPolicy.KEEP_ALL:
-                # expand dirty-word bits to a per-byte selector and copy
-                words = np.unpackbits(masks, bitorder="little").reshape(
-                    -1, _WORDS_PER_LINE
-                )
-                np.copyto(
-                    self._np_durable.reshape(-1, WORD),
-                    self._np_overlay.reshape(-1, WORD),
-                    where=words.reshape(-1, 1).astype(bool),
-                )
-            else:
-                # RANDOM: the per-word python loop is deliberate — RNG
-                # draws must match the pure device draw-for-draw
-                # (ascending line order, word order within the line)
-                rng = self._rng.random
-                dmv = self._mv_durable
-                omv = self._mv_overlay
-                for ln, m in zip(lines, mvals):
-                    base = ln << _LINE_SHIFT
-                    for w in range(_WORDS_PER_LINE):
-                        if m & (1 << w) and rng() < survival_prob:
-                            off = base + (w << _WORD_SHIFT)
-                            dmv[off : off + WORD] = omv[off : off + WORD]
-        if crash_lines:
-            media.on_crash(crash_lines)
-        self._np_masks[:] = 0
-        self._dirty_count = 0
-        self._ranges = []
-        self._crashed = True
-
-    # -- introspection (tests) ---------------------------------------------
-
-    def overlay_fingerprint(self) -> str:
-        digest = hashlib.sha1(self._np_durable[: self.size])
         if self._dirty_count:
             masks = self._np_masks
-            idx = np.nonzero(masks)[0]
-            ranges = self._ranges
-            if ranges:
-                covered = np.zeros(self._n_lines, dtype=bool)
-                for start, n in ranges:
-                    covered[start : start + n] = True
-                idx = idx[~covered[idx]]
-            omv = self._mv_overlay
-            size = self.size
-            pack = struct.pack
-            update = digest.update
-            for ln, m in zip(idx.tolist(), masks[idx].tolist()):
-                base = ln << _LINE_SHIFT
-                update(pack("<QQ", ln, m))
-                end = base + CACHE_LINE
-                update(omv[base : size if end > size else end])
-            ov = self._np_overlay
-            for start, n in ranges:
-                update(pack("<Qq", start, -1))
-                update(ov[start << _LINE_SHIFT : (start + n) << _LINE_SHIFT])
-        if self._media is not None:
-            digest.update(self._media.fingerprint_token())
-        return digest.hexdigest()
+            idx = np.flatnonzero(self._np_dirty)
+            if policy is not CrashPolicy.DROP_ALL:
+                lines = idx.tolist()
+                mvals = masks[idx].tolist()
+                if media is not None:
+                    full = policy is CrashPolicy.KEEP_ALL
+                    crash_lines = [
+                        (ln, full and m == _FULL_MASK) for ln, m in zip(lines, mvals)
+                    ]
+                self._touched.update(np.unique(idx >> _PAGE_LINE_SHIFT).tolist())
+                if policy is CrashPolicy.KEEP_ALL:
+                    # dirty lines as (line, word, byte): expand each
+                    # line's dirty-word bits to a per-word selector and
+                    # copy the selected words, for the dirty lines only
+                    shape = (-1, _WORDS_PER_LINE, WORD)
+                    durable = self._np_durable.reshape(shape)
+                    resolved = durable[idx]
+                    np.copyto(
+                        resolved,
+                        self._np_overlay.reshape(shape)[idx],
+                        where=np.unpackbits(masks[idx], bitorder="little")
+                        .reshape(-1, _WORDS_PER_LINE, 1)
+                        .astype(bool),
+                    )
+                    durable[idx] = resolved
+                else:
+                    # RANDOM: the per-word python loop is deliberate — RNG
+                    # draws must match the pure device draw-for-draw
+                    # (ascending line order, word order within the line)
+                    rng = self._rng.random
+                    dmv = self._mv_durable
+                    omv = self._mv_overlay
+                    for ln, m in zip(lines, mvals):
+                        base = ln << _LINE_SHIFT
+                        for w in range(_WORDS_PER_LINE):
+                            if m & (1 << w) and rng() < survival_prob:
+                                off = base + (w << _WORD_SHIFT)
+                                dmv[off : off + WORD] = omv[off : off + WORD]
+            masks[idx] = 0
+            self._dirty_count = 0
+        if crash_lines:
+            media.on_crash(crash_lines)
+        self._crashed = True
 
-    def clone_durable(self, seed: Optional[int] = None) -> "NumpyNVMDevice":
-        clone = NumpyNVMDevice(
-            self.size,
-            model=self.model,
-            seed=seed,
-            coalesce_flushes=self.coalesce_flushes,
-        )
-        clone._np_durable[:] = self._np_durable
-        clone._crashed = self._crashed
-        clone.fingerprint_crashes = self.fingerprint_crashes
-        if self._media is not None:
-            clone._media = self._media.clone(clone)
-        return clone
+    def _overlay_lines(self) -> List[Tuple[int, int, object]]:
+        if not self._dirty_count:
+            return []
+        masks = self._np_masks
+        idx = np.flatnonzero(self._np_dirty)
+        omv = self._mv_overlay
+        size = self.size
+        return [
+            (ln, m, omv[ln << _LINE_SHIFT : min((ln + 1) << _LINE_SHIFT, size)])
+            for ln, m in zip(idx.tolist(), masks[idx].tolist())
+        ]

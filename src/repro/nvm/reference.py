@@ -3,8 +3,9 @@
 :class:`ReferenceNVMDevice` implements the exact same device contract as
 :class:`~repro.nvm.device.NVMDevice` with none of its fast paths: every
 store walks its words in a plain loop, every flush scans its line range,
-copies move data line by line, the lock is always taken, and no bulk
-dirty-range representation exists.  It is the executable specification
+copies move data line by line, the lock is always taken, no bulk
+dirty-range representation exists, and the crash fingerprint and the
+durable clone walk the whole pool.  It is the executable specification
 of the *invariance contract* (docs/INTERNALS.md): the differential tests
 drive randomized operation / crash / recovery sequences through both
 devices and assert bit-identical durable bytes, crash-surviving state,
@@ -13,13 +14,34 @@ and :class:`~repro.nvm.stats.NVMStats`.
 
 from __future__ import annotations
 
+from typing import Iterator, Tuple
+
 from ..errors import DeviceCrashedError
-from .device import _WORDS_PER_LINE, CrashPolicy, NVMDevice
+from .device import _WORDS_PER_LINE, PAGE, CrashPolicy, NVMDevice
 from .latency import CACHE_LINE, WORD
 
 
 class ReferenceNVMDevice(NVMDevice):
     """Per-word-loop implementation of the device contract."""
+
+    # -- the crash image, naively --------------------------------------------
+    #
+    # The optimized devices remember which pages they wrote and hash /
+    # copy only those.  This one keeps no such record: its fingerprint
+    # scans every page of the pool and its clone copies all of it, which
+    # is the spec the tracked walk is tested against.
+
+    def _alloc_store(self, size: int) -> None:
+        self._durable = bytearray(size)
+
+    def _durable_pages(self) -> Iterator[Tuple[int, bytes]]:
+        for page in range((self.size + PAGE - 1) // PAGE):
+            data = bytes(self._durable[page * PAGE : (page + 1) * PAGE])
+            if any(data):
+                yield page, data
+
+    def _copy_durable_to(self, clone: NVMDevice) -> None:
+        clone._durable[:] = self._durable
 
     # -- raw overlay data path ---------------------------------------------
 

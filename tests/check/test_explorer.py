@@ -81,6 +81,28 @@ class TestExplore:
         )
         assert sampled.states_explored > base.states_explored
 
+    def test_progress_keeps_pace_with_the_sweep(self):
+        """``progress`` reports each base point as its replay completes,
+        not in one burst after the whole batch has been replayed."""
+        explorer = CrashExplorer("undo")
+        log = []
+        real = explorer.replay
+
+        def replay(scenario, *args, **kwargs):
+            log.append("replay")
+            return real(scenario, *args, **kwargs)
+
+        explorer.replay = replay
+        explorer.explore(
+            max_points=4,
+            random_samples=0,
+            nested=False,
+            progress=lambda line: log.append("progress"),
+        )
+        assert log.count("replay") == log.count("progress") == 4
+        last_replay = len(log) - 1 - log[::-1].index("replay")
+        assert log.index("progress") < last_replay, log
+
     def test_summary_mentions_engine_and_counts(self):
         report = CrashExplorer("undo").explore(
             max_points=2, random_samples=0, nested=False

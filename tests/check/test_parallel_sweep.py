@@ -11,7 +11,7 @@ import pytest
 
 from repro.check import CrashExplorer
 from repro.check.chain import ChainCrashExplorer, MigrationCrashExplorer, explore_nemesis
-from repro.parallel import cpu_count, fan_out, resolve_workers
+from repro.parallel import cpu_count, fan_out, fan_out_iter, resolve_workers
 
 
 class TestParallelHelpers:
@@ -32,6 +32,20 @@ class TestParallelHelpers:
 
     def test_fan_out_empty(self):
         assert fan_out(_square, [], workers=4) == []
+
+    def test_fan_out_iter_yields_in_order_as_it_goes(self):
+        done = []
+
+        def job(j):  # a closure: serial path only
+            done.append(j)
+            return j * j
+
+        results = fan_out_iter(job, range(5), workers=0)
+        assert next(results) == 0 and done == [0]
+        assert list(results) == [1, 4, 9, 16]
+        pooled = fan_out_iter(_square, range(20), workers=2)
+        assert next(pooled) == 0
+        assert list(pooled) == [j * j for j in range(1, 20)]
 
 
 def _square(job):

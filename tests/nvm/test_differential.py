@@ -4,8 +4,12 @@
 straightforward per-word loops the optimized device replaced (mask
 tables, single-line fast paths, bulk dirty ranges).  Driving both with
 identical seeded op/crash/recovery sequences must be indistinguishable
-in every observable: read results, ``NVMStats``, dirty-line counts, and
-post-crash durable bytes.  This is the enforcement arm of the
+in every observable: read results, ``NVMStats``, dirty-line counts,
+post-crash durable bytes, and the crash image the checker works from —
+``overlay_fingerprint`` digests and ``clone_durable`` copies, which the
+reference device computes over its whole pool and the optimized one over
+the pages it recorded writing (bit flips land anywhere, including in
+pages nothing ever persisted to).  This is the enforcement arm of the
 invariance contract in docs/INTERNALS.md.
 """
 
@@ -41,6 +45,8 @@ def _random_ops(rng: random.Random, nops: int):
                 "persist_all",
                 "read",
                 "crash",
+                "flip",
+                "clone",
             ]
         )
         if kind == "write":
@@ -98,6 +104,10 @@ def _random_ops(rng: random.Random, nops: int):
         elif kind == "read":
             addr = rng.randrange(DEVICE_SIZE - 512)
             ops.append(("read", addr, rng.randint(1, 512)))
+        elif kind == "flip":
+            ops.append(("flip", rng.randrange(DEVICE_SIZE), rng.randrange(8)))
+        elif kind == "clone":
+            ops.append(("clone", rng.randrange(1 << 16)))
         else:
             ops.append(("crash", rng.choice(POLICIES), rng.random()))
     return ops
@@ -105,6 +115,7 @@ def _random_ops(rng: random.Random, nops: int):
 
 def _drive_pair(opt: NVMDevice, ref: ReferenceNVMDevice, ops, check_every=8):
     """Apply each op to both devices, comparing observables as we go."""
+    opt.fingerprint_crashes = ref.fingerprint_crashes = True
     for i, op in enumerate(ops):
         kind = op[0]
         if kind == "write":
@@ -128,20 +139,36 @@ def _drive_pair(opt: NVMDevice, ref: ReferenceNVMDevice, ops, check_every=8):
             ref.persist_all()
         elif kind == "read":
             assert opt.read(op[1], op[2]) == ref.read(op[1], op[2])
+        elif kind == "flip":
+            before = opt.overlay_fingerprint()
+            for dev in (opt, ref):
+                media = dev.media or dev.attach_media(seed=0, protect=True)
+                media.flip_bit(op[1], op[2])
+            assert opt.overlay_fingerprint() != before
+        elif kind == "clone":
+            # go on with the clones: theirs must be as good an image
+            clones = opt.clone_durable(seed=op[1]), ref.clone_durable(seed=op[1])
+            for dev, clone in zip((opt, ref), clones):
+                assert type(clone) is type(dev)
+                assert bytes(clone._durable) == bytes(dev._durable)
+            opt, ref = clones
         else:
             _k, policy, survival = op
             opt.crash(policy, survival_prob=survival)
             ref.crash(policy, survival_prob=survival)
+            assert opt.last_crash_fingerprint == ref.last_crash_fingerprint
             assert opt.durable_read(0, DEVICE_SIZE) == ref.durable_read(0, DEVICE_SIZE)
             opt.restart()
             ref.restart()
         if i % check_every == 0:
             assert opt.dirty_lines == ref.dirty_lines
             assert opt.stats.snapshot() == ref.stats.snapshot()
+            assert opt.overlay_fingerprint() == ref.overlay_fingerprint()
     assert opt.read(0, DEVICE_SIZE) == ref.read(0, DEVICE_SIZE)
     assert opt.durable_read(0, DEVICE_SIZE) == ref.durable_read(0, DEVICE_SIZE)
     assert opt.dirty_lines == ref.dirty_lines
     assert opt.stats.snapshot() == ref.stats.snapshot()
+    assert opt.overlay_fingerprint() == ref.overlay_fingerprint()
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -2,15 +2,20 @@
 
 Hypothesis searches for ANY mixed sequence of writes, copies (bulk and
 chunked), flushes, fences, crashes, scheduled-crash countdowns that fire
-*mid-bulk-op*, and media rot (bit flips, dead lines) on which
+*mid-bulk-op*, media rot (bit flips, stuck bits, dead lines, stale
+replays, controller repairs — landing wherever they like, including in
+pages nothing ever persisted to) and durable clones on which
 ``NumpyNVMDevice`` diverges from the devices it must be bit-identical
 to:
 
 * ``ReferenceNVMDevice`` — every observable: reads, ``NVMStats``,
   dirty-line counts, post-crash durable bytes, typed media errors;
-* the pure-python ``NVMDevice`` — additionally the overlay/crash
-  fingerprints the crash-consistency checker prunes on (the reference
-  device legitimately diverges there once bulk copy records exist).
+* ``ReferenceNVMDevice`` *and* the pure-python ``NVMDevice`` — the
+  overlay/crash fingerprints the crash-consistency checker prunes on and
+  the durable clones it forks recoveries from.  The reference device
+  hashes and copies its whole pool; the other two visit only the pages
+  they recorded writing, so agreement here is what shows that record is
+  complete.
 
 This is the enforcement arm of the backend half of the invariance
 contract (docs/INTERNALS.md §8).
@@ -49,6 +54,7 @@ def op_sequences(draw):
         kind = draw(st.sampled_from([
             "write", "copy", "bulk_copy", "flush", "flush_multi", "fence",
             "persist_all", "read", "crash", "schedule_crash", "rot",
+            "flip", "stick", "repair", "stale", "clone",
         ]))
         if kind == "write":
             addr = draw(st.integers(0, DEVICE_SIZE - 1))
@@ -98,14 +104,36 @@ def op_sequences(draw):
                 draw(st.sampled_from(POLICIES)),
                 draw(st.floats(0.0, 1.0)),
             ))
-        else:
+        elif kind == "rot":
             ops.append((
                 "rot",
                 draw(st.integers(1, 4)),     # bit flips
                 draw(st.integers(0, 1)),     # dead lines
                 draw(st.integers(0, 2**16)),  # injection seed
             ))
+        elif kind == "flip":
+            ops.append(("flip", draw(st.integers(0, DEVICE_SIZE - 1)), draw(st.integers(0, 7))))
+        elif kind == "stick":
+            ops.append((
+                "stick",
+                draw(st.integers(0, DEVICE_SIZE - 1)),
+                draw(st.integers(0, 7)),
+                draw(st.integers(0, 1)),
+            ))
+        elif kind in ("repair", "stale"):
+            # a whole line rewritten straight on the media
+            ops.append((
+                kind,
+                draw(st.integers(0, DEVICE_SIZE // LINE - 1)),
+                draw(st.integers(0, 255)),
+            ))
+        else:
+            ops.append(("clone", draw(st.integers(0, 2**16))))
     return ops
+
+
+def _media(dev):
+    return dev.media if dev.media is not None else dev.attach_media(seed=0, protect=True)
 
 
 def _apply(dev, op):
@@ -135,7 +163,7 @@ def _apply(dev, op):
             dev.restart()
         elif kind == "schedule_crash":
             dev.schedule_crash(op[1], op[2], survival_prob=op[3])
-        else:  # rot
+        elif kind == "rot":
             if dev.media is None:
                 dev.attach_media(seed=op[3], protect=True)
             import random as _random
@@ -144,6 +172,14 @@ def _apply(dev, op):
             dev.media.inject_flips(op[1], rng=rng)
             if op[2]:
                 dev.media.kill_lines(op[2], rng=rng)
+        elif kind == "flip":
+            _media(dev).flip_bit(op[1], op[2])
+        elif kind == "stick":
+            _media(dev).stick_bit(op[1], op[2], op[3])
+        elif kind == "repair":
+            _media(dev).repair_line(op[1], bytes([op[2]]) * LINE)
+        else:  # stale
+            _media(dev).replay_stale({op[1]: bytes([op[2]]) * LINE}, [op[1]])
     except DeviceCrashedError:
         # a scheduled countdown fired mid-op; power-cycle and continue
         dev.cancel_scheduled_crash()
@@ -161,13 +197,33 @@ def _safe_read(dev, addr, size):
         return ("media", type(exc).__name__)
 
 
+def _step(devs, op):
+    """One op against every device -> (the devices to go on with, one
+    outcome per device).
+
+    A ``clone`` op swaps each device for its durable clone — checked
+    byte for byte against its original — and the sequence goes on *on
+    the clones*, so a clone that forgot which pages it holds would show
+    in every later fingerprint and clone.
+    """
+    if op[0] != "clone":
+        return devs, [_apply(dev, op) for dev in devs]
+    clones = [dev.clone_durable(seed=op[1]) for dev in devs]
+    for dev, clone in zip(devs, clones):
+        assert type(clone) is type(dev)
+        assert bytes(clone._durable) == bytes(dev._durable)
+        assert clone.dirty_lines == 0
+    return clones, [("ok",)] * len(devs)
+
+
 @given(ops=op_sequences(), seed=st.integers(0, 2**16))
 @SETTINGS
 def test_numpy_device_matches_reference(ops, seed):
     vec = NumpyNVMDevice(DEVICE_SIZE, seed=seed)
     ref = ReferenceNVMDevice(DEVICE_SIZE, seed=seed)
     for i, op in enumerate(ops):
-        assert _apply(vec, op) == _apply(ref, op), (i, op)
+        (vec, ref), (got, want) = _step([vec, ref], op)
+        assert got == want, (i, op)
         assert vec.dirty_lines == ref.dirty_lines, (i, op)
         assert vec.stats.snapshot() == ref.stats.snapshot(), (i, op)
     # whole-device sweep, line by line so dead lines stay typed
@@ -178,14 +234,28 @@ def test_numpy_device_matches_reference(ops, seed):
 @given(ops=op_sequences(), seed=st.integers(0, 2**16))
 @SETTINGS
 def test_numpy_device_fingerprints_match_pure(ops, seed):
-    """The checker's pruning digests must not depend on the backend."""
-    vec = NumpyNVMDevice(DEVICE_SIZE, seed=seed)
-    pure = NVMDevice(DEVICE_SIZE, seed=seed)
-    vec.fingerprint_crashes = pure.fingerprint_crashes = True
+    """The checker's pruning digests and forked images must not depend
+    on the device class — numpy == pure == reference: full scan
+    (reference) == tracked pages (pure, numpy), through rot in
+    never-written space, every crash policy, and clones of clones.  And
+    the digest is honest: whatever changes a durable byte changes it."""
+    devs = [
+        ReferenceNVMDevice(DEVICE_SIZE, seed=seed),
+        NVMDevice(DEVICE_SIZE, seed=seed),
+        NumpyNVMDevice(DEVICE_SIZE, seed=seed),
+    ]
+    for dev in devs:
+        dev.fingerprint_crashes = True
     for i, op in enumerate(ops):
-        assert _apply(vec, op) == _apply(pure, op), (i, op)
-        assert vec.overlay_fingerprint() == pure.overlay_fingerprint(), (i, op)
-        assert vec.last_crash_fingerprint == pure.last_crash_fingerprint, (i, op)
+        before = devs[0].overlay_fingerprint(), bytes(devs[0]._durable)
+        devs, outcomes = _step(devs, op)
+        assert outcomes[0] == outcomes[1] == outcomes[2], (i, op)
+        digests = {dev.overlay_fingerprint() for dev in devs}
+        assert len(digests) == 1, (i, op)
+        assert len({dev.last_crash_fingerprint for dev in devs}) == 1, (i, op)
+        assert len({bytes(dev._durable) for dev in devs}) == 1, (i, op)
+        if op[0] != "clone" and bytes(devs[0]._durable) != before[1]:
+            assert digests != {before[0]}, (i, op)
 
 
 def test_scheduled_crash_fires_mid_bulk_copy_identically():

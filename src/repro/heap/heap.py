@@ -94,6 +94,7 @@ class PersistentHeap:
         # offset/size and the device binding are set before first use.
         # Device traffic is bit-identical — only python frames are cut.
         self._dev_read = pool.device.read
+        self._dev_read_declared = pool.device.read_declared
         self._heap_off = region.offset
         self._heap_size = region.size
         self._translates = engine.translates_reads
@@ -275,6 +276,34 @@ class PersistentHeap:
             return self._dev_read(self._heap_off + offset, size)
         return self.region.read(offset, size)
 
+    def read_object_declared(self, oid: int, size: int, loads) -> bytes:
+        """The first ``size`` bytes of the object at ``oid`` in one block
+        read, charged as the field loads ``loads`` (a
+        :class:`~repro.nvm.device.DeclaredLoads`, offsets relative to
+        ``oid``) that a field-by-field walk of it would have made.
+
+        ``on_read`` fires once for the block, as on the field-wise path
+        (its first field read puts the block in the read set), and
+        ``translate_read`` is asked once for the object, so a
+        copy-on-write shadow or an nvtraverse buffer redirects the whole
+        object exactly as it redirected each of its fields.
+        """
+        tx = getattr(self._tls, "tx", None)
+        if tx is not None and tx.state is TxState.ACTIVE:
+            block = oid - OBJ_HEADER_SIZE
+            if block not in tx.read_set and block not in tx.write_set:
+                self._on_read(tx, block, self.allocator.block_size_of(block))
+        else:
+            tx = None
+        if self._translates:
+            dest = self.engine.translate_read(tx, oid, size)
+            if dest is not None:
+                region, off = dest
+                return region.read_declared(off, size, loads)
+        if oid + size <= self._heap_size:
+            return self._dev_read_declared(self._heap_off + oid, size, loads)
+        return self.region.read_declared(oid, size, loads)
+
     def write_object_field(self, obj: PersistentStruct, info: FieldInfo, data: bytes) -> None:
         """Store one field's bytes; requires a declared write intent."""
         tx = self._require_tx()
@@ -293,6 +322,10 @@ class PersistentHeap:
         type_id, data_size = self.object_header(oid)
         if size is None:
             size = data_size
+        elif not 0 <= size <= data_size:
+            # past data_size lie the next block's bytes, which this read
+            # does not lock
+            raise ValueError(f"blob read [0, {size}) outside {data_size} bytes")
         tx = getattr(self._tls, "tx", None)
         if tx is not None and tx.state is TxState.ACTIVE:
             block = oid - OBJ_HEADER_SIZE

@@ -7,6 +7,18 @@ baseline each touched node's whole block is copied in the critical path,
 with Kamino only a 32-byte intent is logged, which is precisely the
 asymmetry Figures 12–13 measure.
 
+Reads are *declared* (docs/INTERNALS.md §8): a node visit is one block
+read of the whole node, decoded by one precompiled per-fanout struct and
+charged exactly the field loads the field-by-field walk made — on the
+way down ``is_leaf``, ``count``, ``keys``, ``is_leaf``, ``ptrs``.  Read
+locks, copy-on-write translation, :class:`~repro.nvm.stats.NVMStats` and
+media errors are therefore what they were, while the host makes one
+device call per node instead of five.  What each kind of visit is
+charged lives in :class:`_NodeCodec`, built once per fanout by
+:func:`node_class`.  Writes stay field-wise (:meth:`BPlusTree._store`
+and the transaction path), so intents, stores and fail-points do not
+move.
+
 Deletes are lazy at the structural level: keys are removed from leaves
 but empty leaves stay linked (and internal separators stay in place), a
 common simplification that keeps every operation's write set small and
@@ -16,19 +28,57 @@ only on drop.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterator, List, Optional, Tuple, Type
 
 from ..errors import SchemaError
 from ..heap import Array, Int64, PNULL, PPtr, PersistentHeap, PersistentStruct
+from ..nvm.device import DeclaredLoads
 
 DEFAULT_FANOUT = 32
 
 _node_classes: Dict[int, Type[PersistentStruct]] = {}
 
+#: a decoded node: (is_leaf, next, keys, ptrs), keys/ptrs cut to count
+_Node = Tuple[int, int, List[int], List[int]]
+
+
+class _NodeCodec:
+    """One fanout's node decode and the loads each kind of visit is charged.
+
+    ``load`` is what reading a node's contents cost field by field
+    (``count``, ``keys``, ``is_leaf`` to size ``ptrs``, ``ptrs``); the
+    walks combine it with the ``is_leaf`` test they make before or after
+    it, and scans with the ``next`` link.
+    """
+
+    __slots__ = ("size", "unpack", "is_leaf", "next", "load", "descend", "insert", "chain")
+
+    def __init__(self, cls: Type[PersistentStruct], fanout: int):
+        schema = cls._schema
+        field = {info.name: (info.offset, info.ftype.size) for info in schema.fields}
+        self.size = schema.size
+        self.unpack = struct.Struct(f"<qqQ{fanout}q{fanout + 1}Q").unpack
+        load = (field["count"], field["keys"], field["is_leaf"], field["ptrs"])
+        #: a leaf test alone
+        self.is_leaf = DeclaredLoads([field["is_leaf"]])
+        #: the leaf link alone
+        self.next = DeclaredLoads([field["next"]])
+        #: a node's contents alone
+        self.load = DeclaredLoads(load)
+        #: a node on the way down: tested, then loaded (a leaf is loaded
+        #: by whoever descended to it)
+        self.descend = DeclaredLoads((field["is_leaf"],) + load)
+        #: a node on an insert path: loaded, then tested
+        self.insert = DeclaredLoads(load + (field["is_leaf"],))
+        #: a chained leaf of a scan: loaded, then followed
+        self.chain = DeclaredLoads(load + (field["next"],))
+
 
 def node_class(fanout: int) -> Type[PersistentStruct]:
-    """The persistent node struct for a given fanout (cached per fanout)."""
+    """The persistent node struct for a given fanout (cached per fanout,
+    with its :class:`_NodeCodec` as ``_codec``)."""
     cls = _node_classes.get(fanout)
     if cls is None:
         if not 4 <= fanout <= 128:
@@ -46,6 +96,7 @@ def node_class(fanout: int) -> Type[PersistentStruct]:
                 ]
             },
         )
+        cls._codec = _NodeCodec(cls, fanout)
         _node_classes[fanout] = cls
     return cls
 
@@ -68,6 +119,7 @@ class BPlusTree:
         self.meta = meta
         self.fanout = meta.fanout
         self._node_cls = node_class(self.fanout)
+        self._codec: _NodeCodec = self._node_cls._codec
 
     @classmethod
     def create(cls, heap: PersistentHeap, fanout: int = DEFAULT_FANOUT) -> "BPlusTree":
@@ -98,51 +150,95 @@ class BPlusTree:
         node.ptrs = ptrs + [PNULL] * (f + 1 - len(ptrs))
         node.count = len(keys)
 
-    def _load(self, node) -> Tuple[List[int], List[int]]:
-        count = node.count
-        keys = node.keys[:count]
-        nptrs = count + (0 if node.is_leaf else 1)
-        ptrs = node.ptrs[:nptrs]
-        return keys, ptrs
+    def _rewrite(self, oid: int, keys: List[int], ptrs: List[int]) -> None:
+        """Declare the intent on node ``oid`` and store its new contents."""
+        node = self._node(oid)
+        node.tx_add()
+        self._store(node, keys, ptrs)
+
+    def _read(self, oid: int, loads: DeclaredLoads) -> _Node:
+        """Node ``oid`` from one declared read charged as ``loads``, with
+        ``keys``/``ptrs`` cut exactly as the field-wise walk cut them:
+        ``keys[:count]`` and ``ptrs[:count + (0 if is_leaf else 1)]``."""
+        if oid == PNULL:
+            self._node(oid)  # raises, as building its handle did on the field-wise walk
+        codec = self._codec
+        v = codec.unpack(self.heap.read_object_declared(oid, codec.size, loads))
+        is_leaf = v[0]
+        count = v[1]
+        f = self.fanout
+        nptrs = count if is_leaf else count + 1
+        if 0 <= count <= f:
+            return is_leaf, v[2], list(v[3 : 3 + count]), list(v[3 + f : 3 + f + nptrs])
+        # a rotted count: each array is cut from its own sub-tuple, as each
+        # array field was (negative counts from its end, too large stops at
+        # it) — never spilling keys into ptrs
+        return is_leaf, v[2], list(v[3 : 3 + f][:count]), list(v[3 + f :][:nptrs])
+
+    def _descend(
+        self, oid: int, key: Optional[int], loads: DeclaredLoads
+    ) -> Optional[Tuple[int, _Node, int]]:
+        """Walk from node ``oid`` down to the leaf on ``key``'s path (the
+        leftmost leaf when ``key`` is None): ``(leaf oid, leaf, depth)``,
+        or None when ``oid`` is PNULL.
+
+        Every node is read with ``loads`` — ``descend`` when the caller
+        goes on to load the leaf, ``is_leaf`` when it only tests it.  An
+        internal node is charged its test and then its contents either
+        way; after an ``is_leaf``-only read that takes a second read.
+        """
+        if oid == PNULL:
+            return None
+        read = self._read
+        codec = self._codec
+        depth = 1
+        while True:
+            node = read(oid, loads)
+            if node[0]:
+                return oid, node, depth
+            if loads is codec.is_leaf:
+                read(oid, codec.load)
+            ptrs = node[3]
+            oid = ptrs[0 if key is None else bisect_right(node[2], key)]
+            depth += 1
 
     # -- reads -------------------------------------------------------------------
 
     def get(self, key: int) -> Optional[int]:
         """Value pointer for ``key``, or None (read-only transaction)."""
         with self.heap.transaction():
-            leaf = self._descend(key)
-            if leaf is None:
+            found = self._descend(self.meta.root, key, self._codec.descend)
+            if found is None:
                 return None
-            keys, ptrs = self._load(leaf)
+            _oid, (_leaf, _next, keys, ptrs), _depth = found
             idx = bisect_left(keys, key)
             if idx < len(keys) and keys[idx] == key:
                 return ptrs[idx]
             return None
 
-    def _descend(self, key: int):
-        oid = self.meta.root
-        if oid == PNULL:
-            return None
-        node = self._node(oid)
-        while not node.is_leaf:
-            keys, ptrs = self._load(node)
-            node = self._node(ptrs[bisect_right(keys, key)])
-        return node
-
     def scan(self, start_key: int, limit: int) -> List[Tuple[int, int]]:
         """Up to ``limit`` (key, ptr) pairs with key >= start_key."""
         out: List[Tuple[int, int]] = []
+        codec = self._codec
         with self.heap.transaction():
-            leaf = self._descend(start_key)
-            while leaf is not None and len(out) < limit:
-                keys, ptrs = self._load(leaf)
-                idx = bisect_left(keys, start_key)
-                for i in range(idx, len(keys)):
+            if limit <= 0:
+                # nothing to collect, but the walk still tests its leaf
+                self._descend(self.meta.root, start_key, codec.is_leaf)
+                return out
+            found = self._descend(self.meta.root, start_key, codec.descend)
+            if found is None:
+                return out
+            oid, (_leaf, _next, keys, ptrs), _depth = found
+            nxt = self._read(oid, codec.next)[1]
+            while True:
+                for i in range(bisect_left(keys, start_key), len(keys)):
                     out.append((keys[i], ptrs[i]))
                     if len(out) >= limit:
                         break
-                leaf = self.heap.deref(leaf.next, self._node_cls)
-        return out
+                leaf = self.heap.deref(nxt, self._node_cls)
+                if leaf is None or len(out) >= limit:
+                    return out
+                _leaf, nxt, keys, ptrs = self._read(leaf.oid, codec.chain)
 
     # -- writes -------------------------------------------------------------------
 
@@ -157,7 +253,7 @@ class BPlusTree:
                 self.meta.root = leaf.oid
                 self.meta.count = 1
                 return None
-            split, old = self._insert(self._node(root_oid), key, vptr)
+            split, old = self._insert(root_oid, key, vptr)
             if split is not None:
                 sep, right_oid = split
                 new_root = self._new_node(is_leaf=False)
@@ -169,36 +265,33 @@ class BPlusTree:
                 self.meta.count = self.meta.count + 1
             return old
 
-    def _insert(self, node, key: int, vptr: int):
+    def _insert(self, oid: int, key: int, vptr: int):
         """Recursive insert; returns ((sep, new_node_oid) | None, old_ptr)."""
-        keys, ptrs = self._load(node)
-        if node.is_leaf:
+        is_leaf, _next, keys, ptrs = self._read(oid, self._codec.insert)
+        if is_leaf:
             idx = bisect_left(keys, key)
             if idx < len(keys) and keys[idx] == key:
                 old = ptrs[idx]
                 ptrs[idx] = vptr
-                node.tx_add()
-                self._store(node, keys, ptrs)
+                self._rewrite(oid, keys, ptrs)
                 return None, old
             keys.insert(idx, key)
             ptrs.insert(idx, vptr)
             if len(keys) <= self.fanout:
-                node.tx_add()
-                self._store(node, keys, ptrs)
+                self._rewrite(oid, keys, ptrs)
                 return None, None
-            return self._split_leaf(node, keys, ptrs), None
+            return self._split_leaf(self._node(oid), keys, ptrs), None
         child_idx = bisect_right(keys, key)
-        split, old = self._insert(self._node(ptrs[child_idx]), key, vptr)
+        split, old = self._insert(ptrs[child_idx], key, vptr)
         if split is None:
             return None, old
         sep, right_oid = split
         keys.insert(child_idx, sep)
         ptrs.insert(child_idx + 1, right_oid)
         if len(keys) <= self.fanout:
-            node.tx_add()
-            self._store(node, keys, ptrs)
+            self._rewrite(oid, keys, ptrs)
             return None, old
-        return self._split_internal(node, keys, ptrs), old
+        return self._split_internal(self._node(oid), keys, ptrs), old
 
     def _split_leaf(self, node, keys: List[int], ptrs: List[int]):
         mid = len(keys) // 2
@@ -222,18 +315,17 @@ class BPlusTree:
     def delete(self, key: int) -> Optional[int]:
         """Remove ``key``; returns its pointer, or None if absent."""
         with self.heap.transaction():
-            leaf = self._descend(key)
-            if leaf is None:
+            found = self._descend(self.meta.root, key, self._codec.descend)
+            if found is None:
                 return None
-            keys, ptrs = self._load(leaf)
+            oid, (_leaf, _next, keys, ptrs), _depth = found
             idx = bisect_left(keys, key)
             if idx >= len(keys) or keys[idx] != key:
                 return None
             old = ptrs[idx]
             del keys[idx]
             del ptrs[idx]
-            leaf.tx_add()
-            self._store(leaf, keys, ptrs)
+            self._rewrite(oid, keys, ptrs)
             self.meta.tx_add()
             self.meta.count = self.meta.count - 1
             return old
@@ -245,31 +337,23 @@ class BPlusTree:
 
     def items(self) -> Iterator[Tuple[int, int]]:
         """All (key, ptr) pairs in key order (leaf-chain walk)."""
-        oid = self.meta.root
-        if oid == PNULL:
+        codec = self._codec
+        found = self._descend(self.meta.root, None, codec.descend)
+        if found is None:
             return
-        node = self._node(oid)
-        while not node.is_leaf:
-            _keys, ptrs = self._load(node)
-            node = self._node(ptrs[0])
-        while node is not None:
-            keys, ptrs = self._load(node)
-            for k, p in zip(keys, ptrs):
-                yield k, p
-            node = self.heap.deref(node.next, self._node_cls)
+        oid, (_leaf, _next, keys, ptrs), _depth = found
+        while True:
+            yield from zip(keys, ptrs)
+            # the link is read after the caller consumed this leaf
+            leaf = self.heap.deref(self._read(oid, codec.next)[1], self._node_cls)
+            if leaf is None:
+                return
+            oid = leaf.oid
+            _leaf, _next, keys, ptrs = self._read(oid, codec.load)
 
     def height(self) -> int:
-        h = 0
-        oid = self.meta.root
-        if oid == PNULL:
-            return 0
-        node = self._node(oid)
-        h = 1
-        while not node.is_leaf:
-            _keys, ptrs = self._load(node)
-            node = self._node(ptrs[0])
-            h += 1
-        return h
+        found = self._descend(self.meta.root, None, self._codec.is_leaf)
+        return 0 if found is None else found[2]
 
     def check_invariants(self) -> None:
         """Assert sortedness, separator bounds, counts, and chain order."""
@@ -278,33 +362,36 @@ class BPlusTree:
             assert self.meta.count == 0
             return
         leaves: List[int] = []
-        total = self._check_node(self._node(root_oid), None, None, leaves)
+        total = self._check_node(root_oid, None, None, leaves)
         assert total == self.meta.count, (
             f"count mismatch: counted {total}, meta says {self.meta.count}"
         )
         # the leaf chain must visit exactly the leaves, left to right
+        codec = self._codec
         chain = []
-        node = self._node(root_oid)
-        while not node.is_leaf:
-            _k, ptrs = self._load(node)
-            node = self._node(ptrs[0])
-        while node is not None:
-            chain.append(node.oid)
-            node = self.heap.deref(node.next, self._node_cls)
+        oid = self._descend(root_oid, None, codec.is_leaf)[0]
+        while True:
+            chain.append(oid)
+            leaf = self.heap.deref(self._read(oid, codec.next)[1], self._node_cls)
+            if leaf is None:
+                break
+            oid = leaf.oid
         assert chain == leaves, "leaf chain disagrees with tree structure"
 
-    def _check_node(self, node, lo, hi, leaves: List[int]) -> int:
-        keys, ptrs = self._load(node)
+    def _check_node(self, oid: int, lo, hi, leaves: List[int]) -> int:
+        codec = self._codec
+        _leaf, _next, keys, ptrs = self._read(oid, codec.load)
         assert keys == sorted(keys), "unsorted node"
         for k in keys:
             assert lo is None or k >= lo, "key below separator bound"
             assert hi is None or k < hi, "key above separator bound"
-        if node.is_leaf:
-            leaves.append(node.oid)
+        # tested after the key checks, where the field-wise walk tested it
+        if self._read(oid, codec.is_leaf)[0]:
+            leaves.append(oid)
             return len(keys)
         assert len(ptrs) == len(keys) + 1
         total = 0
         bounds = [lo] + keys + [hi]
         for i, p in enumerate(ptrs):
-            total += self._check_node(self._node(p), bounds[i], bounds[i + 1], leaves)
+            total += self._check_node(p, bounds[i], bounds[i + 1], leaves)
         return total

@@ -14,7 +14,7 @@ from .backend import (
     resolve_backend,
     set_default_backend,
 )
-from .device import CrashPolicy, NVMDevice
+from .device import CrashPolicy, DeclaredLoads, NVMDevice
 from .latency import (
     CACHE_LINE,
     DRAM,
@@ -39,6 +39,7 @@ __all__ = [
     "WORD",
     "CrashPolicy",
     "DATA_START",
+    "DeclaredLoads",
     "DRAM",
     "EADR",
     "LatencyModel",

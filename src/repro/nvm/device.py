@@ -44,6 +44,7 @@ import struct
 import threading
 from bisect import bisect_right, insort
 from enum import Enum
+from itertools import repeat
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -131,6 +132,44 @@ def crash_digest(
         # crash states (one read raises, the other doesn't)
         update(media.fingerprint_token())
     return digest.hexdigest()
+
+
+class DeclaredLoads:
+    """The field loads one declared read is charged as.
+
+    Iterating yields ``(rel_off, n)`` pairs in program order, offsets
+    relative to the read's address: what the media checks and the
+    reference device walk.  ``count`` and ``nbytes`` are their totals, so
+    a device with nothing to check per load charges them in two
+    additions.  Build one per call site once and reuse it.
+    """
+
+    __slots__ = ("_pairs", "_stride", "count", "nbytes")
+
+    def __init__(self, pairs: Iterable[Tuple[int, int]]):
+        self._pairs: Optional[Tuple[Tuple[int, int], ...]] = tuple(pairs)
+        self._stride = 0
+        self.count = len(self._pairs)
+        self.nbytes = sum(n for _off, n in self._pairs)
+
+    @classmethod
+    def strided(cls, count: int, n: int) -> "DeclaredLoads":
+        """``count`` back-to-back loads of ``n`` bytes (a table walk),
+        with no pair built per load unless something iterates them."""
+        loads = cls(())
+        loads._pairs = None
+        loads._stride = n
+        loads.count = count
+        loads.nbytes = count * n
+        return loads
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        if self._pairs is not None:
+            return iter(self._pairs)
+        return zip(range(0, self.nbytes, self._stride), repeat(self._stride))
+
+    def __len__(self) -> int:
+        return self.count
 
 
 class CrashPolicy(Enum):
@@ -501,6 +540,36 @@ class NVMDevice:
         if self._media is not None:
             self._media.check_read(addr, size)
         return self._peek(addr, size)
+
+    def read_declared(self, addr: int, size: int, loads: DeclaredLoads) -> bytes:
+        """Load ``size`` bytes at ``addr`` in one block read, charged as
+        the field loads it stands in for.
+
+        The charge is exactly that of one :meth:`read` per
+        ``(rel_off, n)`` of ``loads``, in order: ``loads``/``load_bytes``
+        per load and, with a media model attached, its ``check_read`` at
+        ``addr + rel_off`` (so a dead line raises after the same partial
+        charges).  What the host reads may differ from what is charged;
+        what is charged may not — :class:`~repro.nvm.reference.ReferenceNVMDevice`
+        implements this as that literal loop (docs/INTERNALS.md §8).
+        """
+        with self._mutex:
+            if self._crashed or addr < 0 or size < 0 or addr + size > self.size:
+                # the field reads fail where they would have, one by one
+                for rel, n in loads:
+                    self._read_locked(addr + rel, n)
+                self._check(addr, size)
+            stats = self.stats
+            media = self._media
+            if media is None:
+                stats.loads += loads.count
+                stats.load_bytes += loads.nbytes
+            else:
+                for rel, n in loads:
+                    stats.loads += 1
+                    stats.load_bytes += n
+                    media.check_read(addr + rel, n)
+            return self._peek(addr, size)
 
     def write(self, addr: int, data: bytes) -> None:
         """Store ``data`` at ``addr`` into the volatile overlay."""

@@ -67,6 +67,7 @@ class PmemRegion:
         # region's lifetime (reopen builds fresh pool + region objects),
         # so the two-hop ``self.pool.device.<op>`` walk is resolved once
         object.__setattr__(self, "_dev_read", self.pool.device.read)
+        object.__setattr__(self, "_dev_read_declared", self.pool.device.read_declared)
         object.__setattr__(self, "_dev_write", self.pool.device.write)
         object.__setattr__(self, "_dev_flush", self.pool.device.flush)
 
@@ -82,6 +83,17 @@ class PmemRegion:
         # hot path: bounds check inlined, _abs only raises
         if 0 <= addr and 0 <= size and addr + size <= self.size:
             return self._dev_read(self.offset + addr, size)
+        self._abs(addr, size)
+        raise AssertionError("unreachable")
+
+    def read_declared(self, addr: int, size: int, loads) -> bytes:
+        """:meth:`read` of a block charged as the field loads ``loads``
+        (see :meth:`NVMDevice.read_declared`)."""
+        if 0 <= addr and 0 <= size and addr + size <= self.size:
+            return self._dev_read_declared(self.offset + addr, size, loads)
+        # the field reads fail where they would have, one by one
+        for rel, n in loads:
+            self.read(addr + rel, n)
         self._abs(addr, size)
         raise AssertionError("unreachable")
 

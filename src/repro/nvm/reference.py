@@ -4,8 +4,9 @@
 :class:`~repro.nvm.device.NVMDevice` with none of its fast paths: every
 store walks its words in a plain loop, every flush scans its line range,
 copies move data line by line, the lock is always taken, no bulk
-dirty-range representation exists, and the crash fingerprint and the
-durable clone walk the whole pool.  It is the executable specification
+dirty-range representation exists, a declared read is one read per
+declared load, and the crash fingerprint and the durable clone walk the
+whole pool.  It is the executable specification
 of the *invariance contract* (docs/INTERNALS.md): the differential tests
 drive randomized operation / crash / recovery sequences through both
 devices and assert bit-identical durable bytes, crash-surviving state,
@@ -95,6 +96,15 @@ class ReferenceNVMDevice(NVMDevice):
         if self._media is not None:
             self._media.check_read(addr, size)
         return self._peek(addr, size)
+
+    def read_declared(self, addr: int, size: int, loads) -> bytes:
+        # the spec of a declared read: one read per declared load, in
+        # order, then the block itself uncharged
+        with self._mutex:
+            for rel, n in loads:
+                self._read_locked(addr + rel, n)
+            self._check(addr, size)
+            return self._peek(addr, size)
 
     def _write_locked(self, addr: int, data) -> None:
         self._tick_failpoint()

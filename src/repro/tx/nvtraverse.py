@@ -54,8 +54,9 @@ from .kamino import KaminoEngine, _SyncTask
 class _ShadowBuffer:
     """Volatile DRAM staging buffer with the region read/write surface.
 
-    The heap only ever calls ``.write(off, data)`` / ``.read(off, size)``
-    on a translation target, so a plain bytearray wrapper is a drop-in —
+    The heap only ever calls ``.write(off, data)``, ``.read(off, size)``
+    and ``.read_declared(off, size, loads)`` on a translation target, so
+    a plain bytearray wrapper is a drop-in —
     and, unlike the CoW engine's log-region shadows, costs no NVM ops.
     """
 
@@ -68,6 +69,10 @@ class _ShadowBuffer:
         self.buf[offset : offset + len(data)] = data
 
     def read(self, offset: int, size: int) -> bytes:
+        return bytes(self.buf[offset : offset + size])
+
+    def read_declared(self, offset: int, size: int, loads) -> bytes:
+        # DRAM: no field load of a shadow was ever charged
         return bytes(self.buf[offset : offset + size])
 
 

@@ -197,6 +197,22 @@ class TestObjectIdentity:
         assert p.fields_dict() == {"key": 4, "value": "x"}
 
 
+class TestBlobBounds:
+    def test_read_blob_size_stays_inside_the_blob(self, undo_heap):
+        heap, _, _ = undo_heap
+        with heap.transaction():
+            first = heap.alloc_blob(16)
+            heap.write_blob(first, b"a" * 16)
+            second = heap.alloc_blob(16)
+            heap.write_blob(second, b"b" * 16)
+        assert heap.read_blob(first, 10) == b"a" * 10
+        # past data_size lie the next block's bytes, which the read lock
+        # on this blob does not cover
+        for size in (17, second - first + 16, -1):
+            with pytest.raises(ValueError, match="outside 16 bytes"):
+                heap.read_blob(first, size)
+
+
 class TestPersistenceAcrossReopen:
     def test_object_graph_survives_clean_reopen(self):
         heap, _, device = build_heap(UndoLogEngine)

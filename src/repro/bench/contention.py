@@ -19,7 +19,7 @@ The cells deliberately shrink the key space (``nrecords`` defaults to
 a few hundred) so the zipfian hot set actually collides: contention is
 the subject, not an accident.  Everything is virtual-time
 deterministic — the same seed gives bit-identical cells on every
-backend, which is what lets CI gate on the crossover.
+run, which is what lets CI gate on the crossover.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..heap import FixedStr, Int64, PersistentHeap, PersistentStruct
 from ..kvstore import KVStore, PersistentList, PersistentRing
-from ..nvm.backend import make_device
 from ..nvm.device import NVMDevice
 from ..nvm.pool import PmemPool
 
@@ -61,7 +60,7 @@ def build_stack(
     """
     if tree != "off" and media != "protected":
         raise ValueError("integrity tree requires media='protected'")
-    device = make_device(pool_size, seed=seed)
+    device = NVMDevice(pool_size, seed=seed)
     if media != "off":
         device.attach_media(
             seed=seed,

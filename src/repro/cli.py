@@ -42,22 +42,6 @@ def _parse_list(text: str) -> List[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _pin_backend(args):
-    """Pin the NVM byte-store backend a subcommand asked for.
-
-    Returns the previous pin so callers can restore it (the CLI runs
-    in-process under the tests).  ``None``/``"auto"`` leaves detection
-    alone.
-    """
-    from .nvm import backend as nvm_backend
-
-    prev = nvm_backend._default
-    requested = getattr(args, "backend", None)
-    if requested:
-        nvm_backend.set_default_backend(requested)
-    return prev
-
-
 def _engine_kwargs(engine_name: str, args) -> dict:
     """Constructor kwargs for ``engine_name`` from parsed CLI arguments.
 
@@ -534,8 +518,7 @@ def _scrub_demo(args, tree_mode):
     kwargs = _engine_kwargs(args.engine, args)
     ctx = ExecutionContext.create(
         args.engine, value_size=128, heap_mb=4 if args.quick else 16,
-        seed=args.seed, backend=getattr(args, "backend", "") or None,
-        **kwargs,
+        seed=args.seed, **kwargs,
     )
     kv, device, heap = ctx.kv, ctx.device, ctx.heap
     expect = {}
@@ -693,27 +676,22 @@ def cmd_scrub(args) -> int:
 def cmd_contend(args) -> int:
     """The contended multi-client zipfian battery (see bench.contention)."""
     from .bench.contention import run_contention_sweep
-    from .nvm import backend as nvm_backend
 
     engines = _parse_list(args.engines)
     clients = [int(t) for t in _parse_list(args.clients)]
     model = PROFILES[args.medium]
-    prev = _pin_backend(args)
-    try:
-        sweep = run_contention_sweep(
-            engines=engines,
-            client_counts=clients,
-            workload_name=args.workload,
-            nrecords=args.records,
-            nops=args.ops,
-            seed=args.seed,
-            model=model,
-            baseline=args.baseline,
-            challenger=args.challenger,
-            engine_kwargs={e: _engine_kwargs(e, args) for e in engines},
-        )
-    finally:
-        nvm_backend.set_default_backend(prev)
+    sweep = run_contention_sweep(
+        engines=engines,
+        client_counts=clients,
+        workload_name=args.workload,
+        nrecords=args.records,
+        nops=args.ops,
+        seed=args.seed,
+        model=model,
+        baseline=args.baseline,
+        challenger=args.challenger,
+        engine_kwargs={e: _engine_kwargs(e, args) for e in engines},
+    )
     rows = []
     for c in sweep.cells:
         rows.append([
@@ -972,9 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=0,
                    help="fan crash points over a process pool; 0 = serial, "
                    "-1 = one per CPU (verdicts are worker-count invariant)")
-    p.add_argument("--backend", default="",
-                   choices=["", "auto", "pure", "numpy"],
-                   help="NVM byte-store backend (default: auto-detect)")
     p.add_argument("--media", default="off",
                    choices=["off", "protected", "unprotected"],
                    help="inject media corruption into every crash image "
@@ -1036,9 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=0,
                    help="fan the migration crash sweep over a process pool; "
                    "0 = serial, -1 = one per CPU")
-    p.add_argument("--backend", default="",
-                   choices=["", "auto", "pure", "numpy"],
-                   help="NVM byte-store backend (default: auto-detect)")
     p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser(
@@ -1072,9 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree-compare", action="store_true",
                    help="run the demo under both tree modes and report "
                    "streamed hashing savings vs eager")
-    p.add_argument("--backend", default="",
-                   choices=["", "auto", "pure", "numpy"],
-                   help="NVM byte-store backend (default: auto-detect)")
     p.add_argument("--alpha", type=float, default=0.5)
     p.set_defaults(fn=cmd_scrub)
 
@@ -1091,9 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ops", type=int, default=720)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--medium", default="nvdimm", choices=sorted(PROFILES))
-    p.add_argument("--backend", default="",
-                   choices=["", "auto", "pure", "numpy"],
-                   help="NVM byte-store backend (default: auto-detect)")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--stripes", type=int, default=16)
     p.add_argument("--baseline", default="kamino-dynamic")
@@ -1135,16 +1101,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    from .nvm import backend as nvm_backend
-
-    prev = _pin_backend(args)
     try:
         return args.fn(args)
     except UnknownEngineError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        nvm_backend.set_default_backend(prev)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

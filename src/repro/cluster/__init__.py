@@ -16,14 +16,10 @@ _LAZY = {
     "MigrationRecord": "placement",
     "ShardMigration": "migrate",
     "ShardedCluster": "sharded",
-    "GroupRunResult": "parallel",
-    "ShardedRunReport": "parallel",
-    "run_sharded_parallel": "parallel",
 }
 
 __all__ = [
     "ClusterReport",
-    "GroupRunResult",
     "MigrationRecord",
     "MigrationReport",
     "PlacementService",
@@ -32,9 +28,7 @@ __all__ = [
     "ShardMigration",
     "ShardRouter",
     "ShardedCluster",
-    "ShardedRunReport",
     "router_from_dict",
-    "run_sharded_parallel",
 ]
 
 

@@ -38,7 +38,6 @@ from ..errors import (
     StaleShardMapError,
 )
 from ..kvstore.ring import PersistentRing
-from ..nvm.backend import make_device
 from ..nvm.device import NVMDevice
 from ..nvm.pool import PmemPool
 from ..replication.membership import MembershipManager
@@ -84,7 +83,7 @@ class PlacementService:
 
     def __init__(self, shard_map: ShardMap, device: Optional[NVMDevice] = None,
                  log_bytes: int = LOG_BYTES, _replay: bool = False):
-        self.device = device if device is not None else make_device(DEVICE_BYTES, seed=0)
+        self.device = device if device is not None else NVMDevice(DEVICE_BYTES, seed=0)
         if _replay:
             self.pool = PmemPool.open(self.device)
             self.ring = PersistentRing.open(self.pool.region(LOG_REGION))

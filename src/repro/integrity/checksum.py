@@ -49,9 +49,7 @@ class ChecksumSidecar:
 
         Contiguous runs are snapshotted with a single bulk ``bytes()``
         conversion and sliced locally — one buffer copy per run instead
-        of one per line, which is what makes the numpy-backed store
-        (where per-line ``bytes(arr[a:b])`` round-trips through array
-        indexing) as cheap to protect as the pure one.
+        of one ``memoryview`` export and copy per line.
         """
         run_start = run_end = None
         for line in sorted(set(lines)):
@@ -95,8 +93,8 @@ class ChecksumSidecar:
         under protection and verify clean by definition), optionally
         restricted to the inclusive line range ``[first, last]``.
         Contiguous covered runs are snapshotted once and verified from
-        the local buffer, so a scrub over a numpy-backed store does one
-        bulk conversion per run instead of one array round-trip per line.
+        the local buffer: one bulk conversion per run instead of one
+        ``memoryview`` export and copy per line.
         """
         covered = sorted(
             line

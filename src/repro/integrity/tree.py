@@ -317,9 +317,8 @@ class IntegrityTree:
         individually; the untouched gaps between them are checked with
         bulk ``bytes.count(0)`` zero-run scans, bisecting into per-line
         checks only when a gap turns out not to be all zeros.  One
-        ``bytes()`` snapshot keeps the numpy backend's memoryview exports
-        off the per-line hot path (a single vectorized copy of the
-        contiguous run, identical bytes on the pure backend).
+        ``bytes()`` snapshot of the contiguous run keeps ``memoryview``
+        exports of the device's store off the per-line hot path.
         """
         if last is None:
             last = self.n_lines - 1

@@ -16,23 +16,30 @@ hard to reproduce natively), so all durability semantics in this repository
 flow through this class; see DESIGN.md §1 for the substitution argument.
 
 Hot-path implementation notes (the *invariance contract*, see
-``docs/INTERNALS.md``): every figure benchmark funnels millions of
+``docs/INTERNALS.md`` §8): every figure benchmark funnels millions of
 operations through this class, so the data path is written for CPython
-speed — span-mask lookup tables instead of per-word loops, a single-line
-fast path (the dominant case for 64-byte objects), a bulk dirty-range
-representation for large line-aligned copies (the full-mirror seed), and
-a dedicated internal copy path that never touches the load/store counters.
+speed, in the standard library only.  The durable media and the
+volatile overlay are two flat byte stores of the device's size, and each
+cache line has one dirty-word mask byte (0 == clean); a dirty line's
+current bytes sit in the overlay at the line's own address.  A sub-line
+access — the dominant case for 64-byte objects — is one mask-byte test
+and one ``memoryview`` slice; a window of up to 32 lines is classified
+by one combined-integer scan of its mask bytes; a wider window is split
+into runs of dirty lines and moves one slice per run.  Copies have a
+dedicated internal path that never touches the load/store counters.
+
 The crash checker builds, crashes, fingerprints and clones thousands of
 devices per sweep, so those cost the lines a run wrote rather than the
-pool: the store is a lazily-zeroed mapping (:func:`lazy_zeros`), every
-persist path records the 4 KiB pages it writes, and
-:meth:`NVMDevice.overlay_fingerprint` / :meth:`NVMDevice.clone_durable`
-visit only those.
+pool: all three stores are lazily-zeroed mappings (:func:`lazy_zeros`),
+every persist path records the 4 KiB pages it writes, a set holds the
+pages that may hold a dirty line, and :meth:`NVMDevice.crash`,
+:meth:`NVMDevice.persist_all`, :meth:`NVMDevice.overlay_fingerprint` and
+:meth:`NVMDevice.clone_durable` visit only those.
 None of this may be visible in simulated results: durable bytes,
 :class:`~repro.nvm.stats.NVMStats`, and crash-surviving state must be
 bit-identical to the naive :class:`~repro.nvm.reference.ReferenceNVMDevice`
-(which also hashes and copies its whole pool), which the differential
-property tests enforce.
+(a per-line dict that also hashes and copies its whole pool), which the
+differential property tests enforce.
 """
 
 from __future__ import annotations
@@ -42,11 +49,9 @@ import mmap
 import random
 import struct
 import threading
-from bisect import bisect_right, insort
 from enum import Enum
 from itertools import repeat
-from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import DeviceCrashedError, OutOfBoundsError
 from .latency import CACHE_LINE, WORD, NVDIMM, LatencyModel
@@ -70,12 +75,26 @@ _SPAN_MASKS = [
     for fw in range(_WORDS_PER_LINE)
 ]
 
-#: Copies at least this large (and line-aligned at the destination) are
-#: represented as one bulk dirty range instead of per-line dict entries.
-_BULK_THRESHOLD = 64 * CACHE_LINE
+#: windows up to this many lines are classified by one combined-integer
+#: scan of their mask bytes — every KV-value-sized read, store and flush
+#: (a 1 KB value is 16 lines)
+_SWAR_LINES = 32
 
-#: bisect key for the sorted-by-start-line bulk record list
-_REC_START = itemgetter(0)
+#: SWAR constants for an O(1) "any zero byte in the low n bytes" test on
+#: a combined little-endian mask integer: a window of n lines is fully
+#: dirty iff none of its n mask bytes is zero, i.e.
+#: ``(x - LOW[n]) & ~x & HIGH[n] == 0``
+_SWAR_LOW = [int.from_bytes(b"\x01" * n, "little") for n in range(_SWAR_LINES + 1)]
+_SWAR_HIGH = [int.from_bytes(b"\x80" * n, "little") for n in range(_SWAR_LINES + 1)]
+
+#: preallocated mask-byte runs, so clearing / fully-dirtying a small
+#: window is one slice store with no per-call bytes allocation
+_ZEROS = [bytes(n) for n in range(_SWAR_LINES + 1)]
+_FULLS = [bytes([_FULL_MASK]) * n for n in range(_SWAR_LINES + 1)]
+
+#: ``bytes.translate`` table mapping a mask byte to a 0/1 dirty flag, so
+#: the next dirty and the next clean line are each one ``find``
+_DIRTY_FLAG = bytes(1) + b"\x01" * 255
 
 #: granularity at which a device remembers which durable bytes it ever
 #: wrote (the host page size: an untouched page of a lazily-zeroed store
@@ -113,7 +132,7 @@ def crash_digest(
     mask, line bytes)`` of every unflushed cache line, ascending.  The
     digest is therefore a pure function of *(durable bytes, volatile
     overlay, media fault maps)*: how the state was reached — which pages
-    were ever written, whether a dirty line arrived by a store or a bulk
+    were ever written, whether a dirty line arrived by a store or a
     copy — does not enter it, so a device that tracks the pages it wrote
     and a device that scans its whole pool compute the same value.
     """
@@ -207,6 +226,11 @@ class NVMDevice:
             equivalence property test asserts.
     """
 
+    #: recorded by perfbench as ``host.nvm_backend`` and kept only for
+    #: it (with :mod:`repro.nvm.backend`); both are to be deleted by the
+    #: benchmark-only PR (ROADMAP item 1)
+    backend = "pure"
+
     def __init__(
         self,
         size: int,
@@ -224,12 +248,6 @@ class NVMDevice:
         # pages of ``_durable`` this device ever wrote; every other page
         # is still zero, so fingerprints and clones visit only these
         self._touched: Set[int] = set()
-        # line index -> (line buffer, dirty-word bitmask)
-        self._dirty: Dict[int, Tuple[bytearray, int]] = {}
-        # large line-aligned dirty ranges (e.g. the mirror seed copy),
-        # kept sorted by start line and disjoint from each other and
-        # from ``_dirty``; every line inside one is fully dirty
-        self._bulk: List[List] = []  # [start_line, bytearray]
         self._crashed = False
         self._rng = random.Random(seed)
         # opt-in crash-state fingerprinting (see overlay_fingerprint):
@@ -241,8 +259,8 @@ class NVMDevice:
         # is-None test on the read path and nothing anywhere else
         self._media = None
         # one mutex serialises all device access: worker threads and the
-        # background syncer share the overlay dictionaries (cheap under
-        # the GIL; the benchmarks run single-threaded traces anyway)
+        # background syncer share the overlay (cheap under the GIL; the
+        # benchmarks run single-threaded traces anyway)
         self._mutex = threading.RLock()
         # scheduled fail-point: crash after N more mutating operations
         self._crash_countdown: Optional[int] = None
@@ -251,20 +269,25 @@ class NVMDevice:
 
     # -- helpers -----------------------------------------------------------
 
-    #: which byte-store implementation backs this device class; the
-    #: numpy subclass overrides it (see repro.nvm.backend)
-    backend = "pure"
-
     def _alloc_store(self, size: int) -> None:
-        """Allocate the durable byte store; subclasses swap the medium.
+        """Allocate the durable media and the volatile overlay.
 
-        Whatever the representation, ``self._durable`` must remain a
-        byte-addressable, slice-assignable buffer of exactly ``size``
-        bytes that starts out zero *without being written* — the
-        media-fault model, the scrubber, and tests read it directly;
-        whoever writes it goes through :meth:`poke_durable`.
+        ``self._durable`` is the one part of the representation other
+        modules see: a byte-addressable, slice-assignable buffer of
+        exactly ``size`` bytes that starts out zero *without being
+        written* — the media-fault model, the scrubber, and tests read
+        it directly; whoever writes it goes through :meth:`poke_durable`.
         """
+        self._n_lines = (size + _LINE_MASK) >> _LINE_SHIFT
         self._durable = memoryview(lazy_zeros(size))
+        self._overlay = memoryview(lazy_zeros(size))
+        #: per-line dirty-word bitmask; 0 == clean line
+        self._masks = memoryview(lazy_zeros(self._n_lines))
+        #: number of nonzero mask bytes, so the hot paths never scan
+        self._dirty_count = 0
+        #: pages that may hold a dirty line: a superset, emptied whenever
+        #: the count drops to zero, and all that whole-device walks visit
+        self._dirty_pages: Set[int] = set()
 
     def _touch(self, first: int, last: int) -> None:
         """Durable lines ``first..last`` were just written."""
@@ -367,162 +390,181 @@ class NVMDevice:
         """
         return self._crash_countdown
 
-    # -- bulk-range helpers ------------------------------------------------
+    # -- dirty-line runs ---------------------------------------------------
 
-    def _bulk_find(self, line: int) -> Optional[List]:
-        # the list is sorted by start line and records are disjoint, so
-        # the only candidate is the rightmost record starting at or
-        # before ``line``
-        bulk = self._bulk
-        i = bisect_right(bulk, line, key=_REC_START) - 1
-        if i >= 0:
-            rec = bulk[i]
-            if line < rec[0] + (len(rec[1]) >> _LINE_SHIFT):
-                return rec
-        return None
+    def _dirty_runs(self, first: int, last: int) -> List[Tuple[int, int]]:
+        """Maximal runs ``[start, end)`` of dirty lines among lines
+        ``first..last``, ascending.
 
-    def _bulk_insert(self, start_line: int, buf: bytearray) -> None:
-        insort(self._bulk, [start_line, buf], key=_REC_START)
+        Reads the mask bytes of the pages that may hold a dirty line and
+        no others, so a walk over the whole device costs its dirty pages,
+        not the pool.  Adjacent pages are scanned as one window, so a run
+        never splits at a page boundary (a run is a flush burst).
+        """
+        pages = self._dirty_pages
+        p0 = first >> _PAGE_LINE_SHIFT
+        p1 = last >> _PAGE_LINE_SHIFT
+        if len(pages) <= p1 - p0:
+            visit = sorted(p for p in pages if p0 <= p <= p1)
+        else:
+            visit = [p for p in range(p0, p1 + 1) if p in pages]
+        masks = self._masks
+        runs: List[Tuple[int, int]] = []
+        i = 0
+        while i < len(visit):
+            j = i + 1
+            while j < len(visit) and visit[j] == visit[j - 1] + 1:
+                j += 1
+            lo = max(visit[i] << _PAGE_LINE_SHIFT, first)
+            hi = min((visit[j - 1] + 1) << _PAGE_LINE_SHIFT, last + 1)
+            flags = bytes(masks[lo:hi]).translate(_DIRTY_FLAG)
+            pos = flags.find(1)
+            while pos >= 0:
+                end = flags.find(0, pos)
+                if end < 0:
+                    end = len(flags)
+                runs.append((lo + pos, lo + end))
+                pos = flags.find(1, end)
+            i = j
+        return runs
 
-    def _bulk_overlapping(self, first: int, last: int) -> Tuple[int, int]:
-        """Index slice ``[i, j)`` of bulk records overlapping the
-        inclusive line range ``[first, last]``."""
-        bulk = self._bulk
-        i = bisect_right(bulk, first, key=_REC_START) - 1
-        if i < 0 or bulk[i][0] + (len(bulk[i][1]) >> _LINE_SHIFT) <= first:
-            i += 1
-        return i, bisect_right(bulk, last, key=_REC_START)
-
-    def _range_clean(self, addr: int, size: int) -> bool:
-        """True if no overlay state overlaps ``[addr, addr+size)``."""
-        first = addr >> _LINE_SHIFT
-        last = (addr + size - 1) >> _LINE_SHIFT
-        dirty = self._dirty
-        if dirty:
-            if len(dirty) * 4 < last - first + 1:
-                for line in dirty:
-                    if first <= line <= last:
-                        return False
-            else:
-                for line in range(first, last + 1):
-                    if line in dirty:
-                        return False
-        if self._bulk:
-            i, j = self._bulk_overlapping(first, last)
-            if i < j:
-                return False
-        return True
+    def _flush_runs(self, runs: List[Tuple[int, int]]) -> Tuple[int, Optional[List[int]]]:
+        """Persist and clean the dirty-line ``runs``, one slice copy
+        each; returns the lines flushed and, with media attached, the
+        list of them the media hears about."""
+        durable = self._durable
+        overlay = self._overlay
+        masks = self._masks
+        flushed = 0
+        for start, end in runs:
+            lo = start << _LINE_SHIFT
+            hi = end << _LINE_SHIFT
+            durable[lo:hi] = overlay[lo:hi]
+            masks[start:end] = bytes(end - start)
+            self._touch(start, end - 1)
+            flushed += end - start
+        self._dirty_count -= flushed
+        if not self._dirty_count:
+            self._dirty_pages.clear()
+        if self._media is None:
+            return flushed, None
+        return flushed, [line for start, end in runs for line in range(start, end)]
 
     # -- raw overlay data path (no stats, no checks) -----------------------
 
     def _peek(self, addr: int, size: int) -> bytes:
         """Overlay-aware read with no accounting (shared by read/copy)."""
-        durable = self._durable
-        dirty = self._dirty
-        bulk = self._bulk
-        if not dirty and not bulk:
-            return bytes(durable[addr : addr + size])
+        if not self._dirty_count:
+            return bytes(self._durable[addr : addr + size])
         first = addr >> _LINE_SHIFT
         last = (addr + size - 1) >> _LINE_SHIFT
-        if first == last:
-            entry = dirty.get(first)
-            if entry is not None:
-                off = addr & _LINE_MASK
-                return bytes(entry[0][off : off + size])
-            if bulk:
-                rec = self._bulk_find(first)
-                if rec is not None:
-                    boff = addr - (rec[0] << _LINE_SHIFT)
-                    return bytes(rec[1][boff : boff + size])
-            return bytes(durable[addr : addr + size])
-        out = bytearray(durable[addr : addr + size])
-        if dirty:
-            if len(dirty) * 4 < last - first + 1:
-                lines = [ln for ln in dirty if first <= ln <= last]
-            else:
-                lines = [ln for ln in range(first, last + 1) if ln in dirty]
-            for line in lines:
-                base = line << _LINE_SHIFT
-                lo = addr if addr > base else base
-                hi = min(addr + size, base + CACHE_LINE)
-                out[lo - addr : hi - addr] = dirty[line][0][lo - base : hi - base]
-        if bulk:
-            i, j = self._bulk_overlapping(first, last)
-            for start, buf in bulk[i:j]:
-                bstart = start << _LINE_SHIFT
-                bend = bstart + len(buf)
-                lo = addr if addr > bstart else bstart
-                hi = min(addr + size, bend)
-                if lo < hi:
-                    out[lo - addr : hi - addr] = buf[lo - bstart : hi - bstart]
+        masks = self._masks
+        if first >= last:
+            # one line (or, for size 0, none)
+            if first == last and masks[first]:
+                return bytes(self._overlay[addr : addr + size])
+            return bytes(self._durable[addr : addr + size])
+        end = addr + size
+        durable = self._durable
+        overlay = self._overlay
+        n = last - first + 1
+        if n <= _SWAR_LINES:
+            # one buffer scan classifies the whole window: the combined
+            # little-endian integer of the per-line mask bytes is 0 iff
+            # every line is clean — the dominant case for index reads
+            combined = int.from_bytes(masks[first : last + 1], "little")
+            if not combined:
+                return bytes(durable[addr:end])
+            if not ((combined - _SWAR_LOW[n]) & ~combined & _SWAR_HIGH[n]):
+                return bytes(overlay[addr:end])
+            runs = [
+                (first + i, first + i + 1)
+                for i in range(n)
+                if combined & (0xFF << (i << 3))
+            ]
+        else:
+            runs = self._dirty_runs(first, last)
+            if not runs:
+                return bytes(durable[addr:end])
+            if runs[0] == (first, last + 1):
+                return bytes(overlay[addr:end])
+        out = bytearray(durable[addr:end])
+        for start, stop in runs:
+            lo = start << _LINE_SHIFT
+            if lo < addr:
+                lo = addr
+            hi = stop << _LINE_SHIFT
+            if hi > end:
+                hi = end
+            out[lo - addr : hi - addr] = overlay[lo:hi]
         return bytes(out)
 
     def _poke(self, addr: int, data) -> None:
         """Overlay-aware store with no accounting (shared by write/copy)."""
         size = len(data)
-        dirty = self._dirty
-        line = addr >> _LINE_SHIFT
-        off = addr & _LINE_MASK
-        if off + size <= CACHE_LINE:
-            # single-line fast path: the dominant case for small objects
-            entry = dirty.get(line)
-            if entry is not None:
-                buf = entry[0]
-                buf[off : off + size] = data
-                dirty[line] = (
-                    buf,
-                    entry[1] | _SPAN_MASKS[off >> _WORD_SHIFT][(off + size - 1) >> _WORD_SHIFT],
-                )
-                return
-            if self._bulk:
-                rec = self._bulk_find(line)
-                if rec is not None:
-                    boff = addr - (rec[0] << _LINE_SHIFT)
-                    rec[1][boff : boff + size] = data
-                    return
-            base = line << _LINE_SHIFT
-            buf = bytearray(self._durable[base : base + CACHE_LINE])
-            buf[off : off + size] = data
-            dirty[line] = (
-                buf,
-                _SPAN_MASKS[off >> _WORD_SHIFT][(off + size - 1) >> _WORD_SHIFT],
-            )
+        if not size:
             return
-        bulk = self._bulk
-        pos = 0
-        while pos < size:
-            at = addr + pos
-            line = at >> _LINE_SHIFT
-            off = at & _LINE_MASK
-            take = CACHE_LINE - off
-            rem = size - pos
-            if rem < take:
-                take = rem
-            entry = dirty.get(line)
-            if entry is not None:
-                buf, mask = entry
-                buf[off : off + take] = data[pos : pos + take]
-                dirty[line] = (
-                    buf,
-                    mask | _SPAN_MASKS[off >> _WORD_SHIFT][(off + take - 1) >> _WORD_SHIFT],
-                )
-            else:
-                rec = self._bulk_find(line) if bulk else None
-                if rec is not None:
-                    boff = at - (rec[0] << _LINE_SHIFT)
-                    rec[1][boff : boff + take] = data[pos : pos + take]
-                elif take == CACHE_LINE:
-                    # whole-line store: no need to fault the old line in
-                    dirty[line] = (bytearray(data[pos : pos + CACHE_LINE]), _FULL_MASK)
+        first = addr >> _LINE_SHIFT
+        last = (addr + size - 1) >> _LINE_SHIFT
+        masks = self._masks
+        overlay = self._overlay
+        if first == last:
+            off = addr & _LINE_MASK
+            m = masks[first]
+            if not m:
+                base = first << _LINE_SHIFT
+                overlay[base : base + CACHE_LINE] = self._durable[base : base + CACHE_LINE]
+                self._dirty_count += 1
+                self._dirty_pages.add(first >> _PAGE_LINE_SHIFT)
+                masks[first] = _SPAN_MASKS[off >> _WORD_SHIFT][(off + size - 1) >> _WORD_SHIFT]
+            elif m != _FULL_MASK:
+                masks[first] = m | _SPAN_MASKS[off >> _WORD_SHIFT][
+                    (off + size - 1) >> _WORD_SHIFT
+                ]
+            overlay[addr : addr + size] = data
+            return
+        durable = self._durable
+        end = addr + size
+        n = last - first + 1
+        if n <= _SWAR_LINES:
+            combined = int.from_bytes(masks[first : last + 1], "little")
+            if (combined - _SWAR_LOW[n]) & ~combined & _SWAR_HIGH[n]:
+                # some covered line is clean: fault it in from the media
+                if not combined:
+                    lo = first << _LINE_SHIFT
+                    hi = (last + 1) << _LINE_SHIFT
+                    overlay[lo:hi] = durable[lo:hi]
+                    self._dirty_count += n
                 else:
-                    base = line << _LINE_SHIFT
-                    buf = bytearray(self._durable[base : base + CACHE_LINE])
-                    buf[off : off + take] = data[pos : pos + take]
-                    dirty[line] = (
-                        buf,
-                        _SPAN_MASKS[off >> _WORD_SHIFT][(off + take - 1) >> _WORD_SHIFT],
-                    )
-            pos += take
+                    for i in range(n):
+                        if not combined & (0xFF << (i << 3)):
+                            base = (first + i) << _LINE_SHIFT
+                            overlay[base : base + CACHE_LINE] = durable[
+                                base : base + CACHE_LINE
+                            ]
+                            self._dirty_count += 1
+                pages = self._dirty_pages
+                pages.add(first >> _PAGE_LINE_SHIFT)
+                pages.add(last >> _PAGE_LINE_SHIFT)
+            if n > 2:
+                masks[first + 1 : last] = _FULLS[n - 2]
+        else:
+            # wide store: interior lines are fully overwritten, so only
+            # the partial head/tail lines can need a durable fault-in
+            self._dirty_count += bytes(masks[first : last + 1]).count(0)
+            if addr & _LINE_MASK and not masks[first]:
+                base = first << _LINE_SHIFT
+                overlay[base:addr] = durable[base:addr]
+            tail_end = (last + 1) << _LINE_SHIFT
+            if end < tail_end and not masks[last]:
+                overlay[end:tail_end] = durable[end:tail_end]
+            masks[first + 1 : last] = bytes([_FULL_MASK]) * (n - 2)
+            self._dirty_pages.update(
+                range(first >> _PAGE_LINE_SHIFT, (last >> _PAGE_LINE_SHIFT) + 1)
+            )
+        overlay[addr:end] = data
+        masks[first] |= _SPAN_MASKS[(addr & _LINE_MASK) >> _WORD_SHIFT][_WORDS_PER_LINE - 1]
+        masks[last] |= _SPAN_MASKS[0][((end - 1) & _LINE_MASK) >> _WORD_SHIFT]
 
     # -- data path ---------------------------------------------------------
 
@@ -532,6 +574,8 @@ class NVMDevice:
             return self._read_locked(addr, size)
 
     def _read_locked(self, addr: int, size: int) -> bytes:
+        # the single-line and clean-device _peek paths are inlined: an
+        # 8-byte field read is the most frequent call in the program
         if self._crashed or addr < 0 or size < 0 or addr + size > self.size:
             self._check(addr, size)
         stats = self.stats
@@ -539,6 +583,13 @@ class NVMDevice:
         stats.load_bytes += size
         if self._media is not None:
             self._media.check_read(addr, size)
+        if not self._dirty_count:
+            return bytes(self._durable[addr : addr + size])
+        first = addr >> _LINE_SHIFT
+        if first == (addr + size - 1) >> _LINE_SHIFT:
+            if self._masks[first]:
+                return bytes(self._overlay[addr : addr + size])
+            return bytes(self._durable[addr : addr + size])
         return self._peek(addr, size)
 
     def read_declared(self, addr: int, size: int, loads: DeclaredLoads) -> bytes:
@@ -585,6 +636,28 @@ class NVMDevice:
         stats = self.stats
         stats.stores += 1
         stats.store_bytes += size
+        if not size:
+            return
+        first = addr >> _LINE_SHIFT
+        if first == (addr + size - 1) >> _LINE_SHIFT:
+            # the single-line _poke, inlined
+            masks = self._masks
+            off = addr & _LINE_MASK
+            m = masks[first]
+            if not m:
+                base = first << _LINE_SHIFT
+                self._overlay[base : base + CACHE_LINE] = self._durable[
+                    base : base + CACHE_LINE
+                ]
+                self._dirty_count += 1
+                self._dirty_pages.add(first >> _PAGE_LINE_SHIFT)
+                masks[first] = _SPAN_MASKS[off >> _WORD_SHIFT][(off + size - 1) >> _WORD_SHIFT]
+            elif m != _FULL_MASK:
+                masks[first] = m | _SPAN_MASKS[off >> _WORD_SHIFT][
+                    (off + size - 1) >> _WORD_SHIFT
+                ]
+            self._overlay[addr : addr + size] = data
+            return
         self._poke(addr, data)
 
     def copy(self, dst: int, src: int, size: int, chunks: int = 1) -> None:
@@ -611,18 +684,7 @@ class NVMDevice:
         stats.copy_bytes += size
         if self._media is not None:
             self._media.check_read(src, size)
-        data = self._peek(src, size)
-        if (
-            size >= _BULK_THRESHOLD
-            and dst & _LINE_MASK == 0
-            and size & _LINE_MASK == 0
-            and self._range_clean(dst, size)
-        ):
-            # one bulk dirty range instead of size/64 dict entries — the
-            # mirror-seed fast path (fully dirty, so no masks needed)
-            self._bulk_insert(dst >> _LINE_SHIFT, bytearray(data))
-        else:
-            self._poke(dst, data)
+        self._poke(dst, self._peek(src, size))
 
     # -- persistence -------------------------------------------------------
 
@@ -650,112 +712,68 @@ class NVMDevice:
         if self._crash_countdown is not None:
             self._tick_failpoint()
         self._check(addr, size)
-        first = addr >> _LINE_SHIFT
-        last = (addr + size - 1) >> _LINE_SHIFT
-        dirty = self._dirty
-        durable = self._durable
         flushed = 0
         bursts = 0
-        bi = bj = 0
-        if self._bulk:
-            bi, bj = self._bulk_overlapping(first, last)
-        media = self._media
         persisted: Optional[List[int]] = None
-        if media is not None:
-            persisted = [ln for ln in dirty if first <= ln <= last]
-            for start, buf in self._bulk[bi:bj]:
-                end = start + (len(buf) >> _LINE_SHIFT)
-                persisted.extend(range(max(start, first), min(end, last + 1)))
-        if bi == bj:
-            nrange = last - first + 1
-            touch = self._touched.add
-            if len(dirty) * 4 < nrange:
-                # sparse overlay, wide flush: walk the dirty lines, not
-                # the whole address range
-                prev = -2
-                for line in sorted(ln for ln in dirty if first <= ln <= last):
-                    durable[line << _LINE_SHIFT : (line + 1) << _LINE_SHIFT] = dirty.pop(
-                        line
-                    )[0]
-                    touch(line >> _PAGE_LINE_SHIFT)
-                    flushed += 1
-                    if line != prev + 1:
-                        bursts += 1
-                    prev = line
+        if self._dirty_count:
+            first = addr >> _LINE_SHIFT
+            last = (addr + size - 1) >> _LINE_SHIFT
+            n = last - first + 1
+            if n > _SWAR_LINES:
+                runs = self._dirty_runs(first, last)
+                flushed, persisted = self._flush_runs(runs)
+                bursts = len(runs)
             else:
-                in_burst = False
-                for line in range(first, last + 1):
-                    entry = dirty.pop(line, None)
-                    if entry is None:
-                        in_burst = False
-                        continue
-                    durable[line << _LINE_SHIFT : (line + 1) << _LINE_SHIFT] = entry[0]
-                    touch(line >> _PAGE_LINE_SHIFT)
-                    flushed += 1
-                    if not in_burst:
-                        bursts += 1
-                        in_burst = True
-        else:
-            flushed, bursts = self._flush_segments(first, last, bi, bj)
+                masks = self._masks
+                combined = int.from_bytes(masks[first : last + 1], "little")
+                if combined:
+                    durable = self._durable
+                    overlay = self._overlay
+                    if not ((combined - _SWAR_LOW[n]) & ~combined & _SWAR_HIGH[n]):
+                        # fully dirty window: one slice copy, one burst
+                        lo = first << _LINE_SHIFT
+                        hi = (last + 1) << _LINE_SHIFT
+                        durable[lo:hi] = overlay[lo:hi]
+                        masks[first : last + 1] = _ZEROS[n]
+                        # self._touch(first, last), inlined: the hot flush
+                        page = first >> _PAGE_LINE_SHIFT
+                        if page == last >> _PAGE_LINE_SHIFT:
+                            self._touched.add(page)
+                        else:
+                            self._touched.update(range(page, (last >> _PAGE_LINE_SHIFT) + 1))
+                        flushed = n
+                        bursts = 1
+                        if self._media is not None:
+                            persisted = list(range(first, last + 1))
+                    else:
+                        prev = -2
+                        lines: Optional[List[int]] = [] if self._media is not None else None
+                        touch = self._touched.add
+                        for i in range(n):
+                            if combined & (0xFF << (i << 3)):
+                                line = first + i
+                                base = line << _LINE_SHIFT
+                                durable[base : base + CACHE_LINE] = overlay[
+                                    base : base + CACHE_LINE
+                                ]
+                                touch(line >> _PAGE_LINE_SHIFT)
+                                masks[line] = 0
+                                flushed += 1
+                                if line != prev + 1:
+                                    bursts += 1
+                                prev = line
+                                if lines is not None:
+                                    lines.append(line)
+                        persisted = lines
+                    self._dirty_count -= flushed
+                    if not self._dirty_count:
+                        self._dirty_pages.clear()
         stats = self.stats
         stats.flushes += 1
         stats.flushed_lines += flushed
         stats.flush_bursts += bursts if self.coalesce_flushes else flushed
         if persisted:
-            media.on_persist(persisted)
-
-    def _flush_segments(self, first: int, last: int, bi: int, bj: int) -> Tuple[int, int]:
-        """Flush ``[first, last]`` when it overlaps bulk records
-        ``self._bulk[bi:bj]``.
-
-        Builds the line-ordered segment list across both overlay
-        representations so burst accounting is identical to a per-line
-        scan, splitting bulk ranges that the flush only partially covers.
-        """
-        dirty = self._dirty
-        durable = self._durable
-        if len(dirty) * 4 < last - first + 1:
-            segs: List[Tuple[int, int, Optional[List]]] = [
-                (ln, ln + 1, None) for ln in dirty if first <= ln <= last
-            ]
-        else:
-            segs = [(ln, ln + 1, None) for ln in range(first, last + 1) if ln in dirty]
-        for rec in self._bulk[bi:bj]:
-            start = rec[0]
-            end = start + (len(rec[1]) >> _LINE_SHIFT)
-            segs.append((max(start, first), min(end, last + 1), rec))
-        segs.sort(key=_REC_START)
-        flushed = 0
-        bursts = 0
-        prev_end = -1
-        # remnants of split bulk records, in ascending order: records are
-        # disjoint and processed in line order, so left/right remnants
-        # come out sorted and replace the overlapped slice in place
-        remnants: List[List] = []
-        for s, e, rec in segs:
-            if s != prev_end:
-                bursts += 1
-            prev_end = e
-            flushed += e - s
-            self._touch(s, e - 1)
-            if rec is None:
-                for line in range(s, e):
-                    durable[line << _LINE_SHIFT : (line + 1) << _LINE_SHIFT] = dirty.pop(
-                        line
-                    )[0]
-            else:
-                start = rec[0]
-                buf = rec[1]
-                durable[s << _LINE_SHIFT : e << _LINE_SHIFT] = buf[
-                    (s - start) << _LINE_SHIFT : (e - start) << _LINE_SHIFT
-                ]
-                if s > start:
-                    remnants.append([start, buf[: (s - start) << _LINE_SHIFT]])
-                end = start + (len(buf) >> _LINE_SHIFT)
-                if e < end:
-                    remnants.append([e, buf[(e - start) << _LINE_SHIFT :]])
-        self._bulk[bi:bj] = remnants
-        return flushed, bursts
+            self._media.on_persist(persisted)
 
     def fence(self) -> None:
         """Ordering fence; a cost-model event (flushes persist eagerly)."""
@@ -774,49 +792,24 @@ class NVMDevice:
     def _persist_all_locked(self) -> None:
         if self._crashed:
             raise DeviceCrashedError("device crashed; call restart() first")
-        durable = self._durable
-        segs: List[Tuple[int, int, Optional[bytearray]]] = [
-            (ln, ln + 1, None) for ln in self._dirty
-        ]
-        segs.extend(
-            (start, start + (len(buf) >> _LINE_SHIFT), buf) for start, buf in self._bulk
-        )
-        segs.sort(key=lambda s: s[0])
-        dirty = self._dirty
-        media = self._media
-        persisted: Optional[List[int]] = None
-        if media is not None:
-            persisted = []
-            for s, e, _buf in segs:
-                persisted.extend(range(s, e))
         flushed = 0
         bursts = 0
-        prev_end = -1
-        for s, e, buf in segs:
-            if s != prev_end:
-                bursts += 1
-            prev_end = e
-            flushed += e - s
-            self._touch(s, e - 1)
-            if buf is None:
-                durable[s << _LINE_SHIFT : e << _LINE_SHIFT] = dirty[s][0]
-            else:
-                durable[s << _LINE_SHIFT : e << _LINE_SHIFT] = buf
-        dirty.clear()
-        self._bulk = []
+        persisted: Optional[List[int]] = None
+        if self._dirty_count:
+            runs = self._dirty_runs(0, self._n_lines - 1)
+            flushed, persisted = self._flush_runs(runs)
+            bursts = len(runs)
         stats = self.stats
         stats.flushes += 1
         stats.flushed_lines += flushed
         stats.flush_bursts += bursts if self.coalesce_flushes else flushed
         if persisted:
-            media.on_persist(persisted)
+            self._media.on_persist(persisted)
 
     @property
     def dirty_lines(self) -> int:
         """Number of cache lines with unflushed stores."""
-        return len(self._dirty) + sum(
-            len(buf) >> _LINE_SHIFT for _start, buf in self._bulk
-        )
+        return self._dirty_count
 
     # -- failure injection ---------------------------------------------------
 
@@ -828,54 +821,54 @@ class NVMDevice:
         """Power-fail the device.
 
         Unflushed dirty words are resolved according to ``policy`` in
-        ascending line order (the canonical order both device
-        implementations share, so a fixed seed yields the same surviving
-        words on either); the volatile overlay is then discarded and the
-        device refuses access until :meth:`restart`.
+        ascending line order, word order within a line (the canonical
+        order the reference device shares, so a fixed seed yields the
+        same surviving words on either); the volatile overlay is then
+        discarded and the device refuses access until :meth:`restart`.
         """
         if self._crashed:
             return
         if self.fingerprint_crashes:
             self.last_crash_fingerprint = self.overlay_fingerprint()
-        durable = self._durable
         media = self._media
         crash_lines: Optional[List[Tuple[int, bool]]] = None
-        if policy is not CrashPolicy.DROP_ALL:
-            if media is not None:
-                full = policy is CrashPolicy.KEEP_ALL
-                crash_lines = [
-                    (line, full and mask == _FULL_MASK)
-                    for line, (_buf, mask) in self._dirty.items()
-                ]
-                for start, buf in self._bulk:
-                    crash_lines.extend(
-                        (start + i, full) for i in range(len(buf) >> _LINE_SHIFT)
-                    )
-            touch = self._touched.add
-            if policy is CrashPolicy.KEEP_ALL:
-                for line, mask, buf in self._overlay_lines():
-                    base = line << _LINE_SHIFT
-                    touch(line >> _PAGE_LINE_SHIFT)
-                    if mask == _FULL_MASK:
-                        durable[base : base + CACHE_LINE] = buf
-                        continue
-                    for w in range(_WORDS_PER_LINE):
-                        if mask & (1 << w):
-                            off = w * WORD
-                            durable[base + off : base + off + WORD] = buf[off : off + WORD]
-            else:
+        if self._dirty_count:
+            masks = self._masks
+            runs = self._dirty_runs(0, self._n_lines - 1)
+            if policy is not CrashPolicy.DROP_ALL:
+                keep_all = policy is CrashPolicy.KEEP_ALL
+                if media is not None:
+                    crash_lines = [
+                        (line, keep_all and masks[line] == _FULL_MASK)
+                        for start, end in runs
+                        for line in range(start, end)
+                    ]
+                durable = self._durable
+                overlay = self._overlay
                 rng = self._rng.random
-                for line, mask, buf in self._overlay_lines():
-                    base = line << _LINE_SHIFT
-                    touch(line >> _PAGE_LINE_SHIFT)
-                    for w in range(_WORDS_PER_LINE):
-                        if mask & (1 << w) and rng() < survival_prob:
-                            off = w * WORD
-                            durable[base + off : base + off + WORD] = buf[off : off + WORD]
+                for start, end in runs:
+                    self._touch(start, end - 1)
+                    if keep_all and bytes(masks[start:end]).count(_FULL_MASK) == end - start:
+                        # every word of the run survives: one slice copy
+                        lo = start << _LINE_SHIFT
+                        hi = end << _LINE_SHIFT
+                        durable[lo:hi] = overlay[lo:hi]
+                        continue
+                    # the per-word loop is deliberate: RANDOM draws must
+                    # match the reference draw for draw
+                    for line in range(start, end):
+                        mask = masks[line]
+                        base = line << _LINE_SHIFT
+                        for w in range(_WORDS_PER_LINE):
+                            if mask & (1 << w) and (keep_all or rng() < survival_prob):
+                                off = base + (w << _WORD_SHIFT)
+                                durable[off : off + WORD] = overlay[off : off + WORD]
+            for start, end in runs:
+                masks[start:end] = bytes(end - start)
+            self._dirty_count = 0
+            self._dirty_pages.clear()
         if crash_lines:
             media.on_crash(crash_lines)
-        self._dirty.clear()
-        self._bulk = []
         self._crashed = True
 
     def restart(self) -> None:
@@ -891,19 +884,16 @@ class NVMDevice:
     def _overlay_lines(self) -> List[Tuple[int, int, object]]:
         """``(line, dirty-word mask, line bytes)`` of every unflushed
         line in ascending line order — the order crash resolution draws
-        its lottery in and the fingerprint hashes in.  A bulk record is
-        just that many lines with a full mask."""
-        lines: List[Tuple[int, int, object]] = [
-            (line, mask, buf) for line, (buf, mask) in self._dirty.items()
+        its lottery in and the fingerprint hashes in."""
+        if not self._dirty_count:
+            return []
+        masks = self._masks
+        overlay = self._overlay
+        return [
+            (line, masks[line], overlay[line << _LINE_SHIFT : (line + 1) << _LINE_SHIFT])
+            for start, end in self._dirty_runs(0, self._n_lines - 1)
+            for line in range(start, end)
         ]
-        for start, buf in self._bulk:
-            view = memoryview(buf)
-            lines.extend(
-                (start + i, _FULL_MASK, view[i << _LINE_SHIFT : (i + 1) << _LINE_SHIFT])
-                for i in range(len(buf) >> _LINE_SHIFT)
-            )
-        lines.sort(key=_REC_START)
-        return lines
 
     def _durable_pages(self) -> Iterator[Tuple[int, bytes]]:
         """``(page index, bytes)`` of every durable page that is not

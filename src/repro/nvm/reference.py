@@ -3,19 +3,22 @@
 :class:`ReferenceNVMDevice` implements the exact same device contract as
 :class:`~repro.nvm.device.NVMDevice` with none of its fast paths: every
 store walks its words in a plain loop, every flush scans its line range,
-copies move data line by line, the lock is always taken, no bulk
-dirty-range representation exists, a declared read is one read per
-declared load, and the crash fingerprint and the durable clone walk the
-whole pool.  It is the executable specification
-of the *invariance contract* (docs/INTERNALS.md): the differential tests
-drive randomized operation / crash / recovery sequences through both
-devices and assert bit-identical durable bytes, crash-surviving state,
-and :class:`~repro.nvm.stats.NVMStats`.
+copies move data line by line, the lock is always taken, a declared
+read is one read per declared load, and the crash fingerprint and the
+durable clone walk the whole pool.  It shares no representation with
+the device it checks: its media is a plain ``bytearray`` and its
+overlay a dict of per-line buffers and dirty-word masks, where
+:class:`~repro.nvm.device.NVMDevice` keeps flat stores and mask bytes.
+It is the executable specification of the *invariance contract*
+(docs/INTERNALS.md §8): the differential tests drive randomized
+operation / crash / recovery sequences through both devices and assert
+bit-identical durable bytes, crash-surviving state, and
+:class:`~repro.nvm.stats.NVMStats`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..errors import DeviceCrashedError
 from .device import _WORDS_PER_LINE, PAGE, CrashPolicy, NVMDevice
@@ -25,15 +28,18 @@ from .latency import CACHE_LINE, WORD
 class ReferenceNVMDevice(NVMDevice):
     """Per-word-loop implementation of the device contract."""
 
+    def _alloc_store(self, size: int) -> None:
+        # its own representation, shared with nothing it checks
+        self._durable = bytearray(size)
+        # line index -> (line buffer, dirty-word bitmask)
+        self._dirty: Dict[int, Tuple[bytearray, int]] = {}
+
     # -- the crash image, naively --------------------------------------------
     #
-    # The optimized devices remember which pages they wrote and hash /
-    # copy only those.  This one keeps no such record: its fingerprint
+    # The optimized device remembers which pages it wrote and hashes /
+    # copies only those.  This one keeps no such record: its fingerprint
     # scans every page of the pool and its clone copies all of it, which
     # is the spec the tracked walk is tested against.
-
-    def _alloc_store(self, size: int) -> None:
-        self._durable = bytearray(size)
 
     def _durable_pages(self) -> Iterator[Tuple[int, bytes]]:
         for page in range((self.size + PAGE - 1) // PAGE):
@@ -209,3 +215,10 @@ class ReferenceNVMDevice(NVMDevice):
             self._media.on_crash(crash_lines)
         self._dirty.clear()
         self._crashed = True
+
+    @property
+    def dirty_lines(self) -> int:
+        return len(self._dirty)
+
+    def _overlay_lines(self) -> List[Tuple[int, int, object]]:
+        return [(line, mask, buf) for line, (buf, mask) in sorted(self._dirty.items())]

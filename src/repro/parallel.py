@@ -1,9 +1,9 @@
 """Process-parallel fan-out with deterministic merge.
 
-Every sweep in this repo — crash points, nemesis seeds, shard groups —
-is a bag of *independent* jobs: each one builds its
-own simulated stack from picklable parameters, runs it, and returns a
-picklable result.  :func:`fan_out` runs such a bag over a
+Every sweep in this repo — crash points, chain and migration
+scenarios, nemesis seeds — is a bag of *independent* jobs: each one
+builds its own simulated stack from picklable parameters, runs it, and
+returns a picklable result.  :func:`fan_out` runs such a bag over a
 ``multiprocessing.Pool`` and returns the results **in job order**
 (:func:`fan_out_iter` yields them one by one, as they complete in that
 order), so a parallel sweep merges exactly like the serial one: the
@@ -18,21 +18,13 @@ Rules the call sites follow:
   order (ordered ``Pool.imap``, not ``imap_unordered``);
 * ``workers <= 1`` short-circuits to a plain in-process loop — the
   same code path the merge logic is tested against.
-
-Stats merging helpers live here too: :func:`merge_nvm_stats` /
-:func:`merge_net_stats` fold per-worker counter snapshots into one
-document in argument order, so a fanned sweep reports the same totals
-as its serial twin.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, TypeVar
-
-from .nvm.stats import NVMStats
-from .sim.network import NetStats
+from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -86,53 +78,3 @@ def fan_out(
     """:func:`fan_out_iter`, materialised: the ordered result list."""
     return list(fan_out_iter(fn, jobs, workers))
 
-
-def merge_nvm_stats(parts: Iterable[NVMStats]) -> NVMStats:
-    """Fold device-counter snapshots from independent stacks into one.
-
-    Addition is commutative, but the fold still walks ``parts`` in
-    order so a merged report is reproducible from the ordered result
-    list alone.
-    """
-    total = NVMStats()
-    for part in parts:
-        total.loads += part.loads
-        total.load_bytes += part.load_bytes
-        total.stores += part.stores
-        total.store_bytes += part.store_bytes
-        total.flushes += part.flushes
-        total.flushed_lines += part.flushed_lines
-        total.flush_bursts += part.flush_bursts
-        total.fences += part.fences
-        total.copies += part.copies
-        total.copy_bytes += part.copy_bytes
-        total.media_flips += part.media_flips
-        total.media_dead += part.media_dead
-        total.media_detected += part.media_detected
-        total.media_repaired += part.media_repaired
-    return total
-
-
-def merge_net_stats(parts: Iterable[NetStats]) -> NetStats:
-    """Fold transport-counter snapshots (including their per-group
-    partitions) from independent networks into one."""
-    total = NetStats()
-    for part in parts:
-        _add_net(total, part)
-        for name, sub in part.groups.items():
-            bucket = total.groups.get(name)
-            if bucket is None:
-                bucket = total.groups[name] = NetStats()
-            _add_net(bucket, sub)
-    return total
-
-
-def _add_net(into: NetStats, part: NetStats) -> None:
-    into.sent += part.sent
-    into.delivered += part.delivered
-    into.dropped_link += part.dropped_link
-    into.dropped_node += part.dropped_node
-    into.dropped_fault += part.dropped_fault
-    into.corrupted += part.corrupted
-    into.duplicated += part.duplicated
-    into.reordered += part.reordered

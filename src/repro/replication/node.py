@@ -16,7 +16,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..heap import PersistentHeap
 from ..kvstore import KVStore
 from ..kvstore.ring import PersistentRing
-from ..nvm.backend import make_device
 from ..nvm.device import CrashPolicy, NVMDevice
 from ..nvm.latency import NVDIMM, LatencyModel
 from ..nvm.pool import PmemPool
@@ -74,7 +73,7 @@ class ReplicaNode:
         self.model = model
         heap_bytes = heap_mb << 20
         pool_bytes = heap_bytes * 3 + (16 << 20)
-        self.device = make_device(pool_bytes, model=model, seed=seed)
+        self.device = NVMDevice(pool_bytes, model=model, seed=seed)
         pool = PmemPool.create(self.device)
         self.engine = engine_for(mode, role, alpha)
         self.heap = PersistentHeap.create(pool, self.engine, heap_size=heap_bytes)

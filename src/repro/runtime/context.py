@@ -133,27 +133,20 @@ class ExecutionContext:
         seed: int = 0,
         coalesce_flushes: bool = False,
         resources: Optional[SharedResources] = None,
-        backend: Optional[str] = None,
         **engine_kwargs,
     ) -> "ExecutionContext":
         """Build the full stack for ``engine_name``.
 
         The pool is sized for the worst-case engine footprint (full
         mirror + logs), so every engine sees an identically sized heap.
-
-        ``backend`` (``"pure"`` / ``"numpy"`` / ``None`` for
-        auto-detect) selects the device implementation via
-        :func:`repro.nvm.backend.device_class`; it changes no simulated
-        result.
         """
         from ..heap import PersistentHeap
         from ..kvstore import KVStore
-        from ..nvm.backend import device_class
         from ..nvm.pool import PmemPool
 
         heap_bytes = heap_mb << 20
         pool_bytes = heap_bytes * 2 + (32 << 20)
-        device = device_class(backend)(
+        device = NVMDevice(
             pool_bytes,
             model=model,
             seed=seed,

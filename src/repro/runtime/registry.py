@@ -17,8 +17,7 @@ and every consumer — ``make_engine``, the CLI's engine-kwargs parsing,
 the scheduler's contention model
 (:func:`repro.sim.resources.cost_model_for`), and the property-based
 crash suites — reads the registry instead of a hard-coded table.  Adding
-an engine or a backend therefore touches exactly one file: the engine's
-own module.
+an engine therefore touches exactly one file: the engine's own module.
 
 Names are resolved by exact match first, then by longest registered
 prefix, because engines may decorate their runtime name with parameters

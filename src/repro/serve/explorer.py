@@ -32,8 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import DeviceCrashedError, ProcedureResumed
-from ..nvm.backend import make_device
-from ..nvm.device import CrashPolicy
+from ..nvm.device import CrashPolicy, NVMDevice
 from ..parallel import fan_out
 from .gateway import ClusterGateway
 from .procedures import (
@@ -206,7 +205,7 @@ class ServeCrashExplorer:
             groups=self.groups, shards_per_group=self.shards_per_group,
             f=1, heap_mb=2, value_size=64, seed=0,
         )
-        device = make_device(DEVICE_BYTES, seed=device_seed)
+        device = NVMDevice(DEVICE_BYTES, seed=device_seed)
         store = ProcedureStore(device)
         gateway = ClusterGateway(cluster)
         engine = ProcedureEngine(gateway, store, durable=self.durable)

@@ -49,7 +49,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ProcedureError, ProcedureResumed
 from ..kvstore.ring import PersistentRing
-from ..nvm.backend import make_device
 from ..nvm.device import NVMDevice
 from ..nvm.pool import PmemPool
 from .gateway import ClusterGateway
@@ -214,9 +213,7 @@ class ProcedureStore:
 
     def __init__(self, device: Optional[NVMDevice] = None,
                  log_bytes: int = LOG_BYTES, _replay: bool = False):
-        self.device = device if device is not None else make_device(
-            DEVICE_BYTES, seed=0
-        )
+        self.device = device if device is not None else NVMDevice(DEVICE_BYTES, seed=0)
         if _replay:
             self.pool = PmemPool.open(self.device)
             self.ring = PersistentRing.open(self.pool.region(LOG_REGION))

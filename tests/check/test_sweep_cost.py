@@ -8,8 +8,6 @@ and not the prefix its siblings already ran.  Three things pin that:
   novel base for its whole nested family — never once per nested point;
 * building, crashing, fingerprinting and cloning a device is independent
   of the pool size, in time and in resident memory.
-
-Runs on every constructible backend, so on both CI legs.
 """
 
 import os
@@ -18,22 +16,14 @@ import sys
 import time
 from collections import Counter
 
-import pytest
-
 import repro
 from repro.check import CrashExplorer
 from repro.check.workload import KVWorkload, build_stack
-from repro.nvm import NVMDevice, backend
+from repro.nvm import CrashPolicy, NVMDevice
 from repro.runtime.registry import engine_info
 
 SMALL_POOL = 8 << 20
 BIG_POOL = 256 << 20
-
-
-@pytest.fixture(params=backend.available_backends())
-def backend_name(request, monkeypatch):
-    monkeypatch.setattr(backend, "_default", request.param)
-    return request.param
 
 
 def _counting(monkeypatch, owner, name, counts):
@@ -46,9 +36,8 @@ def _counting(monkeypatch, owner, name, counts):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_digests_and_prefix_runs_per_sweep(backend_name, monkeypatch):
+def test_digests_and_prefix_runs_per_sweep(monkeypatch):
     counts = Counter()
-    # the fingerprint is one inherited method: every backend counts here
     _counting(monkeypatch, NVMDevice, "overlay_fingerprint", counts)
     _counting(monkeypatch, KVWorkload, "setup", counts)
     points = 8
@@ -65,14 +54,17 @@ def test_digests_and_prefix_runs_per_sweep(backend_name, monkeypatch):
 
 
 def _crash_image_cycle(pool_size):
-    """Build a stack, run kv setup, crash, fingerprint, clone."""
+    """Build a stack, run kv setup, leave lines dirty at both ends of
+    the pool, fingerprint, crash, clone."""
     heap, _engine, device = build_stack(
         engine_info("kamino-simple").factory, pool_size=pool_size
     )
     KVWorkload().setup(heap)
     heap.drain()
-    device.crash()
+    for addr in (0, pool_size // 2 + 8, pool_size - 64):
+        device.write(addr, b"\x5a" * 40)
     device.overlay_fingerprint()
+    device.crash(CrashPolicy.KEEP_ALL)
     return device.clone_durable(seed=0)
 
 
@@ -85,7 +77,7 @@ def _best_of(n, pool_size):
     return best
 
 
-def test_crash_image_time_does_not_scale_with_the_pool(backend_name):
+def test_crash_image_time_does_not_scale_with_the_pool():
     """32x the pool, same work: anything O(pool) — a zero-fill, a scan, a
     full hash or copy — would cost ~30x; the bound leaves room for noise
     only."""
@@ -105,7 +97,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
 
-def test_crash_image_memory_does_not_scale_with_the_pool(backend_name):
+def test_crash_image_memory_does_not_scale_with_the_pool():
     """A fresh process (``ru_maxrss`` is a high-water mark) builds,
     crashes, fingerprints and clones a 256 MiB pool: flat images would
     need 3-6 pools' worth of resident memory."""
@@ -114,7 +106,6 @@ def test_crash_image_memory_does_not_scale_with_the_pool(backend_name):
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join([src, root, os.environ.get("PYTHONPATH", "")]),
-        REPRO_NVM_BACKEND=backend_name,
     )
     out = subprocess.run(
         [sys.executable, "-c", _RSS_PROBE],

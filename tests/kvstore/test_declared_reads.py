@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.check import CrashExplorer
 from repro.heap import PersistentHeap
 from repro.kvstore import BPlusTree
-from repro.nvm import HAVE_NUMPY, NVMDevice, PmemPool, ReferenceNVMDevice
+from repro.nvm import NVMDevice, PmemPool, ReferenceNVMDevice
 from repro.runtime import ExecutionContext, run_online
 from repro.runtime.registry import make_engine, registered_engines
 from repro.tx import reopen_after_crash
@@ -34,11 +34,8 @@ HEAP_SIZE = 512 << 10
 FANOUT = 4
 KEYS = 40
 
+#: the device and its spec: the seam must hold on both
 DEVICES = {"reference": ReferenceNVMDevice, "pure": NVMDevice}
-if HAVE_NUMPY:
-    from repro.nvm import NumpyNVMDevice
-
-    DEVICES["numpy"] = NumpyNVMDevice
 
 ENGINES = sorted(registered_engines())
 

@@ -4,30 +4,20 @@
 charges one load per declared ``(rel_off, n)``, in order, with the media
 check each would have made.  :class:`ReferenceNVMDevice` implements it
 as that literal loop of reads; Hypothesis searches for an overlay
-state, a load list or a dead/lost line on which the pure or numpy
-device's bytes, :class:`NVMStats` or error differ from it.
+state, a load list or a dead/lost line on which the device's bytes,
+:class:`NVMStats` or error differ from it.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import DeviceCrashedError, OutOfBoundsError, ReproError
-from repro.nvm import (
-    HAVE_NUMPY,
-    DeclaredLoads,
-    NVMDevice,
-    PmemPool,
-    ReferenceNVMDevice,
-)
+from repro.nvm import DeclaredLoads, NVMDevice, PmemPool, ReferenceNVMDevice
 
 DEVICE_SIZE = 8192
 LINE = 64
 
-FAST = [NVMDevice]
-if HAVE_NUMPY:
-    from repro.nvm import NumpyNVMDevice
-
-    FAST.append(NumpyNVMDevice)
+DEVICES = [NVMDevice, ReferenceNVMDevice]
 
 SETTINGS = settings(
     max_examples=80,
@@ -83,13 +73,12 @@ def _prepared(cls, writes, dead, lost):
     return device
 
 
-@pytest.mark.parametrize("cls", FAST, ids=lambda c: c.backend)
 @given(scenario=scenarios())
 @SETTINGS
-def test_fast_devices_charge_like_the_reference_loop(cls, scenario):
+def test_device_charges_like_the_reference_loop(scenario):
     writes, addr, size, loads, dead, lost = scenario
     ref = _prepared(ReferenceNVMDevice, writes, dead, lost)
-    dev = _prepared(cls, writes, dead, lost)
+    dev = _prepared(NVMDevice, writes, dead, lost)
     got = _outcome(dev, addr, size, loads)
     assert got == _outcome(ref, addr, size, loads)
     assert dev.stats.snapshot() == ref.stats.snapshot()
@@ -98,7 +87,7 @@ def test_fast_devices_charge_like_the_reference_loop(cls, scenario):
         assert got[1] == bytes(ref._peek(addr, size))
 
 
-@pytest.mark.parametrize("cls", FAST + [ReferenceNVMDevice], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", DEVICES, ids=lambda c: c.__name__)
 def test_the_charge_is_the_loads_not_the_block(cls):
     device = cls(DEVICE_SIZE)
     device.write(100, b"\x07" * 40)
@@ -108,7 +97,7 @@ def test_the_charge_is_the_loads_not_the_block(cls):
     assert (stats.loads, stats.load_bytes) == (3 + 1, 32 + 128)
 
 
-@pytest.mark.parametrize("cls", FAST + [ReferenceNVMDevice], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", DEVICES, ids=lambda c: c.__name__)
 def test_failures_charge_what_the_field_reads_charged_first(cls):
     loads = DeclaredLoads([(0, 8), (16, 8), (40, 16)])
     device = cls(DEVICE_SIZE)

@@ -1,7 +1,6 @@
 """Property: the integrity tree is pure observation on the fault-free path.
 
-Differential sweeps over random persist programs, on every constructible
-device backend.  (1) A tree-guarded device is byte- and stats-identical
+Differential sweeps over random persist programs.  (1) A tree-guarded device is byte- and stats-identical
 to an unguarded one — leaf CRC streaming rides the persist path without
 adding device operations, and nothing the tree disputes exists when no
 fault was injected.  (2) Attaching a tree does not move the crash
@@ -11,15 +10,13 @@ converge to the same root over the same durable image — the lazy pending
 log is a scheduling choice, never a semantic one.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.nvm import backend
+from repro.nvm import NVMDevice
 from repro.nvm.latency import CACHE_LINE
 
 DEVICE_SIZE = 16384
 N_LINES = DEVICE_SIZE // CACHE_LINE
-BACKENDS = backend.available_backends()
 
 SETTINGS = settings(
     max_examples=60,
@@ -60,8 +57,8 @@ def apply_ops(device, ops):
     device.persist_all()
 
 
-def make_device(backend_name, tree=None, protect=False):
-    device = backend.make_device(DEVICE_SIZE, backend=backend_name, seed=0)
+def make_device(tree=None, protect=False):
+    device = NVMDevice(DEVICE_SIZE, seed=0)
     if tree is not None:
         device.attach_media(seed=0, tree=tree)
     elif protect:
@@ -69,13 +66,12 @@ def make_device(backend_name, tree=None, protect=False):
     return device
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestTreeIsFreeWithoutFaults:
     @given(ops=op_sequences())
     @SETTINGS
-    def test_guarded_matches_unguarded(self, backend_name, ops):
-        plain = make_device(backend_name)
-        guarded = make_device(backend_name, tree="streamed")
+    def test_guarded_matches_unguarded(self, ops):
+        plain = make_device()
+        guarded = make_device(tree="streamed")
         apply_ops(plain, ops)
         apply_ops(guarded, ops)
         assert bytes(plain._durable) == bytes(guarded._durable)
@@ -95,20 +91,20 @@ class TestTreeIsFreeWithoutFaults:
 
     @given(ops=op_sequences())
     @SETTINGS
-    def test_tree_does_not_move_the_crash_fingerprint(self, backend_name, ops):
+    def test_tree_does_not_move_the_crash_fingerprint(self, ops):
         """The explorer dedups crash states by fingerprint; the tree must
         not split one state into two."""
-        sidecar_only = make_device(backend_name, protect=True)
-        treed = make_device(backend_name, tree="streamed")
+        sidecar_only = make_device(protect=True)
+        treed = make_device(tree="streamed")
         apply_ops(sidecar_only, ops)
         apply_ops(treed, ops)
         assert sidecar_only.overlay_fingerprint() == treed.overlay_fingerprint()
 
     @given(ops=op_sequences())
     @SETTINGS
-    def test_streamed_and_eager_converge(self, backend_name, ops):
-        streamed = make_device(backend_name, tree="streamed")
-        eager = make_device(backend_name, tree="eager")
+    def test_streamed_and_eager_converge(self, ops):
+        streamed = make_device(tree="streamed")
+        eager = make_device(tree="eager")
         apply_ops(streamed, ops)
         apply_ops(eager, ops)
         assert bytes(streamed._durable) == bytes(eager._durable)

@@ -7,7 +7,7 @@ from repro.errors import (
     ProcedureError,
     ProcedureResumed,
 )
-from repro.nvm.backend import make_device
+from repro.nvm import NVMDevice
 from repro.replication import KAMINO, ChainCluster
 from repro.serve import ClusterGateway, ProcedureEngine, ProcedureStore
 from repro.serve.procedures import DEVICE_BYTES, _as_int, _encode_int
@@ -18,7 +18,7 @@ def build(durable=True, device=None, log_bytes=None):
     gateway = ClusterGateway(cluster)
     kw = {} if log_bytes is None else {"log_bytes": log_bytes}
     store = ProcedureStore(
-        device if device is not None else make_device(DEVICE_BYTES, seed=0),
+        device if device is not None else NVMDevice(DEVICE_BYTES, seed=0),
         **kw,
     )
     engine = ProcedureEngine(gateway, store, durable=durable)
@@ -104,7 +104,7 @@ def _store_ops_for(durable, name, args, setup):
 def _crash_at(durable, crash_after, name, args, setup):
     """Run one procedure with the store device failing after
     ``crash_after`` ops, recover, resume; returns (gateway, engine)."""
-    device = make_device(DEVICE_BYTES, seed=0)
+    device = NVMDevice(DEVICE_BYTES, seed=0)
     gateway, store, engine = build(durable=durable, device=device)
     for key, value in setup:
         seed(gateway, key, value)
@@ -166,7 +166,7 @@ class TestCrashRecovery:
 
     def test_resume_survives_a_nested_crash(self):
         total, _ = _store_ops_for(True, "transfer", (20, 21, 30), self.SETUP)
-        device = make_device(DEVICE_BYTES, seed=0)
+        device = NVMDevice(DEVICE_BYTES, seed=0)
         gateway, store, engine = build(durable=True, device=device)
         for key, value in self.SETUP:
             seed(gateway, key, value)

@@ -30,7 +30,6 @@ from .chain import (
     FAIL_STOP,
     QUICK_REBOOT,
     ChainCrashExplorer,
-    ChainFailure,
     ChainReport,
     ChainScenario,
     MigrationCrashExplorer,
@@ -46,9 +45,9 @@ from .explorer import (
 )
 from .minimize import minimize_failure, repro_snippet
 from .oracle import Ledger, OracleViolation, check_against_ledger
+from ..parallel import SweepFailure
 from ..serve.explorer import (
     ServeCrashExplorer,
-    ServeFailure,
     ServeReport,
     ServeScenario,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "FAIL_STOP",
     "QUICK_REBOOT",
     "ChainCrashExplorer",
-    "ChainFailure",
     "ChainReport",
     "ChainScenario",
     "CheckFailure",
@@ -85,9 +83,9 @@ __all__ = [
     "RingWorkload",
     "Scenario",
     "ServeCrashExplorer",
-    "ServeFailure",
     "ServeReport",
     "ServeScenario",
+    "SweepFailure",
     "build_stack",
     "check_against_ledger",
     "minimize_failure",

@@ -17,8 +17,9 @@ standalone heap explorer.  Two complementary sweeps:
   a RUNNING intent-log slot; quick reboot must then repair exactly the
   logged ranges from the predecessor (Figure 9, case 1).
 
-After an intervention the driver **pumps** the chain: each surviving
-replica re-forwards its in-flight window to its successor (the protocol
+After an intervention the sweep **settles** the chain
+(:func:`repro.replication.recovery.settle`): each surviving replica
+re-forwards its in-flight window to its successor (the protocol
 messages are idempotent — ``applied_seq`` filters replays), modelling
 the timeout-driven retransmission a deployment would run, then drains
 the simulator.  The oracle then demands:
@@ -38,9 +39,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import DeviceCrashedError, ReplicationError
 from ..nvm.device import CrashPolicy
+from ..parallel import SweepFailure, count_mutating_ops, fan_out, sample_points
 from ..replication.chain import KAMINO, ChainCluster
 from ..replication.recovery import fail_stop, quick_reboot, settle
-from .explorer import OP_BUDGET, _sample_points
 
 QUICK_REBOOT = "quick_reboot"
 FAIL_STOP = "fail_stop"
@@ -79,19 +80,10 @@ class ChainScenario:
 
 
 @dataclass
-class ChainFailure:
-    scenario: ChainScenario
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.scenario.describe()}: {self.message}"
-
-
-@dataclass
 class ChainReport:
     mode: str
     states_explored: int = 0
-    failures: List[ChainFailure] = field(default_factory=list)
+    failures: List[SweepFailure] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -140,29 +132,6 @@ class ChainCrashExplorer:
         cluster.run()
         return cluster.sim.processed
 
-    def count_device_ops(self, replica: int) -> int:
-        """Mutating NVM ops the replica performs while the chain runs."""
-        cluster, _expected = self._build()
-        device = cluster.chain[replica].device
-        device.schedule_crash(OP_BUDGET, CrashPolicy.DROP_ALL)
-        cluster.drain()
-        remaining = device.scheduled_crash_remaining()
-        device.cancel_scheduled_crash()
-        if remaining is None:
-            raise RuntimeError("chain run exceeded the fail-point budget")
-        return OP_BUDGET - remaining
-
-    # -- retransmission ------------------------------------------------------
-
-    @staticmethod
-    def pump(cluster: ChainCluster, rounds: int = 6) -> None:
-        """Re-forward stalled in-flight windows until the chain is quiet.
-
-        Delegates to :func:`repro.replication.recovery.settle`, the
-        retransmission driver shared with the nemesis runner.
-        """
-        settle(cluster, rounds=rounds)
-
     # -- judging -------------------------------------------------------------
 
     def _judge(
@@ -172,33 +141,28 @@ class ChainCrashExplorer:
         expected: Dict[int, bytes],
         acked_before: List[int],
         baseline: Dict[int, bytes],
-    ) -> Optional[ChainFailure]:
+    ) -> Optional[str]:
+        """The first oracle the settled chain violates, or None."""
         try:
             cluster.assert_replicas_consistent()
         except AssertionError as exc:
-            return ChainFailure(scenario, f"replica divergence: {exc}")
+            return f"replica divergence: {exc}"
         state = cluster.kv_states()[0]
         if scenario.intervention == QUICK_REBOOT:
             if state != baseline:
                 missing = sorted(set(baseline) - set(state))
-                return ChainFailure(
-                    scenario,
-                    f"quick reboot lost committed work (missing keys {missing[:10]})",
-                )
+                return f"quick reboot lost committed work (missing keys {missing[:10]})"
             return None
         # fail-stop: anything acked to the client must survive the view change
         for seq in acked_before:
             key = seq - 1
             if state.get(key) != expected[seq]:
-                return ChainFailure(
-                    scenario,
-                    f"acked write seq={seq} (key {key}) lost across fail-stop",
-                )
+                return f"acked write seq={seq} (key {key}) lost across fail-stop"
         return None
 
     # -- one scenario --------------------------------------------------------
 
-    def replay(self, scenario: ChainScenario) -> Optional[ChainFailure]:
+    def replay(self, scenario: ChainScenario) -> Optional[SweepFailure]:
         cluster, expected = self._build()
         baseline = self.baseline() if scenario.intervention == QUICK_REBOOT else {}
         if scenario.device_crash_after is not None:
@@ -229,16 +193,17 @@ class ChainCrashExplorer:
             else:
                 fail_stop(cluster, scenario.replica)
         except Exception as exc:
-            return ChainFailure(
-                scenario, f"repair raised {type(exc).__name__}: {exc}"
+            return SweepFailure(
+                scenario, (f"repair raised {type(exc).__name__}: {exc}",)
             )
         try:
-            self.pump(cluster)
+            settle(cluster)
         except Exception as exc:
-            return ChainFailure(
-                scenario, f"post-repair drain raised {type(exc).__name__}: {exc}"
+            return SweepFailure(
+                scenario, (f"post-repair drain raised {type(exc).__name__}: {exc}",)
             )
-        return self._judge(cluster, scenario, expected, acked_before, baseline)
+        problem = self._judge(cluster, scenario, expected, acked_before, baseline)
+        return None if problem is None else SweepFailure(scenario, (problem,))
 
     # -- the sweep -----------------------------------------------------------
 
@@ -259,11 +224,12 @@ class ChainCrashExplorer:
         for any worker count."""
         report = ChainReport(mode=self.mode)
         n_events = self.count_events()
-        n_replicas = len(self._build()[0].chain)
+        cluster, _expected = self._build()
+        n_replicas = len(cluster.chain)
         if replicas is None:
             replicas = list(range(n_replicas))
         scenarios: List[ChainScenario] = []
-        for k in _sample_points(0, n_events, max_points):
+        for k in sample_points(0, n_events, max_points):
             for idx in replicas:
                 for intervention in interventions:
                     scenarios.append(
@@ -286,8 +252,8 @@ class ChainCrashExplorer:
                         )
         if device_crashes and n_replicas > 2:
             mid = 1  # first non-head replica: in-place + intent log
-            n_ops = self.count_device_ops(mid)
-            for p in _sample_points(0, n_ops - 1, max_device_points):
+            n_ops = count_mutating_ops(cluster.chain[mid].device, cluster.drain)
+            for p in sample_points(0, n_ops - 1, max_device_points):
                 scenarios.append(
                     ChainScenario(
                         mode=self.mode,
@@ -296,37 +262,14 @@ class ChainCrashExplorer:
                         device_crash_after=p,
                     )
                 )
-        for failure in self._replay_many(scenarios, workers):
+        # the undisturbed baseline is computed once, here, so every
+        # pickled copy of this explorer carries it to its worker
+        self.baseline()
+        for failure in fan_out(self.replay, scenarios, workers):
             report.states_explored += 1
             if failure is not None:
                 report.failures.append(failure)
         return report
-
-    def _replay_many(
-        self, scenarios: List[ChainScenario], workers: int
-    ) -> List[Optional[ChainFailure]]:
-        if workers and workers != 1 and len(scenarios) > 1:
-            from ..parallel import fan_out
-
-            baseline = self.baseline()
-            jobs = [
-                (self.mode, self.f, self.n_writes, baseline, scenario)
-                for scenario in scenarios
-            ]
-            return fan_out(_chain_replay_job, jobs, workers)
-        return [self.replay(scenario) for scenario in scenarios]
-
-
-def _chain_replay_job(job) -> Optional[ChainFailure]:
-    """One chain scenario in a worker process (module-level: pickles).
-
-    The undisturbed baseline is computed once in the parent and shipped
-    with the job, mirroring the serial explorer's cache.
-    """
-    mode, f, n_writes, baseline, scenario = job
-    explorer = ChainCrashExplorer(mode=mode, f=f, n_writes=n_writes)
-    explorer._baseline = baseline
-    return explorer.replay(scenario)
 
 
 @dataclass(frozen=True)
@@ -366,22 +309,22 @@ class MigrationCrashExplorer:
     hand-off parking, post-flip).  Each scenario replays that script up
     to an event boundary, intervenes, drains, and demands:
 
-    1. every group's replicas converge;
-    2. the migration *terminates* (resumed from the durable cursor, not
-       wedged) and does not abort;
-    3. placement is respected — after the flip + purge, each key lives
-       only on its owning group;
+    1–3. the sharded-cluster oracle
+       (:meth:`~repro.cluster.sharded.ShardedCluster.convergence_problems`):
+       every group's replicas converge, the migration *terminates*
+       (resumed from the durable cursor, not wedged) and does not
+       abort, and placement is respected — after the flip + purge, each
+       key lives only on its owning group;
     4. **zero lost committed transactions**: every write whose ack was
        delivered before the crash is present in the merged tail state
        with its acked value.
     """
 
-    def __init__(self, mode: str = KAMINO, f: int = 1, n_keys: int = 10,
-                 shards_per_group: int = 2):
+    #: keys preloaded and then overwritten during the migration window
+    N_KEYS = 10
+
+    def __init__(self, mode: str = KAMINO):
         self.mode = mode
-        self.f = f
-        self.n_keys = n_keys
-        self.shards_per_group = shards_per_group
 
     # -- deterministic cluster construction ----------------------------------
 
@@ -393,18 +336,18 @@ class MigrationCrashExplorer:
         from ..cluster.sharded import ShardedCluster
 
         cluster = ShardedCluster(
-            groups=2, shards_per_group=self.shards_per_group,
-            f=self.f, mode=self.mode, heap_mb=2, value_size=64,
+            groups=2, shards_per_group=2, f=1, mode=self.mode, heap_mb=2,
+            value_size=64,
         )
         acked: Dict[int, bytes] = {}
-        for i in range(self.n_keys):
+        for i in range(self.N_KEYS):
             value = bytes([i + 1]) * 16
             cluster.submit_write("put", (i, value), keys=(i,))
             acked[i] = value.ljust(64, b"\x00")
         cluster.drain()
         shard = cluster.map.shards_of(0)[0]
         cluster.migrate_shard(shard, dst_group=1)
-        for i in range(self.n_keys):
+        for i in range(self.N_KEYS):
             value = bytes([0x41 + i]) * 16
 
             def fire(key=i, val=value):
@@ -427,7 +370,7 @@ class MigrationCrashExplorer:
 
     # -- one scenario --------------------------------------------------------
 
-    def replay(self, scenario: MigrationScenario) -> Optional[ChainFailure]:
+    def replay(self, scenario: MigrationScenario) -> Optional[SweepFailure]:
         cluster, acked = self._build()
         cluster.sim.run(max_events=scenario.after_events)
         try:
@@ -440,8 +383,8 @@ class MigrationCrashExplorer:
             else:
                 quick_reboot(cluster.groups[scenario.group], scenario.replica)
         except Exception as exc:
-            return ChainFailure(
-                scenario, f"intervention raised {type(exc).__name__}: {exc}"
+            return SweepFailure(
+                scenario, (f"intervention raised {type(exc).__name__}: {exc}",)
             )
         try:
             for group in cluster.groups:
@@ -451,42 +394,18 @@ class MigrationCrashExplorer:
                 settle(group)
             cluster.drain()
         except Exception as exc:
-            return ChainFailure(
-                scenario, f"post-crash drain raised {type(exc).__name__}: {exc}"
+            return SweepFailure(
+                scenario, (f"post-crash drain raised {type(exc).__name__}: {exc}",)
             )
-        return self._judge(cluster, scenario, acked)
-
-    # -- judging -------------------------------------------------------------
-
-    def _judge(self, cluster, scenario: MigrationScenario,
-               acked: Dict[int, bytes]) -> Optional[ChainFailure]:
-        try:
-            cluster.assert_replicas_consistent()
-        except AssertionError as exc:
-            return ChainFailure(scenario, f"replica divergence: {exc}")
-        if cluster.active_migrations:
-            return ChainFailure(
-                scenario,
-                f"migration wedged (shards {cluster.active_migrations} never "
-                "terminated)",
-            )
-        if cluster.migration_failures:
-            return ChainFailure(
-                scenario,
-                "migration aborted: " + "; ".join(cluster.migration_failures),
-            )
-        try:
-            cluster.assert_placement_respected()
-        except AssertionError as exc:
-            return ChainFailure(scenario, f"placement violated: {exc}")
-        merged = cluster.merged_tail_state()
-        for key in sorted(acked):
-            if merged.get(key) != acked[key]:
-                return ChainFailure(
-                    scenario,
-                    f"acked write to key {key} lost across the migration crash",
-                )
-        return None
+        problems = cluster.convergence_problems()
+        if not problems:
+            merged = cluster.merged_tail_state()
+            problems = [
+                f"acked write to key {key} lost across the migration crash"
+                for key in sorted(acked)
+                if merged.get(key) != acked[key]
+            ]
+        return SweepFailure(scenario, tuple(problems)) if problems else None
 
     # -- the sweep -----------------------------------------------------------
 
@@ -504,7 +423,7 @@ class MigrationCrashExplorer:
         report = ChainReport(mode=f"{self.mode}-migration")
         n_events = self.count_events()
         scenarios: List[MigrationScenario] = []
-        for k in _sample_points(0, n_events, max_points):
+        for k in sample_points(0, n_events, max_points):
             scenarios.append(MigrationScenario(mode=self.mode, after_events=k))
             if double:
                 scenarios.append(
@@ -521,78 +440,8 @@ class MigrationCrashExplorer:
                     MigrationScenario(mode=self.mode, intervention=QUICK_REBOOT,
                                       group=1, replica=0, after_events=k)
                 )
-        results: List[Optional[ChainFailure]]
-        if workers and workers != 1 and len(scenarios) > 1:
-            from ..parallel import fan_out
-
-            jobs = [
-                (self.mode, self.f, self.n_keys, self.shards_per_group, scenario)
-                for scenario in scenarios
-            ]
-            results = fan_out(_migration_replay_job, jobs, workers)
-        else:
-            results = [self.replay(scenario) for scenario in scenarios]
-        for failure in results:
+        for failure in fan_out(self.replay, scenarios, workers):
             report.states_explored += 1
             if failure is not None:
                 report.failures.append(failure)
         return report
-
-
-def _migration_replay_job(job) -> Optional[ChainFailure]:
-    """One migration-window scenario in a worker process."""
-    mode, f, n_keys, shards_per_group, scenario = job
-    explorer = MigrationCrashExplorer(
-        mode=mode, f=f, n_keys=n_keys, shards_per_group=shards_per_group
-    )
-    return explorer.replay(scenario)
-
-
-def _nemesis_job(job):
-    """One (scenario, seed) nemesis run in a worker process."""
-    scenario, seed, mode, f = job
-    from ..faults import run_scenario
-
-    return scenario.name, seed, run_scenario(scenario, seed=seed, mode=mode, f=f)
-
-
-def explore_nemesis(
-    mode: str = KAMINO,
-    scenarios=None,
-    seeds: int = 5,
-    f: int = 2,
-    workers: int = 0,
-) -> ChainReport:
-    """Run the nemesis fault corpus and fold the verdicts into a
-    :class:`ChainReport`, so `repro check` surfaces both sweeps with one
-    summary format.  ``scenarios=None`` runs the full built-in corpus.
-    ``workers`` fans the seeded runs over a process pool; every run is
-    seed-deterministic, so the folded report does not depend on the
-    worker count."""
-    # local import: repro.faults pulls in the replication stack, and the
-    # checker must stay importable without it
-    from ..faults import CORPUS, run_scenario
-
-    chosen = list(scenarios if scenarios is not None else CORPUS)
-    report = ChainReport(mode=f"{mode}-nemesis")
-    jobs = [(scenario, seed, mode, f) for scenario in chosen for seed in range(seeds)]
-    if workers and workers != 1 and len(jobs) > 1:
-        from ..parallel import fan_out
-
-        results = fan_out(_nemesis_job, jobs, workers)
-    else:
-        results = [
-            (scenario.name, seed, run_scenario(scenario, seed=seed, mode=mode, f=f))
-            for scenario, seed, _m, _f in jobs
-        ]
-    for name, seed, result in results:
-        report.states_explored += 1
-        if not result.ok:
-            report.failures.append(
-                ChainFailure(
-                    ChainScenario(mode=mode),
-                    f"nemesis {name} seed={seed}: "
-                    + "; ".join(result.problems),
-                )
-            )
-    return report

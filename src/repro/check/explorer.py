@@ -67,7 +67,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
     DeviceCrashedError,
@@ -77,13 +78,11 @@ from ..errors import (
 )
 from ..nvm.device import CrashPolicy, NVMDevice
 from ..nvm.latency import CACHE_LINE
+from ..parallel import count_mutating_ops, fan_out_iter, sample_points
 from ..runtime.registry import EngineInfo, engine_info, registered_engines
 from ..tx.recovery import reopen_after_crash, verify_backup_consistency
 from .oracle import Ledger, OracleViolation, check_against_ledger
 from .workload import CANNED_WORKLOADS, CheckWorkload, build_stack
-
-#: fail-point budget no sane canned workload exhausts
-OP_BUDGET = 1_000_000
 
 #: the "fingerprint" of a replay whose fail-point fired but whose crash
 #: state nobody dedups on (lotteries, nested scenarios): not ``None``,
@@ -209,19 +208,6 @@ class _Crashed:
         return replace(self, device=self.device.clone_durable(seed=seed))
 
 
-def _sample_points(lo: int, hi: int, limit: Optional[int]) -> List[int]:
-    """All integers lo..hi, or an evenly spaced sample hitting both ends."""
-    n = hi - lo + 1
-    if n <= 0:
-        return []
-    if limit is None or n <= limit:
-        return list(range(lo, hi + 1))
-    if limit == 1:
-        return [lo]
-    step = (n - 1) / (limit - 1)
-    return sorted({lo + round(i * step) for i in range(limit)})
-
-
 class CrashExplorer:
     """Sweeps every crash state of one engine running one workload.
 
@@ -260,8 +246,8 @@ class CrashExplorer:
         self.workload_name = workload
         self._workload_factory = workload_factory
         self.device_seed = device_seed
-        # a worker process can only rebuild this explorer from names; a
-        # custom (closure) factory keeps the sweep in-process
+        # a worker process runs a pickled copy of this explorer; a custom
+        # (closure) factory does not pickle and keeps the sweep in-process
         self._portable = engine_factory is None and workload in CANNED_WORKLOADS and (
             workload_factory is CANNED_WORKLOADS.get(workload)
         )
@@ -364,15 +350,13 @@ class CrashExplorer:
     def count_ops(self) -> int:
         """Mutating device operations between end-of-setup and quiescence."""
         heap, _engine, device, workload = self._fresh(self.device_seed)
-        device.schedule_crash(OP_BUDGET, CrashPolicy.DROP_ALL)
-        for i in range(workload.n_steps):
-            workload.step(heap, i)
-        heap.drain()
-        remaining = device.scheduled_crash_remaining()
-        device.cancel_scheduled_crash()
-        if remaining is None:
-            raise RuntimeError("workload exceeded the fail-point budget")
-        return OP_BUDGET - remaining
+
+        def run() -> None:
+            for i in range(workload.n_steps):
+                workload.step(heap, i)
+            heap.drain()
+
+        return count_mutating_ops(device, run)
 
     def golden_ledger(self) -> Ledger:
         """Uncrashed run recording the logical state after every step."""
@@ -489,12 +473,16 @@ class CrashExplorer:
             scenario.nested_after, scenario.nested_policy, scenario.survival
         )
         try:
-            heap, _engine, _report = reopen_after_crash(device, self._engine_factory)
-            heap.drain()
+            self._recover(device)
         except DeviceCrashedError:
             return True
         device.cancel_scheduled_crash()
         return False
+
+    def _recover(self, device: NVMDevice) -> None:
+        """Reopen a crashed image and drain recovery's backup sync."""
+        heap, _engine, _report = reopen_after_crash(device, self._engine_factory)
+        heap.drain()
 
     def _judge(
         self,
@@ -585,6 +573,14 @@ class CrashExplorer:
                 message=str(exc),
                 steps_completed=steps_done,
             )
+        except Exception as exc:
+            # rotted bytes that escape the typed-degrade net while the
+            # validators walk them: a finding, not a crash of the checker
+            return OracleViolation(
+                kind="validator",
+                message=f"validator raised {type(exc).__name__}: {exc}",
+                steps_completed=steps_done,
+            )
         media = device.media
         if media_mode == "protected" and media is not None:
             silent = [ln for ln in media.bad_lines() if ln not in media.lost]
@@ -603,52 +599,9 @@ class CrashExplorer:
 
     def _count_recovery_ops(self, image: NVMDevice) -> int:
         device = image.clone_durable(seed=self.device_seed)
-        device.schedule_crash(OP_BUDGET, CrashPolicy.DROP_ALL)
-        heap, _engine, _report = reopen_after_crash(device, self._engine_factory)
-        heap.drain()
-        remaining = device.scheduled_crash_remaining()
-        device.cancel_scheduled_crash()
-        if remaining is None:
-            raise RuntimeError("recovery exceeded the fail-point budget")
-        return OP_BUDGET - remaining
+        return count_mutating_ops(device, partial(self._recover, device))
 
     # -- the sweep -----------------------------------------------------------
-
-    def _fan_out(
-        self,
-        serial: Callable[..., Any],
-        job_fn: Callable[[Tuple], Any],
-        jobs: Sequence[Tuple],
-        workers: int,
-    ) -> Iterator[Any]:
-        """``serial(*job)`` for every job — lazily, in job order,
-        optionally on a process pool (``job_fn`` is ``serial``'s
-        module-level, picklable twin).
-
-        Results arrive in job order either way (see
-        :mod:`repro.parallel`), so the caller's fold — pruning, counter
-        updates, failure collection — is byte-identical for any worker
-        count, and one at a time, so the fold (and ``progress``) keeps
-        pace with the sweep.  Explorers built from closures (custom
-        factories) cannot cross a process boundary and fall back to the
-        serial loop.
-        """
-        if workers and workers != 1 and len(jobs) > 1 and self._portable:
-            from ..parallel import fan_out_iter
-
-            return fan_out_iter(job_fn, jobs, workers)
-        return (serial(*job) for job in jobs)
-
-    def _replay_many(
-        self,
-        scenarios: Sequence[Scenario],
-        ledger: Ledger,
-        workers: int,
-    ) -> Iterator[Tuple[Optional[CheckFailure], Optional[str]]]:
-        """Replay a batch of scenarios from scratch, one result each."""
-        return self._fan_out(
-            self.replay, _replay_job, [(s, ledger) for s in scenarios], workers
-        )
 
     def _replay_nested(
         self,
@@ -669,15 +622,17 @@ class CrashExplorer:
             return []
         try:
             n_recovery_ops = self._count_recovery_ops(crashed.device)
-        except (MediaError, PoolCorruptionError):
-            # recovery on this image degrades with a typed error before
-            # quiescing; there is no op timeline to nest crashes into
+        except Exception:
+            # recovery on this image raises before quiescing, typed
+            # degrade or not: there is no op timeline to nest crashes
+            # into, and the base point's own judgment reports that
+            # recovery
             return []
         return [
             self.replay(
                 replace(base, nested_after=q), ledger, crashed.fork(base.device_seed)
             )[0]
-            for q in _sample_points(0, n_recovery_ops - 1, max_nested_points)
+            for q in sample_points(0, n_recovery_ops - 1, max_nested_points)
         ]
 
     def explore(
@@ -719,17 +674,22 @@ class CrashExplorer:
                 serial).  A unit of work — a base point, a lottery, or a
                 novel state's whole nested family — builds its own
                 stack, so the report is byte-identical for any worker
-                count; only wall-clock changes.
+                count; only wall-clock changes.  Explorers built from
+                closures (custom factories) cannot cross a process
+                boundary and always sweep serially.
 
         The sweep runs in three deterministic phases — base points,
         RANDOM lotteries for the novel states, nested recovery crashes —
         so the batches are wide enough to fan out.  Every phase folds
         its ordered results, as they arrive, the same way serial
-        exploration would.
+        exploration would (:mod:`repro.parallel`).
         """
         report = ExplorationReport(engine=self.engine_name, workload=self.workload_name)
         report.n_ops = self.count_ops()
         ledger = self.golden_ledger()
+        if not self._portable:
+            workers = 0
+        replay = partial(self.replay, ledger=ledger)
         # crash_after=p fires just before mutating op p+1, so p ranges over
         # 0 (nothing of the steps durable yet) .. n_ops-1 (all but the
         # final operation done)
@@ -746,12 +706,12 @@ class CrashExplorer:
                 tree=tree if media == "protected" else "off",
                 stale_lines=stale_lines if media != "off" else 0,
             )
-            for point in _sample_points(0, report.n_ops - 1, max_points)
+            for point in sample_points(0, report.n_ops - 1, max_points)
         ]
         seen: Dict[str, int] = {}
         novel: List[Scenario] = []
         for base, (failure, fingerprint) in zip(
-            bases, self._replay_many(bases, ledger, workers)
+            bases, fan_out_iter(replay, bases, workers)
         ):
             if progress is not None:
                 progress(
@@ -780,49 +740,25 @@ class CrashExplorer:
             for base in novel
             for sample in range(random_samples)
         ]
-        for failure, fired in self._replay_many(lotteries, ledger, workers):
+        for failure, fired in fan_out_iter(replay, lotteries, workers):
             if fired is not None:
                 report.states_explored += 1
                 if failure is not None:
                     report.failures.append(failure)
         if nested:
-            families = self._fan_out(
-                self._replay_nested,
-                _nested_job,
-                [(base, ledger, max_nested_points) for base in novel],
+            families = fan_out_iter(
+                partial(
+                    self._replay_nested,
+                    ledger=ledger,
+                    max_nested_points=max_nested_points,
+                ),
+                novel,
                 workers,
             )
             for family in families:
                 report.nested_explored += len(family)
                 report.failures.extend(f for f in family if f is not None)
         return report
-
-
-def _worker_explorer(scenario: Scenario) -> CrashExplorer:
-    """The explorer a worker process runs ``scenario`` on, rebuilt from
-    the scenario's registry names (engine, workload) — the same "restart
-    with the same binary" the recovery path already relies on."""
-    return CrashExplorer(
-        scenario.engine,
-        workload=scenario.workload,
-        device_seed=scenario.device_seed,
-    )
-
-
-def _replay_job(
-    job: Tuple[Scenario, Ledger]
-) -> Tuple[Optional[CheckFailure], Optional[str]]:
-    """:meth:`CrashExplorer.replay` in a worker (module-level: pickles)."""
-    scenario, ledger = job
-    return _worker_explorer(scenario).replay(scenario, ledger)
-
-
-def _nested_job(
-    job: Tuple[Scenario, Ledger, Optional[int]]
-) -> List[Optional[CheckFailure]]:
-    """:meth:`CrashExplorer._replay_nested` in a worker."""
-    base, ledger, max_nested_points = job
-    return _worker_explorer(base)._replay_nested(base, ledger, max_nested_points)
 
 
 def replay_scenario(

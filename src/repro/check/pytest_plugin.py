@@ -7,8 +7,8 @@ repo's own ``tests/conftest.py`` does this).  It contributes:
   (the default, and what CI's check-smoke job runs) samples crash
   points; ``full`` is exhaustive and meant for nightly/local runs.
 * the ``check_budget`` fixture — the resolved
-  :class:`CheckBudget`, which tests splat into
-  :meth:`CrashExplorer.explore` / :meth:`ChainCrashExplorer.explore`;
+  :class:`CheckBudget`, whose :meth:`~CheckBudget.explore_kwargs` tests
+  splat into :meth:`CrashExplorer.explore`;
 * the ``assert_engine_crash_consistent`` fixture — the one-line form:
   sweep an engine × workload under the session budget and fail the test
   with each failure's minimized repro snippet if anything is found.
@@ -45,7 +45,6 @@ class CheckBudget:
     max_points: Optional[int]
     random_samples: int
     max_nested_points: Optional[int]
-    chain_max_points: Optional[int]
 
     def explore_kwargs(self) -> Dict[str, Any]:
         return {
@@ -61,14 +60,12 @@ BUDGETS = {
         max_points=24,
         random_samples=1,
         max_nested_points=3,
-        chain_max_points=8,
     ),
     "full": CheckBudget(
         name="full",
         max_points=None,
         random_samples=2,
         max_nested_points=None,
-        chain_max_points=None,
     ),
 }
 

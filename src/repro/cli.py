@@ -297,9 +297,10 @@ def cmd_nemesis(args) -> int:
         MEDIA_CORPUS,
         minimize,
         repro_snippet,
-        run_scenario,
+        run_corpus,
         scenario_by_name,
     )
+    from .faults.runner import QUICK_SEEDS
     from .replication.chain import RetryPolicy
 
     if args.list:
@@ -321,14 +322,8 @@ def cmd_nemesis(args) -> int:
     elif args.media:
         scenarios = list(MEDIA_CORPUS)
     else:
-        scenarios = list(CORPUS)
-    seeds = args.seeds
-    if args.quick:
-        if not args.media and not args.scenarios:
-            quick_names = {"flaky_link", "partition_and_heal", "crash_and_replace",
-                           "head_failover"}
-            scenarios = [s for s in scenarios if s.name in quick_names] or scenarios[:4]
-        seeds = min(seeds, 2)
+        scenarios = None  # the corpus (its smoke subset under --quick)
+    seeds = min(args.seeds, QUICK_SEEDS) if args.quick else args.seeds
     # --unhardened with --media demonstrates the *media* failure class:
     # same faults, detection disabled (retries stay on — they are not the
     # defence under test)
@@ -338,18 +333,15 @@ def cmd_nemesis(args) -> int:
     else:
         retry = RetryPolicy.disabled() if args.unhardened else RetryPolicy()
 
-    rows, failures = [], []
-    for scenario in scenarios:
-        for seed in range(seeds):
-            r = run_scenario(scenario, seed=seed, mode=args.mode, f=args.f,
-                             retry=retry)
-            rows.append([
-                r.scenario, r.seed, f"{r.completed_ops}/{r.total_ops}",
-                r.retransmissions, r.net.dropped if r.net else 0,
-                "ok" if r.ok else f"FAIL({len(r.problems)})",
-            ])
-            if not r.ok:
-                failures.append((scenario, seed, r))
+    results = run_corpus(scenarios, seeds=seeds, mode=args.mode, f=args.f,
+                         retry=retry, quick=args.quick)
+    rows = [
+        [r.scenario, r.seed, f"{r.completed_ops}/{r.total_ops}",
+         r.retransmissions, r.net.dropped if r.net else 0,
+         "ok" if r.ok else f"FAIL({len(r.problems)})"]
+        for r in results
+    ]
+    failures = [r for r in results if not r.ok]
     unhardened_note = ""
     if args.unhardened:
         unhardened_note = (
@@ -362,7 +354,7 @@ def cmd_nemesis(args) -> int:
         ["scenario", "seed", "ops", "retx", "dropped", "verdict"],
         rows,
     ))
-    for _scenario, _seed, r in failures[:5]:
+    for r in failures[:5]:
         for problem in r.problems[:3]:
             print(f"  {r.scenario} seed={r.seed}: {problem}")
 
@@ -373,7 +365,10 @@ def cmd_nemesis(args) -> int:
             print("unhardened configuration unexpectedly survived every "
                   "scenario", file=sys.stderr)
             return 1
-        scenario, seed, _r = failures[0]
+        seed = failures[0].seed
+        scenario = next(
+            s for s in scenarios or CORPUS if s.name == failures[0].scenario
+        )
         small = minimize(scenario, seed, mode=args.mode, f=args.f, retry=retry)
         print(f"\nminimized failing repro ({small.name}, seed={seed}, "
               f"{small.n_clients} client(s) x {small.ops_per_client} op(s)):\n")
@@ -401,7 +396,7 @@ def cmd_cluster(args) -> int:
     """
     from .check import MigrationCrashExplorer
     from .cluster import ShardedCluster
-    from .faults import CLUSTER_CORPUS, run_scenario
+    from .faults import CLUSTER_CORPUS, run_corpus
     from .replication import run_clients
     from .workloads import Op, UPDATE, YCSBWorkload
 
@@ -424,18 +419,7 @@ def cmd_cluster(args) -> int:
     run_clients(cluster, streams)
     cluster.drain()
 
-    problems = []
-    if cluster.active_migrations:
-        problems.append(f"migration wedged: shards {cluster.active_migrations}")
-    if cluster.migration_failures:
-        problems.append("; ".join(cluster.migration_failures))
-    try:
-        cluster.assert_replicas_consistent()
-        if not cluster.active_migrations:
-            cluster.assert_placement_respected()
-    except AssertionError as exc:
-        problems.append(str(exc))
-
+    problems = cluster.convergence_problems()
     rows = []
     for gid, group in enumerate(cluster.groups):
         shards = cluster.map.shards_of(gid)
@@ -467,18 +451,17 @@ def cmd_cluster(args) -> int:
 
     # -- stage 2: the sharded nemesis corpus ---------------------------------
     rows = []
-    for scenario in CLUSTER_CORPUS:
-        for seed in range(seeds):
-            r = run_scenario(scenario, seed=seed, mode=args.mode, f=args.f)
-            rows.append([
-                r.scenario, r.seed, f"{r.completed_ops}/{r.total_ops}",
-                r.migrations, r.coordinator_crashes, r.map_version,
-                "ok" if r.ok else f"FAIL({len(r.problems)})",
-            ])
-            if not r.ok:
-                failed += 1
-                for problem in r.problems[:3]:
-                    print(f"  {r.scenario} seed={seed}: {problem}")
+    for r in run_corpus(CLUSTER_CORPUS, seeds=seeds, mode=args.mode, f=args.f,
+                        workers=args.workers):
+        rows.append([
+            r.scenario, r.seed, f"{r.completed_ops}/{r.total_ops}",
+            r.migrations, r.coordinator_crashes, r.map_version,
+            "ok" if r.ok else f"FAIL({len(r.problems)})",
+        ])
+        if not r.ok:
+            failed += 1
+            for problem in r.problems[:3]:
+                print(f"  {r.scenario} seed={r.seed}: {problem}")
     print(format_table(
         f"sharded nemesis corpus: {args.mode}, {seeds} seed(s)",
         ["scenario", "seed", "ops", "migs", "coord-crash", "map", "verdict"],
@@ -1009,8 +992,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-points", type=int, default=6,
                    help="sampled event boundaries in the crash sweep")
     p.add_argument("--workers", type=int, default=0,
-                   help="fan the migration crash sweep over a process pool; "
-                   "0 = serial, -1 = one per CPU")
+                   help="fan the sharded nemesis corpus and the migration "
+                   "crash sweep over a process pool; 0 = serial, -1 = one "
+                   "per CPU")
     p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser(

@@ -357,6 +357,30 @@ class ShardedCluster:
                         f"{self.map.shard_for(key)} is assigned to group {owner}"
                     )
 
+    def convergence_problems(self) -> List[str]:
+        """The sharded-cluster oracle for a drained cluster, one line per
+        violation (empty when it converged): every group's replicas
+        agree, no migration is wedged or aborted, and each key lives
+        only on the group its shard is assigned to."""
+        problems: List[str] = []
+        try:
+            self.assert_replicas_consistent()
+        except AssertionError as exc:
+            problems.append(f"replica divergence: {exc}")
+        if self._migrations:
+            # placement is undefined while a shard is still moving
+            problems.append(
+                f"migrations never terminated for shards "
+                f"{list(self.active_migrations)}"
+            )
+            return problems
+        problems.extend(f"migration aborted: {why}" for why in self.migration_failures)
+        try:
+            self.assert_placement_respected()
+        except AssertionError as exc:
+            problems.append(f"placement violated: {exc}")
+        return problems
+
     def merged_tail_state(self) -> Dict[int, bytes]:
         """The cluster's logical contents: each group's tail restricted
         to the shards it owns (the durability oracle's view)."""

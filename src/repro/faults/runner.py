@@ -30,10 +30,12 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..cluster.sharded import ShardedCluster
 from ..errors import MediaError
+from ..parallel import call, fan_out
 from ..replication.chain import KAMINO, ChainCluster, RetryPolicy
 from ..replication.client import ChainClient, run_clients
 from ..replication.recovery import settle, scrub_node
@@ -47,6 +49,11 @@ from .scenarios import CORPUS
 VALUE_SIZE = 64
 #: key-range stride: client ``i`` owns keys ``[i * stride, i * stride + keyspace)``
 KEY_STRIDE = 1000
+#: the smoke-sized corpus ``run_corpus(quick=True)`` runs by default
+QUICK_SCENARIOS = ("flaky_link", "partition_and_heal", "crash_and_replace",
+                   "head_failover")
+#: seeds per scenario under ``quick``
+QUICK_SEEDS = 2
 
 
 def _value_for(client: int, op_index: int) -> bytes:
@@ -247,32 +254,28 @@ def _final_scrub(cluster, result: NemesisResult) -> None:
     injected corruption must end repaired, quarantined+restored, or
     degraded to a typed *lost* state — never silently resident."""
     for chain in _chains(cluster):
-        _final_scrub_chain(chain, result)
-
-
-def _final_scrub_chain(cluster: ChainCluster, result: NemesisResult) -> None:
-    for node in cluster.chain:
-        media = node.device.media
-        if media is None:
-            continue
-        try:
-            scrub_node(cluster, node)
-        except MediaError as exc:
-            result.problems.append(
-                f"scrub on {node.node_id} raised {type(exc).__name__}: {exc}"
-            )
-            continue
-        leftover = [ln for ln in media.bad_lines() if ln not in media.lost]
-        if leftover:
-            result.problems.append(
-                f"media corruption on {node.node_id} survived the final "
-                f"scrub undetected-or-unrepaired: lines {leftover[:6]}"
-            )
-        if media.lost:
-            result.problems.append(
-                f"{node.node_id} lost lines {sorted(media.lost)[:6]} "
-                f"(no surviving copy on mirror or peers)"
-            )
+        for node in chain.chain:
+            media = node.device.media
+            if media is None:
+                continue
+            try:
+                scrub_node(chain, node)
+            except MediaError as exc:
+                result.problems.append(
+                    f"scrub on {node.node_id} raised {type(exc).__name__}: {exc}"
+                )
+                continue
+            leftover = [ln for ln in media.bad_lines() if ln not in media.lost]
+            if leftover:
+                result.problems.append(
+                    f"media corruption on {node.node_id} survived the final "
+                    f"scrub undetected-or-unrepaired: lines {leftover[:6]}"
+                )
+            if media.lost:
+                result.problems.append(
+                    f"{node.node_id} lost lines {sorted(media.lost)[:6]} "
+                    f"(no surviving copy on mirror or peers)"
+                )
 
 
 def _judge_state(
@@ -291,26 +294,18 @@ def _judge_state(
                 f"client {c.client_id} surfaced an error more than once "
                 f"for the same request"
             )
-    # replica convergence over the live range (per group when sharded)
-    try:
-        cluster.assert_replicas_consistent()
-    except AssertionError as exc:
-        result.problems.append(f"replica divergence: {exc}")
+    # replica convergence over the live range (per group when sharded,
+    # with the cross-shard migration and placement oracles)
     if isinstance(cluster, ShardedCluster):
-        # cross-shard oracles: every migration terminated, and with no
-        # migration in flight each key lives only on its owning group
+        result.problems.extend(cluster.convergence_problems())
         if cluster.active_migrations:
-            result.problems.append(
-                f"migrations never terminated for shards "
-                f"{list(cluster.active_migrations)}"
-            )
             return
-        try:
-            cluster.assert_placement_respected()
-        except AssertionError as exc:
-            result.problems.append(f"placement violated: {exc}")
         tail_state = cluster.merged_tail_state()
     else:
+        try:
+            cluster.assert_replicas_consistent()
+        except AssertionError as exc:
+            result.problems.append(f"replica divergence: {exc}")
         tail_state = cluster.kv_states()[-1]
     # durability of acknowledged writes at the (owning) tail
     for c in clients:
@@ -365,23 +360,26 @@ def run_corpus(
     f: int = 2,
     retry: Optional[RetryPolicy] = None,
     quick: bool = False,
+    workers: int = 0,
 ) -> List[NemesisResult]:
-    """Every scenario × every seed.  ``quick`` trims to a smoke-sized
-    sweep (CI): a scenario subset under two seeds."""
+    """Every scenario × every seed, in that order (``scenarios=None``
+    runs the built-in corpus).  ``quick`` trims to a smoke-sized sweep
+    (CI): at most :data:`QUICK_SEEDS` seeds, and the
+    :data:`QUICK_SCENARIOS` subset when no scenarios are given.
+    ``workers`` fans the runs over a process pool; every run is
+    seed-deterministic, so the results do not depend on it."""
     if scenarios is None:
         scenarios = CORPUS
+        if quick:
+            scenarios = [s for s in CORPUS if s.name in QUICK_SCENARIOS]
     if quick:
-        names = {"flaky_link", "partition_and_heal", "crash_and_replace",
-                 "head_failover"}
-        scenarios = [s for s in scenarios if s.name in names] or scenarios[:4]
-        seeds = min(seeds, 2)
-    results = []
-    for scenario in scenarios:
-        for seed in range(seeds):
-            results.append(
-                run_scenario(scenario, seed=seed, mode=mode, f=f, retry=retry)
-            )
-    return results
+        seeds = min(seeds, QUICK_SEEDS)
+    runs = [
+        partial(run_scenario, scenario, seed=seed, mode=mode, f=f, retry=retry)
+        for scenario in scenarios
+        for seed in range(seeds)
+    ]
+    return fan_out(call, runs, workers)
 
 
 def minimize(

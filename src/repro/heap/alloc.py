@@ -129,16 +129,28 @@ class SlabAllocator:
     def open(self) -> None:
         """Rebuild volatile mirrors from persistent state after reopen."""
         raw = self.region.read(0, _HDR_SIZE)
-        magic, chunk_size, n, ctab, boff, doff = struct.unpack(_HDR_FMT, raw)
+        magic, chunk_size, *geometry = struct.unpack(_HDR_FMT, raw)
         if magic != ALLOC_MAGIC:
             raise PoolCorruptionError("heap region has no allocator header")
+        # the header is self-validating: its geometry is what the region
+        # size derives for the stored chunk size, so rotted fields fail
+        # here instead of sizing the mirrors and reads from garbage
+        if chunk_size == 0 or chunk_size % MAX_BLOCK:
+            raise PoolCorruptionError(f"allocator header chunk size {chunk_size}")
         self.chunk_size = chunk_size
         self._bitmap_stride = chunk_size // MIN_BLOCK // 8
-        self.n_chunks = n
-        self.chunktab_off = ctab
-        self.bitmap_off = boff
-        self.data_off = doff
+        try:
+            self._compute_geometry()
+        except HeapError as exc:
+            raise PoolCorruptionError(f"allocator header: {exc}") from exc
+        derived = [self.n_chunks, self.chunktab_off, self.bitmap_off, self.data_off]
+        if geometry != derived:
+            raise PoolCorruptionError(
+                f"allocator header geometry {geometry} != {derived} derived "
+                f"from the region size"
+            )
         self._reset_mirrors()
+        n = self.n_chunks
         tab = self.region.read(self.chunktab_off, 8 * n)
         for ci in range(n):
             cls = struct.unpack_from("<Q", tab, ci * 8)[0]

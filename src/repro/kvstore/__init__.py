@@ -1,7 +1,6 @@
 """Persistent data structures built on the transactional heap."""
 
 from .btree import BPlusTree, BTreeMeta, DEFAULT_FANOUT, node_class
-from .hashtable import HashMeta, PersistentHashTable
 from .kv import KVMeta, KVStore
 from .linkedlist import ListNode, ListRoot, PersistentList
 from .ring import PersistentRing
@@ -10,12 +9,10 @@ __all__ = [
     "BPlusTree",
     "BTreeMeta",
     "DEFAULT_FANOUT",
-    "HashMeta",
     "KVMeta",
     "KVStore",
     "ListNode",
     "ListRoot",
-    "PersistentHashTable",
     "PersistentList",
     "PersistentRing",
     "node_class",

@@ -27,7 +27,6 @@ from .admission import AdmissionConfig, AdmissionController
 from .client import ServeClient
 from .explorer import (
     ServeCrashExplorer,
-    ServeFailure,
     ServeReport,
     ServeScenario,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "ReproServer",
     "ServeClient",
     "ServeCrashExplorer",
-    "ServeFailure",
     "ServeReport",
     "ServeScenario",
     "encode_command",

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import DeviceCrashedError, ProcedureResumed
 from ..nvm.device import CrashPolicy, NVMDevice
-from ..parallel import fan_out
+from ..parallel import SweepFailure, count_mutating_ops, fan_out, sample_points
 from .gateway import ClusterGateway
 from .procedures import (
     DEVICE_BYTES,
@@ -43,24 +43,8 @@ from .procedures import (
     _encode_int,
 )
 
-#: crash-point counting budget (mirrors repro.check.explorer.OP_BUDGET)
-OP_BUDGET = 1_000_000
-
 #: give up if one call crashes more often than this (a stuck recovery)
 _MAX_CRASHES_PER_CALL = 6
-
-
-def _sample_points(lo: int, hi: int, limit: Optional[int]) -> List[int]:
-    """All integers lo..hi, or an evenly spaced sample hitting both ends."""
-    n = hi - lo + 1
-    if n <= 0:
-        return []
-    if limit is None or n <= limit:
-        return list(range(lo, hi + 1))
-    if limit == 1:
-        return [lo]
-    step = (n - 1) / (limit - 1)
-    return sorted({lo + round(i * step) for i in range(limit)})
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +127,6 @@ class ServeScenario:
 
 
 @dataclass
-class ServeFailure:
-    scenario: ServeScenario
-    problems: Tuple[str, ...]
-
-    def __str__(self) -> str:
-        lines = "\n  ".join(self.problems)
-        return f"{self.scenario.describe()} ->\n  {lines}"
-
-
-@dataclass
 class ServeReport:
     workload: str
     durable: bool
@@ -161,7 +135,7 @@ class ServeReport:
     nested_explored: int = 0
     not_fired: int = 0
     crashes_observed: int = 0
-    failures: List[ServeFailure] = field(default_factory=list)
+    failures: List[SweepFailure] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -187,14 +161,11 @@ class ServeCrashExplorer:
     """Sweep every frame-persist crash point of a procedure workload."""
 
     def __init__(self, workload: str = "mixed", durable: bool = True,
-                 device_seed: int = 0, groups: int = 2,
-                 shards_per_group: int = 2):
+                 device_seed: int = 0):
         _workload_calls(workload)  # validate early
         self.workload = workload
         self.durable = durable
         self.device_seed = device_seed
-        self.groups = groups
-        self.shards_per_group = shards_per_group
 
     # -- harness ---------------------------------------------------------------
 
@@ -202,8 +173,7 @@ class ServeCrashExplorer:
         from ..cluster import ShardedCluster
 
         cluster = ShardedCluster(
-            groups=self.groups, shards_per_group=self.shards_per_group,
-            f=1, heap_mb=2, value_size=64, seed=0,
+            groups=2, shards_per_group=2, f=1, heap_mb=2, value_size=64, seed=0,
         )
         device = NVMDevice(DEVICE_BYTES, seed=device_seed)
         store = ProcedureStore(device)
@@ -224,19 +194,17 @@ class ServeCrashExplorer:
     def count_ops(self) -> int:
         """Mutating procedure-log device ops of one clean workload run."""
         engine = self._build(self.device_seed)
-        device = engine.store.device
-        device.schedule_crash(OP_BUDGET, CrashPolicy.DROP_ALL)
-        for name, pid, args in _workload_calls(self.workload):
-            engine.run(name, args, pid=pid)
-        remaining = device.scheduled_crash_remaining()
-        device.cancel_scheduled_crash()
-        assert remaining is not None
-        return OP_BUDGET - remaining
+
+        def run() -> None:
+            for name, pid, args in _workload_calls(self.workload):
+                engine.run(name, args, pid=pid)
+
+        return count_mutating_ops(engine.store.device, run)
 
     # -- one replay ------------------------------------------------------------
 
     def replay(self, scenario: ServeScenario
-               ) -> Tuple[Optional[ServeFailure], int]:
+               ) -> Tuple[Optional[SweepFailure], int]:
         """Run one scenario; returns ``(failure_or_None, crashes_seen)``.
 
         ``crashes_seen == 0`` means the fail-point never fired (the
@@ -258,11 +226,11 @@ class ServeCrashExplorer:
                     crashes += 1
                     ok = self._recover(engine, scenario, nested=crashes == 1)
                     if not ok:
-                        return ServeFailure(scenario, (
+                        return SweepFailure(scenario, (
                             "recovery did not converge (repeated crashes)",
                         )), crashes
             else:
-                return ServeFailure(scenario, (
+                return SweepFailure(scenario, (
                     f"call {pid} never completed after "
                     f"{_MAX_CRASHES_PER_CALL} crash/recover rounds",
                 )), crashes
@@ -271,7 +239,7 @@ class ServeCrashExplorer:
             return None, 0
         problems = self._judge(engine, scenario)
         if problems:
-            return ServeFailure(scenario, tuple(problems)), crashes
+            return SweepFailure(scenario, tuple(problems)), crashes
         return None, crashes
 
     def _recover(self, engine: ProcedureEngine, scenario: ServeScenario,
@@ -341,7 +309,9 @@ class ServeCrashExplorer:
                 workers: int = 0) -> ServeReport:
         """Deterministic sweep: every (sampled) crash point with the
         worst-case DROP_ALL policy, optional RANDOM survival lotteries,
-        then nested crashes during the first recovery."""
+        then nested crashes during the first recovery.  ``workers`` fans
+        the replays over a process pool with an ordered, byte-identical
+        fold."""
         n_ops = self.count_ops()
         report = ServeReport(self.workload, self.durable, n_ops)
         base = ServeScenario(
@@ -350,16 +320,16 @@ class ServeCrashExplorer:
         )
         scenarios = [
             replace(base, crash_after=point)
-            for point in _sample_points(1, n_ops, max_points)
+            for point in sample_points(1, n_ops, max_points)
         ]
         for r in range(random_samples):
             scenarios += [
                 replace(base, crash_after=point, policy="random",
                         device_seed=self.device_seed + 101 + r)
-                for point in _sample_points(1, n_ops, max_points)
+                for point in sample_points(1, n_ops, max_points)
             ]
         if nested:
-            nested_points = _sample_points(
+            nested_points = sample_points(
                 1, n_ops,
                 max_nested_points if max_nested_points is not None else None,
             )
@@ -368,7 +338,7 @@ class ServeCrashExplorer:
                 for point in nested_points
                 for after in (1, 3)
             ]
-        results = self._replay_many(scenarios, workers)
+        results = fan_out(self.replay, scenarios, workers)
         for scenario, (failure, crashes) in zip(scenarios, results):
             if crashes == 0:
                 report.not_fired += 1
@@ -380,23 +350,3 @@ class ServeCrashExplorer:
             if failure is not None:
                 report.failures.append(failure)
         return report
-
-    def _replay_many(self, scenarios: List[ServeScenario], workers: int):
-        jobs = [
-            (scenario, self.groups, self.shards_per_group)
-            for scenario in scenarios
-        ]
-        if workers and workers != 1 and len(jobs) > 1:
-            return fan_out(_serve_replay_job, jobs, workers)
-        return [_serve_replay_job(job) for job in jobs]
-
-
-def _serve_replay_job(job) -> Tuple[Optional[ServeFailure], int]:
-    """One replay, module-level so it pickles for the process pool."""
-    scenario, groups, shards_per_group = job
-    explorer = ServeCrashExplorer(
-        workload=scenario.workload, durable=scenario.durable,
-        device_seed=scenario.device_seed, groups=groups,
-        shards_per_group=shards_per_group,
-    )
-    return explorer.replay(scenario)

@@ -3,25 +3,25 @@
 import pytest
 
 from repro.check import CrashExplorer, PairsWorkload, Scenario, replay_scenario, sweep_registry
-from repro.check.explorer import _sample_points
 from repro.nvm import CrashPolicy
+from repro.parallel import sample_points
 from repro.runtime.registry import registered_engines
 
 
 class TestSamplePoints:
     def test_exhaustive_when_under_limit(self):
-        assert _sample_points(0, 4, None) == [0, 1, 2, 3, 4]
-        assert _sample_points(0, 4, 10) == [0, 1, 2, 3, 4]
+        assert sample_points(0, 4, None) == [0, 1, 2, 3, 4]
+        assert sample_points(0, 4, 10) == [0, 1, 2, 3, 4]
 
     def test_sample_hits_both_ends(self):
-        points = _sample_points(0, 99, 5)
+        points = sample_points(0, 99, 5)
         assert points[0] == 0 and points[-1] == 99
         assert len(points) == 5
 
     def test_degenerate_ranges(self):
-        assert _sample_points(3, 2, None) == []
-        assert _sample_points(0, 50, 1) == [0]
-        assert _sample_points(7, 7, None) == [7]
+        assert sample_points(3, 2, None) == []
+        assert sample_points(0, 50, 1) == [0]
+        assert sample_points(7, 7, None) == [7]
 
 
 class TestCounting:

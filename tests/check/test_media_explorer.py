@@ -1,6 +1,7 @@
 """CrashExplorer media-corruption mode: protected recoveries stay clean,
 unprotected ones corrupt silently, and minimization keeps the rot."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -87,3 +88,32 @@ class TestMinimization:
         b, _ = explorer.replay(failure.scenario)
         assert a is not None and b is not None
         assert a.violation.kind == b.violation.kind
+
+
+#: sweep legs whose reads of rotted bytes used to raise out of explore()
+#: (an allocator header sized from rot, a validator decoding garbage)
+ESCAPING_LEGS = [
+    ("undo", "list", dict(media="protected", tree="streamed", stale_lines=2)),
+    ("undo", "pairs", dict(media="protected", corrupt_lines=4)),
+    ("cow", "pairs", dict(media="protected", corrupt_lines=4)),
+    ("kamino-dynamic", "pairs", dict(media="protected", corrupt_lines=4)),
+    ("kamino-simple", "list", dict(media="unprotected", corrupt_lines=2)),
+    ("undo", "list", dict(media="unprotected", corrupt_lines=2)),
+]
+
+_NAMES_ITS_TYPE = re.compile(r"(raised|unreadable:) [A-Z]\w*: ")
+
+
+@pytest.mark.parametrize(
+    "engine, workload, media", ESCAPING_LEGS,
+    ids=[f"{e}-{w}-{m['media']}" for e, w, m in ESCAPING_LEGS],
+)
+def test_rotted_bytes_are_findings_not_checker_crashes(engine, workload, media):
+    """Whatever a read of rotted bytes raises, the sweep returns a
+    report, and a failure that came from an exception names its type."""
+    report = CrashExplorer(engine, workload=workload).explore(max_points=24, **media)
+    assert report.states_explored > 0
+    for failure in report.failures:
+        violation = failure.violation
+        if violation.kind == "recovery" or "raised" in violation.message:
+            assert _NAMES_ITS_TYPE.search(violation.message), str(failure)

@@ -9,9 +9,10 @@ pruning, same failures in the same order.  These tests pin that.
 
 import pytest
 
-from repro.check import CrashExplorer
-from repro.check.chain import ChainCrashExplorer, MigrationCrashExplorer, explore_nemesis
+from repro.check import ChainCrashExplorer, CrashExplorer, MigrationCrashExplorer
+from repro.faults import CORPUS, run_corpus
 from repro.parallel import cpu_count, fan_out, fan_out_iter, resolve_workers
+from repro.serve import ServeCrashExplorer
 
 
 class TestParallelHelpers:
@@ -47,9 +48,24 @@ class TestParallelHelpers:
         assert next(pooled) == 0
         assert list(pooled) == [j * j for j in range(1, 20)]
 
+    def test_fan_out_iter_runs_a_bound_method_on_the_pool(self):
+        """The explorers' shape: the job function is a method of a
+        picklable object, and each worker runs it on an equal copy."""
+        scaler = _Scaler(3)
+        pooled = fan_out_iter(scaler.scale, range(10), workers=2)
+        assert list(pooled) == [3 * j for j in range(10)]
+
 
 def _square(job):
     return job * job
+
+
+class _Scaler:
+    def __init__(self, factor):
+        self.factor = factor
+
+    def scale(self, job):
+        return self.factor * job
 
 
 def _report_key(report):
@@ -109,12 +125,22 @@ class TestMigrationSweepInvariance:
         assert [str(f) for f in serial.failures] == [str(f) for f in fanned.failures]
 
 
+class TestServeSweepInvariance:
+    def test_serial_and_parallel_reports_identical(self):
+        # the volatile stack fails: failures must survive the pool too
+        kwargs = dict(max_points=6, max_nested_points=2, random_samples=1)
+        serial = ServeCrashExplorer("incr", durable=False).explore(workers=0, **kwargs)
+        fanned = ServeCrashExplorer("incr", durable=False).explore(workers=2, **kwargs)
+        assert not serial.ok
+        assert serial.summary() == fanned.summary()
+        assert [str(f) for f in serial.failures] == [str(f) for f in fanned.failures]
+
+
 class TestNemesisInvariance:
     def test_serial_and_parallel_verdicts_identical(self):
-        from repro.faults import CORPUS
-
         scenarios = [s for s in CORPUS if s.name in ("flaky_link", "head_failover")]
-        serial = explore_nemesis(scenarios=scenarios, seeds=2, workers=0)
-        fanned = explore_nemesis(scenarios=scenarios, seeds=2, workers=2)
-        assert serial.states_explored == fanned.states_explored == 4
-        assert [str(f) for f in serial.failures] == [str(f) for f in fanned.failures]
+        serial = run_corpus(scenarios, seeds=2, workers=0)
+        fanned = run_corpus(scenarios, seeds=2, workers=2)
+        assert len(serial) == 4
+        assert [r.summary() for r in serial] == [r.summary() for r in fanned]
+        assert [r.problems for r in serial] == [r.problems for r in fanned]

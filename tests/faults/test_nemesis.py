@@ -11,6 +11,7 @@ from repro.faults import (
     client_streams,
     minimize,
     repro_snippet,
+    run_corpus,
     run_scenario,
     scenario_by_name,
 )
@@ -116,16 +117,16 @@ class TestScenarioFormat:
             assert action.verb in text
 
 
-class TestExploreIntegration:
-    def test_explore_nemesis_report_ok(self):
-        from repro.check.chain import explore_nemesis
-
-        report = explore_nemesis(
+class TestRunCorpus:
+    def test_quick_keeps_given_scenarios_and_caps_seeds(self):
+        results = run_corpus(
+            [scenario_by_name("flaky_link"), scenario_by_name("crash_and_replace")],
+            seeds=5,
             mode=KAMINO,
-            scenarios=[scenario_by_name("flaky_link"),
-                       scenario_by_name("crash_and_replace")],
-            seeds=1,
+            quick=True,
         )
-        assert report.ok, report.summary()
-        assert report.states_explored == 2
-        assert "nemesis" in report.summary()
+        assert [(r.scenario, r.seed) for r in results] == [
+            ("flaky_link", 0), ("flaky_link", 1),
+            ("crash_and_replace", 0), ("crash_and_replace", 1),
+        ]
+        assert all(r.ok for r in results), [r.problems for r in results]

@@ -1,8 +1,8 @@
-"""Hypothesis property tests: B+Tree and hash table vs model dicts."""
+"""Hypothesis property tests: B+Tree vs a model dict."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.kvstore import BPlusTree, PersistentHashTable
+from repro.kvstore import BPlusTree
 from repro.tx import UndoLogEngine, kamino_simple
 
 from ..conftest import build_heap
@@ -47,24 +47,6 @@ def test_btree_matches_dict(ops, fanout):
         got = tree.scan(lo, 10)
         expect = sorted(model.items())[:10]
         assert got == expect
-
-
-@given(ops=ops_strategy)
-@SETTINGS
-def test_hashtable_matches_dict(ops):
-    heap, _, _ = build_heap(UndoLogEngine, pool_size=32 << 20, heap_size=12 << 20)
-    table = PersistentHashTable.create(heap, capacity_hint=256)
-    model = {}
-    for op, key, value in ops:
-        if op == "put":
-            assert table.put(key, value) == model.get(key)
-            model[key] = value
-        elif op == "get":
-            assert table.get(key) == model.get(key)
-        else:
-            assert table.delete(key) == model.pop(key, None)
-    assert dict(table.items()) == model
-    assert len(table) == len(model)
 
 
 @given(

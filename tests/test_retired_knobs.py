@@ -7,6 +7,11 @@ byte store, its backend selector and every ``backend`` option that fed
 it are deleted, and the core imports nothing outside the standard
 library.  A leftover keyword or flag must fail loudly, not vanish into
 ``**engine_kwargs``.
+
+Every crash sweep runs on one loop (:mod:`repro.parallel`): the worker
+job functions, the nemesis corpus wrapper, the chain ``pump`` veneer and
+the constructor keywords only those jobs set are gone, and so are the
+unused persistent hash table and the chain-budget knob nothing read.
 """
 
 import os
@@ -18,11 +23,16 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.check.chain
+import repro.kvstore
+from repro.check import ChainCrashExplorer, MigrationCrashExplorer
+from repro.check.pytest_plugin import CheckBudget
 from repro.cli import main
 from repro.nvm import NVMDevice
 from repro.nvm.backend import device_class
 from repro.nvm.reference import ReferenceNVMDevice
 from repro.runtime import ExecutionContext
+from repro.serve import ServeCrashExplorer
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,6 +97,7 @@ import sys
 import repro
 from repro.check import CrashExplorer
 from repro.runtime import ExecutionContext
+from repro.serve import ServeCrashExplorer
 ExecutionContext.create("kamino-simple", value_size=64, heap_mb=1)
 assert CrashExplorer("kamino-simple", workload="kv").explore(max_points=4).ok
 print("numpy" in sys.modules)
@@ -101,3 +112,41 @@ def test_the_core_runs_without_importing_numpy():
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "cls, knob",
+    [
+        (ServeCrashExplorer, "groups"),
+        (ServeCrashExplorer, "shards_per_group"),
+        (MigrationCrashExplorer, "f"),
+        (MigrationCrashExplorer, "n_keys"),
+        (MigrationCrashExplorer, "shards_per_group"),
+    ],
+)
+def test_explorers_take_no_job_only_keywords(cls, knob):
+    with pytest.raises(TypeError):
+        cls(**{knob: 2})
+
+
+def test_check_budget_has_no_chain_knob():
+    with pytest.raises(TypeError):
+        CheckBudget(
+            name="quick", max_points=24, random_samples=1, max_nested_points=3,
+            chain_max_points=8,
+        )
+
+
+def test_sweep_veneers_and_the_hash_table_are_gone():
+    assert not hasattr(repro.check.chain, "explore_nemesis")
+    assert not hasattr(ChainCrashExplorer, "pump")
+    assert not hasattr(repro.kvstore, "PersistentHashTable")
+    with pytest.raises(ModuleNotFoundError):
+        __import__("repro.kvstore.hashtable")
+
+
+def test_source_tree_defines_no_worker_job_function():
+    job = re.compile(r"^\s*def _\w*_job\b", re.MULTILINE)
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        match = job.search(path.read_text(encoding="utf-8"))
+        assert match is None, f"{path}: {match.group(0).strip()}"

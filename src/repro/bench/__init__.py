@@ -10,7 +10,6 @@ from .runners import (
     DEFAULT_VALUE_SIZE,
     Stack,
     build_stack,
-    run_tpcc_online,
     run_ycsb_matrix,
     run_ycsb_online,
     trace_tpcc,
@@ -34,7 +33,6 @@ __all__ = [
     "ops_per_dollar",
     "provisioned_gb",
     "replay",
-    "run_tpcc_online",
     "run_ycsb_matrix",
     "run_ycsb_online",
     "speedup_note",

@@ -193,43 +193,6 @@ def trace_tpcc(
     return stack.ctx.records
 
 
-def run_tpcc_online(
-    engine_name: str,
-    nthreads: int,
-    nops: int = 600,
-    seed: int = 0,
-    model: LatencyModel = NVDIMM,
-    coalesce_flushes: bool = False,
-    sync_lag_ns: float = 0.0,
-    **engine_kwargs,
-) -> ReplayResult:
-    """Run the TPC-C-lite mix online under ``nthreads`` virtual clients."""
-    stack = build_stack(
-        engine_name,
-        value_size=64,
-        heap_mb=24,
-        model=model,
-        coalesce_flushes=coalesce_flushes,
-        **engine_kwargs,
-    )
-    tpcc = TPCCLite(seed=seed)
-    tpcc.load(stack.kv)
-    stack.ctx.reset()
-
-    def one(_ignored) -> None:
-        tpcc.run_op(stack.kv)
-
-    return run_online(
-        stack.ctx,
-        range(nops),
-        one,
-        nthreads,
-        kind_of=lambda _i: "tpcc",
-        workload="tpcc",
-        sync_lag_ns=sync_lag_ns,
-    )
-
-
 def run_ycsb_matrix(
     engines: Sequence[str],
     workloads: Sequence[str],

@@ -57,10 +57,10 @@ further: instead of random flips, changed live lines (and their backup
 partners) are replayed with their setup-time bytes *and the matching
 stale CRCs forged into the sidecar* — consistent multi-line corruption
 that per-line checksums verify clean.  Checksum-only configurations
-demonstrably serve stale state (the must-fail leg); with
-``tree="streamed"``/``"eager"`` the persistent integrity tree's root
-still disputes the replayed lines, and the same detect-or-repair oracle
-passes: root-verified repair from a surviving copy, or a typed degrade.
+demonstrably serve stale state (the must-fail leg); with ``tree=True``
+the persistent integrity tree's root still disputes the replayed lines,
+and the same detect-or-repair oracle passes: root-verified repair from a
+surviving copy, or a typed degrade.
 """
 
 from __future__ import annotations
@@ -116,9 +116,8 @@ class Scenario:
     #: seeded bit flips injected into heap+backup between crash and recovery
     corrupt_lines: int = 0
     corrupt_seed: int = 0
-    #: "off" | "streamed" | "eager" — maintain the persistent integrity
-    #: tree (requires media="protected")
-    tree: str = "off"
+    #: maintain the persistent integrity tree (requires media="protected")
+    tree: bool = False
     #: adversarial consistent corruption: replay this many live main
     #: lines (plus their backup partners) with setup-time bytes AND the
     #: matching stale CRCs, between the crash and recovery
@@ -143,8 +142,8 @@ class Scenario:
                 f"media={self.media} corrupt_lines={self.corrupt_lines} "
                 f"corrupt_seed={self.corrupt_seed}"
             )
-            if self.tree != "off":
-                parts.append(f"tree={self.tree}")
+            if self.tree:
+                parts.append("tree=True")
             if self.stale_lines:
                 parts.append(f"stale_lines={self.stale_lines}")
         return ", ".join(parts)
@@ -255,7 +254,7 @@ class CrashExplorer:
     # -- replay primitives ---------------------------------------------------
 
     def _fresh(
-        self, seed: int, media: str = "off", tree: str = "off"
+        self, seed: int, media: str = "off", tree: bool = False
     ) -> Tuple[Any, Any, NVMDevice, CheckWorkload]:
         heap, engine, device = build_stack(
             self._engine_factory, seed=seed, media=media, tree=tree
@@ -272,27 +271,18 @@ class CrashExplorer:
         Captured right after setup drains (so every image is a
         legitimately persisted state with a CRC the sidecar once
         vouched for), covering the live main lines and their
-        backup-mirror partners."""
+        backup-mirror partners.  Returns ``(images, partner)``."""
         media = device.media
         if media is None or scenario.stale_lines <= 0:
             return None
-        region = heap.region
-        live = heap.allocator.live_ranges()
-        spans = [(region.offset + off, size) for off, size in live]
-        images = media.snapshot_lines(spans)
-        main_lines = sorted(images)
+        images = media.snapshot_lines(heap.live_spans())
         partner: Dict[int, int] = {}
-        backup = region.pool.regions.get("backup")
-        if backup is not None and backup.size >= region.size:
-            images.update(
-                media.snapshot_lines(
-                    [(backup.offset + off, size) for off, size in live]
-                )
-            )
-            for line in main_lines:
-                rel = (line << _LINE_SHIFT) - region.offset
-                partner[line] = (backup.offset + rel) >> _LINE_SHIFT
-        return {"images": images, "main": main_lines, "partner": partner}
+        backup = heap.region.pool.regions.get("backup")
+        if backup is not None and backup.size >= heap.region.size:
+            shift = (backup.offset - heap.region.offset) >> _LINE_SHIFT
+            partner = {line: line + shift for line in images}
+            images.update(media.snapshot_lines(heap.live_spans(backup)))
+        return images, partner
 
     @staticmethod
     def _inject_stale(device: NVMDevice, scenario: Scenario, snap) -> None:
@@ -302,27 +292,15 @@ class CrashExplorer:
         forged in the sidecar*, and so do their backup partners — a
         consistent multi-line replay that per-line checksums verify
         clean.  Only the integrity tree still disputes it."""
-        media = device.media
-        if media is None or snap is None or scenario.stale_lines <= 0:
+        if snap is None:
             return
-        durable = device._durable
-        images = snap["images"]
-        changed = []
-        for line in snap["main"]:
-            base = line << _LINE_SHIFT
-            if bytes(durable[base : base + CACHE_LINE]) != images[line]:
-                changed.append(line)
-        if not changed:
-            return
-        rng = random.Random(scenario.corrupt_seed ^ 0x5A1E)
-        chosen = sorted(rng.sample(changed, min(scenario.stale_lines, len(changed))))
-        targets = list(chosen)
-        partner = snap["partner"]
-        for line in chosen:
-            p = partner.get(line)
-            if p is not None and p in images:
-                targets.append(p)
-        media.replay_stale(images, targets)
+        images, partner = snap
+        device.media.replay_changed(
+            images,
+            scenario.stale_lines,
+            random.Random(scenario.corrupt_seed ^ 0x5A1E),
+            partner,
+        )
 
     @staticmethod
     def _inject_corruption(device: NVMDevice, heap: Any, scenario: Scenario) -> None:
@@ -334,11 +312,10 @@ class CrashExplorer:
         # target the *live* allocations (and their backup-mirror image) —
         # rot in free space is unobservable and proves nothing
         region = heap.region
-        live = heap.allocator.live_ranges()
-        spans = [(region.offset + off, size) for off, size in live]
+        spans = heap.live_spans()
         backup = region.pool.regions.get("backup")
         if backup is not None and backup.size >= region.size:
-            spans += [(backup.offset + off, size) for off, size in live]
+            spans += heap.live_spans(backup)
         if not spans:
             spans = [(region.offset, region.size)]
         media.inject_flips(
@@ -645,7 +622,7 @@ class CrashExplorer:
         progress: Optional[Callable[[str], None]] = None,
         media: str = "off",
         corrupt_lines: int = 2,
-        tree: str = "off",
+        tree: bool = False,
         stale_lines: int = 0,
         workers: int = 0,
     ) -> ExplorationReport:
@@ -663,8 +640,8 @@ class CrashExplorer:
                 between each crash and its recovery; the oracle becomes
                 detect-or-repair, never silent corruption.
             corrupt_lines: bit flips injected per scenario in media mode.
-            tree: ``"streamed"``/``"eager"`` maintains the persistent
-                integrity tree (``media="protected"`` only).
+            tree: maintain the persistent integrity tree
+                (``media="protected"`` only).
             stale_lines: adversarial consistent corruption — replay this
                 many changed live lines (plus backup partners) with
                 setup-time bytes and forged matching CRCs between each
@@ -703,7 +680,7 @@ class CrashExplorer:
                 media=media,
                 corrupt_lines=corrupt_lines if media != "off" else 0,
                 corrupt_seed=self.device_seed * 1000 + point,
-                tree=tree if media == "protected" else "off",
+                tree=tree and media == "protected",
                 stale_lines=stale_lines if media != "off" else 0,
             )
             for point in sample_points(0, report.n_ops - 1, max_points)

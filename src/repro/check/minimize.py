@@ -62,7 +62,7 @@ def minimize_failure(
         # single-flip / single-replay version of the same failure
         shrunk = still_fails(
             replace(scenario, media="off", corrupt_lines=0, stale_lines=0,
-                    tree="off")
+                    tree=False)
         )
         if shrunk is not None:
             best, scenario = shrunk, shrunk.scenario
@@ -123,8 +123,8 @@ def repro_snippet(failure: CheckFailure) -> str:
         lines.append(f"    media={s.media!r},")
         lines.append(f"    corrupt_lines={s.corrupt_lines},")
         lines.append(f"    corrupt_seed={s.corrupt_seed},")
-        if s.tree != "off":
-            lines.append(f"    tree={s.tree!r},")
+        if s.tree:
+            lines.append("    tree=True,")
         if s.stale_lines:
             lines.append(f"    stale_lines={s.stale_lines},")
     lines.append("))")

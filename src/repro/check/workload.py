@@ -46,7 +46,7 @@ def build_stack(
     pool_size: int = POOL_SIZE,
     heap_size: int = HEAP_SIZE,
     media: str = "off",
-    tree: str = "off",
+    tree: bool = False,
 ) -> Tuple[PersistentHeap, Any, NVMDevice]:
     """Fresh device + pool + heap bound to a new engine instance.
 
@@ -54,19 +54,15 @@ def build_stack(
     before the pool is formatted: ``"protected"`` maintains the checksum
     sidecar (scrub/repair works), ``"unprotected"`` injects without
     detection (the demonstration configuration), ``"off"`` attaches
-    nothing.  ``tree`` (``"streamed"``/``"eager"``, protected media
-    only) additionally maintains the persistent integrity tree, enabling
-    detection of consistent stale-CRC replays the sidecar alone misses.
+    nothing.  ``tree`` (protected media only) additionally maintains the
+    persistent integrity tree, enabling detection of consistent stale-CRC
+    replays the sidecar alone misses.
     """
-    if tree != "off" and media != "protected":
+    if tree and media != "protected":
         raise ValueError("integrity tree requires media='protected'")
     device = NVMDevice(pool_size, seed=seed)
     if media != "off":
-        device.attach_media(
-            seed=seed,
-            protect=media == "protected",
-            tree=None if tree == "off" else tree,
-        )
+        device.attach_media(seed=seed, protect=media == "protected", tree=tree)
     pool = PmemPool.create(device)
     engine = engine_factory()
     heap = PersistentHeap.create(pool, engine, heap_size=heap_size)

@@ -487,16 +487,31 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _scrub_demo(args, tree_mode):
-    """One media-fault demo run; returns ``(silent+typed counts…, tree
-    stats)`` for :func:`cmd_scrub` to judge.  ``tree_mode`` is ``None``
-    (checksum sidecar only) or an integrity-tree mode."""
+def cmd_scrub(args) -> int:
+    """Media-fault demo: inject bit rot + dead lines, scrub, verify.
+
+    With the checksum sidecar on (the default), every injected fault
+    must end repaired, quarantined, or typed — silent corruption is a
+    failure (exit 1).  With ``--no-protect`` the same faults go
+    undetected and the verification pass counts the silently wrong
+    records, demonstrating the failure class the scrubber closes.
+
+    ``--stale N`` adds the adversarial consistent replay (old bytes +
+    forged old CRC): checksum-only runs serve stale data silently
+    (``--expect-silent`` turns that demonstration into the success
+    criterion), while ``--tree`` runs detect it against the published
+    Merkle root and repair from the backup mirror.
+    """
     import random as _random
 
     from .errors import MediaError
     from .integrity import Scrubber
     from .runtime.context import ExecutionContext
 
+    if args.tree and args.no_protect:
+        print("--tree requires the checksum sidecar (drop --no-protect)",
+              file=sys.stderr)
+        return 2
     records = 64 if args.quick else args.records
     kwargs = _engine_kwargs(args.engine, args)
     ctx = ExecutionContext.create(
@@ -512,41 +527,27 @@ def _scrub_demo(args, tree_mode):
     kv.drain()
 
     media = device.attach_media(
-        seed=args.seed, protect=not args.no_protect, tree=tree_mode,
+        seed=args.seed, protect=not args.no_protect, tree=args.tree,
     )
-
-    def live_ranges():
-        return [
-            (heap.region.offset + off, size)
-            for off, size in heap.allocator.live_ranges()
-        ]
-
     snap = None
-    if args.stale or tree_mode is not None:
+    if args.stale or args.tree:
         # a second update round through the *guarded* persist path: the
         # sidecar and tree now stream every line the workload touches —
         # and, for --stale, these are the writes the replay rolls back
         if args.stale:
-            snap = media.snapshot_lines(live_ranges())
+            snap = media.snapshot_lines(heap.live_spans())
         for k in range(records):
             value = bytes([(k * 11 + 5) % 256]) * 64
             kv.put(k, value)
             expect[k] = value
         kv.drain()
-    if args.stale and snap is not None:
-        shift = 6  # CACHE_LINE == 64
-        changed = [
-            line for line, image in sorted(snap.items())
-            if bytes(device._durable[line << shift: (line + 1) << shift])
-            != image
-        ]
-        rng = _random.Random(args.seed ^ 0x5A1E)
-        chosen = rng.sample(changed, min(args.stale, len(changed)))
-        replayed = media.replay_stale(snap, chosen)
+    if snap is not None:
+        replayed = media.replay_changed(
+            snap, args.stale, _random.Random(args.seed ^ 0x5A1E)
+        )
         print(f"replayed {len(replayed)} stale line(s), each with its "
               f"matching old CRC forged into the sidecar")
-    live = live_ranges()
-    media.inject_flips(args.flips, ranges=live)
+    media.inject_flips(args.flips, ranges=heap.live_spans())
     backup = heap.region.pool.regions.get("backup")
     if args.dead and backup is not None:
         media.kill_lines(args.dead, ranges=[(backup.offset, backup.size)])
@@ -581,58 +582,13 @@ def _scrub_demo(args, tree_mode):
     print(f"detected: {stats.media_detected}, repaired: {stats.media_repaired}")
     print(f"records: {intact}/{records} intact, {typed} typed errors, "
           f"{silent} silently corrupt")
-    tree_stats = media.tree.stats() if media.tree is not None else None
-    if tree_stats is not None:
-        print(f"tree[{tree_mode}]: depth={tree_stats['depth']} "
+    if media.tree is not None:
+        tree_stats = media.tree.stats()
+        print(f"tree: depth={tree_stats['depth']} "
               f"leaf_updates={tree_stats['leaf_updates']} "
               f"node_hashes={tree_stats['node_hashes']} "
               f"batches={tree_stats['batches']}")
-    return records, intact, typed, silent, tree_stats
 
-
-def cmd_scrub(args) -> int:
-    """Media-fault demo: inject bit rot + dead lines, scrub, verify.
-
-    With the checksum sidecar on (the default), every injected fault
-    must end repaired, quarantined, or typed — silent corruption is a
-    failure (exit 1).  With ``--no-protect`` the same faults go
-    undetected and the verification pass counts the silently wrong
-    records, demonstrating the failure class the scrubber closes.
-
-    ``--stale N`` adds the adversarial consistent replay (old bytes +
-    forged old CRC): checksum-only runs serve stale data silently
-    (``--expect-silent`` turns that demonstration into the success
-    criterion), while ``--tree`` runs detect it against the published
-    Merkle root and repair from the backup mirror.  ``--tree-compare``
-    runs both tree modes and reports the streamed mode's hashing
-    savings.
-    """
-    if args.tree_compare:
-        results = {}
-        for mode in ("eager", "streamed"):
-            print(f"--- tree mode: {mode} ---")
-            records, intact, typed, silent, tstats = _scrub_demo(args, mode)
-            if silent or typed or intact != records:
-                print(f"tree[{mode}] run did not converge", file=sys.stderr)
-                return 1
-            results[mode] = tstats
-        eager, streamed = results["eager"], results["streamed"]
-        saved = eager["node_hashes"] - streamed["node_hashes"]
-        pct = 100.0 * saved / max(1, eager["node_hashes"])
-        print(f"\nstreamed vs eager: {streamed['node_hashes']} vs "
-              f"{eager['node_hashes']} interior hashes "
-              f"({pct:.1f}% fewer, {streamed['batches']} batches)")
-        if streamed["node_hashes"] > eager["node_hashes"]:
-            print("streamed mode hashed MORE than eager", file=sys.stderr)
-            return 1
-        return 0
-
-    tree_mode = args.tree if args.tree != "off" else None
-    if tree_mode is not None and args.no_protect:
-        print("--tree requires the checksum sidecar (drop --no-protect)",
-              file=sys.stderr)
-        return 2
-    records, intact, typed, silent, _tstats = _scrub_demo(args, tree_mode)
     if args.expect_silent:
         if silent == 0:
             print("expected silent corruption but every record verified; "
@@ -939,8 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "(protected = sidecar + scrub on recovery)")
     p.add_argument("--corrupt-lines", type=int, default=2,
                    help="random bit-flipped lines per crash image")
-    p.add_argument("--tree", default="off",
-                   choices=["off", "streamed", "eager"],
+    p.add_argument("--tree", action="store_true",
                    help="attach a persistent integrity tree (protected "
                    "media only)")
     p.add_argument("--stale-lines", type=int, default=0,
@@ -1013,8 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-protect", action="store_true",
                    help="drop the checksum sidecar: same faults, no "
                    "detection (the demonstration)")
-    p.add_argument("--tree", default="off",
-                   choices=["off", "streamed", "eager"],
+    p.add_argument("--tree", action="store_true",
                    help="attach a persistent integrity tree over the pool "
                    "(detects stale-CRC replays the sidecar cannot)")
     p.add_argument("--stale", type=int, default=0,
@@ -1025,9 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="success (exit 0) iff silent corruption is "
                    "demonstrated — the must-fail CI leg for "
                    "checksum-only protection under --stale")
-    p.add_argument("--tree-compare", action="store_true",
-                   help="run the demo under both tree modes and report "
-                   "streamed hashing savings vs eager")
     p.add_argument("--alpha", type=float, default=0.5)
     p.set_defaults(fn=cmd_scrub)
 

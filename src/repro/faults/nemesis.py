@@ -72,12 +72,9 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-from ..nvm.latency import CACHE_LINE as _CACHE_LINE
 from ..replication.chain import ChainCluster
 from ..replication.recovery import fail_stop, quick_reboot, replace_node, scrub_node
 from ..sim.network import LinkFaultPolicy
-
-_LINE_SHIFT = _CACHE_LINE.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -125,10 +122,10 @@ class NemesisScenario:
     #: (model + checksum sidecar on every replica), or "unprotected"
     #: (model without detection — media verbs corrupt silently)
     media: str = "off"
-    #: integrity-tree mode on every replica's media model ("off",
-    #: "streamed", or "eager"); requires media="protected".  The tree is
-    #: what catches the media_stale verb's consistent stale-CRC replays
-    tree: str = "off"
+    #: maintain an integrity tree on every replica's media model;
+    #: requires media="protected".  The tree is what catches the
+    #: media_stale verb's consistent stale-CRC replays
+    tree: bool = False
     #: chain groups; > 1 builds a sharded cluster instead of one chain
     groups: int = 1
     shards_per_group: int = 2
@@ -165,7 +162,7 @@ class NemesisScenario:
             keyspace=int(data.get("keyspace", 4)),
             read_fraction=float(data.get("read_fraction", 0.0)),
             media=str(data.get("media", "off")),
-            tree=str(data.get("tree", "off")),
+            tree=bool(data.get("tree", False)),
             groups=int(data.get("groups", 1)),
             shards_per_group=int(data.get("shards_per_group", 2)),
             key_skew=float(data.get("key_skew", 0.0)),
@@ -213,10 +210,8 @@ class Nemesis:
         self.fired: List[Tuple[float, FaultAction]] = []
         #: whether lazily attached media models carry a checksum sidecar
         self.media_protected = scenario.media != "unprotected"
-        #: integrity-tree mode for lazily attached media models
-        self.media_tree = scenario.tree if scenario.tree != "off" else None
         #: media_stale ammunition: (node, snapshot_at_ns) -> line images
-        self._stale_snaps: Dict[Tuple[str, float], Dict[str, Any]] = {}
+        self._stale_snaps: Dict[Tuple[str, float], Dict[int, bytes]] = {}
 
     def arm(self) -> None:
         for action in self.scenario.actions:
@@ -337,7 +332,7 @@ class Nemesis:
             media = replica.device.attach_media(
                 seed=zlib.crc32(replica.node_id.encode()),
                 protect=self.media_protected,
-                tree=self.media_tree if self.media_protected else None,
+                tree=self.media_protected and self.scenario.tree,
             )
         return media
 
@@ -345,11 +340,7 @@ class Nemesis:
         """Device-absolute (start, length) spans for an injection target."""
         pool = replica.heap.region.pool
         if target == "live":
-            base = replica.heap.region.offset
-            return [
-                (base + off, size)
-                for off, size in replica.heap.allocator.live_ranges()
-            ]
+            return replica.heap.live_spans()
         if target == "heap":
             region = replica.heap.region
         elif target in pool.regions:
@@ -379,15 +370,9 @@ class Nemesis:
         verb's ammunition) at virtual time ``snap_ns``."""
         replica = self._replica(node)
         media = self._ensure_media(replica)
-        heap = replica.heap
-        region = heap.region
-        live = heap.allocator.live_ranges()
-        spans = [(region.offset + off, size) for off, size in live]
-        images = media.snapshot_lines(spans)
-        self._stale_snaps[(str(node), float(snap_ns))] = {
-            "images": images,
-            "main": sorted(images),
-        }
+        self._stale_snaps[(str(node), float(snap_ns))] = media.snapshot_lines(
+            replica.heap.live_spans()
+        )
 
     def _do_media_stale(
         self, node: Any = "head", n: int = 2, snapshot_at_ns: float = 0.0
@@ -401,25 +386,13 @@ class Nemesis:
         the backup copy stays current, so a protected scrub converges."""
         replica = self._replica(node)
         media = self._ensure_media(replica)
-        snap = self._stale_snaps.get((str(node), float(snapshot_at_ns)))
-        if snap is None:
+        images = self._stale_snaps.get((str(node), float(snapshot_at_ns)))
+        if images is None:
             raise ValueError(
                 "media_stale fired without its snapshot leg "
                 f"(node={node!r}, snapshot_at_ns={snapshot_at_ns})"
             )
-        durable = replica.device._durable
-        images = snap["images"]
-        changed = []
-        for line in snap["main"]:
-            base = line << _LINE_SHIFT
-            if bytes(durable[base : base + _CACHE_LINE]) != images[line]:
-                changed.append(line)
-        if not changed:
-            return
-        chosen = sorted(
-            media.rng.sample(changed, min(int(n), len(changed)))
-        )
-        media.replay_stale(images, chosen)
+        media.replay_changed(images, int(n), media.rng)
 
     def _do_media_scrub(self, node: Any = None) -> None:
         if node is None:

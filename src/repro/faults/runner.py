@@ -164,10 +164,9 @@ def run_scenario(
         )
     if scenario.media != "off":
         protect = scenario.media == "protected"
-        tree = scenario.tree if (protect and scenario.tree != "off") else None
         for i, node in enumerate(_all_nodes(cluster)):
             node.device.attach_media(
-                seed=seed * 101 + i, protect=protect, tree=tree
+                seed=seed * 101 + i, protect=protect, tree=protect and scenario.tree
             )
     nemesis = Nemesis(cluster, scenario)
     nemesis.arm()

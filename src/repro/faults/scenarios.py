@@ -207,7 +207,7 @@ CORPUS: List[NemesisScenario] = [
             FaultAction(2_500 * _US, "media_scrub", {}),
         ),
         media="protected",
-        tree="streamed",
+        tree=True,
     ),
     # -- sharded-cluster scenarios (groups > 1 builds a ShardedCluster) ----
     NemesisScenario(

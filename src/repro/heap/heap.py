@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 import threading
-from typing import Optional, Type, TypeVar
+from typing import List, Optional, Tuple, Type, TypeVar
 
 from ..errors import (
     DeviceCrashedError,
@@ -405,6 +405,14 @@ class PersistentHeap:
         return self.deref(oid, struct_cls)
 
     # -- maintenance ---------------------------------------------------------------------------
+
+    def live_spans(self, region: Optional[PmemRegion] = None) -> List[Tuple[int, int]]:
+        """Device-absolute ``(addr, size)`` of every live heap byte
+        (:meth:`SlabAllocator.live_ranges`), placed in ``region`` — the
+        heap's own by default, or a same-geometry mirror such as the
+        full backup."""
+        base = (region or self.region).offset
+        return [(base + off, size) for off, size in self.allocator.live_ranges()]
 
     def drain(self) -> None:
         """Block until the engine has no deferred (async) work left."""

@@ -10,7 +10,7 @@ Kamino backup mirror into a detect/repair/degrade loop:
 * :class:`ChecksumSidecar` — per-line CRC metadata maintained by the
   device's flush/fence paths;
 * :class:`IntegrityTree` — persistent Merkle tree over the line CRCs
-  with streamed (coalesced) or eager update propagation; its published
+  with coalesced (streamed) update propagation; its published
   root binds every line together, catching the consistent multi-line /
   stale-CRC corruption the per-line sidecar cannot see;
 * :class:`Scrubber` — periodic verify-and-repair over the pool, using
@@ -25,7 +25,7 @@ machine, and the authority rules.
 from .checksum import ChecksumSidecar
 from .model import MediaFaultModel
 from .scrub import ScrubReport, Scrubber, verify_ranges
-from .tree import FANOUT, TREE_MODES, IntegrityTree
+from .tree import FANOUT, IntegrityTree
 
 __all__ = [
     "ChecksumSidecar",
@@ -34,6 +34,5 @@ __all__ = [
     "MediaFaultModel",
     "ScrubReport",
     "Scrubber",
-    "TREE_MODES",
     "verify_ranges",
 ]

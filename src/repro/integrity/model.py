@@ -50,7 +50,7 @@ import zlib
 from ..errors import BothCopiesLostError, UncorrectableMediaError
 from ..nvm.latency import CACHE_LINE
 from .checksum import ChecksumSidecar
-from .tree import TREE_MODES, IntegrityTree
+from .tree import IntegrityTree
 
 _LINE_SHIFT = CACHE_LINE.bit_length() - 1
 
@@ -60,28 +60,19 @@ class MediaFaultModel:
 
     def __init__(
         self,
-        device=None,
+        device,
         seed: int = 0,
         protect: bool = True,
-        tree: Optional[str] = None,
-        bless: bool = False,
+        tree: bool = False,
     ):
-        if tree in ("off", ""):
-            tree = None
-        if tree is not None and tree not in TREE_MODES:
-            raise ValueError(f"unknown tree mode {tree!r}; expected {TREE_MODES}")
-        if tree is not None and not protect:
+        if tree and not protect:
             raise ValueError("integrity tree requires protect=True (it hangs "
                              "off the checksum sidecar's leaf CRCs)")
-        if bless and not protect:
-            raise ValueError("bless-on-attach requires protect=True")
         self.device = device
         self.rng = random.Random(seed)
         self.sidecar: Optional[ChecksumSidecar] = ChecksumSidecar() if protect else None
         #: integrity tree over the line CRCs (None = checksum-only)
         self.tree: Optional[IntegrityTree] = None
-        self._tree_mode = tree
-        self._bless_on_attach = bless
         #: uncorrectable lines: reads raise UncorrectableMediaError
         self.dead: Set[int] = set()
         #: lines whose every copy is gone: reads raise BothCopiesLostError
@@ -93,32 +84,13 @@ class MediaFaultModel:
         self.tainted: Set[int] = set()
         #: quarantined lines remapped to spares (reads work again)
         self.retired: Set[int] = set()
-        if device is not None:
-            self.bind(device)
-
-    # -- attachment ---------------------------------------------------------
-
-    def bind(self, device) -> "MediaFaultModel":
-        self.device = device
-        if self._tree_mode is not None and self.tree is None:
-            self.tree = IntegrityTree(device.size >> _LINE_SHIFT, mode=self._tree_mode)
-        if self.tree is not None and not self.tree._blessed:
+        if tree:
             # total coverage from the first instruction: every leaf holds
             # the CRC of the line's current content, so corruption landing
             # before a line's first persist is detectable (the sidecar's
             # lazy-coverage window is closed by the tree).
+            self.tree = IntegrityTree(device.size >> _LINE_SHIFT)
             self.tree.bless_all(device._durable)
-        if self._bless_on_attach and self.sidecar is not None:
-            # explicit alternative when running checksum-only: record
-            # every line's current CRC into the sidecar at attach time.
-            self._bless_all_sidecar()
-        return self
-
-    def _bless_all_sidecar(self) -> None:
-        """Record every line's current content in the sidecar (eagerly
-        closing the lazy-coverage window without a tree)."""
-        n_lines = self.device.size >> _LINE_SHIFT
-        self.sidecar.record_span(0, n_lines - 1, self.device._durable)
 
     @property
     def protected(self) -> bool:
@@ -173,8 +145,8 @@ class MediaFaultModel:
             # byte-identical to the old interleaved per-line loop.
             sidecar.record_many(lines, durable)
             if self.tree is not None:
-                # same hook, same CRCs: dirty leaves stream into the tree
-                # (queued in streamed mode, bubbled in eager mode).
+                # same hook, same CRCs: dirty leaves stream into the
+                # tree's pending log
                 self.tree.note_lines(lines, sidecar._crcs)
         for line in lines:
             faults = stuck.get(line)
@@ -406,6 +378,35 @@ class MediaFaultModel:
             self.device.stats.media_stale += len(replayed)
         return replayed
 
+    def replay_changed(
+        self,
+        images: Dict[int, bytes],
+        n: int,
+        rng: random.Random,
+        partner: Optional[Dict[int, int]] = None,
+    ) -> List[int]:
+        """The stale-replay adversary: among the lines ``images`` holds
+        whose durable bytes changed since :meth:`snapshot_lines`, draw
+        ``n`` with ``rng`` and :meth:`replay_stale` them, each followed
+        by its ``partner`` line (a backup-mirror copy snapshotted into the
+        same ``images``) when the map names one.  Partner lines are never
+        drawn themselves.  Returns the lines replayed."""
+        partner = partner or {}
+        mirrors = set(partner.values())
+        durable = self.device._durable
+        changed = [
+            line
+            for line in sorted(images)
+            if line not in mirrors
+            and bytes(durable[line << _LINE_SHIFT : (line + 1) << _LINE_SHIFT])
+            != images[line]
+        ]
+        if not changed:
+            return []
+        chosen = sorted(rng.sample(changed, min(n, len(changed))))
+        targets = chosen + [partner[ln] for ln in chosen if partner.get(ln) in images]
+        return self.replay_stale(images, targets)
+
     # -- verification -------------------------------------------------------
 
     def verify_line(self, line: int) -> bool:
@@ -455,7 +456,6 @@ class MediaFaultModel:
         other = MediaFaultModel(device, protect=False)
         other.rng.setstate(self.rng.getstate())
         other.sidecar = self.sidecar.clone() if self.sidecar is not None else None
-        other._tree_mode = self._tree_mode
         other.tree = self.tree.clone() if self.tree is not None else None
         other.dead = set(self.dead)
         other.lost = set(self.lost)

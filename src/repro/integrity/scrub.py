@@ -25,10 +25,13 @@ both copies bad                 peer state transfer, else mark **lost**:
 dead line                       quarantine + remap to a spare
                                 (:meth:`PmemPool.quarantine_line`), then
                                 restore content by the same rules
-unmirrored region bad           peer transfer if available; otherwise
+heap bad, no full mirror        peer transfer if available; otherwise
+                                mark **lost** — the sidecar condemned
+                                the bytes, so reads must not serve them
+unmirrored metadata bad         peer transfer if available; otherwise
                                 report only — self-checksummed
-                                structures (intent log, ring) own their
-                                semantics
+                                structures (intent log, rings, look-up
+                                table) own their semantics
 ==============================  =========================================
 
 "Pending" ranges come from the engine's committed-but-unsynced queue
@@ -143,6 +146,10 @@ class Scrubber:
                 return heap, bak
         return None, None
 
+    def _in_heap(self, addr: int) -> bool:
+        heap = self.pool.regions.get("heap") if self.pool is not None else None
+        return heap is not None and heap.offset <= addr < heap.offset + heap.size
+
     def _pending_ranges(self) -> Sequence[Tuple[int, int]]:
         fn = getattr(self.engine, "pending_ranges", None)
         return tuple(fn()) if fn is not None else ()
@@ -233,14 +240,16 @@ class Scrubber:
             report.repaired += 1
             return
         if heap is None and backup is None and line not in media.lost:
-            if media.tree is not None:
-                # the tree disputes the line and no copy can restore it:
-                # degrade typed (reads raise) rather than leave bytes the
-                # root disagrees with in service
+            if media.tree is not None or self._in_heap(addr):
+                # the tree disputes the line, or it is heap data no copy
+                # can restore: degrade typed (reads raise) rather than
+                # keep serving bytes the sidecar or the root condemned
                 media.mark_lost(line)
                 report.lost += 1
                 return
-            # no mirror geometry at all: detection-only deployment
+            # unmirrored self-validating metadata (intent log, rings,
+            # look-up table): record the detection, leave the bytes to
+            # their owner
             report.unrepaired.append((line, "reported"))
             return
         in_mirror = any(

@@ -27,16 +27,14 @@ cache so the crash-consistency argument is honest:
   update log, and the epoch counter;
 * volatile cache — every interior level.
 
-Updates arrive from the device's persist path (``note_lines``).  In
-``streamed`` mode they are appended to the pending log (latest write per
-line wins) and interior propagation is deferred: :meth:`apply_pending`
-re-hashes each dirty interior node **once** per batch no matter how many
-of its children changed, then publishes the new root and bumps the
-epoch.  This is the coalesced-update scheme of *Streamlining Integrity
-Tree Updates for Secure Persistent NVM* (see PAPERS.md) adapted to the
-simulator.  In ``eager`` mode every noted line re-hashes its root-to-leaf
-path immediately — the classic baseline the streamed mode is measured
-against.
+Updates arrive from the device's persist path (``note_lines``) and are
+appended to the pending log (latest write per line wins); interior
+propagation is deferred: :meth:`apply_pending` re-hashes each dirty
+interior node **once** per batch no matter how many of its children
+changed, then publishes the new root and bumps the epoch.  This is the
+coalesced ("streamed") update scheme of *Streamlining Integrity Tree
+Updates for Secure Persistent NVM* (see PAPERS.md) adapted to the
+simulator.  A batch spends exactly one hash per distinct dirty ancestor.
 
 Recovery replays the persist-domain state: :meth:`recover` folds the
 pending log into the leaves, rebuilds the interior cache bottom-up, and
@@ -60,7 +58,7 @@ from typing import Dict, Iterable, List, Optional
 from ..errors import IntegrityTreeError, RootMismatchError
 from ..nvm.latency import CACHE_LINE
 
-__all__ = ["IntegrityTree", "TREE_MODES", "FANOUT", "ZERO_LINE_CRC"]
+__all__ = ["IntegrityTree", "FANOUT", "ZERO_LINE_CRC"]
 
 _LINE_SHIFT = CACHE_LINE.bit_length() - 1
 
@@ -72,12 +70,10 @@ _FAN_SHIFT = 4
 #: CRC of an all-zero cache line — the leaf value of never-written lines.
 ZERO_LINE_CRC = zlib.crc32(b"\x00" * CACHE_LINE)
 
-TREE_MODES = ("streamed", "eager")
-
-#: Pending-log size that triggers an automatic batch apply in streamed
-#: mode.  Large enough to coalesce a burst of fences, small enough that
-#: replaying the log at recovery is trivial.
-DEFAULT_WATERMARK = 256
+#: Pending-log size that triggers an automatic batch apply.  Large
+#: enough to coalesce a burst of fences, small enough that replaying the
+#: log at recovery is trivial.
+WATERMARK = 256
 
 # Chunk (in lines) used by the bless/scan bulk paths: 64 lines = 4 KiB,
 # the sweet spot for bytes.count() zero-run detection.
@@ -91,29 +87,12 @@ class IntegrityTree:
     ----------
     n_lines:
         Number of cache lines covered (``device.size // CACHE_LINE``).
-    mode:
-        ``"streamed"`` (default) defers interior propagation into
-        coalesced batches; ``"eager"`` re-hashes the root-to-leaf path on
-        every noted line.
-    watermark:
-        Pending-log length that triggers an automatic
-        :meth:`apply_pending` in streamed mode.
     """
 
-    def __init__(
-        self,
-        n_lines: int,
-        *,
-        mode: str = "streamed",
-        watermark: int = DEFAULT_WATERMARK,
-    ) -> None:
-        if mode not in TREE_MODES:
-            raise ValueError(f"unknown tree mode {mode!r}; expected {TREE_MODES}")
+    def __init__(self, n_lines: int) -> None:
         if n_lines <= 0:
             raise ValueError("integrity tree needs at least one line")
         self.n_lines = n_lines
-        self.mode = mode
-        self.watermark = max(1, int(watermark))
         # Persist domain -------------------------------------------------
         # A never-written line is all zeros, so its leaf starts at the
         # zero-line CRC (the invariant the sparse level builder leans on).
@@ -126,7 +105,7 @@ class IntegrityTree:
         # Leaves whose value differs from the zero-line CRC; lets scan()
         # skip untouched space with bulk zero checks.
         self._nonzero: set = set()
-        # Maintenance counters (reported by the bench cell / CLI).
+        # Maintenance counters (reported by stats() and ``repro scrub``).
         self.leaf_updates = 0
         self.node_hashes = 0
         self.batches = 0
@@ -167,10 +146,8 @@ class IntegrityTree:
                     if value != zero_leaf:
                         nonzero.add(line)
         self.leaves = out
-        leaves = self.leaves
         self.pending.clear()
-        self._levels = None
-        self._levels = self._build_levels(leaves)
+        self._levels = self._build_levels(out)
         self.root_published = self._levels[-1][0]
         self.epoch += 1
         self._blessed = True
@@ -222,14 +199,10 @@ class IntegrityTree:
     def note_line(self, line: int, crc_value: int) -> None:
         """Record that ``line`` persisted with CRC ``crc_value``."""
         self.leaf_updates += 1
-        if self.mode == "eager":
-            self._set_leaf(line, crc_value)
-            self._bubble(line)
-            return
         self.pending[line] = crc_value
         if len(self.pending) > self.pending_peak:
             self.pending_peak = len(self.pending)
-        if len(self.pending) >= self.watermark:
+        if len(self.pending) >= WATERMARK:
             self.apply_pending()
 
     def note_lines(self, lines: Iterable[int], crcs: Dict[int, int]) -> None:
@@ -246,21 +219,6 @@ class IntegrityTree:
             self._nonzero.add(line)
         else:
             self._nonzero.discard(line)
-
-    def _bubble(self, line: int) -> None:
-        """Eagerly re-hash the root-to-leaf path above ``line``."""
-        levels = self._require_levels()
-        crc = zlib.crc32
-        idx = line
-        for depth in range(len(levels) - 1):
-            idx >>= _FAN_SHIFT
-            child = levels[depth]
-            levels[depth + 1][idx] = crc(
-                child[idx << _FAN_SHIFT : (idx + 1) << _FAN_SHIFT].tobytes()
-            )
-            self.node_hashes += 1
-        self.root_published = levels[-1][0]
-        self.epoch += 1
 
     def apply_pending(self) -> int:
         """Fold the pending log into the tree in one coalesced batch.
@@ -403,18 +361,14 @@ class IntegrityTree:
 
     def clone(self) -> "IntegrityTree":
         """Deep-copy persist-domain state; the clone's interior cache is
-        dropped in streamed mode (it is volatile — :meth:`recover`
-        rebuilds it) and kept in eager mode (eager keeps the whole tree
-        in the persist domain; there is no log to replay)."""
-        twin = IntegrityTree(self.n_lines, mode=self.mode, watermark=self.watermark)
+        dropped (it is volatile — :meth:`recover` rebuilds it)."""
+        twin = IntegrityTree(self.n_lines)
         twin.leaves = self.leaves[:]
         twin.pending = dict(self.pending)
         twin.epoch = self.epoch
         twin.root_published = self.root_published
         twin._nonzero = set(self._nonzero)
         twin._blessed = self._blessed
-        if self.mode == "eager" and self._levels is not None:
-            twin._levels = [lvl[:] for lvl in self._levels]
         return twin
 
     # -- introspection ----------------------------------------------------
@@ -429,7 +383,6 @@ class IntegrityTree:
 
     def stats(self) -> Dict[str, int]:
         return {
-            "mode": self.mode,
             "n_lines": self.n_lines,
             "depth": self.depth,
             "leaf_updates": self.leaf_updates,
@@ -442,6 +395,6 @@ class IntegrityTree:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"IntegrityTree(mode={self.mode!r}, lines={self.n_lines}, "
+            f"IntegrityTree(lines={self.n_lines}, "
             f"root={self.root_published:#010x}, pending={len(self.pending)})"
         )

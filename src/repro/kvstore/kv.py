@@ -45,7 +45,6 @@ class KVStore:
         heap: PersistentHeap,
         value_size: int = 1024,
         fanout: int = DEFAULT_FANOUT,
-        publish_root: bool = True,
     ) -> "KVStore":
         if value_size <= 0:
             raise ValueError("value_size must be positive")
@@ -54,8 +53,7 @@ class KVStore:
             meta = heap.alloc(KVMeta)
             meta.tree_meta = tree.meta.oid
             meta.value_size = value_size
-            if publish_root:
-                heap.set_root(meta)
+            heap.set_root(meta)
         return cls(heap, meta, tree)
 
     @classmethod

@@ -346,38 +346,21 @@ class NVMDevice:
         or None when media faults are not modelled."""
         return self._media
 
-    def attach_media(
-        self,
-        model=None,
-        *,
-        seed: int = 0,
-        protect: bool = True,
-        tree: Optional[str] = None,
-        bless: bool = False,
-    ):
+    def attach_media(self, *, seed: int = 0, protect: bool = True, tree: bool = False):
         """Attach a media-fault model to this device's durable bytes.
 
         With ``protect`` (the default) the model maintains a per-line
         checksum sidecar from the persist paths, enabling detection and
         scrub-and-repair; ``protect=False`` models an unprotected
         deployment where injected corruption is silent.  ``tree``
-        (``"streamed"`` or ``"eager"``) additionally maintains a
-        persistent integrity tree over the line CRCs, catching consistent
-        multi-line / stale-CRC corruption the sidecar alone cannot see;
-        ``bless=True`` eagerly records every line's current CRC in the
-        sidecar at attach time (closing its lazy-coverage window without
-        a tree).  Returns the model for injection calls.
+        additionally maintains a persistent integrity tree over the line
+        CRCs, catching consistent multi-line / stale-CRC corruption the
+        sidecar alone cannot see.  Returns the model for injection calls.
         """
-        if model is None:
-            from ..integrity.model import MediaFaultModel
+        from ..integrity.model import MediaFaultModel
 
-            model = MediaFaultModel(
-                self, seed=seed, protect=protect, tree=tree, bless=bless
-            )
-        else:
-            model.bind(self)
-        self._media = model
-        return model
+        self._media = MediaFaultModel(self, seed=seed, protect=protect, tree=tree)
+        return self._media
 
     def scheduled_crash_remaining(self) -> Optional[int]:
         """Mutating operations left before the armed fail-point fires.

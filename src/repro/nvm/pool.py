@@ -49,8 +49,7 @@ def _q_table_bytes(spares: int) -> int:
     return (raw + CACHE_LINE - 1) // CACHE_LINE * CACHE_LINE
 
 
-def _q_region_size(spares: int) -> int:
-    return _Q_TABLE_OFF + _q_table_bytes(spares) + spares * CACHE_LINE
+_Q_REGION_SIZE = _Q_TABLE_OFF + _q_table_bytes(SPARE_LINES) + SPARE_LINES * CACHE_LINE
 
 
 @dataclass(frozen=True)
@@ -249,7 +248,7 @@ class PmemPool:
 
     # -- quarantine: dead-line remapping ------------------------------------
 
-    def quarantine_line(self, line: int, spares: int = SPARE_LINES) -> Optional[int]:
+    def quarantine_line(self, line: int) -> Optional[int]:
         """Persistently retire absolute ``line`` and assign it a spare.
 
         Returns the spare's absolute line index, the previously assigned
@@ -260,7 +259,7 @@ class PmemPool:
         not-yet-published entry.
         """
         try:
-            region = self.region_or_create(QUARANTINE_REGION, _q_region_size(spares))
+            region = self.region_or_create(QUARANTINE_REGION, _Q_REGION_SIZE)
         except (ValueError, OutOfBoundsError):
             return None
         count = struct.unpack("<Q", region.read(0, 8))[0]

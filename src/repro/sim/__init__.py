@@ -1,7 +1,6 @@
-"""Deterministic simulation: events, shared resources, network, failures."""
+"""Deterministic simulation: events, shared resources, network."""
 
 from .events import Event, EventSimulator
-from .failure import crash_points, run_until_crash
 from .network import (
     DEFAULT_HOP_NS,
     LinkFaultPolicy,
@@ -31,7 +30,5 @@ __all__ = [
     "ServerSnapshot",
     "SimNetwork",
     "cost_model_for",
-    "crash_points",
     "message_checksum",
-    "run_until_crash",
 ]

@@ -153,16 +153,14 @@ class DynamicBackup(BackupStrategy):
 
     Args:
         alpha: backup capacity as a fraction of the heap region size.
-        lookup_entries: persistent look-up table capacity; defaults to
-            one entry per 128 bytes of backup space, enough for the
-            smallest objects to fill the region.
+            The persistent look-up table holds one entry per 128 bytes of
+            backup space, enough for the smallest objects to fill it.
     """
 
-    def __init__(self, alpha: float = 0.5, lookup_entries: Optional[int] = None):
+    def __init__(self, alpha: float = 0.5):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
-        self._lookup_entries = lookup_entries
         self.region: Optional[PmemRegion] = None
         self.lookup: Optional[_LookupTable] = None
         self.heap_region: Optional[PmemRegion] = None
@@ -179,7 +177,7 @@ class DynamicBackup(BackupStrategy):
     def attach(self, pool: PmemPool, heap_region: PmemRegion, fresh: bool) -> None:
         self.heap_region = heap_region
         cap = max(4096, int(self.alpha * heap_region.size))
-        entries = self._lookup_entries or max(64, cap // 128)
+        entries = max(64, cap // 128)
         self.region = pool.region_or_create(DYN_BACKUP_REGION, cap)
         lookup_region = pool.region_or_create(DYN_LOOKUP_REGION, entries * _ENTRY_SIZE)
         self.lookup = _LookupTable(lookup_region, fresh)

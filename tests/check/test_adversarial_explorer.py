@@ -14,7 +14,7 @@ class TestTreeProtectedSweep:
         explorer = CrashExplorer("kamino-simple")
         report = explorer.explore(
             max_points=6, media="protected", corrupt_lines=1,
-            tree="streamed", stale_lines=2,
+            tree=True, stale_lines=2,
         )
         assert report.ok, "\n".join(str(f) for f in report.failures)
 
@@ -23,16 +23,8 @@ class TestTreeProtectedSweep:
         explorer = CrashExplorer("kamino-simple")
         report = explorer.explore(
             max_points=6, media="protected", corrupt_lines=1,
-            tree="streamed", stale_lines=2,
+            tree=True, stale_lines=2,
             nested=True, max_nested_points=2, random_samples=1,
-        )
-        assert report.ok, "\n".join(str(f) for f in report.failures)
-
-    def test_eager_tree_sweep_stays_clean(self):
-        explorer = CrashExplorer("kamino-simple")
-        report = explorer.explore(
-            max_points=4, media="protected", corrupt_lines=0,
-            tree="eager", stale_lines=2,
         )
         assert report.ok, "\n".join(str(f) for f in report.failures)
 
@@ -49,7 +41,7 @@ class TestChecksumOnlySweepFails:
         explorer = CrashExplorer("kamino-simple")
         return explorer.explore(
             max_points=6, media="protected", corrupt_lines=0,
-            tree="off", stale_lines=2, nested=False, random_samples=0,
+            tree=False, stale_lines=2, nested=False, random_samples=0,
         )
 
     def test_checksum_only_misses_stale_replays(self):
@@ -94,6 +86,6 @@ class TestMirrorEngines:
         explorer = CrashExplorer(engine)
         report = explorer.explore(
             max_points=4, media="protected", corrupt_lines=1,
-            tree="streamed", stale_lines=2, nested=False,
+            tree=True, stale_lines=2, nested=False,
         )
         assert report.ok, "\n".join(str(f) for f in report.failures)

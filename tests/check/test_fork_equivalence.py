@@ -64,7 +64,7 @@ def test_forked_nested_replays_match_from_scratch(engine, workload):
 @pytest.mark.parametrize(
     "media_kwargs",
     [
-        dict(media="protected", tree="streamed", stale_lines=2),
+        dict(media="protected", tree=True, stale_lines=2),
         dict(media="unprotected"),
     ],
     ids=["protected-tree-stale", "unprotected"],
@@ -99,7 +99,7 @@ def test_typed_degrade_branches_agree():
             engine="kamino-simple",
             crash_after=point,
             media="protected",
-            tree="streamed",
+            tree=True,
             corrupt_lines=2,
             corrupt_seed=point,
             stale_lines=2,

@@ -90,10 +90,25 @@ class TestMinimization:
         assert a.violation.kind == b.violation.kind
 
 
+#: engines without a full backup mirror: a checksum-condemned heap line
+#: has no local repair source, so the scrubber must take it out of
+#: service (reads raise BothCopiesLostError) instead of only reporting it
+UNMIRRORED = ["undo", "cow", "kamino-dynamic", "kamino-finegrained"]
+
+
+@pytest.mark.parametrize("workload", ["pairs", "kv"])
+@pytest.mark.parametrize("engine", UNMIRRORED)
+def test_protected_rot_is_never_served_without_a_mirror(engine, workload):
+    report = CrashExplorer(engine, workload=workload).explore(
+        max_points=24, media="protected", corrupt_lines=4
+    )
+    assert report.ok, "\n".join(str(f) for f in report.failures[:5])
+
+
 #: sweep legs whose reads of rotted bytes used to raise out of explore()
 #: (an allocator header sized from rot, a validator decoding garbage)
 ESCAPING_LEGS = [
-    ("undo", "list", dict(media="protected", tree="streamed", stale_lines=2)),
+    ("undo", "list", dict(media="protected", tree=True, stale_lines=2)),
     ("undo", "pairs", dict(media="protected", corrupt_lines=4)),
     ("cow", "pairs", dict(media="protected", corrupt_lines=4)),
     ("kamino-dynamic", "pairs", dict(media="protected", corrupt_lines=4)),

@@ -330,6 +330,6 @@ def test_crash_sweep_reports_are_identical(engine):
 
 
 def test_media_sweep_reports_are_identical():
-    _both(_sweep, "kamino-dynamic", {"media": "protected", "tree": "streamed",
+    _both(_sweep, "kamino-dynamic", {"media": "protected", "tree": True,
                                      "stale_lines": 2})
     _both(_sweep, "kamino-dynamic", {"media": "unprotected", "corrupt_lines": 2})

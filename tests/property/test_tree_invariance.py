@@ -5,15 +5,18 @@ to an unguarded one — leaf CRC streaming rides the persist path without
 adding device operations, and nothing the tree disputes exists when no
 fault was injected.  (2) Attaching a tree does not move the crash
 fingerprint relative to the checksum-only sidecar — the explorer's dedup
-key sees one crash state, not two.  (3) Streamed and eager propagation
-converge to the same root over the same durable image — the lazy pending
-log is a scheduling choice, never a semantic one.
+key sees one crash state, not two.  (3) The coalesced root equals the
+dense definition over the durable image after a batch, and again after
+recovery replays the pending log into a rebuilt interior — the lazy
+pending log is a scheduling choice, never a semantic one.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.nvm import NVMDevice
 from repro.nvm.latency import CACHE_LINE
+
+from ..integrity.dense_tree import dense_root
 
 DEVICE_SIZE = 16384
 N_LINES = DEVICE_SIZE // CACHE_LINE
@@ -57,12 +60,10 @@ def apply_ops(device, ops):
     device.persist_all()
 
 
-def make_device(tree=None, protect=False):
+def make_device(tree=False, protect=False):
     device = NVMDevice(DEVICE_SIZE, seed=0)
-    if tree is not None:
+    if tree or protect:
         device.attach_media(seed=0, tree=tree)
-    elif protect:
-        device.attach_media(seed=0, protect=True)
     return device
 
 
@@ -71,7 +72,7 @@ class TestTreeIsFreeWithoutFaults:
     @SETTINGS
     def test_guarded_matches_unguarded(self, ops):
         plain = make_device()
-        guarded = make_device(tree="streamed")
+        guarded = make_device(tree=True)
         apply_ops(plain, ops)
         apply_ops(guarded, ops)
         assert bytes(plain._durable) == bytes(guarded._durable)
@@ -95,19 +96,21 @@ class TestTreeIsFreeWithoutFaults:
         """The explorer dedups crash states by fingerprint; the tree must
         not split one state into two."""
         sidecar_only = make_device(protect=True)
-        treed = make_device(tree="streamed")
+        treed = make_device(tree=True)
         apply_ops(sidecar_only, ops)
         apply_ops(treed, ops)
         assert sidecar_only.overlay_fingerprint() == treed.overlay_fingerprint()
 
     @given(ops=op_sequences())
     @SETTINGS
-    def test_streamed_and_eager_converge(self, ops):
-        streamed = make_device(tree="streamed")
-        eager = make_device(tree="eager")
-        apply_ops(streamed, ops)
-        apply_ops(eager, ops)
-        assert bytes(streamed._durable) == bytes(eager._durable)
-        streamed.media.tree.apply_pending()
-        assert streamed.media.tree.leaves == eager.media.tree.leaves
-        assert streamed.media.tree.root() == eager.media.tree.root()
+    def test_root_matches_dense_oracle(self, ops):
+        device = make_device(tree=True)
+        apply_ops(device, ops)
+        tree = device.media.tree
+        expected = dense_root(device._durable)
+        crashed = tree.clone()  # pending log kept, interior dropped
+        tree.apply_pending()
+        assert tree.root() == tree.root_published == expected
+        tree.drop_interior()
+        assert tree.recover(device._durable).root() == expected
+        assert crashed.recover(device._durable).root() == expected

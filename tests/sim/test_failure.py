@@ -1,36 +1,48 @@
-"""Failure-injection helpers."""
+"""Fail-point primitives every crash sweep stands on: the device's
+scheduled crash and :func:`repro.parallel.count_mutating_ops`, which
+counts a run's mutating operations against it."""
 
 import pytest
 
+import repro.parallel
+from repro.errors import DeviceCrashedError
 from repro.nvm import CrashPolicy, NVMDevice
-from repro.sim import crash_points, run_until_crash
+from repro.parallel import count_mutating_ops
 
 
 class TestCrashPoints:
     def test_counts_device_operations(self):
-        def run(device):
+        device = NVMDevice(4096)
+
+        def run():
             device.write(0, b"x" * 64)
             device.flush(0, 64)
             device.fence()
 
-        n = crash_points(run, lambda: NVMDevice(4096))
-        assert n == 3
+        assert count_mutating_ops(device, run) == 3
+        assert device.scheduled_crash_remaining() is None  # disarmed
 
     def test_reads_do_not_tick(self):
-        def run(device):
+        device = NVMDevice(4096)
+
+        def run():
             device.write(0, b"x" * 8)
             device.read(0, 8)
             device.read(0, 8)
 
-        assert crash_points(run, lambda: NVMDevice(4096)) == 1
+        assert count_mutating_ops(device, run) == 1
 
-    def test_raises_when_bound_exceeded(self):
-        def run(device):
+    def test_raises_when_bound_exceeded(self, monkeypatch):
+        """A run longer than the budget crashes rather than miscounting."""
+        monkeypatch.setattr(repro.parallel, "OP_BUDGET", 5)
+        device = NVMDevice(4096)
+
+        def run():
             for _ in range(10):
                 device.write(0, b"x")
 
-        with pytest.raises(RuntimeError):
-            crash_points(run, lambda: NVMDevice(4096), max_points=5)
+        with pytest.raises(DeviceCrashedError):
+            count_mutating_ops(device, run)
 
     def test_uses_public_accessor(self):
         """The count comes from NVMDevice.scheduled_crash_remaining()."""
@@ -48,14 +60,15 @@ class TestRunUntilCrash:
     def test_detects_scheduled_crash(self):
         device = NVMDevice(4096)
         device.schedule_crash(1)
-
-        def work():
-            device.write(0, b"a")
+        device.write(0, b"a")
+        with pytest.raises(DeviceCrashedError):
             device.write(8, b"b")
-
-        assert run_until_crash(work) is True
         assert device.crashed
 
     def test_clean_run_returns_false(self):
+        """A run that ends before its fail-point leaves the device up."""
         device = NVMDevice(4096)
-        assert run_until_crash(lambda: device.write(0, b"a")) is False
+        device.schedule_crash(5)
+        device.write(0, b"a")
+        assert not device.crashed
+        assert device.scheduled_crash_remaining() == 4

@@ -12,6 +12,12 @@ Every crash sweep runs on one loop (:mod:`repro.parallel`): the worker
 job functions, the nemesis corpus wrapper, the chain ``pump`` veneer and
 the constructor keywords only those jobs set are gone, and so are the
 unused persistent hash table and the chain-budget knob nothing read.
+
+The integrity tree has one propagation scheme: the eager baseline, its
+mode selector, the watermark and sidecar-bless options and the CLI's
+streamed-vs-eager comparison are gone, and ``tree`` is a plain switch.
+So are the single-value options nothing passed and the fifth copy of the
+op counter in ``repro.sim``.
 """
 
 import os
@@ -23,12 +29,18 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.bench
 import repro.check.chain
+import repro.integrity
 import repro.kvstore
+import repro.sim
 from repro.check import ChainCrashExplorer, MigrationCrashExplorer
 from repro.check.pytest_plugin import CheckBudget
 from repro.cli import main
+from repro.integrity import IntegrityTree
 from repro.nvm import NVMDevice
+from repro.tx.dynamic import DynamicBackup
+from repro.tx.recovery import verify_backup_consistency
 from repro.nvm.backend import device_class
 from repro.nvm.reference import ReferenceNVMDevice
 from repro.runtime import ExecutionContext
@@ -150,3 +162,45 @@ def test_source_tree_defines_no_worker_job_function():
     for path in sorted((ROOT / "src").rglob("*.py")):
         match = job.search(path.read_text(encoding="utf-8"))
         assert match is None, f"{path}: {match.group(0).strip()}"
+
+
+@pytest.mark.parametrize("knob, value", [("mode", "eager"), ("watermark", 8)])
+def test_the_tree_has_one_propagation_scheme(knob, value):
+    with pytest.raises(TypeError):
+        IntegrityTree(64, **{knob: value})
+    assert not hasattr(repro.integrity, "TREE_MODES")
+
+
+def test_attach_media_takes_no_bless():
+    with pytest.raises(TypeError):
+        NVMDevice(4096).attach_media(seed=0, bless=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scrub", "--tree-compare"], ["check", "--tree", "eager"], ["scrub", "--tree", "streamed"]],
+    ids=["scrub-tree-compare", "check-tree-eager", "scrub-tree-streamed"],
+)
+def test_tree_is_a_flag(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_single_value_options_are_gone():
+    with pytest.raises(TypeError):
+        DynamicBackup(alpha=0.5, lookup_entries=64)
+    ctx = ExecutionContext.create("kamino-simple", value_size=64, heap_mb=1)
+    with pytest.raises(TypeError):
+        verify_backup_consistency(ctx.heap, sample_every=2)
+    with pytest.raises(TypeError):
+        repro.kvstore.KVStore.create(ctx.heap, value_size=64, publish_root=False)
+    with pytest.raises(TypeError):
+        ctx.heap.pool.quarantine_line(0, spares=4)
+
+
+def test_the_sim_op_counter_and_online_tpcc_runner_are_gone():
+    assert not hasattr(repro.bench, "run_tpcc_online")
+    assert not hasattr(repro.sim, "crash_points")
+    with pytest.raises(ModuleNotFoundError):
+        __import__("repro.sim.failure")

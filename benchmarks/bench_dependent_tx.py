@@ -20,16 +20,16 @@ from repro.workloads import DependentTxWorkload, UPDATE, YCSBWorkload
 
 
 def run_case(engine, spacing, nrecords, nops, nthreads=1):
-    stack = build_stack(engine, value_size=64, heap_mb=8, coalesce_flushes=True)
+    ctx = build_stack(engine, value_size=64, heap_mb=8, coalesce_flushes=True)
     workload = DependentTxWorkload(nrecords, spacing=spacing, value_size=64, seed=2)
-    workload.load(stack.kv)
-    stack.ctx.reset()
+    workload.load(ctx.kv)
+    ctx.reset()
     # one client stream, as in the paper's experiment: burstiness then
     # only matters through each scheme's own lock-release rule
     result = run_online(
-        stack.ctx,
+        ctx,
         list(workload.ops(nops)),
-        lambda op: YCSBWorkload.execute(stack.kv, op),
+        lambda op: YCSBWorkload.execute(ctx.kv, op),
         nthreads,
         workload=f"dependent-{spacing}",
     )

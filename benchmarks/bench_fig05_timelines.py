@@ -24,10 +24,10 @@ ENGINES = ["undo", "cow", "kamino-simple"]
 def run():
     recorders = {}
     for engine_name in ENGINES:
-        stack = build_stack(engine_name, value_size=1008, heap_mb=8)
-        stack.kv.put(7, b"\x01" * 1008)  # pre-existing record to update
-        stack.engine.sync_pending()
-        recorders[engine_name] = record_one_update(stack, 7, b"\x02" * 1008)
+        ctx = build_stack(engine_name, value_size=1008, heap_mb=8)
+        ctx.kv.put(7, b"\x01" * 1008)  # pre-existing record to update
+        ctx.engine.sync_pending()
+        recorders[engine_name] = record_one_update(ctx, 7, b"\x02" * 1008)
     scale = max(r.total_ns for r in recorders.values())
     chart = "\n\n".join(
         render_timeline(name, recorders[name], scale_ns=scale)

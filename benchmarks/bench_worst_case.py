@@ -18,12 +18,12 @@ THREADS = [1, 4, 8]
 
 
 def run_case(engine, object_size, nobjects, nops):
-    stack = build_stack(engine, value_size=object_size, heap_mb=8)
+    ctx = build_stack(engine, value_size=object_size, heap_mb=8)
     workload = WorstCaseWorkload(object_size=object_size, nobjects=nobjects)
-    workload.load(stack.kv)
-    stack.device.stats.reset()
-    return stack.ctx.run_ops(
-        workload.ops(nops), lambda op: YCSBWorkload.execute(stack.kv, op), charge=False
+    workload.load(ctx.kv)
+    ctx.device.stats.reset()
+    return ctx.run_ops(
+        workload.ops(nops), lambda op: YCSBWorkload.execute(ctx.kv, op), charge=False
     )
 
 

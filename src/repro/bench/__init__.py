@@ -8,7 +8,6 @@ from .runners import (
     DEFAULT_OPS,
     DEFAULT_RECORDS,
     DEFAULT_VALUE_SIZE,
-    Stack,
     build_stack,
     run_ycsb_matrix,
     run_ycsb_online,
@@ -23,7 +22,6 @@ __all__ = [
     "DEFAULT_RECORDS",
     "DEFAULT_VALUE_SIZE",
     "ReplayResult",
-    "Stack",
     "bar_chart",
     "TxRecord",
     "build_stack",

@@ -24,11 +24,11 @@ run, which is what lets CI gate on the crossover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..nvm.latency import NVDIMM, LatencyModel
-from ..runtime.online import VirtualClients, _InlineSource
+from ..runtime.online import run_online
 from .runners import _load_ycsb
 
 #: contention-battery defaults: a hot key space a few hundred wide makes
@@ -78,23 +78,11 @@ class ContentionCell:
 
 
 def _engine_lock_stats(engine) -> Dict[str, int]:
-    """Lock-table counters for any engine exposing a ``locks`` table."""
-    locks = getattr(engine, "locks", None)
-    stats = getattr(locks, "stats", None)
-    if stats is None:
-        return {}
-    out = {
-        "write_acquires": stats.write_acquires,
-        "read_acquires": stats.read_acquires,
-        "dependent_waits": stats.dependent_waits,
-        "conflict_waits": stats.conflict_waits,
-        "on_demand_syncs": stats.on_demand_syncs,
-    }
-    snapshot = getattr(locks, "stats_snapshot", None)
-    if snapshot is not None:
-        snap = snapshot()
-        out["stripes"] = snap.stripes
-        out["hottest_stripe_acquires"] = snap.hottest_stripe_acquires
+    """The engine lock table's counters, plus its stripe count if striped."""
+    locks = engine.locks
+    out = asdict(locks.stats)
+    if hasattr(locks, "nstripes"):
+        out["stripes"] = locks.nstripes
     return out
 
 
@@ -111,14 +99,8 @@ def run_contended_cell(
     heap_mb: int = 24,
     **engine_kwargs,
 ) -> ContentionCell:
-    """Run one zipfian cell online and report scheduler + lock metrics.
-
-    Uses the scheduler objects directly (rather than
-    :func:`repro.bench.runners.run_ycsb_online`) so the
-    ``dependent_waits`` counter and the engine's lock table stay
-    reachable after the run.
-    """
-    stack, workload = _load_ycsb(
+    """Run one zipfian cell online and report scheduler + lock metrics."""
+    ctx, workload = _load_ycsb(
         engine_name,
         workload_name,
         nrecords,
@@ -128,35 +110,24 @@ def run_contended_cell(
         heap_mb=heap_mb,
         **engine_kwargs,
     )
-    ops = list(workload.run_ops(nops))
-    streams = [ops[i::nclients] for i in range(nclients)]
-    source = _InlineSource(
-        stack.ctx,
-        streams,
-        lambda op: workload.execute(stack.kv, op),
-        lambda op: op.kind,
-    )
-    clients = VirtualClients(
-        source,
+    result = run_online(
+        ctx,
+        list(workload.run_ops(nops)),
+        lambda op: workload.execute(ctx.kv, op),
         nclients,
-        stack.ctx.engine_name,
-        stack.ctx.model,
-        sync_lag_ns,
-        resources=stack.ctx.resources,
-        events=stack.ctx.events,
+        sync_lag_ns=sync_lag_ns,
     )
-    clients.run()
-    latencies = clients.latencies
+    latencies = result.latencies_ns
     mean = sum(latencies) / len(latencies) if latencies else 0.0
     return ContentionCell(
         engine=engine_name,
         nclients=nclients,
-        ops=len(latencies),
-        duration_ns=clients.end_time,
+        ops=result.ops,
+        duration_ns=result.duration_ns,
         mean_latency_ns=mean,
         max_latency_ns=max(latencies) if latencies else 0.0,
-        dependent_waits=clients.dependent_waits,
-        lock_stats=_engine_lock_stats(stack.engine),
+        dependent_waits=result.dependent_waits,
+        lock_stats=_engine_lock_stats(ctx.engine),
     )
 
 

@@ -14,7 +14,6 @@ are the paper's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..nvm.latency import NVDIMM, LatencyModel
@@ -29,33 +28,6 @@ DEFAULT_OPS = 4000
 DEFAULT_VALUE_SIZE = 1024
 
 
-@dataclass
-class Stack:
-    """One engine's full stack — a view over its execution context."""
-
-    ctx: ExecutionContext
-
-    @property
-    def device(self):
-        return self.ctx.device
-
-    @property
-    def heap(self):
-        return self.ctx.heap
-
-    @property
-    def kv(self):
-        return self.ctx.kv
-
-    @property
-    def engine(self):
-        return self.ctx.engine
-
-    @property
-    def engine_name(self) -> str:
-        return self.ctx.engine_name
-
-
 def build_stack(
     engine_name: str,
     value_size: int = DEFAULT_VALUE_SIZE,
@@ -64,13 +36,13 @@ def build_stack(
     fanout: int = 32,
     coalesce_flushes: bool = False,
     **engine_kwargs,
-) -> Stack:
+) -> ExecutionContext:
     """Device + pool + heap + KV store for ``engine_name``.
 
     The pool is sized for the worst-case engine footprint (full mirror +
     logs), so every engine sees an identically sized heap.
     """
-    ctx = ExecutionContext.create(
+    return ExecutionContext.create(
         engine_name,
         value_size=value_size,
         heap_mb=heap_mb,
@@ -79,7 +51,6 @@ def build_stack(
         coalesce_flushes=coalesce_flushes,
         **engine_kwargs,
     )
-    return Stack(ctx=ctx)
 
 
 def _load_ycsb(
@@ -92,9 +63,9 @@ def _load_ycsb(
     coalesce_flushes: bool = False,
     heap_mb: int = 48,
     **engine_kwargs,
-) -> Tuple[Stack, YCSBWorkload]:
+) -> Tuple[ExecutionContext, YCSBWorkload]:
     """Build a stack and load a YCSB table into it (accounting zeroed)."""
-    stack = build_stack(
+    ctx = build_stack(
         engine_name,
         value_size=value_size,
         heap_mb=heap_mb,
@@ -103,9 +74,9 @@ def _load_ycsb(
         **engine_kwargs,
     )
     workload = YCSBWorkload(workload_name, nrecords, value_size, seed=seed)
-    workload.load(stack.kv)
-    stack.ctx.reset()
-    return stack, workload
+    workload.load(ctx.kv)
+    ctx.reset()
+    return ctx, workload
 
 
 def trace_ycsb(
@@ -119,15 +90,15 @@ def trace_ycsb(
     **engine_kwargs,
 ) -> List[TxRecord]:
     """Load + trace one YCSB workload on one engine (single client)."""
-    stack, workload = _load_ycsb(
+    ctx, workload = _load_ycsb(
         engine_name, workload_name, nrecords, value_size, seed, model, **engine_kwargs
     )
-    stack.ctx.run_ops(
+    ctx.run_ops(
         workload.run_ops(nops),
-        lambda op: workload.execute(stack.kv, op),
+        lambda op: workload.execute(ctx.kv, op),
         charge=False,
     )
-    return stack.ctx.records
+    return ctx.records
 
 
 def run_ycsb_online(
@@ -150,7 +121,7 @@ def run_ycsb_online(
     reaches it, charging the context's shared bandwidth/log-management
     servers inline — no trace pass, exact dependent-transaction timing.
     """
-    stack, workload = _load_ycsb(
+    ctx, workload = _load_ycsb(
         engine_name,
         workload_name,
         nrecords,
@@ -163,9 +134,9 @@ def run_ycsb_online(
     )
     ops = list(workload.run_ops(nops))
     return run_online(
-        stack.ctx,
+        ctx,
         ops,
-        lambda op: workload.execute(stack.kv, op),
+        lambda op: workload.execute(ctx.kv, op),
         nthreads,
         workload=workload_name,
         sync_lag_ns=sync_lag_ns,
@@ -180,17 +151,17 @@ def trace_tpcc(
     **engine_kwargs,
 ) -> List[TxRecord]:
     """Load + trace the TPC-C-lite mix on one engine."""
-    stack = build_stack(engine_name, value_size=64, heap_mb=24, model=model, **engine_kwargs)
+    ctx = build_stack(engine_name, value_size=64, heap_mb=24, model=model, **engine_kwargs)
     tpcc = TPCCLite(seed=seed)
-    tpcc.load(stack.kv)
-    stack.ctx.reset()
+    tpcc.load(ctx.kv)
+    ctx.reset()
     names = []
 
     def one(_ignored) -> None:
-        names.append(tpcc.run_op(stack.kv))
+        names.append(tpcc.run_op(ctx.kv))
 
-    stack.ctx.run_ops(range(nops), one, kind_of=lambda _i: "tpcc", charge=False)
-    return stack.ctx.records
+    ctx.run_ops(range(nops), one, kind_of=lambda _i: "tpcc", charge=False)
+    return ctx.records
 
 
 def run_ycsb_matrix(

@@ -81,12 +81,12 @@ def _engine_has_commit_record(engine) -> bool:
     return engine.name.startswith("kamino") or engine.name == "cow"
 
 
-def record_one_update(stack, key: int, payload: bytes) -> TimelineRecorder:
+def record_one_update(ctx, key: int, payload: bytes) -> TimelineRecorder:
     """Run one KV update under a recorder, draining the sync inside it."""
-    recorder = TimelineRecorder(stack.device, stack.engine)
+    recorder = TimelineRecorder(ctx.device, ctx.engine)
     with recorder:
-        stack.kv.put(key, payload)
-        stack.engine.sync_pending()
+        ctx.kv.put(key, payload)
+        ctx.engine.sync_pending()
     return recorder
 
 

@@ -23,10 +23,12 @@ The model also owns the :class:`~repro.integrity.checksum.ChecksumSidecar`
 (when ``protect=True``) and keeps it honest from the device's persist
 paths: every flushed line is re-checksummed over its intended content
 *before* stuck-at bits re-corrupt it, so a stuck line is detectably bad
-after every write.  Crash resolution re-blesses torn lines — a torn
-write is a crash artifact for recovery to handle, not a media fault —
-except lines carrying still-uninspected injected corruption, whose stale
-checksum keeps them detectable.
+after every write.  Only a write of the whole line clears injected
+corruption: a flush that rewrote some of a line's words, like a crash
+that tore one, leaves the rest as the media held it, so a line carrying
+still-uninspected injected corruption keeps its stale checksum and stays
+detectable.  Otherwise crash resolution re-blesses torn lines — a torn
+write is a crash artifact for recovery to handle, not a media fault.
 
 Every write the model makes to the media — a flip, a stuck bit
 re-asserting, a stale replay, a controller repair — goes through
@@ -128,26 +130,37 @@ class MediaFaultModel:
 
     # -- persist-path hooks (called by the device) --------------------------
 
-    def on_persist(self, lines: Iterable[int]) -> None:
+    def on_persist(self, lines: Sequence[int], partial: Sequence[int] = ()) -> None:
         """Lines were legitimately flushed: re-checksum their intended
-        content, then let stuck-at bits re-corrupt the media."""
+        content, then let stuck-at bits re-corrupt the media.
+
+        ``partial`` names the lines whose flush rewrote only some words;
+        the rest of such a line is whatever the media held.  As in
+        :meth:`on_crash`, a partly rewritten line that still carries
+        injected corruption keeps its taint and its stale checksum, so
+        the scrubber still detects it.
+        """
         sidecar = self.sidecar
         durable = self.device._durable
         stuck = self.stuck
         tainted = self.tainted
-        lines = list(lines)
-        for line in lines:
-            tainted.discard(line)
+        blessed = lines
+        if tainted:
+            kept = tainted.intersection(partial)
+            tainted.difference_update(lines)
+            if kept:
+                tainted.update(kept)
+                blessed = [line for line in lines if line not in kept]
         if sidecar is not None:
             # bulk re-checksum: contiguous runs snapshot once.  Lines are
             # distinct within one persist call and stuck-at bits only
             # touch their own line, so recording before the stuck pass is
             # byte-identical to the old interleaved per-line loop.
-            sidecar.record_many(lines, durable)
+            sidecar.record_many(blessed, durable)
             if self.tree is not None:
                 # same hook, same CRCs: dirty leaves stream into the
                 # tree's pending log
-                self.tree.note_lines(lines, sidecar._crcs)
+                self.tree.note_lines(blessed, sidecar._crcs)
         for line in lines:
             faults = stuck.get(line)
             if faults:

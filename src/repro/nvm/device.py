@@ -96,6 +96,13 @@ _FULLS = [bytes([_FULL_MASK]) * n for n in range(_SWAR_LINES + 1)]
 #: the next dirty and the next clean line are each one ``find``
 _DIRTY_FLAG = bytes(1) + b"\x01" * 255
 
+
+def _partial_lines(first: int, n: int, combined: int) -> List[int]:
+    """Lines of the ``n``-line window at ``first`` that are dirty but not
+    in every word, read from ``combined`` (the window's mask bytes as one
+    little-endian integer)."""
+    return [first + i for i in range(n) if 0 < (combined >> (i << 3)) & 0xFF != _FULL_MASK]
+
 #: granularity at which a device remembers which durable bytes it ever
 #: wrote (the host page size: an untouched page of a lazily-zeroed store
 #: is never resident, see :func:`lazy_zeros`)
@@ -411,13 +418,20 @@ class NVMDevice:
             i = j
         return runs
 
-    def _flush_runs(self, runs: List[Tuple[int, int]]) -> Tuple[int, Optional[List[int]]]:
+    def _flush_runs(
+        self, runs: List[Tuple[int, int]]
+    ) -> Tuple[int, Optional[List[int]], Optional[List[int]]]:
         """Persist and clean the dirty-line ``runs``, one slice copy
         each; returns the lines flushed and, with media attached, the
-        list of them the media hears about."""
+        list of them the media hears about and those among them the
+        flush rewrote only in part."""
         durable = self._durable
         overlay = self._overlay
         masks = self._masks
+        persisted = partial = None
+        if self._media is not None:
+            persisted = [line for start, end in runs for line in range(start, end)]
+            partial = [line for line in persisted if masks[line] != _FULL_MASK]
         flushed = 0
         for start, end in runs:
             lo = start << _LINE_SHIFT
@@ -429,9 +443,7 @@ class NVMDevice:
         self._dirty_count -= flushed
         if not self._dirty_count:
             self._dirty_pages.clear()
-        if self._media is None:
-            return flushed, None
-        return flushed, [line for start, end in runs for line in range(start, end)]
+        return flushed, persisted, partial
 
     # -- raw overlay data path (no stats, no checks) -----------------------
 
@@ -697,14 +709,14 @@ class NVMDevice:
         self._check(addr, size)
         flushed = 0
         bursts = 0
-        persisted: Optional[List[int]] = None
+        persisted = partial = None
         if self._dirty_count:
             first = addr >> _LINE_SHIFT
             last = (addr + size - 1) >> _LINE_SHIFT
             n = last - first + 1
             if n > _SWAR_LINES:
                 runs = self._dirty_runs(first, last)
-                flushed, persisted = self._flush_runs(runs)
+                flushed, persisted, partial = self._flush_runs(runs)
                 bursts = len(runs)
             else:
                 masks = self._masks
@@ -748,6 +760,8 @@ class NVMDevice:
                                 if lines is not None:
                                     lines.append(line)
                         persisted = lines
+                    if self._media is not None:
+                        partial = _partial_lines(first, n, combined)
                     self._dirty_count -= flushed
                     if not self._dirty_count:
                         self._dirty_pages.clear()
@@ -756,7 +770,7 @@ class NVMDevice:
         stats.flushed_lines += flushed
         stats.flush_bursts += bursts if self.coalesce_flushes else flushed
         if persisted:
-            self._media.on_persist(persisted)
+            self._media.on_persist(persisted, partial)
 
     def fence(self) -> None:
         """Ordering fence; a cost-model event (flushes persist eagerly)."""
@@ -777,17 +791,17 @@ class NVMDevice:
             raise DeviceCrashedError("device crashed; call restart() first")
         flushed = 0
         bursts = 0
-        persisted: Optional[List[int]] = None
+        persisted = partial = None
         if self._dirty_count:
             runs = self._dirty_runs(0, self._n_lines - 1)
-            flushed, persisted = self._flush_runs(runs)
+            flushed, persisted, partial = self._flush_runs(runs)
             bursts = len(runs)
         stats = self.stats
         stats.flushes += 1
         stats.flushed_lines += flushed
         stats.flush_bursts += bursts if self.coalesce_flushes else flushed
         if persisted:
-            self._media.on_persist(persisted)
+            self._media.on_persist(persisted, partial)
 
     @property
     def dirty_lines(self) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Tuple
 
 from ..errors import DeviceCrashedError
-from .device import _WORDS_PER_LINE, PAGE, CrashPolicy, NVMDevice
+from .device import _FULL_MASK, _WORDS_PER_LINE, PAGE, CrashPolicy, NVMDevice
 from .latency import CACHE_LINE, WORD
 
 
@@ -138,6 +138,7 @@ class ReferenceNVMDevice(NVMDevice):
         bursts = 0
         in_burst = False
         persisted = []
+        partial = []
         for line in range(first, last + 1):
             entry = self._dirty.pop(line, None)
             if entry is None:
@@ -146,6 +147,8 @@ class ReferenceNVMDevice(NVMDevice):
             base = line * CACHE_LINE
             self._durable[base : base + CACHE_LINE] = entry[0]
             persisted.append(line)
+            if entry[1] != _FULL_MASK:
+                partial.append(line)
             flushed += 1
             if not in_burst:
                 bursts += 1
@@ -154,7 +157,7 @@ class ReferenceNVMDevice(NVMDevice):
         self.stats.flushed_lines += flushed
         self.stats.flush_bursts += bursts if self.coalesce_flushes else flushed
         if persisted and self._media is not None:
-            self._media.on_persist(persisted)
+            self._media.on_persist(persisted, partial)
 
     def _persist_all_locked(self) -> None:
         if self._crashed:
@@ -163,11 +166,14 @@ class ReferenceNVMDevice(NVMDevice):
         bursts = 0
         prev_line = None
         persisted = []
+        partial = []
         for line in sorted(self._dirty):
-            buf, _mask = self._dirty[line]
+            buf, mask = self._dirty[line]
             base = line * CACHE_LINE
             self._durable[base : base + CACHE_LINE] = buf
             persisted.append(line)
+            if mask != _FULL_MASK:
+                partial.append(line)
             flushed += 1
             if prev_line is None or line != prev_line + 1:
                 bursts += 1
@@ -177,7 +183,7 @@ class ReferenceNVMDevice(NVMDevice):
         self.stats.flushed_lines += flushed
         self.stats.flush_bursts += bursts if self.coalesce_flushes else flushed
         if persisted and self._media is not None:
-            self._media.on_persist(persisted)
+            self._media.on_persist(persisted, partial)
 
     def crash(
         self,
@@ -191,9 +197,8 @@ class ReferenceNVMDevice(NVMDevice):
         crash_lines = None
         if self._media is not None and policy is not CrashPolicy.DROP_ALL:
             full = policy is CrashPolicy.KEEP_ALL
-            full_mask = (1 << _WORDS_PER_LINE) - 1
             crash_lines = [
-                (line, full and mask == full_mask)
+                (line, full and mask == _FULL_MASK)
                 for line, (_buf, mask) in self._dirty.items()
             ]
         for line in sorted(self._dirty):

@@ -2,7 +2,6 @@
 
 from .chain import KAMINO, TRADITIONAL, ChainCluster, RetryPolicy
 from .client import ChainClient, run_clients
-from .inplace_engine import IntentOnlyEngine
 from .membership import MembershipManager, ViewInfo
 from .messages import (
     CleanupAck,
@@ -21,7 +20,6 @@ __all__ = [
     "ChainCluster",
     "CleanupAck",
     "ClientReply",
-    "IntentOnlyEngine",
     "KAMINO",
     "MembershipManager",
     "ROLE_HEAD",

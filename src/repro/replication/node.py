@@ -20,9 +20,8 @@ from ..nvm.device import CrashPolicy, NVMDevice
 from ..nvm.latency import NVDIMM, LatencyModel
 from ..nvm.pool import PmemPool
 from ..sim.resources import cost_model_for
-from ..tx import UndoLogEngine, kamino_dynamic, kamino_simple
+from ..tx import IntentOnlyEngine, UndoLogEngine, kamino_dynamic, kamino_simple
 from ..tx.base import IntentKind
-from .inplace_engine import IntentOnlyEngine
 
 INPUT_QUEUE_REGION = "input_queue"
 

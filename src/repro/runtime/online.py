@@ -33,9 +33,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..nvm.latency import NVDIMM, LatencyModel
 from ..sim.events import EventSimulator
-from ..sim.resources import cost_model_for
 from .context import ExecutionContext, SharedResources
 from .records import ReplayResult, TxRecord
+from .registry import EngineCapabilities, find_registered
 
 __all__ = ["replay_records", "run_online"]
 
@@ -106,6 +106,7 @@ class VirtualClients:
         "sim",
         "resources",
         "cost",
+        "locks_after_sync",
         "bandwidth",
         "serial",
         "ns_per_byte",
@@ -134,7 +135,10 @@ class VirtualClients:
         self.source = source
         self.sim = events if events is not None else EventSimulator()
         self.resources = resources if resources is not None else SharedResources(model)
-        self.cost = cost_model_for(engine_name)
+        info = find_registered(engine_name)
+        caps = info.capabilities if info is not None else EngineCapabilities()
+        self.cost = caps.cost
+        self.locks_after_sync = caps.locks_released_after_sync
         self.bandwidth = self.resources.bandwidth
         self.serial = self.resources.log_mgmt
         self.ns_per_byte = 1.0 / model.bandwidth_gbps
@@ -204,7 +208,7 @@ class VirtualClients:
         self.latencies.append(latency)
         self.latencies_by_kind.setdefault(rec.kind, []).append(latency)
         self.end_time = max(self.end_time, now)
-        if self.cost.locks_released_after_sync and rec.async_ns > 0:
+        if self.locks_after_sync and rec.async_ns > 0:
             write_set = rec.write_set
             self.sim.schedule(self.sync_lag_ns, self._start_sync, write_set, rec)
         else:
@@ -235,6 +239,7 @@ class VirtualClients:
             duration_ns=self.end_time,
             latencies_ns=self.latencies,
             latencies_by_kind=self.latencies_by_kind,
+            dependent_waits=self.dependent_waits,
         )
 
 

@@ -36,6 +36,8 @@ class ReplayResult:
     duration_ns: float
     latencies_ns: List[float] = field(repr=False, default_factory=list)
     latencies_by_kind: Dict[str, List[float]] = field(repr=False, default_factory=dict)
+    #: starts that found a conflicting object locked and had to wait
+    dependent_waits: int = 0
 
     @property
     def throughput_kops(self) -> float:

@@ -9,15 +9,16 @@ module declares itself with::
         copies_in_critical_path=False,
         has_backup=True,
         locks_released_after_sync=True,
-        cost_profile="kamino",
+        cost=KAMINO_COST,
     ))
     def kamino_simple(**kwargs) -> KaminoEngine: ...
 
 and every consumer — ``make_engine``, the CLI's engine-kwargs parsing,
 the scheduler's contention model
 (:func:`repro.sim.resources.cost_model_for`), and the property-based
-crash suites — reads the registry instead of a hard-coded table.  Adding
-an engine therefore touches exactly one file: the engine's own module.
+crash suites — reads the registry instead of a hard-coded table.  The
+registration is the engine's only declaration: adding an engine touches
+exactly one file, the engine's own module.
 
 Names are resolved by exact match first, then by longest registered
 prefix, because engines may decorate their runtime name with parameters
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import UnknownEngineError
+from ..sim.resources import DEFAULT_COST, EngineCostModel
 
 __all__ = [
     "EngineCapabilities",
@@ -66,10 +68,10 @@ class EngineCapabilities:
             standalone heap explorer.
         locks_released_after_sync: write locks are held past commit until
             the asynchronous backup sync lands, so dependent transactions
-            wait longer (paper §7.1).
-        cost_profile: key into
-            :data:`repro.sim.resources.ENGINE_COST_MODELS` selecting the
-            calibrated serialized-software contention model.
+            wait longer (paper §7.1); the scheduler holds its object locks
+            through the sync for these engines.
+        cost: the calibrated serialized-software contention row the
+            scheduler charges (one of :mod:`repro.sim.resources`' rows).
         options: tunable constructor kwargs exposed as CLI flags
             (e.g. ``("alpha",)`` for the dynamic backup).
     """
@@ -80,7 +82,7 @@ class EngineCapabilities:
     recoverable: bool = True
     needs_chain_repair: bool = False
     locks_released_after_sync: bool = False
-    cost_profile: str = "default"
+    cost: EngineCostModel = DEFAULT_COST
     options: Tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -95,31 +97,20 @@ class EngineInfo:
 
 _REGISTRY: Dict[str, EngineInfo] = {}
 _BUILTINS_LOADED = False
-_EXTRAS_LOADED = False
 
 
 def _ensure_builtins_loaded() -> None:
-    """Import the engine-defining modules so they self-register.
+    """Import :mod:`repro.tx`, whose modules define and self-register
+    every builtin engine.
 
     The flag is set *before* the import: ``repro.tx`` itself imports this
     module (for the decorator), and re-entering here mid-import would
-    recurse.  The replication package's in-place engine lives outside
-    ``repro.tx`` and its import chain needs a fully initialised
-    :mod:`repro.heap`; during the bootstrap import (heap → tx → registry)
-    the heap is mid-import, so its registration is deferred to the next
-    registry query after start-up.
+    recurse.
     """
-    global _BUILTINS_LOADED, _EXTRAS_LOADED
+    global _BUILTINS_LOADED
     if not _BUILTINS_LOADED:
         _BUILTINS_LOADED = True
         import repro.tx  # noqa: F401  (side effect: engine registration)
-    if not _EXTRAS_LOADED:
-        import sys
-
-        heap_mod = sys.modules.get("repro.heap")
-        if heap_mod is None or hasattr(heap_mod, "PersistentHeap"):
-            _EXTRAS_LOADED = True
-            import repro.replication.inplace_engine  # noqa: F401  (intent-only)
 
 
 def register_engine(
@@ -147,11 +138,9 @@ def registry_snapshot():
 
     Guards registry-mutating code (tests that ``register_engine`` a
     throwaway double, or ``unregister_engine`` a builtin) so later
-    registry-driven consumers see the pristine table.  The builtins —
-    including the deferred replication extra — are force-loaded *before*
-    the snapshot: the loader's once-only flags stay set, so an early
-    (pre-extra) snapshot would otherwise permanently erase the deferred
-    registration when restored.
+    registry-driven consumers see the pristine table.  The builtins are
+    force-loaded *before* the snapshot: the loader's once-only flag stays
+    set, so a snapshot taken before them would erase them when restored.
     """
     _ensure_builtins_loaded()
     saved = dict(_REGISTRY)

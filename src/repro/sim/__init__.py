@@ -9,7 +9,6 @@ from .network import (
     message_checksum,
 )
 from .resources import (
-    ENGINE_COST_MODELS,
     BandwidthResource,
     EngineCostModel,
     FIFOServer,
@@ -20,7 +19,6 @@ from .resources import (
 __all__ = [
     "BandwidthResource",
     "DEFAULT_HOP_NS",
-    "ENGINE_COST_MODELS",
     "EngineCostModel",
     "Event",
     "EventSimulator",

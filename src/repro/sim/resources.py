@@ -93,9 +93,12 @@ class BandwidthResource(FIFOServer):
         return self.request(arrival, nbytes * self._ns_per_byte)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineCostModel:
     """Per-engine serialized software overheads (see module docstring).
+
+    Each engine's registration carries its row
+    (:attr:`~repro.runtime.registry.EngineCapabilities.cost`).
 
     Attributes:
         serial_ns_per_intent: serialized log-management cost per declared
@@ -103,13 +106,9 @@ class EngineCostModel:
             entry).  High for undo/CoW (variable-size data log entries
             through shared allocator state), near zero for Kamino
             (fixed-size entries in per-thread scratchpads, §6.2).
-        locks_released_after_sync: True when write locks are held until
-            the asynchronous backup sync lands (the Kamino schemes), so a
-            dependent transaction's wait extends past commit.
     """
 
     serial_ns_per_intent: float = 0.0
-    locks_released_after_sync: bool = False
     #: when True, the bytes captured into the log (undo data / CoW
     #: shadows) are copied through *shared* log-arena state: the copy's
     #: device time is already in the critical path, but it additionally
@@ -130,69 +129,48 @@ class EngineCostModel:
     local_ns_per_read_lock: float = 0.0
 
 
-#: Calibrated against the paper's single-thread latency ratios; the
-#: undo/CoW value reflects NVML's measured log-management overhead.
-ENGINE_COST_MODELS = {
-    "nolog": EngineCostModel(serial_ns_per_intent=0.0),
-    # undo/CoW share the global ObjectLockTable with kamino, so their
-    # read acquires pass through the same serialized table mutex and
-    # carry the same 40 ns; their 900 ns per *write* intent (log-arena
-    # allocation) is untouched — that is what the calibration pinned.
-    "undo": EngineCostModel(
-        serial_ns_per_intent=900.0,
-        serial_ns_per_read_lock=40.0,
-        serial_includes_copy=True,
-    ),
-    "cow": EngineCostModel(
-        serial_ns_per_intent=900.0,
-        serial_ns_per_read_lock=40.0,
-        serial_includes_copy=True,
-    ),
-    "kamino": EngineCostModel(
-        serial_ns_per_intent=40.0,
-        serial_ns_per_read_lock=40.0,
-        locks_released_after_sync=True,
-    ),
-    # striped lock table: only the slot-pool handoff stays serialized
-    # (8 ns); the remaining 32 ns of per-lock-op work happens on the
-    # stripe the client hashed to, concurrently with other clients.  The
-    # split sums to the kamino profile's 40 ns, so single-client latency
-    # is identical and the gap only opens under contention.
-    "kamino-finegrained": EngineCostModel(
-        serial_ns_per_intent=8.0,
-        local_ns_per_intent=32.0,
-        serial_ns_per_read_lock=8.0,
-        local_ns_per_read_lock=32.0,
-        locks_released_after_sync=True,
-    ),
-    # traversal-deferred persistence batches the intent publication at
-    # the destination, but it keeps the global lock table, so its
-    # serialized software matches the kamino profile.
-    "nvtraverse": EngineCostModel(
-        serial_ns_per_intent=40.0,
-        serial_ns_per_read_lock=40.0,
-        locks_released_after_sync=True,
-    ),
-}
+# The calibrated rows, calibrated against the paper's single-thread
+# latency ratios.  Engines name theirs in their registration.
+
+#: no software overhead: ``nolog`` and any engine that declares no row
+DEFAULT_COST = EngineCostModel()
+
+#: undo/CoW: the 900 ns per *write* intent is NVML's measured log-arena
+#: allocation overhead, and the log copy queues behind the arena mutex.
+#: Both share the global ObjectLockTable with kamino, so their read
+#: acquires pass through the same serialized table mutex and carry the
+#: same 40 ns.
+LOGGING_COST = EngineCostModel(
+    serial_ns_per_intent=900.0,
+    serial_ns_per_read_lock=40.0,
+    serial_includes_copy=True,
+)
+
+#: Kamino over the global lock table (simple, dynamic, and nvtraverse,
+#: which batches the intent publication at the destination but keeps the
+#: same table): fixed-size intent entries cost 40 ns of serialized work.
+KAMINO_COST = EngineCostModel(
+    serial_ns_per_intent=40.0,
+    serial_ns_per_read_lock=40.0,
+)
+
+#: Kamino over the striped lock table: only the slot-pool handoff stays
+#: serialized (8 ns); the remaining 32 ns of per-lock-op work happens on
+#: the stripe the client hashed to, concurrently with other clients.
+#: The split sums to KAMINO_COST's 40 ns, so single-client latency is
+#: identical and the gap only opens under contention.
+STRIPED_KAMINO_COST = EngineCostModel(
+    serial_ns_per_intent=8.0,
+    local_ns_per_intent=32.0,
+    serial_ns_per_read_lock=8.0,
+    local_ns_per_read_lock=32.0,
+)
 
 
 def cost_model_for(engine_name: str) -> EngineCostModel:
-    """Look up the cost model for an engine.
-
-    The engine registry is authoritative: a registered engine's
-    ``cost_profile`` capability selects a row of the calibrated table
-    above, so adding an engine never touches this module.  Names that
-    resolve to no registration (ad-hoc test doubles) fall back to the
-    historical prefix matching.
-    """
+    """The cost row of the engine registered under ``engine_name`` (exact
+    name, then longest registered prefix), or :data:`DEFAULT_COST`."""
     from ..runtime.registry import find_registered
 
     info = find_registered(engine_name)
-    if info is not None and info.capabilities.cost_profile in ENGINE_COST_MODELS:
-        return ENGINE_COST_MODELS[info.capabilities.cost_profile]
-    if engine_name.startswith("kamino"):
-        return ENGINE_COST_MODELS["kamino"]
-    for key, model in ENGINE_COST_MODELS.items():
-        if engine_name.startswith(key):
-            return model
-    return EngineCostModel()
+    return info.capabilities.cost if info is not None else DEFAULT_COST

@@ -1,4 +1,5 @@
-"""Atomicity engines: undo, copy-on-write, no-logging, and Kamino-Tx.
+"""Atomicity engines: undo, copy-on-write, no-logging, Kamino-Tx, and the
+chain replica's intent-only engine.
 
 Engines self-register with :mod:`repro.runtime.registry` via the
 ``@register_engine`` decorator; importing this package pulls in every
@@ -19,13 +20,14 @@ from .base import (
 )
 from .cow import CoWEngine
 from .dynamic import DynamicBackup, kamino_dynamic
-from .finegrained import FineGrainedKaminoEngine, kamino_finegrained
+from .finegrained import kamino_finegrained
 from .intent_log import ENTRY_SIZE, IntentEntry, LogManager, SlotState, TxLog
+from .intent_only import IntentOnlyEngine
 from .kamino import KaminoEngine, kamino_simple
 from .locks import LockStats, ObjectLockTable
 from .nvtraverse import NVTraverseEngine, nvtraverse
 from .recovery import reopen_after_crash, verify_backup_consistency
-from .striped_locks import LockTableStats, StripedLockTable
+from .striped_locks import StripedLockTable
 from .undo import NoLoggingEngine, UndoLogEngine
 
 __all__ = [
@@ -36,13 +38,12 @@ __all__ = [
     "CoWEngine",
     "DynamicBackup",
     "ENTRY_SIZE",
-    "FineGrainedKaminoEngine",
     "FullBackup",
     "IntentEntry",
     "IntentKind",
+    "IntentOnlyEngine",
     "KaminoEngine",
     "LockStats",
-    "LockTableStats",
     "LogManager",
     "NVTraverseEngine",
     "NoLoggingEngine",

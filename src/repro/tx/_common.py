@@ -1,6 +1,6 @@
 """Shared plumbing for engines built on the lock table + intent log.
 
-Every concrete scheme (undo, CoW, no-logging, Kamino simple/dynamic)
+Every concrete scheme (undo, CoW, no-logging, Kamino, intent-only)
 acquires the same object-level locks and — except no-logging — records
 the same intent-log entries; they differ only in *what data is copied,
 where, and when*.  Factoring the common motions here keeps each engine
@@ -30,15 +30,10 @@ class LockingLogEngine(AtomicityEngine):
     #: per-slot capture area (0 = address-only log, the Kamino case)
     log_data_bytes: int = 0
 
-    def __init__(
-        self,
-        n_slots: int = 64,
-        max_entries: int = 256,
-        lock_timeout: float = 10.0,
-    ):
+    def __init__(self, n_slots: int = 64, max_entries: int = 256):
         self.n_slots = n_slots
         self.max_entries = max_entries
-        self.locks = ObjectLockTable(timeout=lock_timeout)
+        self.locks = ObjectLockTable()
         self.pool: Optional[PmemPool] = None
         self.heap_region: Optional[PmemRegion] = None
         self.log: Optional[LogManager] = None

@@ -149,9 +149,6 @@ class AtomicityEngine(ABC):
     #: short identifier used in benchmark output
     name: str = "abstract"
 
-    #: True if the scheme copies data in the transaction's critical path
-    copies_in_critical_path: bool = True
-
     #: optional callback invoked with each committed Transaction — the
     #: benchmark harness uses it to capture read/write sets
     trace_hook = None

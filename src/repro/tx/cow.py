@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from ..nvm.pool import PmemRegion
 from ..runtime.registry import EngineCapabilities, register_engine
+from ..sim.resources import LOGGING_COST
 from .base import IntentKind, RecoveryReport, Transaction
 from ._common import LockingLogEngine
 from .intent_log import SlotState
@@ -27,14 +28,13 @@ from .intent_log import SlotState
     capabilities=EngineCapabilities(
         description="copy-on-write shadows, redo-applied at commit",
         copies_in_critical_path=True,
-        cost_profile="cow",
+        cost=LOGGING_COST,
     ),
 )
 class CoWEngine(LockingLogEngine):
     """Copy-on-write / redo-style baseline; see module docstring."""
 
     name = "cow"
-    copies_in_critical_path = True
     uses_log = True
 
     def __init__(
@@ -42,9 +42,8 @@ class CoWEngine(LockingLogEngine):
         n_slots: int = 64,
         max_entries: int = 256,
         log_data_bytes: int = 64 * 1024,
-        lock_timeout: float = 10.0,
     ):
-        super().__init__(n_slots, max_entries, lock_timeout)
+        super().__init__(n_slots, max_entries)
         self.log_data_bytes = log_data_bytes
 
     # -- shadow bookkeeping -----------------------------------------------------

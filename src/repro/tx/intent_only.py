@@ -25,9 +25,10 @@ from typing import Deque, Dict, List, Tuple
 
 from ..errors import TxError
 from ..runtime.registry import EngineCapabilities, register_engine
-from ..tx._common import LockingLogEngine
-from ..tx.base import IntentKind, RecoveryReport, Transaction
-from ..tx.intent_log import SlotState, TxLog
+from ..sim.resources import KAMINO_COST
+from ._common import LockingLogEngine
+from .base import IntentKind, RecoveryReport, Transaction
+from .intent_log import SlotState, TxLog
 
 
 @register_engine(
@@ -37,19 +38,18 @@ from ..tx.intent_log import SlotState, TxLog
         copies_in_critical_path=False,
         recoverable=False,
         needs_chain_repair=True,
-        cost_profile="kamino",
+        cost=KAMINO_COST,
     ),
 )
 class IntentOnlyEngine(LockingLogEngine):
     """In-place updates guarded only by a persistent intent log."""
 
     name = "intent-only"
-    copies_in_critical_path = False
     uses_log = True
     log_data_bytes = 0
 
-    def __init__(self, n_slots: int = 128, max_entries: int = 256, lock_timeout: float = 10.0):
-        super().__init__(n_slots, max_entries, lock_timeout)
+    def __init__(self, n_slots: int = 128, max_entries: int = 256):
+        super().__init__(n_slots, max_entries)
         #: committed transactions whose chain clean-up has not arrived
         self._awaiting_cleanup: Dict[int, TxLog] = {}
         self._cleanup_order: Deque[int] = deque()

@@ -28,8 +28,8 @@ from collections import deque
 from typing import Deque, List, Optional, Set, Tuple
 
 from ..errors import BothCopiesLostError, IntegrityError
-from ..nvm.pool import PmemPool, PmemRegion
 from ..runtime.registry import EngineCapabilities, register_engine
+from ..sim.resources import KAMINO_COST
 from .base import IntentKind, RecoveryReport, Transaction
 from .backup import BackupStrategy, FullBackup
 from ._common import LockingLogEngine
@@ -52,7 +52,10 @@ class KaminoEngine(LockingLogEngine):
 
     Parametrised by a :class:`~repro.tx.backup.BackupStrategy`:
     :class:`~repro.tx.backup.FullBackup` gives Kamino-Tx-Simple,
-    :class:`~repro.tx.dynamic.DynamicBackup` gives Kamino-Tx-Dynamic.
+    :class:`~repro.tx.dynamic.DynamicBackup` gives Kamino-Tx-Dynamic, and
+    the same backup under a
+    :class:`~repro.tx.striped_locks.StripedLockTable` gives
+    ``kamino-finegrained`` — the factories configure the one engine.
 
     Args:
         backup: the backup strategy (defaults to a full mirror).
@@ -67,12 +70,12 @@ class KaminoEngine(LockingLogEngine):
             (adjacent pending ranges become one bulk ``device.copy``).
             Simulated results — durable bytes, ``NVMStats``, virtual
             time — are bit-identical either way; ``False`` keeps the
-            entry-at-a-time loop, the reference leg of the equivalence
-            suites.
+            strategy-independent entry-at-a-time loop
+            (:meth:`BackupStrategy.absorb_entries`), the reference leg of
+            the equivalence suites.
     """
 
     name = "kamino"
-    copies_in_critical_path = False
     uses_log = True
     log_data_bytes = 0
 
@@ -81,12 +84,11 @@ class KaminoEngine(LockingLogEngine):
         backup: Optional[BackupStrategy] = None,
         n_slots: int = 64,
         max_entries: int = 256,
-        lock_timeout: float = 10.0,
         eager_sync: bool = False,
         lazy_recovery: bool = False,
         coalesce_sync: bool = True,
     ):
-        super().__init__(n_slots, max_entries, lock_timeout)
+        super().__init__(n_slots, max_entries)
         self.backup = backup if backup is not None else FullBackup()
         self.eager_sync = eager_sync
         self.lazy_recovery = lazy_recovery
@@ -144,11 +146,16 @@ class KaminoEngine(LockingLogEngine):
         self._phase("flush_data")
         log.set_state(SlotState.COMMITTED)  # durable commit point
         self._phase("commit_record")
+        self._defer_sync(tx, log)
+
+    def _defer_sync(self, tx: Transaction, log: TxLog) -> None:
+        """The tail of every committed update: hold the write locks as
+        *pending* until the backup roll-forward lands, release the read
+        locks now, and queue the roll-forward (or run it, eagerly)."""
         for off in tx.write_set:
             self.locks.mark_pending(tx.txid, off)
         self._release_reads(tx)
-        task = _SyncTask(log, list(log.entries), set(tx.write_set))
-        self._queue.append(task)
+        self._queue.append(_SyncTask(log, list(log.entries), set(tx.write_set)))
         if self.eager_sync:
             self.sync_pending()
 
@@ -186,16 +193,16 @@ class KaminoEngine(LockingLogEngine):
                 done += 1
         return done
 
+    def _roll_forward(self, entries: List[IntentEntry]) -> None:
+        """Copy one committed transaction's ranges main → backup."""
+        if self.coalesce_sync:
+            self.backup.absorb_entries(entries)
+        else:
+            BackupStrategy.absorb_entries(self.backup, entries)
+
     def _sync_task(self, task: _SyncTask) -> None:
         device = self.heap_region.pool.device
-        if self.coalesce_sync:
-            self.backup.absorb_entries(task.entries)
-        else:
-            for entry in task.entries:
-                if entry.kind is IntentKind.FREE:
-                    self.backup.on_free_synced(entry.offset, entry.size)
-                else:
-                    self.backup.absorb(entry.offset, entry.size)
+        self._roll_forward(task.entries)
         device.fence()
         self._phase("copy_to_backup")
         task.log.release()
@@ -277,14 +284,7 @@ class KaminoEngine(LockingLogEngine):
             if lazy:
                 self._requeue_committed(rec, report)
                 continue
-            if self.coalesce_sync:
-                self.backup.absorb_entries(rec.entries)
-            else:
-                for entry in rec.entries:
-                    if entry.kind is IntentKind.FREE:
-                        self.backup.on_free_synced(entry.offset, entry.size)
-                    else:
-                        self.backup.absorb(entry.offset, entry.size)
+            self._roll_forward(rec.entries)
             device.fence()
             self.log.free_slot_by_index(rec.index)
             report.rolled_forward += 1
@@ -361,7 +361,7 @@ class KaminoEngine(LockingLogEngine):
         copies_in_critical_path=False,
         has_backup=True,
         locks_released_after_sync=True,
-        cost_profile="kamino",
+        cost=KAMINO_COST,
     ),
 )
 def kamino_simple(**kwargs) -> KaminoEngine:

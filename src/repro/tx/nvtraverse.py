@@ -45,10 +45,11 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import LogFullError
 from ..runtime.registry import EngineCapabilities, register_engine
+from ..sim.resources import KAMINO_COST
 from .backup import FullBackup
 from .base import IntentKind, Transaction
 from .intent_log import SlotState
-from .kamino import KaminoEngine, _SyncTask
+from .kamino import KaminoEngine
 
 
 class _ShadowBuffer:
@@ -175,13 +176,7 @@ class NVTraverseEngine(KaminoEngine):
         self._phase("flush_data")
         log.set_state(SlotState.COMMITTED)  # fence 3: linearisation point
         self._phase("commit_record")
-        for off in sorted(tx.write_set):
-            self.locks.mark_pending(tx.txid, off)
-        self._release_reads(tx)
-        task = _SyncTask(log, list(log.entries), set(tx.write_set))
-        self._queue.append(task)
-        if self.eager_sync:
-            self.sync_pending()
+        self._defer_sync(tx, log)
 
     def abort(self, tx: Transaction) -> None:
         # the main heap and the log slot were never touched during
@@ -203,7 +198,7 @@ class NVTraverseEngine(KaminoEngine):
         copies_in_critical_path=False,
         has_backup=True,
         locks_released_after_sync=True,
-        cost_profile="nvtraverse",
+        cost=KAMINO_COST,
     ),
 )
 def nvtraverse(**kwargs) -> NVTraverseEngine:

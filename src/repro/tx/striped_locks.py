@@ -29,14 +29,13 @@ Three properties make the sharding safe and testable:
 * **No cross-stripe operations** — no table method ever holds two
   stripe mutexes, so the stripes themselves cannot deadlock.
 
-Stats follow the :class:`~repro.nvm.stats.NVMStats` snapshot/delta
-idiom so drivers can account lock-table contention exactly like device
-traffic (the contended-workload driver reports both side by side).
+:attr:`StripedLockTable.stats` sums the stripes' own
+:class:`~repro.tx.locks.LockStats`, so callers read one counter shape
+whichever table an engine runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .locks import LockStats, ObjectLockTable
@@ -44,48 +43,6 @@ from .locks import LockStats, ObjectLockTable
 #: 2^64 / phi — spreads consecutive block offsets across stripes
 _GOLDEN_64 = 0x9E3779B97F4A7C15
 _MASK_64 = (1 << 64) - 1
-
-
-@dataclass(slots=True)
-class LockTableStats:
-    """Aggregated lock-table counters, NVMStats-style.
-
-    ``snapshot()``/``delta()`` mirror :class:`~repro.nvm.stats.NVMStats`
-    so benchmark code can bracket a run with the same idiom it already
-    uses for device counters.  ``hottest_stripe_acquires`` exposes the
-    balance of the sharding (a pathological hash would concentrate
-    traffic on one stripe and reintroduce the global bottleneck).
-    """
-
-    write_acquires: int = 0
-    read_acquires: int = 0
-    dependent_waits: int = 0
-    conflict_waits: int = 0
-    on_demand_syncs: int = 0
-    stripes: int = 1
-    hottest_stripe_acquires: int = 0
-
-    def snapshot(self) -> "LockTableStats":
-        return LockTableStats(
-            self.write_acquires,
-            self.read_acquires,
-            self.dependent_waits,
-            self.conflict_waits,
-            self.on_demand_syncs,
-            self.stripes,
-            self.hottest_stripe_acquires,
-        )
-
-    def delta(self, since: "LockTableStats") -> "LockTableStats":
-        return LockTableStats(
-            self.write_acquires - since.write_acquires,
-            self.read_acquires - since.read_acquires,
-            self.dependent_waits - since.dependent_waits,
-            self.conflict_waits - since.conflict_waits,
-            self.on_demand_syncs - since.on_demand_syncs,
-            self.stripes,
-            self.hottest_stripe_acquires,
-        )
 
 
 class StripedLockTable:
@@ -190,20 +147,3 @@ class StripedLockTable:
             total.conflict_waits += s.conflict_waits
             total.on_demand_syncs += s.on_demand_syncs
         return total
-
-    def stats_snapshot(self) -> LockTableStats:
-        """Current counters in the NVMStats snapshot/delta idiom."""
-        agg = self.stats
-        hottest = max(
-            (t.stats.write_acquires + t.stats.read_acquires for t in self._tables),
-            default=0,
-        )
-        return LockTableStats(
-            write_acquires=agg.write_acquires,
-            read_acquires=agg.read_acquires,
-            dependent_waits=agg.dependent_waits,
-            conflict_waits=agg.conflict_waits,
-            on_demand_syncs=agg.on_demand_syncs,
-            stripes=self.nstripes,
-            hottest_stripe_acquires=hottest,
-        )

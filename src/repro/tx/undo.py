@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from ..errors import TxError
 from ..runtime.registry import EngineCapabilities, register_engine
+from ..sim.resources import LOGGING_COST
 from .base import IntentKind, RecoveryReport, Transaction
 from ._common import LockingLogEngine
 
@@ -21,14 +22,13 @@ from ._common import LockingLogEngine
     capabilities=EngineCapabilities(
         description="NVML-style undo logging: old bytes captured in the critical path",
         copies_in_critical_path=True,
-        cost_profile="undo",
+        cost=LOGGING_COST,
     ),
 )
 class UndoLogEngine(LockingLogEngine):
     """NVML-style undo logging; see module docstring."""
 
     name = "undo"
-    copies_in_critical_path = True
     uses_log = True
 
     def __init__(
@@ -36,9 +36,8 @@ class UndoLogEngine(LockingLogEngine):
         n_slots: int = 64,
         max_entries: int = 256,
         log_data_bytes: int = 64 * 1024,
-        lock_timeout: float = 10.0,
     ):
-        super().__init__(n_slots, max_entries, lock_timeout)
+        super().__init__(n_slots, max_entries)
         self.log_data_bytes = log_data_bytes
 
     # -- intents -----------------------------------------------------------------
@@ -124,7 +123,6 @@ class UndoLogEngine(LockingLogEngine):
         description="in-place writes with no atomicity (crash-unsafe cost floor)",
         copies_in_critical_path=False,
         recoverable=False,
-        cost_profile="nolog",
     ),
 )
 class NoLoggingEngine(LockingLogEngine):
@@ -136,7 +134,6 @@ class NoLoggingEngine(LockingLogEngine):
     """
 
     name = "nolog"
-    copies_in_critical_path = False
     uses_log = False
 
     def on_add(self, tx: Transaction, offset: int, size: int, kind: IntentKind) -> None:

@@ -19,24 +19,23 @@ factory, and the *correct* engine must pass the identical scenario.
 """
 
 from repro.check import CrashExplorer, minimize_failure, replay_scenario, repro_snippet
+from repro.tx import kamino_finegrained
 from repro.tx.base import IntentKind
-from repro.tx.finegrained import FineGrainedKaminoEngine
 from repro.tx.nvtraverse import NVTraverseEngine
 
 
-class PrematureBackupSync(FineGrainedKaminoEngine):
+def broken_finegrained():
     """Broken on purpose: backup absorbs dirty data pre-commit-record."""
+    engine = kamino_finegrained(alpha=0.5, stripes=4)
+    commit = engine.commit
 
-    def commit(self, tx):
+    def premature_backup_sync(tx):
         for offset, size, kind in tx.intents:
             if kind is IntentKind.WRITE:
-                self.backup.absorb(offset, size)
-        super().commit(tx)
+                engine.backup.absorb(offset, size)
+        commit(tx)
 
-
-def broken_finegrained():
-    engine = PrematureBackupSync(alpha=0.5, stripes=4)
-    engine.name = "kamino-finegrained"
+    engine.commit = premature_backup_sync
     return engine
 
 

@@ -105,6 +105,16 @@ def test_protected_rot_is_never_served_without_a_mirror(engine, workload):
     assert report.ok, "\n".join(str(f) for f in report.failures[:5])
 
 
+@pytest.mark.parametrize("workload", ["pairs", "kv"])
+def test_protected_rot_is_repaired_from_the_mirror(workload):
+    """A roll-forward that rewrites one word of a rotted mirror line must
+    leave the line detectable, so the scrubber repairs it from main."""
+    report = CrashExplorer("kamino-simple", workload=workload).explore(
+        max_points=24, media="protected", corrupt_lines=4
+    )
+    assert report.ok, "\n".join(str(f) for f in report.failures[:5])
+
+
 #: sweep legs whose reads of rotted bytes used to raise out of explore()
 #: (an allocator header sized from rot, a validator decoding garbage)
 ESCAPING_LEGS = [

@@ -57,6 +57,26 @@ class TestRepairDirections:
         assert report.repaired == 1 and report.ok
         assert media.bad_lines() == []
 
+    def test_partial_persist_keeps_rot_detectable(self):
+        """A flush that rewrites one word of a rotted mirror line (a
+        roll-forward copy) must not re-bless the other words' rot; the
+        scrubber then repairs the line from main."""
+        heap, engine, device, media, pairs = kamino_stack()
+        main = heap.region.offset + pairs[1]._oid
+        mirror = engine.backup.region.offset + pairs[1]._oid
+        line = mirror // _LINE
+        base = line * _LINE
+        media.flip_bit(base + 40, 3)
+        device.copy(base, main - mirror + base, 8)  # one word, main -> mirror
+        device.flush(base, 8)
+        device.fence()
+        assert line in media.bad_lines()
+        report = scrubber(heap, engine, device).scrub_once()
+        assert report.repaired == 1 and report.ok
+        assert media.bad_lines() == []
+        main_base = main - mirror + base
+        assert device.read(base, _LINE) == device.read(main_base, _LINE)
+
     def test_pending_sync_blocks_stale_backup(self):
         """A committed-but-unsynced line must NOT be 'repaired' from the
         lagging backup; without a peer it degrades to lost."""

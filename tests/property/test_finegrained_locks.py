@@ -164,15 +164,14 @@ def test_stripe_count_invariance(steps):
         table = StripedLockTable(nstripes, timeout=1.0)
         _run_script(table, steps)
         assert len(table) == 0
-        snap = table.stats_snapshot()
-        assert snap.stripes == nstripes
+        stats = table.stats
         snapshots.append(
             (
-                snap.write_acquires,
-                snap.read_acquires,
-                snap.dependent_waits,
-                snap.conflict_waits,
-                snap.on_demand_syncs,
+                stats.write_acquires,
+                stats.read_acquires,
+                stats.dependent_waits,
+                stats.conflict_waits,
+                stats.on_demand_syncs,
             )
         )
     assert snapshots[0] == snapshots[1] == snapshots[2]
@@ -187,6 +186,25 @@ def test_stripe_count_invariance(steps):
         base.conflict_waits,
         base.on_demand_syncs,
     )
+
+
+@given(nstripes=st.sampled_from([2, 7, 16]), first_block=st.integers(0, 2**20))
+@SETTINGS
+def test_stripes_share_dense_traffic(nstripes, first_block):
+    """The hash spreads a dense run of neighbouring blocks: each stripe's
+    own counters carry close to a fair share and sum to the table's."""
+    table = StripedLockTable(nstripes)
+    blocks = 16 * nstripes
+    for i in range(blocks):
+        offset = (first_block + i) * 32
+        table.acquire_read(1, offset)
+        table.release_read(1, offset)
+        table.acquire_write(2, offset)
+        table.release_write(2, offset)
+    shares = [stripe.stats.read_acquires + stripe.stats.write_acquires
+              for stripe in table._tables]
+    assert sum(shares) == table.stats.read_acquires + table.stats.write_acquires
+    assert max(shares) <= 2 * (2 * blocks // nstripes)
 
 
 @given(seed=st.integers(0, 2**16), stripes=st.sampled_from([(1, 8), (8, 64)]))

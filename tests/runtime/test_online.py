@@ -10,8 +10,10 @@ import pytest
 
 from repro.bench import replay
 from repro.bench.runners import run_ycsb_online, trace_ycsb
+from repro.nvm.latency import NVDIMM
 from repro.runtime import ExecutionContext, run_online
-from repro.runtime.online import replay_records
+from repro.runtime.online import VirtualClients, replay_records
+from repro.runtime.registry import registered_engines
 
 
 def _put_stream(ctx, n):
@@ -114,3 +116,54 @@ class TestDependentTransactions:
             kind_of=lambda i: "put",
         )
         assert hot.mean_latency_us > cold.mean_latency_us
+        assert hot.dependent_waits > cold.dependent_waits
+
+
+#: what the scheduler charges each engine — (serial ns per intent, serial
+#: ns per read lock, log copy serialized, local ns per intent, local ns
+#: per read lock, write locks held through the backup sync) — written out
+#: as the calibrated table gave them before the rows moved onto the
+#: registrations.  The one change is intent-only's last field: the
+#: shared table row said True where its registration says False, and no
+#: intent-only record carries backup-sync work for the flag to act on
+#: (test_intent_only_records_carry_no_sync_work).
+SCHEDULER_RECORDS = {
+    "cow": (900.0, 40.0, True, 0.0, 0.0, False),
+    "intent-only": (40.0, 40.0, False, 0.0, 0.0, False),
+    "kamino-dynamic": (40.0, 40.0, False, 0.0, 0.0, True),
+    "kamino-finegrained": (8.0, 8.0, False, 32.0, 32.0, True),
+    "kamino-simple": (40.0, 40.0, False, 0.0, 0.0, True),
+    "nolog": (0.0, 0.0, False, 0.0, 0.0, False),
+    "nvtraverse": (40.0, 40.0, False, 0.0, 0.0, True),
+    "undo": (900.0, 40.0, True, 0.0, 0.0, False),
+    "kamino-dynamic-10": (40.0, 40.0, False, 0.0, 0.0, True),
+    "kamino-dynamic-30": (40.0, 40.0, False, 0.0, 0.0, True),
+    "kamino-dynamic-50": (40.0, 40.0, False, 0.0, 0.0, True),
+    "kamino-dynamic-70": (40.0, 40.0, False, 0.0, 0.0, True),
+    "kamino-dynamic-90": (40.0, 40.0, False, 0.0, 0.0, True),
+}
+
+
+class TestSchedulerCostPin:
+    def test_every_registered_engine_is_pinned(self):
+        assert set(registered_engines()) <= set(SCHEDULER_RECORDS)
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULER_RECORDS))
+    def test_scheduler_record(self, name):
+        clients = VirtualClients(None, 1, name, NVDIMM, 0.0)
+        cost = clients.cost
+        assert (
+            cost.serial_ns_per_intent,
+            cost.serial_ns_per_read_lock,
+            cost.serial_includes_copy,
+            cost.local_ns_per_intent,
+            cost.local_ns_per_read_lock,
+            clients.locks_after_sync,
+        ) == SCHEDULER_RECORDS[name]
+
+    def test_intent_only_records_carry_no_sync_work(self):
+        ctx = ExecutionContext.create("intent-only", value_size=64, heap_mb=2)
+        ops, put = _put_stream(ctx, 40)
+        result = run_online(ctx, ops, put, 2, kind_of=lambda i: "put")
+        assert result.ops == 40
+        assert all(rec.async_ns == 0 for rec in ctx.records)

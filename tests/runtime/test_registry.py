@@ -12,6 +12,14 @@ from repro.runtime.registry import (
     registry_snapshot,
     unregister_engine,
 )
+from repro.sim.resources import (
+    DEFAULT_COST,
+    KAMINO_COST,
+    LOGGING_COST,
+    STRIPED_KAMINO_COST,
+    EngineCostModel,
+    cost_model_for,
+)
 
 
 class TestBuiltins:
@@ -86,7 +94,7 @@ class TestDecorator:
         try:
             caps = engine_info("test-default").capabilities
             assert caps.recoverable
-            assert caps.cost_profile == "default"
+            assert caps.cost is DEFAULT_COST
             assert caps.options == ()
         finally:
             unregister_engine("test-default")
@@ -132,26 +140,28 @@ class TestRegistrySnapshot:
 
 
 class TestCostModelIntegration:
-    def test_cost_profile_drives_scheduler(self):
-        from repro.sim.resources import ENGINE_COST_MODELS, cost_model_for
+    def test_cost_row_drives_scheduler(self):
+        assert cost_model_for("undo") is LOGGING_COST
+        assert cost_model_for("cow") is LOGGING_COST
+        assert cost_model_for("kamino-simple") is KAMINO_COST
+        assert cost_model_for("kamino-dynamic-30") is KAMINO_COST
+        assert cost_model_for("nvtraverse") is KAMINO_COST
+        assert cost_model_for("kamino-finegrained") is STRIPED_KAMINO_COST
+        assert cost_model_for("nolog") is DEFAULT_COST
+        assert cost_model_for("exotic") is DEFAULT_COST
 
-        assert cost_model_for("undo") is ENGINE_COST_MODELS["undo"]
-        assert cost_model_for("kamino-simple") is ENGINE_COST_MODELS["kamino"]
-        assert cost_model_for("kamino-dynamic-30") is ENGINE_COST_MODELS["kamino"]
+    def test_the_registered_cost_is_the_cost(self):
+        # a name that prefix-matches "undo" gets exactly the row its own
+        # registration carries
+        row = EngineCostModel(serial_ns_per_intent=7.0)
 
-    def test_registered_profile_beats_prefix_heuristic(self):
-        from repro.sim.resources import ENGINE_COST_MODELS, cost_model_for
-
-        # an engine whose name would prefix-match "undo" but whose
-        # registration declares the kamino profile: the registry wins
-        @register_engine(
-            "undo-free",
-            capabilities=EngineCapabilities(cost_profile="kamino"),
-        )
+        @register_engine("undo-free", capabilities=EngineCapabilities(cost=row))
         def factory():
             return object()
 
         try:
-            assert cost_model_for("undo-free") is ENGINE_COST_MODELS["kamino"]
+            assert cost_model_for("undo-free") is row
+            assert cost_model_for("undo-free-3") is row
+            assert cost_model_for("undo") is LOGGING_COST
         finally:
             unregister_engine("undo-free")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.runtime.registry import engine_info
 from repro.sim import BandwidthResource, FIFOServer, cost_model_for
 
 
@@ -57,13 +58,13 @@ class TestCostModels:
         m = cost_model_for("undo")
         assert m.serial_ns_per_intent > 0
         assert m.serial_includes_copy
-        assert not m.locks_released_after_sync
+        assert not engine_info("undo").capabilities.locks_released_after_sync
 
     def test_kamino_variants_share_model(self):
         simple = cost_model_for("kamino-simple")
         dynamic = cost_model_for("kamino-dynamic-30")
         assert simple is dynamic
-        assert simple.locks_released_after_sync
+        assert engine_info("kamino-dynamic-30").capabilities.locks_released_after_sync
         assert simple.serial_ns_per_intent < cost_model_for("undo").serial_ns_per_intent
 
     def test_unknown_engine_gets_neutral_model(self):

@@ -18,6 +18,12 @@ mode selector, the watermark and sidecar-bless options and the CLI's
 streamed-vs-eager comparison are gone, and ``tree`` is a plain switch.
 So are the single-value options nothing passed and the fifth copy of the
 op counter in ``repro.sim``.
+
+Each engine is declared once, by its registration: ``kamino-finegrained``
+is a factory over the one Kamino engine, the scheduler's cost row and the
+late-unlock flag live on the capabilities, the intent-only engine loads
+with every other, and the class-level copy flag, the lock-counter
+snapshot and the ``lock_timeout`` keyword nothing passed are gone.
 """
 
 import os
@@ -33,7 +39,13 @@ import repro.bench
 import repro.check.chain
 import repro.integrity
 import repro.kvstore
+import repro.replication
+import repro.runtime.registry
 import repro.sim
+import repro.sim.resources
+import repro.tx
+import repro.tx.finegrained
+import repro.tx.striped_locks
 from repro.check import ChainCrashExplorer, MigrationCrashExplorer
 from repro.check.pytest_plugin import CheckBudget
 from repro.cli import main
@@ -44,6 +56,7 @@ from repro.tx.recovery import verify_backup_consistency
 from repro.nvm.backend import device_class
 from repro.nvm.reference import ReferenceNVMDevice
 from repro.runtime import ExecutionContext
+from repro.runtime.registry import EngineCapabilities, make_engine, registered_engines
 from repro.serve import ServeCrashExplorer
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,6 +122,7 @@ import sys
 import repro
 from repro.check import CrashExplorer
 from repro.runtime import ExecutionContext
+from repro.runtime.registry import EngineCapabilities, make_engine, registered_engines
 from repro.serve import ServeCrashExplorer
 ExecutionContext.create("kamino-simple", value_size=64, heap_mb=1)
 assert CrashExplorer("kamino-simple", workload="kv").explore(max_points=4).ok
@@ -204,3 +218,25 @@ def test_the_sim_op_counter_and_online_tpcc_runner_are_gone():
     assert not hasattr(repro.sim, "crash_points")
     with pytest.raises(ModuleNotFoundError):
         __import__("repro.sim.failure")
+
+
+def test_each_engine_is_declared_once():
+    assert not hasattr(repro.tx, "FineGrainedKaminoEngine")
+    assert not hasattr(repro.tx.finegrained, "FineGrainedKaminoEngine")
+    assert not hasattr(repro.tx, "LockTableStats")
+    assert not hasattr(repro.tx.striped_locks, "LockTableStats")
+    assert not hasattr(repro.tx.striped_locks.StripedLockTable, "stats_snapshot")
+    assert not hasattr(repro.sim.resources, "ENGINE_COST_MODELS")
+    assert not hasattr(repro.runtime.registry, "_EXTRAS_LOADED")
+    with pytest.raises(ModuleNotFoundError):
+        __import__("repro.replication.inplace_engine")
+    assert not hasattr(repro.replication, "IntentOnlyEngine")
+    with pytest.raises(TypeError):
+        EngineCapabilities(cost_profile="kamino")
+
+
+@pytest.mark.parametrize("name", sorted(registered_engines()))
+def test_engines_take_no_lock_timeout_and_carry_no_copy_flag(name):
+    with pytest.raises(TypeError):
+        make_engine(name, lock_timeout=1)
+    assert not hasattr(make_engine(name), "copies_in_critical_path")

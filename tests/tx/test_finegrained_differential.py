@@ -30,7 +30,7 @@ VALUE_SIZE = 256
 def _run_ycsb_serial(engine_name, engine_kwargs, crash_after_ops=None):
     """Load + run YCSB-A serially; return (device, fingerprint, stats)."""
     Transaction._ids = itertools.count(1)
-    stack, workload = _load_ycsb(
+    ctx, workload = _load_ycsb(
         engine_name, "A", NRECORDS, VALUE_SIZE, 0, NVDIMM,
         heap_mb=24, **engine_kwargs,
     )
@@ -38,9 +38,9 @@ def _run_ycsb_serial(engine_name, engine_kwargs, crash_after_ops=None):
     if crash_after_ops is not None:
         ops = ops[:crash_after_ops]
     for op in ops:
-        workload.execute(stack.kv, op)
-    stack.ctx.heap.drain()
-    device = stack.device
+        workload.execute(ctx.kv, op)
+    ctx.heap.drain()
+    device = ctx.device
     return device, device.overlay_fingerprint(), device.stats.snapshot()
 
 

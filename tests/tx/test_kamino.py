@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TxAborted
+from repro.runtime.registry import engine_info
 from repro.tx import kamino_simple, verify_backup_consistency
 from repro.tx.intent_log import SlotState
 
@@ -53,7 +54,7 @@ class TestCriticalPath:
 
     def test_engine_flags(self, setup):
         _, engine, _, _ = setup
-        assert engine.copies_in_critical_path is False
+        assert not engine_info(engine.name).capabilities.copies_in_critical_path
         assert engine.name == "kamino-simple"
 
 

@@ -12,31 +12,39 @@ enumeration:
 2. **Record the ledger**: one uncrashed golden run, observing the
    logical state after setup and after every step
    (:class:`~repro.check.oracle.Ledger`).
-3. For every crash point (or an evenly-spaced sample in quick mode),
-   **replay** the workload with the fail-point armed and let the power
-   failure fire (*run-to-crash*), then recover with
-   :func:`~repro.tx.recovery.reopen_after_crash` and judge the recovered
-   heap with the ledger oracle, the workload's structure validators, and
-   (for backup engines) main/backup agreement (*finish*).
-4. **Prune** redundant states: at a base point (``DROP_ALL``, no nested
-   crash) the device records a digest of the pre-resolution crash image
-   (durable bytes + dirty-line overlay) at crash time; two points with
-   equal digests behave identically under every crash policy, so only
-   the first is explored.  Points separated only by reads, or by a fence
-   that persisted nothing new, collapse.  No other crash is digested —
-   nothing reads it.
-5. **Nest**: for each novel crash state, re-crash at every mutating
-   operation *of recovery itself* (and its post-recovery sync drain),
-   then recover again — recovery must be idempotent under its own power
-   failures (paper §3: "both directions are idempotent").  The state is
-   run to its crash *once*; counting recovery's operations and every
-   nested point each *fork* that image (:meth:`NVMDevice.clone_durable`
-   copies the pages the run wrote, not the pool) and go straight to
-   *finish*, which is the same code a from-scratch replay of that
-   scenario runs.
+3. **One forward pass**: run setup and the steps once more with a
+   fail-point *callback* armed at each crash point to visit — every one,
+   or an evenly-spaced sample in quick mode
+   (:meth:`NVMDevice.schedule_callback`).  At point ``p`` the pass pauses
+   just before mutating operation ``p + 1``, in exactly the state a crash
+   scheduled there would resolve, and **prunes** on the pre-resolution
+   digest of that state (durable bytes + dirty-line overlay,
+   :meth:`NVMDevice.overlay_fingerprint`): two points with equal digests
+   behave identically under every crash policy, so only the first is
+   judged.  Points separated only by reads, or by a fence that persisted
+   nothing new, collapse.  The pass never crashes; it resumes after each
+   point.
+4. **Judge** a novel point on *forks* of the paused device
+   (:meth:`NVMDevice.clone_durable` with its overlay: the pages the run
+   wrote plus its dirty lines, not the pool): the ``DROP_ALL`` base crash
+   and its RANDOM-policy lotteries, which cover torn writes beyond the
+   all-or-nothing policies.  Each fork power-fails under its scenario's
+   own policy and device seed, takes the scenario's media rot, recovers
+   with :func:`~repro.tx.recovery.reopen_after_crash`, and faces the
+   ledger oracle, the workload's structure validators, and (for backup
+   engines) main/backup agreement (*finish*).
+5. **Nest**: for each novel point, re-crash at every mutating operation
+   *of recovery itself* (and its post-recovery sync drain), then recover
+   again — recovery must be idempotent under its own power failures
+   (paper §3: "both directions are idempotent").  The base crash is
+   resolved once more; counting recovery's operations and every nested
+   point each fork that post-crash image and go straight to *finish*.
 
-RANDOM-policy sampling replays surviving-word lotteries with distinct
-device seeds, covering torn writes beyond the all-or-nothing policies.
+A single :meth:`CrashExplorer.replay` is the same forward pass stopped at
+its one point, so the sweep, the minimiser and a pasted
+:func:`replay_scenario` snippet run the same code.  ``tests/check/``
+keeps the from-scratch run to a scheduled crash as the spec every judged
+scenario is held to.
 
 **Media-corruption mode** (``Scenario.media`` + ``corrupt_lines``)
 additionally rots the durable image *between the crash and recovery*:
@@ -65,10 +73,11 @@ surviving copy, or a typed degrade.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import (
     DeviceCrashedError,
@@ -78,13 +87,19 @@ from ..errors import (
 )
 from ..nvm.device import CrashPolicy, NVMDevice
 from ..nvm.latency import CACHE_LINE
-from ..parallel import count_mutating_ops, fan_out_iter, sample_points
+from ..parallel import (
+    contiguous_slices,
+    count_mutating_ops,
+    fan_out_iter,
+    resolve_workers,
+    sample_points,
+)
 from ..runtime.registry import EngineInfo, engine_info, registered_engines
 from ..tx.recovery import reopen_after_crash, verify_backup_consistency
 from .oracle import Ledger, OracleViolation, check_against_ledger
 from .workload import CANNED_WORKLOADS, CheckWorkload, build_stack
 
-#: the "fingerprint" of a replay whose fail-point fired but whose crash
+#: the "fingerprint" of a replay whose crash point was reached but whose
 #: state nobody dedups on (lotteries, nested scenarios): not ``None``,
 #: which means the point lies beyond the workload
 NOT_DIGESTED = ""
@@ -187,24 +202,82 @@ class ExplorationReport:
 
 @dataclass
 class _Crashed:
-    """A workload run up to its fail-point — everything the rest of a
-    replay (recovery and judgment) needs.
+    """A crashed image — everything the rest of a replay (recovery and
+    judgment) needs.
 
-    ``device`` is crashed, with the scenario's media rot already in it;
-    ``workload`` holds the handles setup recorded; ``steps_done`` is how
-    many steps had returned.  Recovery is destructive, so each replay
-    needs the image to itself: :meth:`fork` clones the durable media
-    (the workload object is shared — it re-opens its structures on
-    whichever heap it is shown).
+    ``device`` is crashed, with the scenario's media rot already in it,
+    and belongs to this replay alone (recovery is destructive);
+    ``workload`` is a shallow copy of the one that ran, holding the
+    handles setup recorded (it re-opens its structures on whichever heap
+    it is shown, which must not re-point the run's own copy);
+    ``steps_done`` is how many steps had returned; ``fingerprint`` is the
+    point's digest for a base point, else :data:`NOT_DIGESTED`.
     """
 
     device: NVMDevice
     workload: CheckWorkload
     steps_done: int
-    fingerprint: str
+    fingerprint: str = NOT_DIGESTED
 
-    def fork(self, seed: int) -> "_Crashed":
-        return replace(self, device=self.device.clone_durable(seed=seed))
+
+@dataclass
+class _Point:
+    """The forward pass paused just before mutating operation
+    ``crash_after + 1``.  Judging only reads it: the pass resumes."""
+
+    crash_after: int
+    device: NVMDevice
+    heap: Any
+    workload: CheckWorkload
+    steps_done: int
+    #: setup-time line images for the stale-replay adversary, or None
+    stale: Any
+
+
+@dataclass
+class _Verdicts:
+    """What one sweep slice found at one crash point.  When the slice
+    already judged an equal digest, nothing is judged and the lists stay
+    empty — the sweep prunes the point either way."""
+
+    crash_after: int
+    fingerprint: str
+    base: Optional[CheckFailure] = None
+    lotteries: List[Optional[CheckFailure]] = field(default_factory=list)
+    nested: List[Optional[CheckFailure]] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What a sweep judges at each novel point; every slice gets a copy.
+
+    ``template`` carries the engine, workload, device seed and media
+    knobs every scenario of the sweep shares.
+    """
+
+    template: Scenario
+    random_samples: int
+    survival: float
+    nested: bool
+    max_nested_points: Optional[int]
+
+    def base(self, point: int) -> Scenario:
+        return replace(
+            self.template,
+            crash_after=point,
+            corrupt_seed=self.template.device_seed * 1000 + point,
+        )
+
+    def lotteries(self, base: Scenario) -> List[Scenario]:
+        return [
+            replace(
+                base,
+                policy=CrashPolicy.RANDOM,
+                survival=self.survival,
+                device_seed=base.device_seed + 1 + sample,
+            )
+            for sample in range(self.random_samples)
+        ]
 
 
 class CrashExplorer:
@@ -346,72 +419,114 @@ class CrashExplorer:
         heap.drain()
         return ledger
 
-    # -- one scenario --------------------------------------------------------
+    # -- the forward pass ----------------------------------------------------
 
-    def replay(
+    def _forward(
         self,
-        scenario: Scenario,
-        ledger: Optional[Ledger] = None,
-        crashed: Optional["_Crashed"] = None,
-    ) -> Tuple[Optional[CheckFailure], Optional[str]]:
-        """Run one scenario; returns (failure-or-None, crash fingerprint).
+        template: Scenario,
+        points: Sequence[int],
+        visit: Callable[[_Point], None],
+    ) -> None:
+        """Run setup and the steps once, pausing at each crash point of
+        ``points`` (ascending) to ``visit`` it; the run ends after the
+        last one.  ``template`` supplies the device seed and the media
+        knobs.  A point past the end of the workload is never visited.
 
-        A ``None`` fingerprint means the fail-point never fired (the
-        point lies beyond the workload), in which case nothing was
-        checked.  Only a *base point* (``DROP_ALL``, no nested crash)
-        carries a digest — it is the one the sweep prunes on; any other
-        scenario that fired reports :data:`NOT_DIGESTED`.
-
-        A replay is :meth:`_run_to_crash` then :meth:`_finish`.  The
-        sweep hands nested scenarios the crashed image their base
-        already produced (``crashed``, a private fork of it) instead of
-        having each re-run the prefix; what runs from there is the same
-        :meth:`_finish` either way.
+        The fail-point countdown calls back instead of crashing, so the
+        device at a pause is bit-for-bit the one a crash scheduled there
+        would resolve; ``visit`` must only fork it, never drive it.
         """
-        if ledger is None:
-            ledger = self.golden_ledger()
-        if crashed is None:
-            crashed = self._run_to_crash(
-                scenario,
-                digest=scenario.policy is CrashPolicy.DROP_ALL
-                and scenario.nested_after is None,
-            )
-            if crashed is None:
-                return None, None
-        return self._finish(scenario, crashed, ledger), crashed.fingerprint
-
-    def _run_to_crash(self, scenario: Scenario, digest: bool) -> Optional["_Crashed"]:
-        """Build the stack, run setup and the steps until the scenario's
-        fail-point fires, then rot the crashed image as the scenario
-        asks.  ``None`` when the workload finishes first.  ``digest``
-        records the pre-resolution crash fingerprint (base points only:
-        nobody reads it anywhere else)."""
+        if not points:
+            return
         heap, _engine, device, workload = self._fresh(
-            scenario.device_seed, media=scenario.media, tree=scenario.tree
+            template.device_seed, media=template.media, tree=template.tree
         )
-        snap = self._stale_snapshot(device, heap, scenario)
-        device.fingerprint_crashes = digest
-        device.schedule_crash(
-            scenario.crash_after, scenario.policy, scenario.survival
-        )
+        stale = self._stale_snapshot(device, heap, template)
         steps_done = 0
+        at = 0
+
+        def pause() -> None:
+            nonlocal at
+            point = points[at]
+            visit(_Point(point, device, heap, workload, steps_done, stale))
+            at += 1
+            if at < len(points):
+                device.schedule_callback(points[at] - point - 1, pause)
+            else:
+                # nothing left to visit: end the run the way a crash would
+                device.crash()
+                raise DeviceCrashedError("forward pass: last point visited")
+
+        device.schedule_callback(points[0], pause)
         try:
             for i in range(workload.n_steps):
                 workload.step(heap, i)
                 steps_done += 1
             heap.drain()
         except DeviceCrashedError:
-            pass
-        else:
-            device.cancel_scheduled_crash()
-            return None
-        # a crash inside recovery is never a pruning key
-        device.fingerprint_crashes = False
-        self._inject_corruption(device, heap, scenario)
-        self._inject_stale(device, scenario, snap)
-        return _Crashed(
-            device, workload, steps_done, device.last_crash_fingerprint or NOT_DIGESTED
-        )
+            return
+        device.cancel_scheduled_crash()
+
+    def _crash(
+        self, point: _Point, scenario: Scenario, fingerprint: str = NOT_DIGESTED
+    ) -> _Crashed:
+        """``scenario``'s crashed image, forked from the paused pass.
+
+        A private clone of the device, overlay included, power-fails
+        under the scenario's own policy and device seed (its media RNG
+        reseeded too, as a from-scratch build seeds both), then takes the
+        scenario's rot.  Corruption targets the live allocations the
+        paused heap holds — what a crash there would leave, since a
+        power failure never aborts the transaction in flight."""
+        device = point.device.clone_durable(seed=scenario.device_seed, overlay=True)
+        if device.media is not None:
+            device.media.rng.seed(scenario.device_seed)
+        device.crash(scenario.policy, scenario.survival)
+        self._inject_corruption(device, point.heap, scenario)
+        self._inject_stale(device, scenario, point.stale)
+        return _Crashed(device, copy.copy(point.workload), point.steps_done, fingerprint)
+
+    # -- one scenario --------------------------------------------------------
+
+    def replay(
+        self,
+        scenario: Scenario,
+        ledger: Optional[Ledger] = None,
+        crashed: Optional[_Crashed] = None,
+    ) -> Tuple[Optional[CheckFailure], Optional[str]]:
+        """Judge one scenario; returns (failure-or-None, crash fingerprint).
+
+        A ``None`` fingerprint means the crash point was never reached
+        (it lies beyond the workload), in which case nothing was checked.
+        Only a *base point* (``DROP_ALL``, no nested crash) carries a
+        digest — it is the one the sweep prunes on; any other scenario
+        that was reached reports :data:`NOT_DIGESTED`.
+
+        Without ``crashed`` this is :meth:`_forward` stopped at the
+        scenario's point and forked into its crashed image; the sweep
+        hands every scenario it judges the image it forked for it.
+        Either way what runs from there is :meth:`_finish`.
+        """
+        if ledger is None:
+            ledger = self.golden_ledger()
+        if crashed is None:
+            digest = scenario.policy is CrashPolicy.DROP_ALL and scenario.nested_after is None
+            images: List[_Crashed] = []
+            self._forward(
+                scenario,
+                [scenario.crash_after],
+                lambda point: images.append(
+                    self._crash(
+                        point,
+                        scenario,
+                        point.device.overlay_fingerprint() if digest else NOT_DIGESTED,
+                    )
+                ),
+            )
+            if not images:
+                return None, None
+            crashed = images[0]
+        return self._finish(scenario, crashed, ledger), crashed.fingerprint
 
     def _finish(
         self, scenario: Scenario, crashed: "_Crashed", ledger: Ledger
@@ -580,23 +695,57 @@ class CrashExplorer:
 
     # -- the sweep -----------------------------------------------------------
 
-    def _replay_nested(
+    def _sweep_slice(
         self,
+        points: Sequence[int],
+        ledger: Ledger,
+        plan: _Plan,
+        emit: Optional[Callable[[_Verdicts], None]] = None,
+    ) -> List[_Verdicts]:
+        """One unit of parallel work: one forward pass over a contiguous
+        run of the sampled points, judging each point whose digest is new
+        *within the slice* — only :meth:`explore`, folding the slices in
+        point order, decides novelty across them.  Each point's verdicts
+        go to ``emit`` as soon as it is judged (the serial sweep folds
+        them there, so progress keeps pace with the pass), else they are
+        returned in point order."""
+        found: List[_Verdicts] = []
+        emit = emit or found.append
+        seen: Set[str] = set()
+
+        def visit(point: _Point) -> None:
+            verdicts = _Verdicts(point.crash_after, point.device.overlay_fingerprint())
+            if verdicts.fingerprint not in seen:
+                seen.add(verdicts.fingerprint)
+                base = plan.base(point.crash_after)
+                verdicts.base = self.replay(
+                    base, ledger, self._crash(point, base, verdicts.fingerprint)
+                )[0]
+                verdicts.lotteries = [
+                    self.replay(lottery, ledger, self._crash(point, lottery))[0]
+                    for lottery in plan.lotteries(base)
+                ]
+                if plan.nested:
+                    verdicts.nested = self._nested_family(
+                        point, base, ledger, plan.max_nested_points
+                    )
+            emit(verdicts)
+
+        self._forward(plan.template, points, visit)
+        return found
+
+    def _nested_family(
+        self,
+        point: _Point,
         base: Scenario,
         ledger: Ledger,
         max_nested_points: Optional[int],
     ) -> List[Optional[CheckFailure]]:
-        """Every crash-during-recovery scenario nested under ``base``,
-        replayed from *one* run of the prefix; one verdict each.
-
-        Runs ``base`` to its crash once, counts recovery's mutating ops
-        on a clone of that image, and hands each sampled nested point
-        its own fork.  One call is one unit of parallel work: the image
-        is built where its nested points run.
-        """
-        crashed = self._run_to_crash(base, digest=False)
-        if crashed is None:
-            return []
+        """Every crash-during-recovery scenario nested under ``base``; one
+        verdict each.  ``base`` is crashed once more, recovery's mutating
+        ops are counted on a clone of that image, and each sampled nested
+        point finishes on a clone of its own."""
+        crashed = self._crash(point, base)
         try:
             n_recovery_ops = self._count_recovery_ops(crashed.device)
         except Exception:
@@ -607,7 +756,9 @@ class CrashExplorer:
             return []
         return [
             self.replay(
-                replace(base, nested_after=q), ledger, crashed.fork(base.device_seed)
+                replace(base, nested_after=q),
+                ledger,
+                replace(crashed, device=crashed.device.clone_durable(seed=base.device_seed)),
             )[0]
             for q in sample_points(0, n_recovery_ops - 1, max_nested_points)
         ]
@@ -648,93 +799,72 @@ class CrashExplorer:
                 crash and its recovery.  Checksum-only protection
                 verifies the replay clean; only a tree catches it.
             workers: fan the sweep over this many processes (0/1 =
-                serial).  A unit of work — a base point, a lottery, or a
-                novel state's whole nested family — builds its own
-                stack, so the report is byte-identical for any worker
-                count; only wall-clock changes.  Explorers built from
-                closures (custom factories) cannot cross a process
+                serial).  The unit of work is a contiguous slice of the
+                sampled points — one forward pass each; serial is the
+                one-slice case.  Slices judge every point novel within
+                themselves and the fold drops a point an earlier slice
+                already saw, so the report is byte-identical for any
+                worker count; only wall-clock changes.  Explorers built
+                from closures (custom factories) cannot cross a process
                 boundary and always sweep serially.
 
-        The sweep runs in three deterministic phases — base points,
-        RANDOM lotteries for the novel states, nested recovery crashes —
-        so the batches are wide enough to fan out.  Every phase folds
-        its ordered results, as they arrive, the same way serial
-        exploration would (:mod:`repro.parallel`).
+        Failures are reported base points first, then lotteries, then
+        nested scenarios, each in point order.
         """
         report = ExplorationReport(engine=self.engine_name, workload=self.workload_name)
         report.n_ops = self.count_ops()
         ledger = self.golden_ledger()
-        if not self._portable:
-            workers = 0
-        replay = partial(self.replay, ledger=ledger)
-        # crash_after=p fires just before mutating op p+1, so p ranges over
-        # 0 (nothing of the steps durable yet) .. n_ops-1 (all but the
-        # final operation done)
-        bases = [
-            Scenario(
+        plan = _Plan(
+            template=Scenario(
                 engine=self.engine_name,
                 workload=self.workload_name,
-                crash_after=point,
-                policy=CrashPolicy.DROP_ALL,
                 device_seed=self.device_seed,
                 media=media,
                 corrupt_lines=corrupt_lines if media != "off" else 0,
-                corrupt_seed=self.device_seed * 1000 + point,
                 tree=tree and media == "protected",
                 stale_lines=stale_lines if media != "off" else 0,
-            )
-            for point in sample_points(0, report.n_ops - 1, max_points)
-        ]
-        seen: Dict[str, int] = {}
-        novel: List[Scenario] = []
-        for base, (failure, fingerprint) in zip(
-            bases, fan_out_iter(replay, bases, workers)
-        ):
+            ),
+            random_samples=random_samples,
+            survival=survival,
+            nested=nested,
+            max_nested_points=max_nested_points,
+        )
+        # crash_after=p fires just before mutating op p+1, so p ranges over
+        # 0 (nothing of the steps durable yet) .. n_ops-1 (all but the
+        # final operation done)
+        points = sample_points(0, report.n_ops - 1, max_points)
+        seen: Set[str] = set()
+        lottery_failures: List[CheckFailure] = []
+        nested_failures: List[CheckFailure] = []
+
+        def fold(verdicts: _Verdicts) -> None:
             if progress is not None:
                 progress(
                     f"{self.engine_name}/{self.workload_name}: "
-                    f"point {base.crash_after}/{report.n_ops}"
+                    f"point {verdicts.crash_after}/{report.n_ops}"
                 )
-            if fingerprint is None:
-                continue
-            if fingerprint in seen:
+            if verdicts.fingerprint in seen:
                 # same durable bytes + same dirty overlay as an earlier
                 # point: every policy resolves it identically
                 report.states_pruned += 1
-                continue
-            seen[fingerprint] = base.crash_after
-            report.states_explored += 1
-            if failure is not None:
-                report.failures.append(failure)
-            novel.append(base)
-        lotteries = [
-            replace(
-                base,
-                policy=CrashPolicy.RANDOM,
-                survival=survival,
-                device_seed=self.device_seed + 1 + sample,
-            )
-            for base in novel
-            for sample in range(random_samples)
-        ]
-        for failure, fired in fan_out_iter(replay, lotteries, workers):
-            if fired is not None:
-                report.states_explored += 1
-                if failure is not None:
-                    report.failures.append(failure)
-        if nested:
-            families = fan_out_iter(
-                partial(
-                    self._replay_nested,
-                    ledger=ledger,
-                    max_nested_points=max_nested_points,
-                ),
-                novel,
-                workers,
-            )
-            for family in families:
-                report.nested_explored += len(family)
-                report.failures.extend(f for f in family if f is not None)
+                return
+            seen.add(verdicts.fingerprint)
+            report.states_explored += 1 + len(verdicts.lotteries)
+            report.nested_explored += len(verdicts.nested)
+            if verdicts.base is not None:
+                report.failures.append(verdicts.base)
+            lottery_failures.extend(f for f in verdicts.lotteries if f is not None)
+            nested_failures.extend(f for f in verdicts.nested if f is not None)
+
+        workers = resolve_workers(workers) if self._portable else 0
+        if workers <= 1:
+            self._sweep_slice(points, ledger, plan, emit=fold)
+        else:
+            job = partial(self._sweep_slice, ledger=ledger, plan=plan)
+            for found in fan_out_iter(job, contiguous_slices(points, workers), workers):
+                for verdicts in found:
+                    fold(verdicts)
+        report.failures += lottery_failures + nested_failures
         return report
 
 
@@ -743,7 +873,8 @@ def replay_scenario(
     workload_factory: Optional[Callable[[], CheckWorkload]] = None,
     engine_factory: Optional[Callable[[], Any]] = None,
 ) -> Optional[CheckFailure]:
-    """Re-run one scenario from scratch — the repro-snippet entry point."""
+    """Replay one scenario — the repro-snippet entry point, and the
+    same forward pass and fork the sweep judged it with."""
     explorer = CrashExplorer(
         scenario.engine,
         workload=scenario.workload,
@@ -768,8 +899,8 @@ def sweep_registry(
     cannot recover alone and are swept by
     :class:`repro.check.chain.ChainCrashExplorer` instead; deliberately
     unsafe baselines (``recoverable=False``) are skipped.  ``workers``
-    fans each explorer's scenario replays over a process pool; the
-    reports are byte-identical for any worker count.
+    fans each explorer's sweep slices over a process pool; the reports
+    are byte-identical for any worker count.
     """
     for name in engines or ():
         engine_info(name)  # an unknown name would sweep nothing and pass vacuously

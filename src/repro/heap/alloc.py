@@ -238,21 +238,33 @@ class SlabAllocator:
         carries no undo data), so a torn store into a block that was
         never successfully allocated legitimately survives in main
         without a backup counterpart.  Adjacent ranges are coalesced.
+
+        Walks bitmap words, not slots: a zero word costs one test, and
+        each run of set bits is one range.
         """
         ranges: List[Tuple[int, int]] = [(0, self.data_off)]
         for ci, cls in enumerate(self._chunk_class):
             if cls == 0:
                 continue
             base = self.data_off + ci * self.chunk_size
-            words = self._words[ci]
-            for slot in range(self.chunk_size // cls):
-                if words[slot // _WORD_BITS] & (1 << (slot % _WORD_BITS)):
-                    off = base + slot * cls
+            nslots = self.chunk_size // cls
+            for wi, word in enumerate(self._words[ci]):
+                if not word:
+                    continue
+                first = wi * _WORD_BITS
+                if nslots - first < _WORD_BITS:
+                    word &= (1 << (nslots - first)) - 1  # bits past the chunk
+                while word:
+                    start = (word & -word).bit_length() - 1
+                    run = word >> start
+                    length = ((run ^ (run + 1)) >> 1).bit_length()
+                    word &= ~(((1 << length) - 1) << start)
+                    off = base + (first + start) * cls
                     last_off, last_size = ranges[-1]
                     if last_off + last_size == off:
-                        ranges[-1] = (last_off, last_size + cls)
+                        ranges[-1] = (last_off, last_size + length * cls)
                     else:
-                        ranges.append((off, cls))
+                        ranges.append((off, length * cls))
         return ranges
 
     @property

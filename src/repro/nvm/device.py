@@ -51,7 +51,7 @@ import struct
 import threading
 from enum import Enum
 from itertools import repeat
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import DeviceCrashedError, OutOfBoundsError
 from .latency import CACHE_LINE, WORD, NVDIMM, LatencyModel
@@ -257,11 +257,6 @@ class NVMDevice:
         self._touched: Set[int] = set()
         self._crashed = False
         self._rng = random.Random(seed)
-        # opt-in crash-state fingerprinting (see overlay_fingerprint):
-        # when set, crash() records a digest of the pre-resolution state
-        # so the crash-consistency checker can prune redundant points
-        self.fingerprint_crashes = False
-        self.last_crash_fingerprint: Optional[str] = None
         # optional media-fault model (repro.integrity): None costs one
         # is-None test on the read path and nothing anywhere else
         self._media = None
@@ -269,10 +264,12 @@ class NVMDevice:
         # background syncer share the overlay (cheap under the GIL; the
         # benchmarks run single-threaded traces anyway)
         self._mutex = threading.RLock()
-        # scheduled fail-point: crash after N more mutating operations
+        # scheduled fail-point: crash (or call the action) after N more
+        # mutating operations
         self._crash_countdown: Optional[int] = None
         self._crash_policy = CrashPolicy.DROP_ALL
         self._crash_survival = 0.5
+        self._failpoint_action: Optional[Callable[[], None]] = None
 
     # -- helpers -----------------------------------------------------------
 
@@ -314,11 +311,16 @@ class NVMDevice:
             )
 
     def _tick_failpoint(self) -> None:
-        """Count down a scheduled crash; fires *before* the current op."""
+        """Count down a scheduled fail-point; fires *before* the current
+        op: a crash, or the scheduled action, after which the op runs."""
         if self._crash_countdown is None:
             return
         if self._crash_countdown <= 0:
             self._crash_countdown = None
+            action, self._failpoint_action = self._failpoint_action, None
+            if action is not None:
+                action()
+                return
             self.crash(self._crash_policy, self._crash_survival)
             raise DeviceCrashedError("scheduled fail-point reached")
         self._crash_countdown -= 1
@@ -341,9 +343,21 @@ class NVMDevice:
         self._crash_countdown = after_ops
         self._crash_policy = policy
         self._crash_survival = survival_prob
+        self._failpoint_action = None
+
+    def schedule_callback(self, after_ops: int, action: Callable[[], None]) -> None:
+        """Arm the same fail-point with ``action`` instead of a crash:
+        after ``after_ops`` more mutating operations, ``action()`` runs
+        just before the next one, which then proceeds (unless ``action``
+        raises).  The device is paused in exactly the state a crash
+        scheduled there would resolve, so the crash checker takes every
+        crash image of a run from one pass (re-arming from ``action``)."""
+        self.schedule_crash(after_ops)
+        self._failpoint_action = action
 
     def cancel_scheduled_crash(self) -> None:
         self._crash_countdown = None
+        self._failpoint_action = None
 
     # -- media faults (repro.integrity) ------------------------------------
 
@@ -825,8 +839,6 @@ class NVMDevice:
         """
         if self._crashed:
             return
-        if self.fingerprint_crashes:
-            self.last_crash_fingerprint = self.overlay_fingerprint()
         media = self._media
         crash_lines: Optional[List[Tuple[int, bool]]] = None
         if self._dirty_count:
@@ -916,15 +928,18 @@ class NVMDevice:
         """
         return crash_digest(self._durable_pages(), self._overlay_lines(), self._media)
 
-    def clone_durable(self, seed: Optional[int] = None) -> "NVMDevice":
-        """A fresh device with this device's durable media and no overlay.
+    def clone_durable(self, seed: Optional[int] = None, overlay: bool = False) -> "NVMDevice":
+        """A fresh device with this device's durable media and, with
+        ``overlay``, its unflushed cache lines (bytes and dirty-word
+        masks) too; ``seed`` seeds the clone's crash lottery.
 
         The clone starts in the same crashed/running state but with no
-        scheduled fail-point.  The checker runs recovery from one
-        post-crash image many times (once per nested crash point), which
-        needs the image preserved across destructive recovery runs.
-        Copies the non-zero pages only — everything else is zero on both
-        sides already.
+        scheduled fail-point and zeroed counters.  The checker forks
+        every crash scenario from a clone: a pre-resolution image
+        (``overlay=True``) for each policy to resolve its own way, and a
+        post-crash image per nested crash point, since recovery is
+        destructive.  Copies the non-zero pages and the dirty lines only
+        — everything else is zero or clean on both sides already.
         """
         clone = type(self)(
             self.size,
@@ -933,8 +948,9 @@ class NVMDevice:
             coalesce_flushes=self.coalesce_flushes,
         )
         self._copy_durable_to(clone)
+        if overlay:
+            self._copy_overlay_to(clone)
         clone._crashed = self._crashed
-        clone.fingerprint_crashes = self.fingerprint_crashes
         if self._media is not None:
             # media state is part of the durable image: a clone must not
             # resurrect dead lines or forget the checksum sidecar
@@ -944,6 +960,17 @@ class NVMDevice:
     def _copy_durable_to(self, clone: "NVMDevice") -> None:
         for page, data in self._durable_pages():
             clone.poke_durable(page << _PAGE_SHIFT, data)
+
+    def _copy_overlay_to(self, clone: "NVMDevice") -> None:
+        if not self._dirty_count:
+            return
+        for start, end in self._dirty_runs(0, self._n_lines - 1):
+            lo = start << _LINE_SHIFT
+            hi = end << _LINE_SHIFT
+            clone._overlay[lo:hi] = self._overlay[lo:hi]
+            clone._masks[start:end] = self._masks[start:end]
+        clone._dirty_count = self._dirty_count
+        clone._dirty_pages = set(self._dirty_pages)
 
     def poke_durable(self, addr: int, data) -> None:
         """Write ``data`` straight onto the media — no overlay, no

@@ -37,9 +37,10 @@ class ReferenceNVMDevice(NVMDevice):
     # -- the crash image, naively --------------------------------------------
     #
     # The optimized device remembers which pages it wrote and hashes /
-    # copies only those.  This one keeps no such record: its fingerprint
-    # scans every page of the pool and its clone copies all of it, which
-    # is the spec the tracked walk is tested against.
+    # copies only those, and carries an overlay over as dirty-line runs.
+    # This one keeps no such record: its fingerprint scans every page of
+    # the pool, its clone copies all of it and every per-line entry,
+    # which is the spec the tracked walk is tested against.
 
     def _durable_pages(self) -> Iterator[Tuple[int, bytes]]:
         for page in range((self.size + PAGE - 1) // PAGE):
@@ -49,6 +50,9 @@ class ReferenceNVMDevice(NVMDevice):
 
     def _copy_durable_to(self, clone: NVMDevice) -> None:
         clone._durable[:] = self._durable
+
+    def _copy_overlay_to(self, clone: NVMDevice) -> None:
+        clone._dirty = {line: (bytearray(buf), mask) for line, (buf, mask) in self._dirty.items()}
 
     # -- raw overlay data path ---------------------------------------------
 
@@ -192,8 +196,6 @@ class ReferenceNVMDevice(NVMDevice):
     ) -> None:
         if self._crashed:
             return
-        if self.fingerprint_crashes:
-            self.last_crash_fingerprint = self.overlay_fingerprint()
         crash_lines = None
         if self._media is not None and policy is not CrashPolicy.DROP_ALL:
             full = policy is CrashPolicy.KEEP_ALL

@@ -7,7 +7,9 @@ picklable parameters, runs it, and returns a picklable result.  This
 leaf module holds the three pieces of that loop, written once:
 
 * :func:`sample_points` — which crash points (or event boundaries) a
-  sweep visits under a budget;
+  sweep visits under a budget, and :func:`contiguous_slices` — how a
+  sweep whose unit of work is a pass over consecutive points cuts them
+  into jobs;
 * :func:`count_mutating_ops` — how many mutating device operations a
   run performs, the timeline a fail-point is armed on;
 * :func:`fan_out_iter` / :func:`fan_out` — run the jobs over a
@@ -62,6 +64,14 @@ def sample_points(lo: int, hi: int, limit: Optional[int]) -> List[int]:
         return [lo]
     step = (n - 1) / (limit - 1)
     return sorted({lo + round(i * step) for i in range(limit)})
+
+
+def contiguous_slices(items: Sequence[T], n: int) -> List[List[T]]:
+    """``items`` cut into ``min(n, len(items))`` runs of near-equal
+    length, in order — the jobs of a sweep whose unit of work is one
+    pass over consecutive points."""
+    n = max(1, min(n, len(items)))
+    return [list(items[i * len(items) // n : (i + 1) * len(items) // n]) for i in range(n)]
 
 
 def count_mutating_ops(device: Any, run: Callable[[], Any]) -> int:

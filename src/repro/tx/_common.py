@@ -10,12 +10,13 @@ implementation swaps atomicity schemes under an unchanged NVML surface.
 
 from __future__ import annotations
 
-from typing import Optional
+import itertools
+from typing import List, Optional
 
 from ..errors import TxError
 from ..nvm.pool import PmemPool, PmemRegion
 from .base import AtomicityEngine, IntentKind, Transaction
-from .intent_log import LOG_REGION, LogManager, TxLog
+from .intent_log import LOG_REGION, LogManager, RecoveredLog, TxLog
 from .locks import ObjectLockTable
 
 
@@ -51,6 +52,9 @@ class LockingLogEngine(AtomicityEngine):
     def attach(self, pool: PmemPool, heap_region: PmemRegion) -> None:
         self.pool = pool
         self.heap_region = heap_region
+        # txids are per engine, from 1 on a fresh log; a reopen runs
+        # recover() before any transaction, and its scan moves this on
+        self._txids = itertools.count(1)
         fresh = True
         if self.uses_log:
             size = LogManager.required_size(
@@ -76,10 +80,17 @@ class LockingLogEngine(AtomicityEngine):
     # -- transaction plumbing ----------------------------------------------------
 
     def begin(self) -> Transaction:
-        tx = Transaction(self)
+        tx = Transaction(self, next(self._txids))
         if self.uses_log:
             tx.engine_state["log"] = self.log.acquire(tx.txid)
         return tx
+
+    def _scan_log(self) -> List[RecoveredLog]:
+        """The log's non-FREE slots, for recovery; numbering resumes
+        above every txid the log holds, and never moves back."""
+        records = self.log.scan()
+        self._txids = itertools.count(max(self.log.max_txid + 1, next(self._txids)))
+        return records
 
     def _txlog(self, tx: Transaction) -> TxLog:
         return tx.engine_state["log"]

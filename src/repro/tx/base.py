@@ -18,7 +18,6 @@ objects", §6.1).
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -56,13 +55,13 @@ class Transaction:
 
     Created by :meth:`AtomicityEngine.begin`; applications normally use
     the heap's context-manager API instead of touching this directly.
+    ``txid`` is issued by the engine, above every txid its log holds,
+    never from process-global state, so a replay writes the same bytes.
     """
 
-    _ids = itertools.count(1)
-
-    def __init__(self, engine: "AtomicityEngine"):
+    def __init__(self, engine: "AtomicityEngine", txid: int):
         self.engine = engine
-        self.txid: int = next(Transaction._ids)
+        self.txid: int = txid
         self.state: TxState = TxState.ACTIVE
         self.depth: int = 1  # flat nesting, NVML-style
         #: ordered write intents: (offset, size, kind)

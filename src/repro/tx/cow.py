@@ -149,7 +149,7 @@ class CoWEngine(LockingLogEngine):
     def recover(self) -> RecoveryReport:
         report = RecoveryReport()
         device = self.heap_region.pool.device
-        for rec in self.log.scan():
+        for rec in self._scan_log():
             if rec.state is SlotState.COMMITTED:
                 for entry in rec.entries:
                     if entry.kind is IntentKind.FREE:

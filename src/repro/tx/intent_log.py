@@ -53,6 +53,10 @@ _SLOT_HDR_SIZE = 64  # padded to one cache line
 _SLOT_HDR = struct.Struct(_SLOT_HDR_FMT)
 _SLOT_HDR_PAD = b"\0" * (_SLOT_HDR_SIZE - _SLOT_HDR.size)
 
+#: txids at or above this in a slot header are rot, not history (the
+#: header word is 64 bits; numbering above one would overflow it)
+_TXID_LIMIT = 1 << 63
+
 ENTRY_SIZE = 32
 _ENTRY_FMT = "<QIHHQQ"  # offset, size, kind, flags, data_off, check
 _ENTRY = struct.Struct(_ENTRY_FMT)
@@ -240,6 +244,9 @@ class LogManager:
         self._mutex = threading.Lock()
         self._free_cond = threading.Condition(self._mutex)
         self._free: List[int] = list(range(n_slots - 1, -1, -1))
+        #: largest txid in any slot header the last :meth:`scan` read
+        #: (0 before a scan): a restarted engine numbers above it
+        self.max_txid = 0
 
     # -- sizing ----------------------------------------------------------------
 
@@ -331,15 +338,26 @@ class LogManager:
         entry 0 — any resolution of the torn header (old or new txid /
         ``n_entries``) therefore validates at most a prefix of exactly
         one transaction's entries, never a mix and never a stale tail.
+
+        That argument needs txids not to repeat, so the scan also records
+        :attr:`max_txid` over *every* header, FREE ones included, for a
+        restarted engine to number above: a released slot keeps its last
+        owner's txid and entries, which a reissued txid would validate
+        again.
         """
         found: List[RecoveredLog] = []
+        self.max_txid = 0
         for index in range(self.n_slots):
             base = self.slot_offset(index)
             raw = self.region.read(base, _SLOT_HDR_SIZE)
             magic, state_v, txid, n_entries, _ = struct.unpack(
                 _SLOT_HDR_FMT, raw[: struct.calcsize(_SLOT_HDR_FMT)]
             )
-            if magic != LOG_MAGIC or state_v == int(SlotState.FREE):
+            if magic != LOG_MAGIC:
+                continue
+            if self.max_txid < txid < _TXID_LIMIT:
+                self.max_txid = txid
+            if state_v == int(SlotState.FREE):
                 continue
             try:
                 state = SlotState(state_v)

@@ -125,7 +125,7 @@ class IntentOnlyEngine(LockingLogEngine):
         report = RecoveryReport()
         self.incomplete_ranges = []
         self._repair_slots: List[int] = []
-        for rec in self.log.scan():
+        for rec in self._scan_log():
             if rec.state is SlotState.COMMITTED:
                 self.log.free_slot_by_index(rec.index)
                 report.rolled_forward += 1

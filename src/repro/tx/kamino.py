@@ -265,7 +265,7 @@ class KaminoEngine(LockingLogEngine):
             lazy = self.lazy_recovery
         report = RecoveryReport()
         device = self.heap_region.pool.device
-        records = self.log.scan()
+        records = self._scan_log()
         if getattr(device, "media", None) is not None:
             self._verify_recovery_sources(device, records)
         for rec in records:

@@ -100,7 +100,7 @@ class UndoLogEngine(LockingLogEngine):
     def recover(self) -> RecoveryReport:
         report = RecoveryReport()
         device = self.heap_region.pool.device
-        for rec in self.log.scan():
+        for rec in self._scan_log():
             for entry in rec.entries:
                 if entry.kind is not IntentKind.WRITE:
                     continue

@@ -56,6 +56,14 @@ class TestReplay:
         )
         assert failure is None
 
+    def test_from_scratch_replays_have_equal_digests(self):
+        """Two replays of one base point write the same bytes — txids
+        are per engine, not per process — so they digest alike, which
+        is what lets the sweep prune and its slices agree."""
+        scenario = Scenario(engine="kamino-simple", workload="pairs", crash_after=5)
+        digests = {CrashExplorer("kamino-simple").replay(scenario)[1] for _ in range(2)}
+        assert len(digests) == 1 and None not in digests and "" not in digests
+
     def test_custom_transaction_script(self):
         failure = replay_scenario(
             Scenario(engine="cow", crash_after=3),

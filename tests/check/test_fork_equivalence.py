@@ -1,26 +1,40 @@
-"""A forked nested replay is the replay from scratch.
+"""Every scenario the sweep judges is the replay from scratch.
 
-The sweep runs each novel base point to its crash once and hands every
-nested (crash-inside-recovery) scenario a clone of that image instead of
-letting it rebuild stack + setup + prefix.  That is only legal if nobody
-can tell: for every scenario the sweep forked, the outcome it folded
-into the report must be the outcome ``replay_scenario`` computes from
-nothing — same pass/fail, same violation kind, same message.
+The sweep runs the workload once, pauses at each crash point, and judges
+the point's base crash, its RANDOM lotteries and its nested
+(crash-inside-recovery) family on forks of the paused device, instead of
+letting each rebuild stack + setup + prefix and crash for itself.  That
+is only legal if nobody can tell: for every scenario the sweep judged,
+the outcome it folded into the report must be the outcome the spec
+(``from_scratch.py``: a fresh stack run to a scheduled crash) computes —
+same pass/fail, same violation kind, same message — on every engine,
+workload and media leg.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.check import CrashExplorer, Scenario, replay_scenario
+from repro.check import CrashExplorer, Scenario
+from repro.check.explorer import _Plan
 from repro.errors import MediaError, PoolCorruptionError
+from repro.nvm import CrashPolicy
 from repro.runtime.registry import registered_engines
+
+from .from_scratch import replay_from_scratch, run_to_crash
 
 ENGINES = sorted(
     name
     for name, info in registered_engines().items()
     if info.capabilities.recoverable and not info.capabilities.needs_chain_repair
 )
+WORKLOADS = ["pairs", "kv", "list", "ring"]
+
+MEDIA_LEGS = {
+    "protected-corrupt": dict(media="protected", corrupt_lines=2),
+    "protected-tree-stale": dict(media="protected", tree=True, stale_lines=2),
+    "unprotected": dict(media="unprotected"),
+}
 
 
 def _outcome(failure):
@@ -29,60 +43,88 @@ def _outcome(failure):
     return failure.violation.kind, failure.violation.message
 
 
-def _forked(explorer, **explore_kwargs):
-    """``[(scenario, outcome)]`` for every replay the sweep handed an
-    image to, in sweep order."""
+def _kind(scenario):
+    if scenario.nested_after is not None:
+        return "nested"
+    return "lottery" if scenario.policy is CrashPolicy.RANDOM else "base"
+
+
+def _judged(explorer, **explore_kwargs):
+    """``[(scenario, outcome)]`` for every scenario the sweep judged, in
+    the order it judged them."""
     seen = []
     real = explorer.replay
 
     def recording(scenario, ledger=None, crashed=None):
-        failure, fired = real(scenario, ledger, crashed)
-        if crashed is not None:
-            assert fired is not None
-            seen.append((scenario, _outcome(failure)))
-        return failure, fired
+        # the sweep hands every scenario the image it forked for it
+        assert crashed is not None
+        failure, fingerprint = real(scenario, ledger, crashed)
+        assert fingerprint is not None
+        seen.append((scenario, _outcome(failure)))
+        return failure, fingerprint
 
     explorer.replay = recording
     explorer.explore(**explore_kwargs)
     return seen
 
 
-@pytest.mark.parametrize("workload", ["pairs", "kv", "list", "ring"])
+def _assert_judged_like_the_spec(explorer, **explore_kwargs):
+    judged = _judged(explorer, **explore_kwargs)
+    ledger = explorer.golden_ledger()
+    for scenario, outcome in judged:
+        reached, failure = replay_from_scratch(explorer, scenario, ledger)
+        assert reached, scenario.describe()
+        assert _outcome(failure) == outcome, scenario.describe()
+    return judged
+
+
+def _kinds(judged):
+    return {_kind(scenario) for scenario, _outcome in judged}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("engine", ENGINES)
 def test_forked_nested_replays_match_from_scratch(engine, workload):
-    explorer = CrashExplorer(engine, workload=workload)
-    forked = _forked(
-        explorer, max_points=5, random_samples=0, max_nested_points=2
+    """Media off: base points, lotteries and nested scenarios alike."""
+    judged = _assert_judged_like_the_spec(
+        CrashExplorer(engine, workload=workload),
+        max_points=5, random_samples=1, max_nested_points=2,
     )
-    if workload != "ring":  # re-opening a ring persists nothing to crash in
-        assert forked
-    for scenario, outcome in forked:
-        assert scenario.nested_after is not None
-        assert _outcome(replay_scenario(scenario)) == outcome, scenario.describe()
+    # re-opening a ring persists nothing to crash in
+    nested = set() if workload == "ring" else {"nested"}
+    assert _kinds(judged) == {"base", "lottery"} | nested
+
+
+@pytest.mark.parametrize("leg", sorted(MEDIA_LEGS))
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_judged_media_scenarios_match_from_scratch(engine, workload, leg):
+    """Rot lands on each fork after its own crash resolves, aimed at the
+    live allocations of the paused heap: every fork recovers from the
+    bytes, sidecar, tree and fault maps a from-scratch run rots for
+    itself.  (A rotted image whose recovery degrades typed has no
+    nested family.)"""
+    judged = _assert_judged_like_the_spec(
+        CrashExplorer(engine, workload=workload),
+        max_points=3, random_samples=1, max_nested_points=2, **MEDIA_LEGS[leg],
+    )
+    assert _kinds(judged) >= {"base", "lottery"}
 
 
 @pytest.mark.parametrize(
     "media_kwargs",
-    [
-        dict(media="protected", tree=True, stale_lines=2),
-        dict(media="unprotected"),
-    ],
+    [MEDIA_LEGS["protected-tree-stale"], MEDIA_LEGS["unprotected"]],
     ids=["protected-tree-stale", "unprotected"],
 )
 def test_forked_media_replays_match_from_scratch(media_kwargs):
-    """Rot is injected into the image before it is forked, so every fork
-    recovers from the same corrupted bytes, sidecar and fault maps a
-    from-scratch replay would have rotted for itself."""
-    explorer = CrashExplorer("kamino-simple")
-    forked = _forked(
-        explorer, max_points=8, random_samples=0, max_nested_points=3, **media_kwargs
+    """A deeper leg on one engine, with evidence the comparison has
+    teeth: under ``unprotected`` some judged scenario fails."""
+    judged = _assert_judged_like_the_spec(
+        CrashExplorer("kamino-simple"),
+        max_points=8, random_samples=1, max_nested_points=3, **media_kwargs,
     )
-    assert forked
-    for scenario, outcome in forked:
-        assert _outcome(replay_scenario(scenario)) == outcome, scenario.describe()
     if media_kwargs["media"] == "unprotected":
-        # the leg is only evidence if some forked replay actually failed
-        assert any(outcome is not None for _scenario, outcome in forked)
+        assert any(outcome is not None for _scenario, outcome in judged)
 
 
 def test_typed_degrade_branches_agree():
@@ -104,18 +146,20 @@ def test_typed_degrade_branches_agree():
             corrupt_seed=point,
             stale_lines=2,
         )
-        crashed = explorer._run_to_crash(base, digest=False)
         try:
-            explorer._count_recovery_ops(crashed.device)
+            explorer._count_recovery_ops(run_to_crash(explorer, base).device)
         except (MediaError, PoolCorruptionError):
             degraded += 1
         else:
             continue
-        assert explorer._replay_nested(base, ledger, 3) == []
+        plan = _Plan(base, random_samples=0, survival=0.5, nested=True, max_nested_points=3)
+        assert plan.base(point) == base
+        [verdicts] = explorer._sweep_slice([point], ledger, plan)
+        assert verdicts.base is None and verdicts.nested == []
         for nested_after in (0, 10**5):
             scenario = replace(base, nested_after=nested_after)
-            forked, fired = explorer.replay(scenario, ledger, crashed.fork(0))
-            scratch, fired_scratch = explorer.replay(scenario, ledger)
-            assert fired is not None and fired_scratch is not None
+            forked, fired = explorer.replay(scenario, ledger)
+            reached, scratch = replay_from_scratch(explorer, scenario, ledger)
+            assert fired is not None and reached
             assert _outcome(forked) == _outcome(scratch) is None
     assert degraded, "no sampled image degraded: the branches went untested"

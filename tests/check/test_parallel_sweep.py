@@ -1,17 +1,26 @@
 """Worker-count invariance: fanning a sweep out must not change verdicts.
 
-Every explorer's parallel path builds the full deterministic scenario
-list first, fans replays over an ordered process pool, and folds the
-results in scenario order — so ``workers=0`` (serial, same code path)
-and ``workers=2`` must produce identical reports: same counts, same
+Every explorer's parallel path builds the full deterministic job list
+first (for the crash explorer: contiguous slices of the crash points,
+one forward pass each), fans it over an ordered process pool, and folds
+the results in order — so ``workers=0`` (serial, same code path) and
+``workers=2`` must produce identical reports: same counts, same
 pruning, same failures in the same order.  These tests pin that.
 """
 
 import pytest
 
-from repro.check import ChainCrashExplorer, CrashExplorer, MigrationCrashExplorer
+from repro.check import ChainCrashExplorer, CrashExplorer, MigrationCrashExplorer, Scenario
+from repro.check.explorer import _Plan
 from repro.faults import CORPUS, run_corpus
-from repro.parallel import cpu_count, fan_out, fan_out_iter, resolve_workers
+from repro.parallel import (
+    contiguous_slices,
+    cpu_count,
+    fan_out,
+    fan_out_iter,
+    resolve_workers,
+    sample_points,
+)
 from repro.serve import ServeCrashExplorer
 
 
@@ -30,6 +39,11 @@ class TestParallelHelpers:
         jobs = list(range(20))
         assert fan_out(_square, jobs, workers=2) == [j * j for j in jobs]
         assert fan_out(_square, jobs, workers=1) == [j * j for j in jobs]
+
+    def test_contiguous_slices_cover_in_order(self):
+        assert contiguous_slices(list(range(7)), 3) == [[0, 1], [2, 3], [4, 5, 6]]
+        assert contiguous_slices([4, 9], 8) == [[4], [9]]
+        assert contiguous_slices([], 2) == [[]]
 
     def test_fan_out_empty(self):
         assert fan_out(_square, [], workers=4) == []
@@ -91,6 +105,22 @@ class TestEngineSweepInvariance:
         fanned = CrashExplorer("nolog").explore(workers=2, **kwargs)
         assert not serial.ok and not fanned.ok
         assert [str(f) for f in serial.failures] == [str(f) for f in fanned.failures]
+
+    def test_a_point_an_earlier_slice_saw_is_pruned(self):
+        """undo x ring, exhaustive, cut in two: the second slice judges a
+        point whose digest the first already judged.  The fold prunes it
+        there, so the pooled report is the serial one."""
+        kwargs = dict(max_points=None, random_samples=1, nested=False)
+        serial = CrashExplorer("undo", workload="ring").explore(workers=0, **kwargs)
+        fanned = CrashExplorer("undo", workload="ring").explore(workers=2, **kwargs)
+        assert serial.states_pruned > 0
+        assert _report_key(serial) == _report_key(fanned)
+        explorer = CrashExplorer("undo", workload="ring")
+        ledger = explorer.golden_ledger()
+        plan = _Plan(Scenario(engine="undo", workload="ring"), 0, 0.5, False, None)
+        first, second = contiguous_slices(sample_points(0, serial.n_ops - 1, None), 2)
+        seen = {v.fingerprint for v in explorer._sweep_slice(first, ledger, plan)}
+        assert any(v.fingerprint in seen for v in explorer._sweep_slice(second, ledger, plan))
 
     def test_unportable_explorer_falls_back_to_serial(self):
         """A closure-built workload can't cross a process boundary; the

@@ -3,9 +3,10 @@
 A crash point should cost the lines it touched, not the pool it sits in
 and not the prefix its siblings already ran.  Three things pin that:
 
-* a digest is computed only where the sweep reads one (base points);
-* the workload prefix is re-run per base point, per lottery and once per
-  novel base for its whole nested family — never once per nested point;
+* a digest is computed once per base point the sweep probes;
+* the workload runs a fixed number of times per sweep, whatever the
+  number of points: once to count operations, once for the ledger, and
+  once for the forward pass every judged scenario forks from;
 * building, crashing, fingerprinting and cloning a device is independent
   of the pool size, in time and in resident memory.
 """
@@ -40,17 +41,26 @@ def test_digests_and_prefix_runs_per_sweep(monkeypatch):
     counts = Counter()
     _counting(monkeypatch, NVMDevice, "overlay_fingerprint", counts)
     _counting(monkeypatch, KVWorkload, "setup", counts)
-    points = 8
-    report = CrashExplorer("kamino-simple", workload="kv").explore(max_points=points)
+    for points in (8, 64):
+        counts.clear()
+        report = CrashExplorer("kamino-simple", workload="kv").explore(max_points=points)
+        assert report.ok
+        assert report.states_explored == 2 * points  # base + one lottery each
+        assert report.nested_explored > points  # several nested points per base
+        # one digest per base point probed, taken on the paused pass
+        assert counts["overlay_fingerprint"] == points
+        # counting run + golden ledger + one forward pass (re-running the
+        # prefix per base, per lottery and per nested family: 194 at 64)
+        assert counts["setup"] == 3
+
+
+def test_pairs_prunes_repeated_crash_states():
+    """Per-engine txids make two runs to one point byte-identical, so
+    points separated only by reads or empty fences share a digest."""
+    report = CrashExplorer("kamino-simple", workload="pairs").explore(max_points=64)
     assert report.ok
-    assert report.states_explored == 2 * points  # base + one lottery each
-    assert report.nested_explored > points  # several nested points per base
-    # only a base point's digest is ever read (the parent computed one for
-    # every crash of every scenario, and another per image: 64 here)
-    assert counts["overlay_fingerprint"] == points
-    # base replay + lottery + one image per novel base, plus the two
-    # golden passes (the parent re-ran the prefix per nested point: 46)
-    assert counts["setup"] <= 3 * points + 2
+    assert report.states_pruned > 0
+    assert report.states_explored == 2 * (64 - report.states_pruned)
 
 
 def _crash_image_cycle(pool_size):

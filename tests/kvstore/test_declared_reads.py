@@ -11,7 +11,6 @@ and durable state.  The cost tests below judge the host side by count,
 not by stopwatch.
 """
 
-import itertools
 import struct
 
 import pytest
@@ -24,7 +23,6 @@ from repro.nvm import NVMDevice, PmemPool, ReferenceNVMDevice
 from repro.runtime import ExecutionContext, run_online
 from repro.runtime.registry import make_engine, registered_engines
 from repro.tx import reopen_after_crash
-from repro.tx.base import Transaction
 from repro.tx.dynamic import DYN_LOOKUP_REGION
 
 from .fieldwise import fieldwise_reads
@@ -77,7 +75,6 @@ def _apply(heap, tree, step):
 
 
 def _stack(name, device_cls, heap_size=HEAP_SIZE):
-    Transaction._ids = itertools.count(1)  # txids land in durable log slots
     device = device_cls(POOL_SIZE, seed=0)
     engine = make_engine(name)
     heap = PersistentHeap.create(PmemPool.create(device), engine, heap_size=heap_size)

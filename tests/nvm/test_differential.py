@@ -8,14 +8,16 @@ window scans, dirty-line runs).  Driving both with identical op / crash
 results, ``NVMStats``, dirty-line counts, post-crash durable bytes under
 every crash policy, typed media errors, and the crash image the checker
 works from — ``overlay_fingerprint`` digests and ``clone_durable``
-copies, which the reference device computes over its whole pool and the
-optimized one over the pages it recorded writing (bit flips land
+copies with or without the overlay, which the reference device computes
+over its whole pool and per-line dict and the optimized one over the
+pages it recorded writing and its dirty-line runs (bit flips land
 anywhere, including in pages nothing ever persisted to).  This is the
 enforcement arm of the invariance contract in docs/INTERNALS.md §8.
 
 Two generators drive it: seeded random tapes, and Hypothesis sequences
 that also fire scheduled crashes mid-op, rot the media, go on on durable
-clones, and aim at the shapes the flat layout branches on — zero-length
+clones with and without their overlay, and aim at the shapes the flat
+layout branches on — zero-length
 ops, windows of exactly 1 / 32 / 33 lines, wide stores with partial
 head and tail lines over mixed clean/dirty lines, wide overlapping
 copies, sparse flush windows, and dirty lines pages apart.
@@ -125,7 +127,6 @@ def _random_ops(rng: random.Random, nops: int):
 
 def _drive_pair(opt: NVMDevice, ref: ReferenceNVMDevice, ops, check_every=8):
     """Apply each op to both devices, comparing observables as we go."""
-    opt.fingerprint_crashes = ref.fingerprint_crashes = True
     for i, op in enumerate(ops):
         kind = op[0]
         if kind == "write":
@@ -164,9 +165,9 @@ def _drive_pair(opt: NVMDevice, ref: ReferenceNVMDevice, ops, check_every=8):
             opt, ref = clones
         else:
             _k, policy, survival = op
+            assert opt.overlay_fingerprint() == ref.overlay_fingerprint()
             opt.crash(policy, survival_prob=survival)
             ref.crash(policy, survival_prob=survival)
-            assert opt.last_crash_fingerprint == ref.last_crash_fingerprint
             assert opt.durable_read(0, DEVICE_SIZE) == ref.durable_read(0, DEVICE_SIZE)
             opt.restart()
             ref.restart()
@@ -318,15 +319,16 @@ def test_crash_resolves_far_apart_dirty_lines_like_the_reference(policy):
     """Dirty lines pages apart, partly and fully masked, one run across
     a page boundary: every policy resolves them word for word alike."""
     devs = NVMDevice(SMALL, seed=5), ReferenceNVMDevice(SMALL, seed=5)
+    before = []
     for dev in devs:
-        dev.fingerprint_crashes = True
         dev.write(8, b"\x01" * 8)  # page 0, one word
         dev.write(63 * LINE, b"\x02" * 2 * LINE)  # full lines 63-64: pages 0 and 1
         dev.write(130 * LINE + 20, b"\x03" * 30)  # page 2, three words
         dev.write(SMALL - LINE, b"\x04" * LINE)  # last line
+        before.append(dev.overlay_fingerprint())
         dev.crash(policy, survival_prob=0.5)
     opt, ref = devs
-    assert opt.last_crash_fingerprint == ref.last_crash_fingerprint
+    assert before[0] == before[1]
     assert opt.durable_read(0, SMALL) == ref.durable_read(0, SMALL)
     assert opt.overlay_fingerprint() == ref.overlay_fingerprint()
 
@@ -342,7 +344,7 @@ SETTINGS = settings(
 MEDIA_OPS = ["rot", "flip", "stick", "repair", "stale"]
 OPS = [
     "write", "copy", "bulk_copy", "flush", "flush_multi", "fence",
-    "persist_all", "read", "crash", "schedule_crash", "clone",
+    "persist_all", "read", "crash", "schedule_crash", "clone", "fork",
     "window", "wide_write", "wide_copy", "wide_flush", "sprinkle",
 ]
 
@@ -397,8 +399,8 @@ def op_sequences(draw, size=SMALL, media=True):
                 draw(st.sampled_from(POLICIES)),
                 draw(st.floats(0.0, 1.0)),
             ))
-        elif kind == "clone":
-            ops.append(("clone", draw(st.integers(0, 2**16))))
+        elif kind in ("clone", "fork"):
+            ops.append((kind, draw(st.integers(0, 2**16))))
         elif kind == "window":
             # exactly 1, 32 or 33 lines, whole or with ragged ends: the
             # single-line, widest mask-integer and first run-split shapes
@@ -527,15 +529,21 @@ def _step(devs, op):
     A ``clone`` op swaps each device for its durable clone — checked
     byte for byte against its original — and the sequence goes on *on
     the clones*, so a clone that forgot which pages it holds would show
-    in every later fingerprint and clone.
+    in every later fingerprint and clone.  A ``fork`` does the same with
+    the overlay carried along (the crash checker's pre-resolution image):
+    the fork must read, digest and count dirty lines like its original.
     """
-    if op[0] != "clone":
+    if op[0] not in ("clone", "fork"):
         return devs, [_apply(dev, op) for dev in devs]
-    clones = [dev.clone_durable(seed=op[1]) for dev in devs]
+    overlay = op[0] == "fork"
+    clones = [dev.clone_durable(seed=op[1], overlay=overlay) for dev in devs]
     for dev, clone in zip(devs, clones):
         assert type(clone) is type(dev)
         assert bytes(clone._durable) == bytes(dev._durable)
-        assert clone.dirty_lines == 0
+        assert clone.dirty_lines == (dev.dirty_lines if overlay else 0)
+        if overlay and not dev.crashed:
+            assert clone.overlay_fingerprint() == dev.overlay_fingerprint()
+            assert _safe_read(clone, 0, dev.size) == _safe_read(dev, 0, dev.size)
     return clones, [("ok",)] * len(devs)
 
 
@@ -578,17 +586,14 @@ def test_fingerprints_and_clones_match_reference(ops, seed):
     policy, and clones of clones.  And the digest is honest: whatever
     changes a durable byte changes it."""
     devs = [ReferenceNVMDevice(SMALL, seed=seed), NVMDevice(SMALL, seed=seed)]
-    for dev in devs:
-        dev.fingerprint_crashes = True
     for i, op in enumerate(ops):
         before = devs[0].overlay_fingerprint(), bytes(devs[0]._durable)
         devs, outcomes = _step(devs, op)
         assert outcomes[0] == outcomes[1], (i, op)
         digests = {dev.overlay_fingerprint() for dev in devs}
         assert len(digests) == 1, (i, op)
-        assert len({dev.last_crash_fingerprint for dev in devs}) == 1, (i, op)
         assert len({bytes(dev._durable) for dev in devs}) == 1, (i, op)
-        if op[0] != "clone" and bytes(devs[0]._durable) != before[1]:
+        if op[0] not in ("clone", "fork") and bytes(devs[0]._durable) != before[1]:
             assert digests != {before[0]}, (i, op)
 
 
@@ -613,6 +618,56 @@ def test_scheduled_crash_fires_mid_bulk_copy_identically():
         assert outcomes[0] == outcomes[1], countdown
         assert dev.durable_read(0, SMALL) == ref.durable_read(0, SMALL)
         assert dev.stats.snapshot() == ref.stats.snapshot()
+
+
+def _ticking_run(dev):
+    """13 mutating operations: stores, a chunked copy, flushes, fences."""
+    dev.write(0, b"\x5a" * 4096)
+    dev.persist_all()
+    dev.fence()
+    dev.copy(4096, 0, 4096, chunks=4)
+    for i in range(8):
+        dev.write(64 * i + 8, b"\x11" * 8)
+    dev.flush(0, 256)
+    dev.fence()
+
+
+@pytest.mark.parametrize("countdown", [0, 3, 6, 9, 12])
+def test_a_callback_fork_resolves_like_the_scheduled_crash(countdown):
+    """The fail-point's callback fires before the very op a scheduled
+    crash would; a fork of the overlay taken there and crashed under the
+    same policy and seed *is* the crashed device — and the paused device
+    runs on to the end."""
+    for cls in (NVMDevice, ReferenceNVMDevice):
+        crashing = cls(SMALL, seed=9)
+        crashing.schedule_crash(countdown, CrashPolicy.RANDOM, survival_prob=0.5)
+        with pytest.raises(DeviceCrashedError):
+            _ticking_run(crashing)
+        paused = cls(SMALL, seed=9)
+        forks = []
+        paused.schedule_callback(
+            countdown, lambda: forks.append(paused.clone_durable(seed=9, overlay=True))
+        )
+        _ticking_run(paused)
+        assert len(forks) == 1 and paused.scheduled_crash_remaining() is None
+        forks[0].crash(CrashPolicy.RANDOM, survival_prob=0.5)
+        assert forks[0].durable_read(0, SMALL) == crashing.durable_read(0, SMALL)
+
+
+def test_a_callback_can_rearm_the_one_countdown():
+    dev = NVMDevice(SMALL)
+    hits = []
+
+    def action():
+        hits.append(dev.stats.stores)
+        if len(hits) < 3:
+            dev.schedule_callback(1, action)
+
+    dev.schedule_callback(2, action)
+    for i in range(10):
+        dev.write(8 * i, b"\x01" * 8)
+    assert hits == [2, 4, 6]
+    assert dev.scheduled_crash_remaining() is None
 
 
 def test_clone_durable_leaves_the_overlay_behind():

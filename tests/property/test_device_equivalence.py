@@ -10,14 +10,11 @@ devices (optimized stack with sync coalescing on, reference stack with
 it off) and demands identical stats, simulated time, and durable state.
 """
 
-import itertools
-
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.heap import PersistentHeap
 from repro.nvm import CrashPolicy, NVMDevice, PmemPool, ReferenceNVMDevice
 from repro.runtime.registry import registered_engines
-from repro.tx.base import Transaction
 
 from ..conftest import Pair
 
@@ -136,7 +133,6 @@ STACK_SETTINGS = settings(
 
 
 def _run_stack(info, device_cls, coalesce, batches, seed):
-    Transaction._ids = itertools.count(1)  # txids land in durable slot headers
     device = device_cls(POOL_SIZE, seed=seed)
     pool = PmemPool.create(device)
     kwargs = {"coalesce_sync": coalesce} if info.capabilities.has_backup else {}

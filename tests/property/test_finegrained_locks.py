@@ -213,18 +213,12 @@ def test_stripes_share_dense_traffic(nstripes, first_block):
 def test_engine_bit_identity_across_stripe_widths(seed, stripes):
     """A full engine run is bit-identical for any stripe count: locks
     are volatile, so the durable bytes and every device counter match."""
-    import itertools
-
     from repro.tx import kamino_finegrained
-    from repro.tx.base import Transaction
 
     from ..conftest import Pair, build_heap
 
     results = []
     for nstripes in stripes:
-        # txids are a process-global counter and get folded into each
-        # durable entry's self-check; pin them so the runs are comparable
-        Transaction._ids = itertools.count(1)
         heap, engine, device = build_heap(
             lambda: kamino_finegrained(alpha=0.5, stripes=nstripes), seed=seed
         )

@@ -6,18 +6,12 @@ backup sync — is inherited.  Under one uncontended client the two
 engines must therefore be **bit-identical**: same durable bytes, same
 device counters, same crash fingerprints, same virtual-time replay.
 Any divergence means the striping leaked into the persistence protocol.
-
-txids are a process-global counter folded into each durable intent
-entry's self-check, so every comparison pins the counter first.
 """
-
-import itertools
 
 from repro.bench.contention import run_contended_cell
 from repro.bench.runners import _load_ycsb
 from repro.nvm import CrashPolicy
 from repro.nvm.latency import NVDIMM
-from repro.tx.base import Transaction
 
 BASELINE = ("kamino-dynamic", {"alpha": 0.5})
 CHALLENGER = ("kamino-finegrained", {"alpha": 0.5, "stripes": 16})
@@ -29,7 +23,6 @@ VALUE_SIZE = 256
 
 def _run_ycsb_serial(engine_name, engine_kwargs, crash_after_ops=None):
     """Load + run YCSB-A serially; return (device, fingerprint, stats)."""
-    Transaction._ids = itertools.count(1)
     ctx, workload = _load_ycsb(
         engine_name, "A", NRECORDS, VALUE_SIZE, 0, NVDIMM,
         heap_mb=24, **engine_kwargs,
@@ -58,9 +51,9 @@ def test_crash_fingerprints_identical():
     fps = []
     for engine_name, kwargs in (BASELINE, CHALLENGER):
         device, _, _ = _run_ycsb_serial(engine_name, kwargs, crash_after_ops=NOPS // 2)
-        device.fingerprint_crashes = True
+        before = device.overlay_fingerprint()
         device.crash(CrashPolicy.RANDOM, survival_prob=0.5)
-        fps.append(device.last_crash_fingerprint)
+        fps.append((before, device.overlay_fingerprint()))
     assert fps[0] == fps[1]
 
 
@@ -70,7 +63,6 @@ def test_online_replay_identical_single_client():
     durations and latencies are float-exact equals."""
     cells = []
     for engine_name, kwargs in (BASELINE, CHALLENGER):
-        Transaction._ids = itertools.count(1)
         cells.append(
             run_contended_cell(
                 engine_name, 1,

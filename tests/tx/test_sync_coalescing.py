@@ -9,8 +9,6 @@ entry-at-a-time loop — only wall-clock changes.  These tests run the
 same workload both ways on same-seed devices and diff everything.
 """
 
-import itertools
-
 import pytest
 
 from repro.nvm import NVMDevice, PmemPool
@@ -47,11 +45,6 @@ def _craft_tx(heap, engine, ranges):
 
 
 def _run_workload(factory, coalesce: bool):
-    # txids are drawn from a process-global counter and land in durable
-    # slot headers; pin the sequence so both runs write identical bytes
-    from repro.tx.base import Transaction
-
-    Transaction._ids = itertools.count(1)
     heap, engine, device = _build(factory, coalesce)
     # ordinary heap traffic: multi-object txs, re-modification, a free
     objs = []
@@ -139,11 +132,8 @@ def test_recovery_roll_forward_coalesces_identically():
     """COMMITTED slots replayed by recover() give identical stats/state."""
     from repro.nvm import CrashPolicy
 
-    from repro.tx.base import Transaction
-
     images = {}
     for coalesce in (True, False):
-        Transaction._ids = itertools.count(1)
         heap, engine, device = _build(kamino_simple, coalesce)
         _craft_tx(heap, engine, [(CRAFT_BASE + 64 * i, 64) for i in range(4)])
         # committed but unsynced: crash now; open() runs recovery

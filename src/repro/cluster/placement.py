@@ -2,11 +2,11 @@
 
 Plays the role the membership manager plays for one chain, but for the
 cluster: it owns the authoritative :class:`~repro.cluster.router.ShardMap`
-and the in-progress migration records, and it persists both.  The log
-lives in a :class:`~repro.kvstore.ring.PersistentRing` on the service's
-own little pool, so the coordinator gets exactly the crash story the
-replicas already have: every transition is appended (flushed and fenced
-by the ring) *before* it takes effect, and recovery is a replay.
+and the in-progress migration records, and it persists both.  The
+service is a :class:`~repro.kvstore.ring.Journal` on its own little
+pool, so the coordinator gets exactly the crash story the replicas
+already have: every transition is appended (flushed and fenced by the
+ring) *before* it takes effect, and recovery is a replay.
 
 Three record types, JSON payloads in the ring:
 
@@ -16,11 +16,12 @@ Three record types, JSON payloads in the ring:
   replay keeps only the latest per shard;
 * ``mig_end`` — the migration for a shard finished or aborted.
 
-The ring is append-only from the service's point of view; when it runs
-low the service compacts by draining and re-appending one snapshot
-(current map + active migrations) — the classic checkpoint-and-truncate.
+The checkpoint the journal compacts to is the current map plus one
+``mig`` per active migration.  Replaying it after the history it
+summarises changes nothing (the map is the latest, each ``mig`` the
+latest for its shard), so a crash mid-compaction loses neither.
 
-Client version discipline mirrors the chain's ``viewID`` (§5.3): a
+Clients are versioned the way the chain's ``viewID`` is (§5.3): a
 request built against an older map version gets a typed
 :class:`~repro.errors.StaleShardMapError` carrying the current version,
 and re-routes after refreshing — the cluster analogue of
@@ -29,24 +30,18 @@ and re-routes after refreshing — the cluster analogue of
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Optional
+from typing import Dict, Iterable, Iterator, Optional
 
 from ..errors import (
     ClusterConfigError,
     ShardMigrationError,
     StaleShardMapError,
 )
-from ..kvstore.ring import PersistentRing
+from ..kvstore.ring import Journal
 from ..nvm.device import NVMDevice
-from ..nvm.pool import PmemPool
-from ..replication.membership import MembershipManager
 from .router import ShardMap
 
-LOG_REGION = "placement_log"
 LOG_BYTES = 64 * 1024
-DEVICE_BYTES = 1 << 20
-_COMPACT_HEADROOM = 4096
 
 #: phases a migration record may be durably parked in
 MIGRATION_PHASES = ("copy", "catchup", "handoff")
@@ -78,33 +73,17 @@ class MigrationRecord:
         return cls(d["shard"], d["src"], d["dst"], d["phase"], d["cursor"])
 
 
-class PlacementService:
+class PlacementService(Journal):
     """Authoritative, durable shard map + migration ledger."""
 
+    REGION = "placement_log"
+
     def __init__(self, shard_map: ShardMap, device: Optional[NVMDevice] = None,
-                 log_bytes: int = LOG_BYTES, _replay: bool = False):
-        self.device = device if device is not None else NVMDevice(DEVICE_BYTES, seed=0)
-        if _replay:
-            self.pool = PmemPool.open(self.device)
-            self.ring = PersistentRing.open(self.pool.region(LOG_REGION))
-        else:
-            self.pool = PmemPool.create(self.device)
-            self.ring = PersistentRing.create(
-                self.pool.create_region(LOG_REGION, log_bytes)
-            )
+                 log_bytes: int = LOG_BYTES):
+        super().__init__(device, log_bytes)
         self.map = shard_map
         self.migrations: Dict[int, MigrationRecord] = {}
-        #: group liveness/ordering, reusing the chain's membership
-        #: machinery — each shard group is one "member" of the cluster
-        self.membership = MembershipManager(
-            [f"g{g}" for g in shard_map.groups]
-        )
-        self.recoveries = 0
-        self.compactions = 0
-        if not _replay:
-            self._log({"t": "map", "map": shard_map.to_dict()})
-
-    # -- bootstrap / recovery ------------------------------------------------
+        self._append({"t": "map", "map": shard_map.to_dict()})
 
     @classmethod
     def bootstrap(cls, groups: int, shards_per_group: int = 2,
@@ -117,47 +96,26 @@ class PlacementService:
         assignment = {s: s % groups for s in range(nshards)}
         return cls(ShardMap(assignment, version=1, vnodes=vnodes), device=device)
 
-    @classmethod
-    def open(cls, device: NVMDevice) -> "PlacementService":
-        """Rebuild the service from its durable log (coordinator reboot)."""
-        svc = cls.__new__(cls)
-        svc.device = device
-        svc.pool = PmemPool.open(device)
-        svc.ring = PersistentRing.open(svc.pool.region(LOG_REGION))
-        svc.map = None  # type: ignore[assignment]
-        svc.migrations = {}
-        svc.recoveries = 0
-        svc.compactions = 0
-        for payload in svc.ring.peek_all():
-            rec = json.loads(payload.decode("utf-8"))
+    # -- the journal's fold and checkpoint -------------------------------------
+
+    def _load(self, records: Iterable[dict]) -> None:
+        self.map = None  # type: ignore[assignment]
+        self.migrations = {}
+        for rec in records:
             if rec["t"] == "map":
-                svc.map = ShardMap.from_dict(rec["map"])
+                self.map = ShardMap.from_dict(rec["map"])
             elif rec["t"] == "mig":
                 mig = MigrationRecord.from_dict(rec)
-                svc.migrations[mig.shard] = mig
+                self.migrations[mig.shard] = mig
             elif rec["t"] == "mig_end":
-                svc.migrations.pop(rec["shard"], None)
-        if svc.map is None:
+                self.migrations.pop(rec["shard"], None)
+        if self.map is None:
             raise ClusterConfigError("placement log holds no shard map")
-        svc.membership = MembershipManager([f"g{g}" for g in svc.map.groups])
-        return svc
 
-    def crash_and_recover(self) -> "PlacementService":
-        """Coordinator power-fail: volatile state dies, the log survives.
-
-        Re-reads everything from the device (in place, so holders of
-        this service keep their reference) and counts the recovery.
-        """
-        self.device.crash()
-        self.device.restart()
-        reborn = PlacementService.open(self.device)
-        self.pool = reborn.pool
-        self.ring = reborn.ring
-        self.map = reborn.map
-        self.migrations = reborn.migrations
-        self.membership = reborn.membership
-        self.recoveries += 1
-        return self
+    def _checkpoint(self) -> Iterator[dict]:
+        yield {"t": "map", "map": self.map.to_dict()}
+        for rec in self.migrations.values():
+            yield {"t": "mig", **rec.to_dict()}
 
     # -- version discipline --------------------------------------------------
 
@@ -183,7 +141,7 @@ class PlacementService:
                 f"map version must advance: v{new_map.version} <= "
                 f"v{self.map.version}"
             )
-        self._log({"t": "map", "map": new_map.to_dict()})
+        self._append({"t": "map", "map": new_map.to_dict()})
         self.map = new_map
 
     def begin_migration(self, shard: int, dst_group: int) -> MigrationRecord:
@@ -199,22 +157,22 @@ class PlacementService:
         if dst_group not in self.map.groups:
             raise ShardMigrationError(f"group {dst_group} is not in the cluster")
         rec = MigrationRecord(shard, src, dst_group)
-        self._log({"t": "mig", **rec.to_dict()})
+        self._append({"t": "mig", **rec.to_dict()})
         self.migrations[shard] = rec
         return rec
 
     def advance_cursor(self, shard: int, cursor: int) -> None:
         """Durably record bulk-copy progress (resume point)."""
         rec = self._active(shard)
+        self._append({"t": "mig", **rec.to_dict(), "cursor": cursor})
         rec.cursor = cursor
-        self._log({"t": "mig", **rec.to_dict()})
 
     def set_phase(self, shard: int, phase: str) -> None:
         if phase not in MIGRATION_PHASES:
             raise ShardMigrationError(f"unknown migration phase '{phase}'")
         rec = self._active(shard)
+        self._append({"t": "mig", **rec.to_dict(), "phase": phase})
         rec.phase = phase
-        self._log({"t": "mig", **rec.to_dict()})
 
     def finish_migration(self, shard: int) -> ShardMap:
         """The flip: one durable transition installs the moved map and
@@ -222,16 +180,18 @@ class PlacementService:
         the shard for every request carrying the new version."""
         rec = self._active(shard)
         new_map = self.map.moved(shard, rec.dst)
-        self._log({"t": "map", "map": new_map.to_dict()})
-        self._log({"t": "mig_end", "shard": shard})
+        self._append({"t": "map", "map": new_map.to_dict()})
+        # adopt the logged map before the next append: a checkpoint
+        # taken there must carry it
         self.map = new_map
+        self._append({"t": "mig_end", "shard": shard})
         del self.migrations[shard]
         return new_map
 
     def abort_migration(self, shard: int) -> None:
         """Give up: the source keeps the shard, the record is retired."""
         self._active(shard)
-        self._log({"t": "mig_end", "shard": shard})
+        self._append({"t": "mig_end", "shard": shard})
         del self.migrations[shard]
 
     def _active(self, shard: int) -> MigrationRecord:
@@ -239,25 +199,3 @@ class PlacementService:
         if rec is None:
             raise ShardMigrationError(f"shard {shard} is not migrating")
         return rec
-
-    # -- the durable log ------------------------------------------------------
-
-    def _log(self, record: dict) -> None:
-        payload = json.dumps(record, sort_keys=True).encode("utf-8")
-        if self.ring.free_bytes < len(payload) + _COMPACT_HEADROOM:
-            self._compact()
-        self.ring.append(payload)
-
-    def _compact(self) -> None:
-        """Checkpoint-and-truncate: drop history, keep current state."""
-        self.compactions += 1
-        self.ring.drain()
-        self.ring.append(
-            json.dumps({"t": "map", "map": self.map.to_dict()},
-                       sort_keys=True).encode("utf-8")
-        )
-        for rec in self.migrations.values():
-            self.ring.append(
-                json.dumps({"t": "mig", **rec.to_dict()},
-                           sort_keys=True).encode("utf-8")
-            )

@@ -320,7 +320,7 @@ def _judge_durability(
     failed_rids = {rid for rid, _op, _err in client.failed}
     per_key: Dict[int, List[tuple]] = {}
     for rid, op in enumerate(client.ops):
-        if rid >= client._next_request:
+        if rid >= client.issued:
             break  # never issued (client gave up earlier)
         if op.kind != UPDATE:
             continue

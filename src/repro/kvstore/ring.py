@@ -24,16 +24,21 @@ through a repair callback (peer/backup bytes) instead.
 
 Wraparound uses a ``SKIP`` sentinel record when a record does not fit
 contiguously before the end of the data area.
+
+:class:`Journal` is the ring as a replayable, self-compacting record
+log: the placement service and the procedure store are its two owners.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 import zlib
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from ..errors import HeapError, PoolCorruptionError, RingCorruptionError
-from ..nvm.pool import PmemRegion
+from ..nvm.device import NVMDevice
+from ..nvm.pool import PmemPool, PmemRegion
 
 RING_MAGIC = 0x52494E47  # "RING"
 
@@ -126,8 +131,12 @@ class PersistentRing:
 
     def _advance_produce(self, by: int) -> None:
         self._produce += by
-        self.region.write(8, struct.pack("<Q", self._produce))
-        self.region.flush(8, 8)
+        self._persist_word(8, self._produce)
+
+    def _persist_word(self, offset: int, value: int) -> None:
+        """One power-fail-atomic durable store of a header index word."""
+        self.region.write(offset, struct.pack("<Q", value))
+        self.region.flush(offset, 8)
         self.region.pool.device.fence()
 
     # -- consumer ------------------------------------------------------------------
@@ -186,9 +195,7 @@ class PersistentRing:
         """Durably move the produce index back to ``logical``, dropping
         the torn record(s) past it."""
         self._produce = logical
-        self.region.write(8, struct.pack("<Q", self._produce))
-        self.region.flush(8, 8)
-        self.region.pool.device.fence()
+        self._persist_word(8, self._produce)
 
     def scrub(self, repair: Optional[Callable[[int, int], Optional[bytes]]] = None) -> int:
         """Verify every pending record's CRC; returns records repaired.
@@ -248,11 +255,20 @@ class PersistentRing:
         if rec is None:
             return None
         payload, nxt = rec
-        self._consume = nxt
-        self.region.write(16, struct.pack("<Q", self._consume))
-        self.region.flush(16, 8)
-        self.region.pool.device.fence()
+        self.release(nxt)
         return payload
+
+    @property
+    def end(self) -> int:
+        """Logical offset one past the newest record (a :meth:`release`
+        mark)."""
+        return self._produce
+
+    def release(self, upto: int) -> None:
+        """Durably drop every record before logical offset ``upto`` (an
+        :attr:`end` taken earlier) with one store of the consume word."""
+        self._consume = upto
+        self._persist_word(16, upto)
 
     def peek_all(self) -> Iterator[bytes]:
         """Iterate pending records without consuming them."""
@@ -271,3 +287,94 @@ class PersistentRing:
             if item is None:
                 return out
             out.append(item)
+
+
+#: size of the private device a journal gets when its owner passes none
+DEVICE_BYTES = 1 << 20
+#: room kept beyond a checkpoint's worth for the record being appended
+#: and a wraparound ``SKIP``
+_HEADROOM = 4096
+
+
+def _encode(record: dict) -> bytes:
+    return json.dumps(record, sort_keys=True).encode("utf-8")
+
+
+class Journal:
+    """A crash-atomic log of JSON records on its own little pool.
+
+    The durable state machines that live beside the cluster — the
+    placement service's shard map and the serving layer's procedure
+    frames — are each a subclass: a fold (:meth:`_load`, which rebuilds
+    the owner's state from its records) and a checkpoint
+    (:meth:`_checkpoint`, the records that rebuild the current state).
+    A mutation appends its record, then applies it; a reboot replays
+    the ring.
+
+    Compaction is checkpoint-then-truncate, in that order: the
+    checkpoint is appended behind the history it summarises, and only
+    then does one durable store of the consume word retire that history.
+    A power failure anywhere in between leaves history plus part of a
+    checkpoint, so each fold must treat re-applied checkpoint records as
+    no-ops.  The checkpoint needs as much free room as the history it
+    replaces can hold, so the ring compacts once history would fill half
+    of it (the live state must stay under that).
+    """
+
+    #: the log's region name in the journal's pool (set by each owner)
+    REGION: str
+
+    def __init__(self, device: Optional[NVMDevice], log_bytes: int):
+        self.device = device if device is not None else NVMDevice(DEVICE_BYTES, seed=0)
+        self.pool = PmemPool.create(self.device)
+        self.ring = PersistentRing.create(self.pool.create_region(self.REGION, log_bytes))
+        self.recoveries = 0
+        self.compactions = 0
+
+    @classmethod
+    def open(cls, device: NVMDevice) -> "Journal":
+        """Rebuild the owner from its durable log (a reboot)."""
+        journal = cls.__new__(cls)
+        journal.device = device
+        journal.recoveries = 0
+        journal.compactions = 0
+        journal._reopen()
+        return journal
+
+    def crash_and_recover(self) -> "Journal":
+        """Power-fail (a no-op if a fail-point already crashed the
+        device), restart and replay in place, so holders of this object
+        keep their reference."""
+        self.device.crash()
+        self.device.restart()
+        self._reopen()
+        self.recoveries += 1
+        return self
+
+    def _reopen(self) -> None:
+        self.pool = PmemPool.open(self.device)
+        self.ring = PersistentRing.open(self.pool.region(self.REGION))
+        self._load(json.loads(payload.decode("utf-8")) for payload in self.ring.peek_all())
+
+    def _append(self, record: dict) -> None:
+        """Durably log ``record``, compacting first if history has
+        outgrown half the ring."""
+        payload = _encode(record)
+        ring = self.ring
+        if ring.free_bytes < ring.used_bytes + len(payload) + _HEADROOM:
+            self.compactions += 1
+            history_end = ring.end
+            for checkpoint in self._checkpoint():
+                ring.append(_encode(checkpoint))
+            ring.release(history_end)
+        ring.append(payload)
+
+    # -- the owner's half --------------------------------------------------
+
+    def _load(self, records: Iterable[dict]) -> None:
+        """Replace the owner's state with the fold of ``records``."""
+        raise NotImplementedError
+
+    def _checkpoint(self) -> Iterable[dict]:
+        """Records whose fold is the owner's current state."""
+        raise NotImplementedError

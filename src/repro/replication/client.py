@@ -16,6 +16,8 @@ Hardening (the nemesis layer throws lossy links at the chain):
 * a typed error reply (:class:`~repro.errors.ClusterDegraded`,
   :class:`~repro.errors.RequestTimeoutError`) is retried while attempts
   remain, then surfaced exactly once in :attr:`ChainClient.failed`;
+* all of the above is one :class:`Request` object, the retry ladder the
+  serving layer's :class:`~repro.serve.gateway.ClusterGateway` runs too;
 * :func:`run_clients` raises :class:`~repro.errors.ClientStuckError`
   naming the stuck clients if the simulator drains with operations
   still unresolved, instead of silently returning ``done == False``.
@@ -23,7 +25,8 @@ Hardening (the nemesis layer throws lossy links at the chain):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import (
     ClientStuckError,
@@ -35,65 +38,31 @@ from ..workloads.ycsb import INSERT, READ, RMW, SCAN, SCAN_LENGTH, UPDATE, Op
 from .chain import ChainCluster, RetryPolicy
 
 
-class ChainClient:
-    """Feeds a deterministic operation stream through the cluster.
+class Submitter:
+    """What a request ladder runs against: the cluster, the retry
+    policy, the cached shard-map version and the ladder's counters.
 
-    ``retry=None`` inherits the cluster's policy;
-    ``RetryPolicy.disabled()`` reproduces the old fire-and-forget client
-    (which the nemesis corpus demonstrates gets stranded by one dropped
-    reply).
+    ``retry=None`` inherits the cluster's policy.
     """
 
-    def __init__(
-        self,
-        cluster: ChainCluster,
-        client_id: str,
-        ops: List[Op],
-        retry: Optional[RetryPolicy] = None,
-    ):
+    def __init__(self, cluster: ChainCluster, retry: Optional[RetryPolicy]):
         self.cluster = cluster
-        self.client_id = client_id
-        self.ops = ops
         self.retry = retry if retry is not None else cluster.retry
-        self._cursor = 0
-        self._next_request = 0
-        self.completed = 0
+        #: resubmissions: timeouts, backed-off error replies and map
+        #: refreshes
         self.retries = 0
-        #: the client's cached shard-map version (None on a plain
-        #: chain); refreshed on every typed stale-map redirect
-        self.map_version = getattr(cluster, "map_version", None)
+        #: the cached shard-map version (None on a plain chain);
+        #: refreshed on every typed stale-map redirect
+        self.map_version: Optional[int] = cluster.map_version
         #: stale-map redirects taken (each one refreshed the cache)
         self.map_refreshes = 0
-        self.latencies_ns: List[float] = []
-        #: (request_id, op, error) for operations that resolved with a
-        #: typed error — each rejected operation appears exactly once
-        self.failed: List[Tuple[int, Op, ReplicationError]] = []
-        #: request ids whose chain-wide outcome is unknown: some attempt
-        #: timed out (client- or head-side), so the write may have
-        #: executed even though the final resolution was an error.  The
-        #: nemesis durability oracle must not assume these are absent.
+        #: ids whose chain-wide outcome is unknown: some attempt timed
+        #: out (client- or head-side), so the write may have executed
+        #: even though the final resolution was an error.  The nemesis
+        #: durability oracle must not assume these are absent.
         self.unknown_rids: set = set()
-        #: key -> value of the most recent *acknowledged* write per key,
-        #: in completion order — the nemesis convergence oracle checks
-        #: these against the tail
-        self.acked_writes: Dict[Any, bytes] = {}
 
-    def start(self) -> None:
-        self._issue_next()
-
-    # -- one operation ---------------------------------------------------------
-
-    def _issue_next(self) -> None:
-        if self._cursor >= len(self.ops):
-            return
-        op = self.ops[self._cursor]
-        self._cursor += 1
-        rid = self._next_request
-        self._next_request += 1
-        state = {"rid": rid, "op": op, "attempt": 0, "done": False, "timer": None}
-        self._submit(state)
-
-    def _route(self, key) -> ChainCluster:
+    def route(self, key: Any) -> ChainCluster:
         """Per-key submission target via the cluster's shard map.
 
         A stale cached map version gets a typed
@@ -109,104 +78,200 @@ class ChainClient:
             self.map_version = exc.current_version
             return self.cluster.route(key, self.map_version)
 
-    def _submit(self, state: dict) -> None:
-        op = state["op"]
-        rid = state["rid"]
 
-        def on_reply(result, latency_ns, _s=state):
-            self._on_reply(_s, result, latency_ns)
+class Request:
+    """One operation's retry ladder, from submission to its one
+    resolution.
 
-        target = self._route(op.key)
-        if op.kind == READ:
-            target.submit_read("get", (op.key,), on_reply)
-        elif op.kind in (UPDATE, INSERT):
-            target.submit_write(
-                "put", (op.key, op.value), [op.key], on_reply,
-                client_id=self.client_id, request_id=rid,
-            )
-        elif op.kind == RMW:
-            target.submit_write(
-                "rmw_const", (op.key, op.value), [op.key], on_reply,
-                client_id=self.client_id, request_id=rid,
-            )
-        elif op.kind == SCAN:
-            target.submit_read("scan", (op.key, SCAN_LENGTH), on_reply)
+    :meth:`submit` routes, submits and — while retries are enabled and
+    the request is still open — arms a timer.  Then:
+
+    * a timeout resubmits at once under the same ``(client_id,
+      request_id)`` (the head's dedup table absorbs the duplicate if the
+      original is still in flight); with ``max_retries`` spent it
+      resolves with :class:`~repro.errors.RequestTimeoutError`;
+    * an error reply backs off ``retry.timeout_for(attempt + 1)`` and
+      resubmits, unless retries are disabled or spent or its type is in
+      ``terminal`` — then it resolves with that error;
+    * any other reply resolves the request with it.
+
+    Every timeout, the request's own or the head's, puts ``unknown_id``
+    in the submitter's ``unknown_rids``.
+
+    ``keys is None`` makes the request a read (routed to the tail, no
+    dedup identity).
+    """
+
+    __slots__ = (
+        "source", "proc", "args", "keys", "client_id", "request_id",
+        "unknown_id", "terminal", "on_resolve", "attempt", "done",
+        "result", "latency_ns", "timer",
+    )
+
+    def __init__(self, source: Submitter, proc: str, args: Tuple[Any, ...],
+                 keys: Optional[Sequence[Any]], client_id: Optional[str] = None,
+                 request_id: Optional[int] = None,
+                 unknown_id: Optional[Hashable] = None, terminal: tuple = (),
+                 on_resolve: Optional[Callable[["Request"], None]] = None):
+        self.source = source
+        self.proc = proc
+        self.args = args
+        self.keys = keys
+        self.client_id = client_id
+        self.request_id = request_id
+        self.unknown_id = unknown_id
+        self.terminal = terminal
+        self.on_resolve = on_resolve
+        self.attempt = 0
+        self.done = False
+        self.result: Any = None
+        self.latency_ns: Optional[float] = None
+        self.timer = None
+
+    def submit(self) -> None:
+        source = self.source
+        target = source.route(self.keys[0] if self.keys else self.args[0])
+        if self.keys is None:
+            target.submit_read(self.proc, self.args, self._on_reply)
         else:
-            raise ValueError(f"unsupported op kind {op.kind}")
-        self._arm_timer(state)
-
-    # -- timers + retries ------------------------------------------------------
-
-    def _arm_timer(self, state: dict) -> None:
-        if not self.retry.enabled:
-            return
-        self._cancel_timer(state)
-        state["timer"] = self.cluster.sim.schedule(
-            self.retry.timeout_for(state["attempt"]), self._on_timeout, state
-        )
-
-    @staticmethod
-    def _cancel_timer(state: dict) -> None:
-        if state["timer"] is not None:
-            state["timer"].cancel()
-            state["timer"] = None
-
-    def _on_timeout(self, state: dict) -> None:
-        state["timer"] = None
-        if state["done"]:
-            return
-        # a client-side timeout means a previous attempt may still be in
-        # flight somewhere in the chain: the outcome is no longer "never
-        # happened" even if a later attempt is rejected
-        self.unknown_rids.add(state["rid"])
-        if state["attempt"] >= self.retry.max_retries:
-            self._resolve(
-                state,
-                ReplicationError(
-                    f"client {self.client_id} request {state['rid']} unresolved "
-                    f"after {state['attempt']} retries"
-                ),
-                error=True,
+            target.submit_write(
+                self.proc, self.args, self.keys, self._on_reply,
+                client_id=self.client_id, request_id=self.request_id,
             )
-            return
-        state["attempt"] += 1
-        self.retries += 1
-        # resubmit under the same (client_id, request_id): the head
-        # absorbs it if the original is still in flight
-        self._submit(state)
+        if source.retry.enabled and not self.done:
+            self._cancel_timer()
+            self.timer = source.cluster.sim.schedule(
+                source.retry.timeout_for(self.attempt), self._on_timeout
+            )
 
-    def _on_reply(self, state: dict, result, latency_ns: float) -> None:
-        if state["done"]:
+    def _resubmit(self) -> None:
+        if not self.done:
+            self.submit()
+
+    def _cancel_timer(self) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+
+    def _mark_unknown(self) -> None:
+        if self.unknown_id is not None:
+            self.source.unknown_rids.add(self.unknown_id)
+
+    def abandon(self, why: str) -> None:
+        """Resolve an open request with a
+        :class:`~repro.errors.RequestTimeoutError`: its outcome is
+        unknown."""
+        self._mark_unknown()
+        label = (f"{self.proc}{self.args!r}" if self.request_id is None
+                 else f"{self.proc} {self.client_id}/{self.request_id}")
+        self._resolve(RequestTimeoutError(f"{label} {why}"))
+
+    def _on_timeout(self) -> None:
+        self.timer = None
+        if self.done:
+            return
+        if self.attempt >= self.source.retry.max_retries:
+            self.abandon(f"unresolved after {self.attempt} retries")
+            return
+        # a previous attempt may still be in flight somewhere in the
+        # chain: the outcome is no longer "never happened" even if a
+        # later attempt is rejected
+        self._mark_unknown()
+        self.attempt += 1
+        self.source.retries += 1
+        self.submit()
+
+    def _on_reply(self, result: Any, latency_ns: float) -> None:
+        if self.done:
             return  # a duplicate completion (original + retry): first wins
         if isinstance(result, ReplicationError):
             if isinstance(result, RequestTimeoutError):
-                self.unknown_rids.add(state["rid"])
-            if self.retry.enabled and state["attempt"] < self.retry.max_retries:
+                self._mark_unknown()
+            retry = self.source.retry
+            if (retry.enabled and self.attempt < retry.max_retries
+                    and not isinstance(result, self.terminal)):
                 # rejected or timed out at the head: back off and retry
-                self._cancel_timer(state)
-                state["attempt"] += 1
-                self.retries += 1
-                delay = self.retry.timeout_for(state["attempt"])
-                self.cluster.sim.schedule(delay, self._resubmit_if_pending, state)
+                self._cancel_timer()
+                self.attempt += 1
+                self.source.retries += 1
+                self.source.cluster.sim.schedule(
+                    retry.timeout_for(self.attempt), self._resubmit
+                )
                 return
-            self._resolve(state, result, error=True)
+        self._resolve(result, latency_ns)
+
+    def _resolve(self, result: Any, latency_ns: Optional[float] = None) -> None:
+        self.done = True
+        self.result = result
+        self.latency_ns = latency_ns
+        self._cancel_timer()
+        if self.on_resolve is not None:
+            self.on_resolve(self)
+
+
+class ChainClient(Submitter):
+    """Feeds a deterministic operation stream through the cluster, one
+    :class:`Request` at a time.
+
+    ``retry=None`` inherits the cluster's policy;
+    ``RetryPolicy.disabled()`` reproduces the old fire-and-forget client
+    (which the nemesis corpus demonstrates gets stranded by one dropped
+    reply).
+    """
+
+    def __init__(
+        self,
+        cluster: ChainCluster,
+        client_id: str,
+        ops: List[Op],
+        retry: Optional[RetryPolicy] = None,
+    ):
+        super().__init__(cluster, retry)
+        self.client_id = client_id
+        self.ops = ops
+        #: operations submitted so far (the next one's request id)
+        self.issued = 0
+        self.completed = 0
+        self.latencies_ns: List[float] = []
+        #: (request_id, op, error) for operations that resolved with a
+        #: typed error — each rejected operation appears exactly once
+        self.failed: List[Tuple[int, Op, ReplicationError]] = []
+        #: key -> value of the most recent *acknowledged* write per key,
+        #: in completion order — the nemesis convergence oracle checks
+        #: these against the tail
+        self.acked_writes: Dict[Any, bytes] = {}
+
+    def start(self) -> None:
+        self._issue_next()
+
+    def _issue_next(self) -> None:
+        """Submit the next operation; its request id is its index."""
+        if self.issued >= len(self.ops):
             return
-        self._resolve(state, result, error=False, latency_ns=latency_ns)
-
-    def _resubmit_if_pending(self, state: dict) -> None:
-        if not state["done"]:
-            self._submit(state)
-
-    def _resolve(self, state: dict, result, error: bool,
-                 latency_ns: Optional[float] = None) -> None:
-        state["done"] = True
-        self._cancel_timer(state)
-        op = state["op"]
-        if error:
-            self.failed.append((state["rid"], op, result))
+        rid = self.issued
+        op = self.ops[rid]
+        self.issued += 1
+        if op.kind == READ:
+            proc, args, keys = "get", (op.key,), None
+        elif op.kind in (UPDATE, INSERT):
+            proc, args, keys = "put", (op.key, op.value), [op.key]
+        elif op.kind == RMW:
+            proc, args, keys = "rmw_const", (op.key, op.value), [op.key]
+        elif op.kind == SCAN:
+            proc, args, keys = "scan", (op.key, SCAN_LENGTH), None
         else:
-            if latency_ns is not None:
-                self.latencies_ns.append(latency_ns)
+            raise ValueError(f"unsupported op kind {op.kind}")
+        Request(
+            self, proc, args, keys, self.client_id, rid, unknown_id=rid,
+            on_resolve=partial(self._resolved, op),
+        ).submit()
+
+    def _resolved(self, op: Op, request: Request) -> None:
+        result = request.result
+        if isinstance(result, ReplicationError):
+            self.failed.append((request.request_id, op, result))
+        else:
+            self.latencies_ns.append(request.latency_ns)
             if op.kind in (UPDATE, INSERT, RMW):
                 self.acked_writes[op.key] = op.value
         self.completed += 1

@@ -6,13 +6,13 @@ a RESP-like protocol (:mod:`repro.serve.protocol`) — in front of a
 pieces:
 
 * :class:`ClusterGateway` — bridges real-time requests into the
-  event simulator with ChainClient-style internal retries;
+  event simulator, each on the chain client's request ladder;
 * :class:`AdmissionController` — converts cluster degradation and
   pipeline overload into typed ``RETRY-AFTER`` rejections or bounded
   queue-and-readmit;
 * :class:`ProcedureEngine` / :class:`ProcedureStore` — durable
   server-side procedures whose frame stacks persist per step in an NVM
-  ring, so a crash resumes the continuation exactly-once;
+  journal, so a crash resumes the continuation exactly-once;
 * :class:`ServeCrashExplorer` — sweeps every frame-persist crash
   point (including nested crashes during recovery) against
   exactly-once oracles;

@@ -68,8 +68,7 @@ class AdmissionController:
         self.shed_after_wait = 0
         #: (virtual time, degraded?) breaker transitions observed
         self.breaker_events: List[Tuple[float, bool]] = []
-        if hasattr(cluster, "add_degradation_listener"):
-            cluster.add_degradation_listener(self._on_breaker)
+        cluster.add_degradation_listener(self._on_breaker)
 
     # -- signals ---------------------------------------------------------------
 
@@ -77,9 +76,7 @@ class AdmissionController:
         self.breaker_events.append((self.cluster.sim.now, bool(degraded)))
 
     def retry_after_hint(self) -> float:
-        hint = None
-        if hasattr(self.cluster, "retry_after_ns"):
-            hint = self.cluster.retry_after_ns()
+        hint = self.cluster.retry_after_ns()
         if hint is None or hint <= 0.0:
             hint = self.config.default_retry_after_ns
         return hint
@@ -100,7 +97,7 @@ class AdmissionController:
                 f"pipeline window full ({self.config.max_inflight} in flight)",
                 retry_after_ns=self.config.default_retry_after_ns,
             )
-        if getattr(self.cluster, "degraded", False):
+        if self.cluster.degraded:
             if self.config.policy == "queue":
                 self._hold()
             else:
@@ -126,7 +123,7 @@ class AdmissionController:
         waited = 0.0
         sim = self.cluster.sim
         try:
-            while getattr(self.cluster, "degraded", False):
+            while self.cluster.degraded:
                 hint = self.retry_after_hint()
                 if waited + hint > self.config.max_wait_ns:
                     self.shed_after_wait += 1

@@ -265,7 +265,7 @@ class ServeCrashExplorer:
                scenario: ServeScenario) -> List[str]:
         expected_state, expected_results = _expected(scenario.workload)
         problems: List[str] = []
-        done = engine._done_map()
+        done = engine.store.done
         for name, pid, args in _workload_calls(scenario.workload):
             if pid not in done:
                 problems.append(f"procedure {pid} has no stored result")

@@ -8,32 +8,30 @@ resolution, and the (virtual-time) result comes back synchronously —
 the same closed-loop discipline :func:`repro.replication.run_clients`
 uses, packaged per request instead of per stream.
 
-Internal retries mirror :class:`~repro.replication.client.ChainClient`
-exactly: a per-request timer with capped exponential backoff
+Each call is one :class:`~repro.replication.client.Request`, the retry
+ladder :class:`~repro.replication.client.ChainClient` runs: a
+per-request timer with capped exponential backoff
 (:class:`~repro.replication.chain.RetryPolicy`), resubmission under the
 same ``(client_id, request_id)`` so the head's dedup table absorbs
 duplicates, and stale shard maps refreshed on the typed redirect.  A
-request whose outcome is unknown (timeout) lands in
+write whose outcome is unknown (timeout) lands in
 :attr:`ClusterGateway.unknown_rids` before the retry — the serving
 layer's own record that a reply may still be in flight for that id.
 One deliberate asymmetry: a :class:`~repro.errors.ClusterDegraded`
-rejection is surfaced immediately instead of retried — the head records
-rejections as completed outcomes, so a same-id resubmit can only replay
-the rejection; riding out degradation belongs to the admission
-controller (queue-and-readmit) or the remote client (``RETRY-AFTER``).
+rejection of a write is surfaced immediately instead of retried — the
+head records rejections as completed outcomes, so a same-id resubmit can
+only replay the rejection; riding out degradation belongs to the
+admission controller (queue-and-readmit) or the remote client
+(``RETRY-AFTER``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Set, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
-from ..errors import (
-    ClusterDegraded,
-    ReplicationError,
-    RequestTimeoutError,
-    StaleShardMapError,
-)
+from ..errors import ClusterDegraded, ReplicationError, RequestTimeoutError
 from ..replication.chain import RetryPolicy
+from ..replication.client import Request, Submitter
 
 #: resolution guard: one drain normally resolves a request outright, but
 #: a request parked on a degraded queue resolves only after later events
@@ -41,25 +39,22 @@ from ..replication.chain import RetryPolicy
 _PUMP_GUARD = 256
 
 
-class ClusterGateway:
-    """Per-server request runner over a ``ChainCluster``-compatible target."""
+class ClusterGateway(Submitter):
+    """Per-server request runner over a ``ChainCluster``-compatible target.
+
+    ``unknown_rids`` holds ``(client_id, request_id)`` pairs: the ids
+    the dedup table protects on retry.
+    """
 
     def __init__(self, cluster, retry: Optional[RetryPolicy] = None):
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.retry = retry if retry is not None else getattr(
-            cluster, "retry", None
-        ) or RetryPolicy()
-        self.map_version: Optional[int] = getattr(cluster, "map_version", None)
-        # metrics
+        super().__init__(cluster, retry)
         self.reads = 0
         self.writes = 0
-        self.internal_retries = 0
-        self.map_refreshes = 0
         self.timed_out = 0
-        #: (client_id, request_id) pairs whose outcome was unknown at
-        #: least once — the ids the dedup table protects on retry
-        self.unknown_rids: Set[Tuple[str, int]] = set()
+
+    @property
+    def internal_retries(self) -> int:
+        return self.retries
 
     # -- submission ------------------------------------------------------------
 
@@ -74,166 +69,43 @@ class ClusterGateway:
         makes exactly-once).
         """
         self.writes += 1
-        st = {"done": False, "result": None, "attempt": 0, "timer": None}
+        return self._run(Request(
+            self, proc, args, keys, client_id, request_id,
+            unknown_id=(client_id, request_id), terminal=(ClusterDegraded,),
+        ))
 
-        def resolve(result: Any) -> None:
-            if st["done"]:
-                return
-            st["done"] = True
-            st["result"] = result
-            timer = st["timer"]
-            if timer is not None:
-                timer.cancel()
-                st["timer"] = None
+    def call_read(self, proc: str, args: Tuple[Any, ...]) -> Any:
+        """Linearizable read via the routed group's tail, on the same
+        ladder."""
+        self.reads += 1
+        return self._run(Request(self, proc, args, None))
 
-        def retry_later(err: Any) -> None:
-            if not self.retry.enabled or st["attempt"] >= self.retry.max_retries:
-                resolve(err)
-                return
-            delay = self.retry.timeout_for(st["attempt"])
-            st["attempt"] += 1
-            self.internal_retries += 1
-            self.sim.schedule(delay, submit)
-
-        def on_reply(result: Any, _latency: float) -> None:
-            if st["done"]:
-                return  # a late reply after we already resolved: first wins
-            timer = st["timer"]
-            if timer is not None:
-                timer.cancel()
-                st["timer"] = None
-            if isinstance(result, RequestTimeoutError):
-                # the head gave up: outcome unknown.  Retrying the same
-                # id is safe (dedup + idempotent procedures).
-                self.unknown_rids.add((client_id, request_id))
-                retry_later(result)
-                return
-            if isinstance(result, StaleShardMapError):
-                self.map_version = result.current_version
-                self.map_refreshes += 1
-                submit()
-                return
-            if isinstance(result, ClusterDegraded):
-                # a pre-admission rejection is a *known* outcome, and the
-                # head records it in its dedup table — resubmitting the
-                # same id can only replay the rejection.  Surface it now;
-                # backing off and retrying (under a fresh id) is the
-                # admission controller's / client's job.
-                resolve(result)
-                return
-            if isinstance(result, ReplicationError):
-                retry_later(result)
-                return
-            resolve(result)
-
-        def on_timeout() -> None:
-            st["timer"] = None
-            if st["done"]:
-                return
-            # our own timer fired before any reply: the request may
-            # still land, so its id is unknown from here on
-            self.unknown_rids.add((client_id, request_id))
-            if st["attempt"] >= self.retry.max_retries:
-                resolve(RequestTimeoutError(
-                    f"gateway gave up on {proc} {client_id}/{request_id} "
-                    f"after {st['attempt']} attempts"
-                ))
-                return
-            st["attempt"] += 1
-            self.internal_retries += 1
-            submit()
-
-        def submit() -> None:
-            if st["done"]:
-                return
-            old = st["timer"]
-            if old is not None:
-                old.cancel()
-            try:
-                target = self.cluster.route(
-                    keys[0] if keys else args[0], self.map_version
-                )
-            except StaleShardMapError as exc:
-                self.map_version = exc.current_version
-                self.map_refreshes += 1
-                target = self.cluster.route(
-                    keys[0] if keys else args[0], self.map_version
-                )
-            target.submit_write(proc, args, keys, on_reply,
-                                client_id=client_id, request_id=request_id)
-            if self.retry.enabled and not st["done"]:
-                st["timer"] = self.sim.schedule(
-                    self.retry.timeout_for(st["attempt"]), on_timeout
-                )
-
-        submit()
-        self._pump(st)
-        if not st["done"]:
+    def _run(self, request: Request) -> Any:
+        request.submit()
+        self._pump(request)
+        if not request.done:
             # simulator ran dry with the request unresolved: with retries
             # disabled a dropped message is simply lost
-            self.unknown_rids.add((client_id, request_id))
-            self.timed_out += 1
-            raise RequestTimeoutError(
-                f"{proc} {client_id}/{request_id} never resolved "
-                f"(simulator dry; retries "
+            request.abandon(
+                f"never resolved (simulator dry; retries "
                 f"{'enabled' if self.retry.enabled else 'disabled'})"
             )
-        result = st["result"]
+        result = request.result
         if isinstance(result, ReplicationError):
             if isinstance(result, RequestTimeoutError):
                 self.timed_out += 1
             raise result
         return result
 
-    def call_read(self, proc: str, args: Tuple[Any, ...]) -> Any:
-        """Linearizable read via the routed group's tail, with the same
-        backoff ladder against transient degradation."""
-        self.reads += 1
-        st = {"done": False, "result": None, "attempt": 0, "timer": None}
-
-        def on_reply(result: Any, _latency: float) -> None:
-            if st["done"]:
-                return
-            if isinstance(result, ReplicationError):
-                if self.retry.enabled and st["attempt"] < self.retry.max_retries:
-                    delay = self.retry.timeout_for(st["attempt"])
-                    st["attempt"] += 1
-                    self.internal_retries += 1
-                    self.sim.schedule(delay, submit)
-                    return
-            st["done"] = True
-            st["result"] = result
-
-        def submit() -> None:
-            if st["done"]:
-                return
-            try:
-                target = self.cluster.route(args[0], self.map_version)
-            except StaleShardMapError as exc:
-                self.map_version = exc.current_version
-                self.map_refreshes += 1
-                target = self.cluster.route(args[0], self.map_version)
-            target.submit_read(proc, args, on_reply)
-
-        submit()
-        self._pump(st)
-        if not st["done"]:
-            self.timed_out += 1
-            raise ClusterDegraded(f"read {proc}{args} never resolved")
-        result = st["result"]
-        if isinstance(result, ReplicationError):
-            raise result
-        return result
-
     # -- the pump --------------------------------------------------------------
 
-    def _pump(self, st: dict) -> None:
+    def _pump(self, request: Request) -> None:
         """Run the cluster's virtual time forward until the request
         resolves or nothing can resolve it (simulator dry)."""
         guard = 0
-        while not st["done"] and guard < _PUMP_GUARD:
+        while not request.done and guard < _PUMP_GUARD:
             self.cluster.drain()
-            if st["done"] or not self.sim.pending:
+            if request.done or not self.cluster.sim.pending:
                 return
             guard += 1
 
@@ -243,7 +115,7 @@ class ClusterGateway:
         return {
             "reads": self.reads,
             "writes": self.writes,
-            "internal_retries": self.internal_retries,
+            "internal_retries": self.retries,
             "map_refreshes": self.map_refreshes,
             "timed_out": self.timed_out,
             "unknown_rids": len(self.unknown_rids),

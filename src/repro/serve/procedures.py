@@ -41,25 +41,20 @@ effects, exactly the failure the persistent stack exists to rule out.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ProcedureError, ProcedureResumed
-from ..kvstore.ring import PersistentRing
+from ..kvstore.ring import DEVICE_BYTES, Journal  # noqa: F401  (DEVICE_BYTES: re-export)
 from ..nvm.device import NVMDevice
-from ..nvm.pool import PmemPool
 from .gateway import ClusterGateway
 
-LOG_REGION = "procedure_log"
 LOG_BYTES = 96 * 1024
-DEVICE_BYTES = 1 << 20
-_COMPACT_HEADROOM = 4096
 
-#: completed results kept in the log for exactly-once replay to
-#: retrying clients; older ones age out at the next compaction
+#: completed results kept for exactly-once replay to retrying clients;
+#: older ones age out (and drop from the log at its next compaction)
 KEEP_DONE = 64
 
 #: request-id stride per step: effect k of step i is request id
@@ -199,116 +194,82 @@ class ProcedureContext:
 # ---------------------------------------------------------------------------
 
 
-class ProcedureStore:
-    """Frame stack + result log in an NVM ring (one little pool).
-
-    Three record types, JSON payloads, mirroring the placement service's
-    checkpoint-and-truncate log:
+class ProcedureStore(Journal):
+    """Frame stack + result log: a :class:`~repro.kvstore.ring.Journal`
+    of three record types, JSON payloads:
 
     * ``begin`` — a procedure started (name + args);
     * ``frame`` — step ``step`` of ``pid`` bound ``bind``;
-    * ``done`` — ``pid`` completed with ``result`` (retires its frames
-      at the next compaction, keeps the result for replay).
+    * ``done`` — ``pid`` completed with ``result`` (retires its frames,
+      keeps the result for replay; the oldest beyond :data:`KEEP_DONE`
+      age out).
+
+    Every mutation appends its record and then folds it, so the live
+    state is always the replay of the log.  The checkpoint is each
+    pending stack (``begin`` + its frames) and the kept results; the
+    fold ignores a ``begin`` for a pid already pending and a frame
+    below the stack's height, so replaying it over its own history
+    changes nothing.
     """
 
-    def __init__(self, device: Optional[NVMDevice] = None,
-                 log_bytes: int = LOG_BYTES, _replay: bool = False):
-        self.device = device if device is not None else NVMDevice(DEVICE_BYTES, seed=0)
-        if _replay:
-            self.pool = PmemPool.open(self.device)
-            self.ring = PersistentRing.open(self.pool.region(LOG_REGION))
-        else:
-            self.pool = PmemPool.create(self.device)
-            self.ring = PersistentRing.create(
-                self.pool.create_region(LOG_REGION, log_bytes)
-            )
-        #: pid -> {"name", "args", "frames"} for procedures mid-flight
-        self.pending: Dict[str, dict] = {}
-        #: pid -> result, insertion-ordered so replay eviction is FIFO
-        self.done: "OrderedDict[str, Any]" = OrderedDict()
-        self.recoveries = 0
-        self.compactions = 0
+    REGION = "procedure_log"
 
-    @classmethod
-    def open(cls, device: NVMDevice) -> "ProcedureStore":
-        """Rebuild the store from its durable log (server reboot)."""
-        store = cls(device=device, _replay=True)
-        for payload in store.ring.peek_all():
-            rec = json.loads(payload.decode("utf-8"))
-            if rec["t"] == "begin":
-                store.pending[rec["pid"]] = {
-                    "name": rec["name"], "args": list(rec["args"]), "frames": [],
-                }
-            elif rec["t"] == "frame":
-                entry = store.pending.get(rec["pid"])
-                # a frame below the current height is a compaction
-                # re-append; a frame for a finished pid is stale history
-                if entry is not None and rec["step"] == len(entry["frames"]):
-                    entry["frames"].append(rec["bind"])
-            elif rec["t"] == "done":
-                store.pending.pop(rec["pid"], None)
-                store.done[rec["pid"]] = rec["result"]
-        return store
+    def __init__(self, device: Optional[NVMDevice] = None,
+                 log_bytes: int = LOG_BYTES):
+        super().__init__(device, log_bytes)
+        self._load(())
 
     def begin(self, pid: str, name: str, args: Sequence[Any]) -> None:
-        self._log({"t": "begin", "pid": pid, "name": name, "args": list(args)})
-        self.pending[pid] = {"name": name, "args": list(args), "frames": []}
+        self._record({"t": "begin", "pid": pid, "name": name, "args": list(args)})
 
     def push_frame(self, pid: str, step: int, bind: Any) -> None:
         """The frame-persist boundary: the append is flushed and fenced
         before the durable produce word advances, so the frame is all
         there or not there — the crash points the explorer sweeps."""
-        self._log({"t": "frame", "pid": pid, "step": step, "bind": bind})
-        self.pending[pid]["frames"].append(bind)
+        self._record({"t": "frame", "pid": pid, "step": step, "bind": bind})
 
     def finish(self, pid: str, result: Any) -> None:
-        self._log({"t": "done", "pid": pid, "result": result})
-        self.pending.pop(pid, None)
-        self.done[pid] = result
-        while len(self.done) > KEEP_DONE:
-            self.done.popitem(last=False)
+        self._record({"t": "done", "pid": pid, "result": result})
 
-    def crash_and_recover(self) -> "ProcedureStore":
-        """Server power-fail: volatile state dies, the ring survives.
+    def _record(self, rec: dict) -> None:
+        self._append(rec)
+        self._fold(rec)
 
-        Safe whether the device already crashed (a scheduled fail-point
-        fired mid-append) or is being failed deliberately.  Rebuilds in
-        place so holders of this store keep their reference.
-        """
-        if not self.device.crashed:
-            self.device.crash()
-        self.device.restart()
-        reborn = ProcedureStore.open(self.device)
-        self.pool = reborn.pool
-        self.ring = reborn.ring
-        self.pending = reborn.pending
-        self.done = reborn.done
-        self.recoveries += 1
-        return self
+    # -- the journal's fold and checkpoint -------------------------------------
 
-    def _log(self, record: dict) -> None:
-        payload = json.dumps(record, sort_keys=True).encode("utf-8")
-        if self.ring.free_bytes < len(payload) + _COMPACT_HEADROOM:
-            self._compact()
-        self.ring.append(payload)
+    def _load(self, records: Iterable[dict]) -> None:
+        #: pid -> {"name", "args", "frames"} for procedures mid-flight
+        self.pending: Dict[str, dict] = {}
+        #: pid -> result, insertion-ordered so replay eviction is FIFO
+        self.done: "OrderedDict[str, Any]" = OrderedDict()
+        for rec in records:
+            self._fold(rec)
 
-    def _compact(self) -> None:
-        """Checkpoint-and-truncate: keep pending stacks and the bounded
-        replay window, drop everything already both finished and aged."""
-        self.compactions += 1
-        self.ring.drain()
+    def _fold(self, rec: dict) -> None:
+        if rec["t"] == "begin":
+            self.pending.setdefault(rec["pid"], {
+                "name": rec["name"], "args": list(rec["args"]), "frames": [],
+            })
+        elif rec["t"] == "frame":
+            entry = self.pending.get(rec["pid"])
+            # a frame below the current height is a checkpoint re-append;
+            # a frame for a finished pid is stale history
+            if entry is not None and rec["step"] == len(entry["frames"]):
+                entry["frames"].append(rec["bind"])
+        elif rec["t"] == "done":
+            self.pending.pop(rec["pid"], None)
+            self.done[rec["pid"]] = rec["result"]
+            while len(self.done) > KEEP_DONE:
+                self.done.popitem(last=False)
+
+    def _checkpoint(self) -> Iterator[dict]:
         for pid, entry in self.pending.items():
-            self.ring.append(json.dumps(
-                {"t": "begin", "pid": pid, "name": entry["name"],
-                 "args": entry["args"]}, sort_keys=True).encode("utf-8"))
+            yield {"t": "begin", "pid": pid, "name": entry["name"],
+                   "args": entry["args"]}
             for step, bind in enumerate(entry["frames"]):
-                self.ring.append(json.dumps(
-                    {"t": "frame", "pid": pid, "step": step, "bind": bind},
-                    sort_keys=True).encode("utf-8"))
+                yield {"t": "frame", "pid": pid, "step": step, "bind": bind}
         for pid, result in self.done.items():
-            self.ring.append(json.dumps(
-                {"t": "done", "pid": pid, "result": result},
-                sort_keys=True).encode("utf-8"))
+            yield {"t": "done", "pid": pid, "result": result}
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +319,9 @@ class ProcedureEngine:
 
     # -- execution -------------------------------------------------------------
 
-    def _pending_map(self) -> Dict[str, dict]:
-        return self.store.pending
-
-    def _done_map(self) -> Dict[str, Any]:
-        return self.store.done
-
     def result(self, pid: str) -> Optional[Any]:
         """The stored result of a completed pid (None if unknown)."""
-        return self._done_map().get(pid)
+        return self.store.done.get(pid)
 
     def run(self, name: str, args: Sequence[Any],
             pid: Optional[str] = None) -> Any:
@@ -381,14 +336,14 @@ class ProcedureEngine:
         if pid is None:
             pid = f"p{self._next_pid}"
             self._next_pid += 1
-        done = self._done_map()
+        done = self.store.done
         if pid in done:
             self.resumed_replies += 1
             raise ProcedureResumed(
                 f"procedure {pid} already completed; replaying stored result",
                 pid=pid, result=done[pid],
             )
-        pending = self._pending_map()
+        pending = self.store.pending
         if pid not in pending:
             if name not in self.registry:
                 raise ProcedureError(f"unknown procedure '{name}'")
@@ -404,14 +359,14 @@ class ProcedureEngine:
         later ones) re-execute, and their committed effects are absorbed
         by the cluster's dedup."""
         out: List[Tuple[str, Any]] = []
-        for pid in sorted(self._pending_map(), key=_pid_order):
+        for pid in sorted(self.store.pending, key=_pid_order):
             self.resumes += 1
-            self.skipped_steps += len(self._pending_map()[pid]["frames"])
+            self.skipped_steps += len(self.store.pending[pid]["frames"])
             out.append((pid, self._drive(pid, resuming=True)))
         return out
 
     def _drive(self, pid: str, resuming: bool = False) -> Any:
-        entry = self._pending_map()[pid]
+        entry = self.store.pending[pid]
         proc = self.registry.get(entry["name"])
         if proc is None:
             raise ProcedureError(
@@ -444,7 +399,7 @@ class ProcedureEngine:
             "resumed_replies": self.resumed_replies,
             "skipped_steps": self.skipped_steps,
             "replayed_steps": self.replayed_steps,
-            "pending": len(self._pending_map()),
+            "pending": len(self.store.pending),
             "recoveries": self.store.recoveries,
             "compactions": self.store.compactions,
         }

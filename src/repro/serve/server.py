@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
 from typing import Any, List, Optional, Tuple
 
 from ..errors import (
@@ -40,7 +40,7 @@ from ..errors import (
     ProtocolError,
     ReproError,
 )
-from ..replication.chain import RetryPolicy
+from ..replication.chain import ChainCluster, RetryPolicy
 from .admission import AdmissionConfig, AdmissionController
 from .gateway import ClusterGateway
 from .procedures import ProcedureEngine, ProcedureStore
@@ -237,7 +237,7 @@ class ReproServer:
                 raise ProtocolError("PROCRESULT needs <pid>")
             pid = argv[1].decode("utf-8")
             result = self.procedures.result(pid)
-            if result is None and pid not in self.procedures._done_map():
+            if result is None and pid not in self.store.done:
                 return encode_bulk(None), False
             return encode_bulk(
                 json.dumps(result, sort_keys=True).encode("utf-8")
@@ -277,7 +277,7 @@ class ReproServer:
         except DeviceCrashedError:
             self.crash_and_resume()
             stored = self.procedures.result(pid)
-            if stored is not None or pid in self.procedures._done_map():
+            if stored is not None or pid in self.store.done:
                 raise ProcedureResumed(
                     f"procedure {pid} completed across a crash",
                     pid=pid, result=stored,
@@ -296,7 +296,7 @@ class ReproServer:
 
     def metrics(self) -> dict:
         cluster = self.cluster
-        doc = {
+        return {
             "server": {
                 "connections_opened": self.connections_opened,
                 "connections_closed": self.connections_closed,
@@ -309,40 +309,26 @@ class ReproServer:
             "procedures": self.procedures.stats(),
             "cluster": {
                 "sim_now_ns": cluster.sim.now,
-                "degraded": bool(getattr(cluster, "degraded", False)),
-                "committed": getattr(cluster, "committed", 0),
-                "aborted": getattr(cluster, "aborted", 0),
-                "retransmissions": getattr(cluster, "retransmissions", 0),
-                "timed_out": getattr(cluster, "timed_out", 0),
-                "degraded_rejections": getattr(
-                    cluster, "degraded_rejections", 0
-                ),
-                "degraded_readmissions": getattr(
-                    cluster, "degraded_readmissions", 0
-                ),
-                "backpressure_stalls": getattr(
-                    cluster, "backpressure_stalls", 0
-                ),
-                "duplicate_requests": getattr(
-                    cluster, "duplicate_requests", 0
-                ),
+                "degraded": cluster.degraded,
+                "committed": cluster.committed,
+                "aborted": cluster.aborted,
+                "retransmissions": cluster.retransmissions,
+                "timed_out": cluster.timed_out,
+                "degraded_rejections": cluster.degraded_rejections,
+                "degraded_readmissions": cluster.degraded_readmissions,
+                "backpressure_stalls": cluster.backpressure_stalls,
+                "duplicate_requests": cluster.duplicate_requests,
             },
+            "procedure_log_device": asdict(self.store.device.stats),
+            "net": asdict(cluster.net.stats),
         }
-        device_stats = getattr(self.store.device, "stats", None)
-        if is_dataclass(device_stats):
-            doc["procedure_log_device"] = asdict(device_stats)
-        net = getattr(self.cluster, "net", None)
-        net_stats = getattr(net, "stats", None)
-        if is_dataclass(net_stats):
-            doc["net"] = asdict(net_stats)
-        return doc
 
     def info(self) -> dict:
-        groups = getattr(self.cluster, "groups", None)
+        cluster = self.cluster
         return {
             "address": list(self.address) if self.address else None,
-            "groups": len(groups) if isinstance(groups, list) else 1,
-            "map_version": getattr(self.cluster, "map_version", None),
+            "groups": 1 if isinstance(cluster, ChainCluster) else len(cluster.groups),
+            "map_version": cluster.map_version,
             "procedures": sorted(self.procedures.registry),
             "durable": self.procedures.durable,
         }

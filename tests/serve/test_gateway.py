@@ -4,8 +4,9 @@ import pytest
 
 from repro import ShardedCluster
 from repro.errors import ClusterDegraded, ReplicationError, RequestTimeoutError
-from repro.replication import KAMINO, ChainCluster, RetryPolicy
+from repro.replication import KAMINO, ChainClient, ChainCluster, RetryPolicy
 from repro.serve import ClusterGateway
+from repro.workloads.ycsb import UPDATE, Op
 
 _US = 1_000.0
 
@@ -113,3 +114,68 @@ class TestStaleMap:
         for key in range(0, 4000, 1000):
             got = bytes(gw.call_read("get", (key,))).rstrip(b"\x00")
             assert got == b"after"
+
+
+class TestOneLadder:
+    """ChainClient and the gateway run the same request ladder."""
+
+    #: the head's retransmission ladder: gives up ~6 ms after forwarding
+    HEAD = RetryPolicy(max_retries=3)
+    #: callers patient enough that the head's ladder answers first
+    CALLER = RetryPolicy(max_retries=3, timeout_ns=8_000 * _US,
+                         max_timeout_ns=64_000 * _US)
+
+    def _faulted_cluster(self):
+        """Head -> successor cut until after the head's RequestTimeoutError
+        reply, then healed; records every submission's virtual time."""
+        cluster = small_cluster(retry=self.HEAD)
+        submitted = []
+        submit_write = cluster.submit_write
+
+        def recording(*args, **kwargs):
+            submitted.append(cluster.sim.now)
+            return submit_write(*args, **kwargs)
+
+        cluster.submit_write = recording
+        head, successor = cluster.chain[0].node_id, cluster.chain[1].node_id
+        cluster.net.cut_link(head, successor)
+        cluster.sim.schedule(7_000 * _US, cluster.net.heal_link, head, successor)
+        return cluster, submitted
+
+    def test_client_and_gateway_retry_identically(self):
+        cluster, client_submits = self._faulted_cluster()
+        client = ChainClient(cluster, "c0", [Op(UPDATE, 1, b"x")], retry=self.CALLER)
+        client.start()
+        cluster.drain()
+        assert client.done and not client.failed
+
+        cluster, gateway_submits = self._faulted_cluster()
+        gw = ClusterGateway(cluster, retry=self.CALLER)
+        gw.call_write("put", (1, b"x"), (1,), "c0", 0)
+
+        # one head timeout, one backed-off resubmission (attempt 1 waits
+        # timeout_for(1)), at the same virtual times on both
+        assert len(client_submits) == 2
+        assert gateway_submits == client_submits
+        assert client.retries == gw.internal_retries == 1
+        assert client.unknown_rids == {0}
+        assert gw.unknown_rids == {("c0", 0)}
+
+    def test_a_read_whose_reply_is_lost_retries(self):
+        cluster = small_cluster()
+        gw = ClusterGateway(cluster)
+        gw.call_write("put", (1, b"v"), (1,), "c0", 0)
+        submit_read = cluster.submit_read
+        dropped = []
+
+        def lossy(proc, args, callback=None):
+            if not dropped:
+                dropped.append(proc)
+                callback = None  # this reply goes nowhere
+            return submit_read(proc, args, callback)
+
+        cluster.submit_read = lossy
+        # the read's own timer resubmits instead of running the sim dry
+        assert bytes(gw.call_read("get", (1,))).rstrip(b"\x00") == b"v"
+        assert dropped == ["get"]
+        assert gw.internal_retries == 1

@@ -186,9 +186,14 @@ class TestCrashRecovery:
         assert (read_int(gateway, 20), read_int(gateway, 21)) == (70, 130)
 
 
+#: small enough that 64 procedures compact it, big enough that the kept
+#: results (the live state) stay under the half a checkpoint needs
+SMALL_LOG = 16 * 1024
+
+
 class TestCompaction:
     def test_log_compacts_and_reopens(self):
-        gateway, store, engine = build(log_bytes=4096 + 2048)
+        gateway, store, engine = build(log_bytes=SMALL_LOG)
         seed(gateway, 10, 0)
         for i in range(64):
             engine.run("incr", [10, 1], pid=f"c{i}")
@@ -200,7 +205,7 @@ class TestCompaction:
         assert not reopened.pending
 
     def test_pending_stack_survives_compaction(self):
-        gateway, store, engine = build(log_bytes=4096 + 2048)
+        gateway, store, engine = build(log_bytes=SMALL_LOG)
         seed(gateway, 10, 0)
         seed(gateway, 20, 100)
         seed(gateway, 21, 100)

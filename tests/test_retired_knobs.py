@@ -24,6 +24,11 @@ is a factory over the one Kamino engine, the scheduler's cost row and the
 late-unlock flag live on the capabilities, the intent-only engine loads
 with every other, and the class-level copy flag, the lock-counter
 snapshot and the ``lock_timeout`` keyword nothing passed are gone.
+
+The front door keeps no copies: the gateway runs the chain client's
+request ladder, and the placement service and the procedure store are
+one journal, so neither takes a ``_replay`` flag and the engine's
+private views of the store are gone.
 """
 
 import os
@@ -49,6 +54,8 @@ import repro.tx.striped_locks
 from repro.check import ChainCrashExplorer, MigrationCrashExplorer
 from repro.check.pytest_plugin import CheckBudget
 from repro.cli import main
+from repro.cluster.placement import PlacementService
+from repro.cluster.router import ShardMap
 from repro.integrity import IntegrityTree
 from repro.nvm import NVMDevice
 from repro.tx.dynamic import DynamicBackup
@@ -57,7 +64,7 @@ from repro.nvm.backend import device_class
 from repro.nvm.reference import ReferenceNVMDevice
 from repro.runtime import ExecutionContext
 from repro.runtime.registry import EngineCapabilities, make_engine, registered_engines
-from repro.serve import ServeCrashExplorer
+from repro.serve import ProcedureEngine, ProcedureStore, ServeCrashExplorer
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -123,7 +130,7 @@ import repro
 from repro.check import CrashExplorer
 from repro.runtime import ExecutionContext
 from repro.runtime.registry import EngineCapabilities, make_engine, registered_engines
-from repro.serve import ServeCrashExplorer
+from repro.serve import ProcedureEngine, ProcedureStore, ServeCrashExplorer
 ExecutionContext.create("kamino-simple", value_size=64, heap_mb=1)
 assert CrashExplorer("kamino-simple", workload="kv").explore(max_points=4).ok
 print("numpy" in sys.modules)
@@ -240,3 +247,18 @@ def test_engines_take_no_lock_timeout_and_carry_no_copy_flag(name):
     with pytest.raises(TypeError):
         make_engine(name, lock_timeout=1)
     assert not hasattr(make_engine(name), "copies_in_critical_path")
+
+
+def test_the_journal_owners_take_no_replay_flag():
+    with pytest.raises(TypeError):
+        ProcedureStore(_replay=True)
+    with pytest.raises(TypeError):
+        PlacementService(ShardMap({0: 0}, version=1), _replay=True)
+    assert not hasattr(ProcedureEngine, "_pending_map")
+    assert not hasattr(ProcedureEngine, "_done_map")
+
+
+def test_the_serve_layer_does_not_duck_type_the_cluster():
+    for path in sorted((ROOT / "src" / "repro" / "serve").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "getattr(" not in text and "hasattr(" not in text, path

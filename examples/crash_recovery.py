@@ -59,7 +59,7 @@ def scenario(engine_factory, label: str) -> None:
     print(f"after recovery: alice={alice2.balance}, bob={bob2.balance}, "
           f"total={total} (atomic: {'OK' if total == 150 else 'BROKEN'})")
     assert total == 150, "money was created or destroyed!"
-    if hasattr(engine2, "backup"):
+    if engine2.backup is not None:
         verify_backup_consistency(heap2)
         print("backup verified consistent with the main heap")
     print()

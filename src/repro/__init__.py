@@ -35,7 +35,6 @@ from .errors import (
     UncorrectableMediaError,
 )
 from .cluster import (
-    ClusterReport,
     MigrationReport,
     RangeRouter,
     ShardMap,
@@ -94,7 +93,6 @@ __all__ = [
     "ChecksumSidecar",
     "ClusterConfigError",
     "ClusterDegraded",
-    "ClusterReport",
     "CoWEngine",
     "CrashPolicy",
     "DurableProcedure",

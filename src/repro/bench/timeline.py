@@ -77,10 +77,6 @@ class TimelineRecorder:
         return self.spans[-1].end_ns if self.spans else 0.0
 
 
-def _engine_has_commit_record(engine) -> bool:
-    return engine.name.startswith("kamino") or engine.name == "cow"
-
-
 def record_one_update(ctx, key: int, payload: bytes) -> TimelineRecorder:
     """Run one KV update under a recorder, draining the sync inside it."""
     recorder = TimelineRecorder(ctx.device, ctx.engine)

@@ -48,8 +48,10 @@ scenario is held to.
 
 **Media-corruption mode** (``Scenario.media`` + ``corrupt_lines``)
 additionally rots the durable image *between the crash and recovery*:
-seeded bit flips land in the heap and backup-mirror bytes while the
-machine is "off", exactly when no code can observe them happening.  The
+seeded bit flips land in the live heap and in the backup strategy's
+copies of it (the full mirror's image, or the dynamic backup's slots)
+while the machine is "off", exactly when no code can observe them
+happening.  The
 oracle is then *detect-or-repair, never silent corruption*: with
 ``media="protected"`` recovery must either repair every flipped line
 (checksum scrub against the surviving copy) and satisfy the usual
@@ -343,18 +345,23 @@ class CrashExplorer:
 
         Captured right after setup drains (so every image is a
         legitimately persisted state with a CRC the sidecar once
-        vouched for), covering the live main lines and their
-        backup-mirror partners.  Returns ``(images, partner)``."""
+        vouched for), covering the live main lines and their partners
+        on the other side of a line-for-line mirror
+        (:meth:`~repro.tx.backup.BackupStrategy.partner_line`).
+        Returns ``(images, partner)``."""
         media = device.media
         if media is None or scenario.stale_lines <= 0:
             return None
         images = media.snapshot_lines(heap.live_spans())
         partner: Dict[int, int] = {}
-        backup = heap.region.pool.regions.get("backup")
-        if backup is not None and backup.size >= heap.region.size:
-            shift = (backup.offset - heap.region.offset) >> _LINE_SHIFT
-            partner = {line: line + shift for line in images}
-            images.update(media.snapshot_lines(heap.live_spans(backup)))
+        backup = heap.engine.backup
+        if backup is not None:
+            for line in images:
+                mate = backup.partner_line(line)
+                if mate is not None:
+                    partner[line] = mate
+            mates = [(mate << _LINE_SHIFT, CACHE_LINE) for mate in partner.values()]
+            images.update(media.snapshot_lines(mates))
         return images, partner
 
     @staticmethod
@@ -377,20 +384,20 @@ class CrashExplorer:
 
     @staticmethod
     def _inject_corruption(device: NVMDevice, heap: Any, scenario: Scenario) -> None:
-        """Rot the crashed durable image: seeded bit flips into the heap
-        and its backup mirror, while the machine is "off"."""
+        """Rot the crashed durable image: seeded bit flips into the live
+        heap and the backup strategy's copies of it, while the machine
+        is "off"."""
         media = device.media
         if media is None or scenario.corrupt_lines <= 0:
             return
-        # target the *live* allocations (and their backup-mirror image) —
-        # rot in free space is unobservable and proves nothing
-        region = heap.region
-        spans = heap.live_spans()
-        backup = region.pool.regions.get("backup")
-        if backup is not None and backup.size >= region.size:
-            spans += heap.live_spans(backup)
-        if not spans:
-            spans = [(region.offset, region.size)]
+        # target the *live* allocations, main spans first, then whatever
+        # backs them up (the mirror's image, or the dynamic backup's
+        # slots) — rot in free space is unobservable and proves nothing
+        live = heap.allocator.live_ranges()
+        base = heap.region.offset
+        spans = [(base + off, size) for off, size in live]
+        if heap.engine.backup is not None:
+            spans += [(copy, size) for _main, copy, size in heap.engine.backup.copies(live)]
         media.inject_flips(
             scenario.corrupt_lines,
             ranges=spans,
@@ -604,7 +611,7 @@ class CrashExplorer:
                 steps_completed=steps_done,
             )
         except PoolCorruptionError as exc:
-            media = getattr(device, "media", None)
+            media = device.media
             if media_mode == "protected" and media is not None and media.faulty:
                 # self-validating metadata (pool header, allocator
                 # tables) caught the injected rot and refused to mount —

@@ -548,9 +548,9 @@ def cmd_scrub(args) -> int:
         print(f"replayed {len(replayed)} stale line(s), each with its "
               f"matching old CRC forged into the sidecar")
     media.inject_flips(args.flips, ranges=heap.live_spans())
-    backup = heap.region.pool.regions.get("backup")
+    backup = ctx.engine.backup
     if args.dead and backup is not None:
-        media.kill_lines(args.dead, ranges=[(backup.offset, backup.size)])
+        media.kill_lines(args.dead, ranges=[(backup.region.offset, backup.region.size)])
 
     if media.protected:
         report = Scrubber(device, pool=heap.region.pool,

@@ -1,14 +1,14 @@
 """Sharded multi-group cluster: placement, routing, online migration.
 
 Light members (:class:`ShardRouter`, :class:`RangeRouter`,
-:class:`ShardMap`, the report types) import eagerly; the heavy ones
+:class:`ShardMap`, :class:`MigrationReport`) import eagerly; the heavy ones
 (:class:`ShardedCluster`, :class:`PlacementService`,
 :class:`ShardMigration`) drag in the simulator and NVM stack, so they
 load lazily on first attribute access — the package root can re-export
 the whole family without paying for an import of :mod:`repro.cluster`.
 """
 
-from .report import ClusterReport, MigrationReport
+from .report import MigrationReport
 from .router import RangeRouter, ShardMap, ShardRouter, router_from_dict
 
 _LAZY = {
@@ -19,7 +19,6 @@ _LAZY = {
 }
 
 __all__ = [
-    "ClusterReport",
     "MigrationRecord",
     "MigrationReport",
     "PlacementService",

@@ -1,13 +1,13 @@
-"""Typed reports produced by the cluster layer.
+"""The typed report an online shard migration produces.
 
 Kept dependency-free (dataclasses only) so the package root can
-re-export them without dragging the simulator in.
+re-export it without dragging the simulator in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass
@@ -75,24 +75,3 @@ class MigrationReport:
             f"g{self.dst_group} [{self.phase}] copied={self.copied_keys} "
             f"catchup={self.catchup_keys} parked={self.parked_ops}"
         )
-
-
-@dataclass
-class ClusterReport:
-    """One `repro cluster` run, rendered by the CLI."""
-
-    groups: int
-    shards: int
-    map_version: int
-    committed: int
-    failed: int
-    client_retries: int
-    map_refreshes: int
-    migrations: List[MigrationReport] = field(default_factory=list)
-    #: shard id -> routed operations (hot-shard detection input)
-    shard_load: Dict[int, int] = field(default_factory=dict)
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems

@@ -105,10 +105,6 @@ class ShardedCluster:
     def map_version(self) -> int:
         return self.placement.version
 
-    @property
-    def n_shards(self) -> int:
-        return len(self.map.assignment)
-
     # -- routing --------------------------------------------------------------
 
     def route(self, key: Any, map_version: Optional[int] = None):
@@ -126,9 +122,6 @@ class ShardedCluster:
         if migration is not None:
             return migration
         return self.groups[self.map.assignment[shard]]
-
-    def group_for_key(self, key: Any) -> ChainCluster:
-        return self.groups[self.map.group_for(key)]
 
     # -- ChainCluster-compatible client surface --------------------------------
 
@@ -329,9 +322,6 @@ class ShardedCluster:
         return self._sum("total_storage_bytes")
 
     # -- verification -------------------------------------------------------------
-
-    def group_kv_states(self) -> List[List[Dict[int, bytes]]]:
-        return [group.kv_states() for group in self.groups]
 
     def assert_replicas_consistent(self) -> None:
         """Every group's replicas converge (per-group chain invariant)."""

@@ -145,10 +145,6 @@ class NoActiveTransactionError(TxError):
     """A transactional operation was attempted outside a transaction."""
 
 
-class NestedTransactionError(TxError):
-    """A transaction was begun while another is active on the same thread."""
-
-
 class WriteIntentError(TxError):
     """An object was written without a prior declared write intent (TX_ADD)."""
 

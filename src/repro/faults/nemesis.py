@@ -337,12 +337,16 @@ class Nemesis:
         return media
 
     def _target_ranges(self, replica, target: str) -> List[Tuple[int, int]]:
-        """Device-absolute (start, length) spans for an injection target."""
+        """Device-absolute (start, length) spans for an injection target:
+        ``"backup"`` is wherever the engine's backup strategy keeps its
+        copies; any other name is a pool region."""
         pool = replica.heap.region.pool
         if target == "live":
             return replica.heap.live_spans()
         if target == "heap":
             region = replica.heap.region
+        elif target == "backup" and replica.engine.backup is not None:
+            region = replica.engine.backup.region
         elif target in pool.regions:
             region = pool.regions[target]
         else:

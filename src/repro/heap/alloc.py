@@ -384,9 +384,3 @@ class SlabAllocator:
             self._free_counts[ci] += 1 if value else -1
 
         tx.on_abort.append(undo_bit)
-
-    # -- recovery support ----------------------------------------------------------------
-
-    def reload_after_recovery(self) -> None:
-        """Resynchronise every volatile mirror with NVM (post-recovery)."""
-        self.open()

@@ -406,12 +406,12 @@ class PersistentHeap:
 
     # -- maintenance ---------------------------------------------------------------------------
 
-    def live_spans(self, region: Optional[PmemRegion] = None) -> List[Tuple[int, int]]:
+    def live_spans(self) -> List[Tuple[int, int]]:
         """Device-absolute ``(addr, size)`` of every live heap byte
-        (:meth:`SlabAllocator.live_ranges`), placed in ``region`` — the
-        heap's own by default, or a same-geometry mirror such as the
-        full backup."""
-        base = (region or self.region).offset
+        (:meth:`SlabAllocator.live_ranges`); where the backup holds
+        copies of them is the engine's backup strategy's to say
+        (:meth:`~repro.tx.backup.BackupStrategy.copies`)."""
+        base = self.region.offset
         return [(base + off, size) for off, size in self.allocator.live_ranges()]
 
     def drain(self) -> None:

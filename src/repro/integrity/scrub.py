@@ -28,15 +28,22 @@ dead line                       quarantine + remap to a spare
 heap bad, no full mirror        peer transfer if available; otherwise
                                 mark **lost** — the sidecar condemned
                                 the bytes, so reads must not serve them
+partial-backup copy bad         peer transfer if available; otherwise
+                                mark **lost** — a dynamic slot has no
+                                line partner, and recovery must never
+                                roll main back from it
 unmirrored metadata bad         peer transfer if available; otherwise
                                 report only — self-checksummed
                                 structures (intent log, rings, look-up
                                 table) own their semantics
 ==============================  =========================================
 
-"Pending" ranges come from the engine's committed-but-unsynced queue
-(:meth:`AtomicityEngine.pending_ranges` — the ``BackupSyncer`` lag), the
-same information the crash-summary path reports.
+Which line backs up which is the backup strategy's answer
+(:meth:`~repro.tx.backup.BackupStrategy.partner_line`), never region
+arithmetic here.  "Pending" ranges come from the engine's
+committed-but-unsynced queue (:meth:`AtomicityEngine.pending_ranges` —
+the ``BackupSyncer`` lag), the same information the crash-summary path
+reports.
 """
 
 from __future__ import annotations
@@ -101,12 +108,10 @@ class Scrubber:
             :class:`~repro.integrity.model.MediaFaultModel` attached
             (``device.attach_media()``).
         pool: the :class:`~repro.nvm.pool.PmemPool` on the device; gives
-            the scrubber region geometry (main↔backup pairing) and the
-            quarantine table.  Without it only detection and peer repair
-            are possible.
-        engine: the atomicity engine, for backup pairing
-            (``engine.backup``) and pending-sync authority
-            (``engine.pending_ranges()``).
+            the scrubber the quarantine table.
+        engine: the atomicity engine, for the heap region, the backup
+            strategy's main↔copy pairing (``engine.backup.partner_line``)
+            and pending-sync authority (``engine.pending_ranges()``).
         peer_repair: optional ``(abs_addr, size) -> bytes|None`` callback
             fetching authoritative bytes from a replica peer (chain
             deployments); the last resort before a line is declared lost.
@@ -115,8 +120,8 @@ class Scrubber:
     def __init__(
         self,
         device,
-        pool=None,
-        engine=None,
+        pool,
+        engine,
         peer_repair: Optional[PeerRepair] = None,
     ):
         self.device = device
@@ -130,29 +135,9 @@ class Scrubber:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _mirror(self):
-        """(heap_region, backup_region) if the engine runs a full mirror."""
-        backup = getattr(self.engine, "backup", None)
-        region = getattr(backup, "region", None)
-        heap_region = getattr(backup, "heap_region", None)
-        if region is not None and heap_region is not None:
-            if region.size == heap_region.size:
-                return heap_region, region
-        if self.pool is not None:
-            regions = self.pool.regions
-            heap = regions.get("heap")
-            bak = regions.get("backup")
-            if heap is not None and bak is not None and heap.size == bak.size:
-                return heap, bak
-        return None, None
-
-    def _in_heap(self, addr: int) -> bool:
-        heap = self.pool.regions.get("heap") if self.pool is not None else None
-        return heap is not None and heap.offset <= addr < heap.offset + heap.size
-
-    def _pending_ranges(self) -> Sequence[Tuple[int, int]]:
-        fn = getattr(self.engine, "pending_ranges", None)
-        return tuple(fn()) if fn is not None else ()
+    @staticmethod
+    def _holds(region, addr: int) -> bool:
+        return region.offset <= addr < region.offset + region.size
 
     @staticmethod
     def _covers(ranges: Sequence[Tuple[int, int]], rel: int) -> bool:
@@ -178,7 +163,7 @@ class Scrubber:
 
     def scrub_once(self) -> ScrubReport:
         """Verify every covered line; repair, quarantine, or degrade."""
-        media = getattr(self.device, "media", None)
+        media = self.device.media
         report = ScrubReport()
         if media is None:
             self.last_report = report
@@ -192,10 +177,9 @@ class Scrubber:
         bad = media.bad_lines()
         report.bad_lines = len(bad)
         self.device.stats.media_detected += len(bad)
-        heap, backup = self._mirror()
-        pending = self._pending_ranges()
+        pending = self.engine.pending_ranges()
         for line in bad:
-            self._handle_bad_line(line, media, heap, backup, pending, report)
+            self._handle_bad_line(line, media, pending, report)
         # a repair is only a repair if it verifies; stuck-at lines fail
         # here and get one quarantine attempt before being declared lost
         for line in list(bad):
@@ -203,78 +187,61 @@ class Scrubber:
                 continue
             if not media.verify_line(line):
                 if self._quarantine(line, media, report):
-                    self._handle_bad_line(line, media, heap, backup, pending, report)
+                    self._handle_bad_line(line, media, pending, report)
                 if not media.verify_line(line) and line not in media.lost:
                     report.unrepaired.append((line, "repair did not verify"))
         self.passes += 1
         self.last_report = report
         return report
 
-    def _handle_bad_line(self, line, media, heap, backup, pending, report) -> None:
+    def _handle_bad_line(self, line, media, pending, report) -> None:
         addr = line << _LINE_SHIFT
         if line in media.dead and not self._quarantine(line, media, report):
             report.unrepaired.append((line, "dead, no spare line available"))
             return
+        heap = self.engine.heap_region
+        backup = self.engine.backup
+        in_heap = self._holds(heap, addr)
+        partner = backup.partner_line(line) if backup is not None else None
         partner_data = None
-        source = None
-        if heap is not None and heap.offset <= addr < heap.offset + heap.size:
-            rel = addr - heap.offset
-            partner_line = (backup.offset + rel) >> _LINE_SHIFT
-            if media.verify_line(partner_line) and partner_line not in media.dead:
-                if not self._covers(pending, rel):
-                    partner_data = self._durable_line(partner_line)
-                    source = "backup"
-                # else: backup stale for this line — peer fallback below
-        elif backup is not None and backup.offset <= addr < backup.offset + backup.size:
-            rel = addr - backup.offset
-            partner_line = (heap.offset + rel) >> _LINE_SHIFT
-            if media.verify_line(partner_line) and partner_line not in media.dead:
-                # main is authoritative for the mirror, pending or not
-                partner_data = self._durable_line(partner_line)
-                source = "main"
+        if (
+            partner is not None
+            and media.verify_line(partner)
+            and partner not in media.dead
+            # main is authoritative for the mirror, pending or not; the
+            # mirror is stale for main inside a pending range — peer
+            # fallback below
+            and not (in_heap and self._covers(pending, addr - heap.offset))
+        ):
+            partner_data = self._durable_line(partner)
         if partner_data is None:
             partner_data = self._peer_line(line)
-            source = "peer" if partner_data is not None else None
         if partner_data is not None:
             media.repair_line(line, partner_data)
             report.repaired += 1
             return
-        if heap is None and backup is None and line not in media.lost:
-            if media.tree is not None or self._in_heap(addr):
-                # the tree disputes the line, or it is heap data no copy
-                # can restore: degrade typed (reads raise) rather than
-                # keep serving bytes the sidecar or the root condemned
-                media.mark_lost(line)
-                report.lost += 1
-                return
-            # unmirrored self-validating metadata (intent log, rings,
-            # look-up table): record the detection, leave the bytes to
-            # their owner
-            report.unrepaired.append((line, "reported"))
-            return
-        in_mirror = any(
-            r is not None and r.offset <= addr < r.offset + r.size
-            for r in (heap, backup)
-        )
         if (
-            in_mirror
+            in_heap
+            or (backup is not None and self._holds(backup.region, addr))
             or line in media.lost
             or line in media.retired
             or media.tree is not None
         ):
-            # with an integrity tree attached even unmirrored lines
-            # degrade typed: the root disputes them and self-validation
-            # cannot clear a consistent (stale-CRC) replay
+            # heap data or a backup copy no surviving copy can restore
+            # (a partial backup's slots have no partner at all): degrade
+            # typed (reads raise) rather than keep serving bytes the
+            # sidecar condemned.  With an integrity tree attached even
+            # unmirrored lines degrade typed: the root disputes them and
+            # self-validation cannot clear a consistent (stale-CRC) replay
             media.mark_lost(line)
             report.lost += 1
         else:
-            # unmirrored metadata (intent log, rings) self-validates;
-            # record the detection and leave the bytes to their owner
+            # unmirrored self-validating metadata (intent log, rings,
+            # look-up table): record the detection, leave the bytes to
+            # their owner
             report.unrepaired.append((line, "reported"))
 
     def _quarantine(self, line, media, report) -> bool:
-        if self.pool is None:
-            return False
         spare = self.pool.quarantine_line(line)
         if spare is None:
             return False
@@ -310,7 +277,7 @@ def verify_ranges(device, ranges: Sequence[Tuple[int, int]]) -> List[int]:
     checksum-verify step recovery runs before rolling back or forward.
     Returns an empty list when no media model (or no sidecar) is
     attached: an unprotected deployment has nothing to verify with."""
-    media = getattr(device, "media", None)
+    media = device.media
     if media is None:
         return []
     bad: List[int] = []

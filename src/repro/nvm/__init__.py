@@ -19,7 +19,7 @@ from .latency import (
 )
 from .pool import DATA_START, MAX_REGIONS, PmemPool, PmemRegion
 from .reference import ReferenceNVMDevice
-from .stats import NVMStats, StatsStack
+from .stats import NVMStats
 
 __all__ = [
     "CACHE_LINE",
@@ -39,6 +39,5 @@ __all__ = [
     "PmemPool",
     "PmemRegion",
     "ReferenceNVMDevice",
-    "StatsStack",
     "profile",
 ]

@@ -97,7 +97,7 @@ def format_report(heap) -> str:
             f"intent log: {log_info['free']}/{log_info['slots']} slots durably free"
             + (f"; busy: {log_info['non_free_durable']}" if log_info["non_free_durable"] else "")
         )
-    backup = getattr(heap.engine, "backup", None)
+    backup = heap.engine.backup
     if backup is not None:
         lines.append(f"backup: {backup.storage_bytes:,} bytes provisioned "
                      f"({type(backup).__name__})")

@@ -7,7 +7,7 @@ simulated nanoseconds with a :class:`~repro.nvm.latency.LatencyModel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .latency import CACHE_LINE, LatencyModel
 
@@ -131,17 +131,3 @@ class NVMStats:
     def total_bytes(self) -> int:
         """All bytes moved to or from the media (loads+stores+copies)."""
         return self.load_bytes + self.store_bytes + self.copy_bytes
-
-
-@dataclass
-class StatsStack:
-    """A small helper for nested snapshot/delta accounting."""
-
-    stats: NVMStats
-    _marks: list = field(default_factory=list)
-
-    def push(self) -> None:
-        self._marks.append(self.stats.snapshot())
-
-    def pop(self) -> NVMStats:
-        return self.stats.delta(self._marks.pop())

@@ -476,7 +476,7 @@ class ChainCluster:
             self._admission_queue.append(op)
             return
         head = self.head
-        if getattr(head.engine, "pending_count", 0) >= self.max_backup_lag:
+        if head.engine.pending_count >= self.max_backup_lag:
             # back-pressure: the head's backup-sync backlog is at its
             # bound; stall admission and drain before taking new work,
             # so a slow tail cannot grow the lag without limit

@@ -10,7 +10,7 @@ query.  Chain repair itself is orchestrated by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import ReplicationError, StaleViewError
 
@@ -31,7 +31,6 @@ class MembershipManager:
             raise ReplicationError("chain cannot be empty")
         self.failure_timeout_ns = failure_timeout_ns
         self._views: List[ViewInfo] = [ViewInfo(1, tuple(initial_order))]
-        self._last_seen: Dict[str, float] = {n: 0.0 for n in initial_order}
         #: every replica ever declared failed, so a duplicate declaration
         #: (two detectors racing) is distinguishable from an unknown node
         self._removed: set = set()
@@ -85,7 +84,6 @@ class MembershipManager:
             raise ReplicationError("cannot remove the last replica")
         view = ViewInfo(self.view_id + 1, tuple(order))
         self._views.append(view)
-        self._last_seen.pop(node_id, None)
         self._removed.add(node_id)
         return view
 
@@ -95,7 +93,6 @@ class MembershipManager:
             raise ReplicationError(f"{node_id} is already in the chain")
         view = ViewInfo(self.view_id + 1, self.current.order + (node_id,))
         self._views.append(view)
-        self._last_seen[node_id] = 0.0
         self._removed.discard(node_id)
         return view
 
@@ -121,16 +118,11 @@ class MembershipManager:
         order.append(spare_id)
         view = ViewInfo(self.view_id + 1, tuple(order))
         self._views.append(view)
-        self._last_seen.pop(failed_id, None)
-        self._last_seen[spare_id] = 0.0
         self._removed.add(failed_id)
         self._removed.discard(spare_id)
         return view
 
     # -- failure detection --------------------------------------------------------------
-
-    def heartbeat(self, node_id: str, now_ns: float) -> None:
-        self._last_seen[node_id] = now_ns
 
     def is_quick_reboot(self, node_id: str, went_down_at_ns: float, now_ns: float) -> bool:
         """True if the replica recovered before the detector fired —

@@ -218,7 +218,6 @@ class ReplicaNode:
     def storage_bytes(self) -> int:
         """Provisioned NVM, for Table 1's storage-requirement check."""
         total = self.heap.region.size
-        backup = getattr(self.engine, "backup", None)
-        if backup is not None:
-            total += backup.storage_bytes
+        if self.engine.backup is not None:
+            total += self.engine.backup.storage_bytes
         return total

@@ -232,9 +232,6 @@ class SimNetwork:
         """Apply ``policy`` to the directed link src→dst."""
         self._policies[(src, dst)] = policy
 
-    def clear_link_policy(self, src: str, dst: str) -> None:
-        self._policies.pop((src, dst), None)
-
     def set_default_policy(self, policy: Optional[LinkFaultPolicy]) -> None:
         """Policy for every link without a per-link entry (storms)."""
         self._default_policy = policy

@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 import time
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import DeviceCrashedError
 from ..nvm.latency import CACHE_LINE
@@ -20,6 +20,8 @@ from ..nvm.pool import PmemPool, PmemRegion
 from .base import IntentKind
 
 BACKUP_REGION = "backup"
+
+_LINE_SHIFT = CACHE_LINE.bit_length() - 1
 
 
 class BackupSyncer:
@@ -101,7 +103,7 @@ class BackupSyncer:
         return True
 
     def _note_crash(self, exc: BaseException) -> None:
-        ranges = tuple(getattr(self.engine, "pending_ranges", lambda: ())())
+        ranges = self.engine.pending_ranges()
         self.pending_repair_ranges = ranges
         detail = ""
         if ranges:
@@ -157,8 +159,27 @@ class BackupStrategy(ABC):
 
     Offsets are heap-region-relative; implementations map them to their
     own storage (identity for the full mirror, slot lookup for the
-    dynamic partial backup).
+    dynamic partial backup).  That mapping is this class's to answer:
+    recovery, the scrubber, the crash checker's rot and the consistency
+    oracle ask :meth:`copies` and :meth:`partner_line` which bytes back
+    up which, and :attr:`region` where the copies live.
     """
+
+    #: the pool region holding the copies (set by :meth:`attach`)
+    region: Optional[PmemRegion] = None
+
+    @abstractmethod
+    def copies(self, ranges: Iterable[Tuple[int, int]]) -> List[Tuple[int, int, int]]:
+        """``(main_abs, copy_abs, size)`` device-absolute pieces of the
+        heap-relative ``(offset, size)`` ``ranges`` that have a copy, in
+        range order: the rollback sources of those bytes, and the rot
+        targets behind them."""
+
+    def partner_line(self, line: int) -> Optional[int]:
+        """The cache line holding the same bytes on the other side of a
+        line-for-line mirror (main ↔ copy), or None.  A partial backup
+        has no partners: its slots are not line-aligned with main."""
+        return None
 
     @abstractmethod
     def attach(self, pool: PmemPool, heap_region: PmemRegion, fresh: bool) -> None:
@@ -234,6 +255,20 @@ class FullBackup(BackupStrategy):
             device.copy(self.region.offset, heap_region.offset, heap_region.size)
             device.flush(self.region.offset, heap_region.size)
             device.fence()
+
+    def copies(self, ranges: Iterable[Tuple[int, int]]) -> List[Tuple[int, int, int]]:
+        """Every range, at the mirror's offset."""
+        main, copy = self.heap_region.offset, self.region.offset
+        return [(main + off, copy + off, size) for off, size in ranges]
+
+    def partner_line(self, line: int) -> Optional[int]:
+        addr = line << _LINE_SHIFT
+        main, copy = self.heap_region, self.region
+        if main.offset <= addr < main.offset + main.size:
+            return (copy.offset + addr - main.offset) >> _LINE_SHIFT
+        if copy.offset <= addr < copy.offset + copy.size:
+            return (main.offset + addr - copy.offset) >> _LINE_SHIFT
+        return None
 
     def ensure_copy(self, offset: int, size: int) -> None:
         """No-op: the mirror always holds a consistent copy."""

@@ -114,7 +114,7 @@ class Transaction:
         self.state = TxState.COMMITTED
         for cb in self.on_commit:
             cb()
-        hook = getattr(self.engine, "trace_hook", None)
+        hook = self.engine.trace_hook
         if hook is not None:
             hook(self)
 
@@ -151,6 +151,15 @@ class AtomicityEngine(ABC):
     #: optional callback invoked with each committed Transaction — the
     #: benchmark harness uses it to capture read/write sets
     trace_hook = None
+
+    #: the :class:`~repro.tx.backup.BackupStrategy` holding the rollback
+    #: copy, for schemes that keep one (Kamino); None for the rest
+    backup = None
+
+    #: what the last :meth:`recover` on reopen did, and the scrub pass
+    #: that followed it on protected media (set by the reopen path)
+    last_recovery_report: Optional["RecoveryReport"] = None
+    last_scrub_report = None
 
     @abstractmethod
     def attach(self, pool: PmemPool, heap_region: PmemRegion) -> None:

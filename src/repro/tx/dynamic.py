@@ -29,6 +29,7 @@ entry.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from collections import OrderedDict
 from itertools import compress
 from typing import Dict, List, Optional, Set, Tuple
@@ -251,6 +252,28 @@ class DynamicBackup(BackupStrategy):
         )
 
     # -- BackupStrategy -------------------------------------------------------------
+
+    def copies(self, ranges) -> List[Tuple[int, int, int]]:
+        """The look-up entries' slots that lie in the ranges, each clipped
+        to the bytes it shares with a range."""
+        entries = sorted(
+            (heap_off, backup_off, size)
+            for heap_off, (_i, backup_off, size, _slot) in self.lookup.index.items()
+        )
+        starts = [heap_off for heap_off, _b, _s in entries]
+        main, copy = self.heap_region.offset, self.region.offset
+        out: List[Tuple[int, int, int]] = []
+        for start, length in ranges:
+            end = start + length
+            # no copy is larger than the largest slot class
+            i = bisect_right(starts, start - _SLOT_CLASSES[-1])
+            while i < len(entries) and starts[i] < end:
+                heap_off, backup_off, size = entries[i]
+                lo, hi = max(start, heap_off), min(end, heap_off + size)
+                if lo < hi:
+                    out.append((main + lo, copy + backup_off + lo - heap_off, hi - lo))
+                i += 1
+        return out
 
     def ensure_copy(self, offset: int, size: int) -> None:
         entry = self.lookup.get(offset)

@@ -122,11 +122,6 @@ class TxLog:
         self._entries_base = self._base + _SLOT_HDR_SIZE
         self.data_base = self._entries_base + manager.max_entries * ENTRY_SIZE
 
-    # -- geometry ------------------------------------------------------------
-
-    def _entry_off(self, i: int) -> int:
-        return self._entries_base + i * ENTRY_SIZE
-
     # -- building ----------------------------------------------------------------
 
     def append(self, offset: int, size: int, kind: IntentKind, data_off: int = 0) -> None:

@@ -266,7 +266,7 @@ class KaminoEngine(LockingLogEngine):
         report = RecoveryReport()
         device = self.heap_region.pool.device
         records = self._scan_log()
-        if getattr(device, "media", None) is not None:
+        if device.media is not None:
             self._verify_recovery_sources(device, records)
         for rec in records:
             if rec.state is SlotState.COMMITTED:
@@ -295,29 +295,30 @@ class KaminoEngine(LockingLogEngine):
 
         Rollback copies backup→main, roll-forward copies main→backup;
         blindly replaying either from a decayed source would launder
-        media corruption into "recovered" state.  A corrupt rollback
-        source raises :class:`IntegrityError` (the backup can still be
-        rebuilt from a peer); a corrupt roll-forward source raises
+        media corruption into "recovered" state.  The rollback sources
+        are the backup strategy's ``copies`` of the uncommitted WRITE
+        ranges — the mirror's lines or the dynamic backup's slots
+        alike.  A corrupt rollback source
+        raises :class:`IntegrityError` (the backup can still be rebuilt
+        from a peer); a corrupt roll-forward source raises
         :class:`BothCopiesLostError` (the backup is stale for committed
         data, so no local copy is good).
         """
         from ..integrity.scrub import verify_ranges
 
         heap = self.heap_region
-        mirror = getattr(self.backup, "region", None)
-        if mirror is not None and mirror.size != heap.size:
-            mirror = None  # not a full offset-identity mirror
-        back_ranges: List[Tuple[int, int]] = []
+        rollback: List[Tuple[int, int]] = []
         main_ranges: List[Tuple[int, int]] = []
         for rec in records:
             if rec.state is SlotState.COMMITTED:
                 for entry in rec.entries:
                     if entry.kind is not IntentKind.FREE:
                         main_ranges.append((heap.offset + entry.offset, entry.size))
-            elif mirror is not None:
+            else:
                 for entry in rec.entries:
                     if entry.kind is IntentKind.WRITE:
-                        back_ranges.append((mirror.offset + entry.offset, entry.size))
+                        rollback.append((entry.offset, entry.size))
+        back_ranges = [(copy, size) for _main, copy, size in self.backup.copies(rollback)]
         bad = verify_ranges(device, back_ranges)
         if bad:
             raise IntegrityError(

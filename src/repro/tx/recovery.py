@@ -8,12 +8,12 @@ and backup agree wherever no transaction is in flight.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..errors import RecoveryError
 from ..nvm.device import NVMDevice
 from ..nvm.pool import PmemPool
-from .base import AtomicityEngine, RecoveryReport
+from .base import AtomicityEngine
 
 
 def reopen_after_crash(device: NVMDevice, engine_factory: Callable[[], AtomicityEngine]):
@@ -37,7 +37,7 @@ def reopen_after_crash(device: NVMDevice, engine_factory: Callable[[], Atomicity
         device.restart()
     pool = PmemPool.open(device)
     engine = engine_factory()
-    media = getattr(device, "media", None)
+    media = device.media
     if media is not None:
         pool.load_quarantine(media)
         if media.tree is not None:
@@ -48,59 +48,39 @@ def reopen_after_crash(device: NVMDevice, engine_factory: Callable[[], Atomicity
             # proceeding with a tree it cannot verify.
             media.tree.recover(device._durable)
     heap = PersistentHeap.open(pool, engine)
-    report = getattr(engine, "last_recovery_report", None)
-    if report is None:
-        # PersistentHeap.open already ran recover(); run again (idempotent)
-        # to obtain a report object for callers that want one.
-        report = engine.recover()
     if media is not None and media.protected:
         from ..integrity.scrub import Scrubber
 
         engine.last_scrub_report = Scrubber(
             device, pool=pool, engine=engine
         ).scrub_once()
-    return heap, engine, report
+    return heap, engine, engine.last_recovery_report
 
 
 def verify_backup_consistency(heap) -> None:
     """Assert main == backup over all *live* heap bytes (Kamino invariant).
 
     Only valid while no transactions are in flight and the sync queue is
-    drained.  The full mirror is compared over the allocator metadata and
-    every allocated block (:meth:`SlabAllocator.live_ranges`) — free
-    space is exempt, because rolling back a crashed allocation restores
-    only the bitmap word, legitimately leaving the never-allocated
-    block's torn contents behind in main.  For the dynamic backup, each
-    cached entry is checked against its main-heap bytes.  Raises
-    :class:`RecoveryError` on any divergence — this is the workhorse of
-    the property-based crash tests and the crash checker's backup oracle.
+    drained.  Every copy the backup strategy holds of the allocator
+    metadata and the allocated blocks (:meth:`SlabAllocator.live_ranges`,
+    through :meth:`~repro.tx.backup.BackupStrategy.copies`) is compared
+    with main — the whole live heap for the full mirror, the cached
+    slots for the dynamic backup.  Free space is exempt, because rolling
+    back a crashed allocation restores only the bitmap word, legitimately
+    leaving the never-allocated block's torn contents behind in main.
+    Raises :class:`RecoveryError` on any divergence — this is the
+    workhorse of the property-based crash tests and the crash checker's
+    backup oracle.
     """
     engine = heap.engine
-    backup = getattr(engine, "backup", None)
-    if backup is None:
+    if engine.backup is None:
         return  # engine has no backup to be consistent with
     if engine.pending_count:
         raise RecoveryError("verify called with pending sync work")
-    from .backup import FullBackup
-
-    if isinstance(backup, FullBackup):
-        allocator = getattr(heap, "allocator", None)
-        ranges = (
-            allocator.live_ranges()
-            if allocator is not None
-            else [(0, heap.region.size)]
-        )
-        for start, length in ranges:
-            for off in range(start, start + length, 4096):
-                size = min(4096, start + length - off)
-                if backup.region.read(off, size) != heap.region.read(off, size):
-                    raise RecoveryError(f"backup diverges from main at offset {off}")
-        return
-    # dynamic backup: validate every cached copy
-    for heap_off, (_i, backup_off, size, _slot) in backup.lookup.index.items():
-        main = heap.region.read(heap_off, size)
-        copy = backup.region.read(backup_off, size)
-        if main != copy:
-            raise RecoveryError(
-                f"dynamic backup copy of offset {heap_off} diverges from main"
-            )
+    read = heap.pool.device.read
+    base = heap.region.offset
+    for main, copy, size in engine.backup.copies(heap.allocator.live_ranges()):
+        for at in range(0, size, 4096):
+            n = min(4096, size - at)
+            if read(copy + at, n) != read(main + at, n):
+                raise RecoveryError(f"backup diverges from main at offset {main + at - base}")

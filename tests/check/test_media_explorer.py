@@ -40,6 +40,16 @@ class TestUnprotectedSweep:
         kinds = {f.violation.kind for f in report.failures}
         assert kinds & {"backup", "validator", "recovery", "state"}
 
+    def test_unprotected_rot_reaches_the_dynamic_slots(self):
+        """The partial backup's slots are rot targets too: with the
+        sidecar off, a rotted slot survives recovery and the backup
+        oracle sees the copy diverge from main."""
+        explorer = CrashExplorer("kamino-dynamic")
+        report = explorer.explore(max_points=12, media="unprotected",
+                                  corrupt_lines=2)
+        assert not report.ok, "unprotected rot went unnoticed everywhere"
+        assert "backup" in {f.violation.kind for f in report.failures}
+
     def test_media_off_scenario_ignores_corruption_knobs(self):
         """``corrupt_lines`` without a media mode is inert: the sweep is
         the plain crash sweep and injection never runs."""
@@ -92,12 +102,17 @@ class TestMinimization:
 
 #: engines without a full backup mirror: a checksum-condemned heap line
 #: has no local repair source, so the scrubber must take it out of
-#: service (reads raise BothCopiesLostError) instead of only reporting it
-UNMIRRORED = ["undo", "cow", "kamino-dynamic", "kamino-finegrained"]
+#: service (reads raise BothCopiesLostError) instead of only reporting it.
+#: The partial-backup engines' slots are rotted too, so their legs also
+#: hold recovery to never rolling main back from a bad slot.
+UNMIRRORED = [(e, w) for e in ("undo", "cow") for w in ("pairs", "kv")] + [
+    (e, w) for e in ("kamino-dynamic", "kamino-finegrained") for w in ("pairs", "kv", "list")
+]
 
 
-@pytest.mark.parametrize("workload", ["pairs", "kv"])
-@pytest.mark.parametrize("engine", UNMIRRORED)
+@pytest.mark.parametrize(
+    "engine, workload", UNMIRRORED, ids=[f"{e}-{w}" for e, w in UNMIRRORED]
+)
 def test_protected_rot_is_never_served_without_a_mirror(engine, workload):
     report = CrashExplorer(engine, workload=workload).explore(
         max_points=24, media="protected", corrupt_lines=4

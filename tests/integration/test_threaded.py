@@ -124,7 +124,7 @@ class TestThreadedKVStore:
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
-        syncer = BackupSyncer(engine) if hasattr(engine, "backup") else None
+        syncer = BackupSyncer(engine) if engine.backup is not None else None
         if syncer:
             syncer.start()
         threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]

@@ -62,7 +62,7 @@ def test_tpcc_money_conserved_across_crash(name, crash_after):
     kv2 = KVStore.open(heap2)
     money_invariant(kv2, tpcc)
     kv2.tree.check_invariants()
-    if hasattr(engine2, "backup"):
+    if engine2.backup is not None:
         verify_backup_consistency(heap2)
     # the store remains fully usable
     tpcc2 = TPCCLite(warehouses=1, districts=3, customers=10, items=40, seed=10)

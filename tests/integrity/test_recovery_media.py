@@ -10,7 +10,13 @@ from repro.errors import (
 )
 from repro.nvm import CrashPolicy
 from repro.nvm.latency import CACHE_LINE
-from repro.tx import BackupSyncer, kamino_simple, reopen_after_crash
+from repro.tx import (
+    BackupSyncer,
+    kamino_dynamic,
+    kamino_finegrained,
+    kamino_simple,
+    reopen_after_crash,
+)
 
 from ..conftest import Pair, build_heap
 
@@ -63,15 +69,22 @@ class TestRecoverySourceVerification:
         with pytest.raises(BothCopiesLostError):
             reopen_after_crash(device, kamino_simple)
 
-    def test_corrupt_rollback_source_raises_integrity_error(self):
-        """Crash mid-transaction, then rot the backup line recovery would
-        roll back from: the restore must refuse the bad source.  Crash
-        points where the slot already committed recover cleanly instead
-        (the backup line is then a destination, healed by overwrite)."""
+    @pytest.mark.parametrize(
+        "factory",
+        [kamino_simple, kamino_dynamic, kamino_finegrained],
+        ids=["kamino-simple", "kamino-dynamic", "kamino-finegrained"],
+    )
+    def test_corrupt_rollback_source_raises_integrity_error(self, factory):
+        """Crash mid-transaction, then rot the backup copy recovery would
+        roll back from — the full mirror's line or the dynamic backup's
+        slot: the restore must refuse the bad source.  Crash points where
+        the slot already committed recover cleanly instead (the copy is
+        then a destination), and the object reads as its pre- or
+        post-image, never as rot."""
         typed = clean = 0
-        for after in range(1, 26):
-            heap, engine, device = build_heap(kamino_simple, seed=after)
-            device.attach_media(seed=after, protect=True)
+        for after in range(1, 40):
+            heap, engine, device = build_heap(factory, seed=after)
+            media = device.attach_media(seed=after, protect=True)
             with heap.transaction():
                 p = heap.alloc(Pair)
                 p.key = 7
@@ -88,18 +101,25 @@ class TestRecoverySourceVerification:
             else:
                 device.cancel_scheduled_crash()
                 continue
-            device.media.flip_bit(engine.backup.region.offset + p._oid, 3)
+            copies = engine.backup.copies([(p.oid, 1)])
+            if not copies:
+                continue  # crashed before the copy-on-miss made one
+            [(_main, copy, _size)] = copies
+            media.flip_bit(copy, 3)
             try:
-                heap2, engine2, _report = reopen_after_crash(
-                    device, kamino_simple
-                )
+                heap2, _engine2, _report = reopen_after_crash(device, factory)
             except IntegrityError:
                 typed += 1
                 continue
             except MediaError:
                 continue  # other typed degrade — still never silent
             clean += 1
-            assert device.media.bad_lines() == []  # reopen scrub healed it
+            assert heap2.deref(p.oid, Pair).key in (7, 8)
+            bad = media.bad_lines()
+            if engine.backup.partner_line(copy // CACHE_LINE) is None:
+                # a dynamic slot has no partner to heal from: lost, not served
+                bad = [line for line in bad if line not in media.lost]
+            assert bad == []  # the mirror line healed from main
         assert typed >= 1, "no crash point exercised the rollback-source check"
         assert clean >= 1, "no crash point recovered cleanly"
 

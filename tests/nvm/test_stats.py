@@ -3,7 +3,6 @@
 import pytest
 
 from repro.nvm import DRAM, NVDIMM, PCM_LIKE, NVMStats, profile
-from repro.nvm.stats import StatsStack
 
 
 class TestCounters:
@@ -51,17 +50,3 @@ class TestCostConversion:
     def test_model_helpers(self):
         assert NVDIMM.copy_ns(1000) == pytest.approx(1000 * NVDIMM.byte_copy_ns)
         assert NVDIMM.flush_ns(65) == pytest.approx(2 * NVDIMM.flush_line_ns)
-
-
-class TestStatsStack:
-    def test_push_pop_nesting(self):
-        s = NVMStats()
-        stack = StatsStack(s)
-        stack.push()
-        s.loads += 3
-        stack.push()
-        s.loads += 2
-        inner = stack.pop()
-        outer = stack.pop()
-        assert inner.loads == 2
-        assert outer.loads == 5

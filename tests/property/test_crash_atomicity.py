@@ -147,5 +147,5 @@ def test_crash_during_alloc_free_cycle(engine_name, crash_after, seed):
     with heap2.transaction():
         heap2.alloc(Pair)
     heap2.drain()
-    if hasattr(engine2, "backup"):
+    if engine2.backup is not None:
         verify_backup_consistency(heap2)

@@ -36,9 +36,9 @@ class TestConfiguration:
 
     def test_kamino_only_head_has_backup(self):
         cluster = make_cluster(KAMINO)
-        assert hasattr(cluster.head.engine, "backup")
+        assert cluster.head.engine.backup is not None
         for node in cluster.chain[1:]:
-            assert not hasattr(node.engine, "backup")
+            assert node.engine.backup is None
 
     def test_storage_requirement_ordering(self):
         # kamino: (f+2+α)·D  <  2(f+1)·D (naive per-replica mirror) and

@@ -85,7 +85,7 @@ class TestFailStop:
         cluster = loaded_cluster(KAMINO)
         fail_stop(cluster, 0)
         assert cluster.head.role == ROLE_HEAD
-        assert hasattr(cluster.head.engine, "backup")
+        assert cluster.head.engine.backup is not None
         write_more(cluster, 0, 10)
         cluster.assert_replicas_consistent()
 

@@ -29,6 +29,12 @@ The front door keeps no copies: the gateway runs the chain client's
 request ladder, and the placement service and the procedure store are
 one journal, so neither takes a ``_replay`` flag and the engine's
 private views of the store are gone.
+
+Which bytes back up which is the backup strategy's one answer
+(``copies`` / ``partner_line``): no module finds the mirror by region
+name or size, type-tests for the full mirror, or duck-types the engine's
+backup or the device's media, and the heap no longer places its live
+spans in a second region.  The surfaces nothing called are gone with it.
 """
 
 import os
@@ -262,3 +268,49 @@ def test_the_serve_layer_does_not_duck_type_the_cluster():
     for path in sorted((ROOT / "src" / "repro" / "serve").glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert "getattr(" not in text and "hasattr(" not in text, path
+
+
+def test_the_backup_strategy_is_the_one_pairing():
+    pairing = re.compile(
+        r"regions\.get\(\"backup\"\)|isinstance\([^)]*FullBackup\)"
+        r"|getattr\([^)]*\"(?:backup|media)\", None\)"
+    )
+    owners = {ROOT / "src" / "repro" / "tx" / "backup.py", ROOT / "src" / "repro" / "tx" / "dynamic.py"}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path in owners:
+            continue
+        match = pairing.search(path.read_text(encoding="utf-8"))
+        assert match is None, f"{path}: {match.group(0)}"
+    ctx = ExecutionContext.create("kamino-simple", value_size=64, heap_mb=1)
+    with pytest.raises(TypeError):
+        ctx.heap.live_spans(ctx.engine.backup.region)
+
+
+def test_uncalled_surfaces_are_gone():
+    import repro.bench.timeline
+    import repro.cluster
+    import repro.errors
+    import repro.nvm
+    import repro.nvm.stats
+    from repro.cluster.sharded import ShardedCluster
+    from repro.heap.alloc import SlabAllocator
+    from repro.replication.membership import MembershipManager
+    from repro.sim.network import SimNetwork
+    from repro.tx.intent_log import TxLog
+
+    for module, name in [
+        (repro, "ClusterReport"),
+        (repro.cluster, "ClusterReport"),
+        (repro.nvm, "StatsStack"),
+        (repro.nvm.stats, "StatsStack"),
+        (repro.bench.timeline, "_engine_has_commit_record"),
+        (repro.errors, "NestedTransactionError"),
+        (SlabAllocator, "reload_after_recovery"),
+        (ShardedCluster, "n_shards"),
+        (ShardedCluster, "group_for_key"),
+        (ShardedCluster, "group_kv_states"),
+        (MembershipManager, "heartbeat"),
+        (SimNetwork, "clear_link_policy"),
+        (TxLog, "_entry_off"),
+    ]:
+        assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -41,7 +41,7 @@ def check_after(device, factory, expect_value):
     r = heap.root(Pair)
     assert r.key == 1
     assert r.value == expect_value
-    if hasattr(engine, "backup"):
+    if engine.backup is not None:
         verify_backup_consistency(heap)
     # the recovered heap must accept new transactions
     with heap.transaction():
@@ -105,7 +105,7 @@ class TestCrashMatrix:
         assert p2.value == "committed"
         q2 = heap2.deref(qoid, Pair)
         assert q2.value == "q-committed"
-        if hasattr(engine2, "backup"):
+        if engine2.backup is not None:
             verify_backup_consistency(heap2)
 
 

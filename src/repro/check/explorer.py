@@ -37,8 +37,11 @@ enumeration:
    *of recovery itself* (and its post-recovery sync drain), then recover
    again — recovery must be idempotent under its own power failures
    (paper §3: "both directions are idempotent").  The base crash is
-   resolved once more; counting recovery's operations and every nested
-   point each fork that post-crash image and go straight to *finish*.
+   resolved once more; a clone of that post-crash image counts
+   recovery's operations, then one recovery pass over the image pauses
+   at each sampled nested point the way the forward pass pauses at
+   crash points, and forks it there.  Each fork power-fails under the
+   nested policy and goes straight to the final recovery of *finish*.
 
 A single :meth:`CrashExplorer.replay` is the same forward pass stopped at
 its one point, so the sweep, the minimiser and a pasted
@@ -213,13 +216,17 @@ class _Crashed:
     handles setup recorded (it re-opens its structures on whichever heap
     it is shown, which must not re-point the run's own copy);
     ``steps_done`` is how many steps had returned; ``fingerprint`` is the
-    point's digest for a base point, else :data:`NOT_DIGESTED`.
+    point's digest for a base point, else :data:`NOT_DIGESTED`;
+    ``recovery_crashed`` says a nested scenario's crash inside recovery
+    already happened (the image is a fork of a paused recovery pass),
+    so only the final recovery is left.
     """
 
     device: NVMDevice
     workload: CheckWorkload
     steps_done: int
     fingerprint: str = NOT_DIGESTED
+    recovery_crashed: bool = False
 
 
 @dataclass
@@ -542,7 +549,7 @@ class CrashExplorer:
         recovery, the final recovery, the oracles.  Consumes
         ``crashed.device``."""
         device = crashed.device
-        if scenario.nested_after is not None:
+        if scenario.nested_after is not None and not crashed.recovery_crashed:
             try:
                 crashed_again = self._crash_inside_recovery(device, scenario)
             except (MediaError, PoolCorruptionError):
@@ -694,11 +701,44 @@ class CrashExplorer:
                 )
         return None
 
-    # -- recovery op counting (for nested sweeps) ----------------------------
+    # -- the recovery pass (for nested sweeps) -------------------------------
 
-    def _count_recovery_ops(self, image: NVMDevice) -> int:
-        device = image.clone_durable(seed=self.device_seed)
+    def _count_recovery_ops(self, device: NVMDevice) -> int:
+        """Mutating operations recovery of the crashed ``device`` makes
+        (consuming it)."""
         return count_mutating_ops(device, partial(self._recover, device))
+
+    def _recovery_forks(self, image: NVMDevice, nested: Sequence[Scenario]) -> List[NVMDevice]:
+        """One recovery of the crashed ``image`` (consuming it), paused at
+        each scenario's ``nested_after`` (ascending) to fork the device —
+        overlay included, reseeded with the scenario's device seed — and
+        power-fail the fork under its nested policy: each fork is the
+        image a crash scheduled there would leave.  The pass ends at the
+        last point, the way :meth:`_forward` does; recovery was counted
+        on a clone of ``image``, so it reaches every point."""
+        forks: List[NVMDevice] = []
+
+        def pause() -> None:
+            scenario = nested[len(forks)]
+            fork = image.clone_durable(seed=scenario.device_seed, overlay=True)
+            fork.crash(scenario.nested_policy, scenario.survival)
+            forks.append(fork)
+            if len(forks) < len(nested):
+                image.schedule_callback(
+                    nested[len(forks)].nested_after - scenario.nested_after - 1, pause
+                )
+            else:
+                image.crash()
+                raise DeviceCrashedError("recovery pass: last nested point forked")
+
+        image.schedule_callback(nested[0].nested_after, pause)
+        try:
+            self._recover(image)
+        except DeviceCrashedError:
+            return forks
+        raise RuntimeError(
+            f"recovery quiesced after {len(forks)} of {len(nested)} nested points"
+        )
 
     # -- the sweep -----------------------------------------------------------
 
@@ -749,25 +789,34 @@ class CrashExplorer:
         max_nested_points: Optional[int],
     ) -> List[Optional[CheckFailure]]:
         """Every crash-during-recovery scenario nested under ``base``; one
-        verdict each.  ``base`` is crashed once more, recovery's mutating
-        ops are counted on a clone of that image, and each sampled nested
-        point finishes on a clone of its own."""
+        verdict each.  ``base`` is crashed once more; recovery's mutating
+        ops are counted on a clone of that image, then one recovery pass
+        over the image forks every sampled nested point, all seeded from
+        ``base``.  The forks are judged after the pass returns, so
+        recovery spans never nest."""
         crashed = self._crash(point, base)
         try:
-            n_recovery_ops = self._count_recovery_ops(crashed.device)
+            n_recovery_ops = self._count_recovery_ops(
+                crashed.device.clone_durable(seed=base.device_seed)
+            )
         except Exception:
             # recovery on this image raises before quiescing, typed
             # degrade or not: there is no op timeline to nest crashes
             # into, and the base point's own judgment reports that
             # recovery
             return []
+        nested = [
+            replace(base, nested_after=q)
+            for q in sample_points(0, n_recovery_ops - 1, max_nested_points)
+        ]
+        if not nested:
+            return []
+        forks = self._recovery_forks(crashed.device, nested)
         return [
             self.replay(
-                replace(base, nested_after=q),
-                ledger,
-                replace(crashed, device=crashed.device.clone_durable(seed=base.device_seed)),
+                scenario, ledger, replace(crashed, device=fork, recovery_crashed=True)
             )[0]
-            for q in sample_points(0, n_recovery_ops - 1, max_nested_points)
+            for scenario, fork in zip(nested, forks)
         ]
 
     def explore(

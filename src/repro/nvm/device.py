@@ -31,10 +31,12 @@ dedicated internal path that never touches the load/store counters.
 The crash checker builds, crashes, fingerprints and clones thousands of
 devices per sweep, so those cost the lines a run wrote rather than the
 pool: all three stores are lazily-zeroed mappings (:func:`lazy_zeros`),
-every persist path records the 4 KiB pages it writes, a set holds the
-pages that may hold a dirty line, and :meth:`NVMDevice.crash`,
-:meth:`NVMDevice.persist_all`, :meth:`NVMDevice.overlay_fingerprint` and
-:meth:`NVMDevice.clone_durable` visit only those.
+every persist path records the 4 KiB pages it writes (a digest forgets
+the recorded pages that hold zeros again), a set holds the pages that
+may hold a dirty line, and :meth:`NVMDevice.crash`,
+:meth:`NVMDevice.persist_all`, :meth:`NVMDevice.overlay_fingerprint`,
+:meth:`NVMDevice.clone_durable` and :meth:`NVMDevice.read_gather` visit
+only those.
 None of this may be visible in simulated results: durable bytes,
 :class:`~repro.nvm.stats.NVMStats`, and crash-surviving state must be
 bit-identical to the naive :class:`~repro.nvm.reference.ReferenceNVMDevice`
@@ -164,35 +166,40 @@ class DeclaredLoads:
     """The field loads one declared read is charged as.
 
     Iterating yields ``(rel_off, n)`` pairs in program order, offsets
-    relative to the read's address: what the media checks and the
-    reference device walk.  ``count`` and ``nbytes`` are their totals, so
-    a device with nothing to check per load charges them in two
-    additions.  Build one per call site once and reuse it.
+    (non-negative) relative to the read's address: what the media checks
+    and the reference device walk.  ``count`` and ``nbytes`` are their
+    totals, so a device with nothing to check per load charges them in
+    two additions; ``span`` is the end of the furthest load, what a
+    gather bounds-checks.  Build one per call site once and reuse it.
     """
 
-    __slots__ = ("_pairs", "_stride", "count", "nbytes")
+    __slots__ = ("_pairs", "_n", "_stride", "count", "nbytes", "span")
 
     def __init__(self, pairs: Iterable[Tuple[int, int]]):
         self._pairs: Optional[Tuple[Tuple[int, int], ...]] = tuple(pairs)
-        self._stride = 0
+        self._n = self._stride = 0
         self.count = len(self._pairs)
         self.nbytes = sum(n for _off, n in self._pairs)
+        self.span = max((off + n for off, n in self._pairs), default=0)
 
     @classmethod
-    def strided(cls, count: int, n: int) -> "DeclaredLoads":
-        """``count`` back-to-back loads of ``n`` bytes (a table walk),
-        with no pair built per load unless something iterates them."""
+    def strided(cls, count: int, n: int, stride: Optional[int] = None) -> "DeclaredLoads":
+        """``count`` loads of ``n`` bytes, one every ``stride`` bytes
+        (default ``n``: back to back, a table walk), with no pair built
+        per load unless something iterates them."""
         loads = cls(())
         loads._pairs = None
-        loads._stride = n
+        loads._n = n
+        loads._stride = n if stride is None else stride
         loads.count = count
         loads.nbytes = count * n
+        loads.span = (count - 1) * loads._stride + n if count else 0
         return loads
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         if self._pairs is not None:
             return iter(self._pairs)
-        return zip(range(0, self.nbytes, self._stride), repeat(self._stride))
+        return zip(range(0, self.count * self._stride, self._stride), repeat(self._n))
 
     def __len__(self) -> int:
         return self.count
@@ -631,6 +638,49 @@ class NVMDevice:
                     media.check_read(addr + rel, n)
             return self._peek(addr, size)
 
+    def read_gather(self, addr: int, loads: DeclaredLoads) -> bytes:
+        """The bytes of every load of ``loads`` at ``addr``, concatenated
+        in order — one call for a scatter of field loads (the intent
+        log's slot headers, a page apart).
+
+        Charged exactly as :meth:`read_declared` charges ``loads``; on a
+        crashed device or out of bounds the loads are replayed one by one
+        and fail where they would have.  A clean load on pages outside
+        the written-page record reads as zeros (which they hold) without
+        touching the mapping — a first read of a lazily-zeroed page is a
+        page fault; a load over a dirty line reads the overlay.
+        """
+        with self._mutex:
+            if self._crashed or addr < 0 or addr + loads.span > self.size:
+                return b"".join([self._read_locked(addr + rel, n) for rel, n in loads])
+            stats = self.stats
+            media = self._media
+            if media is None:
+                stats.loads += loads.count
+                stats.load_bytes += loads.nbytes
+            else:
+                for rel, n in loads:
+                    stats.loads += 1
+                    stats.load_bytes += n
+                    media.check_read(addr + rel, n)
+            untouched = self._touched.isdisjoint
+            durable = self._durable
+            masks = self._masks if self._dirty_count else None
+            parts = []
+            append = parts.append
+            for rel, n in loads:
+                lo = addr + rel
+                hi = lo + n
+                if masks is not None and any(
+                    masks[lo >> _LINE_SHIFT : ((hi - 1) >> _LINE_SHIFT) + 1]
+                ):
+                    append(self._peek(lo, n))
+                elif untouched(range(lo >> _PAGE_SHIFT, ((hi - 1) >> _PAGE_SHIFT) + 1)):
+                    append(bytes(n))
+                else:
+                    append(bytes(durable[lo:hi]))
+            return b"".join(parts)
+
     def write(self, addr: int, data: bytes) -> None:
         """Store ``data`` at ``addr`` into the volatile overlay."""
         with self._mutex:
@@ -904,17 +954,27 @@ class NVMDevice:
             for line in range(start, end)
         ]
 
-    def _durable_pages(self) -> Iterator[Tuple[int, bytes]]:
+    def _durable_pages(self) -> List[Tuple[int, bytes]]:
         """``(page index, bytes)`` of every durable page that is not
         all-zero, ascending.  Only pages this device wrote can be
         non-zero, so only those are looked at; a written page that holds
-        zeros again is skipped, which keeps what this yields a function
-        of the durable bytes alone (see :func:`crash_digest`)."""
+        zeros again is skipped, which keeps what this returns a function
+        of the durable bytes alone (see :func:`crash_digest`), and
+        forgotten, so no later digest, clone or gather visits it until a
+        write touches it again (a page outside the record is zero either
+        way).  Under the mutex: a flush between the zero test and the
+        discard would leave a written page out of the record."""
         durable = self._durable
-        for page in sorted(self._touched):
-            data = bytes(durable[page << _PAGE_SHIFT : (page + 1) << _PAGE_SHIFT])
-            if not _ZERO_PAGE.startswith(data):
-                yield page, data
+        pages: List[Tuple[int, bytes]] = []
+        with self._mutex:
+            touched = self._touched
+            for page in sorted(touched):
+                data = bytes(durable[page << _PAGE_SHIFT : (page + 1) << _PAGE_SHIFT])
+                if _ZERO_PAGE.startswith(data):
+                    touched.discard(page)
+                else:
+                    pages.append((page, data))
+        return pages
 
     def overlay_fingerprint(self) -> str:
         """Digest of (durable bytes, dirty-line set) — the crash state.

@@ -96,6 +96,14 @@ class PmemRegion:
         self._abs(addr, size)
         raise AssertionError("unreachable")
 
+    def read_gather(self, addr: int, loads) -> bytes:
+        """The loads ``loads`` at ``addr``, concatenated (see
+        :meth:`NVMDevice.read_gather`)."""
+        if 0 <= addr and addr + loads.span <= self.size:
+            return self.pool.device.read_gather(self.offset + addr, loads)
+        # the field reads fail where they would have, one by one
+        return b"".join([self.read(addr + rel, n) for rel, n in loads])
+
     def write(self, addr: int, data: bytes) -> None:
         size = len(data)
         if 0 <= addr and addr + size <= self.size:

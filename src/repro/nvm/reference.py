@@ -4,12 +4,12 @@
 :class:`~repro.nvm.device.NVMDevice` with none of its fast paths: every
 store walks its words in a plain loop, every flush scans its line range,
 copies move data line by line, the lock is always taken, a declared
-read is one read per declared load, and the crash fingerprint and the
-durable clone walk the whole pool.  It shares no representation with
-the device it checks: its media is a plain ``bytearray`` and its
-overlay a dict of per-line buffers and dirty-word masks, where
-:class:`~repro.nvm.device.NVMDevice` keeps flat stores and mask bytes.
-It is the executable specification of the *invariance contract*
+read and a gather are one read per declared load, and the crash
+fingerprint and the durable clone walk the whole pool.  It shares no
+representation with the device it checks: its media is a plain
+``bytearray`` and its overlay a dict of per-line buffers and dirty-word
+masks, where :class:`~repro.nvm.device.NVMDevice` keeps flat stores and
+mask bytes.  It is the executable specification of the *invariance contract*
 (docs/INTERNALS.md §8): the differential tests drive randomized
 operation / crash / recovery sequences through both devices and assert
 bit-identical durable bytes, crash-surviving state, and
@@ -115,6 +115,11 @@ class ReferenceNVMDevice(NVMDevice):
                 self._read_locked(addr + rel, n)
             self._check(addr, size)
             return self._peek(addr, size)
+
+    def read_gather(self, addr: int, loads) -> bytes:
+        # the spec of a gather: one read per declared load, in order
+        with self._mutex:
+            return b"".join([self._read_locked(addr + rel, n) for rel, n in loads])
 
     def _write_locked(self, addr: int, data) -> None:
         self._tick_failpoint()

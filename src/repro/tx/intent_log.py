@@ -38,6 +38,7 @@ from enum import IntEnum
 from typing import Iterator, List, NamedTuple, Optional
 
 from ..errors import LogFullError, PoolCorruptionError, TxError
+from ..nvm.device import DeclaredLoads
 from ..nvm.pool import PmemPool, PmemRegion
 from .base import IntentKind
 
@@ -50,8 +51,7 @@ _REGION_HDR_SIZE = struct.calcsize(_REGION_HDR_FMT)
 
 _SLOT_HDR_FMT = "<IIQQQ"  # magic, state, txid, n_entries, reserved
 _SLOT_HDR_SIZE = 64  # padded to one cache line
-_SLOT_HDR = struct.Struct(_SLOT_HDR_FMT)
-_SLOT_HDR_PAD = b"\0" * (_SLOT_HDR_SIZE - _SLOT_HDR.size)
+_SLOT_HDR = struct.Struct(_SLOT_HDR_FMT + f"{_SLOT_HDR_SIZE - struct.calcsize(_SLOT_HDR_FMT)}x")
 
 #: txids at or above this in a slot header are rot, not history (the
 #: header word is 64 bits; numbering above one would overflow it)
@@ -176,7 +176,7 @@ class TxLog:
         raw = _SLOT_HDR.pack(
             LOG_MAGIC, int(self._state), self.txid, len(self.entries), 0
         )
-        self.manager.region.write(self._base, raw + _SLOT_HDR_PAD)
+        self.manager.region.write(self._base, raw)
 
     # -- state transitions -----------------------------------------------------------
 
@@ -339,15 +339,20 @@ class LogManager:
         restarted engine to number above: a released slot keeps its last
         owner's txid and entries, which a reissued txid would validate
         again.
+
+        The headers are read first, in one gather (charged as one load
+        per header, and faulting in no page the device never wrote);
+        then each live slot's entries, one load each.
         """
         found: List[RecoveredLog] = []
         self.max_txid = 0
-        for index in range(self.n_slots):
-            base = self.slot_offset(index)
-            raw = self.region.read(base, _SLOT_HDR_SIZE)
-            magic, state_v, txid, n_entries, _ = struct.unpack(
-                _SLOT_HDR_FMT, raw[: struct.calcsize(_SLOT_HDR_FMT)]
-            )
+        headers = self.region.read_gather(
+            self.slot_offset(0),
+            DeclaredLoads.strided(self.n_slots, _SLOT_HDR_SIZE, self.slot_size()),
+        )
+        for index, (magic, state_v, txid, n_entries, _) in enumerate(
+            _SLOT_HDR.iter_unpack(headers)
+        ):
             if magic != LOG_MAGIC:
                 continue
             if self.max_txid < txid < _TXID_LIMIT:
@@ -360,6 +365,7 @@ class LogManager:
                 continue  # torn header word: never reached RUNNING durably
             entries: List[IntentEntry] = []
             n_entries = min(n_entries, self.max_entries)
+            base = self.slot_offset(index)
             for i in range(n_entries):
                 eraw = self.region.read(base + _SLOT_HDR_SIZE + i * ENTRY_SIZE, ENTRY_SIZE)
                 off, size, kind_v, _flags, data_off, check = struct.unpack(_ENTRY_FMT, eraw)
@@ -372,7 +378,6 @@ class LogManager:
     def free_slot_by_index(self, index: int) -> None:
         """Durably mark a recovered slot FREE (end of its recovery)."""
         base = self.slot_offset(index)
-        raw = struct.pack(_SLOT_HDR_FMT, LOG_MAGIC, int(SlotState.FREE), 0, 0, 0)
-        self.region.write(base, raw.ljust(_SLOT_HDR_SIZE, b"\0"))
+        self.region.write(base, _SLOT_HDR.pack(LOG_MAGIC, int(SlotState.FREE), 0, 0, 0))
         self.region.flush(base, _SLOT_HDR_SIZE)
         self.region.pool.device.fence()

@@ -1,12 +1,18 @@
 """What a crash sweep costs — by count, not by stopwatch.
 
 A crash point should cost the lines it touched, not the pool it sits in
-and not the prefix its siblings already ran.  Three things pin that:
+and not the prefix or the recovery its siblings already ran.  Five
+things pin that:
 
 * a digest is computed once per base point the sweep probes;
 * the workload runs a fixed number of times per sweep, whatever the
   number of points: once to count operations, once for the ledger, and
   once for the forward pass every judged scenario forks from;
+* recovery runs once per judged scenario, plus twice per nested family:
+  once to count recovery's operations and once for the recovery pass
+  every nested scenario of the family forks from;
+* a digest forgets the written pages that hold zeros again (the full
+  mirror's copy of a zeroed heap), so clones copy only non-zero pages;
 * building, crashing, fingerprinting and cloning a device is independent
   of the pool size, in time and in resident memory.
 """
@@ -18,9 +24,10 @@ import time
 from collections import Counter
 
 import repro
-from repro.check import CrashExplorer
+from repro.check import CrashExplorer, explorer as explorer_module
 from repro.check.workload import KVWorkload, build_stack
 from repro.nvm import CrashPolicy, NVMDevice
+from repro.nvm.device import PAGE
 from repro.runtime.registry import engine_info
 
 SMALL_POOL = 8 << 20
@@ -52,6 +59,56 @@ def test_digests_and_prefix_runs_per_sweep(monkeypatch):
         # counting run + golden ledger + one forward pass (re-running the
         # prefix per base, per lottery and per nested family: 194 at 64)
         assert counts["setup"] == 3
+
+
+def test_recoveries_per_sweep(monkeypatch):
+    """Each judged scenario recovers once; each novel point's nested
+    family adds one counting recovery and, when recovery has operations
+    to crash in, one recovery pass, whatever the family's size (at 64
+    points: 472 recoveries, where re-running recovery up to every
+    nested point took 640)."""
+    counts = Counter()
+    _counting(monkeypatch, explorer_module, "reopen_after_crash", counts)
+    _counting(monkeypatch, CrashExplorer, "_count_recovery_ops", counts)
+    _counting(monkeypatch, CrashExplorer, "_recovery_forks", counts)
+    report = CrashExplorer("kamino-simple", workload="kv").explore(max_points=64)
+    assert report.ok
+    assert counts["_count_recovery_ops"] == 64
+    # a point with no transaction in flight recovers without a mutating
+    # operation: nothing to nest into, no pass
+    assert 0 < counts["_recovery_forks"] < 64
+    assert counts["reopen_after_crash"] == (
+        report.states_explored
+        + counts["_count_recovery_ops"]
+        + counts["_recovery_forks"]
+        + report.nested_explored
+    ) == 472
+
+
+def _nonzero_pages(device):
+    return {
+        page
+        for page in range(device.size // PAGE)
+        if any(device._durable[page * PAGE : (page + 1) * PAGE])
+    }
+
+
+def test_clones_copy_only_non_zero_pages(monkeypatch):
+    """After setup the full mirror holds a copy of the zeroed heap, a
+    few hundred written pages of zeros: the first digest forgets them,
+    and a clone copies the pages that hold data and nothing else."""
+    heap, _engine, device = build_stack(engine_info("kamino-simple").factory)
+    KVWorkload().setup(heap)
+    heap.drain()
+    nonzero = _nonzero_pages(device)
+    assert len(device._touched) > 10 * len(nonzero)
+    device.overlay_fingerprint()
+    assert device._touched == nonzero
+    counts = Counter()
+    _counting(monkeypatch, NVMDevice, "poke_durable", counts)
+    clone = device.clone_durable(seed=0)
+    assert counts["poke_durable"] == len(nonzero)
+    assert clone._touched == nonzero
 
 
 def test_pairs_prunes_repeated_crash_states():

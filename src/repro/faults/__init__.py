@@ -13,7 +13,6 @@ from .nemesis import FaultAction, Nemesis, NemesisScenario
 from .runner import (
     NemesisResult,
     client_streams,
-    demonstrate_unhardened,
     demonstrate_unprotected,
     minimize,
     repro_snippet,
@@ -34,7 +33,6 @@ __all__ = [
     "NetStats",
     "RetryPolicy",
     "client_streams",
-    "demonstrate_unhardened",
     "demonstrate_unprotected",
     "minimize",
     "repro_snippet",

@@ -473,20 +473,3 @@ def demonstrate_unprotected(
                                                   hardened=True)
     return None
 
-
-def demonstrate_unhardened(
-    scenarios: Optional[List[NemesisScenario]] = None,
-    seeds: int = 3,
-    mode: str = KAMINO,
-) -> Optional[tuple]:
-    """Find one (scenario, seed) the unhardened configuration fails,
-    minimize it, and return ``(minimized_scenario, seed, snippet)`` —
-    ``None`` if (surprisingly) everything passed."""
-    disabled = RetryPolicy.disabled()
-    for scenario in (scenarios if scenarios is not None else CORPUS):
-        for seed in range(seeds):
-            verdict = run_scenario(scenario, seed=seed, mode=mode, retry=disabled)
-            if not verdict.ok:
-                small = minimize(scenario, seed, mode=mode, retry=disabled)
-                return small, seed, repro_snippet(small, seed, mode=mode)
-    return None

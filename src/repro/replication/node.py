@@ -165,10 +165,10 @@ class ReplicaNode:
         self.last_write_set = captured["ranges"]
         delta = self.device.stats.delta(s0)
         cost = delta.simulated_ns(self.model)
-        cm = cost_model_for(self.engine.name)
-        # fixed per-intent software cost only: the log copy's device time
-        # is already inside the measured delta
-        cost += cm.serial_ns_per_intent * captured["intents"]
+        # fixed per-intent software cost only (log management plus the
+        # write-lock op): the log copy's device time is already inside
+        # the measured delta
+        cost += cost_model_for(self.engine.name).serial_ns_per_intent * captured["intents"]
         return result, cost
 
     def sync_backup(self, limit: Optional[int] = 1) -> float:

@@ -33,9 +33,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..nvm.latency import NVDIMM, LatencyModel
 from ..sim.events import EventSimulator
+from ..sim.resources import cost_model_for
 from .context import ExecutionContext, SharedResources
 from .records import ReplayResult, TxRecord
-from .registry import EngineCapabilities, find_registered
+from .registry import find_registered
 
 __all__ = ["replay_records", "run_online"]
 
@@ -136,9 +137,8 @@ class VirtualClients:
         self.sim = events if events is not None else EventSimulator()
         self.resources = resources if resources is not None else SharedResources(model)
         info = find_registered(engine_name)
-        caps = info.capabilities if info is not None else EngineCapabilities()
-        self.cost = caps.cost
-        self.locks_after_sync = caps.locks_released_after_sync
+        self.cost = cost_model_for(engine_name)
+        self.locks_after_sync = info is not None and info.capabilities.locks_released_after_sync
         self.bandwidth = self.resources.bandwidth
         self.serial = self.resources.log_mgmt
         self.ns_per_byte = 1.0 / model.bandwidth_gbps
@@ -175,24 +175,23 @@ class VirtualClients:
         # always extends the critical path; the log-arena memcpy's
         # *service* time is already inside crit_ns (it is a device copy),
         # so it contributes only mutual exclusion — queueing delay — here.
-        # Read-lock acquires pass through the same table mutex for the
-        # profiles that charge them (read-set entries the tx only reads).
+        # Read locks (read-set entries the tx only reads) are lock ops on
+        # the same table.
+        cost = self.cost
+        n_intents = rec.n_intents
         read_locks = len(rec.read_set - rec.write_set)
         software = (
-            self.cost.serial_ns_per_intent * rec.n_intents
-            + self.cost.serial_ns_per_read_lock * read_locks
+            cost.serial_ns_per_intent * n_intents
+            + cost.serial_ns_per_read_lock * read_locks
         )
         service = software
-        if self.cost.serial_includes_copy:
+        if cost.serial_includes_copy:
             service += rec.crit_copy_bytes * self.model_byte_copy_ns
         done = self.serial.request(self.sim.now, service)
         queue_delay = done - self.sim.now - service
         # local (non-serialized) software runs on this client's own
         # timeline — striped-lock work other clients never queue behind
-        local = (
-            self.cost.local_ns_per_intent * rec.n_intents
-            + self.cost.local_ns_per_read_lock * read_locks
-        )
+        local = cost.local_ns_per_lock_op * (n_intents + read_locks)
         self.sim.schedule(queue_delay + software + local, self._transfer_crit, client)
 
     def _transfer_crit(self, client: int) -> None:

@@ -9,7 +9,6 @@ module declares itself with::
         copies_in_critical_path=False,
         has_backup=True,
         locks_released_after_sync=True,
-        cost=KAMINO_COST,
     ))
     def kamino_simple(**kwargs) -> KaminoEngine: ...
 
@@ -47,6 +46,13 @@ __all__ = [
 ]
 
 
+def _global_lock_table() -> type:
+    # imported on first use: repro.tx imports this module to register
+    from ..tx.locks import ObjectLockTable
+
+    return ObjectLockTable
+
+
 @dataclass(frozen=True)
 class EngineCapabilities:
     """What the runtime may assume about a registered engine.
@@ -70,8 +76,11 @@ class EngineCapabilities:
             the asynchronous backup sync lands, so dependent transactions
             wait longer (paper §7.1); the scheduler holds its object locks
             through the sync for these engines.
-        cost: the calibrated serialized-software contention row the
+        cost: the calibrated serialized log-management row the
             scheduler charges (one of :mod:`repro.sim.resources`' rows).
+        lock_table: the class of the engine's ``locks``, whose ``cost``
+            the scheduler charges per lock op (it knows engines only by
+            name, so this is where it learns the table).
         options: tunable constructor kwargs exposed as CLI flags
             (e.g. ``("alpha",)`` for the dynamic backup).
     """
@@ -83,6 +92,7 @@ class EngineCapabilities:
     needs_chain_repair: bool = False
     locks_released_after_sync: bool = False
     cost: EngineCostModel = DEFAULT_COST
+    lock_table: type = field(default_factory=_global_lock_table)
     options: Tuple[str, ...] = field(default_factory=tuple)
 
 

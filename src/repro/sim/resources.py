@@ -13,6 +13,10 @@ results:
   that.  The paper attributes most of the baseline's overhead to "cache
   flushes, transactional allocation and software needed for maintaining
   undo-logs" (§7.1); we model it as a serialized per-intent cost.
+* **Lock-table serialization** — every write intent and every read lock
+  is one op on the engine's lock table.  The table class owns what an op
+  costs (:class:`LockCost`): the global table serializes all of it
+  behind one mutex, a striped table only its slot-pool handoff.
 
 Both are FIFO servers in virtual time: a request arriving at ``t``
 completes at ``max(t, server_free) + service``.
@@ -20,7 +24,8 @@ completes at ``max(t, server_free) + service``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,21 @@ class BandwidthResource(FIFOServer):
 
 
 @dataclass(frozen=True)
+class LockCost:
+    """What one lock-table op (a write intent's ``acquire_write``, or a
+    read lock) costs.  The lock-table class owns it (its ``cost``), so
+    every engine on one table pays the same for its locks."""
+
+    #: work under the mutex every client shares
+    serial_ns: float = 0.0
+    #: work on the client's own timeline (its stripe), never queued behind
+    local_ns: float = 0.0
+
+
+@dataclass(frozen=True)
 class EngineCostModel:
-    """Per-engine serialized software overheads (see module docstring).
+    """An engine's serialized log-management overhead (see module
+    docstring); what its locks cost is its lock table's :class:`LockCost`.
 
     Each engine's registration carries its row
     (:attr:`~repro.runtime.registry.EngineCapabilities.cost`).
@@ -104,8 +122,8 @@ class EngineCostModel:
         serial_ns_per_intent: serialized log-management cost per declared
             write intent (allocation + indexing + deallocation of a log
             entry).  High for undo/CoW (variable-size data log entries
-            through shared allocator state), near zero for Kamino
-            (fixed-size entries in per-thread scratchpads, §6.2).
+            through shared allocator state), none beyond the lock op for
+            Kamino (fixed-size entries in per-thread scratchpads, §6.2).
     """
 
     serial_ns_per_intent: float = 0.0
@@ -114,63 +132,54 @@ class EngineCostModel:
     #: device time is already in the critical path, but it additionally
     #: holds the log mutex, so concurrent transactions queue behind it
     serial_includes_copy: bool = False
-    #: per-intent software cost that is NOT serialized — it runs on the
-    #: client's own timeline (per-stripe lock work, volatile shadow
-    #: bookkeeping).  The fine-grained family trades serialized cost for
-    #: local cost: same single-client latency, no cross-client queueing.
-    local_ns_per_intent: float = 0.0
-    #: serialized cost per *read-lock* acquisition.  The global lock
-    #: table guards read acquires with the same single mutex as writes,
-    #: so a traversal's read set queues on the table too — every
-    #: global-table engine carries the same constant here, which keeps
-    #: read-only workloads at throughput parity across them.
-    serial_ns_per_read_lock: float = 0.0
-    #: non-serialized counterpart for read locks (striped tables).
-    local_ns_per_read_lock: float = 0.0
+
+
+@dataclass(frozen=True)
+class SchedulerCost:
+    """What the scheduler charges an engine's transactions: its row plus
+    its lock table's :class:`LockCost` per op, combined by
+    :func:`cost_model_for`."""
+
+    serial_ns_per_intent: float  # log management + the write-lock op
+    serial_ns_per_read_lock: float
+    local_ns_per_lock_op: float  # write intent or read lock
+    serial_includes_copy: bool
 
 
 # The calibrated rows, calibrated against the paper's single-thread
 # latency ratios.  Engines name theirs in their registration.
 
-#: no software overhead: ``nolog`` and any engine that declares no row
+#: no log-management overhead: ``nolog`` and the Kamino family, whose
+#: fixed-size intent entries cost nothing beyond the lock op
 DEFAULT_COST = EngineCostModel()
 
-#: undo/CoW: the 900 ns per *write* intent is NVML's measured log-arena
-#: allocation overhead, and the log copy queues behind the arena mutex.
-#: Both share the global ObjectLockTable with kamino, so their read
-#: acquires pass through the same serialized table mutex and carry the
-#: same 40 ns.
-LOGGING_COST = EngineCostModel(
-    serial_ns_per_intent=900.0,
-    serial_ns_per_read_lock=40.0,
-    serial_includes_copy=True,
-)
+#: undo/CoW: 860 ns per *write* intent of NVML log-arena allocation, on
+#: top of the global table's 40 ns lock op (900 ns in all), and the log
+#: copy queues behind the arena mutex
+LOGGING_COST = EngineCostModel(serial_ns_per_intent=860.0, serial_includes_copy=True)
 
-#: Kamino over the global lock table (simple, dynamic, and nvtraverse,
-#: which batches the intent publication at the destination but keeps the
-#: same table): fixed-size intent entries cost 40 ns of serialized work.
-KAMINO_COST = EngineCostModel(
-    serial_ns_per_intent=40.0,
-    serial_ns_per_read_lock=40.0,
-)
-
-#: Kamino over the striped lock table: only the slot-pool handoff stays
-#: serialized (8 ns); the remaining 32 ns of per-lock-op work happens on
-#: the stripe the client hashed to, concurrently with other clients.
-#: The split sums to KAMINO_COST's 40 ns, so single-client latency is
-#: identical and the gap only opens under contention.
-STRIPED_KAMINO_COST = EngineCostModel(
-    serial_ns_per_intent=8.0,
-    local_ns_per_intent=32.0,
-    serial_ns_per_read_lock=8.0,
-    local_ns_per_read_lock=32.0,
-)
+#: what the scheduler charges a name no engine registered: no row, no table
+UNREGISTERED_COST = SchedulerCost(0.0, 0.0, 0.0, False)
 
 
-def cost_model_for(engine_name: str) -> EngineCostModel:
-    """The cost row of the engine registered under ``engine_name`` (exact
-    name, then longest registered prefix), or :data:`DEFAULT_COST`."""
+@lru_cache(maxsize=None)
+def _combined(row: EngineCostModel, lock: LockCost) -> SchedulerCost:
+    return SchedulerCost(
+        row.serial_ns_per_intent + lock.serial_ns,
+        lock.serial_ns,
+        lock.local_ns,
+        row.serial_includes_copy,
+    )
+
+
+def cost_model_for(engine_name: str) -> SchedulerCost:
+    """What the scheduler charges the engine registered under
+    ``engine_name`` (exact name, then longest registered prefix): its
+    row plus its registered lock table's op cost, or
+    :data:`UNREGISTERED_COST`."""
     from ..runtime.registry import find_registered
 
     info = find_registered(engine_name)
-    return info.capabilities.cost if info is not None else DEFAULT_COST
+    if info is None:
+        return UNREGISTERED_COST
+    return _combined(info.capabilities.cost, info.capabilities.lock_table.cost)

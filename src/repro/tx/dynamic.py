@@ -39,7 +39,6 @@ from ..nvm.device import DeclaredLoads
 from ..nvm.latency import CACHE_LINE
 from ..nvm.pool import PmemPool, PmemRegion
 from ..runtime.registry import EngineCapabilities, register_engine
-from ..sim.resources import KAMINO_COST
 from .backup import BackupStrategy
 from .base import IntentKind
 from .kamino import KaminoEngine
@@ -414,7 +413,6 @@ class DynamicBackup(BackupStrategy):
         copies_in_critical_path=False,
         has_backup=True,
         locks_released_after_sync=True,
-        cost=KAMINO_COST,
         options=("alpha",),
     ),
 )

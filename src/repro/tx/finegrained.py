@@ -17,9 +17,9 @@ are volatile, so under a single uncontended client this engine is
 **bit-identical** to ``kamino-dynamic`` — same durable bytes, same
 ``NVMStats``, same crash fingerprints — which the differential test
 (``tests/tx/test_finegrained_differential.py``) pins.  The win is pure
-software-serialisation cost, modelled by its cost row
-(:data:`~repro.sim.resources.STRIPED_KAMINO_COST`) and measured by the
-contended-YCSB battery.
+software-serialisation cost, modelled by the lock op cost of the table
+its registration names (:attr:`StripedLockTable.cost`, mostly
+stripe-local) and measured by the contended-YCSB battery.
 
 Deadlock discipline: only acquisitions can wait.  Incremental
 single-lock acquisition keeps the table's timeout escape, and any batch
@@ -33,7 +33,6 @@ two stripe mutexes.
 from __future__ import annotations
 
 from ..runtime.registry import EngineCapabilities, register_engine
-from ..sim.resources import STRIPED_KAMINO_COST
 from .dynamic import DynamicBackup
 from .kamino import KaminoEngine
 from .striped_locks import StripedLockTable
@@ -49,7 +48,7 @@ from .striped_locks import StripedLockTable
         copies_in_critical_path=False,
         has_backup=True,
         locks_released_after_sync=True,
-        cost=STRIPED_KAMINO_COST,
+        lock_table=StripedLockTable,
         options=("alpha", "stripes"),
     ),
 )

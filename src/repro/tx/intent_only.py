@@ -25,7 +25,6 @@ from typing import Deque, Dict, List, Tuple
 
 from ..errors import TxError
 from ..runtime.registry import EngineCapabilities, register_engine
-from ..sim.resources import KAMINO_COST
 from ._common import LockingLogEngine
 from .base import IntentKind, RecoveryReport, Transaction
 from .intent_log import SlotState, TxLog
@@ -38,7 +37,6 @@ from .intent_log import SlotState, TxLog
         copies_in_critical_path=False,
         recoverable=False,
         needs_chain_repair=True,
-        cost=KAMINO_COST,
     ),
 )
 class IntentOnlyEngine(LockingLogEngine):

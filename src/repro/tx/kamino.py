@@ -29,7 +29,6 @@ from typing import Deque, List, Optional, Set, Tuple
 
 from ..errors import BothCopiesLostError, IntegrityError
 from ..runtime.registry import EngineCapabilities, register_engine
-from ..sim.resources import KAMINO_COST
 from .base import IntentKind, RecoveryReport, Transaction
 from .backup import BackupStrategy, FullBackup
 from ._common import LockingLogEngine
@@ -362,7 +361,6 @@ class KaminoEngine(LockingLogEngine):
         copies_in_critical_path=False,
         has_backup=True,
         locks_released_after_sync=True,
-        cost=KAMINO_COST,
     ),
 )
 def kamino_simple(**kwargs) -> KaminoEngine:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set
 
 from ..errors import LockTimeoutError
+from ..sim.resources import LockCost
 
 
 @dataclass
@@ -57,6 +58,9 @@ class ObjectLockTable:
         timeout: seconds to wait on a conflicting holder before raising
             :class:`~repro.errors.LockTimeoutError` (deadlock escape).
     """
+
+    #: every op serializes through the one table mutex
+    cost = LockCost(serial_ns=40.0)
 
     def __init__(self, resolver: Optional[Callable[[int], None]] = None, timeout: float = 10.0):
         self._mutex = threading.Lock()

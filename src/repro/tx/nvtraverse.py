@@ -45,7 +45,6 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import LogFullError
 from ..runtime.registry import EngineCapabilities, register_engine
-from ..sim.resources import KAMINO_COST
 from .backup import FullBackup
 from .base import IntentKind, Transaction
 from .intent_log import SlotState
@@ -198,7 +197,6 @@ class NVTraverseEngine(KaminoEngine):
         copies_in_critical_path=False,
         has_backup=True,
         locks_released_after_sync=True,
-        cost=KAMINO_COST,
     ),
 )
 def nvtraverse(**kwargs) -> NVTraverseEngine:

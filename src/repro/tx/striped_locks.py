@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
+from ..sim.resources import LockCost
 from .locks import LockStats, ObjectLockTable
 
 #: 2^64 / phi — spreads consecutive block offsets across stripes
@@ -53,6 +54,10 @@ class StripedLockTable:
         resolver: on-demand sync callback, as in the baseline table.
         timeout: per-acquisition deadlock-escape timeout in seconds.
     """
+
+    #: the global table's 40 ns, split: only the slot-pool handoff stays
+    #: serialized, so the gap opens only under contention
+    cost = LockCost(serial_ns=8.0, local_ns=32.0)
 
     def __init__(
         self,

@@ -119,21 +119,43 @@ class TestDependentTransactions:
         assert hot.dependent_waits > cold.dependent_waits
 
 
+class TestReadOnlyParity:
+    def test_nolog_and_undo_read_alike(self):
+        # undo and no-logging take the same object locks on the same
+        # global table, so a read-only stream pays nothing for logging
+        # (paper §7.1): identical latencies, contention included
+        latencies = {}
+        for engine in ("nolog", "undo"):
+            ctx = ExecutionContext.create(engine, value_size=64, heap_mb=2)
+            for k in range(50):
+                ctx.kv.put(k, bytes([k + 1]) * 32)
+            ctx.reset()
+            result = run_online(
+                ctx, list(range(200)), lambda i: ctx.kv.get(i % 50), 4,
+                kind_of=lambda i: "get",
+            )
+            assert result.ops == 200
+            latencies[engine] = result.latencies_ns
+        assert latencies["nolog"] == latencies["undo"]
+
+
 #: what the scheduler charges each engine — (serial ns per intent, serial
 #: ns per read lock, log copy serialized, local ns per intent, local ns
 #: per read lock, write locks held through the backup sync) — written out
 #: as the calibrated table gave them before the rows moved onto the
-#: registrations.  The one change is intent-only's last field: the
+#: registrations.  Two changes since: intent-only's last field (the
 #: shared table row said True where its registration says False, and no
-#: intent-only record carries backup-sync work for the flag to act on
-#: (test_intent_only_records_carry_no_sync_work).
+#: intent-only record carries backup-sync work for the flag to act on:
+#: test_intent_only_records_carry_no_sync_work), and nolog's lock ops,
+#: which cost what they cost every other engine on the global table now
+#: that the table, not the engine row, owns that cost.
 SCHEDULER_RECORDS = {
     "cow": (900.0, 40.0, True, 0.0, 0.0, False),
     "intent-only": (40.0, 40.0, False, 0.0, 0.0, False),
     "kamino-dynamic": (40.0, 40.0, False, 0.0, 0.0, True),
     "kamino-finegrained": (8.0, 8.0, False, 32.0, 32.0, True),
     "kamino-simple": (40.0, 40.0, False, 0.0, 0.0, True),
-    "nolog": (0.0, 0.0, False, 0.0, 0.0, False),
+    "nolog": (40.0, 40.0, False, 0.0, 0.0, False),
     "nvtraverse": (40.0, 40.0, False, 0.0, 0.0, True),
     "undo": (900.0, 40.0, True, 0.0, 0.0, False),
     "kamino-dynamic-10": (40.0, 40.0, False, 0.0, 0.0, True),
@@ -156,8 +178,8 @@ class TestSchedulerCostPin:
             cost.serial_ns_per_intent,
             cost.serial_ns_per_read_lock,
             cost.serial_includes_copy,
-            cost.local_ns_per_intent,
-            cost.local_ns_per_read_lock,
+            cost.local_ns_per_lock_op,
+            cost.local_ns_per_lock_op,
             clients.locks_after_sync,
         ) == SCHEDULER_RECORDS[name]
 

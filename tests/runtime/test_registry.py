@@ -14,12 +14,14 @@ from repro.runtime.registry import (
 )
 from repro.sim.resources import (
     DEFAULT_COST,
-    KAMINO_COST,
     LOGGING_COST,
-    STRIPED_KAMINO_COST,
+    UNREGISTERED_COST,
     EngineCostModel,
+    LockCost,
+    SchedulerCost,
     cost_model_for,
 )
+from repro.tx import ObjectLockTable, StripedLockTable
 
 
 class TestBuiltins:
@@ -95,6 +97,7 @@ class TestDecorator:
             caps = engine_info("test-default").capabilities
             assert caps.recoverable
             assert caps.cost is DEFAULT_COST
+            assert caps.lock_table is ObjectLockTable
             assert caps.options == ()
         finally:
             unregister_engine("test-default")
@@ -141,27 +144,44 @@ class TestRegistrySnapshot:
 
 class TestCostModelIntegration:
     def test_cost_row_drives_scheduler(self):
-        assert cost_model_for("undo") is LOGGING_COST
-        assert cost_model_for("cow") is LOGGING_COST
-        assert cost_model_for("kamino-simple") is KAMINO_COST
-        assert cost_model_for("kamino-dynamic-30") is KAMINO_COST
-        assert cost_model_for("nvtraverse") is KAMINO_COST
-        assert cost_model_for("kamino-finegrained") is STRIPED_KAMINO_COST
-        assert cost_model_for("nolog") is DEFAULT_COST
-        assert cost_model_for("exotic") is DEFAULT_COST
+        # engine rows hold log management only ...
+        engines = registered_engines()
+        assert LOGGING_COST == EngineCostModel(860.0, serial_includes_copy=True)
+        assert engines["undo"].capabilities.cost is LOGGING_COST
+        assert engines["cow"].capabilities.cost is LOGGING_COST
+        for name in ("kamino-simple", "kamino-dynamic", "nvtraverse",
+                     "kamino-finegrained", "intent-only", "nolog"):
+            assert engines[name].capabilities.cost is DEFAULT_COST
+        # ... the lock tables own what a lock op costs ...
+        assert ObjectLockTable.cost == LockCost(serial_ns=40.0)
+        assert StripedLockTable.cost == LockCost(serial_ns=8.0, local_ns=32.0)
+        # ... and the scheduler charges the two combined
+        assert cost_model_for("undo") == SchedulerCost(900.0, 40.0, 0.0, True)
+        assert cost_model_for("kamino-dynamic-30") == SchedulerCost(40.0, 40.0, 0.0, False)
+        assert cost_model_for("nolog") is cost_model_for("kamino-simple")
+        assert cost_model_for("kamino-finegrained") == SchedulerCost(8.0, 8.0, 32.0, False)
+        assert cost_model_for("exotic") is UNREGISTERED_COST
 
     def test_the_registered_cost_is_the_cost(self):
         # a name that prefix-matches "undo" gets exactly the row its own
-        # registration carries
+        # registration carries, on top of its own table's lock op
         row = EngineCostModel(serial_ns_per_intent=7.0)
 
-        @register_engine("undo-free", capabilities=EngineCapabilities(cost=row))
+        @register_engine(
+            "undo-free",
+            capabilities=EngineCapabilities(cost=row, lock_table=StripedLockTable),
+        )
         def factory():
             return object()
 
         try:
-            assert cost_model_for("undo-free") is row
-            assert cost_model_for("undo-free-3") is row
-            assert cost_model_for("undo") is LOGGING_COST
+            assert cost_model_for("undo-free") == SchedulerCost(15.0, 8.0, 32.0, False)
+            assert cost_model_for("undo-free-3") is cost_model_for("undo-free")
+            assert cost_model_for("undo").serial_ns_per_intent == 900.0
         finally:
             unregister_engine("undo-free")
+
+    @pytest.mark.parametrize("name", sorted(registered_engines()))
+    def test_declared_lock_table_is_the_engines(self, name):
+        declared = engine_info(name).capabilities.lock_table
+        assert type(make_engine(name).locks) is declared

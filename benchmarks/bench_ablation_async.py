@@ -15,7 +15,7 @@ Eager Kamino lands between the two: it already avoids undo's log-arena
 data capture, but still pays the copy before commit returns.
 """
 
-from repro.bench import format_table, replay, trace_ycsb
+from repro.bench import format_table, run_ycsb_online
 
 NTHREADS = 4
 
@@ -29,10 +29,10 @@ def run(nrecords=500, nops=1200):
     rows = []
     lat = {}
     for label, engine_name, kwargs in configs:
-        records = trace_ycsb(
-            engine_name, "A", nrecords=nrecords, nops=nops, value_size=1008, seed=3, **kwargs
+        result = run_ycsb_online(
+            engine_name, "A", NTHREADS, nrecords=nrecords, nops=nops, value_size=1008,
+            seed=3, **kwargs,
         )
-        result = replay(records, NTHREADS, engine_name, "A")
         lat[label] = result.mean_latency_us
         rows.append([label, result.throughput_kops / 1e3, result.mean_latency_us])
     table = format_table(

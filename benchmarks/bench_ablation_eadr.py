@@ -13,7 +13,7 @@ speed up because flush costs vanish, and Kamino-Tx *keeps* an advantage
 management, which persistent caches do not remove.
 """
 
-from repro.bench import format_table, replay, trace_ycsb
+from repro.bench import format_table, run_ycsb_online
 from repro.nvm.latency import EADR, NVDIMM
 
 NTHREADS = 4
@@ -25,11 +25,10 @@ def run(nrecords=500, nops=1200):
     for model in (NVDIMM, EADR):
         lat = {}
         for engine in ("kamino-simple", "undo"):
-            records = trace_ycsb(
-                engine, "A", nrecords=nrecords, nops=nops, value_size=1008,
+            result = run_ycsb_online(
+                engine, "A", NTHREADS, nrecords=nrecords, nops=nops, value_size=1008,
                 model=model,
             )
-            result = replay(records, NTHREADS, engine, "A", model=model)
             lat[engine] = result.mean_latency_us_of("update")
         rows.append([model.name, lat["kamino-simple"], lat["undo"],
                      lat["undo"] / lat["kamino-simple"]])

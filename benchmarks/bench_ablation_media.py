@@ -8,7 +8,7 @@ DRAM (battery-backed), NVDIMM (the paper's testbed), and a PCM/3D-XPoint
 must grow monotonically as the medium slows.
 """
 
-from repro.bench import format_table, replay, trace_ycsb
+from repro.bench import format_table, run_ycsb_online
 from repro.nvm.latency import DRAM, NVDIMM, PCM_LIKE
 
 PROFILES = [DRAM, NVDIMM, PCM_LIKE]
@@ -21,11 +21,10 @@ def run(nrecords=500, nops=1200):
     for model in PROFILES:
         lat = {}
         for engine in ("kamino-simple", "undo"):
-            records = trace_ycsb(
-                engine, "A", nrecords=nrecords, nops=nops, value_size=1008,
+            result = run_ycsb_online(
+                engine, "A", NTHREADS, nrecords=nrecords, nops=nops, value_size=1008,
                 model=model,
             )
-            result = replay(records, NTHREADS, engine, "A", model=model)
             # isolate the update path: the paper's claim is about the
             # critical-path *copy*, which only write operations pay
             lat[engine] = result.mean_latency_us_of("update")

@@ -11,7 +11,7 @@ the *overhead ratio per workload class*, not MySQL's absolute ops/sec.
 
 import sys
 
-from repro.bench import format_table, replay, trace_tpcc, trace_ycsb
+from repro.bench import format_table, run_tpcc_online, run_ycsb_online
 
 WORKLOADS = ["A", "B", "C", "D", "F"]
 ENGINES = ["nolog", "undo"]
@@ -24,16 +24,15 @@ def run(nrecords=800, nops=1600, tpcc_ops=400):
     for workload in WORKLOADS:
         kops = {}
         for engine in ENGINES:
-            records = trace_ycsb(engine, workload, nrecords=nrecords, nops=nops,
-                                 value_size=1008)
-            kops[engine] = replay(records, NTHREADS, engine, workload).throughput_kops
+            kops[engine] = run_ycsb_online(
+                engine, workload, NTHREADS, nrecords=nrecords, nops=nops, value_size=1008
+            ).throughput_kops
         overhead = (kops["nolog"] / kops["undo"] - 1.0) * 100.0
         rows.append([f"YCSB-{workload}", kops["nolog"], kops["undo"], overhead])
         series[workload] = overhead
     kops = {}
     for engine in ENGINES:
-        records = trace_tpcc(engine, nops=tpcc_ops)
-        kops[engine] = replay(records, NTHREADS, engine, "tpcc").throughput_kops
+        kops[engine] = run_tpcc_online(engine, NTHREADS, nops=tpcc_ops).throughput_kops
     overhead = (kops["nolog"] / kops["undo"] - 1.0) * 100.0
     rows.append(["TPC-C", kops["nolog"], kops["undo"], overhead])
     series["TPCC"] = overhead

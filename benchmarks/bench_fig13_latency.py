@@ -6,7 +6,7 @@ maintaining undo-logs comprises most of the overhead"); workload C is
 identical (100% reads); TPC-C improves ~40% in throughput terms.
 """
 
-from repro.bench import format_table, replay, trace_tpcc, trace_ycsb
+from repro.bench import format_table, run_tpcc_online, run_ycsb_online
 
 WORKLOADS = ["A", "B", "C", "D", "F"]
 NTHREADS = 4
@@ -18,15 +18,14 @@ def run(nrecords=800, nops=1600, tpcc_ops=400):
     for workload in WORKLOADS:
         lat = {}
         for engine in ("kamino-simple", "undo"):
-            records = trace_ycsb(engine, workload, nrecords=nrecords, nops=nops,
-                                 value_size=1008)
-            lat[engine] = replay(records, NTHREADS, engine, workload).mean_latency_us
+            lat[engine] = run_ycsb_online(
+                engine, workload, NTHREADS, nrecords=nrecords, nops=nops, value_size=1008
+            ).mean_latency_us
         ratios[workload] = lat["undo"] / lat["kamino-simple"]
         rows.append([f"YCSB-{workload}", lat["kamino-simple"], lat["undo"], ratios[workload]])
     lat = {}
     for engine in ("kamino-simple", "undo"):
-        records = trace_tpcc(engine, nops=tpcc_ops)
-        lat[engine] = replay(records, NTHREADS, engine, "tpcc").mean_latency_us
+        lat[engine] = run_tpcc_online(engine, NTHREADS, nops=tpcc_ops).mean_latency_us
     ratios["TPCC"] = lat["undo"] / lat["kamino-simple"]
     rows.append(["TPC-C", lat["kamino-simple"], lat["undo"], ratios["TPCC"]])
     table = format_table(

@@ -10,7 +10,7 @@ fraction of the *data* (the paper's α × dataSize), and the zipfian write
 skew gives small backups a useful hit rate.
 """
 
-from repro.bench import format_table, replay, trace_ycsb
+from repro.bench import format_table, run_ycsb_online
 
 WORKLOADS = ["A", "B", "D", "F"]
 ALPHAS = [0.1, 0.3, 0.5, 0.7, 0.9]
@@ -26,17 +26,14 @@ def run(nrecords=1500, nops=6000):
     for workload in WORKLOADS:
         lats = []
         for alpha in ALPHAS:
-            records = trace_ycsb(
-                "kamino-dynamic", workload, nrecords=nrecords, nops=nops,
+            lats.append(run_ycsb_online(
+                "kamino-dynamic", workload, NTHREADS, nrecords=nrecords, nops=nops,
                 value_size=1008, heap_mb=heap_mb, alpha=alpha,
-            )
-            name = f"kamino-dynamic-{int(alpha * 100)}"
-            lats.append(replay(records, NTHREADS, name, workload).mean_latency_us)
-        records = trace_ycsb(
-            "kamino-simple", workload, nrecords=nrecords, nops=nops,
+            ).mean_latency_us)
+        full = run_ycsb_online(
+            "kamino-simple", workload, NTHREADS, nrecords=nrecords, nops=nops,
             value_size=1008, heap_mb=heap_mb,
-        )
-        full = replay(records, NTHREADS, "kamino-simple", workload).mean_latency_us
+        ).mean_latency_us
         rows.append([f"YCSB-{workload}"] + lats + [full])
         data[workload] = (lats, full)
     table = format_table(

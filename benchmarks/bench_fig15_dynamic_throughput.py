@@ -6,7 +6,7 @@ throughput on read-heavy workloads — the storage/performance trade-off
 that motivates Kamino-Tx-Dynamic.
 """
 
-from repro.bench import format_table, replay, trace_ycsb
+from repro.bench import format_table, run_ycsb_online
 
 WORKLOADS = ["A", "B", "D", "F"]
 ALPHAS = [0.1, 0.3, 0.5, 0.7, 0.9]
@@ -22,17 +22,14 @@ def run(nrecords=1500, nops=6000):
     for workload in WORKLOADS:
         kops = []
         for alpha in ALPHAS:
-            records = trace_ycsb(
-                "kamino-dynamic", workload, nrecords=nrecords, nops=nops,
+            kops.append(run_ycsb_online(
+                "kamino-dynamic", workload, NTHREADS, nrecords=nrecords, nops=nops,
                 value_size=1008, heap_mb=heap_mb, alpha=alpha,
-            )
-            name = f"kamino-dynamic-{int(alpha * 100)}"
-            kops.append(replay(records, NTHREADS, name, workload).throughput_kops / 1e3)
-        records = trace_ycsb(
-            "kamino-simple", workload, nrecords=nrecords, nops=nops,
+            ).throughput_kops / 1e3)
+        full = run_ycsb_online(
+            "kamino-simple", workload, NTHREADS, nrecords=nrecords, nops=nops,
             value_size=1008, heap_mb=heap_mb,
-        )
-        full = replay(records, NTHREADS, "kamino-simple", workload).throughput_kops / 1e3
+        ).throughput_kops / 1e3
         rows.append([f"YCSB-{workload}"] + kops + [full])
         data[workload] = (kops, full)
     table = format_table(

@@ -8,7 +8,7 @@ can be the better buy because its throughput is nearly equal at a lower
 provisioned-NVM cost.
 """
 
-from repro.bench import format_table, normalized_ops_per_dollar, replay, trace_ycsb
+from repro.bench import format_table, normalized_ops_per_dollar, run_ycsb_online
 
 ALPHAS = [0.1, 0.3, 0.5, 0.7, 0.9]
 NTHREADS = 8
@@ -16,20 +16,16 @@ NTHREADS = 8
 
 def _throughputs(workload, nrecords, nops):
     heap_mb = max(1, (nrecords * 1400) >> 20)
-    series = {}
-    records = trace_ycsb("undo", workload, nrecords=nrecords, nops=nops,
-                         value_size=1008, heap_mb=heap_mb)
-    series["undo"] = replay(records, NTHREADS, "undo", workload).throughput_kops
+    def kops(engine, **kwargs):
+        return run_ycsb_online(
+            engine, workload, NTHREADS, nrecords=nrecords, nops=nops,
+            value_size=1008, heap_mb=heap_mb, **kwargs,
+        ).throughput_kops
+
+    series = {"undo": kops("undo")}
     for alpha in ALPHAS:
-        name = f"kamino-dynamic-{int(alpha * 100)}"
-        records = trace_ycsb("kamino-dynamic", workload, nrecords=nrecords,
-                             nops=nops, value_size=1008, heap_mb=heap_mb, alpha=alpha)
-        series[name] = replay(records, NTHREADS, name, workload).throughput_kops
-    records = trace_ycsb("kamino-simple", workload, nrecords=nrecords, nops=nops,
-                         value_size=1008, heap_mb=heap_mb)
-    series["kamino-simple"] = replay(
-        records, NTHREADS, "kamino-simple", workload
-    ).throughput_kops
+        series[f"kamino-dynamic-{int(alpha * 100)}"] = kops("kamino-dynamic", alpha=alpha)
+    series["kamino-simple"] = kops("kamino-simple")
     return series, heap_mb
 
 

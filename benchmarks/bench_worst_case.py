@@ -8,7 +8,8 @@ schemes converge because the transaction time is dominated by copying
 immediate dependent re-update) and both hit the memory bandwidth limit.
 """
 
-from repro.bench import build_stack, format_table, replay
+from repro.bench import build_stack, format_table
+from repro.runtime import run_online
 from repro.workloads import WorstCaseWorkload, YCSBWorkload
 
 # payload sizes chosen so payload + 16B object header lands on a size
@@ -17,13 +18,14 @@ SIZES = [64, 240, 1008, 4080]
 THREADS = [1, 4, 8]
 
 
-def run_case(engine, object_size, nobjects, nops):
+def run_case(engine, object_size, nthreads, nops):
+    # each thread continuously updates its own object
     ctx = build_stack(engine, value_size=object_size, heap_mb=8)
-    workload = WorstCaseWorkload(object_size=object_size, nobjects=nobjects)
+    workload = WorstCaseWorkload(object_size=object_size, nobjects=nthreads)
     workload.load(ctx.kv)
-    ctx.device.stats.reset()
-    return ctx.run_ops(
-        workload.ops(nops), lambda op: YCSBWorkload.execute(ctx.kv, op), charge=False
+    ctx.reset()
+    return run_online(
+        ctx, workload.ops(nops), lambda op: YCSBWorkload.execute(ctx.kv, op), nthreads
     )
 
 
@@ -34,9 +36,7 @@ def run(nops=800):
         for nthreads in THREADS:
             lat = {}
             for engine in ("kamino-simple", "undo"):
-                # each thread continuously updates its own object
-                records = run_case(engine, size, nobjects=nthreads, nops=nops)
-                lat[engine] = replay(records, nthreads, engine).mean_latency_us
+                lat[engine] = run_case(engine, size, nthreads, nops).mean_latency_us
             ratio = lat["undo"] / lat["kamino-simple"]
             rows.append([size, nthreads, lat["kamino-simple"], lat["undo"], ratio])
             data[(size, nthreads)] = ratio

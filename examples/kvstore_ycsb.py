@@ -1,13 +1,13 @@
 """A miniature Figure 12/13: YCSB on the persistent KV store.
 
-Loads the B+Tree-backed store, traces YCSB-A and YCSB-C under undo
-logging and Kamino-Tx-Simple, and replays the traces with four simulated
-clients — the same pipeline the full benchmarks use, at toy scale.
+Loads the B+Tree-backed store and runs YCSB-A and YCSB-C under undo
+logging and Kamino-Tx-Simple with four simulated clients — the same
+pipeline the full benchmarks use, at toy scale.
 
 Run:  python examples/kvstore_ycsb.py
 """
 
-from repro.bench import format_table, replay, trace_ycsb
+from repro.bench import format_table, run_ycsb_online
 
 ENGINES = ["undo", "kamino-simple"]
 WORKLOADS = ["A", "C"]
@@ -17,10 +17,9 @@ def main() -> None:
     rows = []
     for workload in WORKLOADS:
         for engine in ENGINES:
-            records = trace_ycsb(
-                engine, workload, nrecords=400, nops=800, value_size=1008
+            result = run_ycsb_online(
+                engine, workload, 4, nrecords=400, nops=800, value_size=1008
             )
-            result = replay(records, nthreads=4, engine_name=engine, workload=workload)
             rows.append([
                 f"YCSB-{workload}",
                 engine,

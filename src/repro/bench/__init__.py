@@ -1,6 +1,5 @@
 """Paper-figure benchmark glue: stack builders, runners, reporting."""
 
-from ..runtime.online import replay_records as replay
 from ..runtime.records import ReplayResult, TxRecord
 from .plot import bar_chart, grouped_bar_chart
 from .report import format_table, speedup_note
@@ -9,10 +8,9 @@ from .runners import (
     DEFAULT_RECORDS,
     DEFAULT_VALUE_SIZE,
     build_stack,
+    run_tpcc_online,
     run_ycsb_matrix,
     run_ycsb_online,
-    trace_tpcc,
-    trace_ycsb,
 )
 from .tco import CostModel, normalized_ops_per_dollar, ops_per_dollar, provisioned_gb
 
@@ -30,10 +28,8 @@ __all__ = [
     "normalized_ops_per_dollar",
     "ops_per_dollar",
     "provisioned_gb",
-    "replay",
+    "run_tpcc_online",
     "run_ycsb_matrix",
     "run_ycsb_online",
     "speedup_note",
-    "trace_tpcc",
-    "trace_ycsb",
 ]

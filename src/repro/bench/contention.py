@@ -95,7 +95,6 @@ def run_contended_cell(
     value_size: int = CONTENTION_VALUE_SIZE,
     seed: int = 0,
     model: LatencyModel = NVDIMM,
-    sync_lag_ns: float = 0.0,
     heap_mb: int = 24,
     **engine_kwargs,
 ) -> ContentionCell:
@@ -115,7 +114,6 @@ def run_contended_cell(
         list(workload.run_ops(nops)),
         lambda op: workload.execute(ctx.kv, op),
         nclients,
-        sync_lag_ns=sync_lag_ns,
     )
     latencies = result.latencies_ns
     mean = sum(latencies) / len(latencies) if latencies else 0.0
@@ -193,7 +191,6 @@ def run_contention_sweep(
     value_size: int = CONTENTION_VALUE_SIZE,
     seed: int = 0,
     model: LatencyModel = NVDIMM,
-    sync_lag_ns: float = 0.0,
     baseline: str = DEFAULT_BASELINE,
     challenger: str = DEFAULT_CHALLENGER,
     engine_kwargs: Optional[Dict[str, dict]] = None,
@@ -213,7 +210,6 @@ def run_contention_sweep(
                     value_size=value_size,
                     seed=seed,
                     model=model,
-                    sync_lag_ns=sync_lag_ns,
                     **engine_kwargs.get(engine_name, {}),
                 )
             )

@@ -1,11 +1,12 @@
 """Shared setup glue for the benchmark scripts.
 
 Builds the full execution context for a named engine, loads a workload,
-and runs its operation stream — the part every figure's benchmark has
-in common.  Every stack is an
+and runs its operation stream online (:func:`~repro.runtime.online.run_online`)
+under N virtual clients — the part every figure's benchmark has in
+common.  Every stack is an
 :class:`~repro.runtime.context.ExecutionContext` (device + latency model
-+ clock + shared resource servers), so single-client tracing and
-multi-client online simulation use the same objects.  Scaled defaults
++ clock + shared resource servers), and every operation executes at the
+virtual time its client reaches it, one client or many.  Scaled defaults
 keep each figure's regeneration in the tens of seconds while preserving
 the paper's ratios: record count shrinks from 10 M to a few thousand,
 but value size, operation mixes, key skew, and data-structure shapes
@@ -14,12 +15,12 @@ are the paper's.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..nvm.latency import NVDIMM, LatencyModel
 from ..runtime.context import ExecutionContext
 from ..runtime.online import run_online
-from ..runtime.records import ReplayResult, TxRecord
+from ..runtime.records import ReplayResult
 from ..workloads import TPCCLite, YCSBWorkload
 
 #: scaled-down benchmark defaults (paper: 10 M records, 1 KB values)
@@ -79,28 +80,6 @@ def _load_ycsb(
     return ctx, workload
 
 
-def trace_ycsb(
-    engine_name: str,
-    workload_name: str,
-    nrecords: int = DEFAULT_RECORDS,
-    nops: int = DEFAULT_OPS,
-    value_size: int = DEFAULT_VALUE_SIZE,
-    seed: int = 0,
-    model: LatencyModel = NVDIMM,
-    **engine_kwargs,
-) -> List[TxRecord]:
-    """Load + trace one YCSB workload on one engine (single client)."""
-    ctx, workload = _load_ycsb(
-        engine_name, workload_name, nrecords, value_size, seed, model, **engine_kwargs
-    )
-    ctx.run_ops(
-        workload.run_ops(nops),
-        lambda op: workload.execute(ctx.kv, op),
-        charge=False,
-    )
-    return ctx.records
-
-
 def run_ycsb_online(
     engine_name: str,
     workload_name: str,
@@ -111,7 +90,6 @@ def run_ycsb_online(
     seed: int = 0,
     model: LatencyModel = NVDIMM,
     coalesce_flushes: bool = False,
-    sync_lag_ns: float = 0.0,
     heap_mb: int = 48,
     **engine_kwargs,
 ) -> ReplayResult:
@@ -119,7 +97,7 @@ def run_ycsb_online(
 
     Each operation executes functionally at the virtual time its client
     reaches it, charging the context's shared bandwidth/log-management
-    servers inline — no trace pass, exact dependent-transaction timing.
+    servers inline, so dependent-transaction timing is exact.
     """
     ctx, workload = _load_ycsb(
         engine_name,
@@ -139,29 +117,34 @@ def run_ycsb_online(
         lambda op: workload.execute(ctx.kv, op),
         nthreads,
         workload=workload_name,
-        sync_lag_ns=sync_lag_ns,
     )
 
 
-def trace_tpcc(
+def run_tpcc_online(
     engine_name: str,
+    nthreads: int,
     nops: int = 600,
     seed: int = 0,
     model: LatencyModel = NVDIMM,
     **engine_kwargs,
-) -> List[TxRecord]:
-    """Load + trace the TPC-C-lite mix on one engine."""
+) -> ReplayResult:
+    """Run the TPC-C-lite mix online under ``nthreads`` virtual clients.
+
+    Each client draws its next transaction from the shared mix at the
+    virtual time it reaches it.
+    """
     ctx = build_stack(engine_name, value_size=64, heap_mb=24, model=model, **engine_kwargs)
     tpcc = TPCCLite(seed=seed)
     tpcc.load(ctx.kv)
     ctx.reset()
-    names = []
-
-    def one(_ignored) -> None:
-        names.append(tpcc.run_op(ctx.kv))
-
-    ctx.run_ops(range(nops), one, kind_of=lambda _i: "tpcc", charge=False)
-    return ctx.records
+    return run_online(
+        ctx,
+        range(nops),
+        lambda _i: tpcc.run_op(ctx.kv),
+        nthreads,
+        kind_of=lambda _i: "tpcc",
+        workload="tpcc",
+    )
 
 
 def run_ycsb_matrix(

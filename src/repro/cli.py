@@ -31,7 +31,7 @@ import statistics as st
 import sys
 from typing import List, Optional
 
-from .bench import format_table, replay, trace_tpcc, trace_ycsb
+from .bench import format_table, run_tpcc_online, run_ycsb_online
 from .errors import UnknownEngineError
 from .nvm.inspect import format_report
 from .nvm.latency import PROFILES
@@ -93,12 +93,11 @@ def cmd_ycsb(args) -> int:
     rows = []
     for engine in engines:
         kwargs = _engine_kwargs(engine, args)
-        records = trace_ycsb(
-            engine, args.workload, nrecords=args.records, nops=args.ops,
-            value_size=args.value_size, model=model, **kwargs,
-        )
         for n in threads:
-            r = replay(records, n, engine, args.workload, model=model)
+            r = run_ycsb_online(
+                engine, args.workload, n, nrecords=args.records, nops=args.ops,
+                value_size=args.value_size, model=model, **kwargs,
+            )
             rows.append([
                 engine, n, r.throughput_kops, r.mean_latency_us,
                 r.percentile_latency_us(99),
@@ -116,8 +115,7 @@ def cmd_tpcc(args) -> int:
     engines = _parse_list(args.engines)
     rows = []
     for engine in engines:
-        records = trace_tpcc(engine, nops=args.ops)
-        r = replay(records, args.threads, engine, "tpcc")
+        r = run_tpcc_online(engine, args.threads, nops=args.ops)
         rows.append([engine, r.throughput_kops, r.mean_latency_us])
     print(format_table(
         f"TPC-C-lite: {args.ops} transactions, {args.threads} threads",

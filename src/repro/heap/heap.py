@@ -260,8 +260,8 @@ class PersistentHeap:
         if tx is not None and tx.state is TxState.ACTIVE:
             block = obj._oid - OBJ_HEADER_SIZE
             if block not in tx.read_set and block not in tx.write_set:
-                # tx is verified ACTIVE: engine.on_read directly (the
-                # note_read wrapper re-checks liveness and re-dispatches)
+                # first touch of this block in an ACTIVE tx: take the
+                # engine's read lock (engine.on_read, bound at open)
                 self._on_read(tx, block, self.allocator.block_size_of(block))
         else:
             tx = None

@@ -83,9 +83,6 @@ class ChecksumSidecar:
         base = line << _LINE_SHIFT
         return crc == zlib.crc32(bytes(durable[base : base + CACHE_LINE]))
 
-    def forget(self, line: int) -> None:
-        self._crcs.pop(line, None)
-
     def scan(self, durable, first: int = 0, last: int | None = None) -> List[int]:
         """Lines whose media content no longer matches their checksum.
 

@@ -84,14 +84,6 @@ class ScrubReport:
         owner — the only bad outcome is a repair that did not verify."""
         return not any(reason != "reported" for _ln, reason in self.unrepaired)
 
-    def merge(self, other: "ScrubReport") -> None:
-        self.lines_covered += other.lines_covered
-        self.bad_lines += other.bad_lines
-        self.repaired += other.repaired
-        self.quarantined += other.quarantined
-        self.lost += other.lost
-        self.unrepaired.extend(other.unrepaired)
-
     def summary(self) -> str:
         return (
             f"scrub: covered={self.lines_covered} bad={self.bad_lines} "

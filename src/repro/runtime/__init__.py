@@ -38,7 +38,6 @@ __all__ = [
     "make_engine",
     "register_engine",
     "registered_engines",
-    "replay_records",
     "run_online",
     "unregister_engine",
 ]
@@ -49,7 +48,6 @@ _LAZY = {
     "SharedResources": ("repro.runtime.context", "SharedResources"),
     "ReplayResult": ("repro.runtime.records", "ReplayResult"),
     "TxRecord": ("repro.runtime.records", "TxRecord"),
-    "replay_records": ("repro.runtime.online", "replay_records"),
     "run_online": ("repro.runtime.online", "run_online"),
 }
 

@@ -6,8 +6,9 @@ re-derived nanoseconds in a separate replay pass, and the replication
 cluster ran its own :class:`~repro.sim.events.EventSimulator`.  A
 :class:`SimClock` is the single time source an
 :class:`~repro.runtime.context.ExecutionContext` hands to all of them:
-persistence primitives advance it inline, and the event simulator binds
-to it so scheduled callbacks and inline charges observe the same ``now``.
+the context's event simulator binds to it and drives it, so every
+scheduled callback — the online scheduler's and the replication
+cluster's — observes the same ``now``.
 
 The uniform ``reset()`` / ``snapshot()`` contract (shared with
 :class:`~repro.nvm.stats.NVMStats` and
@@ -38,8 +39,8 @@ class SimClock:
 
     ``now`` is a plain attribute so an
     :class:`~repro.sim.events.EventSimulator` can bind to the clock and
-    drive it from its event queue; inline cost charging uses
-    :meth:`advance` / :meth:`advance_to`.
+    drive it from its event queue; :meth:`advance` / :meth:`advance_to`
+    move it by hand.
     """
 
     __slots__ = ("now", "advances")

@@ -16,11 +16,12 @@ accounting, with one runtime core every layer plugs into — an
   serialized log management, replication nodes) that turn per-client
   costs into multi-client queueing.
 
-:meth:`ExecutionContext.run_tx` executes one transaction and charges its
-measured cost to the clock **inline**, at the moment the bytes move —
-there is no separate replay pass.  The multi-client scheduler in
-:mod:`repro.runtime.online` layers shared-server queueing on top of the
-same objects.
+:meth:`ExecutionContext.run_tx` executes one transaction and records
+what it cost (a :class:`~repro.runtime.records.TxRecord`); it never
+moves the clock.  The multi-client scheduler in
+:mod:`repro.runtime.online` is the one place a cost meets virtual time:
+it calls ``run_tx`` at the moment a client reaches the operation and
+threads the record through the shared servers.
 """
 
 from __future__ import annotations
@@ -85,8 +86,7 @@ class ExecutionContext:
     """One simulated machine: device + model + clock + shared servers.
 
     Construct directly for a bare context (replication clusters that
-    bring their own storage), via :meth:`attach` to wrap an existing
-    device/engine pair, or via :meth:`create` to build the full
+    bring their own storage), or via :meth:`create` to build the full
     device → pool → heap → KV stack for a named engine.
     """
 
@@ -166,26 +166,6 @@ class ExecutionContext:
             engine_name=engine_name,
         )
 
-    @classmethod
-    def attach(
-        cls,
-        device: NVMDevice,
-        engine,
-        model: Optional[LatencyModel] = None,
-        resources: Optional[SharedResources] = None,
-        heap=None,
-        kv=None,
-    ) -> "ExecutionContext":
-        """Wrap an already-built device/engine pair in a context."""
-        return cls(
-            model=model or device.model,
-            device=device,
-            engine=engine,
-            heap=heap,
-            kv=kv,
-            resources=resources,
-        )
-
     # -- accounting surfaces -------------------------------------------------
 
     @property
@@ -198,17 +178,16 @@ class ExecutionContext:
 
     # -- inline transaction execution ----------------------------------------
 
-    def run_tx(self, kind: str, fn: Callable[[], None], charge: bool = True) -> TxRecord:
+    def run_tx(self, kind: str, fn: Callable[[], None]) -> TxRecord:
         """Execute one operation (one transaction) and record its costs.
 
         The device's counters are snapshotted around the functional
         execution and around the engine's deferred-work drain; the deltas
-        price the critical path and the asynchronous backup sync.  With
-        ``charge`` (single-client accounting) the context's clock advances
-        by the critical-path cost at this moment — inline, not in a later
-        replay pass.  The multi-client scheduler passes ``charge=False``
-        and threads the record through the shared servers itself, which
-        is the same inline moment seen from a contended machine.
+        price the critical path and the asynchronous backup sync.  The
+        record is appended to :attr:`records`; the clock does not move.
+        Virtual time belongs to the scheduler
+        (:func:`~repro.runtime.online.run_online`), which threads the
+        record through the shared servers at the moment it executes.
         """
         if self.device is None or self.engine is None:
             raise ValueError("run_tx requires a context with a device and an engine")
@@ -243,22 +222,8 @@ class ExecutionContext:
             write_set=captured.get("write", frozenset()),
             read_set=captured.get("read", frozenset()),
         )
-        if charge:
-            self.clock.advance(record.crit_ns)
         self.records.append(record)
         return record
-
-    def run_ops(
-        self,
-        ops,
-        executor: Callable[[object], None],
-        kind_of: Callable[[object], str] = lambda op: getattr(op, "kind", "op"),
-        charge: bool = True,
-    ) -> List[TxRecord]:
-        """Trace a whole operation stream through :meth:`run_tx`."""
-        for op in ops:
-            self.run_tx(kind_of(op), lambda: executor(op), charge=charge)
-        return self.records
 
     # -- uniform reset/snapshot contract -------------------------------------
 

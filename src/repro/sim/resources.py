@@ -1,4 +1,4 @@
-"""Shared-resource models for the replay simulator.
+"""Shared-resource models for the virtual-client scheduler.
 
 Two first-order contention effects dominate the paper's multi-thread
 results:

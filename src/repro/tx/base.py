@@ -86,11 +86,6 @@ class Transaction:
         self._require_active()
         self.engine.on_add(self, offset, size, kind)
 
-    def note_read(self, offset: int, size: int) -> None:
-        """Declare a read of ``[offset, offset+size)`` (isolation only)."""
-        self._require_active()
-        self.engine.on_read(self, offset, size)
-
     def has_intent(self, offset: int) -> bool:
         """True if a write intent starting at ``offset`` was declared."""
         return offset in self.write_set

@@ -1,15 +1,29 @@
-"""Benchmark harness: trace collection, replay mechanics, shape checks."""
+"""Benchmark harness: per-op records, online scheduling, shape checks."""
 
 import pytest
 
-from repro.bench import TxRecord, build_stack, replay, trace_ycsb
+from repro.bench import build_stack
 from repro.bench.report import format_table, speedup_note
 from repro.bench.tco import CostModel, normalized_ops_per_dollar, provisioned_gb
 from repro.nvm.latency import NVDIMM
+from repro.runtime import run_online
+from repro.workloads import YCSBWorkload
+
+
+def small_run(engine="kamino-simple", workload="A", nthreads=1, nops=300):
+    """One small YCSB run online; returns the context (its ``records``)
+    and the scheduler's result."""
+    ctx = build_stack(engine, value_size=256, heap_mb=16)
+    wl = YCSBWorkload(workload, 200, 256)
+    wl.load(ctx.kv)
+    ctx.reset()
+    ops = list(wl.run_ops(nops))
+    result = run_online(ctx, ops, lambda op: wl.execute(ctx.kv, op), nthreads)
+    return ctx, result
 
 
 def small_trace(engine="kamino-simple", workload="A", nops=300):
-    return trace_ycsb(engine, workload, nrecords=200, nops=nops, value_size=256, heap_mb=16)
+    return small_run(engine, workload, nops=nops)[0].records
 
 
 class TestTraceCollector:
@@ -47,37 +61,34 @@ class TestTraceCollector:
 
 class TestReplay:
     def test_all_ops_complete(self):
-        records = small_trace()
-        result = replay(records, 4, "kamino-simple")
-        assert result.ops == len(records)
+        ctx, result = small_run(nthreads=4)
+        assert result.ops == len(ctx.records) == 300
         assert result.duration_ns > 0
 
     def test_more_threads_more_throughput_read_only(self):
-        records = small_trace(workload="C")
-        r1 = replay(records, 1, "kamino-simple")
-        r8 = replay(records, 8, "kamino-simple")
+        _, r1 = small_run(workload="C", nthreads=1)
+        _, r8 = small_run(workload="C", nthreads=8)
         assert r8.throughput_kops > 4 * r1.throughput_kops
 
     def test_single_thread_latency_matches_trace(self):
-        records = small_trace(workload="C")
-        r = replay(records, 1, "kamino-simple")
+        ctx, r = small_run(workload="C", nthreads=1)
+        records = ctx.records
         expect = sum(rec.crit_ns for rec in records) / len(records) / 1e3
         assert r.mean_latency_us == pytest.approx(expect, rel=0.1)
 
     def test_invalid_threads(self):
+        ctx = build_stack("undo", value_size=256, heap_mb=4)
         with pytest.raises(ValueError):
-            replay([], 0, "undo")
+            run_online(ctx, [], lambda op: None, 0)
 
     def test_deterministic(self):
-        records = small_trace()
-        a = replay(records, 4, "kamino-simple")
-        b = replay(records, 4, "kamino-simple")
+        _, a = small_run(nthreads=4)
+        _, b = small_run(nthreads=4)
         assert a.duration_ns == b.duration_ns
         assert a.latencies_ns == b.latencies_ns
 
     def test_percentiles_monotone(self):
-        records = small_trace()
-        r = replay(records, 4, "kamino-simple")
+        _, r = small_run(nthreads=4)
         assert (
             r.percentile_latency_us(50)
             <= r.percentile_latency_us(95)
@@ -89,23 +100,21 @@ class TestPaperShapes:
     """The headline comparisons the evaluation section rests on."""
 
     def test_kamino_beats_undo_on_write_heavy(self):
-        k = replay(small_trace("kamino-simple", "A"), 4, "kamino-simple")
-        u = replay(small_trace("undo", "A"), 4, "undo")
+        _, k = small_run("kamino-simple", "A", nthreads=4)
+        _, u = small_run("undo", "A", nthreads=4)
         assert k.throughput_kops > 1.2 * u.throughput_kops
         assert k.mean_latency_us < u.mean_latency_us
 
     def test_parity_on_read_only(self):
-        k = replay(small_trace("kamino-simple", "C"), 4, "kamino-simple")
-        u = replay(small_trace("undo", "C"), 4, "undo")
+        _, k = small_run("kamino-simple", "C", nthreads=4)
+        _, u = small_run("undo", "C", nthreads=4)
         assert k.throughput_kops == pytest.approx(u.throughput_kops, rel=0.05)
 
     def test_gap_grows_with_threads(self):
-        k_recs = small_trace("kamino-simple", "A")
-        u_recs = small_trace("undo", "A")
         ratios = []
         for n in (2, 8):
-            k = replay(k_recs, n, "kamino-simple")
-            u = replay(u_recs, n, "undo")
+            _, k = small_run("kamino-simple", "A", nthreads=n)
+            _, u = small_run("undo", "A", nthreads=n)
             ratios.append(k.throughput_kops / u.throughput_kops)
         assert ratios[1] > ratios[0]
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import build_stack, run_ycsb_matrix, trace_tpcc
+from repro.bench import build_stack, run_tpcc_online, run_ycsb_matrix
 from repro.nvm.latency import DRAM
 
 
@@ -50,7 +50,8 @@ class TestMatrix:
 
 class TestTpccTrace:
     def test_records_produced(self):
-        records = trace_tpcc("undo", nops=30)
-        assert len(records) == 30
-        assert all(r.kind == "tpcc" for r in records)
-        assert any(r.write_set for r in records)
+        result = run_tpcc_online("undo", 4, nops=30)
+        assert result.ops == 30
+        assert set(result.latencies_by_kind) == {"tpcc"}
+        # clients wait on each other's write locks: the mix writes shared rows
+        assert result.dependent_waits > 0

@@ -1,46 +1,20 @@
-"""Online multi-client simulation vs the two-phase trace replay.
+"""Online multi-client simulation: the one scheduler input.
 
-The acceptance bar for the runtime refactor: with one client, online
-execution must reproduce the historical trace-then-replay numbers
-within 1% (it is in fact bit-identical — same scheduler, same inputs);
-with several clients it must show real contention effects.
+With several clients the run must show real contention effects, charge
+the context's shared servers, and price each engine as its registration
+says.
 """
 
 import pytest
 
-from repro.bench import replay
-from repro.bench.runners import run_ycsb_online, trace_ycsb
-from repro.nvm.latency import NVDIMM
+from repro.bench.runners import run_ycsb_online
 from repro.runtime import ExecutionContext, run_online
-from repro.runtime.online import VirtualClients, replay_records
+from repro.runtime.online import VirtualClients
 from repro.runtime.registry import registered_engines
 
 
 def _put_stream(ctx, n):
     return list(range(n)), lambda i: ctx.kv.put(i % 50, bytes([i % 255 + 1]) * 32)
-
-
-class TestSingleClientEquivalence:
-    @pytest.mark.parametrize("engine", ["undo", "kamino-simple"])
-    def test_online_matches_trace_replay_within_1pct(self, engine):
-        records = trace_ycsb(engine, "A", nrecords=150, nops=300, value_size=256)
-        two_phase = replay(records, 1, engine, workload="A")
-        online = run_ycsb_online(engine, "A", 1, nrecords=150, nops=300, value_size=256)
-        assert online.ops == two_phase.ops
-        assert online.throughput_kops == pytest.approx(
-            two_phase.throughput_kops, rel=0.01
-        )
-        assert online.mean_latency_us == pytest.approx(
-            two_phase.mean_latency_us, rel=0.01
-        )
-
-    def test_replay_records_equals_legacy_replay(self):
-        records = trace_ycsb("undo", "B", nrecords=100, nops=200, value_size=256)
-        for nthreads in (1, 4):
-            a = replay(records, nthreads, "undo")
-            b = replay_records(records, nthreads, "undo")
-            assert a.duration_ns == b.duration_ns
-            assert a.latencies_ns == b.latencies_ns
 
 
 class TestMultiClient:
@@ -54,8 +28,6 @@ class TestMultiClient:
         ctx = ExecutionContext.create("undo", value_size=256, heap_mb=4)
         with pytest.raises(ValueError):
             run_online(ctx, [], lambda op: None, 0)
-        with pytest.raises(ValueError):
-            replay_records([], 0, "undo")
 
     def test_bare_context_rejected(self):
         ctx = ExecutionContext()
@@ -172,7 +144,7 @@ class TestSchedulerCostPin:
 
     @pytest.mark.parametrize("name", sorted(SCHEDULER_RECORDS))
     def test_scheduler_record(self, name):
-        clients = VirtualClients(None, 1, name, NVDIMM, 0.0)
+        clients = VirtualClients(ExecutionContext(engine_name=name), 1)
         cost = clients.cost
         assert (
             cost.serial_ns_per_intent,

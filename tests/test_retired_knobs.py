@@ -35,6 +35,11 @@ Which bytes back up which is the backup strategy's one answer
 name or size, type-tests for the full mirror, or duck-types the engine's
 backup or the device's media, and the heap no longer places its live
 spans in a second region.  The surfaces nothing called are gone with it.
+
+Operations reach virtual time one way, :func:`repro.runtime.run_online`:
+the trace-then-replay runners, the record-queue source, ``run_ops``,
+``run_tx``'s clock charge and the ``sync_lag_ns`` delay nothing set are
+gone.
 """
 
 import os
@@ -226,8 +231,8 @@ def test_single_value_options_are_gone():
         ctx.heap.pool.quarantine_line(0, spares=4)
 
 
-def test_the_sim_op_counter_and_online_tpcc_runner_are_gone():
-    assert not hasattr(repro.bench, "run_tpcc_online")
+def test_the_sim_op_counter_and_tpcc_trace_runner_are_gone():
+    assert not hasattr(repro.bench, "trace_tpcc")
     assert not hasattr(repro.sim, "crash_points")
     with pytest.raises(ModuleNotFoundError):
         __import__("repro.sim.failure")
@@ -294,8 +299,11 @@ def test_uncalled_surfaces_are_gone():
     import repro.nvm.stats
     from repro.cluster.sharded import ShardedCluster
     from repro.heap.alloc import SlabAllocator
+    from repro.integrity.checksum import ChecksumSidecar
+    from repro.integrity.scrub import ScrubReport
     from repro.replication.membership import MembershipManager
     from repro.sim.network import SimNetwork
+    from repro.tx.base import Transaction
     from repro.tx.intent_log import TxLog
 
     for module, name in [
@@ -312,5 +320,35 @@ def test_uncalled_surfaces_are_gone():
         (MembershipManager, "heartbeat"),
         (SimNetwork, "clear_link_policy"),
         (TxLog, "_entry_off"),
+        (ExecutionContext, "attach"),
+        (Transaction, "note_read"),
+        (ChecksumSidecar, "forget"),
+        (ScrubReport, "merge"),
     ]:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_operations_reach_virtual_time_one_way():
+    import repro.runtime
+
+    for name in ("replay", "trace_ycsb", "trace_tpcc"):
+        assert not hasattr(repro.bench, name), name
+    assert not hasattr(repro.runtime, "replay_records")
+    assert not hasattr(ExecutionContext, "run_ops")
+    ctx = ExecutionContext.create("undo", value_size=64, heap_mb=1)
+    with pytest.raises(TypeError):
+        repro.runtime.run_online(ctx, [], lambda op: None, 1, sync_lag_ns=0.0)
+    with pytest.raises(TypeError):
+        ctx.run_tx("put", lambda: ctx.kv.put(1, b"x"), charge=False)
+    assert ctx.records == []
+
+
+def test_source_tree_names_no_second_scheduler_input():
+    retired = re.compile(
+        r"replay_records|_RecordQueueSource|trace_ycsb|trace_tpcc|sync_lag_ns"
+        r"|ctx\.run_ops|def run_ops\(self, ops|charge=|bench import[^\n]*\breplay\b"
+    )
+    for tree in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            match = retired.search(path.read_text(encoding="utf-8"))
+            assert match is None, f"{path}: {match.group(0)}"

@@ -14,13 +14,13 @@ trace.  A multi-client run of the burst case shows the same hot-key
 queueing compounding across clients.
 """
 
-from repro.bench import build_stack, format_table
-from repro.runtime import run_online
+from repro.bench import format_table
+from repro.runtime import ExecutionContext, run_online
 from repro.workloads import DependentTxWorkload, UPDATE, YCSBWorkload
 
 
 def run_case(engine, spacing, nrecords, nops, nthreads=1):
-    ctx = build_stack(engine, value_size=64, heap_mb=8, coalesce_flushes=True)
+    ctx = ExecutionContext.create(engine, value_size=64, heap_mb=8, coalesce_flushes=True)
     workload = DependentTxWorkload(nrecords, spacing=spacing, value_size=64, seed=2)
     workload.load(ctx.kv)
     ctx.reset()

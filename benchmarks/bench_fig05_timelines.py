@@ -15,8 +15,8 @@ axis, asserting the structural claims (where the commit point falls
 relative to the copying).
 """
 
-from repro.bench import build_stack
 from repro.bench.timeline import critical_path_ns, record_one_update, render_timeline
+from repro.runtime import ExecutionContext
 
 ENGINES = ["undo", "cow", "kamino-simple"]
 
@@ -24,7 +24,7 @@ ENGINES = ["undo", "cow", "kamino-simple"]
 def run():
     recorders = {}
     for engine_name in ENGINES:
-        ctx = build_stack(engine_name, value_size=1008, heap_mb=8)
+        ctx = ExecutionContext.create(engine_name, value_size=1008, heap_mb=8)
         ctx.kv.put(7, b"\x01" * 1008)  # pre-existing record to update
         ctx.engine.sync_pending()
         recorders[engine_name] = record_one_update(ctx, 7, b"\x02" * 1008)

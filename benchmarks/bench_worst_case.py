@@ -8,8 +8,8 @@ schemes converge because the transaction time is dominated by copying
 immediate dependent re-update) and both hit the memory bandwidth limit.
 """
 
-from repro.bench import build_stack, format_table
-from repro.runtime import run_online
+from repro.bench import format_table
+from repro.runtime import ExecutionContext, run_online
 from repro.workloads import WorstCaseWorkload, YCSBWorkload
 
 # payload sizes chosen so payload + 16B object header lands on a size
@@ -20,7 +20,7 @@ THREADS = [1, 4, 8]
 
 def run_case(engine, object_size, nthreads, nops):
     # each thread continuously updates its own object
-    ctx = build_stack(engine, value_size=object_size, heap_mb=8)
+    ctx = ExecutionContext.create(engine, value_size=object_size, heap_mb=8)
     workload = WorstCaseWorkload(object_size=object_size, nobjects=nthreads)
     workload.load(ctx.kv)
     ctx.reset()

@@ -23,7 +23,6 @@ from .errors import (
     IntegrityError,
     IntegrityTreeError,
     MediaError,
-    ProcedureAborted,
     ProcedureError,
     ProcedureResumed,
     ProtocolError,
@@ -111,7 +110,6 @@ __all__ = [
     "PersistentStruct",
     "PlacementService",
     "PmemPool",
-    "ProcedureAborted",
     "ProcedureEngine",
     "ProcedureError",
     "ProcedureResumed",

@@ -1,4 +1,4 @@
-"""Paper-figure benchmark glue: stack builders, runners, reporting."""
+"""Paper-figure benchmark glue: runners and reporting."""
 
 from ..runtime.records import ReplayResult, TxRecord
 from .plot import bar_chart, grouped_bar_chart
@@ -7,7 +7,6 @@ from .runners import (
     DEFAULT_OPS,
     DEFAULT_RECORDS,
     DEFAULT_VALUE_SIZE,
-    build_stack,
     run_tpcc_online,
     run_ycsb_matrix,
     run_ycsb_online,
@@ -22,7 +21,6 @@ __all__ = [
     "ReplayResult",
     "bar_chart",
     "TxRecord",
-    "build_stack",
     "format_table",
     "grouped_bar_chart",
     "normalized_ops_per_dollar",

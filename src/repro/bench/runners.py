@@ -29,31 +29,6 @@ DEFAULT_OPS = 4000
 DEFAULT_VALUE_SIZE = 1024
 
 
-def build_stack(
-    engine_name: str,
-    value_size: int = DEFAULT_VALUE_SIZE,
-    heap_mb: int = 48,
-    model: LatencyModel = NVDIMM,
-    fanout: int = 32,
-    coalesce_flushes: bool = False,
-    **engine_kwargs,
-) -> ExecutionContext:
-    """Device + pool + heap + KV store for ``engine_name``.
-
-    The pool is sized for the worst-case engine footprint (full mirror +
-    logs), so every engine sees an identically sized heap.
-    """
-    return ExecutionContext.create(
-        engine_name,
-        value_size=value_size,
-        heap_mb=heap_mb,
-        model=model,
-        fanout=fanout,
-        coalesce_flushes=coalesce_flushes,
-        **engine_kwargs,
-    )
-
-
 def _load_ycsb(
     engine_name: str,
     workload_name: str,
@@ -66,7 +41,7 @@ def _load_ycsb(
     **engine_kwargs,
 ) -> Tuple[ExecutionContext, YCSBWorkload]:
     """Build a stack and load a YCSB table into it (accounting zeroed)."""
-    ctx = build_stack(
+    ctx = ExecutionContext.create(
         engine_name,
         value_size=value_size,
         heap_mb=heap_mb,
@@ -133,7 +108,9 @@ def run_tpcc_online(
     Each client draws its next transaction from the shared mix at the
     virtual time it reaches it.
     """
-    ctx = build_stack(engine_name, value_size=64, heap_mb=24, model=model, **engine_kwargs)
+    ctx = ExecutionContext.create(
+        engine_name, value_size=64, heap_mb=24, model=model, **engine_kwargs
+    )
     tpcc = TPCCLite(seed=seed)
     tpcc.load(ctx.kv)
     ctx.reset()

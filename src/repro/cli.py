@@ -789,9 +789,10 @@ def cmd_serve(args) -> int:
         metrics = json.loads(await client.metrics())
         check(
             metrics["admission"]["rejected_degraded"] >= 1
+            and metrics["cluster"]["breaker_transitions"] >= 2
             and metrics["procedures"]["recoveries"] >= 2
             and "procedure_log_device" in metrics,
-            "METRICS reports admission + recovery counters",
+            "METRICS reports admission, breaker + recovery counters",
         )
 
         await client.execute("QUIT")

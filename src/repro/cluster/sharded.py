@@ -167,14 +167,6 @@ class ShardedCluster:
         hints = [h for h in hints if h is not None]
         return max(hints) if hints else None
 
-    def add_degradation_listener(
-        self, listener: Callable[[ChainCluster, bool], None]
-    ) -> None:
-        """Register a breaker-transition listener on every group (the
-        serving layer's queue-and-readmit hook)."""
-        for group in self.groups:
-            group.add_degradation_listener(listener)
-
     def trip_breaker(self, group: int = 0,
                      cooldown_ns: Optional[float] = None) -> None:
         self.groups[group].trip_breaker(cooldown_ns)
@@ -288,8 +280,8 @@ class ShardedCluster:
         return self._sum("degraded_rejections")
 
     @property
-    def degraded_readmissions(self) -> int:
-        return self._sum("degraded_readmissions")
+    def breaker_transitions(self) -> int:
+        return self._sum("breaker_transitions")
 
     @property
     def duplicate_requests(self) -> int:

@@ -184,10 +184,6 @@ class ChainConfigError(ReplicationError):
     """The chain was configured with too few replicas for its fault target."""
 
 
-class NodeFailedError(ReplicationError):
-    """An operation was routed to a failed replica."""
-
-
 class ClusterDegraded(ReplicationError):
     """The chain is below its write quorum (or its circuit breaker is
     open after repeated delivery failures); the write was rejected
@@ -283,9 +279,3 @@ class ProcedureResumed(ProcedureError):
         super().__init__(message)
         self.pid = pid
         self.result = result
-
-
-class ProcedureAborted(ProcedureError):
-    """A durable procedure gave up before completing (a step exhausted
-    its retries against the cluster); its frames stay in the log and a
-    re-submission resumes from the last persisted step."""

@@ -133,10 +133,10 @@ CORPUS: List[NemesisScenario] = [
         name="overload_storm",
         description="the serving-layer overload drill: a connection storm "
         "(8 clients) hits a chain whose mid replica is slow, the circuit "
-        "breaker is forced open mid-storm, and the chain partitions "
-        "before the breaker closes; hardened clients must ride the "
-        "RETRY-AFTER rejections and retransmission ladders to "
-        "convergence before the quiesce",
+        "breaker is forced open mid-storm (the first tail ack of a write "
+        "already in flight closes it again, so no write is refused), and "
+        "the chain partitions; hardened clients must ride the "
+        "retransmission ladders to convergence before the quiesce",
         actions=(
             FaultAction(50 * _US, "slow_node",
                         {"node": 1, "delay_ns": 80 * _US}),

@@ -3,15 +3,7 @@
 from .chain import KAMINO, TRADITIONAL, ChainCluster, RetryPolicy
 from .client import ChainClient, run_clients
 from .membership import MembershipManager, ViewInfo
-from .messages import (
-    CleanupAck,
-    ClientReply,
-    ReadReply,
-    ReadRequest,
-    TailAck,
-    TxForward,
-    TxRequest,
-)
+from .messages import CleanupAck, TailAck, TxForward
 from .node import ROLE_HEAD, ROLE_MID, ROLE_TAIL, ReplicaNode, engine_for
 from .recovery import fail_stop, join_new_replica, quick_reboot, replace_node, settle
 
@@ -19,20 +11,16 @@ __all__ = [
     "ChainClient",
     "ChainCluster",
     "CleanupAck",
-    "ClientReply",
     "KAMINO",
     "MembershipManager",
     "ROLE_HEAD",
     "ROLE_MID",
     "ROLE_TAIL",
-    "ReadReply",
-    "ReadRequest",
     "ReplicaNode",
     "RetryPolicy",
     "TRADITIONAL",
     "TailAck",
     "TxForward",
-    "TxRequest",
     "ViewInfo",
     "engine_for",
     "fail_stop",

@@ -37,30 +37,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import (
-    ChainConfigError,
-    ClusterDegraded,
-    NodeFailedError,
-    RequestTimeoutError,
-    StaleViewError,
-    TxAborted,
-)
-from ..nvm.device import CrashPolicy
+from ..errors import ChainConfigError, ClusterDegraded, RequestTimeoutError, TxAborted
 from ..nvm.latency import NVDIMM, LatencyModel
 from ..runtime.context import ExecutionContext
 from ..sim.events import Event, EventSimulator
 from ..sim.network import DEFAULT_HOP_NS, SimNetwork
 from ..sim.resources import FIFOServer
 from .membership import MembershipManager
-from .messages import (
-    CleanupAck,
-    ClientReply,
-    ReadReply,
-    ReadRequest,
-    TailAck,
-    TxForward,
-    wire_size,
-)
+from .messages import CleanupAck, TailAck, TxForward, wire_size
 from .node import ROLE_HEAD, ROLE_MID, ROLE_TAIL, ReplicaNode
 
 TRADITIONAL = "traditional"
@@ -150,7 +134,6 @@ class ChainCluster:
         retry: Optional[RetryPolicy] = None,
         max_backup_lag: int = 64,
         write_quorum: Optional[int] = None,
-        degraded_policy: str = "reject",
         degrade_after: int = 3,
         degraded_cooldown_ns: float = 10_000_000.0,
         net: Optional[SimNetwork] = None,
@@ -160,8 +143,6 @@ class ChainCluster:
             raise ChainConfigError("f must be at least 1")
         if mode not in (TRADITIONAL, KAMINO):
             raise ChainConfigError(f"unknown mode '{mode}'")
-        if degraded_policy not in ("reject", "queue"):
-            raise ChainConfigError(f"unknown degraded_policy '{degraded_policy}'")
         self.f = f
         self.mode = mode
         self.runtime = (
@@ -186,7 +167,6 @@ class ChainCluster:
         self.write_quorum = (
             write_quorum if write_quorum is not None else (2 if mode == KAMINO else 1)
         )
-        self.degraded_policy = degraded_policy
         self.degrade_after = degrade_after
         self.degraded_cooldown_ns = degraded_cooldown_ns
         n = f + 2 if mode == KAMINO else f + 1
@@ -221,16 +201,11 @@ class ChainCluster:
         self._completed_requests: Dict[str, Tuple[int, Any]] = {}
         #: (client_id, request_id) -> seq for requests still in flight
         self._inflight_requests: Dict[Tuple[str, int], int] = {}
-        #: writes parked while the cluster is degraded (policy "queue")
-        self._degraded_queue: Deque[_PendingWrite] = deque()
         # circuit breaker: consecutive exhausted retransmission ladders
         # open it; a success (or a view change) closes it again
         self._consecutive_failures = 0
         self._degraded_until: Optional[float] = None
         self._backpressure_event: Optional[Event] = None
-        #: breaker-transition listeners (the serving layer's admission
-        #: controller registers here for queue-and-readmit)
-        self._degradation_listeners: List[Callable[["ChainCluster", bool], None]] = []
         # metrics
         self.write_latencies_ns: List[float] = []
         self.read_latencies_ns: List[float] = []
@@ -240,7 +215,8 @@ class ChainCluster:
         self.retransmissions = 0
         self.timed_out = 0
         self.degraded_rejections = 0
-        self.degraded_readmissions = 0
+        #: circuit-breaker open and close edges
+        self.breaker_transitions = 0
         self.duplicate_requests = 0
         self.backpressure_stalls = 0
 
@@ -290,25 +266,18 @@ class ChainCluster:
         if self._consecutive_failures >= self.degrade_after:
             # open the breaker: reject fast for a cooldown window rather
             # than burning a full retransmission ladder per write
-            was_open = self._degraded_until is not None
-            self._degraded_until = self.sim.now + self.degraded_cooldown_ns
-            if not was_open:
-                self._notify_degradation(True)
+            self._open_breaker(self.degraded_cooldown_ns)
 
     def _note_write_success(self) -> None:
         self._consecutive_failures = 0
         if self._degraded_until is not None:
             self._degraded_until = None
-            self._notify_degradation(False)
-        self._readmit_degraded_queue()
+            self.breaker_transitions += 1
 
-    def _readmit_degraded_queue(self) -> None:
-        if self._degraded_queue and not self.degraded:
-            parked = list(self._degraded_queue)
-            self._degraded_queue.clear()
-            for op in parked:
-                self.degraded_readmissions += 1
-                self._try_admit(op)
+    def _open_breaker(self, cooldown_ns: float) -> None:
+        if self._degraded_until is None:
+            self.breaker_transitions += 1
+        self._degraded_until = self.sim.now + cooldown_ns
 
     def retry_after_ns(self) -> Optional[float]:
         """Admission-control hint: how long until this group can be
@@ -327,29 +296,14 @@ class ChainCluster:
         ``degrade_after`` ladders had just been exhausted — the nemesis
         verb behind the overload scenarios and an operator's manual
         drain switch."""
-        was_open = self.degraded
         self._consecutive_failures = self.degrade_after
-        self._degraded_until = self.sim.now + (
+        self._open_breaker(
             cooldown_ns if cooldown_ns is not None else self.degraded_cooldown_ns
         )
-        if not was_open:
-            self._notify_degradation(True)
 
     def close_breaker(self) -> None:
-        """Force the breaker shut and readmit anything parked on it."""
+        """Force the breaker shut."""
         self._note_write_success()
-
-    def add_degradation_listener(
-        self, listener: Callable[["ChainCluster", bool], None]
-    ) -> None:
-        """Register ``listener(group, degraded)`` to fire on breaker
-        transitions — the serving layer's queue-and-readmit path hangs
-        off this instead of polling."""
-        self._degradation_listeners.append(listener)
-
-    def _notify_degradation(self, degraded: bool) -> None:
-        for listener in self._degradation_listeners:
-            listener(self, degraded)
 
     # -- routing --------------------------------------------------------------------
 
@@ -409,15 +363,12 @@ class ChainCluster:
                 return
             self._inflight_requests[(client_id, request_id)] = -1
         if self.degraded:
-            if self.degraded_policy == "queue":
-                self._degraded_queue.append(op)
-            else:
-                self.degraded_rejections += 1
-                self._reply(op, ClusterDegraded(
-                    f"chain has {len(self.chain)} replica(s), write quorum is "
-                    f"{self.write_quorum}" if len(self.chain) < self.write_quorum
-                    else "circuit breaker open after repeated delivery failures"
-                ))
+            self.degraded_rejections += 1
+            self._reply(op, ClusterDegraded(
+                f"chain has {len(self.chain)} replica(s), write quorum is "
+                f"{self.write_quorum}" if len(self.chain) < self.write_quorum
+                else "circuit breaker open after repeated delivery failures"
+            ))
             return
         self._try_admit(op)
 
@@ -426,9 +377,10 @@ class ChainCluster:
         table, free the in-flight slot, and up-call the client."""
         if op.client_id is not None and op.request_id is not None:
             self._inflight_requests.pop((op.client_id, op.request_id), None)
-            # unknown outcomes (timeouts) are NOT recorded as completed:
-            # a client retry must re-execute, which idempotence makes safe
-            if not isinstance(result, RequestTimeoutError):
+            # only outcomes are recorded: a timeout's outcome is unknown
+            # and a degraded rejection never ran, so a retry under the
+            # same id must execute (idempotence makes a timeout's safe)
+            if not isinstance(result, (RequestTimeoutError, ClusterDegraded)):
                 self._completed_requests[op.client_id] = (op.request_id, result)
         if op.callback is not None:
             op.callback(result, self.sim.now - op.submitted_at)
@@ -697,11 +649,7 @@ class ChainCluster:
         a fresh chance before the circuit breaker re-opens."""
         for node in self.chain:
             node.view_id = self.view_id
-        self._consecutive_failures = 0
-        if self._degraded_until is not None:
-            self._degraded_until = None
-            self._notify_degradation(False)
-        self._readmit_degraded_queue()
+        self._note_write_success()
 
     # -- execution driver ---------------------------------------------------------------------
 

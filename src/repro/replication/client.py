@@ -14,8 +14,10 @@ Hardening (the nemesis layer throws lossy links at the chain):
   operations whose reply was lost (e.g. the head failed over and its
   volatile client table died with it);
 * a typed error reply (:class:`~repro.errors.ClusterDegraded`,
-  :class:`~repro.errors.RequestTimeoutError`) is retried while attempts
-  remain, then surfaced exactly once in :attr:`ChainClient.failed`;
+  :class:`~repro.errors.RequestTimeoutError`) is retried under the same
+  id while attempts remain — the head records neither, so a retry
+  executes instead of replaying the error — then surfaced exactly once
+  in :attr:`ChainClient.failed`;
 * all of the above is one :class:`Request` object, the retry ladder the
   serving layer's :class:`~repro.serve.gateway.ClusterGateway` runs too;
 * :func:`run_clients` raises :class:`~repro.errors.ClientStuckError`
@@ -91,8 +93,8 @@ class Request:
       original is still in flight); with ``max_retries`` spent it
       resolves with :class:`~repro.errors.RequestTimeoutError`;
     * an error reply backs off ``retry.timeout_for(attempt + 1)`` and
-      resubmits, unless retries are disabled or spent or its type is in
-      ``terminal`` — then it resolves with that error;
+      resubmits (a degraded chain is ridden out this way), unless
+      retries are disabled or spent — then it resolves with that error;
     * any other reply resolves the request with it.
 
     Every timeout, the request's own or the head's, puts ``unknown_id``
@@ -104,14 +106,14 @@ class Request:
 
     __slots__ = (
         "source", "proc", "args", "keys", "client_id", "request_id",
-        "unknown_id", "terminal", "on_resolve", "attempt", "done",
-        "result", "latency_ns", "timer",
+        "unknown_id", "on_resolve", "attempt", "done", "result",
+        "latency_ns", "timer",
     )
 
     def __init__(self, source: Submitter, proc: str, args: Tuple[Any, ...],
                  keys: Optional[Sequence[Any]], client_id: Optional[str] = None,
                  request_id: Optional[int] = None,
-                 unknown_id: Optional[Hashable] = None, terminal: tuple = (),
+                 unknown_id: Optional[Hashable] = None,
                  on_resolve: Optional[Callable[["Request"], None]] = None):
         self.source = source
         self.proc = proc
@@ -120,7 +122,6 @@ class Request:
         self.client_id = client_id
         self.request_id = request_id
         self.unknown_id = unknown_id
-        self.terminal = terminal
         self.on_resolve = on_resolve
         self.attempt = 0
         self.done = False
@@ -188,8 +189,7 @@ class Request:
             if isinstance(result, RequestTimeoutError):
                 self._mark_unknown()
             retry = self.source.retry
-            if (retry.enabled and self.attempt < retry.max_retries
-                    and not isinstance(result, self.terminal)):
+            if retry.enabled and self.attempt < retry.max_retries:
                 # rejected or timed out at the head: back off and retry
                 self._cancel_timer()
                 self.attempt += 1

@@ -13,7 +13,7 @@ once delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Tuple
 
 
@@ -22,16 +22,6 @@ def wire_size(msg: Any) -> int:
     input-queue accounting (header + per-argument cost)."""
     args = getattr(msg, "args", ())
     return 64 + 8 * len(args)
-
-
-@dataclass(frozen=True)
-class TxRequest:
-    """Client → head: run ``proc(*args)`` as one atomic transaction."""
-
-    client_id: str
-    request_id: int
-    proc: str
-    args: Tuple[Any, ...]
 
 
 @dataclass(frozen=True)
@@ -58,28 +48,3 @@ class CleanupAck:
 
     view_id: int
     seq: int
-
-
-@dataclass(frozen=True)
-class ReadRequest:
-    """Client/head → tail: linearizable read at the tail."""
-
-    client_id: str
-    request_id: int
-    proc: str
-    args: Tuple[Any, ...]
-
-
-@dataclass(frozen=True)
-class ReadReply:
-    tail_id: str
-    request_id: int
-    result: Any
-
-
-@dataclass(frozen=True)
-class ClientReply:
-    """Head → client: the transaction's chain-wide completion."""
-
-    request_id: int
-    result: Any

@@ -288,7 +288,6 @@ def _promote_new_head(cluster: ChainCluster) -> None:
     cluster._busy_keys.clear()
     cluster._inflight_writes.clear()
     cluster._admission_queue.clear()
-    cluster._degraded_queue.clear()
     cluster._inflight_requests.clear()
     for timer in cluster._retx_events.values():
         timer.cancel()

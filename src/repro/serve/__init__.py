@@ -6,10 +6,10 @@ a RESP-like protocol (:mod:`repro.serve.protocol`) — in front of a
 pieces:
 
 * :class:`ClusterGateway` — bridges real-time requests into the
-  event simulator, each on the chain client's request ladder;
+  event simulator, each on the chain client's request ladder (which
+  also rides out a breaker that opens mid-request);
 * :class:`AdmissionController` — converts cluster degradation and
-  pipeline overload into typed ``RETRY-AFTER`` rejections or bounded
-  queue-and-readmit;
+  pipeline overload into typed ``RETRY-AFTER`` rejections;
 * :class:`ProcedureEngine` / :class:`ProcedureStore` — durable
   server-side procedures whose frame stacks persist per step in an NVM
   journal, so a crash resumes the continuation exactly-once;

@@ -3,8 +3,8 @@
 The asyncio server (":mod:`repro.serve.server`") accepts real sockets in
 real time, but the cluster it fronts lives in virtual time on one
 :class:`~repro.sim.events.EventSimulator`.  The gateway is the bridge:
-each request is submitted to the cluster, the simulator is pumped to
-resolution, and the (virtual-time) result comes back synchronously —
+each request is submitted to the cluster, the simulator is drained to
+its resolution, and the (virtual-time) result comes back synchronously —
 the same closed-loop discipline :func:`repro.replication.run_clients`
 uses, packaged per request instead of per stream.
 
@@ -16,27 +16,19 @@ same ``(client_id, request_id)`` so the head's dedup table absorbs
 duplicates, and stale shard maps refreshed on the typed redirect.  A
 write whose outcome is unknown (timeout) lands in
 :attr:`ClusterGateway.unknown_rids` before the retry — the serving
-layer's own record that a reply may still be in flight for that id.
-One deliberate asymmetry: a :class:`~repro.errors.ClusterDegraded`
-rejection of a write is surfaced immediately instead of retried — the
-head records rejections as completed outcomes, so a same-id resubmit can
-only replay the rejection; riding out degradation belongs to the
-admission controller (queue-and-readmit) or the remote client
-(``RETRY-AFTER``).
+layer's own record that a reply may still be in flight for that id.  A
+:class:`~repro.errors.ClusterDegraded` rejection is backed off and
+retried like any other typed error: the head never records it, so the
+retry executes once the breaker's cooldown has passed.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Tuple
 
-from ..errors import ClusterDegraded, ReplicationError, RequestTimeoutError
+from ..errors import ReplicationError, RequestTimeoutError
 from ..replication.chain import RetryPolicy
 from ..replication.client import Request, Submitter
-
-#: resolution guard: one drain normally resolves a request outright, but
-#: a request parked on a degraded queue resolves only after later events
-#: (a heal, a breaker close) land — keep pumping while the sim has work
-_PUMP_GUARD = 256
 
 
 class ClusterGateway(Submitter):
@@ -60,7 +52,7 @@ class ClusterGateway(Submitter):
 
     def call_write(self, proc: str, args: Tuple[Any, ...], keys: Sequence[Any],
                    client_id: str, request_id: int) -> Any:
-        """Submit one write and pump the simulator to its resolution.
+        """Submit one write and drain the simulator to its resolution.
 
         Returns the committed result; raises the typed
         :class:`~repro.errors.ReplicationError` once internal retries
@@ -71,7 +63,7 @@ class ClusterGateway(Submitter):
         self.writes += 1
         return self._run(Request(
             self, proc, args, keys, client_id, request_id,
-            unknown_id=(client_id, request_id), terminal=(ClusterDegraded,),
+            unknown_id=(client_id, request_id),
         ))
 
     def call_read(self, proc: str, args: Tuple[Any, ...]) -> Any:
@@ -82,7 +74,9 @@ class ClusterGateway(Submitter):
 
     def _run(self, request: Request) -> Any:
         request.submit()
-        self._pump(request)
+        # the ladder's timers and backoffs are all simulator events, so
+        # running it dry resolves the request or proves nothing will
+        self.cluster.drain()
         if not request.done:
             # simulator ran dry with the request unresolved: with retries
             # disabled a dropped message is simply lost
@@ -96,18 +90,6 @@ class ClusterGateway(Submitter):
                 self.timed_out += 1
             raise result
         return result
-
-    # -- the pump --------------------------------------------------------------
-
-    def _pump(self, request: Request) -> None:
-        """Run the cluster's virtual time forward until the request
-        resolves or nothing can resolve it (simulator dry)."""
-        guard = 0
-        while not request.done and guard < _PUMP_GUARD:
-            self.cluster.drain()
-            if request.done or not self.cluster.sim.pending:
-                return
-            guard += 1
 
     # -- metrics ---------------------------------------------------------------
 

@@ -315,7 +315,7 @@ class ReproServer:
                 "retransmissions": cluster.retransmissions,
                 "timed_out": cluster.timed_out,
                 "degraded_rejections": cluster.degraded_rejections,
-                "degraded_readmissions": cluster.degraded_readmissions,
+                "breaker_transitions": cluster.breaker_transitions,
                 "backpressure_stalls": cluster.backpressure_stalls,
                 "duplicate_requests": cluster.duplicate_requests,
             },

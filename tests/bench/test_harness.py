@@ -2,18 +2,17 @@
 
 import pytest
 
-from repro.bench import build_stack
 from repro.bench.report import format_table, speedup_note
 from repro.bench.tco import CostModel, normalized_ops_per_dollar, provisioned_gb
 from repro.nvm.latency import NVDIMM
-from repro.runtime import run_online
+from repro.runtime import ExecutionContext, run_online
 from repro.workloads import YCSBWorkload
 
 
 def small_run(engine="kamino-simple", workload="A", nthreads=1, nops=300):
     """One small YCSB run online; returns the context (its ``records``)
     and the scheduler's result."""
-    ctx = build_stack(engine, value_size=256, heap_mb=16)
+    ctx = ExecutionContext.create(engine, value_size=256, heap_mb=16)
     wl = YCSBWorkload(workload, 200, 256)
     wl.load(ctx.kv)
     ctx.reset()
@@ -77,7 +76,7 @@ class TestReplay:
         assert r.mean_latency_us == pytest.approx(expect, rel=0.1)
 
     def test_invalid_threads(self):
-        ctx = build_stack("undo", value_size=256, heap_mb=4)
+        ctx = ExecutionContext.create("undo", value_size=256, heap_mb=4)
         with pytest.raises(ValueError):
             run_online(ctx, [], lambda op: None, 0)
 

@@ -2,28 +2,29 @@
 
 import pytest
 
-from repro.bench import build_stack, run_tpcc_online, run_ycsb_matrix
+from repro.bench import run_tpcc_online, run_ycsb_matrix
 from repro.nvm.latency import DRAM
+from repro.runtime import ExecutionContext
 
 
 class TestBuildStack:
     def test_stack_components_wired(self):
-        stack = build_stack("kamino-simple", value_size=256, heap_mb=4)
+        stack = ExecutionContext.create("kamino-simple", value_size=256, heap_mb=4)
         assert stack.engine is stack.heap.engine
         assert stack.kv.heap is stack.heap
         assert stack.engine_name == "kamino-simple"
 
     def test_engine_kwargs_forwarded(self):
-        stack = build_stack("kamino-dynamic", value_size=256, heap_mb=4, alpha=0.25)
+        stack = ExecutionContext.create("kamino-dynamic", value_size=256, heap_mb=4, alpha=0.25)
         assert stack.engine.name == "kamino-dynamic-25"
 
     def test_latency_model_applied(self):
-        stack = build_stack("undo", value_size=256, heap_mb=4, model=DRAM)
+        stack = ExecutionContext.create("undo", value_size=256, heap_mb=4, model=DRAM)
         assert stack.device.model is DRAM
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            build_stack("quantum")
+            ExecutionContext.create("quantum")
 
 
 class TestMatrix:

@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.bench import build_stack
 from repro.bench.timeline import (
     TimelineRecorder,
     critical_path_ns,
     record_one_update,
     render_timeline,
 )
+from repro.runtime import ExecutionContext
 
 
 def recorded(engine_name):
-    stack = build_stack(engine_name, value_size=256, heap_mb=8)
+    stack = ExecutionContext.create(engine_name, value_size=256, heap_mb=8)
     stack.kv.put(1, b"\x01" * 200)
     stack.engine.sync_pending()
     return record_one_update(stack, 1, b"\x02" * 200)
@@ -42,7 +42,7 @@ class TestRecording:
         assert backup.start_ns >= rec.commit_ns
 
     def test_hook_removed_after_context(self):
-        stack = build_stack("undo", value_size=256, heap_mb=8)
+        stack = ExecutionContext.create("undo", value_size=256, heap_mb=8)
         with TimelineRecorder(stack.device, stack.engine):
             pass
         assert stack.engine.phase_hook is None
@@ -72,6 +72,6 @@ class TestRendering:
         assert tight.count("#") > loose.count("#")
 
     def test_empty_recorder(self):
-        stack = build_stack("undo", value_size=256, heap_mb=8)
+        stack = ExecutionContext.create("undo", value_size=256, heap_mb=8)
         rec = TimelineRecorder(stack.device, stack.engine)
         assert "(no phases recorded)" in render_timeline("x", rec)

@@ -8,7 +8,6 @@ from repro.replication import (
     KAMINO,
     ChainCluster,
     RetryPolicy,
-    join_new_replica,
     replace_node,
     run_clients,
 )
@@ -117,36 +116,20 @@ class TestDegradation:
         assert isinstance(results[1], ClusterDegraded)  # fast rejection
         assert cluster.degraded_rejections == 1
 
-    def test_queue_policy_parks_then_readmits_on_view_change(self):
-        cluster = ChainCluster(f=2, mode=KAMINO, heap_mb=2, value_size=64,
-                               write_quorum=5, degraded_policy="queue")
-        results = []
-        cluster.submit_write("put", (1, b"v"), [1],
-                             lambda r, lat: results.append(r))
-        cluster.drain()
-        assert results == []  # parked, not rejected
-        join_new_replica(cluster)  # 5th replica restores the quorum
-        cluster.drain()
-        assert len(results) == 1 and not isinstance(results[0], Exception)
+    def test_refusal_is_not_recorded_so_a_same_id_retry_commits(self):
+        # the head answers a retried (client_id, request_id) from its
+        # dedup table, so a refusal recorded there would be replayed to
+        # every retry until the client's attempts ran out
+        cluster = small_cluster()
+        cluster.trip_breaker(cooldown_ns=300_000.0)
+        (client,) = run_clients(cluster, [[Op(UPDATE, 1, b"v")]])
+        assert client.failed == []
+        assert client.retries == 1  # one backoff outlasts the cooldown
+        assert cluster.degraded_rejections == 1
+        assert cluster.duplicate_requests == 0
         assert cluster.committed == 1
-
-    def test_queue_policy_readmits_when_the_breaker_closes(self):
-        # the breaker-close readmit path (docs/FAULTS.md): a write parked
-        # while the breaker is open drains back through admission on
-        # close_breaker, counted by degraded_readmissions
-        cluster = small_cluster(degraded_policy="queue")
-        cluster.trip_breaker()
-        results = []
-        cluster.submit_write("put", (1, b"parked"), [1],
-                             lambda r, lat: results.append(r))
-        cluster.drain()
-        assert results == []  # parked, not rejected
-        assert cluster.degraded_readmissions == 0
-        cluster.close_breaker()
-        cluster.drain()
-        assert len(results) == 1 and not isinstance(results[0], Exception)
-        assert cluster.committed == 1
-        assert cluster.degraded_readmissions == 1
+        assert not any(isinstance(result, ClusterDegraded)
+                       for _rid, result in cluster._completed_requests.values())
 
     def test_reads_degrade_to_deepest_live_replica(self):
         cluster = small_cluster()

@@ -1,8 +1,8 @@
-"""Admission control: typed rejection, queue-and-readmit, pipeline bounds."""
+"""Admission control: typed rejection and pipeline bounds."""
 
 import pytest
 
-from repro.errors import AdmissionRejected, ServeError
+from repro.errors import AdmissionRejected
 from repro.replication import KAMINO, ChainCluster
 from repro.serve import AdmissionConfig, AdmissionController
 
@@ -43,46 +43,6 @@ class TestRejectPolicy:
         ctrl.admit()
         assert ctrl.admitted == 1
 
-    def test_unknown_policy_rejected_at_construction(self):
-        with pytest.raises(ServeError):
-            AdmissionController(small_cluster(), AdmissionConfig(policy="drop"))
-
-
-class TestQueuePolicy:
-    def config(self, **kw):
-        kw.setdefault("policy", "queue")
-        return AdmissionConfig(**kw)
-
-    def test_hold_rides_out_the_cooldown(self):
-        cluster = small_cluster()
-        ctrl = AdmissionController(cluster, self.config())
-        cluster.trip_breaker(cooldown_ns=200 * _US)
-        before = cluster.sim.now
-        ctrl.admit()  # parks, runs virtual time past the cooldown, readmits
-        assert cluster.sim.now >= before + 200 * _US
-        assert ctrl.queued == 1
-        assert ctrl.readmitted == 1
-        assert ctrl.admitted == 1
-
-    def test_hold_gives_up_after_max_wait(self):
-        cluster = small_cluster()
-        ctrl = AdmissionController(
-            cluster, self.config(max_wait_ns=100 * _US)
-        )
-        cluster.trip_breaker(cooldown_ns=50_000 * _US)
-        with pytest.raises(AdmissionRejected):
-            ctrl.admit()
-        assert ctrl.shed_after_wait == 1
-        assert ctrl.readmitted == 0
-
-    def test_queue_overflow_sheds(self):
-        cluster = small_cluster()
-        ctrl = AdmissionController(cluster, self.config(queue_limit=0))
-        cluster.trip_breaker()
-        with pytest.raises(AdmissionRejected):
-            ctrl.admit()
-        assert ctrl.queue_overflow == 1
-
 
 class TestPipelineWindow:
     def test_positions_beyond_window_are_shed(self):
@@ -99,9 +59,11 @@ class TestPipelineWindow:
 
 class TestBreakerEvents:
     def test_listener_records_open_and_close_edges(self):
+        # the cluster counts the breaker's edges; a re-trip while open
+        # and a close while shut are not edges
         cluster = small_cluster()
-        ctrl = AdmissionController(cluster)
+        cluster.trip_breaker()
         cluster.trip_breaker()
         cluster.close_breaker()
-        assert [deg for _t, deg in ctrl.breaker_events] == [True, False]
-        assert ctrl.stats()["breaker_transitions"] == 2
+        cluster.close_breaker()
+        assert cluster.breaker_transitions == 2

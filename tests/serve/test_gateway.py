@@ -1,9 +1,9 @@
-"""ClusterGateway: per-request pump, retries, unknown ids, stale maps."""
+"""ClusterGateway: per-request drain, retries, unknown ids, stale maps."""
 
 import pytest
 
 from repro import ShardedCluster
-from repro.errors import ClusterDegraded, ReplicationError, RequestTimeoutError
+from repro.errors import ReplicationError, RequestTimeoutError
 from repro.replication import KAMINO, ChainClient, ChainCluster, RetryPolicy
 from repro.serve import ClusterGateway
 from repro.workloads.ycsb import UPDATE, Op
@@ -40,32 +40,18 @@ class TestBasics:
 
 
 class TestDegradedWrites:
-    def test_rejection_surfaces_immediately_without_burning_the_ladder(self):
-        # the head records rejections as completed outcomes, so a
-        # same-id resubmit can only replay the rejection: the gateway
-        # must not waste its backoff ladder on it
+    def test_same_id_retry_rides_out_the_cooldown(self):
+        # the head does not record the refusal, so the ladder's backed-off
+        # retry under the same id executes once the cooldown has passed
         cluster = small_cluster()
         gw = ClusterGateway(cluster)
         cluster.trip_breaker(cooldown_ns=200 * _US)
-        with pytest.raises(ClusterDegraded):
-            gw.call_write("put", (1, b"x"), (1,), "c0", 0)
-        assert gw.internal_retries == 0
-        assert cluster.degraded_rejections == 1
-
-    def test_fresh_id_succeeds_after_the_cooldown(self):
-        cluster = small_cluster()
-        gw = ClusterGateway(cluster)
-        cluster.trip_breaker(cooldown_ns=200 * _US)
-        with pytest.raises(ClusterDegraded):
-            gw.call_write("put", (1, b"x"), (1,), "c0", 0)
-        cluster.sim.run(until=cluster.sim.now + 300 * _US)
-        # a same-id retry replays the recorded rejection...
-        with pytest.raises(ClusterDegraded):
-            gw.call_write("put", (1, b"x"), (1,), "c0", 0)
-        assert cluster.duplicate_requests >= 1
-        # ...a fresh id (what RETRY-AFTER tells the client to send) lands
-        gw.call_write("put", (1, b"late"), (1,), "c0", 1)
-        assert bytes(gw.call_read("get", (1,))).rstrip(b"\x00") == b"late"
+        gw.call_write("put", (1, b"x"), (1,), "c0", 0)
+        assert gw.internal_retries >= 1
+        assert cluster.degraded_rejections >= 1
+        assert cluster.duplicate_requests == 0
+        assert cluster.committed == 1
+        assert bytes(gw.call_read("get", (1,))).rstrip(b"\x00") == b"x"
 
 
 class TestUnknownRids:

@@ -40,6 +40,12 @@ Operations reach virtual time one way, :func:`repro.runtime.run_online`:
 the trace-then-replay runners, the record-queue source, ``run_ops``,
 ``run_tx``'s clock charge and the ``sync_lag_ns`` delay nothing set are
 gone.
+
+A write on a degraded chain has one answer: a typed ``ClusterDegraded``
+the head does not record, ridden out by the request ladder.  The
+head-side and admission-side queue-and-readmit paths, the breaker
+listeners and the gateway's terminal exception are gone, and so are the
+protocol names nothing sends or raises and the ``build_stack`` veneer.
 """
 
 import os
@@ -352,3 +358,47 @@ def test_source_tree_names_no_second_scheduler_input():
         for path in sorted((ROOT / tree).rglob("*.py")):
             match = retired.search(path.read_text(encoding="utf-8"))
             assert match is None, f"{path}: {match.group(0)}"
+
+
+def test_a_degraded_chain_has_one_answer():
+    from repro.cluster.sharded import ShardedCluster
+    from repro.replication import ChainCluster
+    from repro.replication.client import Request, Submitter
+    from repro.serve import AdmissionConfig
+
+    with pytest.raises(TypeError):
+        ChainCluster(f=1, heap_mb=1, value_size=64, degraded_policy="queue")
+    for knob, value in [("policy", "queue"), ("queue_limit", 4), ("max_wait_ns", 1.0)]:
+        with pytest.raises(TypeError):
+            AdmissionConfig(**{knob: value})
+    submitter = Submitter(ChainCluster(f=1, heap_mb=1, value_size=64), None)
+    with pytest.raises(TypeError):
+        Request(submitter, "put", (1, b"v"), [1], terminal=())
+    for cls in (ChainCluster, ShardedCluster):
+        assert not hasattr(cls, "add_degradation_listener"), cls.__name__
+
+
+def test_source_tree_names_no_degraded_queue():
+    retired = re.compile(r"degraded_policy|_degraded_queue|queue-and-readmit")
+    for tree in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            match = retired.search(path.read_text(encoding="utf-8"))
+            assert match is None, f"{path}: {match.group(0)}"
+
+
+def test_names_nothing_sends_or_raises_are_gone():
+    import repro.errors
+    import repro.replication.messages
+
+    for module, name in [
+        (repro.replication.messages, "TxRequest"),
+        (repro.replication.messages, "ReadRequest"),
+        (repro.replication.messages, "ReadReply"),
+        (repro.replication.messages, "ClientReply"),
+        (repro.replication, "TxRequest"),
+        (repro.errors, "NodeFailedError"),
+        (repro.errors, "ProcedureAborted"),
+        (repro, "ProcedureAborted"),
+        (repro.bench, "build_stack"),
+    ]:
+        assert not hasattr(module, name), f"{module.__name__}.{name}"

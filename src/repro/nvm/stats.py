@@ -8,6 +8,7 @@ simulated nanoseconds with a :class:`~repro.nvm.latency.LatencyModel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from .latency import CACHE_LINE, LatencyModel
 
@@ -62,7 +63,7 @@ class NVMStats:
     def snapshot(self) -> "NVMStats":
         """Return an independent copy of the current counters.
 
-        Positional construction: this runs three times per simulated
+        Positional construction: this runs twice per simulated
         transaction, so it is one of the harness's hottest call sites.
         """
         return NVMStats(
@@ -126,6 +127,33 @@ class NVMStats:
             + self.fences * model.fence_ns
             + self.copy_bytes * model.byte_copy_ns
         )
+
+    def cost_since(self, since: "NVMStats", model: LatencyModel) -> Tuple[float, int, int]:
+        """``(simulated_ns, total_bytes, copy_bytes)`` of the counters
+        accumulated since ``since``, without building the delta.
+
+        Bit-identical to ``self.delta(since).simulated_ns(model)``,
+        ``.total_bytes`` and ``.copy_bytes``: the same integer deltas
+        enter the same float expression in the same order.
+        """
+        load_bytes = self.load_bytes - since.load_bytes
+        store_bytes = self.store_bytes - since.store_bytes
+        copy_bytes = self.copy_bytes - since.copy_bytes
+        flushed_lines = self.flushed_lines - since.flushed_lines
+        bursts = self.flush_bursts - since.flush_bursts
+        if not bursts:
+            bursts = flushed_lines
+        load_lines = (load_bytes + CACHE_LINE - 1) // CACHE_LINE if load_bytes else 0
+        store_lines = (store_bytes + CACHE_LINE - 1) // CACHE_LINE if store_bytes else 0
+        ns = (
+            load_lines * model.read_line_ns
+            + store_lines * model.write_line_ns
+            + bursts * model.flush_line_ns
+            + (flushed_lines - bursts) * model.effective_burst_line_ns()
+            + (self.fences - since.fences) * model.fence_ns
+            + copy_bytes * model.byte_copy_ns
+        )
+        return ns, load_bytes + store_bytes + copy_bytes, copy_bytes
 
     @property
     def total_bytes(self) -> int:

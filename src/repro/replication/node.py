@@ -74,7 +74,7 @@ class ReplicaNode:
         pool_bytes = heap_bytes * 3 + (16 << 20)
         self.device = NVMDevice(pool_bytes, model=model, seed=seed)
         pool = PmemPool.create(self.device)
-        self.engine = engine_for(mode, role, alpha)
+        self._set_engine(engine_for(mode, role, alpha))
         self.heap = PersistentHeap.create(pool, self.engine, heap_size=heap_bytes)
         # a persistent ring for the input queue of forwarded calls (§5.1:
         # "replicas buffer such calls in an input queue in non-volatile
@@ -99,6 +99,12 @@ class ReplicaNode:
         self.applied_ranges: Dict[int, List[Tuple[int, int]]] = {}
         #: write-set of the most recent execute() (volatile scratch)
         self.last_write_set: List[Tuple[int, int]] = []
+
+    def _set_engine(self, engine) -> None:
+        """Install ``engine`` and resolve what the scheduler charges per
+        intent on it, once per engine rather than once per call."""
+        self.engine = engine
+        self._serial_ns_per_intent = cost_model_for(engine.name).serial_ns_per_intent
 
     # -- procedures -------------------------------------------------------------
 
@@ -125,12 +131,13 @@ class ReplicaNode:
         are drained once the transaction has been executed and forwarded
         (they exist to survive the window in between).
         """
-        s0 = self.device.stats.snapshot()
+        stats = self.device.stats
+        s0 = stats.snapshot()
         payload = struct.pack("<I", payload_bytes) + b"\x5a" * min(payload_bytes, 248)
         if self.input_queue.free_bytes < 2 * (len(payload) + 16):
             self.input_queue.drain()
         self.input_queue.append(payload)
-        return self.device.stats.delta(s0).simulated_ns(self.model)
+        return stats.cost_since(s0, self.model)[0]
 
     def execute(self, proc: str, args: Tuple[Any, ...]) -> Tuple[Any, float]:
         """Run a named procedure locally; returns (result, cost_ns).
@@ -156,26 +163,27 @@ class ReplicaNode:
                 if kind is not IntentKind.FREE
             ]
 
+        stats = self.device.stats
         self.engine.trace_hook = hook
-        s0 = self.device.stats.snapshot()
+        s0 = stats.snapshot()
         try:
             result = fn(self.kv, *args)
         finally:
             self.engine.trace_hook = None
         self.last_write_set = captured["ranges"]
-        delta = self.device.stats.delta(s0)
-        cost = delta.simulated_ns(self.model)
+        cost = stats.cost_since(s0, self.model)[0]
         # fixed per-intent software cost only (log management plus the
         # write-lock op): the log copy's device time is already inside
         # the measured delta
-        cost += cost_model_for(self.engine.name).serial_ns_per_intent * captured["intents"]
+        cost += self._serial_ns_per_intent * captured["intents"]
         return result, cost
 
     def sync_backup(self, limit: Optional[int] = 1) -> float:
         """Head only: drain one committed tx's backup sync; returns cost."""
-        s0 = self.device.stats.snapshot()
+        stats = self.device.stats
+        s0 = stats.snapshot()
         self.engine.sync_pending(limit=limit)
-        return self.device.stats.delta(s0).simulated_ns(self.model)
+        return stats.cost_since(s0, self.model)[0]
 
     # -- failure & repair support ----------------------------------------------------------
 
@@ -186,7 +194,7 @@ class ReplicaNode:
         """Local restart: fresh engine + heap on the surviving bytes."""
         self.device.restart()
         pool = PmemPool.open(self.device)
-        self.engine = engine_for(self.mode, self.role, self.alpha)
+        self._set_engine(engine_for(self.mode, self.role, self.alpha))
         self.heap = PersistentHeap.open(pool, self.engine)
         self.queue_region = pool.region(INPUT_QUEUE_REGION)
         self.input_queue = PersistentRing.open(self.queue_region)

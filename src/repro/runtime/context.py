@@ -119,6 +119,8 @@ class ExecutionContext:
         self.rng = random.Random(seed)
         #: records of every transaction executed through :meth:`run_tx`
         self.records: List[TxRecord] = []
+        #: the last transaction to commit inside the running :meth:`run_tx`
+        self._committed = None
 
     # -- construction --------------------------------------------------------
 
@@ -181,49 +183,53 @@ class ExecutionContext:
     def run_tx(self, kind: str, fn: Callable[[], None]) -> TxRecord:
         """Execute one operation (one transaction) and record its costs.
 
-        The device's counters are snapshotted around the functional
-        execution and around the engine's deferred-work drain; the deltas
-        price the critical path and the asynchronous backup sync.  The
-        record is appended to :attr:`records`; the clock does not move.
-        Virtual time belongs to the scheduler
-        (:func:`~repro.runtime.online.run_online`), which threads the
-        record through the shared servers at the moment it executes.
+        Two snapshots of the device's counters price the record: one
+        before the functional execution and one between it and the
+        engine's deferred-work drain.  :meth:`NVMStats.cost_since` turns
+        the second since the first into the critical path and the live
+        counters since the second into the asynchronous backup sync,
+        without building a delta.  The engine's trace hook keeps the
+        last transaction to commit; its write set, read set and intent
+        count go into the record.  The record is appended to
+        :attr:`records`; the clock does not move.  Virtual time belongs
+        to the scheduler (:func:`~repro.runtime.online.run_online`),
+        which threads the record through the shared servers at the
+        moment it executes.
         """
-        if self.device is None or self.engine is None:
+        engine = self.engine
+        if self.device is None or engine is None:
             raise ValueError("run_tx requires a context with a device and an engine")
-        captured: Dict[str, object] = {}
-
-        def hook(tx) -> None:
-            captured["write"] = frozenset(tx.write_set)
-            captured["read"] = frozenset(tx.read_set)
-            captured["intents"] = len(tx.intents)
-
         stats = self.device.stats
-        self.engine.trace_hook = hook
+        self._committed = None
+        engine.trace_hook = self._keep_committed
         try:
-            s0 = stats.snapshot()
+            before = stats.snapshot()
             fn()
-            s1 = stats.snapshot()
+            crit_end = stats.snapshot()
             # drain exactly this operation's deferred work
-            self.engine.sync_pending()
-            s2 = stats.snapshot()
+            engine.sync_pending()
         finally:
-            self.engine.trace_hook = None
-        crit = s1.delta(s0)
-        deferred = s2.delta(s1)
+            engine.trace_hook = None
+        tx, self._committed = self._committed, None
+        crit_ns, crit_bytes, crit_copy_bytes = crit_end.cost_since(before, self.model)
+        async_ns, async_bytes, _ = stats.cost_since(crit_end, self.model)
         record = TxRecord(
             kind=kind,
-            crit_ns=crit.simulated_ns(self.model),
-            async_ns=deferred.simulated_ns(self.model),
-            crit_bytes=crit.total_bytes,
-            async_bytes=deferred.total_bytes,
-            crit_copy_bytes=crit.copy_bytes,
-            n_intents=int(captured.get("intents", 0)),
-            write_set=captured.get("write", frozenset()),
-            read_set=captured.get("read", frozenset()),
+            crit_ns=crit_ns,
+            async_ns=async_ns,
+            crit_bytes=crit_bytes,
+            async_bytes=async_bytes,
+            crit_copy_bytes=crit_copy_bytes,
+            n_intents=len(tx.intents) if tx is not None else 0,
+            write_set=frozenset(tx.write_set) if tx is not None else frozenset(),
+            read_set=frozenset(tx.read_set) if tx is not None else frozenset(),
         )
         self.records.append(record)
         return record
+
+    def _keep_committed(self, tx) -> None:
+        """The engine's trace hook during :meth:`run_tx`."""
+        self._committed = tx
 
     # -- uniform reset/snapshot contract -------------------------------------
 

@@ -17,20 +17,16 @@ from typing import Any, Callable, List, Optional, Tuple
 class Event:
     """A scheduled callback; cancellable until it fires."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    __slots__ = ("time", "fn", "args", "cancelled")
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: Tuple):
+    def __init__(self, time: float, fn: Callable, args: Tuple):
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class _FloatClock:
@@ -54,7 +50,9 @@ class EventSimulator:
 
     def __init__(self, clock=None):
         self.clock = clock if clock is not None else _FloatClock()
-        self._queue: List[Event] = []
+        #: ``(time, seq, event)`` heap: the unique ``seq`` settles every
+        #: tie, so ordering is a tuple comparison done in C
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._processed = 0
 
@@ -70,8 +68,9 @@ class EventSimulator:
         """Run ``fn(*args)`` ``delay`` ns from now; returns the event."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self.now + delay, next(self._seq), fn, args)
-        heapq.heappush(self._queue, event)
+        time = self.clock.now + delay
+        event = Event(time, fn, args)
+        heapq.heappush(self._queue, (time, next(self._seq), event))
         return event
 
     def at(self, time: float, fn: Callable, *args: Any) -> Event:
@@ -91,10 +90,9 @@ class EventSimulator:
         processed = 0
         if until is None and max_events is None:
             while queue:
-                event = heappop(queue)
+                now, _, event = heappop(queue)
                 if event.cancelled:
                     continue
-                now = event.time
                 clock.now = now
                 event.fn(*event.args)
                 processed += 1
@@ -104,8 +102,8 @@ class EventSimulator:
                 # store stays per-event — a callback may have advanced the
                 # shared clock inline, and the contract is that each event
                 # observes its own scheduled time.
-                while queue and queue[0].time == now:
-                    event = heappop(queue)
+                while queue and queue[0][0] == now:
+                    event = heappop(queue)[2]
                     if event.cancelled:
                         continue
                     clock.now = now
@@ -116,23 +114,23 @@ class EventSimulator:
         while queue:
             if max_events is not None and processed >= max_events:
                 break
-            event = queue[0]
-            if until is not None and event.time > until:
+            time, _, event = queue[0]
+            if until is not None and time > until:
                 break
             heappop(queue)
             if event.cancelled:
                 continue
-            clock.now = event.time
+            clock.now = time
             event.fn(*event.args)
             processed += 1
-        if until is not None and (not queue or queue[0].time > until):
+        if until is not None and (not queue or queue[0][0] > until):
             clock.now = max(clock.now, until)
         self._processed += processed
         return processed
 
     @property
     def pending(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, e in self._queue if not e.cancelled)
 
     @property
     def processed(self) -> int:

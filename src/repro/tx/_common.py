@@ -80,10 +80,7 @@ class LockingLogEngine(AtomicityEngine):
     # -- transaction plumbing ----------------------------------------------------
 
     def begin(self) -> Transaction:
-        tx = Transaction(self, next(self._txids))
-        if self.uses_log:
-            tx.engine_state["log"] = self.log.acquire(tx.txid)
-        return tx
+        return Transaction(self, next(self._txids))
 
     def _scan_log(self) -> List[RecoveredLog]:
         """The log's non-FREE slots, for recovery; numbering resumes
@@ -93,15 +90,33 @@ class LockingLogEngine(AtomicityEngine):
         return records
 
     def _txlog(self, tx: Transaction) -> TxLog:
-        return tx.engine_state["log"]
+        """``tx``'s intent-log slot, taken from the pool at first use:
+        a transaction that never declares an intent never takes one."""
+        log = tx.engine_state.get("log")
+        if log is None:
+            log = tx.engine_state["log"] = self.log.acquire(tx.txid)
+        return log
+
+    @staticmethod
+    def _taken_log(tx: Transaction) -> Optional[TxLog]:
+        """``tx``'s slot if it took one, without taking one."""
+        return tx.engine_state.get("log")
+
+    def _release_log(self, tx: Transaction) -> None:
+        """Return ``tx``'s slot to the pool, if it took one."""
+        log = tx.engine_state.get("log")
+        if log is not None:
+            log.release()
 
     def on_read(self, tx: Transaction, offset: int, size: int) -> None:
         self.locks.acquire_read(tx.txid, offset)
         tx.read_set.add(offset)
 
     def before_data_write(self, tx: Transaction) -> None:
-        if self.uses_log:
-            self._txlog(tx).make_durable()
+        # a store with no slot behind it has no intents to make durable
+        log = tx.engine_state.get("log")
+        if log is not None:
+            log.make_durable()
 
     def _record_intent(
         self, tx: Transaction, offset: int, size: int, kind: IntentKind, data_off: int = 0
@@ -118,8 +133,7 @@ class LockingLogEngine(AtomicityEngine):
     # -- lock release helpers --------------------------------------------------------
 
     def _release_reads(self, tx: Transaction) -> None:
-        for off in tx.read_set - tx.write_set:
-            self.locks.release_read(tx.txid, off)
+        self.locks.release_read_many(tx.txid, tx.read_set - tx.write_set)
 
     def _release_writes(self, tx: Transaction) -> None:
         for off in tx.write_set:

@@ -107,6 +107,8 @@ class CoWEngine(LockingLogEngine):
     # -- outcomes ------------------------------------------------------------------------
 
     def commit(self, tx: Transaction) -> None:
+        # even a read-only transaction takes a slot here: the durable
+        # COMMITTED record is this scheme's commit point
         log = self._txlog(tx)
         self._apply_deferred_frees(tx)
         # make shadows + intents durable, then the redo decision
@@ -140,8 +142,7 @@ class CoWEngine(LockingLogEngine):
 
     def abort(self, tx: Transaction) -> None:
         # the originals were never touched: discard the shadows
-        log = self._txlog(tx)
-        log.release()
+        self._release_log(tx)
         self._release_all(tx)
 
     # -- recovery ----------------------------------------------------------------------------

@@ -24,7 +24,7 @@ minimum number of cache flushes".
 
 Slot states form the commit protocol:
 
-* ``FREE → RUNNING`` at begin;
+* ``FREE → RUNNING`` with the first durable intent batch;
 * ``RUNNING → COMMITTED`` is the durable commit point;
 * ``RUNNING/ABORTED`` at crash means roll back;
 * ``→ FREE`` once post-commit work (backup sync / log discard) is done.
@@ -111,9 +111,9 @@ class TxLog:
         self._durable_entries = 0
         self._state = SlotState.RUNNING
         self._data_used = 0
-        # the slot is lazily materialised: a read-only transaction that
-        # never declares an intent touches NVM zero times (NVML likewise
-        # builds its undo log only at the first TX_ADD)
+        # the slot is lazily materialised: a slot taken but never
+        # written touches NVM zero times (NVML likewise builds its undo
+        # log only at the first TX_ADD)
         self._touched_nvm = False
         # slot geometry is fixed for the handle's lifetime; computing it
         # once here keeps append/make_durable off the property + method
@@ -196,8 +196,8 @@ class TxLog:
     def release(self) -> None:
         """Mark the slot FREE (durable) and return it to the free pool.
 
-        A slot that never reached NVM (read-only transaction) is still
-        durably FREE from its previous release, so nothing is written.
+        A slot that never reached NVM is still durably FREE from its
+        previous release, so nothing is written.
         """
         if self._touched_nvm:
             self.set_state(SlotState.FREE)
@@ -239,6 +239,8 @@ class LogManager:
         self._mutex = threading.Lock()
         self._free_cond = threading.Condition(self._mutex)
         self._free: List[int] = list(range(n_slots - 1, -1, -1))
+        #: acquirers inside ``_free_cond.wait``; guarded by ``_mutex``
+        self._waiters = 0
         #: largest txid in any slot header the last :meth:`scan` read
         #: (0 before a scan): a restarted engine numbers above it
         self.max_txid = 0
@@ -297,17 +299,36 @@ class LogManager:
     # -- slot pool ----------------------------------------------------------------------
 
     def acquire(self, txid: int, timeout: float = 10.0) -> TxLog:
-        """Grab a FREE slot for a new transaction (blocks if none free)."""
-        with self._free_cond:
-            if not self._free_cond.wait_for(lambda: bool(self._free), timeout=timeout):
-                raise TxError("no free intent-log slots (syncer stalled?)")
+        """Grab a FREE slot for a transaction (blocks while none is free).
+
+        A free slot costs one hold of the pool mutex.  Only an acquirer
+        that finds the pool empty counts itself in ``_waiters`` and
+        waits, so a release notifies only when someone is waiting, the
+        discipline of :class:`~repro.tx.locks.ObjectLockTable`.
+        """
+        with self._mutex:
+            if not self._free:
+                self._waiters += 1
+                try:
+                    if not self._free_cond.wait_for(lambda: bool(self._free), timeout=timeout):
+                        raise TxError("no free intent-log slots (syncer stalled?)")
+                finally:
+                    self._waiters -= 1
             index = self._free.pop()
         return TxLog(self, index, txid)
 
     def _release_slot(self, index: int) -> None:
-        with self._free_cond:
+        with self._mutex:
             self._free.append(index)
-            self._free_cond.notify()
+            if self._waiters:
+                self._free_cond.notify()
+
+    def claim(self, index: int) -> None:
+        """Take slot ``index`` out of the free pool (a recovered slot
+        that stays occupied until its deferred work lands)."""
+        with self._mutex:
+            if index in self._free:
+                self._free.remove(index)
 
     @property
     def free_slots(self) -> int:

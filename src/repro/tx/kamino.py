@@ -132,13 +132,13 @@ class KaminoEngine(LockingLogEngine):
     # -- outcomes -------------------------------------------------------------------
 
     def commit(self, tx: Transaction) -> None:
-        log = self._txlog(tx)
         if not tx.intents and not tx.deferred_frees:
             # read-only: nothing durable happened, nothing to sync
-            log.release()
+            self._release_log(tx)
             self._release_reads(tx)
             return
         self._apply_deferred_frees(tx)
+        log = self._txlog(tx)
         log.make_durable()
         self._phase("edit_orig")
         self._flush_modified_ranges(tx)
@@ -159,8 +159,9 @@ class KaminoEngine(LockingLogEngine):
             self.sync_pending()
 
     def abort(self, tx: Transaction) -> None:
-        log = self._txlog(tx)
-        log.set_state(SlotState.ABORTED)
+        log = self._taken_log(tx)
+        if log is not None:
+            log.set_state(SlotState.ABORTED)
         device = self.heap_region.pool.device
         restored = False
         for offset, size, kind in tx.intents:
@@ -169,7 +170,8 @@ class KaminoEngine(LockingLogEngine):
                 restored = True
         if restored:
             device.fence()
-        log.release()
+        if log is not None:
+            log.release()
         for off in tx.write_set:
             self.backup.unpin(off)
         self._release_all(tx)
@@ -342,9 +344,7 @@ class KaminoEngine(LockingLogEngine):
         log._touched_nvm = True
         # the slot stays occupied until its sync lands; remove it from
         # the free pool the LogManager rebuilt at open()
-        with self.log._free_cond:
-            if rec.index in self.log._free:
-                self.log._free.remove(rec.index)
+        self.log.claim(rec.index)
         write_offsets = set()
         for entry in rec.entries:
             write_offsets.add(entry.offset)

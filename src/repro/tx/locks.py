@@ -16,11 +16,25 @@ agree on that object.  This lock table implements that discipline:
 Locks are deliberately volatile (the paper keeps them in DRAM, §3):
 after a crash they are rebuilt from the persistent intent logs during
 recovery.
+
+Only a waiter pays for waiting.  Every grant, release and query takes
+the plain table mutex; an acquirer that must wait counts itself in
+``_waiters`` under that mutex around its ``Condition.wait``, and a
+release notifies only while that count is non-zero.  Skipping the
+notify is safe because a waiter checks its entry and counts itself in
+one hold of the mutex, which ``wait`` gives up only once the waiter is
+registered: a releaser either ran before the check or sees the count.
+Waiters still poll every 50 ms and give up after ``timeout``.  A
+transaction's read locks end together, in one hold of the mutex
+(:meth:`ObjectLockTable.release_read_many`).  Every read still takes an
+entry, even an uncontended one: a reader with no entry could not hold
+off a writer.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set
 
@@ -65,6 +79,8 @@ class ObjectLockTable:
     def __init__(self, resolver: Optional[Callable[[int], None]] = None, timeout: float = 10.0):
         self._mutex = threading.Lock()
         self._cond = threading.Condition(self._mutex)
+        #: acquirers inside ``_cond.wait``; guarded by ``_mutex``
+        self._waiters = 0
         self._entries: Dict[int, _Entry] = {}
         self._resolver = resolver
         self._timeout = timeout
@@ -82,7 +98,7 @@ class ObjectLockTable:
         Blocks (or resolves on demand) while the object is pending sync.
         """
         deadline = None
-        with self._cond:
+        with self._mutex:
             self.stats.write_acquires += 1
             entry = self._entries.get(offset)
             if entry is None:
@@ -117,7 +133,7 @@ class ObjectLockTable:
     def acquire_read(self, txid: int, offset: int) -> None:
         """Take a shared lock on ``offset`` for ``txid``."""
         deadline = None
-        with self._cond:
+        with self._mutex:
             self.stats.read_acquires += 1
             entry = self._entries.get(offset)
             if entry is None:
@@ -152,21 +168,24 @@ class ObjectLockTable:
     def _run_resolver(self, offset: int) -> None:
         """Invoke the on-demand sync outside the table mutex."""
         resolver = self._resolver
-        self._cond.release()
+        self._mutex.release()
         try:
             resolver(offset)
         finally:
-            self._cond.acquire()
+            self._mutex.acquire()
 
     def _wait(self, deadline: Optional[float], offset: int) -> float:
-        import time
-
+        """Block (mutex held) until a release notifies or 50 ms pass."""
         now = time.monotonic()
         if deadline is None:
             deadline = now + self._timeout
         if now >= deadline:
             raise LockTimeoutError(f"timed out waiting for lock on offset {offset}")
-        self._cond.wait(timeout=min(0.05, deadline - now))
+        self._waiters += 1
+        try:
+            self._cond.wait(timeout=min(0.05, deadline - now))
+        finally:
+            self._waiters -= 1
         return deadline
 
     def acquire_write_many(self, txid: int, offsets) -> None:
@@ -187,46 +206,55 @@ class ObjectLockTable:
             self.release_write(txid, offset)
 
     def release_read(self, txid: int, offset: int) -> None:
-        with self._cond:
-            entry = self._entries.get(offset)
-            if entry is None:
-                return
-            entry.readers.discard(txid)
-            self._gc(offset, entry)
-            self._cond.notify_all()
+        self.release_read_many(txid, (offset,))
+
+    def release_read_many(self, txid: int, offsets) -> None:
+        """Drop ``txid``'s read locks on ``offsets`` in one hold of the
+        mutex: a transaction's read locks all end together."""
+        with self._mutex:
+            entries = self._entries
+            for offset in offsets:
+                entry = entries.get(offset)
+                if entry is not None:
+                    entry.readers.discard(txid)
+                    self._gc(offset, entry)
+            if self._waiters:
+                self._cond.notify_all()
 
     def release_write(self, txid: int, offset: int) -> None:
         """Fully release a write lock (undo/CoW engines at tx end)."""
-        with self._cond:
+        with self._mutex:
             entry = self._entries.get(offset)
             if entry is None or entry.writer != txid:
                 return
             entry.writer = None
             entry.pending_sync = False
             self._gc(offset, entry)
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
 
     def mark_pending(self, txid: int, offset: int) -> None:
         """Keep the write lock held after commit until the sync lands."""
-        with self._cond:
+        with self._mutex:
             entry = self._entries.get(offset)
             if entry is not None and entry.writer == txid:
                 entry.pending_sync = True
 
     def release_pending(self, offset: int) -> None:
         """Release a pending lock once the backup is consistent."""
-        with self._cond:
+        with self._mutex:
             entry = self._entries.get(offset)
             if entry is None or not entry.pending_sync:
                 return
             entry.writer = None
             entry.pending_sync = False
             self._gc(offset, entry)
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
 
     def force_pending(self, offset: int) -> None:
         """Recreate a pending lock during crash recovery (no owner tx)."""
-        with self._cond:
+        with self._mutex:
             self._entries[offset] = _Entry(writer=-1, pending_sync=True)
 
     def _gc(self, offset: int, entry: _Entry) -> None:

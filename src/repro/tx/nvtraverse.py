@@ -7,8 +7,8 @@ together right before the linearisation point.  This engine encodes
 that discipline on top of the Kamino machinery:
 
 * **Traversal phase** (``begin`` → ``commit``): every write lands in a
-  *volatile DRAM shadow buffer*; the intent log slot is acquired but
-  never materialised (the log's lazy-NVM contract), the full-mirror
+  *volatile DRAM shadow buffer*; no intent-log slot is taken yet (a
+  slot is taken at its first use, here the commit), the full-mirror
   backup needs no copy-on-miss, and locks are volatile.  The phase
   therefore performs **zero NVM stores, flushes, fences, or copies** —
   only loads (to seed shadows and serve reads).
@@ -19,7 +19,7 @@ that discipline on top of the Kamino machinery:
   Exactly three fences per update transaction, independent of how many
   objects the traversal touched.
 * **Abort** discards the shadows and releases locks — zero NVM traffic
-  (the log slot was never touched, so ``release`` skips the FREE write).
+  (no slot was taken, so there is no FREE write either).
 
 Correctness argument, encoded as oracles in ``tests/tx/test_nvtraverse.py``
 and swept by CrashExplorer:
@@ -150,13 +150,14 @@ class NVTraverseEngine(KaminoEngine):
     # -- destination phase ---------------------------------------------------------
 
     def commit(self, tx: Transaction) -> None:
-        log = self._txlog(tx)
         if not tx.intents and not tx.deferred_frees:
-            # read-only: the slot was never materialised, release is free
-            log.release()
+            # read-only: no slot was ever taken
             self._release_reads(tx)
             return
         self._apply_deferred_frees(tx)
+        # the slot is taken here, at the destination: the traversal
+        # declared its intents into volatile shadows only
+        log = self._txlog(tx)
         # destination reached: publish the whole intent set in one batch
         for offset, size, kind in tx.intents:
             log.append(offset, size, kind, 0)
@@ -179,9 +180,9 @@ class NVTraverseEngine(KaminoEngine):
 
     def abort(self, tx: Transaction) -> None:
         # the main heap and the log slot were never touched during
-        # traversal: dropping the volatile shadows IS the rollback
-        log = self._txlog(tx)
-        log.release()  # lazy slot: no NVM write happens here
+        # traversal (the slot is taken only at commit): dropping the
+        # volatile shadows IS the rollback
+        self._release_log(tx)
         for off in tx.write_set:
             self.backup.unpin(off)
         self._release_all(tx)

@@ -108,6 +108,10 @@ class StripedLockTable:
     def release_read(self, txid: int, offset: int) -> None:
         self._stripe(offset).release_read(txid, offset)
 
+    def release_read_many(self, txid: int, offsets: Iterable[int]) -> None:
+        for offset in offsets:
+            self._stripe(offset).release_read(txid, offset)
+
     def release_write(self, txid: int, offset: int) -> None:
         self._stripe(offset).release_write(txid, offset)
 

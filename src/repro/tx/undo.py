@@ -64,23 +64,25 @@ class UndoLogEngine(LockingLogEngine):
     # -- outcomes -------------------------------------------------------------------
 
     def commit(self, tx: Transaction) -> None:
-        log = self._txlog(tx)
         self._apply_deferred_frees(tx)
-        log.make_durable()
+        log = self._taken_log(tx)  # none for a read-only transaction
+        if log is not None:
+            log.make_durable()
         self._phase("edit_orig")
         self._flush_modified_ranges(tx)
         self._phase("flush_data")
         # durable FREE is the commit point: the undo data is discarded
-        log.release()
+        self._release_log(tx)
         self._phase("delete_copy")
         self._release_all(tx)
         self._phase("unlock_data")
 
     def abort(self, tx: Transaction) -> None:
-        log = self._txlog(tx)
+        log = self._taken_log(tx)
+        entries = log.entries if log is not None else ()
         device = self.heap_region.pool.device
         restored = False
-        for entry in log.entries:
+        for entry in entries:
             if entry.kind is not IntentKind.WRITE:
                 continue
             device.copy(
@@ -92,7 +94,7 @@ class UndoLogEngine(LockingLogEngine):
             restored = True
         if restored:
             device.fence()
-        log.release()
+        self._release_log(tx)
         self._release_all(tx)
 
     # -- recovery ------------------------------------------------------------------------

@@ -1,0 +1,82 @@
+"""What an uncontended read-only transaction costs — by count.
+
+A get declares no intent, so beyond its loads it should pay for its read
+locks and nothing else: no condition-variable traffic (nobody waits), no
+intent-log slot (nothing to log), and two counter snapshots to price its
+record (before the operation, and between it and the deferred-work
+drain).  These pins fail if any of that creeps back onto the fast path.
+"""
+
+import threading
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.nvm.latency import PROFILES
+from repro.nvm.stats import NVMStats
+from repro.runtime import ExecutionContext
+from repro.tx import LogManager
+
+GETS = 1000
+KEYS = 64
+
+
+def _counting(monkeypatch, owner, name, counts):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_read_only_gets_take_no_slot_notify_or_extra_snapshot(monkeypatch):
+    ctx = ExecutionContext.create("kamino-dynamic", value_size=64, heap_mb=4)
+    for key in range(KEYS):
+        ctx.run_tx("insert", lambda key=key: ctx.kv.put(key, b"v%d" % key))
+    counts = Counter()
+    for name in ("notify", "notify_all", "wait"):
+        _counting(monkeypatch, threading.Condition, name, counts)
+    _counting(monkeypatch, LogManager, "acquire", counts)
+    _counting(monkeypatch, NVMStats, "snapshot", counts)
+    ctx.records.clear()
+    for i in range(GETS):
+        ctx.run_tx("read", lambda key=i % KEYS: ctx.kv.get(key))
+    assert len(ctx.records) == GETS
+    assert all(r.read_set and not r.write_set for r in ctx.records)
+    assert counts["notify"] == counts["notify_all"] == counts["wait"] == 0
+    assert counts["acquire"] == 0
+    assert counts["snapshot"] == 2 * GETS
+
+
+counters = st.integers(min_value=0, max_value=1 << 40)
+_FIELDS = NVMStats.__slots__
+
+
+@st.composite
+def stats_pairs(draw):
+    """``(since, now)``: ``now`` is ``since`` plus non-negative growth;
+    half the draws grow no flush burst (a delta with ``flush_bursts == 0``
+    prices every flushed line as its own burst)."""
+    since = NVMStats(*(draw(counters) for _ in _FIELDS))
+    growth = {name: draw(counters) for name in _FIELDS}
+    if draw(st.booleans()):
+        growth["flush_bursts"] = 0
+    now = NVMStats(*(getattr(since, name) + growth[name] for name in _FIELDS))
+    return since, now
+
+
+@pytest.mark.parametrize("model", sorted(PROFILES))
+@settings(max_examples=200, deadline=None)
+@given(pair=stats_pairs())
+def test_cost_since_is_the_delta_bit_for_bit(model, pair):
+    since, now = pair
+    latency = PROFILES[model]
+    delta = now.delta(since)
+    ns, total_bytes, copy_bytes = now.cost_since(since, latency)
+    assert ns.hex() == delta.simulated_ns(latency).hex()
+    assert total_bytes == delta.total_bytes
+    assert copy_bytes == delta.copy_bytes

@@ -59,7 +59,12 @@ class _TxScope:
         tx = self.tx
         if exc_type is None:
             if tx.state is TxState.ACTIVE:
-                tx.commit()
+                # a nested scope only closes its level; the outermost
+                # one commits
+                if tx.depth > 1:
+                    tx.depth -= 1
+                else:
+                    tx.commit()
         elif issubclass(exc_type, DeviceCrashedError):
             # a simulated power failure is not an abort: the device
             # refuses further writes and every volatile structure dies

@@ -636,6 +636,8 @@ class NVMDevice:
                     stats.loads += 1
                     stats.load_bytes += n
                     media.check_read(addr + rel, n)
+            if not self._dirty_count:
+                return bytes(self._durable[addr : addr + size])
             return self._peek(addr, size)
 
     def read_gather(self, addr: int, loads: DeclaredLoads) -> bytes:
@@ -844,6 +846,22 @@ class NVMDevice:
             if self._crashed:
                 raise DeviceCrashedError("device crashed; call restart() first")
             self.stats.fences += 1
+
+    def persist(self, addr: int, data) -> None:
+        """A durable store: :meth:`write`, :meth:`flush` of the written
+        range and :meth:`fence`, in one hold of the mutex.
+
+        Every counter, fail-point tick and media hook is that of the three
+        calls in order (the fence re-enters the mutex it already holds) —
+        :class:`~repro.nvm.reference.ReferenceNVMDevice` implements it as
+        that literal sequence.
+        """
+        size = len(data)
+        with self._mutex:
+            self._write_locked(addr, data)
+            if size > 0:
+                self._flush_locked(addr, size)
+            self.fence()
 
     def persist_all(self) -> None:
         """Flush every dirty line (used at pool close / test setup)."""

@@ -69,6 +69,7 @@ class PmemRegion:
         object.__setattr__(self, "_dev_read_declared", self.pool.device.read_declared)
         object.__setattr__(self, "_dev_write", self.pool.device.write)
         object.__setattr__(self, "_dev_flush", self.pool.device.flush)
+        object.__setattr__(self, "_dev_persist", self.pool.device.persist)
 
     def _abs(self, addr: int, size: int) -> int:
         if addr < 0 or size < 0 or addr + size > self.size:
@@ -129,11 +130,14 @@ class PmemRegion:
         self.pool.device.copy(self._abs(dst, size), self._abs(src, size), size)
 
     def write_and_flush(self, addr: int, data: bytes) -> None:
-        """Store then immediately flush+fence — a durable store."""
-        abs_addr = self._abs(addr, len(data))
-        self.pool.device.write(abs_addr, data)
-        self.pool.device.flush(abs_addr, len(data))
-        self.pool.device.fence()
+        """Store then immediately flush+fence — a durable store, in one
+        device call (:meth:`NVMDevice.persist`)."""
+        size = len(data)
+        if 0 <= addr and addr + size <= self.size:
+            self._dev_persist(self.offset + addr, data)
+            return
+        self._abs(addr, size)
+        raise AssertionError("unreachable")
 
     def durable_read(self, addr: int, size: int) -> bytes:
         return self.pool.device.durable_read(self._abs(addr, size), size)

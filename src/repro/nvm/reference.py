@@ -128,6 +128,12 @@ class ReferenceNVMDevice(NVMDevice):
         self.stats.store_bytes += len(data)
         self._poke(addr, data)
 
+    def persist(self, addr: int, data) -> None:
+        # the spec of a durable store: three calls, three lock holds
+        self.write(addr, data)
+        self.flush(addr, len(data))
+        self.fence()
+
     def _copy_locked(self, dst: int, src: int, size: int, chunks: int = 1) -> None:
         self._tick_failpoint()
         self._check(src, size)

@@ -1,16 +1,58 @@
 """Primitive-operation counters for the simulated NVM device.
 
-The device increments these counters on every access; the benchmark
-harness snapshots them around a transaction and converts the delta into
+The device increments these counters on every access.  A transaction is
+priced from *marks*: :attr:`NVMStats.mark` reads the six counters that
+carry a cost into one tuple (one C call, no object built), and
+:func:`interval_cost` turns the counters between two marks into
 simulated nanoseconds with a :class:`~repro.nvm.latency.LatencyModel`.
+:meth:`NVMStats.snapshot` and :meth:`NVMStats.delta` stay for callers
+that want every counter, media accounting included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from operator import attrgetter
+from typing import Callable, ClassVar, Tuple
 
 from .latency import CACHE_LINE, LatencyModel
+
+#: the counters that price an interval, in the order a mark holds them
+PRICED = ("load_bytes", "store_bytes", "copy_bytes", "flushed_lines", "flush_bursts", "fences")
+
+#: what :attr:`NVMStats.mark` returns: the :data:`PRICED` counters
+Mark = Tuple[int, int, int, int, int, int]
+
+
+def interval_cost(since: Mark, now: Mark, model: LatencyModel) -> Tuple[float, int, int]:
+    """``(simulated_ns, total_bytes, copy_bytes)`` of the counters
+    accumulated between two marks.
+
+    Bit-identical to ``delta.simulated_ns(model)``, ``delta.total_bytes``
+    and ``delta.copy_bytes`` of the same interval's
+    :meth:`NVMStats.delta`: the same integer deltas enter the same float
+    expression in the same order.
+    """
+    load0, store0, copy0, lines0, bursts0, fences0 = since
+    load1, store1, copy1, lines1, bursts1, fences1 = now
+    load_bytes = load1 - load0
+    store_bytes = store1 - store0
+    copy_bytes = copy1 - copy0
+    flushed_lines = lines1 - lines0
+    bursts = bursts1 - bursts0
+    if not bursts:
+        bursts = flushed_lines
+    load_lines = (load_bytes + CACHE_LINE - 1) // CACHE_LINE if load_bytes else 0
+    store_lines = (store_bytes + CACHE_LINE - 1) // CACHE_LINE if store_bytes else 0
+    ns = (
+        load_lines * model.read_line_ns
+        + store_lines * model.write_line_ns
+        + bursts * model.flush_line_ns
+        + (flushed_lines - bursts) * model.effective_burst_line_ns()
+        + (fences1 - fences0) * model.fence_ns
+        + copy_bytes * model.byte_copy_ns
+    )
+    return ns, load_bytes + store_bytes + copy_bytes, copy_bytes
 
 
 @dataclass(slots=True)
@@ -42,6 +84,10 @@ class NVMStats:
     # sidecar cannot see; detection is the integrity tree's job)
     media_stale: int = 0
 
+    #: ``NVMStats.mark(stats)``: the :data:`PRICED` counters as a tuple,
+    #: the cheap bound of an interval :func:`interval_cost` prices
+    mark: ClassVar[Callable[["NVMStats"], Mark]] = attrgetter(*PRICED)
+
     def reset(self) -> None:
         """Zero every counter in place."""
         self.loads = 0
@@ -61,11 +107,7 @@ class NVMStats:
         self.media_stale = 0
 
     def snapshot(self) -> "NVMStats":
-        """Return an independent copy of the current counters.
-
-        Positional construction: this runs twice per simulated
-        transaction, so it is one of the harness's hottest call sites.
-        """
+        """Return an independent copy of the current counters."""
         return NVMStats(
             self.loads,
             self.load_bytes,
@@ -128,32 +170,10 @@ class NVMStats:
             + self.copy_bytes * model.byte_copy_ns
         )
 
-    def cost_since(self, since: "NVMStats", model: LatencyModel) -> Tuple[float, int, int]:
+    def cost_since(self, since: Mark, model: LatencyModel) -> Tuple[float, int, int]:
         """``(simulated_ns, total_bytes, copy_bytes)`` of the counters
-        accumulated since ``since``, without building the delta.
-
-        Bit-identical to ``self.delta(since).simulated_ns(model)``,
-        ``.total_bytes`` and ``.copy_bytes``: the same integer deltas
-        enter the same float expression in the same order.
-        """
-        load_bytes = self.load_bytes - since.load_bytes
-        store_bytes = self.store_bytes - since.store_bytes
-        copy_bytes = self.copy_bytes - since.copy_bytes
-        flushed_lines = self.flushed_lines - since.flushed_lines
-        bursts = self.flush_bursts - since.flush_bursts
-        if not bursts:
-            bursts = flushed_lines
-        load_lines = (load_bytes + CACHE_LINE - 1) // CACHE_LINE if load_bytes else 0
-        store_lines = (store_bytes + CACHE_LINE - 1) // CACHE_LINE if store_bytes else 0
-        ns = (
-            load_lines * model.read_line_ns
-            + store_lines * model.write_line_ns
-            + bursts * model.flush_line_ns
-            + (flushed_lines - bursts) * model.effective_burst_line_ns()
-            + (self.fences - since.fences) * model.fence_ns
-            + copy_bytes * model.byte_copy_ns
-        )
-        return ns, load_bytes + store_bytes + copy_bytes, copy_bytes
+        accumulated since the mark ``since`` (see :func:`interval_cost`)."""
+        return interval_cost(since, NVMStats.mark(self), model)
 
     @property
     def total_bytes(self) -> int:

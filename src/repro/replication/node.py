@@ -19,6 +19,7 @@ from ..kvstore.ring import PersistentRing
 from ..nvm.device import CrashPolicy, NVMDevice
 from ..nvm.latency import NVDIMM, LatencyModel
 from ..nvm.pool import PmemPool
+from ..nvm.stats import NVMStats
 from ..sim.resources import cost_model_for
 from ..tx import IntentOnlyEngine, UndoLogEngine, kamino_dynamic, kamino_simple
 from ..tx.base import IntentKind
@@ -132,7 +133,7 @@ class ReplicaNode:
         (they exist to survive the window in between).
         """
         stats = self.device.stats
-        s0 = stats.snapshot()
+        s0 = NVMStats.mark(stats)
         payload = struct.pack("<I", payload_bytes) + b"\x5a" * min(payload_bytes, 248)
         if self.input_queue.free_bytes < 2 * (len(payload) + 16):
             self.input_queue.drain()
@@ -165,7 +166,7 @@ class ReplicaNode:
 
         stats = self.device.stats
         self.engine.trace_hook = hook
-        s0 = stats.snapshot()
+        s0 = NVMStats.mark(stats)
         try:
             result = fn(self.kv, *args)
         finally:
@@ -181,7 +182,7 @@ class ReplicaNode:
     def sync_backup(self, limit: Optional[int] = 1) -> float:
         """Head only: drain one committed tx's backup sync; returns cost."""
         stats = self.device.stats
-        s0 = stats.snapshot()
+        s0 = NVMStats.mark(stats)
         self.engine.sync_pending(limit=limit)
         return stats.cost_since(s0, self.model)[0]
 

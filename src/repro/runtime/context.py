@@ -32,12 +32,17 @@ from typing import Callable, Dict, Iterator, List, Optional
 
 from ..nvm.device import NVMDevice
 from ..nvm.latency import NVDIMM, LatencyModel
-from ..nvm.stats import NVMStats
+from ..nvm.stats import NVMStats, interval_cost
 from ..sim.events import EventSimulator
 from ..sim.resources import BandwidthResource, FIFOServer, ServerSnapshot
 from .clock import ClockSnapshot, SimClock
 from .records import TxRecord
 from .registry import make_engine
+
+_mark = NVMStats.mark
+#: the write set every read-only record shares (``frozenset(set())``
+#: builds a new empty object per call)
+_EMPTY: frozenset = frozenset()
 
 
 class SharedResources:
@@ -180,21 +185,22 @@ class ExecutionContext:
 
     # -- inline transaction execution ----------------------------------------
 
-    def run_tx(self, kind: str, fn: Callable[[], None]) -> TxRecord:
-        """Execute one operation (one transaction) and record its costs.
+    def run_tx(self, kind: str, fn: Callable[..., None], *args) -> TxRecord:
+        """Execute one operation, ``fn(*args)``, as one transaction and
+        record its costs.
 
-        Two snapshots of the device's counters price the record: one
-        before the functional execution and one between it and the
-        engine's deferred-work drain.  :meth:`NVMStats.cost_since` turns
-        the second since the first into the critical path and the live
-        counters since the second into the asynchronous backup sync,
-        without building a delta.  The engine's trace hook keeps the
-        last transaction to commit; its write set, read set and intent
-        count go into the record.  The record is appended to
-        :attr:`records`; the clock does not move.  Virtual time belongs
-        to the scheduler (:func:`~repro.runtime.online.run_online`),
-        which threads the record through the shared servers at the
-        moment it executes.
+        Three marks of the device's counters (:attr:`NVMStats.mark`)
+        price the record: before the functional execution, between it
+        and the engine's deferred-work drain, and after the drain.
+        :func:`~repro.nvm.stats.interval_cost` turns the first interval
+        into the critical path and the second into the asynchronous
+        backup sync; no :class:`NVMStats` is built.  The engine's trace
+        hook keeps the last transaction to commit; its write set, read
+        set and intent count go into the record.  The record is
+        appended to :attr:`records`; the clock does not move.  Virtual
+        time belongs to the scheduler
+        (:func:`~repro.runtime.online.run_online`), which threads the
+        record through the shared servers at the moment it executes.
         """
         engine = self.engine
         if self.device is None or engine is None:
@@ -203,26 +209,27 @@ class ExecutionContext:
         self._committed = None
         engine.trace_hook = self._keep_committed
         try:
-            before = stats.snapshot()
-            fn()
-            crit_end = stats.snapshot()
+            start = _mark(stats)
+            fn(*args)
+            crit_end = _mark(stats)
             # drain exactly this operation's deferred work
             engine.sync_pending()
         finally:
             engine.trace_hook = None
+        end = _mark(stats)
         tx, self._committed = self._committed, None
-        crit_ns, crit_bytes, crit_copy_bytes = crit_end.cost_since(before, self.model)
-        async_ns, async_bytes, _ = stats.cost_since(crit_end, self.model)
+        model = self.model
+        crit_ns, crit_bytes, crit_copy_bytes = interval_cost(start, crit_end, model)
+        async_ns, async_bytes, _ = interval_cost(crit_end, end, model)
+        if tx is None:
+            n_intents, write_set, read_set = 0, _EMPTY, _EMPTY
+        else:
+            n_intents = len(tx.intents)
+            write_set = frozenset(tx.write_set) if tx.write_set else _EMPTY
+            read_set = frozenset(tx.read_set)
         record = TxRecord(
-            kind=kind,
-            crit_ns=crit_ns,
-            async_ns=async_ns,
-            crit_bytes=crit_bytes,
-            async_bytes=async_bytes,
-            crit_copy_bytes=crit_copy_bytes,
-            n_intents=len(tx.intents) if tx is not None else 0,
-            write_set=frozenset(tx.write_set) if tx is not None else frozenset(),
-            read_set=frozenset(tx.read_set) if tx is not None else frozenset(),
+            kind, crit_ns, async_ns, crit_bytes, async_bytes, crit_copy_bytes,
+            n_intents, write_set, read_set,
         )
         self.records.append(record)
         return record

@@ -21,8 +21,7 @@ require.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
 from ..sim.resources import cost_model_for
 from .context import ExecutionContext
@@ -41,12 +40,15 @@ class VirtualClients:
     Client ``i`` runs ``ops[i::nclients]``.  Its next operation executes
     the first time the client tries to start it; the resulting record is
     held until commit, so a client blocked on a lock retries the same
-    record.
+    record.  The clock is read directly (``clock.now``), and the objects
+    whose write locks a started record still holds are a set: a start
+    walks its sets only when an ``isdisjoint`` test finds a conflict.
     """
 
     __slots__ = (
         "ctx",
         "sim",
+        "clock",
         "cost",
         "locks_after_sync",
         "bandwidth",
@@ -70,6 +72,7 @@ class VirtualClients:
     def __init__(self, ctx: ExecutionContext, nclients: int):
         self.ctx = ctx
         self.sim = ctx.events
+        self.clock = ctx.events.clock
         info = find_registered(ctx.engine_name)
         self.cost = cost_model_for(ctx.engine_name)
         self.locks_after_sync = info is not None and info.capabilities.locks_released_after_sync
@@ -82,7 +85,7 @@ class VirtualClients:
         self.executor: Optional[Callable[[object], None]] = None
         self.kind_of: Optional[Callable[[object], str]] = None
         self.pending: List[Optional[TxRecord]] = [None] * nclients
-        self.locked: Dict[int, bool] = {}
+        self.locked: Set[int] = set()
         self.waiters: Dict[int, List[int]] = {}
         self.ready_since = [0.0] * nclients
         self.latencies: List[float] = []
@@ -110,17 +113,25 @@ class VirtualClients:
             if op is _DONE:
                 return
             # execute now — the virtual moment this client starts the op
-            rec = self.ctx.run_tx(self.kind_of(op), partial(self.executor, op))
+            rec = self.ctx.run_tx(self.kind_of(op), self.executor, op)
             self.pending[client] = rec
-        for off in rec.write_set | rec.read_set:
-            if self.locked.get(off):
-                # block on the first conflicting object; retried when it
-                # is released (a dependent transaction, paper Figure 6)
-                self.waiters.setdefault(off, []).append(client)
-                self.dependent_waits += 1
-                return
-        for off in rec.write_set:
-            self.locked[off] = True
+        write_set = rec.write_set
+        read_set = rec.read_set
+        locked = self.locked
+        if locked and not (locked.isdisjoint(write_set) and locked.isdisjoint(read_set)):
+            for off in write_set | read_set:
+                if off in locked:
+                    # block on the first conflicting object; retried when
+                    # it is released (a dependent transaction, paper
+                    # Figure 6)
+                    self.waiters.setdefault(off, []).append(client)
+                    self.dependent_waits += 1
+                    return
+        if write_set:
+            locked.update(write_set)
+            read_locks = len(read_set - write_set)
+        else:
+            read_locks = len(read_set)
         # serialized log/lock management: the per-intent software cost
         # always extends the critical path; the log-arena memcpy's
         # *service* time is already inside crit_ns (it is a device copy),
@@ -129,7 +140,6 @@ class VirtualClients:
         # the same table.
         cost = self.cost
         n_intents = rec.n_intents
-        read_locks = len(rec.read_set - rec.write_set)
         software = (
             cost.serial_ns_per_intent * n_intents
             + cost.serial_ns_per_read_lock * read_locks
@@ -137,8 +147,9 @@ class VirtualClients:
         service = software
         if cost.serial_includes_copy:
             service += rec.crit_copy_bytes * self.model_byte_copy_ns
-        done = self.serial.request(self.sim.now, service)
-        queue_delay = done - self.sim.now - service
+        now = self.clock.now
+        done = self.serial.request(now, service)
+        queue_delay = done - now - service
         # local (non-serialized) software runs on this client's own
         # timeline — striped-lock work other clients never queue behind
         local = cost.local_ns_per_lock_op * (n_intents + read_locks)
@@ -146,35 +157,38 @@ class VirtualClients:
 
     def _transfer_crit(self, client: int) -> None:
         rec = self.pending[client]
-        done = self.bandwidth.transfer(self.sim.now, rec.crit_bytes)
+        done = self.bandwidth.transfer(self.clock.now, rec.crit_bytes)
         crit_rest = max(0.0, rec.crit_ns - rec.crit_bytes * self.ns_per_byte)
         self.sim.at(done + crit_rest, self._commit, client)
 
     def _commit(self, client: int) -> None:
         rec = self.pending[client]
-        now = self.sim.now
+        now = self.clock.now
         latency = now - self.ready_since[client]
         self.latencies.append(latency)
         self.latencies_by_kind.setdefault(rec.kind, []).append(latency)
         self.end_time = max(self.end_time, now)
         if self.locks_after_sync and rec.async_ns > 0:
             self.sim.schedule(0.0, self._start_sync, rec.write_set, rec)
-        else:
+        elif rec.write_set:
             self._release(rec.write_set)
         self.pending[client] = None
         self.ready_since[client] = now
         self._try_start(client)
 
     def _start_sync(self, write_set, rec: TxRecord) -> None:
-        done = self.bandwidth.transfer(self.sim.now, rec.async_bytes)
+        done = self.bandwidth.transfer(self.clock.now, rec.async_bytes)
         rest = max(0.0, rec.async_ns - rec.async_bytes * self.ns_per_byte)
         self.sim.at(done + rest, self._release, write_set)
 
     def _release(self, write_set) -> None:
+        self.locked.difference_update(write_set)
+        waiters = self.waiters
+        if not waiters:
+            return
         woken: List[int] = []
         for off in write_set:
-            self.locked[off] = False
-            woken.extend(self.waiters.pop(off, ()))
+            woken.extend(waiters.pop(off, ()))
         for client in woken:
             self.sim.schedule(0.0, self._try_start, client)
 

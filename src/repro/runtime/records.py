@@ -7,12 +7,15 @@ One record type for the context, the scheduler, and the benchmark layer
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet, List, NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class TxRecord:
-    """Costs and footprint of one executed transaction."""
+class TxRecord(NamedTuple):
+    """Costs and footprint of one executed transaction.
+
+    A tuple: :meth:`~repro.runtime.context.ExecutionContext.run_tx`
+    builds one per operation, positionally.
+    """
 
     kind: str
     crit_ns: float

@@ -75,7 +75,7 @@ class EventSimulator:
 
     def at(self, time: float, fn: Callable, *args: Any) -> Event:
         """Run ``fn`` at an absolute virtual time >= now."""
-        return self.schedule(max(0.0, time - self.now), fn, *args)
+        return self.schedule(max(0.0, time - self.clock.now), fn, *args)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Drain the queue (optionally bounded by time or event count).

@@ -336,7 +336,7 @@ class DynamicBackup(BackupStrategy):
             lines = range(
                 backup_off // CACHE_LINE, (backup_off + size - 1) // CACHE_LINE + 1
             )
-            if any(line in pending_lines for line in lines):
+            if not pending_lines.isdisjoint(lines):
                 drain()
             device.copy(
                 self.region.offset + backup_off,

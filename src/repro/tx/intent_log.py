@@ -166,17 +166,16 @@ class TxLog:
         region = self.manager.region
         first = self._entries_base + self._durable_entries * ENTRY_SIZE
         region.flush(first, (n - self._durable_entries) * ENTRY_SIZE)
-        self._write_header()
-        region.flush(self._base, _SLOT_HDR_SIZE)
-        region.pool.device.fence()
+        self._persist_header()
         self._durable_entries = n
         self._touched_nvm = True
 
-    def _write_header(self) -> None:
+    def _persist_header(self) -> None:
+        """Write, flush and fence the slot header in one device call."""
         raw = _SLOT_HDR.pack(
             LOG_MAGIC, int(self._state), self.txid, len(self.entries), 0
         )
-        self.manager.region.write(self._base, raw)
+        self.manager.region.write_and_flush(self._base, raw)
 
     # -- state transitions -----------------------------------------------------------
 
@@ -187,10 +186,7 @@ class TxLog:
     def set_state(self, state: SlotState) -> None:
         """Durably record a state transition (the commit/abort record)."""
         self._state = state
-        self._write_header()
-        region = self.manager.region
-        region.flush(self._base, _SLOT_HDR_SIZE)
-        region.pool.device.fence()
+        self._persist_header()
         self._touched_nvm = True
 
     def release(self) -> None:

@@ -26,16 +26,18 @@ one hold of the mutex, which ``wait`` gives up only once the waiter is
 registered: a releaser either ran before the check or sees the count.
 Waiters still poll every 50 ms and give up after ``timeout``.  A
 transaction's read locks end together, in one hold of the mutex
-(:meth:`ObjectLockTable.release_read_many`).  Every read still takes an
-entry, even an uncontended one: a reader with no entry could not hold
-off a writer.
+(:meth:`ObjectLockTable.release_read_many`), which drops each entry
+left idle on the spot.  Every read still takes an entry, even an
+uncontended one: a reader with no entry could not hold off a writer.
+So an entry is as cheap as it can be made: a plain slotted class built
+positionally, not a dataclass.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
 
 from ..errors import LockTimeoutError
@@ -53,11 +55,15 @@ class LockStats:
     on_demand_syncs: int = 0  # pending conflicts resolved synchronously
 
 
-@dataclass(slots=True)
 class _Entry:
-    writer: Optional[int] = None  # holding txid
-    readers: Set[int] = field(default_factory=set)
-    pending_sync: bool = False  # writer committed, backup not yet caught up
+    """One locked object (built once per uncontended acquisition)."""
+
+    __slots__ = ("writer", "readers", "pending_sync")
+
+    def __init__(self, writer: Optional[int], readers: Set[int], pending_sync: bool = False):
+        self.writer = writer  # holding txid
+        self.readers = readers
+        self.pending_sync = pending_sync  # writer committed, backup not yet caught up
 
 
 class ObjectLockTable:
@@ -103,14 +109,14 @@ class ObjectLockTable:
             entry = self._entries.get(offset)
             if entry is None:
                 # uncontested claim: the dominant case by far
-                self._entries[offset] = _Entry(writer=txid)
+                self._entries[offset] = _Entry(txid, set())
                 return
             if entry.writer == txid and not entry.pending_sync:
                 return  # reentrant
             while True:
                 entry = self._entries.get(offset)
                 if entry is None:
-                    self._entries[offset] = _Entry(writer=txid)
+                    self._entries[offset] = _Entry(txid, set())
                     return
                 if entry.writer == txid and not entry.pending_sync:
                     return  # reentrant
@@ -138,7 +144,7 @@ class ObjectLockTable:
             entry = self._entries.get(offset)
             if entry is None:
                 # uncontested claim: the dominant case by far
-                self._entries[offset] = _Entry(readers={txid})
+                self._entries[offset] = _Entry(None, {txid})
                 return
             if entry.writer == txid:
                 return  # writer may read
@@ -148,7 +154,7 @@ class ObjectLockTable:
             while True:
                 entry = self._entries.get(offset)
                 if entry is None:
-                    self._entries[offset] = _Entry(readers={txid})
+                    self._entries[offset] = _Entry(None, {txid})
                     return
                 if entry.writer == txid:
                     return  # writer may read
@@ -210,14 +216,17 @@ class ObjectLockTable:
 
     def release_read_many(self, txid: int, offsets) -> None:
         """Drop ``txid``'s read locks on ``offsets`` in one hold of the
-        mutex: a transaction's read locks all end together."""
+        mutex: a transaction's read locks all end together.  An entry
+        left idle is dropped right here (:meth:`_gc`, inlined)."""
         with self._mutex:
             entries = self._entries
             for offset in offsets:
                 entry = entries.get(offset)
                 if entry is not None:
-                    entry.readers.discard(txid)
-                    self._gc(offset, entry)
+                    readers = entry.readers
+                    readers.discard(txid)
+                    if not readers and entry.writer is None and not entry.pending_sync:
+                        del entries[offset]
             if self._waiters:
                 self._cond.notify_all()
 
@@ -255,7 +264,7 @@ class ObjectLockTable:
     def force_pending(self, offset: int) -> None:
         """Recreate a pending lock during crash recovery (no owner tx)."""
         with self._mutex:
-            self._entries[offset] = _Entry(writer=-1, pending_sync=True)
+            self._entries[offset] = _Entry(-1, set(), True)
 
     def _gc(self, offset: int, entry: _Entry) -> None:
         if entry.writer is None and not entry.readers and not entry.pending_sync:

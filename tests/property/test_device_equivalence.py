@@ -4,14 +4,19 @@ Hypothesis searches for ANY op sequence on which the optimized
 ``NVMDevice`` (mask tables, single-line fast paths, bulk dirty ranges,
 elided locks) diverges from ``ReferenceNVMDevice`` (the per-word-loop
 implementation) — in read results, ``NVMStats``, dirty lines, or the
-durable bytes surviving a crash under each ``CrashPolicy``.  A second
+durable bytes surviving a crash under each ``CrashPolicy``.  A durable
+store (``persist``) must be the reference's literal write / flush / fence
+sequence even when a fail-point fires at any of its three ticks, with a
+media model seeing the same persisted lines.  A second
 sweep runs every registered recoverable engine end-to-end on both
 devices (optimized stack with sync coalescing on, reference stack with
 it off) and demands identical stats, simulated time, and durable state.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.errors import DeviceCrashedError
 from repro.heap import PersistentHeap
 from repro.nvm import CrashPolicy, NVMDevice, PmemPool, ReferenceNVMDevice
 from repro.runtime.registry import registered_engines
@@ -38,14 +43,15 @@ def op_sequences(draw):
     for _ in range(nops):
         kind = draw(
             st.sampled_from(
-                ["write", "copy", "bulk_copy", "flush", "flush_multi", "fence", "persist_all"]
+                ["write", "persist", "copy", "bulk_copy", "flush", "flush_multi", "fence",
+                 "persist_all"]
             )
         )
-        if kind == "write":
+        if kind in ("write", "persist"):
             addr = draw(st.integers(0, DEVICE_SIZE - 1))
             size = draw(st.integers(1, min(256, DEVICE_SIZE - addr)))
             data = bytes(draw(st.integers(0, 255)) for _ in range(size))
-            ops.append(("write", addr, data))
+            ops.append((kind, addr, data))
         elif kind == "copy":
             size = draw(st.integers(1, 256))
             src = draw(st.integers(0, DEVICE_SIZE - size))
@@ -78,6 +84,8 @@ def _drive(device, ops):
     for op in ops:
         if op[0] == "write":
             device.write(op[1], op[2])
+        elif op[0] == "persist":
+            device.persist(op[1], op[2])
         elif op[0] == "copy":
             device.copy(op[1], op[2], op[3], chunks=op[4])
         elif op[0] == "flush":
@@ -111,6 +119,67 @@ def test_optimized_device_is_observationally_equal(ops, policy, seed, survival):
     opt.crash(policy, survival_prob=survival)
     ref.crash(policy, survival_prob=survival)
     assert opt.durable_read(0, DEVICE_SIZE) == ref.durable_read(0, DEVICE_SIZE)
+
+
+def _persist_leg(device_cls, ops, media, addr, data, tick, policy, seed, survival):
+    """Drive ``ops``, arm a fail-point ``tick`` device ops ahead (None:
+    none), persist, then crash; returns what the two devices must agree
+    on: ``(crashed inside persist, NVMStats, lines each on_persist saw,
+    overlay fingerprint before the crash, durable bytes after it)``."""
+    device = device_cls(DEVICE_SIZE, seed=seed)
+    persisted = []
+    if media:
+        model = device.attach_media(seed=seed)
+        on_persist = model.on_persist
+
+        def seen(lines, partial=()):
+            persisted.append((list(lines), list(partial)))
+            on_persist(lines, partial)
+
+        model.on_persist = seen
+    _drive(device, ops)
+    if tick is not None:
+        device.schedule_crash(tick, policy, survival)
+    fingerprint = None
+    try:
+        device.persist(addr, data)
+    except DeviceCrashedError:
+        crashed = True
+    else:
+        crashed = False
+        fingerprint = device.overlay_fingerprint()
+        device.crash(policy, survival_prob=survival)
+    return (
+        crashed,
+        device.stats.snapshot(),
+        persisted,
+        fingerprint,
+        device.durable_read(0, DEVICE_SIZE),
+    )
+
+
+@pytest.mark.parametrize("media", [False, True], ids=["plain", "media"])
+@given(
+    ops=op_sequences(),
+    addr=st.integers(0, DEVICE_SIZE - 1),
+    size=st.integers(0, 256),
+    fill=st.integers(0, 255),
+    tick=st.sampled_from([None, 0, 1, 2]),
+    policy=st.sampled_from([CrashPolicy.DROP_ALL, CrashPolicy.RANDOM]),
+    seed=st.integers(0, 2**16),
+    survival=st.floats(0.0, 1.0),
+)
+@SETTINGS
+def test_persist_is_write_flush_fence_under_failpoints(
+    media, ops, addr, size, fill, tick, policy, seed, survival
+):
+    data = bytes((fill + i) & 0xFF for i in range(min(size, DEVICE_SIZE - addr)))
+    args = (ops, media, addr, data, tick, policy, seed, survival)
+    opt = _persist_leg(NVMDevice, *args)
+    ref = _persist_leg(ReferenceNVMDevice, *args)
+    assert opt == ref
+    if tick is not None and (data or tick < 2):
+        assert opt[0]  # the fail-point fired inside persist
 
 
 # -- full-stack sweep over the engine registry ------------------------------

@@ -161,3 +161,55 @@ class TestSchedulerCostPin:
         result = run_online(ctx, ops, put, 2, kind_of=lambda i: "put")
         assert result.ops == 40
         assert all(rec.async_ns == 0 for rec in ctx.records)
+
+
+#: what a contended 4-client put/get/rmw stream (one hot key, twelve
+#: keys) simulates to on every engine: ``(duration_ns, dependent_waits,
+#: sum of latencies)``, floats as ``float.hex``.  A host-speed change to
+#: the scheduler must not move them; a change that moves a simulated
+#: number rewrites them and says why.
+SCHEDULER_GOLDEN = {
+    "cow": ("0x1.0b6d000000000p+17", 4, "0x1.9297000000000p+18"),
+    "intent-only": ("0x1.17d0000000000p+16", 37, "0x1.114e000000000p+18"),
+    "kamino-dynamic": ("0x1.2030666666667p+16", 45, "0x1.fccc999999999p+17"),
+    "kamino-finegrained": ("0x1.1f7c000000000p+16", 61, "0x1.1159800000000p+18"),
+    "kamino-simple": ("0x1.1af6000000000p+16", 42, "0x1.f0d3000000000p+17"),
+    "nolog": ("0x1.94c0000000000p+15", 38, "0x1.8b74000000000p+17"),
+    "nvtraverse": ("0x1.5f4a000000000p+16", 32, "0x1.077999999999ap+18"),
+    "undo": ("0x1.cefa000000000p+16", 4, "0x1.5c67800000000p+18"),
+}
+
+
+class TestSchedulerGolden:
+    def test_every_registered_engine_is_pinned(self):
+        assert set(registered_engines()) == set(SCHEDULER_GOLDEN)
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULER_GOLDEN))
+    def test_contended_stream(self, name):
+        ctx = ExecutionContext.create(name, value_size=64, heap_mb=2)
+        for k in range(12):
+            ctx.kv.put(k, bytes([k + 1]) * 24)
+        ctx.kv.drain()
+        ctx.reset()
+
+        def run(op):
+            verb, key, i = op
+            if verb == "put":
+                ctx.kv.put(key, bytes([i % 255 + 1]) * 24)
+            elif verb == "get":
+                ctx.kv.get(key)
+            else:
+                ctx.kv.read_modify_write(key, lambda old: old[:8] + b"x" * 8)
+
+        ops = [
+            ("put" if i % 4 == 0 else "rmw" if i % 4 == 3 else "get",
+             (i * 7) % 12 if i % 3 else 0, i)
+            for i in range(160)
+        ]
+        result = run_online(ctx, ops, run, 4, kind_of=lambda op: op[0])
+        assert result.ops == len(ops)
+        assert (
+            result.duration_ns.hex(),
+            result.dependent_waits,
+            sum(result.latencies_ns).hex(),
+        ) == SCHEDULER_GOLDEN[name]

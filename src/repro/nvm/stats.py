@@ -170,11 +170,6 @@ class NVMStats:
             + self.copy_bytes * model.byte_copy_ns
         )
 
-    def cost_since(self, since: Mark, model: LatencyModel) -> Tuple[float, int, int]:
-        """``(simulated_ns, total_bytes, copy_bytes)`` of the counters
-        accumulated since the mark ``since`` (see :func:`interval_cost`)."""
-        return interval_cost(since, NVMStats.mark(self), model)
-
     @property
     def total_bytes(self) -> int:
         """All bytes moved to or from the media (loads+stores+copies)."""

@@ -3,9 +3,11 @@
 Every replica owns its own simulated device, pool, heap, and KV store —
 the replicated system really is N independent persistent stores kept
 consistent by the protocol, exactly like the paper's deployment.  The
-node measures the simulated NVM cost of everything it executes so the
-chain harness can schedule message forwarding at realistic times (the
-``lt``/``lc`` terms of Table 1).
+node prices everything it executes through its own
+:class:`~repro.runtime.context.ExecutionContext`, the one pricing path,
+so the chain harness can schedule message forwarding at realistic times
+(the ``lt``/``lc`` terms of Table 1).  :meth:`ReplicaNode.open_stack`
+is the one place a replica's engine and heap are (re)bound.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from ..kvstore.ring import PersistentRing
 from ..nvm.device import CrashPolicy, NVMDevice
 from ..nvm.latency import NVDIMM, LatencyModel
 from ..nvm.pool import PmemPool
-from ..nvm.stats import NVMStats
+from ..runtime.context import ExecutionContext
 from ..sim.resources import cost_model_for
 from ..tx import IntentOnlyEngine, UndoLogEngine, kamino_dynamic, kamino_simple
 from ..tx.base import IntentKind
@@ -74,9 +76,7 @@ class ReplicaNode:
         heap_bytes = heap_mb << 20
         pool_bytes = heap_bytes * 3 + (16 << 20)
         self.device = NVMDevice(pool_bytes, model=model, seed=seed)
-        pool = PmemPool.create(self.device)
-        self._set_engine(engine_for(mode, role, alpha))
-        self.heap = PersistentHeap.create(pool, self.engine, heap_size=heap_bytes)
+        pool = self.open_stack(heap_size=heap_bytes)
         # a persistent ring for the input queue of forwarded calls (§5.1:
         # "replicas buffer such calls in an input queue in non-volatile
         # memory before the receipt is acknowledged upstream")
@@ -101,11 +101,26 @@ class ReplicaNode:
         #: write-set of the most recent execute() (volatile scratch)
         self.last_write_set: List[Tuple[int, int]] = []
 
-    def _set_engine(self, engine) -> None:
-        """Install ``engine`` and resolve what the scheduler charges per
-        intent on it, once per engine rather than once per call."""
+    def open_stack(self, heap_size: Optional[int] = None) -> PmemPool:
+        """Open the engine and heap for the replica's current role over
+        a fresh pool of ``heap_size`` heap bytes, or, when None, over
+        the pool that survives on the device; returns the pool.
+
+        The one rebind point: the pricing context and the scheduler
+        cost row (whose per-intent charge :meth:`execute` adds) are
+        rebuilt with the engine, so neither can outlive it.
+        """
+        engine = engine_for(self.mode, self.role, self.alpha)
+        if heap_size is None:
+            pool = PmemPool.open(self.device)
+            self.heap = PersistentHeap.open(pool, engine)
+        else:
+            pool = PmemPool.create(self.device)
+            self.heap = PersistentHeap.create(pool, engine, heap_size=heap_size)
         self.engine = engine
-        self._serial_ns_per_intent = cost_model_for(engine.name).serial_ns_per_intent
+        self.ctx = ExecutionContext(self.model, self.device, engine)
+        self.cost = cost_model_for(engine.name)
+        return pool
 
     # -- procedures -------------------------------------------------------------
 
@@ -132,59 +147,43 @@ class ReplicaNode:
         are drained once the transaction has been executed and forwarded
         (they exist to survive the window in between).
         """
-        stats = self.device.stats
-        s0 = NVMStats.mark(stats)
         payload = struct.pack("<I", payload_bytes) + b"\x5a" * min(payload_bytes, 248)
+        return self.ctx.measure(self._enqueue, payload)
+
+    def _enqueue(self, payload: bytes) -> None:
         if self.input_queue.free_bytes < 2 * (len(payload) + 16):
             self.input_queue.drain()
         self.input_queue.append(payload)
-        return stats.cost_since(s0, self.model)[0]
 
     def execute(self, proc: str, args: Tuple[Any, ...]) -> Tuple[Any, float]:
         """Run a named procedure locally; returns (result, cost_ns).
 
-        The cost is the simulated NVM time of the local transaction —
+        The cost is the critical path the replica's context prices —
         the ``lt`` (+ ``lc`` for copying schemes) term of Table 1 — plus
         the scheme's log-management software overhead (allocating,
         indexing and freeing log entries; see
         :mod:`repro.sim.resources`), which the paper identifies as most
-        of undo-logging's cost.
+        of undo-logging's cost.  That overhead is a flat per-intent
+        term: log management on a chain node never queues (DESIGN.md
+        §2.5).  The engine's deferred work is not drained here; the head
+        drains it on its own schedule (:meth:`sync_backup`).
         """
-        fn = self.procs[proc]
-        captured = {"intents": 0, "ranges": []}
-
-        def hook(tx):
-            captured["intents"] = len(tx.intents)
-            # the committed byte-level write-set (FREE'd blocks excluded:
-            # their contents are dead, and the bitmap clears have their
-            # own WRITE intents) — neighbours copy these during repair
-            captured["ranges"] = [
-                (off, size)
-                for off, size, kind in tx.intents
-                if kind is not IntentKind.FREE
-            ]
-
-        stats = self.device.stats
-        self.engine.trace_hook = hook
-        s0 = NVMStats.mark(stats)
-        try:
-            result = fn(self.kv, *args)
-        finally:
-            self.engine.trace_hook = None
-        self.last_write_set = captured["ranges"]
-        cost = stats.cost_since(s0, self.model)[0]
+        result, record, tx = self.ctx.execute(proc, self.procs[proc], self.kv, *args)
+        # the committed byte-level write-set (FREE'd blocks excluded:
+        # their contents are dead, and the bitmap clears have their own
+        # WRITE intents) — neighbours copy these during repair
+        self.last_write_set = [] if tx is None else [
+            (off, size) for off, size, kind in tx.intents if kind is not IntentKind.FREE
+        ]
         # fixed per-intent software cost only (log management plus the
         # write-lock op): the log copy's device time is already inside
-        # the measured delta
-        cost += self._serial_ns_per_intent * captured["intents"]
-        return result, cost
+        # the critical path
+        return result, record.crit_ns + self.cost.serial_ns_per_intent * record.n_intents
 
-    def sync_backup(self, limit: Optional[int] = 1) -> float:
-        """Head only: drain one committed tx's backup sync; returns cost."""
-        stats = self.device.stats
-        s0 = NVMStats.mark(stats)
-        self.engine.sync_pending(limit=limit)
-        return stats.cost_since(s0, self.model)[0]
+    def sync_backup(self, limit: int) -> float:
+        """Head only: drain up to ``limit`` committed transactions'
+        backup sync; returns its cost."""
+        return self.ctx.drain(limit)[0]
 
     # -- failure & repair support ----------------------------------------------------------
 
@@ -194,9 +193,7 @@ class ReplicaNode:
     def reopen(self) -> None:
         """Local restart: fresh engine + heap on the surviving bytes."""
         self.device.restart()
-        pool = PmemPool.open(self.device)
-        self._set_engine(engine_for(self.mode, self.role, self.alpha))
-        self.heap = PersistentHeap.open(pool, self.engine)
+        pool = self.open_stack()
         self.queue_region = pool.region(INPUT_QUEUE_REGION)
         self.input_queue = PersistentRing.open(self.queue_region)
         self.kv = KVStore.open(self.heap)

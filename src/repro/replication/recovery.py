@@ -21,13 +21,11 @@ from typing import List, Optional, Tuple
 
 from ..errors import NVMError, ReplicationError
 from ..nvm.device import CrashPolicy
-from ..nvm.pool import PmemPool
-from ..heap import PersistentHeap
 from ..kvstore import KVStore
 from ..sim.resources import FIFOServer
 from .chain import KAMINO, ChainCluster
 from .messages import TailAck, TxForward
-from .node import ROLE_HEAD, ROLE_MID, ROLE_TAIL, ReplicaNode, engine_for
+from .node import ROLE_HEAD, ROLE_MID, ROLE_TAIL, ReplicaNode
 
 
 def _copy_ranges(dst: ReplicaNode, src: ReplicaNode, ranges: List[Tuple[int, int]]) -> int:
@@ -271,14 +269,12 @@ def _promote_new_head(cluster: ChainCluster) -> None:
     if cluster.mode == KAMINO and new_head.role != ROLE_HEAD:
         succ = cluster.successor(new_head)
         incomplete = list(getattr(new_head.engine, "incomplete_ranges", ()))
+        if succ is not None and incomplete:
+            _copy_ranges(new_head, succ, incomplete)
         # any still-running local transaction state is volatile; scan the
         # durable intent log state via a clean engine restart instead
         new_head.role = ROLE_HEAD
-        pool = PmemPool.open(new_head.device)
-        new_head.engine = engine_for(cluster.mode, ROLE_HEAD, new_head.alpha)
-        if succ is not None and incomplete:
-            _copy_ranges(new_head, succ, incomplete)
-        new_head.heap = PersistentHeap.open(pool, new_head.engine)
+        new_head.open_stack()
         _reload_volatile(new_head)
     else:
         new_head.role = ROLE_HEAD

@@ -27,7 +27,6 @@ class ClockSnapshot:
     """An immutable point-in-time view of a :class:`SimClock`."""
 
     now: float
-    advances: int
 
     def delta(self, since: "ClockSnapshot") -> float:
         """Nanoseconds elapsed since the ``since`` snapshot."""
@@ -39,41 +38,23 @@ class SimClock:
 
     ``now`` is a plain attribute so an
     :class:`~repro.sim.events.EventSimulator` can bind to the clock and
-    drive it from its event queue; :meth:`advance` / :meth:`advance_to`
-    move it by hand.
+    drive it from its event queue, the one thing that moves it.
     """
 
-    __slots__ = ("now", "advances")
+    __slots__ = ("now",)
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self.advances: int = 0
-
-    def advance(self, ns: float) -> float:
-        """Move forward by ``ns`` nanoseconds; returns the new time."""
-        if ns < 0:
-            raise ValueError(f"cannot advance the clock backwards ({ns} ns)")
-        self.now += ns
-        self.advances += 1
-        return self.now
-
-    def advance_to(self, time_ns: float) -> float:
-        """Move forward to an absolute time (no-op if already past it)."""
-        if time_ns > self.now:
-            self.now = time_ns
-            self.advances += 1
-        return self.now
 
     # -- uniform reset/snapshot contract ------------------------------------
 
     def reset(self) -> None:
         """Return to time zero (between benchmark runs)."""
         self.now = 0.0
-        self.advances = 0
 
     def snapshot(self) -> ClockSnapshot:
         """An independent, immutable copy of the current state."""
-        return ClockSnapshot(now=self.now, advances=self.advances)
+        return ClockSnapshot(now=self.now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SimClock now={self.now:.1f}ns advances={self.advances}>"
+        return f"<SimClock now={self.now:.1f}ns>"

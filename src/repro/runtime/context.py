@@ -21,14 +21,17 @@ what it cost (a :class:`~repro.runtime.records.TxRecord`); it never
 moves the clock.  The multi-client scheduler in
 :mod:`repro.runtime.online` is the one place a cost meets virtual time:
 it calls ``run_tx`` at the moment a client reaches the operation and
-threads the record through the shared servers.
+threads the record through the shared servers.  ``run_tx`` is its two
+halves, :meth:`~ExecutionContext.execute` (the critical path) and
+:meth:`~ExecutionContext.drain` (the deferred work); a chain replica
+prices its hops with the halves themselves and keeps no records.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..nvm.device import NVMDevice
 from ..nvm.latency import NVDIMM, LatencyModel
@@ -124,8 +127,6 @@ class ExecutionContext:
         self.rng = random.Random(seed)
         #: records of every transaction executed through :meth:`run_tx`
         self.records: List[TxRecord] = []
-        #: the last transaction to commit inside the running :meth:`run_tx`
-        self._committed = None
 
     # -- construction --------------------------------------------------------
 
@@ -185,42 +186,35 @@ class ExecutionContext:
 
     # -- inline transaction execution ----------------------------------------
 
-    def run_tx(self, kind: str, fn: Callable[..., None], *args) -> TxRecord:
-        """Execute one operation, ``fn(*args)``, as one transaction and
-        record its costs.
+    def execute(self, kind: str, fn: Callable[..., Any], *args) -> Tuple[Any, TxRecord, Any]:
+        """Execute ``fn(*args)`` as one transaction and price its
+        critical path; returns ``(result, record, tx)``.
 
-        Three marks of the device's counters (:attr:`NVMStats.mark`)
-        price the record: before the functional execution, between it
-        and the engine's deferred-work drain, and after the drain.
-        :func:`~repro.nvm.stats.interval_cost` turns the first interval
-        into the critical path and the second into the asynchronous
-        backup sync; no :class:`NVMStats` is built.  The engine's trace
-        hook keeps the last transaction to commit; its write set, read
-        set and intent count go into the record.  The record is
-        appended to :attr:`records`; the clock does not move.  Virtual
-        time belongs to the scheduler
-        (:func:`~repro.runtime.online.run_online`), which threads the
-        record through the shared servers at the moment it executes.
+        Two marks of the device's counters (:attr:`NVMStats.mark`)
+        around the body are priced by
+        :func:`~repro.nvm.stats.interval_cost`; no :class:`NVMStats` is
+        built.  The last transaction the engine's trace hook sees commit
+        (``tx``, None if none did) gives the record its write set, read
+        set and intent count.  The asynchronous fields are zero and
+        nothing is appended: the deferred work is :meth:`drain`'s, on
+        the caller's schedule.  The hook may end before the drain: only
+        ``Transaction.commit`` fires it, and no deferred-work path opens
+        a transaction.
         """
         engine = self.engine
         if self.device is None or engine is None:
-            raise ValueError("run_tx requires a context with a device and an engine")
+            raise ValueError("execute requires a context with a device and an engine")
         stats = self.device.stats
-        self._committed = None
-        engine.trace_hook = self._keep_committed
+        committed = []
+        engine.trace_hook = committed.append
         try:
             start = _mark(stats)
-            fn(*args)
-            crit_end = _mark(stats)
-            # drain exactly this operation's deferred work
-            engine.sync_pending()
+            result = fn(*args)
+            end = _mark(stats)
         finally:
             engine.trace_hook = None
-        end = _mark(stats)
-        tx, self._committed = self._committed, None
-        model = self.model
-        crit_ns, crit_bytes, crit_copy_bytes = interval_cost(start, crit_end, model)
-        async_ns, async_bytes, _ = interval_cost(crit_end, end, model)
+        tx = committed[-1] if committed else None
+        crit_ns, crit_bytes, crit_copy_bytes = interval_cost(start, end, self.model)
         if tx is None:
             n_intents, write_set, read_set = 0, _EMPTY, _EMPTY
         else:
@@ -228,15 +222,46 @@ class ExecutionContext:
             write_set = frozenset(tx.write_set) if tx.write_set else _EMPTY
             read_set = frozenset(tx.read_set)
         record = TxRecord(
-            kind, crit_ns, async_ns, crit_bytes, async_bytes, crit_copy_bytes,
+            kind, crit_ns, 0.0, crit_bytes, 0, crit_copy_bytes,
             n_intents, write_set, read_set,
         )
+        return result, record, tx
+
+    def drain(self, limit: Optional[int] = None) -> Tuple[float, int]:
+        """Drain up to ``limit`` units of the engine's deferred work
+        (all of it when None); returns its ``(simulated_ns, bytes)``."""
+        stats = self.device.stats
+        start = _mark(stats)
+        self.engine.sync_pending(limit)
+        ns, nbytes, _ = interval_cost(start, _mark(stats), self.model)
+        return ns, nbytes
+
+    def measure(self, fn: Callable[..., Any], *args) -> float:
+        """The simulated ns of device work ``fn(*args)`` does outside
+        any transaction (a replica's input-queue append)."""
+        stats = self.device.stats
+        start = _mark(stats)
+        fn(*args)
+        return interval_cost(start, _mark(stats), self.model)[0]
+
+    def run_tx(self, kind: str, fn: Callable[..., None], *args) -> TxRecord:
+        """Execute one operation, ``fn(*args)``, as one transaction and
+        record its costs.
+
+        :meth:`execute` prices the critical path, then :meth:`drain`
+        prices exactly this operation's deferred work as the record's
+        asynchronous backup sync.  The record is appended to
+        :attr:`records`; the clock does not move.  Virtual time belongs
+        to the scheduler (:func:`~repro.runtime.online.run_online`),
+        which threads the record through the shared servers at the
+        moment it executes.
+        """
+        _result, record, _tx = self.execute(kind, fn, *args)
+        async_ns, async_bytes = self.drain()
+        if async_ns or async_bytes:
+            record = record._replace(async_ns=async_ns, async_bytes=async_bytes)
         self.records.append(record)
         return record
-
-    def _keep_committed(self, tx) -> None:
-        """The engine's trace hook during :meth:`run_tx`."""
-        self._committed = tx
 
     # -- uniform reset/snapshot contract -------------------------------------
 

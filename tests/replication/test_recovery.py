@@ -95,6 +95,20 @@ class TestFailStop:
         write_more(cluster, 0, 10)
         cluster.assert_replicas_consistent()
 
+    def test_promoted_head_repairs_a_rebooted_successor(self):
+        """The promoted head executes on its own new engine: the write it
+        forwards carries a non-empty repair write set, so a successor
+        that quick-reboots with that write in flight rolls it forward."""
+        cluster = ChainCluster(f=2, mode=KAMINO, heap_mb=4, value_size=64)
+        run_clients(cluster, [[Op(UPDATE, k, bytes([k + 1]) * 16) for k in range(20)]])
+        fail_stop(cluster, 0)
+        cluster.submit_write("put", (5, b"N" * 16), (5,))
+        head = cluster.head
+        assert head.applied_ranges[max(head.applied_ranges)]
+        quick_reboot(cluster, 1, CrashPolicy.DROP_ALL)
+        cluster.sim.run()
+        cluster.assert_replicas_consistent()
+
     def test_view_id_bumps_per_failure(self):
         cluster = loaded_cluster(KAMINO)
         v0 = cluster.view_id

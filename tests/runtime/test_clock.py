@@ -1,7 +1,5 @@
 """SimClock: the unified virtual time source."""
 
-import pytest
-
 from repro.runtime import ClockSnapshot, SimClock
 
 
@@ -9,37 +7,18 @@ class TestSimClock:
     def test_starts_at_zero(self):
         assert SimClock().now == 0.0
 
-    def test_advance_accumulates(self):
-        clock = SimClock()
-        clock.advance(100.0)
-        clock.advance(50.5)
-        assert clock.now == 150.5
-        assert clock.advances == 2
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock().advance(-1.0)
-
-    def test_advance_to_is_monotonic(self):
-        clock = SimClock()
-        clock.advance_to(200.0)
-        assert clock.now == 200.0
-        clock.advance_to(100.0)  # never goes backwards
-        assert clock.now == 200.0
-
     def test_reset_contract(self):
         clock = SimClock()
-        clock.advance(42.0)
+        clock.now = 42.0
         clock.reset()
         assert clock.now == 0.0
-        assert clock.advances == 0
 
     def test_snapshot_is_immutable_view(self):
         clock = SimClock()
-        clock.advance(10.0)
+        clock.now = 10.0
         snap = clock.snapshot()
-        assert snap == ClockSnapshot(now=10.0, advances=1)
-        clock.advance(5.0)
+        assert snap == ClockSnapshot(now=10.0)
+        clock.now += 5.0
         assert snap.now == 10.0  # frozen
         assert clock.snapshot().delta(snap) == 5.0
 
@@ -61,7 +40,7 @@ class TestEventSimulatorBinding:
 
         clock = SimClock()
         sim = EventSimulator(clock=clock)
-        clock.advance(500.0)
+        clock.now += 500.0
         assert sim.now == 500.0
         event = sim.schedule(10.0, lambda: None)
         assert event.time == 510.0

@@ -42,7 +42,7 @@ class TestConstruction:
 
     def test_events_share_the_clock(self):
         ctx = ExecutionContext.create("undo", value_size=256, heap_mb=4)
-        ctx.clock.advance(100.0)
+        ctx.clock.now += 100.0
         assert ctx.events.now == 100.0
         ctx.events.schedule(50.0, lambda: None)
         ctx.events.run()
@@ -93,7 +93,7 @@ class TestResetSnapshotContract:
         ctx = ExecutionContext.create("undo", value_size=256, heap_mb=4)
         ctx.run_tx("put", lambda: ctx.kv.put(1, b"x" * 32))
         ctx.resources.bandwidth.transfer(0.0, 1000)
-        ctx.clock.advance(5.0)
+        ctx.clock.now += 5.0
         assert ctx.clock.now > 0
         ctx.reset()
         snap = ctx.snapshot()
@@ -120,7 +120,7 @@ class TestResetSnapshotContract:
         ctx = ExecutionContext.create("undo", value_size=256, heap_mb=4)
         before = ctx.snapshot()
         ctx.run_tx("put", lambda: ctx.kv.put(1, b"x" * 32))
-        ctx.clock.advance(7.0)
+        ctx.clock.now += 7.0
         after = ctx.snapshot()
         assert before.clock.now == 0.0
         assert before.stats.stores < after.stats.stores
@@ -152,7 +152,7 @@ class TestUniformContract:
         from repro.runtime import SimClock
 
         clock = SimClock()
-        clock.advance(9.0)
+        clock.now += 9.0
         assert clock.snapshot().now == 9.0
         clock.reset()
         assert clock.snapshot().now == 0.0

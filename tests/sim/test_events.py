@@ -71,7 +71,7 @@ class TestScheduling:
 
         def charge_and_record(tag):
             observed.append((tag, sim.now))
-            sim.clock.now += 7  # inline cost, as SimClock.advance does
+            sim.clock.now += 7  # inline cost charged on the shared clock
 
         for tag in "abc":
             sim.schedule(10, charge_and_record, tag)

@@ -46,6 +46,15 @@ the head does not record, ridden out by the request ladder.  The
 head-side and admission-side queue-and-readmit paths, the breaker
 listeners and the gateway's terminal exception are gone, and so are the
 protocol names nothing sends or raises and the ``build_stack`` veneer.
+
+A transaction is priced one way, by its context
+(``ExecutionContext.execute`` / ``drain``): a chain replica prices through
+its own context, so ``NVMStats.cost_since``, the replica's own marks and
+trace hook, and the per-intent charge it cached by hand are gone, and
+``run_tx`` grows no option.  A replica's engine and heap are rebound in
+one place (``ReplicaNode.open_stack``): ``_set_engine`` is gone and no
+module outside ``node.py`` assigns them.  The clock is moved only by the
+event simulator, so ``SimClock.advance`` / ``advance_to`` are gone.
 """
 
 import os
@@ -402,3 +411,36 @@ def test_names_nothing_sends_or_raises_are_gone():
         (repro.bench, "build_stack"),
     ]:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_a_transaction_is_priced_one_way():
+    import inspect
+
+    from repro.nvm.stats import NVMStats
+    from repro.replication.node import ReplicaNode
+    from repro.runtime import SimClock
+
+    assert not hasattr(NVMStats, "cost_since")
+    assert not hasattr(ReplicaNode, "_set_engine")
+    node = ReplicaNode("r0", "kamino", "head", heap_mb=1, value_size=64)
+    assert not hasattr(node, "_serial_ns_per_intent")
+    for name in ("advance", "advance_to"):
+        assert not hasattr(SimClock, name), name
+    params = inspect.signature(ExecutionContext.run_tx).parameters.values()
+    assert [(p.name, p.kind) for p in params] == [
+        ("self", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("kind", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("fn", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("args", inspect.Parameter.VAR_POSITIONAL),
+    ]
+
+
+def test_replication_prices_nothing_itself_and_rebinds_in_one_place():
+    private = re.compile(r"NVMStats\.mark|interval_cost|cost_since|trace_hook")
+    for path in sorted((ROOT / "src" / "repro" / "replication").glob("*.py")):
+        match = private.search(path.read_text(encoding="utf-8"))
+        assert match is None, f"{path}: {match.group(0)}"
+    rebind = re.compile(r"(?<!self)\.(?:engine|heap)\s*=(?!=)")
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        match = rebind.search(path.read_text(encoding="utf-8"))
+        assert match is None, f"{path}: {match.group(0)}"

@@ -6,7 +6,7 @@ may not change in the same PR as the program, so this shim answers
 ``"pure"`` with that device and every other name with ``RuntimeError``,
 which makes the cells of the retired second store read ``null``.  This
 module and the ``NVMDevice.backend`` attribute are to be deleted by the
-benchmark-only PR (ROADMAP item 1).
+benchmark-only PR (ROADMAP item 6).
 """
 
 from __future__ import annotations

@@ -36,7 +36,16 @@ the recorded pages that hold zeros again), a set holds the pages that
 may hold a dirty line, and :meth:`NVMDevice.crash`,
 :meth:`NVMDevice.persist_all`, :meth:`NVMDevice.overlay_fingerprint`,
 :meth:`NVMDevice.clone_durable` and :meth:`NVMDevice.read_gather` visit
-only those.
+only those.  The two bulk moves follow the same rule: a copy, and a
+flush run, wider than a page move page by page, and a chunk whose pages
+are known zero on both sides moves no bytes — only its mask bytes are
+set or cleared.  For a copy that is every source page it overlaps never
+written and holding no dirty line, and its destination page never
+written and all zero in the overlay; for a flush run, its page never
+written and its overlay lines all zero.  Seeding a fresh full mirror
+(a heap's worth of zeros) therefore costs its mask bytes, not two heaps
+of resident pages; the page-scale leg of the differential tests holds
+these moves to the reference.
 None of this may be visible in simulated results: durable bytes,
 :class:`~repro.nvm.stats.NVMStats`, and crash-surviving state must be
 bit-identical to the naive :class:`~repro.nvm.reference.ReferenceNVMDevice`
@@ -113,6 +122,11 @@ _PAGE_SHIFT = PAGE.bit_length() - 1
 _PAGE_LINE_SHIFT = _PAGE_SHIFT - _LINE_SHIFT  # line index -> page index
 _ZERO_PAGE = bytes(PAGE)
 assert 1 << _PAGE_SHIFT == PAGE
+
+#: the widest window of mask bytes a walk for dirty-line runs copies at
+#: once (1 MiB of device), so a run over a whole mirror costs no
+#: pool-sized buffer
+_SCAN_PAGES = 256
 
 
 def lazy_zeros(n: int) -> mmap.mmap:
@@ -242,7 +256,7 @@ class NVMDevice:
 
     #: recorded by perfbench as ``host.nvm_backend`` and kept only for
     #: it (with :mod:`repro.nvm.backend`); both are to be deleted by the
-    #: benchmark-only PR (ROADMAP item 1)
+    #: benchmark-only PR (ROADMAP item 6)
     backend = "pure"
 
     def __init__(
@@ -409,7 +423,9 @@ class NVMDevice:
 
         Reads the mask bytes of the pages that may hold a dirty line and
         no others, so a walk over the whole device costs its dirty pages,
-        not the pool.  Adjacent pages are scanned as one window, so a run
+        not the pool.  Adjacent pages are scanned as one window of up to
+        :data:`_SCAN_PAGES` pages, and a run that reaches the end of a
+        window is joined with the one that starts the next, so a run
         never splits at a page boundary (a run is a flush burst).
         """
         pages = self._dirty_pages
@@ -424,7 +440,7 @@ class NVMDevice:
         i = 0
         while i < len(visit):
             j = i + 1
-            while j < len(visit) and visit[j] == visit[j - 1] + 1:
+            while j < len(visit) and visit[j] == visit[j - 1] + 1 and j - i < _SCAN_PAGES:
                 j += 1
             lo = max(visit[i] << _PAGE_LINE_SHIFT, first)
             hi = min((visit[j - 1] + 1) << _PAGE_LINE_SHIFT, last + 1)
@@ -434,7 +450,10 @@ class NVMDevice:
                 end = flags.find(0, pos)
                 if end < 0:
                     end = len(flags)
-                runs.append((lo + pos, lo + end))
+                if runs and runs[-1][1] == lo + pos:
+                    runs[-1] = (runs[-1][0], lo + end)
+                else:
+                    runs.append((lo + pos, lo + end))
                 pos = flags.find(1, end)
             i = j
         return runs
@@ -442,12 +461,10 @@ class NVMDevice:
     def _flush_runs(
         self, runs: List[Tuple[int, int]]
     ) -> Tuple[int, Optional[List[int]], Optional[List[int]]]:
-        """Persist and clean the dirty-line ``runs``, one slice copy
-        each; returns the lines flushed and, with media attached, the
-        list of them the media hears about and those among them the
-        flush rewrote only in part."""
-        durable = self._durable
-        overlay = self._overlay
+        """Persist and clean the dirty-line ``runs`` (see
+        :meth:`_move_to_media`); returns the lines flushed and, with
+        media attached, the list of them the media hears about and those
+        among them the flush rewrote only in part."""
         masks = self._masks
         persisted = partial = None
         if self._media is not None:
@@ -455,16 +472,40 @@ class NVMDevice:
             partial = [line for line in persisted if masks[line] != _FULL_MASK]
         flushed = 0
         for start, end in runs:
-            lo = start << _LINE_SHIFT
-            hi = end << _LINE_SHIFT
-            durable[lo:hi] = overlay[lo:hi]
+            self._move_to_media(start, end)
             masks[start:end] = bytes(end - start)
-            self._touch(start, end - 1)
             flushed += end - start
         self._dirty_count -= flushed
         if not self._dirty_count:
             self._dirty_pages.clear()
         return flushed, persisted, partial
+
+    def _move_to_media(self, start: int, end: int) -> None:
+        """Copy the overlay's lines ``start..end-1`` onto the media and
+        record the pages written.
+
+        Up to a page, one slice.  Wider, a page at a time, and a page
+        that is known zero on both sides — never written on the media,
+        all zero in the overlay — moves nothing and stays out of the
+        record: it would write zeros over zeros and make the page
+        resident (a fresh full mirror is a heap's worth of such pages).
+        """
+        lo = start << _LINE_SHIFT
+        hi = end << _LINE_SHIFT
+        durable = self._durable
+        overlay = self._overlay
+        if hi - lo <= PAGE:
+            durable[lo:hi] = overlay[lo:hi]
+            self._touch(start, end - 1)
+            return
+        touched = self._touched
+        is_zero = _ZERO_PAGE.startswith
+        for page in range(lo >> _PAGE_SHIFT, ((hi - 1) >> _PAGE_SHIFT) + 1):
+            a = max(lo, page << _PAGE_SHIFT)
+            b = min(hi, (page + 1) << _PAGE_SHIFT)
+            if page in touched or not is_zero(overlay[a:b]):
+                durable[a:b] = overlay[a:b]
+                touched.add(page)
 
     # -- raw overlay data path (no stats, no checks) -----------------------
 
@@ -581,6 +622,27 @@ class NVMDevice:
         overlay[addr:end] = data
         masks[first] |= _SPAN_MASKS[(addr & _LINE_MASK) >> _WORD_SHIFT][_WORDS_PER_LINE - 1]
         masks[last] |= _SPAN_MASKS[0][((end - 1) & _LINE_MASK) >> _WORD_SHIFT]
+
+    def _mark(self, addr: int, end: int) -> None:
+        """Dirty ``[addr, end)`` exactly as :meth:`_poke` of those bytes
+        would, moving none: for bytes the overlay already holds (zeros
+        over a zero overlay page and a never-written media page, where
+        the fault-in of a clean partial line moves zeros too)."""
+        first = addr >> _LINE_SHIFT
+        last = (end - 1) >> _LINE_SHIFT
+        masks = self._masks
+        self._dirty_count += bytes(masks[first : last + 1]).count(0)
+        head = (addr & _LINE_MASK) >> _WORD_SHIFT
+        tail = ((end - 1) & _LINE_MASK) >> _WORD_SHIFT
+        if first == last:
+            masks[first] |= _SPAN_MASKS[head][tail]
+        else:
+            masks[first + 1 : last] = bytes([_FULL_MASK]) * (last - first - 1)
+            masks[first] |= _SPAN_MASKS[head][_WORDS_PER_LINE - 1]
+            masks[last] |= _SPAN_MASKS[0][tail]
+        self._dirty_pages.update(
+            range(first >> _PAGE_LINE_SHIFT, (last >> _PAGE_LINE_SHIFT) + 1)
+        )
 
     # -- data path ---------------------------------------------------------
 
@@ -745,7 +807,55 @@ class NVMDevice:
         stats.copy_bytes += size
         if self._media is not None:
             self._media.check_read(src, size)
-        self._poke(dst, self._peek(src, size))
+        if size <= PAGE:
+            self._poke(dst, self._peek(src, size))
+        else:
+            self._copy_pages(dst, src, size)
+
+    def _copy_pages(self, dst: int, src: int, size: int) -> None:
+        """The uncharged move of a copy wider than a page, one
+        destination page at a time — from the top down when the
+        destination overlaps above the source, as ``memmove`` goes, so
+        no chunk reads bytes an earlier chunk wrote.
+
+        A chunk whose pages are all known zero on both sides moves no
+        bytes and is only marked dirty (:meth:`_mark`): every source
+        page it overlaps was never written and holds no dirty line, and
+        its destination page was never written and reads zero in the
+        overlay.  A run of such chunks is marked in one go, before the
+        next chunk that moves bytes: while it waits, its lines read as
+        the zeros they will hold either way.
+        """
+        end = dst + size
+        pages = range(dst >> _PAGE_SHIFT, ((end - 1) >> _PAGE_SHIFT) + 1)
+        if src < dst < src + size:
+            pages = reversed(pages)
+        shift = src - dst
+        touched = self._touched
+        dirty_pages = self._dirty_pages
+        overlay = self._overlay
+        is_zero = _ZERO_PAGE.startswith
+        waiting: Optional[Tuple[int, int]] = None
+        for page in pages:
+            lo = max(dst, page << _PAGE_SHIFT)
+            hi = min(end, (page + 1) << _PAGE_SHIFT)
+            sources = range((lo + shift) >> _PAGE_SHIFT, ((hi - 1 + shift) >> _PAGE_SHIFT) + 1)
+            if (
+                page not in touched
+                and touched.isdisjoint(sources)
+                and dirty_pages.isdisjoint(sources)
+                and is_zero(overlay[page << _PAGE_SHIFT : (page + 1) << _PAGE_SHIFT])
+            ):
+                if waiting is not None:
+                    lo, hi = min(lo, waiting[0]), max(hi, waiting[1])
+                waiting = lo, hi
+                continue
+            if waiting is not None:
+                self._mark(*waiting)
+                waiting = None
+            self._poke(lo, self._peek(lo + shift, hi - lo))
+        if waiting is not None:
+            self._mark(*waiting)
 
     # -- persistence -------------------------------------------------------
 
@@ -924,13 +1034,11 @@ class NVMDevice:
                 overlay = self._overlay
                 rng = self._rng.random
                 for start, end in runs:
-                    self._touch(start, end - 1)
                     if keep_all and bytes(masks[start:end]).count(_FULL_MASK) == end - start:
-                        # every word of the run survives: one slice copy
-                        lo = start << _LINE_SHIFT
-                        hi = end << _LINE_SHIFT
-                        durable[lo:hi] = overlay[lo:hi]
+                        # every word of the run survives: a flush's move
+                        self._move_to_media(start, end)
                         continue
+                    self._touch(start, end - 1)
                     # the per-word loop is deliberate: RANDOM draws must
                     # match the reference draw for draw
                     for line in range(start, end):

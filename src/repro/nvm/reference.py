@@ -45,7 +45,7 @@ class ReferenceNVMDevice(NVMDevice):
     def _durable_pages(self) -> Iterator[Tuple[int, bytes]]:
         for page in range((self.size + PAGE - 1) // PAGE):
             data = bytes(self._durable[page * PAGE : (page + 1) * PAGE])
-            if any(data):
+            if data != bytes(len(data)):
                 yield page, data
 
     def _copy_durable_to(self, clone: NVMDevice) -> None:

@@ -237,9 +237,13 @@ class BackupStrategy(ABC):
 class FullBackup(BackupStrategy):
     """A byte-for-byte mirror of the heap region (Kamino-Tx-Simple).
 
-    Storage requirement: 2 × dataSize.  ``ensure_copy`` is a no-op — the
-    mirror is consistent for every object whose lock is free, which is
-    exactly the paper's invariant.
+    Storage requirement: 2 × dataSize, all of it provisioned on the
+    device.  Resident host memory is what was written: the seeding copy
+    and flush of a freshly formatted heap move no page that is zero on
+    both sides (see :mod:`repro.nvm.device`), so a fresh mirror costs
+    the heap's written pages, not a second heap.  ``ensure_copy`` is a
+    no-op — the mirror is consistent for every object whose lock is
+    free, which is exactly the paper's invariant.
     """
 
     def __init__(self):

@@ -80,11 +80,18 @@ class _LookupTable:
         self.capacity = region.size // _ENTRY_SIZE
         #: heap_off -> (index, backup_off, size, slot_size)
         self.index: Dict[int, Tuple[int, int, int, int]] = {}
-        self._free_indices: List[int] = []
-        if fresh:
-            self._free_indices = list(range(self.capacity - 1, -1, -1))
-        else:
+        #: free indices below ``_fresh``, the next to take last: a
+        #: removed entry's index is reused first, then the lowest hole
+        self._recycled: List[int] = []
+        #: every index from here up is free and taken in ascending order
+        self._fresh = 0
+        if not fresh:
             self.scan()
+
+    @property
+    def full(self) -> bool:
+        """No free entry is left: an insert must evict first."""
+        return not self._recycled and self._fresh >= self.capacity
 
     def scan(self) -> None:
         """Rebuild the volatile index from persistent entries (reopen).
@@ -112,19 +119,28 @@ class _LookupTable:
                 continue  # torn
             self.index[heap_off] = (i, backup_off, sizes & 0xFFFFFFFF, sizes >> 32)
             valid.append(i)
-        # every other index is free, highest first (insert pops the lowest)
-        free: List[int] = []
-        top = capacity
+        self._free_all_but(valid)
+
+    def _free_all_but(self, valid: List[int]) -> None:
+        """Free every index but the ``valid`` ones (ascending), so that
+        inserts take the lowest free index first: the holes below the
+        highest valid entry, highest on top, then everything above it."""
+        top = self._fresh = valid[-1] + 1 if valid else 0
+        holes: List[int] = []
         for i in reversed(valid):
-            free.extend(range(top - 1, i, -1))
+            holes.extend(range(top - 1, i, -1))
             top = i
-        free.extend(range(top - 1, -1, -1))
-        self._free_indices = free
+        holes.extend(range(top - 1, -1, -1))
+        self._recycled = holes
 
     def insert(self, heap_off: int, backup_off: int, size: int, slot_size: int) -> int:
-        if not self._free_indices:
+        if self._recycled:
+            i = self._recycled.pop()
+        elif self._fresh < self.capacity:
+            i = self._fresh
+            self._fresh += 1
+        else:
             raise HeapError("dynamic backup lookup table full")
-        i = self._free_indices.pop()
         sizes = (slot_size << 32) | size
         raw = struct.pack(
             _ENTRY_FMT, heap_off, backup_off, sizes, _entry_state(heap_off, backup_off, sizes)
@@ -142,7 +158,7 @@ class _LookupTable:
         self.region.write(i * _ENTRY_SIZE + 24, struct.pack("<Q", _STATE_EMPTY))
         self.region.flush(i * _ENTRY_SIZE + 24, 8)
         self.region.pool.device.fence()
-        self._free_indices.append(i)
+        self._recycled.append(i)
         return backup_off, slot_size
 
     def get(self, heap_off: int) -> Optional[Tuple[int, int, int, int]]:
@@ -284,7 +300,7 @@ class DynamicBackup(BackupStrategy):
         self._insert_copy(offset, size)
 
     def _insert_copy(self, offset: int, size: int) -> Tuple[int, int, int, int]:
-        if not self.lookup._free_indices:
+        if self.lookup.full:
             # the lookup table is the scarce resource: evict to free a row
             victim = self._pick_victim(self._slot_class(size))
             v_off, v_slot = self.lookup.remove(victim)

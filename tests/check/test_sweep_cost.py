@@ -11,10 +11,12 @@ things pin that:
 * recovery runs once per judged scenario, plus twice per nested family:
   once to count recovery's operations and once for the recovery pass
   every nested scenario of the family forks from;
-* a digest forgets the written pages that hold zeros again (the full
-  mirror's copy of a zeroed heap), so clones copy only non-zero pages;
+* a digest forgets the written pages that hold zeros again, so clones
+  copy only non-zero pages (the full mirror's copy of a zeroed heap is
+  never written in the first place);
 * building, crashing, fingerprinting and cloning a device is independent
-  of the pool size, in time and in resident memory.
+  of the pool size, in time and in resident memory, and so is creating a
+  stack on any engine.
 """
 
 import os
@@ -24,11 +26,13 @@ import time
 from collections import Counter
 
 import repro
+from repro import ExecutionContext
 from repro.check import CrashExplorer, explorer as explorer_module
 from repro.check.workload import KVWorkload, build_stack
 from repro.nvm import CrashPolicy, NVMDevice
 from repro.nvm.device import PAGE
-from repro.runtime.registry import engine_info
+from repro.runtime.registry import engine_info, registered_engines
+from repro.tx.backup import BACKUP_REGION
 
 SMALL_POOL = 8 << 20
 BIG_POOL = 256 << 20
@@ -94,14 +98,23 @@ def _nonzero_pages(device):
 
 
 def test_clones_copy_only_non_zero_pages(monkeypatch):
-    """After setup the full mirror holds a copy of the zeroed heap, a
-    few hundred written pages of zeros: the first digest forgets them,
-    and a clone copies the pages that hold data and nothing else."""
+    """After setup the full mirror holds a copy of the zeroed heap, and
+    none of its pages of zeros was written: only the pages that hold
+    data are recorded.  Pages written and then zeroed again are recorded
+    until the first digest forgets them, and a clone copies the pages
+    that hold data and nothing else."""
     heap, _engine, device = build_stack(engine_info("kamino-simple").factory)
     KVWorkload().setup(heap)
     heap.drain()
     nonzero = _nonzero_pages(device)
-    assert len(device._touched) > 10 * len(nonzero)
+    assert device._touched == nonzero
+    mirror = heap.pool.region(BACKUP_REGION)
+    tail = mirror.offset + mirror.size - 64 * PAGE
+    for data in (b"\x5a" * 64 * PAGE, bytes(64 * PAGE)):
+        device.write(tail, data)
+        device.flush(tail, 64 * PAGE)
+    assert _nonzero_pages(device) == nonzero
+    assert len(device._touched - nonzero) >= 64
     device.overlay_fingerprint()
     assert device._touched == nonzero
     counts = Counter()
@@ -180,3 +193,58 @@ def test_crash_image_memory_does_not_scale_with_the_pool():
     )
     grown_kib = int(out.stdout.strip())
     assert grown_kib < 64 << 10, f"ru_maxrss grew {grown_kib >> 10} MiB"
+
+
+_CREATE_PROBE = """
+import resource
+from repro import ExecutionContext
+from repro.runtime.registry import registered_engines
+for name in sorted(registered_engines()):
+    ExecutionContext.create(name, heap_mb=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for name in sorted(registered_engines()):
+    ctx = ExecutionContext.create(name, heap_mb=256)
+    print(name, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+    del ctx
+"""
+
+
+def test_creating_a_stack_does_not_scale_with_the_heap():
+    """A fresh process creates a 256 MiB heap on every engine.  The full
+    mirror is provisioned at twice the heap, yet a fresh one copies and
+    flushes pages of zeros only, so it must stay as cheap as the rest:
+    resident memory follows what setup wrote, not the pool."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _CREATE_PROBE],
+        env=env, cwd=root, capture_output=True, text=True, timeout=120, check=True,
+    )
+    grown = dict(line.split() for line in out.stdout.splitlines())
+    assert sorted(grown) == sorted(registered_engines())
+    for name, kib in grown.items():
+        assert int(kib) < 24 << 10, f"{name}: ru_maxrss grew {int(kib) >> 10} MiB"
+
+
+#: what creating a 48 MiB stack charges, engine by engine, in this
+#: order — as it did when the full mirror's seeding copy and flush still
+#: moved every page
+CHARGED = ("loads", "load_bytes", "stores", "store_bytes", "flushes", "flushed_lines",
+           "flush_bursts", "fences", "copies", "copy_bytes")
+POST_CREATE_STATS = {
+    "cow": (2, 16, 37, 1344, 42, 41, 41, 26, 10, 160),
+    "intent-only": (2, 16, 33, 1120, 28, 29, 29, 18, 0, 0),
+    "kamino-dynamic": (2, 16, 41, 1344, 40, 42, 42, 30, 4, 32),
+    "kamino-finegrained": (2, 16, 41, 1344, 40, 42, 42, 30, 4, 32),
+    "kamino-simple": (2, 16, 35, 1168, 31, 786463, 786463, 21, 1, 50331648),
+    "nolog": (2, 16, 16, 328, 11, 11, 11, 7, 0, 0),
+    "nvtraverse": (6, 48, 26, 856, 23, 786457, 786457, 17, 1, 50331648),
+    "undo": (2, 16, 33, 1120, 32, 33, 33, 22, 4, 32),
+}
+
+
+def test_creating_a_stack_charges_what_it_always_did():
+    for name, want in POST_CREATE_STATS.items():
+        stats = ExecutionContext.create(name, heap_mb=48).device.stats.snapshot()
+        assert tuple(getattr(stats, field) for field in CHARGED) == want, name

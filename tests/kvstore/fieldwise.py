@@ -210,7 +210,7 @@ def _check_node(self, node, lo, hi, leaves):
 
 def lookup_scan(self):
     """The per-entry look-up table walk: one charged read per entry."""
-    self._free_indices = []
+    valid = []
     self.index = {}
     for i in range(self.capacity):
         raw = self.region.read(i * dynamic._ENTRY_SIZE, dynamic._ENTRY_SIZE)
@@ -218,10 +218,10 @@ def lookup_scan(self):
         if state == dynamic._STATE_EMPTY or state != dynamic._entry_state(
             heap_off, backup_off, sizes
         ):
-            self._free_indices.append(i)
             continue
         self.index[heap_off] = (i, backup_off, sizes & 0xFFFFFFFF, sizes >> 32)
-    self._free_indices.reverse()
+        valid.append(i)
+    self._free_all_but(valid)
 
 
 _PATCHES = [

@@ -219,7 +219,7 @@ def _reopened_table(device_cls, torn, dead_entry):
         heap.free(blobs[2])
     heap.drain()
     lookup = engine.backup.lookup
-    assert lookup.capacity == 8192 and torn in lookup._free_indices
+    assert lookup.capacity == 8192 and torn >= lookup._fresh  # never taken
     lookup.region.write(torn * 32, struct.pack("<QQQQ", 4096, 64, 64, 0xBAD))
     device.persist_all()
     device.crash()
@@ -236,7 +236,7 @@ def _reopened_table(device_cls, torn, dead_entry):
     backup = engine2.backup
     return {
         "index": list(backup.lookup.index.items()),
-        "free": backup.lookup._free_indices,
+        "free": (backup.lookup._recycled, backup.lookup._fresh),
         "lru": list(backup._lru),
         "charged": device.stats.delta(before),
     }

@@ -30,6 +30,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import DeviceCrashedError, MediaError
 from repro.nvm import CrashPolicy, NVMDevice, ReferenceNVMDevice
+from repro.nvm import device as device_module
+from repro.nvm.device import PAGE
 
 DEVICE_SIZE = 1 << 16
 LINE = 64
@@ -681,3 +683,174 @@ def test_clone_durable_leaves_the_overlay_behind():
     assert type(c1) is NVMDevice
     assert c1.read(0, SMALL) == c2.read(0, SMALL)
     assert c1.dirty_lines == c2.dirty_lines == 0
+
+
+# -- page-scale bulk moves -----------------------------------------------------
+#
+# Above one page a copy and a flush run move page by page, and a chunk
+# whose pages are known zero on both sides moves no bytes.  The rigs
+# above use devices of a few pages and never get there; this one drives
+# a 1 MiB device with copies and flushes of 17-80 pages whose ends are
+# page-aligned, only line-aligned or unaligned — so a chunk can straddle
+# from a zero page into a written one — over a landscape of untouched
+# pages, pages written and then zeroed (which a digest forgets), dirty
+# lines holding zeros and pages of data, with a media model attached.
+
+BIG = 1 << 20
+
+
+def _aligned(rng, limit):
+    """An offset in ``[0, limit]``: page-aligned, line-aligned or not."""
+    align = rng.choice([PAGE, LINE, 1])
+    return rng.randrange(limit // align + 1) * align
+
+
+def _bulk_copy(rng):
+    size = 17 * PAGE + _aligned(rng, 63 * PAGE)
+    src = _aligned(rng, BIG - size)
+    if rng.random() < 0.3:
+        # overlapping, either way round (or onto itself)
+        dst = src + rng.choice([-1, 1]) * _aligned(rng, size - 1)
+        dst = min(max(dst, 0), BIG - size)
+    else:
+        dst = _aligned(rng, BIG - size)
+    return ("copy", dst, src, size, 1)
+
+
+def _wide_flush(rng):
+    size = 17 * PAGE + _aligned(rng, 63 * PAGE)
+    return ("flush", _aligned(rng, BIG - size), size)
+
+
+def _scribble(rng, lo=0, hi=BIG):
+    """A few lines to three pages of data or zeros inside ``[lo, hi)``:
+    left dirty, flushed, or dropped by a crash (stale overlay bytes over
+    a page still zero on the media) — zeros flushed over data make a
+    written page zero again."""
+    size = min(_aligned(rng, 3 * PAGE) or LINE, hi - lo)
+    addr = lo + _aligned(rng, hi - lo - size)
+    data = rng.randbytes(size)
+    kind = rng.choice(["data", "dirty_data", "zeroed", "dirty_zeros", "stale"])
+    if kind == "data":
+        return [("write", addr, data), ("flush", addr, size)]
+    if kind == "dirty_data":
+        return [("write", addr, data)]
+    if kind == "zeroed":
+        return [("write", addr, data), ("flush", addr, size),
+                ("write", addr, bytes(size)), ("flush", addr, size)]
+    if kind == "stale":
+        return [("write", addr, data), ("crash", CrashPolicy.DROP_ALL, 0.0)]
+    return [("write", addr, bytes(size))]
+
+
+def _page_scale_tape(rng, nops):
+    ops = [op for _ in range(12) for op in _scribble(rng)]
+    for _ in range(nops):
+        kind = rng.choice(["copy", "copy", "flush", "flush", "scribble",
+                           "persist_all", "crash", "fail", "fork"])
+        if kind == "copy":
+            # most copies meet something written or dirty on one side
+            copy = _bulk_copy(rng)
+            for at in (copy[1], copy[2]):
+                if rng.random() < 0.5:
+                    ops.extend(_scribble(rng, at, at + copy[3]))
+            ops.append(copy)
+        elif kind == "flush":
+            ops.append(_wide_flush(rng))
+        elif kind == "scribble":
+            ops.extend(_scribble(rng))
+        elif kind == "persist_all":
+            ops.append(("persist_all",))
+        elif kind == "crash":
+            ops.append(("crash", rng.choice(POLICIES), rng.random()))
+        elif kind == "fail":
+            # a full mirror's seeding: a bulk copy, then a flush of its
+            # destination; the fail-point fires on one or the other
+            copy = _bulk_copy(rng)
+            ops.append((
+                "fail", rng.randint(0, 1), rng.choice(POLICIES), rng.random(),
+                [copy, ("flush", copy[1], copy[3])],
+            ))
+        else:
+            ops.append(("fork", rng.randrange(1 << 16)))
+    return ops
+
+
+def _same_image(opt, ref):
+    """Everything the checker and a scrub see of the two devices: the
+    dirty-line count, counters, checksum sidecar, digest and volatile
+    view now, and the image every crash policy resolves a fork to."""
+    assert opt.dirty_lines == ref.dirty_lines
+    assert opt.stats.snapshot() == ref.stats.snapshot()
+    assert opt.media.sidecar._crcs == ref.media.sidecar._crcs
+    assert opt.overlay_fingerprint() == ref.overlay_fingerprint()
+    assert opt.read(0, BIG) == ref.read(0, BIG)
+    for policy in POLICIES:
+        forks = [dev.clone_durable(seed=7, overlay=True) for dev in (opt, ref)]
+        for fork in forks:
+            fork.crash(policy, survival_prob=0.5)
+        assert bytes(forks[0]._durable) == bytes(forks[1]._durable), policy
+        assert forks[0].overlay_fingerprint() == forks[1].overlay_fingerprint(), policy
+
+
+def _apply_big(dev, op):
+    kind = op[0]
+    if kind == "fail":
+        _k, countdown, policy, survival, then = op
+        dev.schedule_crash(countdown, policy, survival_prob=survival)
+        try:
+            for sub in then:
+                _apply_big(dev, sub)
+        except DeviceCrashedError:
+            dev.restart()
+            return "crashed"
+        finally:
+            dev.cancel_scheduled_crash()
+    elif kind == "crash":
+        dev.crash(op[1], survival_prob=op[2])
+        dev.restart()
+    else:
+        _apply(dev, op)
+    return "ok"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_page_scale_bulk_moves_match_the_reference(seed, monkeypatch):
+    # runs cross the windows a dirty-run walk scans, and with coalescing
+    # a run split at one would count as two bursts
+    monkeypatch.setattr(device_module, "_SCAN_PAGES", 16)
+    rng = random.Random(seed)
+    coalesce = bool(seed % 2)
+    opt = NVMDevice(BIG, seed=seed, coalesce_flushes=coalesce)
+    ref = ReferenceNVMDevice(BIG, seed=seed, coalesce_flushes=coalesce)
+    for dev in (opt, ref):
+        dev.attach_media(seed=0, protect=True)
+    for i, op in enumerate(_page_scale_tape(rng, nops=16)):
+        if op[0] == "fork":
+            opt, ref = (dev.clone_durable(seed=op[1], overlay=True) for dev in (opt, ref))
+        else:
+            assert _apply_big(opt, op) == _apply_big(ref, op), (i, op)
+        _same_image(opt, ref)
+
+
+@pytest.mark.parametrize("shift", [0, LINE * 5, 7], ids=["page", "line", "unaligned"])
+def test_a_chunk_straddling_into_written_data_moves_it(shift):
+    """The shapes a skip that tests one page per chunk gets wrong: a
+    copy whose source chunks each straddle a zero page and a written
+    one, the same copy moved up and down over itself, and a flush run
+    that starts off a page boundary next to a page of data."""
+    opt, ref = NVMDevice(BIG, seed=1), ReferenceNVMDevice(BIG, seed=1)
+    for dev in (opt, ref):
+        dev.attach_media(seed=0, protect=True)
+        for addr in (4 * PAGE, 9 * PAGE + LINE, 30 * PAGE - 2 * LINE):
+            dev.write(addr, b"\x5a" * 3 * LINE)
+        dev.persist_all()
+        dev.copy(100 * PAGE, 2 * PAGE + shift, 30 * PAGE)
+        dev.copy(100 * PAGE + LINE, 100 * PAGE, 30 * PAGE)
+        dev.copy(100 * PAGE - shift, 100 * PAGE + LINE, 30 * PAGE)
+        dev.flush(100 * PAGE - shift, 31 * PAGE)
+        dev.write(150 * PAGE + shift, bytes(20 * PAGE))
+        dev.write(170 * PAGE - LINE, b"\xa5" * 2 * LINE)
+        dev.flush(150 * PAGE + shift, 21 * PAGE)
+    _same_image(opt, ref)
+    assert b"\x5a" in opt.read(100 * PAGE - shift, 31 * PAGE)  # the data did move

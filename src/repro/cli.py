@@ -68,8 +68,6 @@ def cmd_engines(args) -> int:
             flags.append("crit-copy")
         if caps.has_backup:
             flags.append("backup")
-        if caps.locks_released_after_sync:
-            flags.append("late-unlock")
         if not caps.recoverable:
             flags.append("unsafe")
         rows.append([

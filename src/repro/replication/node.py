@@ -22,7 +22,7 @@ from ..nvm.device import CrashPolicy, NVMDevice
 from ..nvm.latency import NVDIMM, LatencyModel
 from ..nvm.pool import PmemPool
 from ..runtime.context import ExecutionContext
-from ..sim.resources import cost_model_for
+from ..sim.resources import serial_ns_per_intent
 from ..tx import IntentOnlyEngine, UndoLogEngine, kamino_dynamic, kamino_simple
 from ..tx.base import IntentKind
 
@@ -106,9 +106,9 @@ class ReplicaNode:
         a fresh pool of ``heap_size`` heap bytes, or, when None, over
         the pool that survives on the device; returns the pool.
 
-        The one rebind point: the pricing context and the scheduler
-        cost row (whose per-intent charge :meth:`execute` adds) are
-        rebuilt with the engine, so neither can outlive it.
+        The one rebind point: the pricing context is rebuilt with the
+        engine, and :meth:`execute` reads its per-intent charge from
+        that engine, so neither can outlive it.
         """
         engine = engine_for(self.mode, self.role, self.alpha)
         if heap_size is None:
@@ -119,7 +119,6 @@ class ReplicaNode:
             self.heap = PersistentHeap.create(pool, engine, heap_size=heap_size)
         self.engine = engine
         self.ctx = ExecutionContext(self.model, self.device, engine)
-        self.cost = cost_model_for(engine.name)
         return pool
 
     # -- procedures -------------------------------------------------------------
@@ -178,7 +177,7 @@ class ReplicaNode:
         # fixed per-intent software cost only (log management plus the
         # write-lock op): the log copy's device time is already inside
         # the critical path
-        return result, record.crit_ns + self.cost.serial_ns_per_intent * record.n_intents
+        return result, record.crit_ns + serial_ns_per_intent(self.engine) * record.n_intents
 
     def sync_backup(self, limit: int) -> float:
         """Head only: drain up to ``limit`` committed transactions'

@@ -12,21 +12,23 @@ approximated from a serially collected trace.
 
 Each operation's life cycle: lock acquisition over the record's
 read/write sets, serialized log management, bandwidth transfer of
-critical-path bytes, commit, then — for engines whose capabilities
-declare ``locks_released_after_sync`` — the asynchronous backup sync
-whose completion finally releases the write locks.  All resource
-requests arrive in nondecreasing virtual time, which FIFO servers
-require.
+critical-path bytes, commit, then — for a record that carries deferred
+work, which only an engine with a backup produces — the asynchronous
+backup sync whose completion finally releases the write locks.  What
+a record costs on the shared servers is read from the engine the
+context holds: its lock table's :class:`~repro.sim.resources.LockCost`
+and, on an engine with a log data arena, the arena's per-intent
+management.  All resource requests arrive in nondecreasing virtual
+time, which FIFO servers require.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
-from ..sim.resources import cost_model_for
+from ..sim.resources import serial_ns_per_intent
 from .context import ExecutionContext
 from .records import ReplayResult, TxRecord
-from .registry import find_registered
 
 __all__ = ["run_online"]
 
@@ -49,8 +51,9 @@ class VirtualClients:
         "ctx",
         "sim",
         "clock",
-        "cost",
-        "locks_after_sync",
+        "lock_cost",
+        "serial_ns_per_intent",
+        "log_arena",
         "bandwidth",
         "serial",
         "ns_per_byte",
@@ -73,9 +76,11 @@ class VirtualClients:
         self.ctx = ctx
         self.sim = ctx.events
         self.clock = ctx.events.clock
-        info = find_registered(ctx.engine_name)
-        self.cost = cost_model_for(ctx.engine_name)
-        self.locks_after_sync = info is not None and info.capabilities.locks_released_after_sync
+        engine = ctx.engine
+        self.lock_cost = engine.locks.cost
+        self.serial_ns_per_intent = serial_ns_per_intent(engine)
+        #: the log copy queues behind the log-arena mutex
+        self.log_arena = bool(engine.log_data_bytes)
         self.bandwidth = ctx.resources.bandwidth
         self.serial = ctx.resources.log_mgmt
         self.ns_per_byte = 1.0 / ctx.model.bandwidth_gbps
@@ -138,21 +143,18 @@ class VirtualClients:
         # so it contributes only mutual exclusion — queueing delay — here.
         # Read locks (read-set entries the tx only reads) are lock ops on
         # the same table.
-        cost = self.cost
+        lock = self.lock_cost
         n_intents = rec.n_intents
-        software = (
-            cost.serial_ns_per_intent * n_intents
-            + cost.serial_ns_per_read_lock * read_locks
-        )
+        software = self.serial_ns_per_intent * n_intents + lock.serial_ns * read_locks
         service = software
-        if cost.serial_includes_copy:
+        if self.log_arena:
             service += rec.crit_copy_bytes * self.model_byte_copy_ns
         now = self.clock.now
         done = self.serial.request(now, service)
         queue_delay = done - now - service
         # local (non-serialized) software runs on this client's own
         # timeline — striped-lock work other clients never queue behind
-        local = cost.local_ns_per_lock_op * (n_intents + read_locks)
+        local = lock.local_ns * (n_intents + read_locks)
         self.sim.schedule(queue_delay + software + local, self._transfer_crit, client)
 
     def _transfer_crit(self, client: int) -> None:
@@ -168,7 +170,9 @@ class VirtualClients:
         self.latencies.append(latency)
         self.latencies_by_kind.setdefault(rec.kind, []).append(latency)
         self.end_time = max(self.end_time, now)
-        if self.locks_after_sync and rec.async_ns > 0:
+        if rec.async_ns > 0:
+            # deferred backup sync (only an engine with a backup has
+            # any): the write locks are held until it lands, §7.1
             self.sim.schedule(0.0, self._start_sync, rec.write_set, rec)
         elif rec.write_set:
             self._release(rec.write_set)
@@ -224,7 +228,7 @@ def run_online(
     """
     if nthreads <= 0:
         raise ValueError("nthreads must be positive")
-    if ctx.engine_name is None:
+    if ctx.engine is None:
         raise ValueError("context has no engine; build it via ExecutionContext.create")
     clients = VirtualClients(ctx, nthreads)
     clients.run(list(ops), executor, kind_of)

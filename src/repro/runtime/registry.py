@@ -8,20 +8,17 @@ module declares itself with::
     @register_engine("kamino-simple", capabilities=EngineCapabilities(
         copies_in_critical_path=False,
         has_backup=True,
-        locks_released_after_sync=True,
     ))
     def kamino_simple(**kwargs) -> KaminoEngine: ...
 
-and every consumer — ``make_engine``, the CLI's engine-kwargs parsing,
-the scheduler's contention model
-(:func:`repro.sim.resources.cost_model_for`), and the property-based
-crash suites — reads the registry instead of a hard-coded table.  The
-registration is the engine's only declaration: adding an engine touches
-exactly one file, the engine's own module.
+and every consumer — ``make_engine``, the CLI's engine-kwargs parsing
+and the property-based crash suites — reads the registry instead of a
+hard-coded table.  The registration is the engine's only declaration:
+adding an engine touches exactly one file, the engine's own module.
 
-Names are resolved by exact match first, then by longest registered
-prefix, because engines may decorate their runtime name with parameters
-(``kamino_dynamic(alpha=0.3).name == "kamino-dynamic-30"``).
+The registry answers for registered names only.  What an engine's
+transactions cost is read from the built engine, never from its name
+(:func:`repro.sim.resources.serial_ns_per_intent`).
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import UnknownEngineError
-from ..sim.resources import DEFAULT_COST, EngineCostModel
 
 __all__ = [
     "EngineCapabilities",
@@ -44,13 +40,6 @@ __all__ = [
     "registry_snapshot",
     "unregister_engine",
 ]
-
-
-def _global_lock_table() -> type:
-    # imported on first use: repro.tx imports this module to register
-    from ..tx.locks import ObjectLockTable
-
-    return ObjectLockTable
 
 
 @dataclass(frozen=True)
@@ -72,15 +61,6 @@ class EngineCapabilities:
             replica engine).  The crash checker sweeps these engines
             through the replication-chain explorer instead of the
             standalone heap explorer.
-        locks_released_after_sync: write locks are held past commit until
-            the asynchronous backup sync lands, so dependent transactions
-            wait longer (paper §7.1); the scheduler holds its object locks
-            through the sync for these engines.
-        cost: the calibrated serialized log-management row the
-            scheduler charges (one of :mod:`repro.sim.resources`' rows).
-        lock_table: the class of the engine's ``locks``, whose ``cost``
-            the scheduler charges per lock op (it knows engines only by
-            name, so this is where it learns the table).
         options: tunable constructor kwargs exposed as CLI flags
             (e.g. ``("alpha",)`` for the dynamic backup).
     """
@@ -90,9 +70,6 @@ class EngineCapabilities:
     has_backup: bool = False
     recoverable: bool = True
     needs_chain_repair: bool = False
-    locks_released_after_sync: bool = False
-    cost: EngineCostModel = DEFAULT_COST
-    lock_table: type = field(default_factory=_global_lock_table)
     options: Tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -168,20 +145,9 @@ def registered_engines() -> Dict[str, EngineInfo]:
 
 
 def find_registered(name: str) -> Optional[EngineInfo]:
-    """Resolve ``name`` to a registration, or ``None``.
-
-    Exact match wins; otherwise the longest registered name that is a
-    prefix of ``name`` (runtime names like ``kamino-dynamic-30``).
-    """
+    """The registration under exactly ``name``, or ``None``."""
     _ensure_builtins_loaded()
-    info = _REGISTRY.get(name)
-    if info is not None:
-        return info
-    best: Optional[EngineInfo] = None
-    for key, candidate in _REGISTRY.items():
-        if name.startswith(key) and (best is None or len(key) > len(best.name)):
-            best = candidate
-    return best
+    return _REGISTRY.get(name)
 
 
 def engine_info(name: str) -> EngineInfo:

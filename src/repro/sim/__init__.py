@@ -8,18 +8,11 @@ from .network import (
     SimNetwork,
     message_checksum,
 )
-from .resources import (
-    BandwidthResource,
-    EngineCostModel,
-    FIFOServer,
-    ServerSnapshot,
-    cost_model_for,
-)
+from .resources import BandwidthResource, FIFOServer, ServerSnapshot
 
 __all__ = [
     "BandwidthResource",
     "DEFAULT_HOP_NS",
-    "EngineCostModel",
     "Event",
     "EventSimulator",
     "FIFOServer",
@@ -27,6 +20,5 @@ __all__ = [
     "NetStats",
     "ServerSnapshot",
     "SimNetwork",
-    "cost_model_for",
     "message_checksum",
 ]

@@ -12,7 +12,8 @@ results:
   Kamino's fixed-size, per-thread intent entries need almost none of
   that.  The paper attributes most of the baseline's overhead to "cache
   flushes, transactional allocation and software needed for maintaining
-  undo-logs" (§7.1); we model it as a serialized per-intent cost.
+  undo-logs" (§7.1); we model it as a serialized per-intent cost
+  (:data:`LOG_ARENA_NS_PER_INTENT`) on engines with a log data arena.
 * **Lock-table serialization** — every write intent and every read lock
   is one op on the engine's lock table.  The table class owns what an op
   costs (:class:`LockCost`): the global table serializes all of it
@@ -25,7 +26,6 @@ completes at ``max(t, server_free) + service``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -110,76 +110,19 @@ class LockCost:
     local_ns: float = 0.0
 
 
-@dataclass(frozen=True)
-class EngineCostModel:
-    """An engine's serialized log-management overhead (see module
-    docstring); what its locks cost is its lock table's :class:`LockCost`.
-
-    Each engine's registration carries its row
-    (:attr:`~repro.runtime.registry.EngineCapabilities.cost`).
-
-    Attributes:
-        serial_ns_per_intent: serialized log-management cost per declared
-            write intent (allocation + indexing + deallocation of a log
-            entry).  High for undo/CoW (variable-size data log entries
-            through shared allocator state), none beyond the lock op for
-            Kamino (fixed-size entries in per-thread scratchpads, §6.2).
-    """
-
-    serial_ns_per_intent: float = 0.0
-    #: when True, the bytes captured into the log (undo data / CoW
-    #: shadows) are copied through *shared* log-arena state: the copy's
-    #: device time is already in the critical path, but it additionally
-    #: holds the log mutex, so concurrent transactions queue behind it
-    serial_includes_copy: bool = False
+#: NVML log-arena management per *write* intent: allocating, indexing and
+#: freeing a variable-size log data entry through shared allocator state.
+#: Charged, and the log copy queued behind the arena mutex, exactly when
+#: the engine has a log data arena (``log_data_bytes``: undo and CoW);
+#: calibrated against the paper's single-thread latency ratios.
+LOG_ARENA_NS_PER_INTENT = 860.0
 
 
-@dataclass(frozen=True)
-class SchedulerCost:
-    """What the scheduler charges an engine's transactions: its row plus
-    its lock table's :class:`LockCost` per op, combined by
-    :func:`cost_model_for`."""
-
-    serial_ns_per_intent: float  # log management + the write-lock op
-    serial_ns_per_read_lock: float
-    local_ns_per_lock_op: float  # write intent or read lock
-    serial_includes_copy: bool
-
-
-# The calibrated rows, calibrated against the paper's single-thread
-# latency ratios.  Engines name theirs in their registration.
-
-#: no log-management overhead: ``nolog`` and the Kamino family, whose
-#: fixed-size intent entries cost nothing beyond the lock op
-DEFAULT_COST = EngineCostModel()
-
-#: undo/CoW: 860 ns per *write* intent of NVML log-arena allocation, on
-#: top of the global table's 40 ns lock op (900 ns in all), and the log
-#: copy queues behind the arena mutex
-LOGGING_COST = EngineCostModel(serial_ns_per_intent=860.0, serial_includes_copy=True)
-
-#: what the scheduler charges a name no engine registered: no row, no table
-UNREGISTERED_COST = SchedulerCost(0.0, 0.0, 0.0, False)
-
-
-@lru_cache(maxsize=None)
-def _combined(row: EngineCostModel, lock: LockCost) -> SchedulerCost:
-    return SchedulerCost(
-        row.serial_ns_per_intent + lock.serial_ns,
-        lock.serial_ns,
-        lock.local_ns,
-        row.serial_includes_copy,
-    )
-
-
-def cost_model_for(engine_name: str) -> SchedulerCost:
-    """What the scheduler charges the engine registered under
-    ``engine_name`` (exact name, then longest registered prefix): its
-    row plus its registered lock table's op cost, or
-    :data:`UNREGISTERED_COST`."""
-    from ..runtime.registry import find_registered
-
-    info = find_registered(engine_name)
-    if info is None:
-        return UNREGISTERED_COST
-    return _combined(info.capabilities.cost, info.capabilities.lock_table.cost)
+def serial_ns_per_intent(engine) -> float:
+    """What one write intent of ``engine`` costs under the shared mutex:
+    its lock table's op (``engine.locks.cost``), plus log-arena
+    management when the engine has a log data arena."""
+    lock_ns = engine.locks.cost.serial_ns
+    if engine.log_data_bytes:
+        return LOG_ARENA_NS_PER_INTENT + lock_ns
+    return lock_ns

@@ -199,21 +199,14 @@ class BackupStrategy(ABC):
     def absorb(self, offset: int, size: int) -> None:
         """Roll the backup forward: copy main → backup (post-commit)."""
 
+    @abstractmethod
     def absorb_entries(self, entries: Sequence) -> None:
-        """Drain one committed transaction's intent entries in order.
-
-        The default processes entries one at a time — exactly the
-        historical sync loop.  Strategies override this to
-        interval-coalesce adjacent ranges into bulk device operations;
-        any override must keep :class:`~repro.nvm.stats.NVMStats` and
-        durable bytes bit-identical to this loop (the sync-coalescing
-        equivalence tests hold them to it).
-        """
-        for entry in entries:
-            if entry.kind is IntentKind.FREE:
-                self.on_free_synced(entry.offset, entry.size)
-            else:
-                self.absorb(entry.offset, entry.size)
+        """Drain one committed transaction's intent entries in order:
+        :meth:`absorb` each WRITE/ALLOC range, :meth:`on_free_synced`
+        each FREE.  Strategies batch the device work (bulk copies,
+        grouped flushes) but must keep :class:`~repro.nvm.stats.NVMStats`
+        and durable bytes bit-identical to that entry-at-a-time loop;
+        the sync-coalescing equivalence tests hold them to it."""
 
     @abstractmethod
     def restore(self, offset: int, size: int) -> None:

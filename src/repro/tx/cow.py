@@ -17,7 +17,6 @@ from typing import Dict, Optional, Tuple
 
 from ..nvm.pool import PmemRegion
 from ..runtime.registry import EngineCapabilities, register_engine
-from ..sim.resources import LOGGING_COST
 from .base import IntentKind, RecoveryReport, Transaction
 from ._common import LockingLogEngine
 from .intent_log import SlotState
@@ -28,7 +27,6 @@ from .intent_log import SlotState
     capabilities=EngineCapabilities(
         description="copy-on-write shadows, redo-applied at commit",
         copies_in_critical_path=True,
-        cost=LOGGING_COST,
     ),
 )
 class CoWEngine(LockingLogEngine):

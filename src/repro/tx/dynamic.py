@@ -428,7 +428,6 @@ class DynamicBackup(BackupStrategy):
         description="atomic in-place updates, alpha-sized LRU partial backup (copy-on-miss)",
         copies_in_critical_path=False,
         has_backup=True,
-        locks_released_after_sync=True,
         options=("alpha",),
     ),
 )

@@ -18,8 +18,8 @@ are volatile, so under a single uncontended client this engine is
 ``NVMStats``, same crash fingerprints — which the differential test
 (``tests/tx/test_finegrained_differential.py``) pins.  The win is pure
 software-serialisation cost, modelled by the lock op cost of the table
-its registration names (:attr:`StripedLockTable.cost`, mostly
-stripe-local) and measured by the contended-YCSB battery.
+the engine holds (:attr:`StripedLockTable.cost`, mostly stripe-local)
+and measured by the contended-YCSB battery.
 
 Deadlock discipline: only acquisitions can wait.  Incremental
 single-lock acquisition keeps the table's timeout escape, and any batch
@@ -47,8 +47,6 @@ from .striped_locks import StripedLockTable
         ),
         copies_in_critical_path=False,
         has_backup=True,
-        locks_released_after_sync=True,
-        lock_table=StripedLockTable,
         options=("alpha", "stripes"),
     ),
 )

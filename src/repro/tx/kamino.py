@@ -63,15 +63,8 @@ class KaminoEngine(LockingLogEngine):
             analytic worst-case experiments; the normal mode defers sync
             to :meth:`sync_pending` (a background thread or the
             simulator's async events).
-        coalesce_sync: drain each committed transaction's backup sync
-            through the strategy's interval-coalescing
-            :meth:`~repro.tx.backup.BackupStrategy.absorb_entries` path
-            (adjacent pending ranges become one bulk ``device.copy``).
-            Simulated results — durable bytes, ``NVMStats``, virtual
-            time — are bit-identical either way; ``False`` keeps the
-            strategy-independent entry-at-a-time loop
-            (:meth:`BackupStrategy.absorb_entries`), the reference leg of
-            the equivalence suites.
+        lazy_recovery: :meth:`recover` re-queues committed slots'
+            roll-forward instead of running it (see there).
     """
 
     name = "kamino"
@@ -85,13 +78,11 @@ class KaminoEngine(LockingLogEngine):
         max_entries: int = 256,
         eager_sync: bool = False,
         lazy_recovery: bool = False,
-        coalesce_sync: bool = True,
     ):
         super().__init__(n_slots, max_entries)
         self.backup = backup if backup is not None else FullBackup()
         self.eager_sync = eager_sync
         self.lazy_recovery = lazy_recovery
-        self.coalesce_sync = coalesce_sync
         self._queue: Deque[_SyncTask] = deque()
         self._sync_mutex = threading.Lock()
         self.locks.set_resolver(self._resolve_pending)
@@ -194,16 +185,9 @@ class KaminoEngine(LockingLogEngine):
                 done += 1
         return done
 
-    def _roll_forward(self, entries: List[IntentEntry]) -> None:
-        """Copy one committed transaction's ranges main → backup."""
-        if self.coalesce_sync:
-            self.backup.absorb_entries(entries)
-        else:
-            BackupStrategy.absorb_entries(self.backup, entries)
-
     def _sync_task(self, task: _SyncTask) -> None:
         device = self.heap_region.pool.device
-        self._roll_forward(task.entries)
+        self.backup.absorb_entries(task.entries)
         device.fence()
         self._phase("copy_to_backup")
         task.log.release()
@@ -247,23 +231,21 @@ class KaminoEngine(LockingLogEngine):
 
     # -- recovery ----------------------------------------------------------------------
 
-    def recover(self, lazy: Optional[bool] = None) -> RecoveryReport:
+    def recover(self) -> RecoveryReport:
         """Scan intent logs; roll back incomplete work, roll forward
         committed work (paper §3, Log Manager uses (1)/(2) by state).
 
         Rollbacks run first so a dynamic backup never evicts an entry a
         later rollback still needs.
 
-        With ``lazy`` (or the engine's ``lazy_recovery`` flag), committed
-        slots are *not* synced during recovery: the main heap is already
+        With the engine's ``lazy_recovery`` flag, committed slots are
+        *not* synced during recovery: the main heap is already
         correct, so their backup roll-forward is re-queued for the
         background syncer, and the affected objects are re-locked as
         *pending* — §6.2's "write intents are enough to recover the lock
         information needed".  Recovery time then does not grow with the
         sync backlog at the crash.
         """
-        if lazy is None:
-            lazy = self.lazy_recovery
         report = RecoveryReport()
         device = self.heap_region.pool.device
         records = self._scan_log()
@@ -282,10 +264,10 @@ class KaminoEngine(LockingLogEngine):
         for rec in records:
             if rec.state is not SlotState.COMMITTED:
                 continue
-            if lazy:
+            if self.lazy_recovery:
                 self._requeue_committed(rec, report)
                 continue
-            self._roll_forward(rec.entries)
+            self.backup.absorb_entries(rec.entries)
             device.fence()
             self.log.free_slot_by_index(rec.index)
             report.rolled_forward += 1
@@ -360,7 +342,6 @@ class KaminoEngine(LockingLogEngine):
         description="atomic in-place updates, full heap mirror synced off the critical path",
         copies_in_critical_path=False,
         has_backup=True,
-        locks_released_after_sync=True,
     ),
 )
 def kamino_simple(**kwargs) -> KaminoEngine:

@@ -197,7 +197,6 @@ class NVTraverseEngine(KaminoEngine):
         ),
         copies_in_critical_path=False,
         has_backup=True,
-        locks_released_after_sync=True,
     ),
 )
 def nvtraverse(**kwargs) -> NVTraverseEngine:

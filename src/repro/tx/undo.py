@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from ..errors import TxError
 from ..runtime.registry import EngineCapabilities, register_engine
-from ..sim.resources import LOGGING_COST
 from .base import IntentKind, RecoveryReport, Transaction
 from ._common import LockingLogEngine
 
@@ -22,7 +21,6 @@ from ._common import LockingLogEngine
     capabilities=EngineCapabilities(
         description="NVML-style undo logging: old bytes captured in the critical path",
         copies_in_critical_path=True,
-        cost=LOGGING_COST,
     ),
 )
 class UndoLogEngine(LockingLogEngine):

@@ -9,9 +9,12 @@ store (``persist``) must be the reference's literal write / flush / fence
 sequence even when a fail-point fires at any of its three ticks, with a
 media model seeing the same persisted lines.  A second
 sweep runs every registered recoverable engine end-to-end on both
-devices (optimized stack with sync coalescing on, reference stack with
-it off) and demands identical stats, simulated time, and durable state.
+devices (optimized stack with the strategies' batched backup sync,
+reference stack with the entry-at-a-time sync patched in) and demands
+identical stats, simulated time, and durable state.
 """
+
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -22,6 +25,7 @@ from repro.nvm import CrashPolicy, NVMDevice, PmemPool, ReferenceNVMDevice
 from repro.runtime.registry import registered_engines
 
 from ..conftest import Pair
+from ..tx.entrywise_sync import entrywise_sync
 
 DEVICE_SIZE = 16384
 LINE = 64
@@ -202,10 +206,14 @@ STACK_SETTINGS = settings(
 
 
 def _run_stack(info, device_cls, coalesce, batches, seed):
+    with nullcontext() if coalesce else entrywise_sync():
+        return _stack_run(info, device_cls, batches, seed)
+
+
+def _stack_run(info, device_cls, batches, seed):
     device = device_cls(POOL_SIZE, seed=seed)
     pool = PmemPool.create(device)
-    kwargs = {"coalesce_sync": coalesce} if info.capabilities.has_backup else {}
-    engine = info.factory(**kwargs)
+    engine = info.factory()
     heap = PersistentHeap.create(pool, engine, heap_size=HEAP_SIZE)
     objs = []
     with heap.transaction():

@@ -6,9 +6,9 @@ transaction through its :class:`~repro.runtime.context.ExecutionContext`
 they were before that: each marks the device counters itself, ``execute``
 installs a closure trace hook that fills a ``captured`` dict, and each
 interval is priced by :func:`~repro.nvm.stats.interval_cost` from its own
-marks.  One liberty: the per-intent charge is looked up from the running
-engine's name on every call instead of from a copy cached per engine.
-The chain leg of the record differential
+marks.  One liberty: the per-intent charge is read from the running
+engine by the scheduler's helper instead of from a copy cached per
+engine.  The chain leg of the record differential
 (``test_record_differential.py``) patches them onto ``ReplicaNode`` and
 demands a bit-identical run.
 """
@@ -17,7 +17,7 @@ import struct
 from typing import Any, Optional, Tuple
 
 from repro.nvm.stats import NVMStats, interval_cost
-from repro.sim.resources import cost_model_for
+from repro.sim.resources import serial_ns_per_intent
 from repro.tx.base import IntentKind
 
 
@@ -52,7 +52,7 @@ def execute(self, proc: str, args: Tuple[Any, ...]) -> Tuple[Any, float]:
         self.engine.trace_hook = None
     self.last_write_set = captured["ranges"]
     cost = interval_cost(s0, NVMStats.mark(stats), self.model)[0]
-    cost += cost_model_for(self.engine.name).serial_ns_per_intent * captured["intents"]
+    cost += serial_ns_per_intent(self.engine) * captured["intents"]
     return result, cost
 
 

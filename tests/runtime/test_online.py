@@ -1,16 +1,19 @@
 """Online multi-client simulation: the one scheduler input.
 
 With several clients the run must show real contention effects, charge
-the context's shared servers, and price each engine as its registration
-says.
+the context's shared servers, and price each engine from the engine the
+context holds, never from its name.
 """
 
 import pytest
 
 from repro.bench.runners import run_ycsb_online
+from repro.replication.node import ReplicaNode
 from repro.runtime import ExecutionContext, run_online
 from repro.runtime.online import VirtualClients
-from repro.runtime.registry import registered_engines
+from repro.runtime.registry import make_engine, registered_engines
+from repro.sim.resources import LockCost
+from repro.tx import StripedLockTable, kamino_dynamic
 
 
 def _put_stream(ctx, n):
@@ -113,29 +116,51 @@ class TestReadOnlyParity:
 
 #: what the scheduler charges each engine — (serial ns per intent, serial
 #: ns per read lock, log copy serialized, local ns per intent, local ns
-#: per read lock, write locks held through the backup sync) — written out
-#: as the calibrated table gave them before the rows moved onto the
-#: registrations.  Two changes since: intent-only's last field (the
-#: shared table row said True where its registration says False, and no
-#: intent-only record carries backup-sync work for the flag to act on:
-#: test_intent_only_records_carry_no_sync_work), and nolog's lock ops,
-#: which cost what they cost every other engine on the global table now
-#: that the table, not the engine row, owns that cost.
+#: per read lock) — written out as the calibrated table gave them before
+#: the scheduler read them off the engine.  One change since: nolog's
+#: lock ops cost what they cost every other engine on the global table,
+#: now that the table owns that cost.  Whether write locks are held
+#: through the backup sync is no column: the scheduler holds them exactly
+#: when a record carries deferred work, which only an engine with a
+#: backup produces (test_intent_only_records_carry_no_sync_work).
 SCHEDULER_RECORDS = {
-    "cow": (900.0, 40.0, True, 0.0, 0.0, False),
-    "intent-only": (40.0, 40.0, False, 0.0, 0.0, False),
-    "kamino-dynamic": (40.0, 40.0, False, 0.0, 0.0, True),
-    "kamino-finegrained": (8.0, 8.0, False, 32.0, 32.0, True),
-    "kamino-simple": (40.0, 40.0, False, 0.0, 0.0, True),
-    "nolog": (40.0, 40.0, False, 0.0, 0.0, False),
-    "nvtraverse": (40.0, 40.0, False, 0.0, 0.0, True),
-    "undo": (900.0, 40.0, True, 0.0, 0.0, False),
-    "kamino-dynamic-10": (40.0, 40.0, False, 0.0, 0.0, True),
-    "kamino-dynamic-30": (40.0, 40.0, False, 0.0, 0.0, True),
-    "kamino-dynamic-50": (40.0, 40.0, False, 0.0, 0.0, True),
-    "kamino-dynamic-70": (40.0, 40.0, False, 0.0, 0.0, True),
-    "kamino-dynamic-90": (40.0, 40.0, False, 0.0, 0.0, True),
+    "cow": (900.0, 40.0, True, 0.0, 0.0),
+    "intent-only": (40.0, 40.0, False, 0.0, 0.0),
+    "kamino-dynamic": (40.0, 40.0, False, 0.0, 0.0),
+    "kamino-finegrained": (8.0, 8.0, False, 32.0, 32.0),
+    "kamino-simple": (40.0, 40.0, False, 0.0, 0.0),
+    "nolog": (40.0, 40.0, False, 0.0, 0.0),
+    "nvtraverse": (40.0, 40.0, False, 0.0, 0.0),
+    "undo": (900.0, 40.0, True, 0.0, 0.0),
+    "kamino-dynamic-10": (40.0, 40.0, False, 0.0, 0.0),
+    "kamino-dynamic-30": (40.0, 40.0, False, 0.0, 0.0),
+    "kamino-dynamic-50": (40.0, 40.0, False, 0.0, 0.0),
+    "kamino-dynamic-70": (40.0, 40.0, False, 0.0, 0.0),
+    "kamino-dynamic-90": (40.0, 40.0, False, 0.0, 0.0),
 }
+
+
+def _engine(name):
+    """The engine a pinned name stands for: a registration, or the
+    ``kamino-dynamic`` factory at the α its runtime name carries."""
+    if name in registered_engines():
+        return make_engine(name)
+    engine = kamino_dynamic(alpha=int(name.rsplit("-", 1)[1]) / 100)
+    assert engine.name == name
+    return engine
+
+
+def _warm_context(locks=None):
+    """A ``kamino-dynamic`` (α = 0.3) stack, its setup synced; ``locks``
+    replaces the engine's lock table."""
+    ctx = ExecutionContext.create("kamino-dynamic", value_size=64, heap_mb=2, alpha=0.3)
+    for k in range(20):
+        ctx.kv.put(k, bytes([k + 1]) * 16)
+    ctx.kv.drain()
+    if locks is not None:
+        ctx.engine.locks = locks(resolver=ctx.engine._resolve_pending)
+    ctx.reset()
+    return ctx
 
 
 class TestSchedulerCostPin:
@@ -144,23 +169,65 @@ class TestSchedulerCostPin:
 
     @pytest.mark.parametrize("name", sorted(SCHEDULER_RECORDS))
     def test_scheduler_record(self, name):
-        clients = VirtualClients(ExecutionContext(engine_name=name), 1)
-        cost = clients.cost
+        clients = VirtualClients(ExecutionContext(engine=_engine(name)), 1)
+        lock = clients.lock_cost
         assert (
-            cost.serial_ns_per_intent,
-            cost.serial_ns_per_read_lock,
-            cost.serial_includes_copy,
-            cost.local_ns_per_lock_op,
-            cost.local_ns_per_lock_op,
-            clients.locks_after_sync,
+            clients.serial_ns_per_intent,
+            lock.serial_ns,
+            clients.log_arena,
+            lock.local_ns,
+            lock.local_ns,
         ) == SCHEDULER_RECORDS[name]
 
     def test_intent_only_records_carry_no_sync_work(self):
-        ctx = ExecutionContext.create("intent-only", value_size=64, heap_mb=2)
-        ops, put = _put_stream(ctx, 40)
-        result = run_online(ctx, ops, put, 2, kind_of=lambda i: "put")
-        assert result.ops == 40
-        assert all(rec.async_ns == 0 for rec in ctx.records)
+        # every engine without a backup: its records carry no deferred
+        # work, so the scheduler never holds its write locks past commit
+        names = [n for n in registered_engines() if make_engine(n).backup is None]
+        assert {"cow", "intent-only", "nolog", "undo"} <= set(names)
+        for name in names:
+            ctx = ExecutionContext.create(name, value_size=64, heap_mb=2)
+            ops, put = _put_stream(ctx, 40)
+            result = run_online(ctx, ops, put, 2, kind_of=lambda i: "put")
+            assert result.ops == 40, name
+            assert all(rec.async_ns == rec.async_bytes == 0 for rec in ctx.records), name
+
+    def test_scheduler_charges_the_lock_table_it_holds(self):
+        # the same registered name over a striped table: 8 ns per lock op
+        # on the shared mutex (32 ns more on the client's own timeline),
+        # not the 40 ns the global table the name registers with costs
+        runs = {}
+        for locks in (StripedLockTable, None):
+            ctx = _warm_context(locks)
+            ops, put = _put_stream(ctx, 30)
+            result = run_online(ctx, ops, put, 1, kind_of=lambda i: "put")
+            runs[locks] = (ctx, result)
+        ctx, striped = runs[StripedLockTable]
+        lock_ops = sum(r.n_intents + len(r.read_set - r.write_set) for r in ctx.records)
+        assert lock_ops > 0
+        assert ctx.resources.log_mgmt.busy_ns == 8.0 * lock_ops
+        assert VirtualClients(ctx, 1).lock_cost == LockCost(serial_ns=8.0, local_ns=32.0)
+        plain_ctx, plain = runs[None]
+        assert plain_ctx.resources.log_mgmt.busy_ns == 40.0 * lock_ops
+        # one uncontended client: 8 + 32 ns per lock op is the global
+        # table's 40, so every latency matches
+        assert striped.latencies_ns == plain.latencies_ns
+
+    def test_replica_charges_the_lock_table_it_holds(self):
+        node = ReplicaNode("r0", "kamino", "head", heap_mb=1, value_size=64, alpha=0.3)
+        node.engine.locks = StripedLockTable(resolver=node.engine._resolve_pending)
+        records = []
+        execute = node.ctx.execute
+
+        def spy(*args):
+            out = execute(*args)
+            records.append(out[1])
+            return out
+
+        node.ctx.execute = spy
+        _result, cost = node.execute("put", (3, b"v" * 16))
+        (record,) = records
+        assert record.n_intents > 0
+        assert cost == record.crit_ns + 8.0 * record.n_intents
 
 
 #: what a contended 4-client put/get/rmw stream (one hot key, twelve

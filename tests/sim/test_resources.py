@@ -1,9 +1,18 @@
-"""FIFO servers, bandwidth, and engine cost-model lookup."""
+"""FIFO servers, bandwidth, and what an engine's write intent costs."""
 
 import pytest
 
-from repro.runtime.registry import engine_info
-from repro.sim import BandwidthResource, FIFOServer, cost_model_for
+from repro.sim import BandwidthResource, FIFOServer
+from repro.sim.resources import LOG_ARENA_NS_PER_INTENT, LockCost, serial_ns_per_intent
+from repro.tx import (
+    CoWEngine,
+    ObjectLockTable,
+    StripedLockTable,
+    UndoLogEngine,
+    kamino_dynamic,
+    kamino_finegrained,
+    kamino_simple,
+)
 
 
 class TestFIFOServer:
@@ -54,19 +63,22 @@ class TestBandwidth:
 
 
 class TestCostModels:
+    """Read from the engine: its lock table's op, plus log-arena
+    management on an engine with a log data arena."""
+
+    def test_lock_tables_own_the_lock_op(self):
+        assert ObjectLockTable.cost == LockCost(serial_ns=40.0)
+        assert StripedLockTable.cost == LockCost(serial_ns=8.0, local_ns=32.0)
+
     def test_undo_is_serialized_and_copies(self):
-        m = cost_model_for("undo")
-        assert m.serial_ns_per_intent > 0
-        assert m.serial_includes_copy
-        assert not engine_info("undo").capabilities.locks_released_after_sync
+        assert LOG_ARENA_NS_PER_INTENT == 860.0
+        for engine in (UndoLogEngine(), CoWEngine()):
+            assert engine.log_data_bytes > 0
+            assert serial_ns_per_intent(engine) == 900.0
 
     def test_kamino_variants_share_model(self):
-        simple = cost_model_for("kamino-simple")
-        dynamic = cost_model_for("kamino-dynamic-30")
-        assert simple is dynamic
-        assert engine_info("kamino-dynamic-30").capabilities.locks_released_after_sync
-        assert simple.serial_ns_per_intent < cost_model_for("undo").serial_ns_per_intent
-
-    def test_unknown_engine_gets_neutral_model(self):
-        m = cost_model_for("exotic")
-        assert m.serial_ns_per_intent == 0
+        simple = kamino_simple()
+        dynamic = kamino_dynamic(alpha=0.3)
+        assert simple.log_data_bytes == dynamic.log_data_bytes == 0
+        assert serial_ns_per_intent(simple) == serial_ns_per_intent(dynamic) == 40.0
+        assert serial_ns_per_intent(kamino_finegrained()) == 8.0

@@ -20,10 +20,19 @@ So are the single-value options nothing passed and the fifth copy of the
 op counter in ``repro.sim``.
 
 Each engine is declared once, by its registration: ``kamino-finegrained``
-is a factory over the one Kamino engine, the scheduler's cost row and the
-late-unlock flag live on the capabilities, the intent-only engine loads
+is a factory over the one Kamino engine, the intent-only engine loads
 with every other, and the class-level copy flag, the lock-counter
 snapshot and the ``lock_timeout`` keyword nothing passed are gone.
+
+An engine is priced from the engine the scheduler or replica holds, not
+from its name: a lock op costs its lock table's ``cost``, and log-arena
+management is one constant charged when the engine has a log data
+arena.  The engine cost rows, their combination, the capabilities'
+restated lock table and late-unlock flag, and the registry's
+longest-prefix name match are gone.  So are the Kamino engine's
+``coalesce_sync`` and ``recover(lazy=)`` switches, which only selected
+a reference leg or repeated the ``lazy_recovery`` flag: the
+entry-at-a-time sync lives in the tests (``tests/tx/entrywise_sync.py``).
 
 The front door keeps no copies: the gateway runs the chain client's
 request ladder, and the placement service and the procedure store are
@@ -444,3 +453,41 @@ def test_replication_prices_nothing_itself_and_rebinds_in_one_place():
     for path in sorted((ROOT / "src").rglob("*.py")):
         match = rebind.search(path.read_text(encoding="utf-8"))
         assert match is None, f"{path}: {match.group(0)}"
+
+
+def test_an_engine_is_priced_from_the_engine_it_is():
+    import inspect
+
+    from repro.runtime.online import VirtualClients
+    from repro.tx import kamino_simple
+    from repro.tx.backup import BackupStrategy
+    from repro.tx.kamino import KaminoEngine
+
+    for name in (
+        "EngineCostModel", "SchedulerCost", "DEFAULT_COST", "LOGGING_COST",
+        "UNREGISTERED_COST", "_combined", "cost_model_for",
+    ):
+        assert not hasattr(repro.sim.resources, name), name
+        assert not hasattr(repro.sim, name), name
+    assert not hasattr(repro.runtime.registry, "_global_lock_table")
+    for knob in ("cost", "lock_table", "locks_released_after_sync"):
+        with pytest.raises(TypeError):
+            EngineCapabilities(**{knob: None})
+    assert {"cost", "locks_after_sync"}.isdisjoint(VirtualClients.__slots__)
+    assert repro.runtime.registry.find_registered("kamino-dynamic-30") is None
+    with pytest.raises(TypeError):
+        kamino_simple(coalesce_sync=False)
+    assert list(inspect.signature(KaminoEngine.recover).parameters) == ["self"]
+    assert "absorb_entries" in BackupStrategy.__abstractmethods__
+
+
+def test_source_tree_names_no_cost_row():
+    retired = re.compile(
+        r"cost_model_for|EngineCostModel|SchedulerCost|LOGGING_COST|DEFAULT_COST"
+        r"|UNREGISTERED_COST|serial_includes_copy|locks_released_after_sync"
+        r"|lock_table=|locks_after_sync|coalesce_sync|late-unlock"
+    )
+    for tree in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            match = retired.search(path.read_text(encoding="utf-8"))
+            assert match is None, f"{path}: {match.group(0)}"

@@ -1,13 +1,16 @@
 """Interval-coalesced backup sync must be invisible in simulated results.
 
-The engines' ``coalesce_sync`` fast path drains adjacent pending ranges
-as single bulk ``device.copy`` calls and batches their flushes through
-``flush_multi``.  The contract (ISSUE tentpole, docs/INTERNALS.md) is
-that every :class:`~repro.nvm.stats.NVMStats` counter, every durable
-byte, and hence the simulated time are *bit-identical* to the historical
-entry-at-a-time loop — only wall-clock changes.  These tests run the
-same workload both ways on same-seed devices and diff everything.
+The backup strategies drain adjacent pending ranges as single bulk
+``device.copy`` calls and batch their flushes through ``flush_multi``.
+The contract (docs/INTERNALS.md) is that every
+:class:`~repro.nvm.stats.NVMStats` counter, every durable byte, and
+hence the simulated time are *bit-identical* to the entry-at-a-time
+loop (:mod:`.entrywise_sync`) — only wall-clock changes.  These tests
+run the same workload both ways on same-seed devices and diff
+everything.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -17,20 +20,25 @@ from repro.tx import kamino_dynamic, kamino_simple, verify_backup_consistency
 from repro.tx.base import IntentKind
 
 from ..conftest import HEAP_SIZE, POOL_SIZE, Pair
+from .entrywise_sync import entrywise_sync
 
 FACTORIES = {
     "kamino-simple": kamino_simple,
-    "kamino-dynamic": lambda **kw: kamino_dynamic(alpha=0.5, **kw),
+    "kamino-dynamic": lambda: kamino_dynamic(alpha=0.5),
 }
 
 # crafted intent offsets live far above anything the workload allocates
 CRAFT_BASE = 1 << 20
 
 
-def _build(factory, coalesce: bool):
+def _sync_leg(coalesce: bool):
+    return nullcontext() if coalesce else entrywise_sync()
+
+
+def _build(factory):
     device = NVMDevice(POOL_SIZE, seed=7)
     pool = PmemPool.create(device)
-    engine = factory(coalesce_sync=coalesce)
+    engine = factory()
     heap = PersistentHeap.create(pool, engine, heap_size=HEAP_SIZE)
     return heap, engine, device
 
@@ -45,7 +53,12 @@ def _craft_tx(heap, engine, ranges):
 
 
 def _run_workload(factory, coalesce: bool):
-    heap, engine, device = _build(factory, coalesce)
+    with _sync_leg(coalesce):
+        return _workload(factory)
+
+
+def _workload(factory):
+    heap, engine, device = _build(factory)
     # ordinary heap traffic: multi-object txs, re-modification, a free
     objs = []
     with heap.transaction():
@@ -91,7 +104,7 @@ def test_coalesced_sync_is_bit_identical(name):
 
 def test_full_backup_run_actually_merges():
     """The adjacent-run tx drains as ONE device.copy (chunks=3), not three."""
-    heap, engine, device = _build(kamino_simple, coalesce=True)
+    heap, engine, device = _build(kamino_simple)
     calls = []
     real_copy = device.copy
 
@@ -111,7 +124,7 @@ def test_full_backup_run_actually_merges():
 
 
 def test_misaligned_boundary_does_not_merge():
-    heap, engine, device = _build(kamino_simple, coalesce=True)
+    heap, engine, device = _build(kamino_simple)
     calls = []
     real_copy = device.copy
 
@@ -134,14 +147,15 @@ def test_recovery_roll_forward_coalesces_identically():
 
     images = {}
     for coalesce in (True, False):
-        heap, engine, device = _build(kamino_simple, coalesce)
-        _craft_tx(heap, engine, [(CRAFT_BASE + 64 * i, 64) for i in range(4)])
-        # committed but unsynced: crash now; open() runs recovery
-        device.crash(CrashPolicy.KEEP_ALL)
-        device.restart()
-        pool = PmemPool.open(device)
-        engine2 = kamino_simple(coalesce_sync=coalesce)
-        PersistentHeap.open(pool, engine2)
-        assert engine2.last_recovery_report.rolled_forward == 1
-        images[coalesce] = (device.stats.snapshot(), device.durable_read(0, device.size))
+        with _sync_leg(coalesce):
+            heap, engine, device = _build(kamino_simple)
+            _craft_tx(heap, engine, [(CRAFT_BASE + 64 * i, 64) for i in range(4)])
+            # committed but unsynced: crash now; open() runs recovery
+            device.crash(CrashPolicy.KEEP_ALL)
+            device.restart()
+            pool = PmemPool.open(device)
+            engine2 = kamino_simple()
+            PersistentHeap.open(pool, engine2)
+            assert engine2.last_recovery_report.rolled_forward == 1
+            images[coalesce] = (device.stats.snapshot(), device.durable_read(0, device.size))
     assert images[True] == images[False]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..nvm.device import NVMDevice
-from ..nvm.latency import LatencyModel
 
 
 @dataclass
@@ -42,10 +41,10 @@ class TimelineRecorder:
         spans = rec.spans
     """
 
-    def __init__(self, device: NVMDevice, engine, model: Optional[LatencyModel] = None):
+    def __init__(self, device: NVMDevice, engine):
         self.device = device
         self.engine = engine
-        self.model = model or device.model
+        self.model = device.model
         self.spans: List[PhaseSpan] = []
         self.commit_ns: Optional[float] = None
         self._t0 = 0.0

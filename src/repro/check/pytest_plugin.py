@@ -164,18 +164,6 @@ def serve_seeds(request) -> int:
     return request.config.getoption("--serve-seeds")
 
 
-@pytest.fixture(scope="session")
-def media_faults(request) -> bool:
-    """Whether the deep media-fault sweeps were opted into."""
-    return request.config.getoption("--media-faults")
-
-
-@pytest.fixture(scope="session")
-def cluster_sweeps(request) -> bool:
-    """Whether the deep sharded-cluster sweeps were opted into."""
-    return request.config.getoption("--cluster")
-
-
 @pytest.fixture
 def assert_engine_crash_consistent(check_budget: CheckBudget):
     """Callable fixture: sweep and fail with minimized repros."""

@@ -44,7 +44,6 @@ def build_stack(
     engine_factory: Callable[[], Any],
     seed: int = 0,
     pool_size: int = POOL_SIZE,
-    heap_size: int = HEAP_SIZE,
     media: str = "off",
     tree: bool = False,
 ) -> Tuple[PersistentHeap, Any, NVMDevice]:
@@ -65,7 +64,7 @@ def build_stack(
         device.attach_media(seed=seed, protect=media == "protected", tree=tree)
     pool = PmemPool.create(device)
     engine = engine_factory()
-    heap = PersistentHeap.create(pool, engine, heap_size=heap_size)
+    heap = PersistentHeap.create(pool, engine, heap_size=HEAP_SIZE)
     return heap, engine, device
 
 
@@ -168,15 +167,17 @@ class KVWorkload(CheckWorkload):
 
     name = "kv"
 
-    def __init__(self, n_base: int = 6, value_size: int = 64):
-        self.n_base = n_base
-        self.value_size = value_size
+    #: keys ``0 .. N_BASE-1`` are loaded by setup
+    N_BASE = 6
+    VALUE_SIZE = 64
+
+    def __init__(self):
         self._steps: List[Tuple[str, int, int]] = [
-            ("put", n_base, 101),        # insert a new key (splits possible)
-            ("put", 0, 102),             # overwrite in place
-            ("put", n_base + 1, 103),    # another insert
-            ("delete", 1, 0),            # remove + free the blob
-            ("put", 2, 104),             # overwrite after the delete
+            ("put", self.N_BASE, 101),      # insert a new key (splits possible)
+            ("put", 0, 102),                # overwrite in place
+            ("put", self.N_BASE + 1, 103),  # another insert
+            ("delete", 1, 0),               # remove + free the blob
+            ("put", 2, 104),                # overwrite after the delete
         ]
 
     @property
@@ -187,8 +188,8 @@ class KVWorkload(CheckWorkload):
         return bytes([tag % 256]) * 16
 
     def setup(self, heap: PersistentHeap) -> None:
-        kv = KVStore.create(heap, value_size=self.value_size)
-        for k in range(self.n_base):
+        kv = KVStore.create(heap, value_size=self.VALUE_SIZE)
+        for k in range(self.N_BASE):
             kv.put(k, self._value(k + 1))
         self._kv = kv
 
@@ -280,12 +281,8 @@ class RingWorkload(CheckWorkload):
 
     REGION = "check_ring"
 
-    def __init__(self, n_appends: int = 5):
-        self.n_appends = n_appends
-
-    @property
-    def n_steps(self) -> int:
-        return self.n_appends
+    #: one append per step
+    n_steps = 5
 
     def setup(self, heap: PersistentHeap) -> None:
         region = heap.pool.create_region(self.REGION, 64 << 10)

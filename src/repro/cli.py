@@ -63,10 +63,11 @@ def cmd_engines(args) -> int:
     rows = []
     for info in registered_engines().values():
         caps = info.capabilities
+        engine = info.factory()
         flags = []
-        if caps.copies_in_critical_path:
+        if engine.log_data_bytes:
             flags.append("crit-copy")
-        if caps.has_backup:
+        if engine.backup is not None:
             flags.append("backup")
         if not caps.recoverable:
             flags.append("unsafe")

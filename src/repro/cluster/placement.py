@@ -46,6 +46,9 @@ LOG_BYTES = 64 * 1024
 #: phases a migration record may be durably parked in
 MIGRATION_PHASES = ("copy", "catchup", "handoff")
 
+#: ring points per shard on a bootstrapped cluster's map
+BOOTSTRAP_VNODES = 32
+
 
 class MigrationRecord:
     """Durable state of one in-flight shard migration."""
@@ -86,15 +89,13 @@ class PlacementService(Journal):
         self._append({"t": "map", "map": shard_map.to_dict()})
 
     @classmethod
-    def bootstrap(cls, groups: int, shards_per_group: int = 2,
-                  vnodes: int = 32, device: Optional[NVMDevice] = None,
-                  ) -> "PlacementService":
+    def bootstrap(cls, groups: int, shards_per_group: int = 2) -> "PlacementService":
         """Round-robin initial placement: shard s -> group s mod groups."""
         if groups < 1 or shards_per_group < 1:
             raise ClusterConfigError("need at least one group and one shard")
         nshards = groups * shards_per_group
         assignment = {s: s % groups for s in range(nshards)}
-        return cls(ShardMap(assignment, version=1, vnodes=vnodes), device=device)
+        return cls(ShardMap(assignment, version=1, vnodes=BOOTSTRAP_VNODES))
 
     # -- the journal's fold and checkpoint -------------------------------------
 

@@ -4,8 +4,7 @@ One :class:`~repro.runtime.context.ExecutionContext` (clock, RNG,
 resource registry) and one :class:`~repro.sim.network.SimNetwork` are
 shared by every group, so cross-group schedules interleave on a single
 deterministic timeline and the nemesis can cut links inside one group
-while another keeps committing.  Node ids are prefixed ``g<i>:`` and
-registered to per-group partitions of the transport's statistics.
+while another keeps committing.  Node ids are prefixed ``g<i>:``.
 
 The client surface is duck-compatible with
 :class:`~repro.replication.chain.ChainCluster` (``route`` /
@@ -22,18 +21,13 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ClusterConfigError, ShardMigrationError
-from ..nvm.latency import NVDIMM, LatencyModel
 from ..runtime.context import ExecutionContext
-from ..sim.network import DEFAULT_HOP_NS, SimNetwork
+from ..sim.network import SimNetwork
 from ..replication.chain import KAMINO, ChainCluster, RetryPolicy
 from .migrate import ShardMigration
 from .placement import PlacementService
 from .report import MigrationReport
 from .router import ShardMap
-
-#: the transport-stats partition name of group ``i`` is ``g<i>``
-def group_tag(gid: int) -> str:
-    return f"g{gid}"
 
 
 class ShardedCluster:
@@ -47,44 +41,25 @@ class ShardedCluster:
         mode: str = KAMINO,
         heap_mb: int = 2,
         value_size: int = 128,
-        alpha: float = 1.0,
-        hop_ns: float = DEFAULT_HOP_NS,
-        model: LatencyModel = NVDIMM,
         seed: int = 0,
         retry: Optional[RetryPolicy] = None,
-        vnodes: int = 32,
-        runtime: Optional[ExecutionContext] = None,
-        placement: Optional[PlacementService] = None,
     ):
         if groups < 1:
             raise ClusterConfigError("need at least one group")
-        self.runtime = (
-            runtime if runtime is not None else ExecutionContext(model=model, seed=seed)
-        )
+        self.runtime = ExecutionContext(seed=seed)
         self.sim = self.runtime.events
-        self.net = SimNetwork(self.sim, hop_latency_ns=hop_ns, rng=self.runtime.rng)
+        self.net = SimNetwork(self.sim, rng=self.runtime.rng)
         self.retry = retry if retry is not None else RetryPolicy()
         self.mode = mode
-        self.groups: List[ChainCluster] = []
-        for gid in range(groups):
-            group = ChainCluster(
+        self.groups: List[ChainCluster] = [
+            ChainCluster(
                 f=f, mode=mode, heap_mb=heap_mb, value_size=value_size,
-                alpha=alpha, sim=self.sim, hop_ns=hop_ns, model=model,
                 runtime=self.runtime, retry=self.retry,
-                net=self.net, node_prefix=f"{group_tag(gid)}:",
+                net=self.net, node_prefix=f"g{gid}:",
             )
-            for node in group.chain:
-                self.net.assign_group(node.node_id, group_tag(gid))
-            self.groups.append(group)
-        self.placement = (
-            placement
-            if placement is not None
-            else PlacementService.bootstrap(groups, shards_per_group, vnodes=vnodes)
-        )
-        if len(self.placement.map.groups) > groups:
-            raise ClusterConfigError(
-                "placement references more groups than were built"
-            )
+            for gid in range(groups)
+        ]
+        self.placement = PlacementService.bootstrap(groups, shards_per_group)
         self._migrations: Dict[int, ShardMigration] = {}
         self.migration_reports: List[MigrationReport] = []
         self.migration_failures: List[str] = []

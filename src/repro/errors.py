@@ -86,10 +86,6 @@ class RootMismatchError(IntegrityTreeError):
     Consistent multi-line corruption (e.g. a stale-CRC replay that fools
     per-line checksums) surfaces here instead of silently verifying."""
 
-    def __init__(self, message: str, lines=()):
-        super().__init__(message)
-        self.lines = tuple(lines)
-
 
 class RingCorruptionError(IntegrityError, PoolCorruptionError):
     """A persistent-ring record *behind* the durable produce index failed

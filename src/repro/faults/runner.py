@@ -381,13 +381,16 @@ def run_corpus(
     return fan_out(call, runs, workers)
 
 
+#: the most candidate runs one :func:`minimize` call replays
+MINIMIZE_BUDGET = 40
+
+
 def minimize(
     scenario: NemesisScenario,
     seed: int,
     mode: str = KAMINO,
     f: int = 2,
     retry: Optional[RetryPolicy] = None,
-    budget: int = 40,
 ) -> NemesisScenario:
     """Greedy delta-debugging of a failing run: drop fault actions and
     halve the workload while the failure reproduces.  Deterministic
@@ -404,7 +407,7 @@ def minimize(
     current = scenario
     probes = 0
     progress = True
-    while progress and probes < budget:
+    while progress and probes < MINIMIZE_BUDGET:
         progress = False
         for i in range(len(current.actions)):
             cand = replace(
@@ -416,7 +419,7 @@ def minimize(
                 progress = True
                 break
         for attr, floor in (("n_clients", 1), ("ops_per_client", 1)):
-            while getattr(current, attr) > floor and probes < budget:
+            while getattr(current, attr) > floor and probes < MINIMIZE_BUDGET:
                 cand = replace(
                     current, **{attr: max(floor, getattr(current, attr) // 2)}
                 )

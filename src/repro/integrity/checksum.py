@@ -83,21 +83,16 @@ class ChecksumSidecar:
         base = line << _LINE_SHIFT
         return crc == zlib.crc32(bytes(durable[base : base + CACHE_LINE]))
 
-    def scan(self, durable, first: int = 0, last: int | None = None) -> List[int]:
+    def scan(self, durable) -> List[int]:
         """Lines whose media content no longer matches their checksum.
 
         Walks every *covered* line (uncovered lines were never persisted
-        under protection and verify clean by definition), optionally
-        restricted to the inclusive line range ``[first, last]``.
-        Contiguous covered runs are snapshotted once and verified from
-        the local buffer: one bulk conversion per run instead of one
-        ``memoryview`` export and copy per line.
+        under protection and verify clean by definition).  Contiguous
+        covered runs are snapshotted once and verified from the local
+        buffer: one bulk conversion per run instead of one ``memoryview``
+        export and copy per line.
         """
-        covered = sorted(
-            line
-            for line in self._crcs
-            if line >= first and (last is None or line <= last)
-        )
+        covered = sorted(self._crcs)
         bad: List[int] = []
         crcs = self._crcs
         crc32 = zlib.crc32

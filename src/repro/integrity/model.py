@@ -219,23 +219,25 @@ class MediaFaultModel:
         self.tainted.add(line)
         device.stats.media_flips += 1
 
+    def _spans(
+        self, ranges: Optional[Sequence[Tuple[int, int]]]
+    ) -> List[Tuple[int, int]]:
+        """The non-empty ``(start, length)`` ranges a fault lands in."""
+        if ranges:
+            return [(s, ln) for s, ln in ranges if ln > 0]
+        return [(0, self.device.size)]
+
     def inject_flips(
         self,
         n: int,
-        lo: int = 0,
-        hi: Optional[int] = None,
         ranges: Optional[Sequence[Tuple[int, int]]] = None,
         rng: Optional[random.Random] = None,
     ) -> List[Tuple[int, int]]:
-        """Flip ``n`` seeded random bits inside ``[lo, hi)`` (or inside
-        the given ``(start, length)`` ranges); returns the (addr, bit)
-        list for test assertions."""
+        """Flip ``n`` seeded random bits inside the given ``(start,
+        length)`` ranges (the whole device when none); returns the
+        (addr, bit) list for test assertions."""
         rng = rng if rng is not None else self.rng
-        if ranges:
-            spans = [(s, ln) for s, ln in ranges if ln > 0]
-        else:
-            hi = hi if hi is not None else self.device.size
-            spans = [(lo, hi - lo)]
+        spans = self._spans(ranges)
         if not spans:
             return []
         total = sum(ln for _s, ln in spans)
@@ -272,21 +274,15 @@ class MediaFaultModel:
     def kill_lines(
         self,
         n: int,
-        lo: int = 0,
-        hi: Optional[int] = None,
         ranges: Optional[Sequence[Tuple[int, int]]] = None,
         rng: Optional[random.Random] = None,
     ) -> List[int]:
-        """Kill ``n`` seeded random distinct lines inside the byte range
-        (or ranges); returns the killed line indices."""
+        """Kill ``n`` seeded random distinct lines inside the given byte
+        ranges (the whole device when none); returns the killed line
+        indices."""
         rng = rng if rng is not None else self.rng
-        if ranges:
-            spans = [(s, ln) for s, ln in ranges if ln > 0]
-        else:
-            hi = hi if hi is not None else self.device.size
-            spans = [(lo, hi - lo)]
         lines: Set[int] = set()
-        for start, length in spans:
+        for start, length in self._spans(ranges):
             first = start >> _LINE_SHIFT
             last = (start + length - 1) >> _LINE_SHIFT
             lines.update(range(first, last + 1))
@@ -436,18 +432,14 @@ class MediaFaultModel:
             return self.tree.verify_line(line, self.device._durable)
         return True
 
-    def bad_lines(self, first: int = 0, last: Optional[int] = None) -> List[int]:
-        """Every detectably bad line in the inclusive line range: dead,
-        lost, or failing checksum verification."""
-        bad = {
-            ln
-            for ln in self.dead | self.lost
-            if ln >= first and (last is None or ln <= last)
-        }
+    def bad_lines(self) -> List[int]:
+        """Every detectably bad line: dead, lost, or failing checksum
+        verification."""
+        bad = self.dead | self.lost
         if self.sidecar is not None:
-            bad.update(self.sidecar.scan(self.device._durable, first, last))
+            bad.update(self.sidecar.scan(self.device._durable))
         if self.tree is not None:
-            bad.update(self.tree.scan(self.device._durable, first, last))
+            bad.update(self.tree.scan(self.device._durable))
         return sorted(bad)
 
     # -- state carried across clones / fingerprints -------------------------

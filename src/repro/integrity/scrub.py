@@ -3,9 +3,9 @@
 Kamino-Tx's full backup mirror exists for atomicity, but the same
 redundancy is the textbook remedy for media decay: a corrupt main line
 is restored from the backup, a corrupt backup line from main.  The
-:class:`Scrubber` runs that detect/repair/degrade loop — once on demand
-(``repro scrub``, recovery), or periodically as an
-:class:`~repro.sim.events.EventSimulator` task.
+:class:`Scrubber` runs that detect/repair/degrade loop, one pass per
+:meth:`~Scrubber.scrub_once` call (``repro scrub``, recovery, and the
+nemesis ``media_scrub`` verb on live replicas).
 
 Authority rules (which copy wins) per bad line:
 
@@ -93,7 +93,7 @@ class ScrubReport:
 
 
 class Scrubber:
-    """Periodic (or on-demand) verify-and-repair over one device's pool.
+    """On-demand verify-and-repair over one device's pool.
 
     Args:
         device: the device whose media is scrubbed; must have a
@@ -122,8 +122,6 @@ class Scrubber:
         self.peer_repair = peer_repair
         self.passes = 0
         self.last_report: Optional[ScrubReport] = None
-        self._armed = None
-        self._cancelled = False
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -240,28 +238,6 @@ class Scrubber:
         media.retire(line)
         report.quarantined += 1
         return True
-
-    # -- periodic operation -------------------------------------------------
-
-    def arm(self, sim, interval_ns: float = 1_000_000.0) -> "Scrubber":
-        """Schedule this scrubber as a repeating simulator task."""
-        self._cancelled = False
-
-        def tick():
-            if self._cancelled:
-                return
-            self.scrub_once()
-            self._armed = sim.schedule(interval_ns, tick)
-
-        self._armed = sim.schedule(interval_ns, tick)
-        return self
-
-    def disarm(self) -> None:
-        self._cancelled = True
-        event = self._armed
-        if event is not None and hasattr(event, "cancel"):
-            event.cancel()
-        self._armed = None
 
 
 def verify_ranges(device, ranges: Sequence[Tuple[int, int]]) -> List[int]:

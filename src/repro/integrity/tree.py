@@ -325,7 +325,7 @@ class IntegrityTree:
 
     # -- crash / recovery -------------------------------------------------
 
-    def recover(self, durable=None) -> "IntegrityTree":
+    def recover(self) -> "IntegrityTree":
         """Land on a verifiable tree after a crash.
 
         Replays the pending update log into the leaves (idempotent,

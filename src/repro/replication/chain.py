@@ -38,10 +38,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ChainConfigError, ClusterDegraded, RequestTimeoutError, TxAborted
-from ..nvm.latency import NVDIMM, LatencyModel
 from ..runtime.context import ExecutionContext
-from ..sim.events import Event, EventSimulator
-from ..sim.network import DEFAULT_HOP_NS, SimNetwork
+from ..sim.events import Event
+from ..sim.network import SimNetwork
 from ..sim.resources import FIFOServer
 from .membership import MembershipManager
 from .messages import CleanupAck, TailAck, TxForward, wire_size
@@ -49,6 +48,10 @@ from .node import ROLE_HEAD, ROLE_MID, ROLE_TAIL, ReplicaNode
 
 TRADITIONAL = "traditional"
 KAMINO = "kamino"
+
+#: how long an open circuit breaker rejects writes before the next
+#: attempt, and the retry hint a chain below its write quorum gives
+DEGRADED_COOLDOWN_NS = 10_000_000.0
 
 
 @dataclass(frozen=True)
@@ -126,16 +129,12 @@ class ChainCluster:
         heap_mb: int = 8,
         value_size: int = 128,
         alpha: float = 1.0,
-        sim: Optional[EventSimulator] = None,
-        hop_ns: float = DEFAULT_HOP_NS,
-        model: LatencyModel = NVDIMM,
         runtime: Optional["ExecutionContext"] = None,
         seed: int = 0,
         retry: Optional[RetryPolicy] = None,
         max_backup_lag: int = 64,
         write_quorum: Optional[int] = None,
         degrade_after: int = 3,
-        degraded_cooldown_ns: float = 10_000_000.0,
         net: Optional[SimNetwork] = None,
         node_prefix: str = "",
     ):
@@ -146,16 +145,16 @@ class ChainCluster:
         self.f = f
         self.mode = mode
         self.runtime = (
-            runtime if runtime is not None else ExecutionContext(model=model, seed=seed)
+            runtime if runtime is not None else ExecutionContext(seed=seed)
         )
-        self.sim = sim if sim is not None else self.runtime.events
+        self.sim = self.runtime.events
         # ``net`` lets many chain groups share one transport (the
         # sharded cluster); ``node_prefix`` keeps their node ids from
         # colliding on it.  The defaults are the original single-chain
         # deployment: a private network and bare ``r<i>`` names.
         self.net = (
             net if net is not None
-            else SimNetwork(self.sim, hop_latency_ns=hop_ns, rng=self.runtime.rng)
+            else SimNetwork(self.sim, rng=self.runtime.rng)
         )
         self.node_prefix = node_prefix
         self.retry = retry if retry is not None else RetryPolicy()
@@ -168,14 +167,13 @@ class ChainCluster:
             write_quorum if write_quorum is not None else (2 if mode == KAMINO else 1)
         )
         self.degrade_after = degrade_after
-        self.degraded_cooldown_ns = degraded_cooldown_ns
         n = f + 2 if mode == KAMINO else f + 1
         self.chain: List[ReplicaNode] = []
         for i in range(n):
             role = ROLE_HEAD if i == 0 else (ROLE_TAIL if i == n - 1 else ROLE_MID)
             node = ReplicaNode(
                 f"{node_prefix}r{i}", mode, role, heap_mb=heap_mb,
-                value_size=value_size, alpha=alpha, model=model, seed=i,
+                value_size=value_size, alpha=alpha, seed=i,
             )
             self.chain.append(node)
             self.net.register(node.node_id, self._make_handler(node))
@@ -266,7 +264,7 @@ class ChainCluster:
         if self._consecutive_failures >= self.degrade_after:
             # open the breaker: reject fast for a cooldown window rather
             # than burning a full retransmission ladder per write
-            self._open_breaker(self.degraded_cooldown_ns)
+            self._open_breaker(DEGRADED_COOLDOWN_NS)
 
     def _note_write_success(self) -> None:
         self._consecutive_failures = 0
@@ -288,7 +286,7 @@ class ChainCluster:
         if self._degraded_until is not None and self.sim.now < self._degraded_until:
             return self._degraded_until - self.sim.now
         if len(self.chain) < self.write_quorum:
-            return self.degraded_cooldown_ns
+            return DEGRADED_COOLDOWN_NS
         return None
 
     def trip_breaker(self, cooldown_ns: Optional[float] = None) -> None:
@@ -298,7 +296,7 @@ class ChainCluster:
         drain switch."""
         self._consecutive_failures = self.degrade_after
         self._open_breaker(
-            cooldown_ns if cooldown_ns is not None else self.degraded_cooldown_ns
+            cooldown_ns if cooldown_ns is not None else DEGRADED_COOLDOWN_NS
         )
 
     def close_breaker(self) -> None:

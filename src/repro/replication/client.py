@@ -285,7 +285,6 @@ class ChainClient(Submitter):
 def run_clients(
     cluster: ChainCluster,
     streams: List[List[Op]],
-    retry: Optional[RetryPolicy] = None,
     raise_on_stuck: bool = True,
 ) -> List[ChainClient]:
     """Start one closed-loop client per stream and run to completion.
@@ -296,7 +295,7 @@ def run_clients(
     old silent behaviour back for inspection-style tests).
     """
     clients = [
-        ChainClient(cluster, f"c{i}", ops, retry=retry)
+        ChainClient(cluster, f"c{i}", ops)
         for i, ops in enumerate(streams)
     ]
     for client in clients:

@@ -1,9 +1,8 @@
 """Membership management: views, failure declaration, chain order.
 
 Stands in for the paper's Zookeeper instance (§5.3): it owns the
-``viewID``, decides when a replica is *failed* (vs merely rebooting
-quickly), and answers a rejoining replica's "who are my neighbours?"
-query.  Chain repair itself is orchestrated by
+``viewID``, records which replicas were declared *failed*, and answers
+a rejoining replica's "who are my neighbours?" query.  Chain repair itself is orchestrated by
 :mod:`repro.replication.recovery`.
 """
 
@@ -26,10 +25,9 @@ class ViewInfo:
 class MembershipManager:
     """Authoritative view of which replicas form the chain, in order."""
 
-    def __init__(self, initial_order: List[str], failure_timeout_ns: float = 50_000_000.0):
+    def __init__(self, initial_order: List[str]):
         if not initial_order:
             raise ReplicationError("chain cannot be empty")
-        self.failure_timeout_ns = failure_timeout_ns
         self._views: List[ViewInfo] = [ViewInfo(1, tuple(initial_order))]
         #: every replica ever declared failed, so a duplicate declaration
         #: (two detectors racing) is distinguishable from an unknown node
@@ -57,12 +55,6 @@ class MembershipManager:
         pred = order[idx - 1] if idx > 0 else None
         succ = order[idx + 1] if idx + 1 < len(order) else None
         return pred, succ
-
-    def validate_view(self, view_id: int) -> None:
-        if view_id < self.view_id:
-            raise StaleViewError(
-                f"message from view {view_id}, current view is {self.view_id}"
-            )
 
     # -- transitions ---------------------------------------------------------------
 
@@ -122,12 +114,7 @@ class MembershipManager:
         self._removed.discard(spare_id)
         return view
 
-    # -- failure detection --------------------------------------------------------------
-
-    def is_quick_reboot(self, node_id: str, went_down_at_ns: float, now_ns: float) -> bool:
-        """True if the replica recovered before the detector fired —
-        the §5.3 case that must repair in place instead of rejoining."""
-        return (now_ns - went_down_at_ns) < self.failure_timeout_ns
+    # -- rejoin ------------------------------------------------------------------------
 
     def rejoin_request(self, node_id: str, claimed_view: int) -> ViewInfo:
         """A rebooted replica asks to rejoin with the view it remembers.

@@ -19,7 +19,6 @@ from ..heap import PersistentHeap
 from ..kvstore import KVStore
 from ..kvstore.ring import PersistentRing
 from ..nvm.device import CrashPolicy, NVMDevice
-from ..nvm.latency import NVDIMM, LatencyModel
 from ..nvm.pool import PmemPool
 from ..runtime.context import ExecutionContext
 from ..sim.resources import serial_ns_per_intent
@@ -65,17 +64,15 @@ class ReplicaNode:
         heap_mb: int = 8,
         value_size: int = 128,
         alpha: float = 1.0,
-        model: LatencyModel = NVDIMM,
         seed: int = 0,
     ):
         self.node_id = node_id
         self.mode = mode
         self.role = role
         self.alpha = alpha
-        self.model = model
         heap_bytes = heap_mb << 20
         pool_bytes = heap_bytes * 3 + (16 << 20)
-        self.device = NVMDevice(pool_bytes, model=model, seed=seed)
+        self.device = NVMDevice(pool_bytes, seed=seed)
         pool = self.open_stack(heap_size=heap_bytes)
         # a persistent ring for the input queue of forwarded calls (§5.1:
         # "replicas buffer such calls in an input queue in non-volatile
@@ -118,7 +115,7 @@ class ReplicaNode:
             pool = PmemPool.create(self.device)
             self.heap = PersistentHeap.create(pool, engine, heap_size=heap_size)
         self.engine = engine
-        self.ctx = ExecutionContext(self.model, self.device, engine)
+        self.ctx = ExecutionContext(self.device.model, self.device, engine)
         return pool
 
     # -- procedures -------------------------------------------------------------

@@ -200,12 +200,7 @@ def fail_stop(cluster: ChainCluster, index: int) -> None:
     cluster._install_view()
 
 
-def replace_node(
-    cluster: ChainCluster,
-    index: int,
-    spare_id: Optional[str] = None,
-    value_size: int = 128,
-) -> ReplicaNode:
+def replace_node(cluster: ChainCluster, index: int) -> ReplicaNode:
     """Automatic node replacement: fail-stop the replica at ``index``
     and splice a caught-up spare into the chain under a single view
     change (:meth:`MembershipManager.replace_failed`).
@@ -220,41 +215,55 @@ def replace_node(
     _repair_chain(cluster, was_head, was_tail, pred, succ)
 
     donor = cluster.tail
-    spare_id = spare_id or f"{cluster.node_prefix}s{cluster.view_id}x{len(cluster.chain)}"
-    spare = ReplicaNode(
-        spare_id,
-        cluster.mode,
-        ROLE_TAIL,
-        heap_mb=donor.heap.region.size >> 20,
-        value_size=value_size,
-        alpha=donor.alpha,
-        model=donor.model,
+    spare = _splice_at_tail(
+        cluster,
+        f"{cluster.node_prefix}s{cluster.view_id}x{len(cluster.chain)}",
         seed=len(cluster.chain) + cluster.view_id,
+        replacing=failed.node_id,
     )
-    spare.load_heap_image(donor.heap_image())
-    spare.kv = KVStore.open(spare.heap)
-    spare.applied_seq = donor.applied_seq
-    if donor.role == ROLE_TAIL:
-        donor.role = ROLE_MID
-    cluster.chain.append(spare)
-    cluster.membership.replace_failed(failed.node_id, spare_id)
-    cluster.net.register(spare_id, cluster._make_handler(spare))
-    donor_group = cluster.net.group_of(donor.node_id)
-    if donor_group is not None:
-        cluster.net.assign_group(spare_id, donor_group)
-    cluster._servers[spare_id] = cluster.runtime.resources.register(
-        FIFOServer(spare_id)
-    )
-    cluster._install_view()
     # the donor's un-cleaned window rides down to the spare so completion
     # acks regenerate under the new view
     for seq in sorted(donor.inflight):
         _txid, msg = donor.inflight[seq]
         cluster.net.send(
-            donor.node_id, spare_id,
+            donor.node_id, spare.node_id,
             TxForward(cluster.view_id, msg.seq, msg.proc, msg.args),
         )
     return spare
+
+
+def _splice_at_tail(cluster: ChainCluster, node_id: str, seed: int,
+                    replacing: Optional[str] = None) -> ReplicaNode:
+    """State-transfer a fresh replica from the current tail and splice
+    it in as the new tail under one view change: a plain join, or the
+    replacement of the failed replica ``replacing``.
+
+    The new replica takes the donor's geometry and whole heap image, so
+    its heap size, record size and ``applied_seq`` are the donor's."""
+    donor = cluster.tail
+    node = ReplicaNode(
+        node_id,
+        cluster.mode,
+        ROLE_TAIL,
+        heap_mb=donor.heap.region.size >> 20,
+        value_size=donor.kv.value_size,
+        alpha=donor.alpha,
+        seed=seed,
+    )
+    node.load_heap_image(donor.heap_image())
+    node.kv = KVStore.open(node.heap)
+    node.applied_seq = donor.applied_seq
+    if donor.role == ROLE_TAIL:
+        donor.role = ROLE_MID
+    cluster.chain.append(node)
+    if replacing is None:
+        cluster.membership.add_at_tail(node_id)
+    else:
+        cluster.membership.replace_failed(replacing, node_id)
+    cluster.net.register(node_id, cluster._make_handler(node))
+    cluster._servers[node_id] = cluster.runtime.resources.register(FIFOServer(node_id))
+    cluster._install_view()
+    return node
 
 
 def _promote_new_head(cluster: ChainCluster) -> None:
@@ -321,38 +330,19 @@ def _bridge_mid_failure(
         cluster.net.send(pred.node_id, succ.node_id, fresh)
 
 
-def join_new_replica(cluster: ChainCluster, heap_mb: int = 8, value_size: int = 128) -> ReplicaNode:
+def join_new_replica(cluster: ChainCluster) -> ReplicaNode:
     """Grow the chain: a fresh replica joins as the tail after state
     transfer from the current tail (§5.2)."""
-    old_tail = cluster.tail
-    node_id = f"{cluster.node_prefix}r{cluster.view_id}x{len(cluster.chain)}"
-    node = ReplicaNode(
-        node_id,
-        cluster.mode,
-        ROLE_TAIL,
-        heap_mb=old_tail.heap.region.size >> 20,
-        value_size=value_size,
-        alpha=old_tail.alpha,
-        model=old_tail.model,
+    return _splice_at_tail(
+        cluster, f"{cluster.node_prefix}r{cluster.view_id}x{len(cluster.chain)}", seed=0
     )
-    node.load_heap_image(old_tail.heap_image())
-    node.kv = KVStore.open(node.heap)
-    node.applied_seq = old_tail.applied_seq
-    old_tail.role = ROLE_MID
-    cluster.chain.append(node)
-    cluster.membership.add_at_tail(node.node_id)
-    cluster.net.register(node.node_id, cluster._make_handler(node))
-    tail_group = cluster.net.group_of(old_tail.node_id)
-    if tail_group is not None:
-        cluster.net.assign_group(node.node_id, tail_group)
-    cluster._servers[node.node_id] = cluster.runtime.resources.register(
-        FIFOServer(node.node_id)
-    )
-    cluster._install_view()
-    return node
 
 
-def settle(cluster: ChainCluster, rounds: int = 6) -> None:
+#: re-forwarding rounds :func:`settle` runs before its final drain
+SETTLE_ROUNDS = 6
+
+
+def settle(cluster: ChainCluster) -> None:
     """Re-forward stalled in-flight windows until the chain is quiet.
 
     An intervention can strand a window: a crashed replica's successor
@@ -365,7 +355,7 @@ def settle(cluster: ChainCluster, rounds: int = 6) -> None:
     duplicates harmless.  Used by the crash explorer and the nemesis
     runner to settle a cluster after fault injection stops.
     """
-    for _ in range(rounds):
+    for _ in range(SETTLE_ROUNDS):
         cluster.drain()
         stalled = bool(cluster._inflight_writes) or any(
             node.inflight for node in cluster.chain

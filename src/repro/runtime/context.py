@@ -105,8 +105,6 @@ class ExecutionContext:
         engine=None,
         heap=None,
         kv=None,
-        clock: Optional[SimClock] = None,
-        events: Optional[EventSimulator] = None,
         resources: Optional[SharedResources] = None,
         engine_name: Optional[str] = None,
         seed: int = 0,
@@ -116,8 +114,8 @@ class ExecutionContext:
         self.engine = engine
         self.heap = heap
         self.kv = kv
-        self.clock = clock if clock is not None else SimClock()
-        self.events = events if events is not None else EventSimulator(clock=self.clock)
+        self.clock = SimClock()
+        self.events = EventSimulator(clock=self.clock)
         self.resources = resources if resources is not None else SharedResources(model)
         self.engine_name = engine_name or (getattr(engine, "name", None) if engine else None)
         #: the context's seed and RNG: every non-deterministic choice a

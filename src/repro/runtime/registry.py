@@ -6,8 +6,7 @@ The registry is the runtime-facing half of that contract: an engine
 module declares itself with::
 
     @register_engine("kamino-simple", capabilities=EngineCapabilities(
-        copies_in_critical_path=False,
-        has_backup=True,
+        description="atomic in-place updates, full heap mirror ...",
     ))
     def kamino_simple(**kwargs) -> KaminoEngine: ...
 
@@ -16,9 +15,11 @@ and the property-based crash suites — reads the registry instead of a
 hard-coded table.  The registration is the engine's only declaration:
 adding an engine touches exactly one file, the engine's own module.
 
-The registry answers for registered names only.  What an engine's
-transactions cost is read from the built engine, never from its name
-(:func:`repro.sim.resources.serial_ns_per_intent`).
+The registry answers for registered names only.  Facts the built engine
+carries are read off the engine, never restated here: what its
+transactions cost (:func:`repro.sim.resources.serial_ns_per_intent`),
+whether it keeps a backup (``engine.backup``) and whether it copies data
+in the critical path (a log data arena, ``engine.log_data_bytes``).
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ class EngineCapabilities:
 
     Attributes:
         description: one-line summary shown by ``repro engines``.
-        copies_in_critical_path: the scheme moves data bytes before its
-            commit point (undo's log capture, CoW's shadow copies).
-        has_backup: maintains a backup region the recovery protocol must
-            re-synchronise (the Kamino family).
         recoverable: can restore a consistent heap on its own after a
             crash, so it participates in standalone crash-injection
             sweeps; False for deliberately unsafe baselines (``nolog``)
@@ -66,8 +63,6 @@ class EngineCapabilities:
     """
 
     description: str = ""
-    copies_in_critical_path: bool = True
-    has_backup: bool = False
     recoverable: bool = True
     needs_chain_repair: bool = False
     options: Tuple[str, ...] = field(default_factory=tuple)

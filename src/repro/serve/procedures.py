@@ -281,12 +281,11 @@ class ProcedureEngine:
     """Runs procedures against the cluster, persisting frames per step."""
 
     def __init__(self, gateway: ClusterGateway,
-                 store: Optional[ProcedureStore] = None, durable: bool = True,
-                 registry: Optional[Dict[str, DurableProcedure]] = None):
+                 store: Optional[ProcedureStore] = None, durable: bool = True):
         self.gateway = gateway
         self.store = store if store is not None else ProcedureStore()
         self.durable = durable
-        self.registry = dict(PROCEDURES) if registry is None else dict(registry)
+        self.registry = dict(PROCEDURES)
         self.started = 0
         self.completed = 0
         self.resumes = 0

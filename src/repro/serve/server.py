@@ -40,7 +40,7 @@ from ..errors import (
     ProtocolError,
     ReproError,
 )
-from ..replication.chain import ChainCluster, RetryPolicy
+from ..cluster import ShardedCluster
 from .admission import AdmissionConfig, AdmissionController
 from .gateway import ClusterGateway
 from .procedures import ProcedureEngine, ProcedureStore
@@ -58,28 +58,22 @@ _MUTATING = frozenset({b"PUT", b"DEL", b"RMW", b"PROC"})
 
 
 class ReproServer:
-    """Asyncio front end over a ``ShardedCluster`` (built on demand)."""
+    """Asyncio front end over a ``ShardedCluster`` of the given topology."""
 
-    def __init__(self, cluster=None, host: str = "127.0.0.1", port: int = 0,
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  *, groups: int = 2, shards_per_group: int = 2, f: int = 1,
-                 seed: int = 0, retry: Optional[RetryPolicy] = None,
-                 admission: Optional[AdmissionConfig] = None,
-                 store: Optional[ProcedureStore] = None, durable: bool = True):
-        if cluster is None:
-            from ..cluster import ShardedCluster
-
-            cluster = ShardedCluster(
-                groups=groups, shards_per_group=shards_per_group, f=f,
-                heap_mb=2, value_size=64, seed=seed,
-            )
+                 seed: int = 0, admission: Optional[AdmissionConfig] = None):
+        cluster = ShardedCluster(
+            groups=groups, shards_per_group=shards_per_group, f=f,
+            heap_mb=2, value_size=64, seed=seed,
+        )
         self.cluster = cluster
         self.host = host
         self.port = port
-        self.gateway = ClusterGateway(cluster, retry=retry)
+        self.gateway = ClusterGateway(cluster)
         self.admission = AdmissionController(cluster, admission)
-        self.store = store if store is not None else ProcedureStore()
-        self.procedures = ProcedureEngine(self.gateway, self.store,
-                                          durable=durable)
+        self.store = ProcedureStore()
+        self.procedures = ProcedureEngine(self.gateway, self.store)
         self.connections_opened = 0
         self.connections_closed = 0
         self.requests = 0
@@ -327,7 +321,7 @@ class ReproServer:
         cluster = self.cluster
         return {
             "address": list(self.address) if self.address else None,
-            "groups": 1 if isinstance(cluster, ChainCluster) else len(cluster.groups),
+            "groups": len(cluster.groups),
             "map_version": cluster.map_version,
             "procedures": sorted(self.procedures.registry),
             "durable": self.procedures.durable,

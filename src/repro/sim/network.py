@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .events import EventSimulator
@@ -76,14 +76,6 @@ class NetStats:
     ``dropped_link`` — cut links and partitions; ``dropped_node`` — the
     destination is fail-stopped or unregistered; ``dropped_fault`` — a
     fault policy dropped or corrupted the message in flight.
-
-    ``groups`` partitions every counter by the *shard group* the message
-    belonged to, for networks shared by many chain groups (see
-    :meth:`SimNetwork.assign_group`).  A message is charged to its
-    source node's group (destination's when the source has none), so
-    per-group drop counters aggregate back to the totals instead of
-    double- or under-counting when N groups share one transport.
-    ``snapshot()``/``delta()`` carry the partition along, window-style.
     """
 
     sent: int = 0
@@ -94,16 +86,11 @@ class NetStats:
     corrupted: int = 0
     duplicated: int = 0
     reordered: int = 0
-    groups: Dict[str, "NetStats"] = field(default_factory=dict)
 
     @property
     def dropped(self) -> int:
         """Total messages that never reached a handler."""
         return self.dropped_link + self.dropped_node + self.dropped_fault
-
-    def group(self, name: str) -> "NetStats":
-        """The counters charged to one group (zeros if never seen)."""
-        return self.groups.get(name, NetStats())
 
     def reset(self) -> None:
         self.sent = 0
@@ -114,7 +101,6 @@ class NetStats:
         self.corrupted = 0
         self.duplicated = 0
         self.reordered = 0
-        self.groups = {}
 
     def snapshot(self) -> "NetStats":
         return NetStats(
@@ -126,7 +112,6 @@ class NetStats:
             self.corrupted,
             self.duplicated,
             self.reordered,
-            {name: g.snapshot() for name, g in self.groups.items()},
         )
 
     def delta(self, since: "NetStats") -> "NetStats":
@@ -139,10 +124,6 @@ class NetStats:
             self.corrupted - since.corrupted,
             self.duplicated - since.duplicated,
             self.reordered - since.reordered,
-            {
-                name: g.delta(since.groups.get(name, NetStats()))
-                for name, g in self.groups.items()
-            },
         )
 
 
@@ -174,8 +155,6 @@ class SimNetwork:
         self._default_policy: Optional[LinkFaultPolicy] = None
         self._node_delay_ns: Dict[str, float] = {}
         self._groups: List[Set[str]] = []
-        #: node -> shard-group label for per-group stats partitioning
-        self._node_group: Dict[str, str] = {}
         self.stats = NetStats()
 
     # -- membership -----------------------------------------------------------
@@ -186,26 +165,6 @@ class SimNetwork:
 
     def unregister(self, node_id: str) -> None:
         self._handlers.pop(node_id, None)
-
-    def assign_group(self, node_id: str, group: str) -> None:
-        """Label a node with a shard group so its traffic is partitioned
-        into ``stats.groups[group]``.  A node keeps its label across
-        fail/revive; reassigning overwrites."""
-        self._node_group[node_id] = group
-
-    def group_of(self, node_id: str) -> Optional[str]:
-        return self._node_group.get(node_id)
-
-    def _count(self, counter: str, src: str, dst: str) -> None:
-        """Bump a counter on the totals and on the owning group's
-        partition (source's group, destination's as the fallback)."""
-        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-        group = self._node_group.get(src) or self._node_group.get(dst)
-        if group is not None:
-            gstats = self.stats.groups.get(group)
-            if gstats is None:
-                gstats = self.stats.groups[group] = NetStats()
-            setattr(gstats, counter, getattr(gstats, counter) + 1)
 
     # -- failure injection -------------------------------------------------------
 
@@ -280,15 +239,16 @@ class SimNetwork:
 
     # -- transport ------------------------------------------------------------------
 
-    def send(self, src: str, dst: str, msg: Any, extra_delay_ns: float = 0.0) -> None:
+    def send(self, src: str, dst: str, msg: Any) -> None:
         """One-way send; silently dropped if the destination is down, the
         link is cut/partitioned, or a fault policy eats it (the sender
         learns via timeouts, as in reality)."""
-        self._count("sent", src, dst)
+        stats = self.stats
+        stats.sent += 1
         if (src, dst) in self._cut_links or self._partitioned(src, dst):
-            self._count("dropped_link", src, dst)
+            stats.dropped_link += 1
             return
-        delay = self.hop_latency_ns + extra_delay_ns
+        delay = self.hop_latency_ns
         delay += self._node_delay_ns.get(src, 0.0) + self._node_delay_ns.get(dst, 0.0)
         policy = self._policy_for(src, dst)
         if policy is None:
@@ -296,7 +256,7 @@ class SimNetwork:
             return
         rng = self.rng
         if policy.drop_p > 0.0 and rng.random() < policy.drop_p:
-            self._count("dropped_fault", src, dst)
+            stats.dropped_fault += 1
             return
         if policy.jitter_max_ns > 0.0:
             delay += rng.uniform(policy.jitter_min_ns, policy.jitter_max_ns)
@@ -306,29 +266,27 @@ class SimNetwork:
             # checksum the sender stamped
             checksum ^= 0xDEADBEEF
         if policy.reorder_p > 0.0 and rng.random() < policy.reorder_p:
-            self._count("reordered", src, dst)
+            stats.reordered += 1
             delay += rng.uniform(policy.jitter_min_ns, policy.jitter_max_ns or self.hop_latency_ns * 4)
         self.sim.schedule(delay, self._deliver, src, dst, msg, checksum)
         if policy.dup_p > 0.0 and rng.random() < policy.dup_p:
-            self._count("duplicated", src, dst)
+            stats.duplicated += 1
             dup_delay = delay + rng.uniform(0.0, policy.jitter_max_ns or self.hop_latency_ns * 2)
             self.sim.schedule(dup_delay, self._deliver, src, dst, msg, checksum)
 
     def _deliver(self, src: str, dst: str, msg: Any, checksum: Optional[int]) -> None:
+        stats = self.stats
         if (src, dst) in self._cut_links or self._partitioned(src, dst):
-            self._count("dropped_link", src, dst)
-            return
-        if dst in self._down:
-            self._count("dropped_node", src, dst)
+            stats.dropped_link += 1
             return
         handler = self._handlers.get(dst)
-        if handler is None:
-            self._count("dropped_node", src, dst)
+        if handler is None or dst in self._down:
+            stats.dropped_node += 1
             return
         if checksum is not None and checksum != message_checksum(msg):
             # checksum mismatch: corrupted in flight, receiver discards
-            self._count("corrupted", src, dst)
-            self._count("dropped_fault", src, dst)
+            stats.corrupted += 1
+            stats.dropped_fault += 1
             return
-        self._count("delivered", src, dst)
+        stats.delivered += 1
         handler(src, msg)

@@ -72,8 +72,6 @@ class Transaction:
         self.read_set: Set[int] = set()
         #: blocks scheduled for deallocation at commit: (block_off, size)
         self.deferred_frees: List[Tuple[int, int]] = []
-        #: callbacks run after a successful commit (volatile bookkeeping)
-        self.on_commit: List[Callable[[], None]] = []
         #: callbacks run after an abort (volatile bookkeeping rollback)
         self.on_abort: List[Callable[[], None]] = []
         #: scratch area engines may hang per-transaction state on
@@ -107,8 +105,6 @@ class Transaction:
             return
         self.engine.commit(self)
         self.state = TxState.COMMITTED
-        for cb in self.on_commit:
-            cb()
         hook = self.engine.trace_hook
         if hook is not None:
             hook(self)

@@ -26,7 +26,6 @@ from .intent_log import SlotState
     "cow",
     capabilities=EngineCapabilities(
         description="copy-on-write shadows, redo-applied at commit",
-        copies_in_critical_path=True,
     ),
 )
 class CoWEngine(LockingLogEngine):

@@ -426,8 +426,6 @@ class DynamicBackup(BackupStrategy):
     "kamino-dynamic",
     capabilities=EngineCapabilities(
         description="atomic in-place updates, alpha-sized LRU partial backup (copy-on-miss)",
-        copies_in_critical_path=False,
-        has_backup=True,
         options=("alpha",),
     ),
 )

@@ -45,8 +45,6 @@ from .striped_locks import StripedLockTable
             "kamino-dynamic with a striped per-object lock table: disjoint "
             "write sets never serialise on lock-table internals"
         ),
-        copies_in_critical_path=False,
-        has_backup=True,
         options=("alpha", "stripes"),
     ),
 )

@@ -34,7 +34,6 @@ from .intent_log import SlotState, TxLog
     "intent-only",
     capabilities=EngineCapabilities(
         description="chain replica: in-place updates + intent log; repair needs a neighbour",
-        copies_in_critical_path=False,
         recoverable=False,
         needs_chain_repair=True,
     ),

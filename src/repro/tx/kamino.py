@@ -340,8 +340,6 @@ class KaminoEngine(LockingLogEngine):
     "kamino-simple",
     capabilities=EngineCapabilities(
         description="atomic in-place updates, full heap mirror synced off the critical path",
-        copies_in_critical_path=False,
-        has_backup=True,
     ),
 )
 def kamino_simple(**kwargs) -> KaminoEngine:

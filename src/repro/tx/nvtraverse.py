@@ -195,8 +195,6 @@ class NVTraverseEngine(KaminoEngine):
             "traversal-deferred persistence: volatile shadows during the "
             "walk, one batched flush+commit at the destination, full mirror"
         ),
-        copies_in_critical_path=False,
-        has_backup=True,
     ),
 )
 def nvtraverse(**kwargs) -> NVTraverseEngine:

@@ -46,7 +46,7 @@ def reopen_after_crash(device: NVMDevice, engine_factory: Callable[[], Atomicity
             # (volatile) interior, and check the rebuilt root against
             # the published root — raises RootMismatchError rather than
             # proceeding with a tree it cannot verify.
-            media.tree.recover(device._durable)
+            media.tree.recover()
     heap = PersistentHeap.open(pool, engine)
     if media is not None and media.protected:
         from ..integrity.scrub import Scrubber

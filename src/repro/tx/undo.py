@@ -20,7 +20,6 @@ from ._common import LockingLogEngine
     "undo",
     capabilities=EngineCapabilities(
         description="NVML-style undo logging: old bytes captured in the critical path",
-        copies_in_critical_path=True,
     ),
 )
 class UndoLogEngine(LockingLogEngine):
@@ -121,7 +120,6 @@ class UndoLogEngine(LockingLogEngine):
     "nolog",
     capabilities=EngineCapabilities(
         description="in-place writes with no atomicity (crash-unsafe cost floor)",
-        copies_in_critical_path=False,
         recoverable=False,
     ),
 )

@@ -31,14 +31,15 @@ class DependentTxWorkload:
         nrecords: pre-loaded key space for the look-ups.
         spacing: "uniform" spreads the hot-key writes evenly; "burst"
             clumps them consecutively (maximally dependent).
-        insert_fraction: hot-key write share (paper: 20%).
     """
+
+    #: hot-key write share (paper: 20%)
+    INSERT_FRACTION = 0.2
 
     def __init__(
         self,
         nrecords: int,
         spacing: str = "uniform",
-        insert_fraction: float = 0.2,
         value_size: int = 64,
         seed: int = 0,
     ):
@@ -46,14 +47,13 @@ class DependentTxWorkload:
             raise ValueError("spacing must be 'uniform' or 'burst'")
         self.nrecords = nrecords
         self.spacing = spacing
-        self.insert_fraction = insert_fraction
         self.value_size = value_size
         self.hot_key = nrecords  # a key outside the loaded range
         self._rng = random.Random(seed)
 
     def ops(self, nops: int) -> List[Op]:
         """The deterministic operation stream."""
-        nwrites = int(nops * self.insert_fraction)
+        nwrites = int(nops * self.INSERT_FRACTION)
         nreads = nops - nwrites
         reads = [
             Op(READ, self._rng.randrange(self.nrecords)) for _ in range(nreads)
@@ -97,12 +97,11 @@ class WorstCaseWorkload:
 
     SIZES = (64, 128, 256, 512, 1024, 2048, 4096)
 
-    def __init__(self, object_size: int = 64, nobjects: int = 1, seed: int = 0):
+    def __init__(self, object_size: int = 64, nobjects: int = 1):
         if object_size <= 0:
             raise ValueError("object_size must be positive")
         self.object_size = object_size
         self.nobjects = nobjects
-        self._rng = random.Random(seed)
 
     def ops(self, nops: int) -> Iterator[Op]:
         payload_unit = min(64, self.object_size)

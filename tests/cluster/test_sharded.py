@@ -100,13 +100,3 @@ class TestStaleMapRedirect:
         assert cluster.map_version == 2
         assert not cluster.active_migrations
         cluster.assert_placement_respected()
-
-    def test_per_group_net_stats_partition_sums_to_totals(self):
-        cluster = ShardedCluster(groups=2, shards_per_group=2, f=1,
-                                 heap_mb=2, value_size=64)
-        run_clients(cluster, [ops_for(range(50))])
-        stats = cluster.net.stats
-        g0, g1 = stats.group("g0"), stats.group("g1")
-        assert g0.sent + g1.sent == stats.sent
-        assert g0.delivered + g1.delivered == stats.delivered
-        assert g0.sent > 0 and g1.sent > 0

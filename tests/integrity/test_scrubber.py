@@ -176,16 +176,3 @@ class TestScrubberLoop:
         report = scrubber(heap, engine, device).scrub_once()
         assert report.clean and report.ok
         assert device.stats.media_detected == 0
-
-    def test_armed_scrubber_fires_periodically(self):
-        from repro.sim import EventSimulator
-
-        heap, engine, device, media, pairs = kamino_stack()
-        sim = EventSimulator()
-        s = scrubber(heap, engine, device).arm(sim, interval_ns=1000.0)
-        media.flip_bit(heap.region.offset + pairs[6]._oid, 2)
-        sim.run(until=5500.0)
-        s.disarm()
-        assert s.passes >= 3
-        assert media.bad_lines() == []
-        assert pairs[6].key == 6

@@ -234,7 +234,7 @@ class TestRecovery:
         tree = media.tree
         twin = tree.clone()  # the clone drops the volatile interior
         assert twin._levels is None
-        twin.recover(device._durable)
+        twin.recover()
         tree.apply_pending()
         assert twin.root() == tree.root() == dense_root(device._durable)
         assert twin.scan(device._durable) == []
@@ -247,7 +247,7 @@ class TestRecovery:
         tree.note_line(0, zlib.crc32(b"x" * 64))
         assert tree.root_published == old_root  # not yet applied
         tree.drop_interior()
-        tree.recover(dur)
+        tree.recover()
         assert tree.root_published == dense_root(dur) != old_root
         assert tree.scan(dur) == []
 

@@ -112,5 +112,5 @@ class TestTreeIsFreeWithoutFaults:
         tree.apply_pending()
         assert tree.root() == tree.root_published == expected
         tree.drop_interior()
-        assert tree.recover(device._durable).root() == expected
-        assert crashed.recover(device._durable).root() == expected
+        assert tree.recover().root() == expected
+        assert crashed.recover().root() == expected

@@ -10,9 +10,10 @@ from repro.replication import (
     fail_stop,
     join_new_replica,
     quick_reboot,
+    replace_node,
     run_clients,
 )
-from repro.replication.node import ROLE_HEAD, ROLE_TAIL
+from repro.replication.node import ROLE_HEAD, ROLE_MID, ROLE_TAIL
 from repro.workloads import Op, UPDATE
 
 
@@ -124,6 +125,27 @@ class TestFailStop:
         assert len(cluster.chain) == 2
         quick_reboot(cluster, 1, CrashPolicy.RANDOM)
         write_more(cluster, 0, 10)
+        cluster.assert_replicas_consistent()
+
+
+class TestSpliceAtTail:
+    """A join and a replacement splice the new tail in through one path:
+    it takes its donor's geometry and state whichever caller splices it."""
+
+    @pytest.mark.parametrize("splice", [join_new_replica, lambda c: replace_node(c, 1)],
+                             ids=["join", "replace"])
+    def test_new_tail_matches_its_donor(self, splice):
+        cluster = ChainCluster(f=2, mode=KAMINO, heap_mb=2, value_size=64)
+        write_more(cluster, 0, 20)
+        donor = cluster.tail  # replacing a mid replica leaves the tail in place
+        node = splice(cluster)
+        assert cluster.tail is node and donor.role == ROLE_MID
+        assert node.heap.region.size == donor.heap.region.size == 2 << 20
+        assert node.kv.value_size == donor.kv.value_size == 64
+        assert node.applied_seq == donor.applied_seq > 0
+        assert {node.node_id, donor.node_id} <= set(cluster.net._handlers)
+        assert tuple(n.node_id for n in cluster.chain) == cluster.membership.order()
+        write_more(cluster, 10, 30)
         cluster.assert_replicas_consistent()
 
 

@@ -28,7 +28,7 @@ def persist_to_input_queue(self, payload_bytes: int) -> float:
     if self.input_queue.free_bytes < 2 * (len(payload) + 16):
         self.input_queue.drain()
     self.input_queue.append(payload)
-    return interval_cost(s0, NVMStats.mark(stats), self.model)[0]
+    return interval_cost(s0, NVMStats.mark(stats), self.device.model)[0]
 
 
 def execute(self, proc: str, args: Tuple[Any, ...]) -> Tuple[Any, float]:
@@ -51,7 +51,7 @@ def execute(self, proc: str, args: Tuple[Any, ...]) -> Tuple[Any, float]:
     finally:
         self.engine.trace_hook = None
     self.last_write_set = captured["ranges"]
-    cost = interval_cost(s0, NVMStats.mark(stats), self.model)[0]
+    cost = interval_cost(s0, NVMStats.mark(stats), self.device.model)[0]
     cost += serial_ns_per_intent(self.engine) * captured["intents"]
     return result, cost
 
@@ -60,7 +60,7 @@ def sync_backup(self, limit: Optional[int] = 1) -> float:
     stats = self.device.stats
     s0 = NVMStats.mark(stats)
     self.engine.sync_pending(limit=limit)
-    return interval_cost(s0, NVMStats.mark(stats), self.model)[0]
+    return interval_cost(s0, NVMStats.mark(stats), self.device.model)[0]
 
 
 METHODS = {

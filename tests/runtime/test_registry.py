@@ -22,9 +22,9 @@ class TestBuiltins:
 
     def test_capabilities_reflect_schemes(self):
         engines = registered_engines()
-        assert engines["undo"].capabilities.copies_in_critical_path
-        assert not engines["kamino-simple"].capabilities.copies_in_critical_path
-        assert engines["kamino-simple"].capabilities.has_backup
+        assert make_engine("undo").log_data_bytes > 0
+        assert make_engine("kamino-simple").log_data_bytes == 0
+        assert make_engine("kamino-simple").backup is not None
         assert not engines["nolog"].capabilities.recoverable
         assert engines["kamino-dynamic"].capabilities.options == ("alpha",)
 
@@ -88,6 +88,24 @@ class TestDecorator:
             assert caps.options == ()
         finally:
             unregister_engine("test-default")
+
+
+    def test_engines_table_reads_facts_off_the_engine(self, capsys):
+        # a registration that declares nothing still lists what the
+        # engine it builds is: a Kamino engine keeps a backup and copies
+        # no data in the critical path
+        from repro.cli import main
+        from repro.tx import kamino_simple
+
+        with registry_snapshot():
+            register_engine("test-undeclared")(lambda: kamino_simple())
+            assert main(["engines"]) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if "test-undeclared" in line
+        )
+        assert "backup" in row
+        assert "crit-copy" not in row
 
 
 class TestRegistrySnapshot:

@@ -34,7 +34,8 @@ class TestDelivery:
         sim, net = make_net(hop=1000)
         got = []
         net.register("b", lambda src, msg: got.append(sim.now))
-        net.send("a", "b", "x", extra_delay_ns=500)
+        net.set_node_delay("b", 500)
+        net.send("a", "b", "x")
         sim.run()
         assert got == [1500]
 
@@ -260,67 +261,3 @@ class TestPartitionsAndSlowNodes:
         net.send("b", "a", "from-slow")
         sim.run()
         assert times == [3000.0, 6000.0]
-
-
-class TestGroupStats:
-    """Per-group stat partitions for transports shared by many chains."""
-
-    def make_grouped(self):
-        sim, net = make_net(seed=11)
-        for node, group in (("a0", "g0"), ("a1", "g0"),
-                            ("b0", "g1"), ("b1", "g1")):
-            net.register(node, lambda src, msg: None)
-            net.assign_group(node, group)
-        return sim, net
-
-    def test_messages_charged_to_source_group(self):
-        sim, net = self.make_grouped()
-        net.send("a0", "a1", "x")
-        net.send("b0", "b1", "y")
-        net.send("b1", "b0", "z")
-        sim.run()
-        assert net.stats.group("g0").sent == 1
-        assert net.stats.group("g1").sent == 2
-        assert net.stats.group("g0").delivered == 1
-        assert net.stats.group("g1").delivered == 2
-
-    def test_group_counters_sum_to_totals_under_faults(self):
-        sim, net = self.make_grouped()
-        net.set_default_policy(LinkFaultPolicy(drop_p=0.5))
-        for i in range(40):
-            net.send("a0", "a1", i)
-            net.send("b0", "b1", i)
-        sim.run()
-        s = net.stats
-        g0, g1 = s.group("g0"), s.group("g1")
-        assert g0.sent + g1.sent == s.sent == 80
-        assert g0.delivered + g1.delivered == s.delivered
-        assert g0.dropped_fault + g1.dropped_fault == s.dropped_fault
-        assert s.dropped_fault > 0
-
-    def test_cross_group_message_charged_to_source(self):
-        sim, net = self.make_grouped()
-        net.send("a0", "b0", "cross")
-        sim.run()
-        assert net.stats.group("g0").sent == 1
-        assert net.stats.group("g1").sent == 0
-
-    def test_ungrouped_node_falls_back_to_destination_group(self):
-        sim, net = self.make_grouped()
-        net.register("loner", lambda src, msg: None)
-        net.send("loner", "a0", "in")
-        sim.run()
-        assert net.stats.group("g0").sent == 1
-        assert net.group_of("loner") is None
-
-    def test_snapshot_and_delta_carry_the_partition(self):
-        sim, net = self.make_grouped()
-        net.send("a0", "a1", "one")
-        sim.run()
-        snap = net.stats.snapshot()
-        net.send("a0", "a1", "two")
-        net.send("b0", "b1", "three")
-        sim.run()
-        window = net.stats.delta(snap)
-        assert window.group("g0").sent == 1
-        assert window.group("g1").sent == 1

@@ -64,6 +64,14 @@ trace hook, and the per-intent charge it cached by hand are gone, and
 one place (``ReplicaNode.open_stack``): ``_set_engine`` is gone and no
 module outside ``node.py`` assigns them.  The clock is moved only by the
 event simulator, so ``SimClock.advance`` / ``advance_to`` are gone.
+
+Constructors take only what a deployment chooses: every option nothing
+in the program set became the constant it always was (the census in
+``tests/test_option_census.py`` keeps it so), the surfaces only their
+own unit tests called are gone, and so is the per-group split of the
+transport's counters.  Whether an engine keeps a backup or copies data
+in the critical path is read off the built engine, not restated in its
+registration.
 """
 
 import os
@@ -491,3 +499,123 @@ def test_source_tree_names_no_cost_row():
         for path in sorted((ROOT / tree).rglob("*.py")):
             match = retired.search(path.read_text(encoding="utf-8"))
             assert match is None, f"{path}: {match.group(0)}"
+
+
+def _chain(**kw):
+    from repro.replication import ChainCluster
+
+    return ChainCluster(f=1, heap_mb=1, value_size=64, **kw)
+
+
+def _sharded(**kw):
+    from repro.cluster.sharded import ShardedCluster
+
+    return ShardedCluster(groups=1, shards_per_group=1, f=1, heap_mb=1,
+                          value_size=64, **kw)
+
+
+def _retired_calls():
+    """(label, callable taking the retired keyword(s)) for every option
+    and argument nothing in the program set."""
+    from repro.bench.timeline import TimelineRecorder
+    from repro.check.workload import KVWorkload, RingWorkload, build_stack
+    from repro.errors import RootMismatchError
+    from repro.faults import minimize
+    from repro.integrity.checksum import ChecksumSidecar
+    from repro.integrity.model import MediaFaultModel
+    from repro.replication import (
+        MembershipManager,
+        join_new_replica,
+        replace_node,
+        run_clients,
+        settle,
+    )
+    from repro.replication.node import ReplicaNode
+    from repro.serve import ReproServer
+    from repro.sim.network import SimNetwork
+    from repro.workloads.synthetic import DependentTxWorkload, WorstCaseWorkload
+
+    return [
+        ("ShardedCluster", _sharded, ["alpha", "model", "hop_ns", "vnodes", "runtime", "placement"]),
+        ("ChainCluster", _chain, ["sim", "hop_ns", "model", "degraded_cooldown_ns"]),
+        ("ReplicaNode", lambda **kw: ReplicaNode("r0", "kamino", "head", heap_mb=1, **kw), ["model"]),
+        ("join_new_replica", lambda **kw: join_new_replica(None, **kw), ["heap_mb", "value_size"]),
+        ("replace_node", lambda **kw: replace_node(None, 0, **kw), ["value_size", "spare_id"]),
+        ("settle", lambda **kw: settle(None, **kw), ["rounds"]),
+        ("run_clients", lambda **kw: run_clients(None, [], **kw), ["retry"]),
+        ("ReproServer", ReproServer, ["retry", "cluster", "store", "durable"]),
+        ("ProcedureEngine", lambda **kw: ProcedureEngine(None, **kw), ["registry"]),
+        ("ExecutionContext", ExecutionContext, ["clock", "events"]),
+        ("MembershipManager", lambda **kw: MembershipManager(["a"], **kw), ["failure_timeout_ns"]),
+        ("SimNetwork.send", lambda **kw: SimNetwork.send(None, "a", "b", 0, **kw), ["extra_delay_ns"]),
+        ("inject_flips", lambda **kw: MediaFaultModel.inject_flips(None, 1, **kw), ["lo", "hi"]),
+        ("kill_lines", lambda **kw: MediaFaultModel.kill_lines(None, 1, **kw), ["lo", "hi"]),
+        ("bad_lines", lambda **kw: MediaFaultModel.bad_lines(None, **kw), ["first", "last"]),
+        ("ChecksumSidecar.scan", lambda **kw: ChecksumSidecar.scan(None, b"", **kw), ["first", "last"]),
+        ("IntegrityTree.recover", lambda **kw: IntegrityTree.recover(None, **kw), ["durable"]),
+        ("KVWorkload", KVWorkload, ["n_base", "value_size"]),
+        ("RingWorkload", RingWorkload, ["n_appends"]),
+        ("build_stack", lambda **kw: build_stack(None, **kw), ["heap_size"]),
+        ("DependentTxWorkload", lambda **kw: DependentTxWorkload(10, **kw), ["insert_fraction"]),
+        ("WorstCaseWorkload", WorstCaseWorkload, ["seed"]),
+        ("minimize", lambda **kw: minimize(None, 0, **kw), ["budget"]),
+        ("TimelineRecorder", lambda **kw: TimelineRecorder(None, None, **kw), ["model"]),
+        ("RootMismatchError", lambda **kw: RootMismatchError("m", **kw), ["lines"]),
+        ("PlacementService.bootstrap", lambda **kw: PlacementService.bootstrap(1, **kw),
+         ["vnodes", "device"]),
+        ("EngineCapabilities", EngineCapabilities, ["has_backup", "copies_in_critical_path"]),
+    ]
+
+
+_RETIRED = [(label, call, knob) for label, call, knobs in _retired_calls() for knob in knobs]
+
+
+@pytest.mark.parametrize(
+    "call, knob", [(call, knob) for _label, call, knob in _RETIRED],
+    ids=[f"{label}-{knob}" for label, _call, knob in _RETIRED],
+)
+def test_options_nothing_set_are_gone(call, knob):
+    # the keyword itself is refused, not some value passed for it
+    with pytest.raises(TypeError, match=f"'{knob}'|takes no (keyword )?arguments"):
+        call(**{knob: None})
+
+
+def test_surfaces_only_their_tests_called_are_gone():
+    import repro.cluster.sharded
+    from repro.check import pytest_plugin
+    from repro.integrity.scrub import Scrubber
+    from repro.replication import MembershipManager
+    from repro.sim.network import NetStats, SimNetwork
+
+    for owner, name in [
+        (NetStats, "groups"),
+        (NetStats, "group"),
+        (SimNetwork, "assign_group"),
+        (SimNetwork, "group_of"),
+        (SimNetwork, "_count"),
+        (Scrubber, "arm"),
+        (Scrubber, "disarm"),
+        (MembershipManager, "is_quick_reboot"),
+        (MembershipManager, "validate_view"),
+        (pytest_plugin, "media_faults"),
+        (pytest_plugin, "cluster_sweeps"),
+        (repro.cluster.sharded, "group_tag"),
+        (EngineCapabilities, "has_backup"),
+        (EngineCapabilities, "copies_in_critical_path"),
+    ]:
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    assert not hasattr(SimNetwork(repro.sim.EventSimulator()), "_node_group")
+    assert not hasattr(NetStats(), "groups")
+    cluster = _chain()
+    assert not hasattr(cluster, "degraded_cooldown_ns")
+    assert not hasattr(cluster.head, "model")
+    tx = cluster.head.engine.begin()
+    assert not hasattr(tx, "on_commit")
+    tx.abort()
+
+
+def test_source_tree_names_no_group_split_or_uncalled_hook():
+    retired = re.compile(r"assign_group|group_of|on_commit|is_quick_reboot|validate_view")
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        match = retired.search(path.read_text(encoding="utf-8"))
+        assert match is None, f"{path}: {match.group(0)}"

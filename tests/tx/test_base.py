@@ -87,15 +87,6 @@ class TestIntentTracking:
 
 
 class TestCallbacks:
-    def test_on_commit_runs_only_on_commit(self, heap_and_engine):
-        _, engine = heap_and_engine
-        fired = []
-        tx = engine.begin()
-        tx.on_commit.append(lambda: fired.append("c"))
-        tx.on_abort.append(lambda: fired.append("a"))
-        tx.commit()
-        assert fired == ["c"]
-
     def test_on_abort_runs_in_reverse_order(self, heap_and_engine):
         _, engine = heap_and_engine
         fired = []

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import TxAborted
-from repro.runtime.registry import engine_info
 from repro.tx import kamino_simple, verify_backup_consistency
 from repro.tx.intent_log import SlotState
 
@@ -54,7 +53,7 @@ class TestCriticalPath:
 
     def test_engine_flags(self, setup):
         _, engine, _, _ = setup
-        assert not engine_info(engine.name).capabilities.copies_in_critical_path
+        assert engine.log_data_bytes == 0
         assert engine.name == "kamino-simple"
 
 

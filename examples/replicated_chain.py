@@ -27,10 +27,18 @@ def write_ops(lo, hi, tag):
     return [Op(UPDATE, k, bytes([tag]) * 16) for k in range(lo, hi)]
 
 
+def describe(cluster):
+    """The chain in order; a replica's role is its position in it."""
+    last = len(cluster.chain) - 1
+    roles = ["head" if i == 0 else "tail" if i == last else "mid"
+             for i in range(len(cluster.chain))]
+    return " -> ".join(f"{n.node_id}({r})" for n, r in zip(cluster.chain, roles))
+
+
 def main() -> None:
     print("building a Kamino-Tx chain tolerating f=2 failures (4 replicas)")
     cluster = ChainCluster(f=2, mode=KAMINO, heap_mb=4, value_size=128)
-    print("chain:", " -> ".join(f"{n.node_id}({n.role})" for n in cluster.chain))
+    print("chain:", describe(cluster))
     print(f"cluster storage: {cluster.total_storage_bytes >> 20} MiB "
           f"(f+2 heaps + one head backup; a naive per-replica mirror would "
           f"need {2 * sum(n.heap.region.size for n in cluster.chain) >> 20} MiB)\n")
@@ -50,7 +58,7 @@ def main() -> None:
     # --- head fail-stop: the successor takes over ----------------------------
     print("\nfail-stopping the head ...")
     fail_stop(cluster, 0)
-    print("new chain:", " -> ".join(f"{n.node_id}({n.role})" for n in cluster.chain))
+    print("new chain:", describe(cluster))
     run_clients(cluster, [write_ops(0, 20, tag=2)])
     cluster.assert_replicas_consistent()
     print("new head (with freshly built backup) serves writes; consistent")
@@ -59,7 +67,7 @@ def main() -> None:
     print("\njoining a replacement replica at the tail ...")
     node = join_new_replica(cluster)
     cluster.assert_replicas_consistent()
-    print("chain:", " -> ".join(f"{n.node_id}({n.role})" for n in cluster.chain))
+    print("chain:", describe(cluster))
     run_clients(cluster, [write_ops(20, 40, tag=3)])
     cluster.assert_replicas_consistent()
     print("writes flow through the repaired chain; all replicas agree")

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .cluster import (
     MigrationReport,
-    RangeRouter,
     ShardMap,
     ShardRouter,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "ProcedureResumed",
     "ProcedureStore",
     "ProtocolError",
-    "RangeRouter",
     "ReproError",
     "ReproServer",
     "RootMismatchError",

@@ -1,7 +1,7 @@
 """Sharded multi-group cluster: placement, routing, online migration.
 
-Light members (:class:`ShardRouter`, :class:`RangeRouter`,
-:class:`ShardMap`, :class:`MigrationReport`) import eagerly; the heavy ones
+Light members (:class:`ShardRouter`, :class:`ShardMap`,
+:class:`MigrationReport`) import eagerly; the heavy ones
 (:class:`ShardedCluster`, :class:`PlacementService`,
 :class:`ShardMigration`) drag in the simulator and NVM stack, so they
 load lazily on first attribute access — the package root can re-export
@@ -9,7 +9,7 @@ the whole family without paying for an import of :mod:`repro.cluster`.
 """
 
 from .report import MigrationReport
-from .router import RangeRouter, ShardMap, ShardRouter, router_from_dict
+from .router import ShardMap, ShardRouter
 
 _LAZY = {
     "PlacementService": "placement",
@@ -22,12 +22,10 @@ __all__ = [
     "MigrationRecord",
     "MigrationReport",
     "PlacementService",
-    "RangeRouter",
     "ShardMap",
     "ShardMigration",
     "ShardRouter",
     "ShardedCluster",
-    "router_from_dict",
 ]
 
 

@@ -1,4 +1,4 @@
-"""Shard placement: consistent-hash (and range) routing over shard groups.
+"""Shard placement: consistent-hash routing over shard groups.
 
 The sharded cluster splits the key space into **shards** (the unit of
 placement and migration) and assigns each shard to a **group** (one
@@ -6,15 +6,15 @@ chain-replicated :class:`~repro.replication.chain.ChainCluster`).  Two
 indirections, on purpose:
 
 * key -> shard is *stable* (consistent hashing over a 64-bit circle
-  with virtual nodes, or explicit ranges) — adding or removing a shard
-  moves only the keys on the affected arcs;
+  with virtual nodes) — adding or removing a shard moves only the keys
+  on the affected arcs;
 * shard -> group is a tiny versioned table (:class:`ShardMap`) — a
   rebalance rewrites one entry and bumps the version, and clients with
   a stale cached version get a typed
   :class:`~repro.errors.StaleShardMapError` redirect.
 
-Routers and maps are immutable; mutation helpers return new instances,
-so a version is a value that can be durably logged and replayed.
+Routers and maps are immutable; :meth:`ShardMap.moved` returns a new
+map, so a version is a value that can be durably logged and replayed.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ class ShardRouter:
     per shard the expected max/mean load ratio is 1 + O(1/sqrt(v)).
     """
 
-    kind = "hash"
-
     def __init__(self, shard_ids: Iterable[int], vnodes: int = DEFAULT_VNODES):
         ids = sorted({int(s) for s in shard_ids})
         if not ids:
@@ -60,27 +58,13 @@ class ShardRouter:
         idx = bisect_right(self._points, key_point(int(key))) % len(self._points)
         return self._owners[idx]
 
-    # -- immutable mutation -------------------------------------------------
-
-    def with_shard(self, shard_id: int) -> "ShardRouter":
-        if shard_id in self.shard_ids:
-            raise ClusterConfigError(f"shard {shard_id} already placed")
-        return ShardRouter(self.shard_ids + (shard_id,), self.vnodes)
-
-    def without_shard(self, shard_id: int) -> "ShardRouter":
-        if shard_id not in self.shard_ids:
-            raise ClusterConfigError(f"shard {shard_id} is not placed")
-        if len(self.shard_ids) == 1:
-            raise ClusterConfigError("cannot remove the last shard")
-        return ShardRouter(
-            tuple(s for s in self.shard_ids if s != shard_id), self.vnodes
-        )
-
     # -- wire form ----------------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind,
+            # the only router there is; the placement journal's records
+            # keep the field
+            "kind": "hash",
             "shards": list(self.shard_ids),
             "vnodes": self.vnodes,
         }
@@ -100,64 +84,6 @@ class ShardRouter:
         return hash((self.shard_ids, self.vnodes))
 
 
-class RangeRouter:
-    """key -> shard via explicit split points (optional range placement).
-
-    ``bounds`` must be strictly increasing; shard ``i`` owns
-    ``[bounds[i-1], bounds[i])`` with the first and last shards open at
-    the ends.  Useful when the workload's key space is dense integers
-    and scan locality matters more than uniform spread.
-    """
-
-    kind = "range"
-
-    def __init__(self, bounds: Iterable[int], shard_ids: Iterable[int]):
-        self.bounds: Tuple[int, ...] = tuple(int(b) for b in bounds)
-        self.shard_ids: Tuple[int, ...] = tuple(int(s) for s in shard_ids)
-        if len(self.shard_ids) != len(self.bounds) + 1:
-            raise ClusterConfigError(
-                f"{len(self.bounds)} bounds need {len(self.bounds) + 1} shards, "
-                f"got {len(self.shard_ids)}"
-            )
-        if len(set(self.shard_ids)) != len(self.shard_ids):
-            raise ClusterConfigError("duplicate shard ids")
-        if any(b >= a for b, a in zip(self.bounds, self.bounds[1:])):
-            raise ClusterConfigError("bounds must be strictly increasing")
-
-    def shard_for(self, key: Any) -> int:
-        return self.shard_ids[bisect_right(self.bounds, int(key))]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bounds": list(self.bounds),
-            "shards": list(self.shard_ids),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "RangeRouter":
-        return cls(d["bounds"], d["shards"])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RangeRouter)
-            and other.bounds == self.bounds
-            and other.shard_ids == self.shard_ids
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover - dict-key convenience
-        return hash((self.bounds, self.shard_ids))
-
-
-def router_from_dict(d: Mapping[str, Any]):
-    kind = d.get("kind", "hash")
-    if kind == "hash":
-        return ShardRouter.from_dict(d)
-    if kind == "range":
-        return RangeRouter.from_dict(d)
-    raise ClusterConfigError(f"unknown router kind '{kind}'")
-
-
 class ShardMap:
     """The versioned shard -> group assignment (plus its router).
 
@@ -171,7 +97,7 @@ class ShardMap:
         self,
         assignment: Mapping[int, int],
         version: int = 1,
-        router: Optional[Any] = None,
+        router: Optional[ShardRouter] = None,
         vnodes: int = DEFAULT_VNODES,
     ):
         if not assignment:
@@ -234,7 +160,7 @@ class ShardMap:
         return cls(
             assignment,
             version=int(d.get("version", 1)),
-            router=router_from_dict(d["router"]) if "router" in d else None,
+            router=ShardRouter.from_dict(d["router"]) if "router" in d else None,
         )
 
     def __eq__(self, other: object) -> bool:

@@ -23,15 +23,22 @@ PRICED = ("load_bytes", "store_bytes", "copy_bytes", "flushed_lines", "flush_bur
 #: what :attr:`NVMStats.mark` returns: the :data:`PRICED` counters
 Mark = Tuple[int, int, int, int, int, int]
 
+#: the mark of fresh (or reset) counters
+ZERO_MARK: Mark = (0, 0, 0, 0, 0, 0)
+
 
 def interval_cost(since: Mark, now: Mark, model: LatencyModel) -> Tuple[float, int, int]:
     """``(simulated_ns, total_bytes, copy_bytes)`` of the counters
-    accumulated between two marks.
+    accumulated between two marks: the program's one pricing formula.
 
-    Bit-identical to ``delta.simulated_ns(model)``, ``delta.total_bytes``
-    and ``delta.copy_bytes`` of the same interval's
-    :meth:`NVMStats.delta`: the same integer deltas enter the same float
-    expression in the same order.
+    Loads and stores are charged per touched cache line; flushes per
+    flushed line; copies per byte.  This is a serial-time estimate; the
+    event simulator layers queueing for shared bandwidth on top.
+    :meth:`NVMStats.simulated_ns` is this from :data:`ZERO_MARK`, so
+    ``delta.simulated_ns(model)``, ``delta.total_bytes`` and
+    ``delta.copy_bytes`` of the same interval's :meth:`NVMStats.delta`
+    are bit-identical to it: the same integer deltas enter the same
+    float expression in the same order.
     """
     load0, store0, copy0, lines0, bursts0, fences0 = since
     load1, store1, copy1, lines1, bursts1, fences1 = now
@@ -39,6 +46,10 @@ def interval_cost(since: Mark, now: Mark, model: LatencyModel) -> Tuple[float, i
     store_bytes = store1 - store0
     copy_bytes = copy1 - copy0
     flushed_lines = lines1 - lines0
+    # Without a coalescing device every flushed line is its own burst
+    # (the device keeps bursts == lines), so this reduces to lines *
+    # flush_line_ns.  Counters built by hand with no burst information
+    # fall back to the same uncoalesced pricing.
     bursts = bursts1 - bursts0
     if not bursts:
         bursts = flushed_lines
@@ -147,28 +158,9 @@ class NVMStats:
         )
 
     def simulated_ns(self, model: LatencyModel) -> float:
-        """Convert these counters into simulated nanoseconds.
-
-        Loads and stores are charged per touched cache line; flushes per
-        flushed line; copies per byte.  This is a serial-time estimate; the
-        event simulator layers queueing for shared bandwidth on top.
-        """
-        load_lines = (self.load_bytes + CACHE_LINE - 1) // CACHE_LINE if self.load_bytes else 0
-        store_lines = (self.store_bytes + CACHE_LINE - 1) // CACHE_LINE if self.store_bytes else 0
-        # Without a coalescing device every flushed line is its own burst
-        # (the device keeps bursts == lines), so this reduces to the
-        # original lines * flush_line_ns.  Counters built by hand with no
-        # burst information fall back to the same uncoalesced pricing.
-        bursts = self.flush_bursts if self.flush_bursts else self.flushed_lines
-        burst_extra_lines = self.flushed_lines - bursts
-        return (
-            load_lines * model.read_line_ns
-            + store_lines * model.write_line_ns
-            + bursts * model.flush_line_ns
-            + burst_extra_lines * model.effective_burst_line_ns()
-            + self.fences * model.fence_ns
-            + self.copy_bytes * model.byte_copy_ns
-        )
+        """These counters in simulated nanoseconds (see
+        :func:`interval_cost`)."""
+        return interval_cost(ZERO_MARK, NVMStats.mark(self), model)[0]
 
     @property
     def total_bytes(self) -> int:

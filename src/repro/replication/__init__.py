@@ -2,9 +2,9 @@
 
 from .chain import KAMINO, TRADITIONAL, ChainCluster, RetryPolicy
 from .client import ChainClient, run_clients
-from .membership import MembershipManager, ViewInfo
+from .membership import MembershipManager
 from .messages import CleanupAck, TailAck, TxForward
-from .node import ROLE_HEAD, ROLE_MID, ROLE_TAIL, ReplicaNode, engine_for
+from .node import ReplicaNode, engine_for
 from .recovery import fail_stop, join_new_replica, quick_reboot, replace_node, settle
 
 __all__ = [
@@ -13,15 +13,11 @@ __all__ = [
     "CleanupAck",
     "KAMINO",
     "MembershipManager",
-    "ROLE_HEAD",
-    "ROLE_MID",
-    "ROLE_TAIL",
     "ReplicaNode",
     "RetryPolicy",
     "TRADITIONAL",
     "TailAck",
     "TxForward",
-    "ViewInfo",
     "engine_for",
     "fail_stop",
     "join_new_replica",

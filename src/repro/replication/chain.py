@@ -44,7 +44,7 @@ from ..sim.network import SimNetwork
 from ..sim.resources import FIFOServer
 from .membership import MembershipManager
 from .messages import CleanupAck, TailAck, TxForward, wire_size
-from .node import ROLE_HEAD, ROLE_MID, ROLE_TAIL, ReplicaNode
+from .node import ReplicaNode
 
 TRADITIONAL = "traditional"
 KAMINO = "kamino"
@@ -170,9 +170,8 @@ class ChainCluster:
         n = f + 2 if mode == KAMINO else f + 1
         self.chain: List[ReplicaNode] = []
         for i in range(n):
-            role = ROLE_HEAD if i == 0 else (ROLE_TAIL if i == n - 1 else ROLE_MID)
             node = ReplicaNode(
-                f"{node_prefix}r{i}", mode, role, heap_mb=heap_mb,
+                f"{node_prefix}r{i}", mode, is_head=i == 0, heap_mb=heap_mb,
                 value_size=value_size, alpha=alpha, seed=i,
             )
             self.chain.append(node)
@@ -181,8 +180,9 @@ class ChainCluster:
             node.node_id: self.runtime.resources.register(FIFOServer(node.node_id))
             for node in self.chain
         }
-        # the Zookeeper stand-in (§5.3): owns views and chain order
-        self.membership = MembershipManager([node.node_id for node in self.chain])
+        # the Zookeeper stand-in (§5.3): owns the view id; the order is
+        # ``self.chain`` alone, and a replica's role is its index in it
+        self.membership = MembershipManager()
         for node in self.chain:
             node.view_id = self.membership.view_id
         # head protocol state
@@ -240,6 +240,28 @@ class ChainCluster:
     def predecessor(self, node: ReplicaNode) -> Optional[ReplicaNode]:
         idx = self.chain.index(node)
         return self.chain[idx - 1] if idx > 0 else None
+
+    def node_ids(self) -> List[str]:
+        """The replicas' ids in chain order (membership checks each
+        view change against them)."""
+        return [node.node_id for node in self.chain]
+
+    def resend_window(self, node: ReplicaNode, upto: Optional[int] = None) -> None:
+        """Re-send ``node``'s un-cleaned window (through seq ``upto``
+        when given) to its successor under the current view, in
+        sequence order.  The successors' ``applied_seq`` filter and the
+        idempotent procedures make the duplicates free."""
+        successor = self.successor(node)
+        if successor is None:
+            return
+        for seq in sorted(node.inflight):
+            if upto is not None and seq > upto:
+                break
+            _txid, msg = node.inflight[seq]
+            self.net.send(
+                node.node_id, successor.node_id,
+                TxForward(self.view_id, msg.seq, msg.proc, msg.args),
+            )
 
     @property
     def total_storage_bytes(self) -> int:
@@ -470,6 +492,7 @@ class ChainCluster:
         done = self._servers[head.node_id].request(self.sim.now, cost)
         msg = TxForward(self.view_id, op.seq, op.proc, op.args)
         successor = self.successor(head)
+        head.applied_seq = op.seq
         head.inflight[op.seq] = (op.seq, msg)
         head.applied_ranges[op.seq] = head.last_write_set
         if successor is None:  # degenerate single-node chain (tests)
@@ -500,23 +523,13 @@ class ChainCluster:
             return
         op.attempts += 1
         self.retransmissions += 1
-        head = self.head
-        successor = self.successor(head)
-        if successor is None:
+        if len(self.chain) == 1:
             self._on_tail_ack(TailAck(self.view_id, seq))
             return
         # resend the whole un-cleaned window up to this seq, not just the
         # stalled forward: an earlier transaction (even an abandoned one)
-        # may still be a sequence-gap blocker at some replica, and the
-        # replicas' applied_seq filter makes the duplicates free
-        for s in sorted(head.inflight):
-            if s > seq:
-                break
-            _txid, m = head.inflight[s]
-            self.net.send(
-                head.node_id, successor.node_id,
-                TxForward(self.view_id, m.seq, m.proc, m.args),
-            )
+        # may still be a sequence-gap blocker at some replica
+        self.resend_window(self.head, upto=seq)
         self._arm_retransmit(op)
 
     def _abandon(self, op: _PendingWrite) -> None:

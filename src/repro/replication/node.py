@@ -7,7 +7,10 @@ node prices everything it executes through its own
 :class:`~repro.runtime.context.ExecutionContext`, the one pricing path,
 so the chain harness can schedule message forwarding at realistic times
 (the ``lt``/``lc`` terms of Table 1).  :meth:`ReplicaNode.open_stack`
-is the one place a replica's engine and heap are (re)bound.
+is the one place a replica's engine and heap are (re)bound.  A replica
+records no role: whether it is the head is its position in
+:attr:`ChainCluster.chain <repro.replication.chain.ChainCluster.chain>`,
+which the caller reads when it binds an engine.
 """
 
 from __future__ import annotations
@@ -27,14 +30,9 @@ from ..tx.base import IntentKind
 
 INPUT_QUEUE_REGION = "input_queue"
 
-#: roles a replica can play
-ROLE_HEAD = "head"
-ROLE_MID = "mid"
-ROLE_TAIL = "tail"
-
-
-def engine_for(mode: str, role: str, alpha: float = 1.0):
-    """The engine a replica runs, by deployment mode and chain role.
+def engine_for(mode: str, is_head: bool, alpha: float = 1.0):
+    """The engine a replica runs, by deployment mode and whether it is
+    the chain's head.
 
     * traditional — undo logging everywhere (copies in the critical path
       at every replica);
@@ -45,7 +43,7 @@ def engine_for(mode: str, role: str, alpha: float = 1.0):
     if mode == "traditional":
         return UndoLogEngine(n_slots=128)
     if mode == "kamino":
-        if role == ROLE_HEAD:
+        if is_head:
             if alpha >= 1.0:
                 return kamino_simple(n_slots=128)
             return kamino_dynamic(alpha=alpha, n_slots=128)
@@ -60,7 +58,7 @@ class ReplicaNode:
         self,
         node_id: str,
         mode: str,
-        role: str,
+        is_head: bool,
         heap_mb: int = 8,
         value_size: int = 128,
         alpha: float = 1.0,
@@ -68,12 +66,11 @@ class ReplicaNode:
     ):
         self.node_id = node_id
         self.mode = mode
-        self.role = role
         self.alpha = alpha
         heap_bytes = heap_mb << 20
         pool_bytes = heap_bytes * 3 + (16 << 20)
         self.device = NVMDevice(pool_bytes, seed=seed)
-        pool = self.open_stack(heap_size=heap_bytes)
+        pool = self.open_stack(is_head, heap_size=heap_bytes)
         # a persistent ring for the input queue of forwarded calls (§5.1:
         # "replicas buffer such calls in an input queue in non-volatile
         # memory before the receipt is acknowledged upstream")
@@ -98,16 +95,17 @@ class ReplicaNode:
         #: write-set of the most recent execute() (volatile scratch)
         self.last_write_set: List[Tuple[int, int]] = []
 
-    def open_stack(self, heap_size: Optional[int] = None) -> PmemPool:
-        """Open the engine and heap for the replica's current role over
-        a fresh pool of ``heap_size`` heap bytes, or, when None, over
+    def open_stack(self, is_head: bool, heap_size: Optional[int] = None) -> PmemPool:
+        """Open the engine and heap for a replica at the head of the
+        chain or behind it (``is_head``, read off its position) over a
+        fresh pool of ``heap_size`` heap bytes, or, when None, over
         the pool that survives on the device; returns the pool.
 
         The one rebind point: the pricing context is rebuilt with the
         engine, and :meth:`execute` reads its per-intent charge from
         that engine, so neither can outlive it.
         """
-        engine = engine_for(self.mode, self.role, self.alpha)
+        engine = engine_for(self.mode, is_head, self.alpha)
         if heap_size is None:
             pool = PmemPool.open(self.device)
             self.heap = PersistentHeap.open(pool, engine)
@@ -186,10 +184,10 @@ class ReplicaNode:
     def crash(self, policy: CrashPolicy = CrashPolicy.DROP_ALL, survival: float = 0.5) -> None:
         self.device.crash(policy, survival)
 
-    def reopen(self) -> None:
+    def reopen(self, is_head: bool) -> None:
         """Local restart: fresh engine + heap on the surviving bytes."""
         self.device.restart()
-        pool = self.open_stack()
+        pool = self.open_stack(is_head)
         self.queue_region = pool.region(INPUT_QUEUE_REGION)
         self.input_queue = PersistentRing.open(self.queue_region)
         self.kv = KVStore.open(self.heap)

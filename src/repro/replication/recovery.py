@@ -13,6 +13,11 @@ These functions orchestrate the recovery protocols over a
   repairs them from a neighbour (roll forward from the predecessor for
   non-head nodes, roll back from the local backup for the head), then
   replays whatever in-flight transactions it missed.
+
+Which repair a replica runs follows from its index in
+:attr:`ChainCluster.chain <repro.replication.chain.ChainCluster.chain>`
+(0 is the head), the one record of the chain's order; the membership
+manager only bumps the view.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from ..kvstore import KVStore
 from ..sim.resources import FIFOServer
 from .chain import KAMINO, ChainCluster
 from .messages import TailAck, TxForward
-from .node import ROLE_HEAD, ROLE_MID, ROLE_TAIL, ReplicaNode
+from .node import ReplicaNode
 
 
 def _copy_ranges(dst: ReplicaNode, src: ReplicaNode, ranges: List[Tuple[int, int]]) -> int:
@@ -57,20 +62,17 @@ def quick_reboot(
     """
     node = cluster.chain[index]
     node.crash(policy, survival)
-    node.reopen()
+    node.reopen(is_head=index == 0)
     # §5.3: the rebooted replica asks the membership manager to rejoin
     # with the view it believes is current; a removed replica must take
     # the join-as-new-tail path instead
     cluster.membership.rejoin_request(node.node_id, node.view_id)
     node.view_id = cluster.view_id
     repaired = 0
-    if cluster.mode == KAMINO and node.role != ROLE_HEAD:
+    if cluster.mode == KAMINO and index != 0:
         # roll forward from the assigned predecessor (case 1 of §5.3)
-        pred = cluster.predecessor(node)
-        if pred is None:
-            raise ReplicationError("non-head replica must have a predecessor")
         ranges = list(node.engine.incomplete_ranges)
-        repaired = _copy_ranges(node, pred, ranges)
+        repaired = _copy_ranges(node, cluster.chain[index - 1], ranges)
         node.engine.ack_repaired()
         _reload_volatile(node)
     else:
@@ -166,37 +168,35 @@ def scrub_node(cluster: ChainCluster, node: ReplicaNode):
     return report
 
 
-def _detach(cluster: ChainCluster, index: int):
+def _detach(cluster: ChainCluster, index: int) -> ReplicaNode:
     """Take the replica at ``index`` out of the topology (network +
-    chain list) and return what the repair paths need to re-stitch."""
-    node = cluster.chain[index]
+    chain list) and return it."""
+    node = cluster.chain.pop(index)
     cluster.net.fail_node(node.node_id)
     cluster.net.unregister(node.node_id)
-    was_head = node.role == ROLE_HEAD
-    was_tail = node.role == ROLE_TAIL
-    pred = cluster.predecessor(node)
-    succ = cluster.successor(node)
-    cluster.chain.pop(index)
-    return node, was_head, was_tail, pred, succ
+    return node
 
 
-def _repair_chain(cluster: ChainCluster, was_head: bool, was_tail: bool,
-                  pred: Optional[ReplicaNode], succ: Optional[ReplicaNode]) -> None:
-    if was_head:
+def _repair_chain(cluster: ChainCluster, index: int) -> None:
+    """Re-stitch the chain around the replica just detached from
+    ``index``: the head's successor is promoted, the tail's predecessor
+    completes its acks, and a mid replica's predecessor re-forwards its
+    window to the replica now at ``index``."""
+    if index == 0:
         _promote_new_head(cluster)
-    elif was_tail:
-        _promote_new_tail(cluster, pred)
+    elif index == len(cluster.chain):
+        _promote_new_tail(cluster)
     else:
-        _bridge_mid_failure(cluster, pred, succ)
+        cluster.resend_window(cluster.chain[index - 1])
 
 
 def fail_stop(cluster: ChainCluster, index: int) -> None:
     """Remove a fail-stopped replica and repair the chain (§5.2)."""
     if len(cluster.chain) <= 2 and cluster.mode == KAMINO:
         raise ReplicationError("kamino chain needs at least two replicas to repair")
-    node, was_head, was_tail, pred, succ = _detach(cluster, index)
-    cluster.membership.declare_failed(node.node_id)
-    _repair_chain(cluster, was_head, was_tail, pred, succ)
+    cluster.membership.declare_failed(cluster.chain[index].node_id, cluster.node_ids())
+    _detach(cluster, index)
+    _repair_chain(cluster, index)
     cluster._install_view()
 
 
@@ -211,32 +211,26 @@ def replace_node(cluster: ChainCluster, index: int) -> ReplicaNode:
     stranded.  The chain keeps its f-target instead of shrinking."""
     if len(cluster.chain) <= 2 and cluster.mode == KAMINO:
         raise ReplicationError("kamino chain needs at least two replicas to repair")
-    failed, was_head, was_tail, pred, succ = _detach(cluster, index)
-    _repair_chain(cluster, was_head, was_tail, pred, succ)
+    members = cluster.node_ids()
+    failed = _detach(cluster, index)
+    _repair_chain(cluster, index)
 
     donor = cluster.tail
-    spare = _splice_at_tail(
-        cluster,
-        f"{cluster.node_prefix}s{cluster.view_id}x{len(cluster.chain)}",
-        seed=len(cluster.chain) + cluster.view_id,
-        replacing=failed.node_id,
-    )
+    spare_id = f"{cluster.node_prefix}s{cluster.view_id}x{len(cluster.chain)}"
+    seed = len(cluster.chain) + cluster.view_id
+    # one view change: the repair above ran under the old view
+    cluster.membership.replace_failed(failed.node_id, spare_id, members)
+    spare = _splice_at_tail(cluster, spare_id, seed)
     # the donor's un-cleaned window rides down to the spare so completion
     # acks regenerate under the new view
-    for seq in sorted(donor.inflight):
-        _txid, msg = donor.inflight[seq]
-        cluster.net.send(
-            donor.node_id, spare.node_id,
-            TxForward(cluster.view_id, msg.seq, msg.proc, msg.args),
-        )
+    cluster.resend_window(donor)
     return spare
 
 
-def _splice_at_tail(cluster: ChainCluster, node_id: str, seed: int,
-                    replacing: Optional[str] = None) -> ReplicaNode:
+def _splice_at_tail(cluster: ChainCluster, node_id: str, seed: int) -> ReplicaNode:
     """State-transfer a fresh replica from the current tail and splice
-    it in as the new tail under one view change: a plain join, or the
-    replacement of the failed replica ``replacing``.
+    it in as the new tail, once the caller has bumped the view (a plain
+    join, or the replacement of a failed replica).
 
     The new replica takes the donor's geometry and whole heap image, so
     its heap size, record size and ``applied_seq`` are the donor's."""
@@ -244,7 +238,7 @@ def _splice_at_tail(cluster: ChainCluster, node_id: str, seed: int,
     node = ReplicaNode(
         node_id,
         cluster.mode,
-        ROLE_TAIL,
+        is_head=False,
         heap_mb=donor.heap.region.size >> 20,
         value_size=donor.kv.value_size,
         alpha=donor.alpha,
@@ -253,13 +247,7 @@ def _splice_at_tail(cluster: ChainCluster, node_id: str, seed: int,
     node.load_heap_image(donor.heap_image())
     node.kv = KVStore.open(node.heap)
     node.applied_seq = donor.applied_seq
-    if donor.role == ROLE_TAIL:
-        donor.role = ROLE_MID
     cluster.chain.append(node)
-    if replacing is None:
-        cluster.membership.add_at_tail(node_id)
-    else:
-        cluster.membership.replace_failed(replacing, node_id)
     cluster.net.register(node_id, cluster._make_handler(node))
     cluster._servers[node_id] = cluster.runtime.resources.register(FIFOServer(node_id))
     cluster._install_view()
@@ -275,18 +263,13 @@ def _promote_new_head(cluster: ChainCluster) -> None:
     set; pending client state at the old head is lost with it (clients
     live on the head)."""
     new_head = cluster.chain[0]
-    if cluster.mode == KAMINO and new_head.role != ROLE_HEAD:
-        succ = cluster.successor(new_head)
-        incomplete = list(getattr(new_head.engine, "incomplete_ranges", ()))
-        if succ is not None and incomplete:
-            _copy_ranges(new_head, succ, incomplete)
+    if cluster.mode == KAMINO:
+        # a kamino repair leaves at least two replicas
+        _copy_ranges(new_head, cluster.chain[1], list(new_head.engine.incomplete_ranges))
         # any still-running local transaction state is volatile; scan the
         # durable intent log state via a clean engine restart instead
-        new_head.role = ROLE_HEAD
-        new_head.open_stack()
+        new_head.open_stack(is_head=True)
         _reload_volatile(new_head)
-    else:
-        new_head.role = ROLE_HEAD
     # conservative lock reconstruction: quiesce by clearing client state
     # (clients live on the head, §5.1 — their pending requests die with
     # it and must be retried, which the dedup table makes idempotent)
@@ -305,37 +288,22 @@ def _promote_new_head(cluster: ChainCluster) -> None:
     cluster._next_seq = max(node.applied_seq for node in cluster.chain) + 1
 
 
-def _promote_new_tail(cluster: ChainCluster, new_tail: Optional[ReplicaNode]) -> None:
+def _promote_new_tail(cluster: ChainCluster) -> None:
     """§5.2 tail failure: the predecessor is the new tail and sends the
     head completion acks for everything it forwarded but saw no
     clean-up ack for."""
-    if new_tail is None:
-        raise ReplicationError("tail failure left no predecessor")
-    new_tail.role = ROLE_TAIL
+    new_tail = cluster.tail
     head = cluster.head
     for seq in sorted(new_tail.inflight):
         cluster.net.send(new_tail.node_id, head.node_id, TailAck(cluster.view_id, seq))
 
 
-def _bridge_mid_failure(
-    cluster: ChainCluster, pred: Optional[ReplicaNode], succ: Optional[ReplicaNode]
-) -> None:
-    """Mid failure: the predecessor re-forwards its in-flight window to
-    its new successor under the new view."""
-    if pred is None or succ is None:
-        return
-    for seq in sorted(pred.inflight):
-        _txid, msg = pred.inflight[seq]
-        fresh = TxForward(cluster.view_id, msg.seq, msg.proc, msg.args)
-        cluster.net.send(pred.node_id, succ.node_id, fresh)
-
-
 def join_new_replica(cluster: ChainCluster) -> ReplicaNode:
     """Grow the chain: a fresh replica joins as the tail after state
     transfer from the current tail (§5.2)."""
-    return _splice_at_tail(
-        cluster, f"{cluster.node_prefix}r{cluster.view_id}x{len(cluster.chain)}", seed=0
-    )
+    node_id = f"{cluster.node_prefix}r{cluster.view_id}x{len(cluster.chain)}"
+    cluster.membership.add_at_tail(node_id, cluster.node_ids())
+    return _splice_at_tail(cluster, node_id, seed=0)
 
 
 #: re-forwarding rounds :func:`settle` runs before its final drain
@@ -375,13 +343,7 @@ def settle(cluster: ChainCluster) -> None:
         # every survivor's un-cleaned window, the head's included (a
         # promoted head still owes its old downstream forwards)
         for node in cluster.chain:
-            nxt = cluster.successor(node)
-            if nxt is None:
-                continue
-            for seq in sorted(node.inflight):
-                _txid, msg = node.inflight[seq]
-                fresh = TxForward(cluster.view_id, msg.seq, msg.proc, msg.args)
-                cluster.net.send(node.node_id, nxt.node_id, fresh)
+            cluster.resend_window(node)
         # an applied-but-unacked tail: regenerate the completion acks
         tail = cluster.tail
         for seq in sorted(cluster._inflight_writes):

@@ -223,7 +223,6 @@ class TestNodeReplacement:
         assert cluster.view_id == 2  # remove + splice in ONE bump
         assert failed_id not in [n.node_id for n in cluster.chain]
         assert cluster.chain[-1] is spare
-        assert tuple(n.node_id for n in cluster.chain) == cluster.membership.order()
         # the spare caught up via state transfer and serves new writes
         cluster.submit_write("put", (9, b"after"), [9])
         cluster.drain()

@@ -13,7 +13,7 @@ from repro.replication import (
     replace_node,
     run_clients,
 )
-from repro.replication.node import ROLE_HEAD, ROLE_MID, ROLE_TAIL
+from repro.tx import IntentOnlyEngine
 from repro.workloads import Op, UPDATE
 
 
@@ -27,6 +27,14 @@ def loaded_cluster(mode=KAMINO, f=2, nkeys=30):
 def write_more(cluster, lo, hi):
     ops = [Op(UPDATE, k, bytes([(k + 7) % 256]) * 16) for k in range(lo, hi)]
     run_clients(cluster, [ops])
+
+
+def assert_engines_follow_positions(cluster):
+    """Kamino: the replica at index 0 keeps the only backup, every other
+    replica updates in place behind an intent log."""
+    assert cluster.chain[0].engine.backup is not None
+    for node in cluster.chain[1:]:
+        assert type(node.engine) is IntentOnlyEngine, node.node_id
 
 
 class TestQuickReboot:
@@ -78,15 +86,14 @@ class TestFailStop:
     def test_tail_failure_promotes_predecessor(self):
         cluster = loaded_cluster(KAMINO)
         fail_stop(cluster, len(cluster.chain) - 1)
-        assert cluster.tail.role == ROLE_TAIL
+        assert_engines_follow_positions(cluster)
         write_more(cluster, 0, 10)
         cluster.assert_replicas_consistent()
 
     def test_head_failure_promotes_successor_with_backup(self):
         cluster = loaded_cluster(KAMINO)
         fail_stop(cluster, 0)
-        assert cluster.head.role == ROLE_HEAD
-        assert cluster.head.engine.backup is not None
+        assert_engines_follow_positions(cluster)
         write_more(cluster, 0, 10)
         cluster.assert_replicas_consistent()
 
@@ -110,6 +117,18 @@ class TestFailStop:
         cluster.sim.run()
         cluster.assert_replicas_consistent()
 
+    @pytest.mark.parametrize("change", [
+        lambda c: fail_stop(c, 1),
+        lambda c: replace_node(c, 0),
+        join_new_replica,
+    ], ids=["fail-mid", "replace-head", "join"])
+    def test_engines_follow_positions(self, change):
+        cluster = loaded_cluster(KAMINO, nkeys=10)
+        change(cluster)
+        assert_engines_follow_positions(cluster)
+        write_more(cluster, 0, 5)
+        cluster.assert_replicas_consistent()
+
     def test_view_id_bumps_per_failure(self):
         cluster = loaded_cluster(KAMINO)
         v0 = cluster.view_id
@@ -128,23 +147,30 @@ class TestFailStop:
         cluster.assert_replicas_consistent()
 
 
+def _join_lone_head(cluster):
+    fail_stop(cluster, 1)  # the head is now the tail too
+    return join_new_replica(cluster)
+
+
 class TestSpliceAtTail:
     """A join and a replacement splice the new tail in through one path:
     it takes its donor's geometry and state whichever caller splices it."""
 
-    @pytest.mark.parametrize("splice", [join_new_replica, lambda c: replace_node(c, 1)],
-                             ids=["join", "replace"])
-    def test_new_tail_matches_its_donor(self, splice):
-        cluster = ChainCluster(f=2, mode=KAMINO, heap_mb=2, value_size=64)
+    @pytest.mark.parametrize("mode, f, splice", [
+        (KAMINO, 2, join_new_replica),
+        (KAMINO, 2, lambda c: replace_node(c, 1)),
+        (TRADITIONAL, 1, _join_lone_head),
+    ], ids=["join", "replace", "join-lone-head"])
+    def test_new_tail_matches_its_donor(self, mode, f, splice):
+        cluster = ChainCluster(f=f, mode=mode, heap_mb=2, value_size=64)
         write_more(cluster, 0, 20)
-        donor = cluster.tail  # replacing a mid replica leaves the tail in place
         node = splice(cluster)
-        assert cluster.tail is node and donor.role == ROLE_MID
+        donor = cluster.chain[-2]  # the tail the new replica copied
+        assert cluster.tail is node
         assert node.heap.region.size == donor.heap.region.size == 2 << 20
         assert node.kv.value_size == donor.kv.value_size == 64
         assert node.applied_seq == donor.applied_seq > 0
         assert {node.node_id, donor.node_id} <= set(cluster.net._handlers)
-        assert tuple(n.node_id for n in cluster.chain) == cluster.membership.order()
         write_more(cluster, 10, 30)
         cluster.assert_replicas_consistent()
 

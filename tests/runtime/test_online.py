@@ -213,7 +213,7 @@ class TestSchedulerCostPin:
         assert striped.latencies_ns == plain.latencies_ns
 
     def test_replica_charges_the_lock_table_it_holds(self):
-        node = ReplicaNode("r0", "kamino", "head", heap_mb=1, value_size=64, alpha=0.3)
+        node = ReplicaNode("r0", "kamino", True, heap_mb=1, value_size=64, alpha=0.3)
         node.engine.locks = StripedLockTable(resolver=node.engine._resolve_pending)
         records = []
         execute = node.ctx.execute

@@ -439,7 +439,7 @@ def test_a_transaction_is_priced_one_way():
 
     assert not hasattr(NVMStats, "cost_since")
     assert not hasattr(ReplicaNode, "_set_engine")
-    node = ReplicaNode("r0", "kamino", "head", heap_mb=1, value_size=64)
+    node = ReplicaNode("r0", "kamino", True, heap_mb=1, value_size=64)
     assert not hasattr(node, "_serial_ns_per_intent")
     for name in ("advance", "advance_to"):
         assert not hasattr(SimClock, name), name
@@ -538,7 +538,7 @@ def _retired_calls():
     return [
         ("ShardedCluster", _sharded, ["alpha", "model", "hop_ns", "vnodes", "runtime", "placement"]),
         ("ChainCluster", _chain, ["sim", "hop_ns", "model", "degraded_cooldown_ns"]),
-        ("ReplicaNode", lambda **kw: ReplicaNode("r0", "kamino", "head", heap_mb=1, **kw), ["model"]),
+        ("ReplicaNode", lambda **kw: ReplicaNode("r0", "kamino", True, heap_mb=1, **kw), ["model"]),
         ("join_new_replica", lambda **kw: join_new_replica(None, **kw), ["heap_mb", "value_size"]),
         ("replace_node", lambda **kw: replace_node(None, 0, **kw), ["value_size", "spare_id"]),
         ("settle", lambda **kw: settle(None, **kw), ["rounds"]),
@@ -546,7 +546,7 @@ def _retired_calls():
         ("ReproServer", ReproServer, ["retry", "cluster", "store", "durable"]),
         ("ProcedureEngine", lambda **kw: ProcedureEngine(None, **kw), ["registry"]),
         ("ExecutionContext", ExecutionContext, ["clock", "events"]),
-        ("MembershipManager", lambda **kw: MembershipManager(["a"], **kw), ["failure_timeout_ns"]),
+        ("MembershipManager", MembershipManager, ["failure_timeout_ns"]),
         ("SimNetwork.send", lambda **kw: SimNetwork.send(None, "a", "b", 0, **kw), ["extra_delay_ns"]),
         ("inject_flips", lambda **kw: MediaFaultModel.inject_flips(None, 1, **kw), ["lo", "hi"]),
         ("kill_lines", lambda **kw: MediaFaultModel.kill_lines(None, 1, **kw), ["lo", "hi"]),
@@ -581,8 +581,11 @@ def test_options_nothing_set_are_gone(call, knob):
 
 
 def test_surfaces_only_their_tests_called_are_gone():
+    import repro.cluster.router
     import repro.cluster.sharded
+    import repro.replication.node
     from repro.check import pytest_plugin
+    from repro.cluster import ShardRouter
     from repro.integrity.scrub import Scrubber
     from repro.replication import MembershipManager
     from repro.sim.network import NetStats, SimNetwork
@@ -597,6 +600,18 @@ def test_surfaces_only_their_tests_called_are_gone():
         (Scrubber, "disarm"),
         (MembershipManager, "is_quick_reboot"),
         (MembershipManager, "validate_view"),
+        (MembershipManager, "order"),
+        (MembershipManager, "neighbours"),
+        (MembershipManager, "current"),
+        (repro.replication, "ViewInfo"),
+        (repro.replication.node, "ROLE_HEAD"),
+        (repro.replication.node, "ROLE_MID"),
+        (repro.replication.node, "ROLE_TAIL"),
+        (repro.cluster, "RangeRouter"),
+        (repro.cluster.router, "RangeRouter"),
+        (repro.cluster.router, "router_from_dict"),
+        (ShardRouter, "with_shard"),
+        (ShardRouter, "without_shard"),
         (pytest_plugin, "media_faults"),
         (pytest_plugin, "cluster_sweeps"),
         (repro.cluster.sharded, "group_tag"),
@@ -618,4 +633,13 @@ def test_source_tree_names_no_group_split_or_uncalled_hook():
     retired = re.compile(r"assign_group|group_of|on_commit|is_quick_reboot|validate_view")
     for path in sorted((ROOT / "src").rglob("*.py")):
         match = retired.search(path.read_text(encoding="utf-8"))
+        assert match is None, f"{path}: {match.group(0)}"
+
+
+def test_chain_shape_has_one_record():
+    # the chain's order is ChainCluster.chain and a replica's role is its
+    # index in it: no role label or membership copy of the order remains
+    second_record = re.compile(r"\bROLE_[A-Z]+|\.role\b|ViewInfo|\b_views\b|\bneighbours\(")
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        match = second_record.search(path.read_text(encoding="utf-8"))
         assert match is None, f"{path}: {match.group(0)}"

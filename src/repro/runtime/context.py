@@ -20,8 +20,9 @@ accounting, with one runtime core every layer plugs into — an
 what it cost (a :class:`~repro.runtime.records.TxRecord`); it never
 moves the clock.  The multi-client scheduler in
 :mod:`repro.runtime.online` is the one place a cost meets virtual time:
-it calls ``run_tx`` at the moment a client reaches the operation and
-threads the record through the shared servers.  ``run_tx`` is its two
+it calls ``run_tx`` at the moment a client reaches the operation,
+threads the record through the shared servers, and holds the committed
+transaction's lock sets until it releases them.  ``run_tx`` is its two
 halves, :meth:`~ExecutionContext.execute` (the critical path) and
 :meth:`~ExecutionContext.drain` (the deferred work); a chain replica
 prices its hops with the halves themselves and keeps no records.
@@ -43,9 +44,6 @@ from .records import TxRecord
 from .registry import make_engine
 
 _mark = NVMStats.mark
-#: the write set every read-only record shares (``frozenset(set())``
-#: builds a new empty object per call)
-_EMPTY: frozenset = frozenset()
 
 
 class SharedResources:
@@ -192,12 +190,12 @@ class ExecutionContext:
         around the body are priced by
         :func:`~repro.nvm.stats.interval_cost`; no :class:`NVMStats` is
         built.  The last transaction the engine's trace hook sees commit
-        (``tx``, None if none did) gives the record its write set, read
-        set and intent count.  The asynchronous fields are zero and
-        nothing is appended: the deferred work is :meth:`drain`'s, on
-        the caller's schedule.  The hook may end before the drain: only
-        ``Transaction.commit`` fires it, and no deferred-work path opens
-        a transaction.
+        (``tx``, None if none did) gives the record its intent count;
+        its write and read sets stay on ``tx``.  The asynchronous fields
+        are zero and nothing is appended: the deferred work is
+        :meth:`drain`'s, on the caller's schedule.  The hook may end
+        before the drain: only ``Transaction.commit`` fires it, and no
+        deferred-work path opens a transaction.
         """
         engine = self.engine
         if self.device is None or engine is None:
@@ -213,15 +211,9 @@ class ExecutionContext:
             engine.trace_hook = None
         tx = committed[-1] if committed else None
         crit_ns, crit_bytes, crit_copy_bytes = interval_cost(start, end, self.model)
-        if tx is None:
-            n_intents, write_set, read_set = 0, _EMPTY, _EMPTY
-        else:
-            n_intents = len(tx.intents)
-            write_set = frozenset(tx.write_set) if tx.write_set else _EMPTY
-            read_set = frozenset(tx.read_set)
         record = TxRecord(
             kind, crit_ns, 0.0, crit_bytes, 0, crit_copy_bytes,
-            n_intents, write_set, read_set,
+            0 if tx is None else len(tx.intents),
         )
         return result, record, tx
 
@@ -242,9 +234,9 @@ class ExecutionContext:
         fn(*args)
         return interval_cost(start, _mark(stats), self.model)[0]
 
-    def run_tx(self, kind: str, fn: Callable[..., None], *args) -> TxRecord:
+    def run_tx(self, kind: str, fn: Callable[..., None], *args) -> Tuple[TxRecord, Any]:
         """Execute one operation, ``fn(*args)``, as one transaction and
-        record its costs.
+        record its costs; returns ``(record, tx)``.
 
         :meth:`execute` prices the critical path, then :meth:`drain`
         prices exactly this operation's deferred work as the record's
@@ -252,14 +244,17 @@ class ExecutionContext:
         :attr:`records`; the clock does not move.  Virtual time belongs
         to the scheduler (:func:`~repro.runtime.online.run_online`),
         which threads the record through the shared servers at the
-        moment it executes.
+        moment it executes.  ``tx`` is the committed transaction (None
+        if none committed): its write and read sets are the lock
+        footprint, which the scheduler holds only until it releases the
+        locks, so the record does not keep them.
         """
-        _result, record, _tx = self.execute(kind, fn, *args)
+        _result, record, tx = self.execute(kind, fn, *args)
         async_ns, async_bytes = self.drain()
         if async_ns or async_bytes:
             record = record._replace(async_ns=async_ns, async_bytes=async_bytes)
         self.records.append(record)
-        return record
+        return record, tx
 
     # -- uniform reset/snapshot contract -------------------------------------
 

@@ -10,21 +10,22 @@ servers.  There is no separate trace pass: dependent transactions
 execute in virtual-time order, so same-key contention is exact, not
 approximated from a serially collected trace.
 
-Each operation's life cycle: lock acquisition over the record's
-read/write sets, serialized log management, bandwidth transfer of
-critical-path bytes, commit, then — for a record that carries deferred
-work, which only an engine with a backup produces — the asynchronous
-backup sync whose completion finally releases the write locks.  What
-a record costs on the shared servers is read from the engine the
-context holds: its lock table's :class:`~repro.sim.resources.LockCost`
-and, on an engine with a log data arena, the arena's per-intent
-management.  All resource requests arrive in nondecreasing virtual
-time, which FIFO servers require.
+Each operation's life cycle: lock acquisition over the committed
+transaction's read/write sets, serialized log management, bandwidth
+transfer of critical-path bytes, commit, then — for a record that
+carries deferred work, which only an engine with a backup produces —
+the asynchronous backup sync whose completion finally releases the
+write locks.  What a record costs on the shared servers is read from
+the engine the context holds: its lock table's
+:class:`~repro.sim.resources.LockCost` and, on an engine with a log
+data arena, the arena's per-intent management.  All resource requests
+arrive in nondecreasing virtual time, which FIFO servers require.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
+from collections.abc import Sequence
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..sim.resources import serial_ns_per_intent
 from .context import ExecutionContext
@@ -34,17 +35,24 @@ __all__ = ["run_online"]
 
 #: end-of-stream marker (an operation may itself be ``None``)
 _DONE = object()
+#: the write set every read-only operation shares (``frozenset(set())``
+#: builds a new empty object per call)
+_EMPTY: frozenset = frozenset()
 
 
 class VirtualClients:
     """Event-driven closed-loop clients over one context's shared servers.
 
     Client ``i`` runs ``ops[i::nclients]``.  Its next operation executes
-    the first time the client tries to start it; the resulting record is
-    held until commit, so a client blocked on a lock retries the same
-    record.  The clock is read directly (``clock.now``), and the objects
-    whose write locks a started record still holds are a set: a start
-    walks its sets only when an ``isdisjoint`` test finds a conflict.
+    the first time the client tries to start it; the resulting record
+    and the committed transaction's write and read sets are held in the
+    client's pending slot until commit, so a client blocked on a lock
+    retries the same record.  The write set then rides the sync event,
+    if the record has deferred work, until :meth:`_release`; after that
+    nothing holds the sets.  The clock is read directly (``clock.now``),
+    and the objects whose write locks a started record still holds are a
+    set: a start walks its sets only when an ``isdisjoint`` test finds a
+    conflict.
     """
 
     __slots__ = (
@@ -89,7 +97,10 @@ class VirtualClients:
         self.streams: List[Iterator[object]] = []
         self.executor: Optional[Callable[[object], None]] = None
         self.kind_of: Optional[Callable[[object], str]] = None
-        self.pending: List[Optional[TxRecord]] = [None] * nclients
+        #: per client: the started record and its write and read sets
+        self.pending: List[Optional[Tuple[TxRecord, FrozenSet[int], FrozenSet[int]]]] = (
+            [None] * nclients
+        )
         self.locked: Set[int] = set()
         self.waiters: Dict[int, List[int]] = {}
         self.ready_since = [0.0] * nclients
@@ -104,7 +115,9 @@ class VirtualClients:
         executor: Callable[[object], None],
         kind_of: Callable[[object], str],
     ) -> None:
-        self.streams = [iter(ops[i :: self.nclients]) for i in range(self.nclients)]
+        # each client indexes its share of the one stream: no per-client copy
+        n = self.nclients
+        self.streams = [map(ops.__getitem__, range(i, len(ops), n)) for i in range(n)]
         self.executor = executor
         self.kind_of = kind_of
         for client in range(self.nclients):
@@ -112,16 +125,28 @@ class VirtualClients:
         self.sim.run()
 
     def _try_start(self, client: int) -> None:
-        rec = self.pending[client]
-        if rec is None:
+        pending = self.pending[client]
+        if pending is None:
             op = next(self.streams[client], _DONE)
             if op is _DONE:
                 return
             # execute now — the virtual moment this client starts the op
-            rec = self.ctx.run_tx(self.kind_of(op), self.executor, op)
-            self.pending[client] = rec
-        write_set = rec.write_set
-        read_set = rec.read_set
+            rec, tx = self.ctx.run_tx(self.kind_of(op), self.executor, op)
+            if tx is None:
+                write_set = read_set = _EMPTY
+            else:
+                # frozen copies, held only until _release.  The
+                # first-conflict walk below and the wake-up order in
+                # _release follow these copies' iteration order, which
+                # can differ from the transaction's own sets' order once
+                # they hold five or more offsets, and the pinned
+                # simulated results (SCHEDULER_GOLDEN,
+                # benchmarks/results.txt) follow it
+                write_set = frozenset(tx.write_set) if tx.write_set else _EMPTY
+                read_set = frozenset(tx.read_set)
+            self.pending[client] = (rec, write_set, read_set)
+        else:
+            rec, write_set, read_set = pending
         locked = self.locked
         if locked and not (locked.isdisjoint(write_set) and locked.isdisjoint(read_set)):
             for off in write_set | read_set:
@@ -158,13 +183,13 @@ class VirtualClients:
         self.sim.schedule(queue_delay + software + local, self._transfer_crit, client)
 
     def _transfer_crit(self, client: int) -> None:
-        rec = self.pending[client]
+        rec = self.pending[client][0]
         done = self.bandwidth.transfer(self.clock.now, rec.crit_bytes)
         crit_rest = max(0.0, rec.crit_ns - rec.crit_bytes * self.ns_per_byte)
         self.sim.at(done + crit_rest, self._commit, client)
 
     def _commit(self, client: int) -> None:
-        rec = self.pending[client]
+        rec, write_set, _read_set = self.pending[client]
         now = self.clock.now
         latency = now - self.ready_since[client]
         self.latencies.append(latency)
@@ -173,9 +198,9 @@ class VirtualClients:
         if rec.async_ns > 0:
             # deferred backup sync (only an engine with a backup has
             # any): the write locks are held until it lands, §7.1
-            self.sim.schedule(0.0, self._start_sync, rec.write_set, rec)
-        elif rec.write_set:
-            self._release(rec.write_set)
+            self.sim.schedule(0.0, self._start_sync, write_set, rec)
+        elif write_set:
+            self._release(write_set)
         self.pending[client] = None
         self.ready_since[client] = now
         self._try_start(client)
@@ -211,7 +236,7 @@ class VirtualClients:
 
 def run_online(
     ctx: ExecutionContext,
-    ops: Sequence[object],
+    ops: Iterable[object],
     executor: Callable[[object], None],
     nthreads: int,
     kind_of: Callable[[object], str] = lambda op: getattr(op, "kind", "op"),
@@ -219,17 +244,21 @@ def run_online(
 ) -> ReplayResult:
     """Execute ``ops`` online under ``nthreads`` closed-loop clients.
 
-    The operation stream is split round-robin across clients; execution,
-    cost charging, and shared-server queueing all happen inline on the
-    context's clock and resource servers, and ``ctx.records`` gains one
-    :class:`~repro.runtime.records.TxRecord` per operation.  Contention
-    between dependent transactions is exact because each operation runs
-    at the virtual time its client actually reaches it.
+    The operation stream is split round-robin across clients (a
+    sequence is indexed in place, any other iterable is listed once);
+    execution, cost charging, and shared-server queueing all happen
+    inline on the context's clock and resource servers, and
+    ``ctx.records`` gains one :class:`~repro.runtime.records.TxRecord`
+    of costs per operation.  The lock sets are not in it: the scheduler
+    reads them off the committed transaction and drops them when it
+    releases the locks.  Contention between dependent transactions is
+    exact because each operation runs at the virtual time its client
+    actually reaches it.
     """
     if nthreads <= 0:
         raise ValueError("nthreads must be positive")
     if ctx.engine is None:
         raise ValueError("context has no engine; build it via ExecutionContext.create")
     clients = VirtualClients(ctx, nthreads)
-    clients.run(list(ops), executor, kind_of)
+    clients.run(ops if isinstance(ops, Sequence) else list(ops), executor, kind_of)
     return clients.result(workload)

@@ -1,17 +1,21 @@
 """Per-transaction cost records and aggregate simulation results.
 
 One record type for the context, the scheduler, and the benchmark layer
-(:mod:`repro.bench` re-exports them next to its runners).
+(:mod:`repro.bench` re-exports them next to its runners).  A record
+keeps what a transaction cost, not what it locked: the lock footprint
+(the committed transaction's write and read sets) is needed only while
+the transaction is live, so the scheduler holds it until it releases
+the locks and no record carries it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, NamedTuple
+from typing import Dict, List, NamedTuple
 
 
 class TxRecord(NamedTuple):
-    """Costs and footprint of one executed transaction.
+    """Costs of one executed transaction.
 
     A tuple: :meth:`~repro.runtime.context.ExecutionContext.run_tx`
     builds one per operation, positionally.
@@ -24,8 +28,6 @@ class TxRecord(NamedTuple):
     async_bytes: int
     crit_copy_bytes: int
     n_intents: int
-    write_set: FrozenSet[int]
-    read_set: FrozenSet[int]
 
 
 @dataclass

@@ -8,14 +8,19 @@ from repro.nvm.latency import NVDIMM
 from repro.runtime import ExecutionContext, run_online
 from repro.workloads import YCSBWorkload
 
+from ..conftest import spy_lock_sets
 
-def small_run(engine="kamino-simple", workload="A", nthreads=1, nops=300):
+
+def small_run(engine="kamino-simple", workload="A", nthreads=1, nops=300, sets=None):
     """One small YCSB run online; returns the context (its ``records``)
-    and the scheduler's result."""
+    and the scheduler's result.  ``sets``, when a list, gains each
+    record's committed ``(write_set, read_set)``."""
     ctx = ExecutionContext.create(engine, value_size=256, heap_mb=16)
     wl = YCSBWorkload(workload, 200, 256)
     wl.load(ctx.kv)
     ctx.reset()
+    if sets is not None:
+        spy_lock_sets(ctx, sets)
     ops = list(wl.run_ops(nops))
     result = run_online(ctx, ops, lambda op: wl.execute(ctx.kv, op), nthreads)
     return ctx, result
@@ -44,11 +49,12 @@ class TestTraceCollector:
         assert all(r.crit_copy_bytes > 0 for r in updates)
 
     def test_reads_have_empty_write_sets(self):
-        records = small_trace()
-        reads = [r for r in records if r.kind == "read"]
+        sets = []
+        records = small_run(sets=sets)[0].records
+        reads = [s for r, s in zip(records, sets, strict=True) if r.kind == "read"]
         assert reads
-        assert all(not r.write_set for r in reads)
-        assert all(r.read_set for r in reads)
+        assert all(not write_set for write_set, _read_set in reads)
+        assert all(read_set for _write_set, read_set in reads)
 
     def test_kamino_updates_cheaper_critical_path(self):
         k = small_trace("kamino-simple")

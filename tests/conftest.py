@@ -66,6 +66,27 @@ def build_heap(engine_factory, pool_size=POOL_SIZE, heap_size=HEAP_SIZE, seed=0)
     return heap, engine, device
 
 
+def spy_lock_sets(ctx, sets=None):
+    """Spy on ``ctx.run_tx``: ``sets`` (a new list when None, returned)
+    gains, per call, the committed transaction's ``(write_set,
+    read_set)`` as frozensets (both empty when none committed).  A
+    record keeps only costs, so a test reads the lock footprint here, in
+    record order."""
+    sets = [] if sets is None else sets
+    run_tx = ctx.run_tx
+
+    def spy(kind, fn, *args):
+        record, tx = run_tx(kind, fn, *args)
+        if tx is None:
+            sets.append((frozenset(), frozenset()))
+        else:
+            sets.append((frozenset(tx.write_set), frozenset(tx.read_set)))
+        return record, tx
+
+    ctx.run_tx = spy
+    return sets
+
+
 @pytest.fixture(params=sorted(ENGINES))
 def any_engine_heap(request):
     """(heap, engine, device) parametrised over every recoverable engine."""

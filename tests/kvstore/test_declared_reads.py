@@ -25,6 +25,7 @@ from repro.runtime.registry import make_engine, registered_engines
 from repro.tx import reopen_after_crash
 from repro.tx.dynamic import DYN_LOOKUP_REGION
 
+from ..conftest import spy_lock_sets
 from .fieldwise import fieldwise_reads
 
 POOL_SIZE = 8 << 20
@@ -100,6 +101,7 @@ def _online(name, device_cls, steps):
     ctx = ExecutionContext(
         model=device.model, device=device, engine=engine, heap=heap, engine_name=name
     )
+    sets = spy_lock_sets(ctx)
     results = []
     replay = run_online(
         ctx, steps, lambda step: results.append(_outcome(lambda: _apply(heap, tree, step))),
@@ -110,8 +112,8 @@ def _online(name, device_cls, steps):
         "sim": (replay.duration_ns, replay.latencies_ns, replay.latencies_by_kind),
         "records": [
             (r.kind, r.crit_ns, r.async_ns, r.crit_bytes, r.async_bytes, r.n_intents,
-             sorted(r.read_set), sorted(r.write_set))
-            for r in ctx.records
+             sorted(read_set), sorted(write_set))
+            for r, (write_set, read_set) in zip(ctx.records, sets, strict=True)
         ],
         **_observe(heap, engine, device, tree),
     }

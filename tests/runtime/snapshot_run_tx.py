@@ -14,7 +14,8 @@ from repro.runtime.records import TxRecord
 
 
 def snapshot_run_tx(ctx, kind, fn, *args):
-    """``ctx.run_tx(kind, fn, *args)``, priced from snapshot deltas."""
+    """``ctx.run_tx(kind, fn, *args)``, priced from snapshot deltas;
+    returns ``(record, tx)`` like it."""
     engine = ctx.engine
     stats = ctx.device.stats
     committed = []
@@ -38,8 +39,6 @@ def snapshot_run_tx(ctx, kind, fn, *args):
         async_bytes=deferred.total_bytes,
         crit_copy_bytes=crit.copy_bytes,
         n_intents=len(tx.intents) if tx is not None else 0,
-        write_set=frozenset(tx.write_set) if tx is not None else frozenset(),
-        read_set=frozenset(tx.read_set) if tx is not None else frozenset(),
     )
     ctx.records.append(record)
-    return record
+    return record, tx

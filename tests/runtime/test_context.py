@@ -65,15 +65,15 @@ class TestInlineCharging:
 
     def test_charges_accumulate(self):
         ctx = self._ctx()
-        r1 = ctx.run_tx("put", lambda: ctx.kv.put(1, b"a" * 32))
-        r2 = ctx.run_tx("put", lambda: ctx.kv.put(2, b"b" * 32))
+        r1, _tx1 = ctx.run_tx("put", lambda: ctx.kv.put(1, b"a" * 32))
+        r2, _tx2 = ctx.run_tx("put", lambda: ctx.kv.put(2, b"b" * 32))
         assert ctx.records == [r1, r2]
 
     def test_run_tx_never_moves_the_clock(self):
         # virtual time belongs to the scheduler (run_online); run_tx only
         # prices the operation and records it
         ctx = self._ctx()
-        rec = ctx.run_tx("put", lambda: ctx.kv.put(1, b"x" * 32))
+        rec, _tx = ctx.run_tx("put", lambda: ctx.kv.put(1, b"x" * 32))
         ctx.run_tx("put", lambda: ctx.kv.put(2, b"y" * 32))
         assert rec.crit_ns > 0
         assert ctx.clock.now == 0.0
@@ -81,10 +81,10 @@ class TestInlineCharging:
 
     def test_record_captures_footprint(self):
         ctx = self._ctx()
-        rec = ctx.run_tx("put", lambda: ctx.kv.put(1, b"x" * 32))
+        rec, tx = ctx.run_tx("put", lambda: ctx.kv.put(1, b"x" * 32))
         assert rec.kind == "put"
         assert rec.n_intents > 0
-        assert rec.write_set
+        assert tx.write_set
         assert rec.async_ns > 0  # kamino's deferred backup sync
 
 

@@ -15,6 +15,8 @@ from repro.runtime.registry import make_engine, registered_engines
 from repro.sim.resources import LockCost
 from repro.tx import StripedLockTable, kamino_dynamic
 
+from ..conftest import spy_lock_sets
+
 
 def _put_stream(ctx, n):
     return list(range(n)), lambda i: ctx.kv.put(i % 50, bytes([i % 255 + 1]) * 32)
@@ -198,15 +200,19 @@ class TestSchedulerCostPin:
         runs = {}
         for locks in (StripedLockTable, None):
             ctx = _warm_context(locks)
+            sets = spy_lock_sets(ctx)
             ops, put = _put_stream(ctx, 30)
             result = run_online(ctx, ops, put, 1, kind_of=lambda i: "put")
-            runs[locks] = (ctx, result)
-        ctx, striped = runs[StripedLockTable]
-        lock_ops = sum(r.n_intents + len(r.read_set - r.write_set) for r in ctx.records)
+            runs[locks] = (ctx, result, sets)
+        ctx, striped, sets = runs[StripedLockTable]
+        lock_ops = sum(
+            r.n_intents + len(read_set - write_set)
+            for r, (write_set, read_set) in zip(ctx.records, sets, strict=True)
+        )
         assert lock_ops > 0
         assert ctx.resources.log_mgmt.busy_ns == 8.0 * lock_ops
         assert VirtualClients(ctx, 1).lock_cost == LockCost(serial_ns=8.0, local_ns=32.0)
-        plain_ctx, plain = runs[None]
+        plain_ctx, plain, _sets = runs[None]
         assert plain_ctx.resources.log_mgmt.busy_ns == 40.0 * lock_ops
         # one uncontended client: 8 + 32 ns per lock op is the global
         # table's 40, so every latency matches

@@ -5,10 +5,10 @@ put/get/delete/scan/rmw sequence: one through
 :meth:`ExecutionContext.run_tx` (three counter marks), the other through
 :func:`snapshot_run_tx` (two full snapshots and their deltas).  Every
 ``TxRecord`` field must match, floats compared by ``float.hex``, and so
-must the device's ``NVMStats`` and the lock table's ``LockStats``.  The
-scheduler legs drive both twins through ``run_online`` at 1 and 4
-clients and also compare the run's simulated duration and per-kind
-latencies.
+must each committed transaction's write and read sets, the device's
+``NVMStats`` and the lock table's ``LockStats``.  The scheduler legs
+drive both twins through ``run_online`` at 1 and 4 clients and also
+compare the run's simulated duration and per-kind latencies.
 
 The chain legs run one random op sequence through a replication chain
 twice: once as is (every replica prices through its context), once with
@@ -36,6 +36,7 @@ from repro.runtime import ExecutionContext, run_online
 from repro.runtime.registry import registered_engines
 from repro.sim.resources import FIFOServer
 
+from ..conftest import spy_lock_sets
 from . import legacy_replica_pricing
 from .snapshot_run_tx import snapshot_run_tx
 
@@ -79,7 +80,8 @@ def _apply(kv, op):
 
 def _twins(engine):
     """``(marked, snapshotted)``: identical loaded stacks; the second
-    prices its records the snapshot way."""
+    prices its records the snapshot way.  Each twin's ``lock_sets``
+    lists its records' committed ``(write_set, read_set)``."""
     pair = []
     for _ in range(2):
         ctx = ExecutionContext.create(engine, value_size=VALUE_SIZE, heap_mb=1)
@@ -90,6 +92,8 @@ def _twins(engine):
         pair.append(ctx)
     marked, snapshotted = pair
     snapshotted.run_tx = lambda kind, fn, *args: snapshot_run_tx(snapshotted, kind, fn, *args)
+    for ctx in pair:
+        ctx.lock_sets = spy_lock_sets(ctx)
     return marked, snapshotted
 
 
@@ -108,6 +112,7 @@ def _assert_same_accounting(marked, snapshotted):
     for got, want in zip(marked.records, snapshotted.records):
         assert got._fields == want._fields
         assert [_exact(v) for v in got] == [_exact(v) for v in want]
+    assert marked.lock_sets == snapshotted.lock_sets
     assert marked.stats.snapshot() == snapshotted.stats.snapshot()
     assert astuple(marked.engine.locks.stats) == astuple(snapshotted.engine.locks.stats)
 

@@ -53,10 +53,9 @@ def test_read_only_gets_take_no_slot_notify_or_extra_snapshot(monkeypatch):
     _counting(monkeypatch, LogManager, "acquire", counts)
     _counting(monkeypatch, NVMStats, "snapshot", counts)
     _counting(monkeypatch, Transaction, "commit", counts)
-    for i in range(GETS):
-        ctx.run_tx("read", ctx.kv.get, i % KEYS)
+    txs = [ctx.run_tx("read", ctx.kv.get, i % KEYS)[1] for i in range(GETS)]
     assert len(ctx.records) == GETS
-    assert all(r.read_set and not r.write_set for r in ctx.records)
+    assert all(tx.read_set and not tx.write_set for tx in txs)
     assert counts["notify"] == counts["notify_all"] == counts["wait"] == 0
     assert counts["acquire"] == 0
     assert counts["snapshot"] == 0

@@ -72,6 +72,10 @@ own unit tests called are gone, and so is the per-group split of the
 transport's counters.  Whether an engine keeps a backup or copies data
 in the critical path is read off the built engine, not restated in its
 registration.
+
+A record keeps what a transaction cost, not what it locked: ``TxRecord``
+is its seven cost fields, and the lock sets stay on the committed
+transaction, which the scheduler holds only until it releases the locks.
 """
 
 import os
@@ -643,3 +647,12 @@ def test_chain_shape_has_one_record():
     for path in sorted((ROOT / "src").rglob("*.py")):
         match = second_record.search(path.read_text(encoding="utf-8"))
         assert match is None, f"{path}: {match.group(0)}"
+
+
+def test_a_record_keeps_costs_not_lock_sets():
+    from repro.runtime.records import TxRecord
+
+    assert TxRecord._fields == (
+        "kind", "crit_ns", "async_ns", "crit_bytes", "async_bytes",
+        "crit_copy_bytes", "n_intents",
+    )

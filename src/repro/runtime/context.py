@@ -40,7 +40,7 @@ from ..nvm.stats import NVMStats, interval_cost
 from ..sim.events import EventSimulator
 from ..sim.resources import BandwidthResource, FIFOServer, ServerSnapshot
 from .clock import ClockSnapshot, SimClock
-from .records import TxRecord
+from .records import TxRecord, TxRecords
 from .registry import make_engine
 
 _mark = NVMStats.mark
@@ -121,8 +121,9 @@ class ExecutionContext:
         #: here, so a run is exactly replayable from ``seed``
         self.seed = seed
         self.rng = random.Random(seed)
-        #: records of every transaction executed through :meth:`run_tx`
-        self.records: List[TxRecord] = []
+        #: records of every transaction executed through :meth:`run_tx`,
+        #: kept as columns (a slice is a view, not a list)
+        self.records = TxRecords()
 
     # -- construction --------------------------------------------------------
 
@@ -240,8 +241,10 @@ class ExecutionContext:
 
         :meth:`execute` prices the critical path, then :meth:`drain`
         prices exactly this operation's deferred work as the record's
-        asynchronous backup sync.  The record is appended to
-        :attr:`records`; the clock does not move.  Virtual time belongs
+        asynchronous backup sync.  The record's fields are appended to
+        :attr:`records`, a :class:`~repro.runtime.records.TxRecords`
+        that stores them as typed columns and keeps no tuple; the clock
+        does not move.  Virtual time belongs
         to the scheduler (:func:`~repro.runtime.online.run_online`),
         which threads the record through the shared servers at the
         moment it executes.  ``tx`` is the committed transaction (None

@@ -248,8 +248,10 @@ def run_online(
     sequence is indexed in place, any other iterable is listed once);
     execution, cost charging, and shared-server queueing all happen
     inline on the context's clock and resource servers, and
-    ``ctx.records`` gains one :class:`~repro.runtime.records.TxRecord`
-    of costs per operation.  The lock sets are not in it: the scheduler
+    ``ctx.records`` gains one row of costs per operation (a
+    :class:`~repro.runtime.records.TxRecords` of typed columns, whose
+    elements read back as :class:`~repro.runtime.records.TxRecord`, and
+    whose slices are views).  The lock sets are not in it: the scheduler
     reads them off the committed transaction and drops them when it
     releases the locks.  Contention between dependent transactions is
     exact because each operation runs at the virtual time its client

@@ -113,6 +113,11 @@ class Transaction:
         """Abort and roll back; raises :class:`TxAborted` on nested abort."""
         self._require_active()
         self.engine.abort(self)
+        self.mark_aborted()
+
+    def mark_aborted(self) -> None:
+        """End the transaction aborted and undo its volatile bookkeeping
+        (an engine that refuses the rollback still ends it)."""
         self.state = TxState.ABORTED
         # reverse order: later volatile changes undone first, like a log
         for cb in reversed(self.on_abort):

@@ -10,8 +10,12 @@ from the successor when acting as the new head).
 
 Consequences, faithfully reproduced:
 
-* local aborts are impossible (the head never forwards aborts, so this
-  never happens in normal operation);
+* a local abort cannot roll back (the head never forwards aborts, so
+  this never happens in normal operation): it is refused with a
+  :class:`TxError`, yet the transaction still ends and releases its
+  locks, its slot stays ``RUNNING`` and its write ranges join
+  ``incomplete_ranges``, and every later transaction is refused until
+  the chain has repaired them (:meth:`IntentOnlyEngine.ack_repaired`);
 * commit durably marks the slot ``COMMITTED``; the slot is only freed
   when the chain's clean-up acknowledgment arrives;
 * recovery cannot repair the heap alone — it *reports* the incomplete
@@ -51,12 +55,42 @@ class IntentOnlyEngine(LockingLogEngine):
         self._awaiting_cleanup: Dict[int, TxLog] = {}
         self._cleanup_order: Deque[int] = deque()
         #: write ranges of transactions that were in flight at the crash
+        #: or aborted here: unrepaired until :meth:`ack_repaired`
         self.incomplete_ranges: List[Tuple[int, int]] = []
+        #: the slots of those transactions: recovered ones by index (a
+        #: reopened log lists them free), aborted ones by the handle
+        #: that returns them to the free pool
+        self._repair_slots: List[int] = []
+        self._aborted_logs: List[TxLog] = []
+
+    def _refuse_unrepaired(self) -> None:
+        raise TxError(
+            f"heap ranges {self.incomplete_ranges} are unrepaired: the chain "
+            "must copy them from a neighbour (ack_repaired) before this "
+            "replica runs another transaction"
+        )
+
+    # -- transactions ----------------------------------------------------------
+
+    def begin(self) -> Transaction:
+        if self.incomplete_ranges:
+            self._refuse_unrepaired()
+        return super().begin()
+
+    def on_read(self, tx: Transaction, offset: int, size: int) -> None:
+        self.locks.acquire_read(tx.txid, offset)
+        tx.read_set.add(offset)
+        # a transaction that waited on an aborted one's lock must not
+        # read the stores it left behind
+        if self.incomplete_ranges:
+            self._refuse_unrepaired()
 
     # -- intents ---------------------------------------------------------------
 
     def on_add(self, tx: Transaction, offset: int, size: int, kind: IntentKind) -> None:
         self._record_intent(tx, offset, size, kind, 0)
+        if self.incomplete_ranges:
+            self._refuse_unrepaired()
 
     # -- outcomes -----------------------------------------------------------------
 
@@ -76,10 +110,32 @@ class IntentOnlyEngine(LockingLogEngine):
         self._release_all(tx)
 
     def abort(self, tx: Transaction) -> None:
-        raise TxError(
-            "a chain replica without a backup cannot roll back locally; "
-            "aborts are decided at the head and never forwarded"
-        )
+        """End ``tx`` without rolling it back; refused with a
+        :class:`TxError` if it declared a write or alloc intent.
+
+        Its in-place stores stay in the heap: its slot is left durably
+        ``RUNNING``, as a crash would leave it, so :meth:`recover` lists
+        its ranges too, and they join :attr:`incomplete_ranges` until
+        the chain repairs them from a neighbour.  Its locks are
+        released, so no other transaction hangs on them; they are
+        refused instead.
+        """
+        ranges = [(off, size) for off, size, kind in tx.intents if kind is not IntentKind.FREE]
+        log = self._taken_log(tx)
+        if ranges:
+            log.make_durable()
+            self._aborted_logs.append(log)
+            self.incomplete_ranges.extend(ranges)
+        elif log is not None:
+            # only FREE intents, applied at commit: nothing is stored in place
+            log.release()
+        self._release_all(tx)
+        tx.mark_aborted()
+        if ranges:
+            raise TxError(
+                "a chain replica without a backup cannot roll back locally; "
+                "aborts are decided at the head and never forwarded"
+            )
 
     def release_committed(self, txid: int) -> None:
         """Clean-up ack for the transaction arrived: drop its intent log."""
@@ -121,7 +177,7 @@ class IntentOnlyEngine(LockingLogEngine):
         """
         report = RecoveryReport()
         self.incomplete_ranges = []
-        self._repair_slots: List[int] = []
+        self._repair_slots = []
         for rec in self._scan_log():
             if rec.state is SlotState.COMMITTED:
                 self.log.free_slot_by_index(rec.index)
@@ -136,7 +192,10 @@ class IntentOnlyEngine(LockingLogEngine):
 
     def ack_repaired(self) -> None:
         """The chain repaired every incomplete range: free their slots."""
-        for index in getattr(self, "_repair_slots", []):
+        for index in self._repair_slots:
             self.log.free_slot_by_index(index)
+        for log in self._aborted_logs:
+            log.release()
         self._repair_slots = []
+        self._aborted_logs = []
         self.incomplete_ranges = []

@@ -50,9 +50,13 @@ SCAN = "scan"
 SCAN_LENGTH = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Op:
-    """One workload operation: kind + key (+ payload for writes)."""
+    """One workload operation: kind + key (+ payload for writes).
+
+    Slotted: a run's op stream holds one per operation, and without a
+    per-instance ``__dict__`` an op is about half the size.
+    """
 
     kind: str
     key: int

@@ -1,12 +1,17 @@
-"""What ``run_online`` retains per operation, by tracemalloc.
+"""What a run retains per operation, by tracemalloc.
 
 A record keeps what a transaction cost: seven fields appended to
-``ctx.records``.  The transaction's write and read sets are its lock
-footprint, needed only while it is live; the scheduler holds them until
-it releases the locks, and then nothing does.  A record that carried
-two frozensets retained about 550-700 B per operation on these stacks;
-the cost fields, the record's list slot and the run's latency lists
-come to about 220 B.
+``ctx.records``, which stores them unboxed in typed columns (about
+50 B).  The transaction's write and read sets are its lock footprint,
+needed only while it is live; the scheduler holds them until it
+releases the locks, and then nothing does.  With the run's latency
+lists a run retains about 100 B per operation on these stacks; a list
+of record tuples retained about 220 B, and tuples that carried two
+frozensets about 550-700 B.
+
+The op stream a YCSB run is driven from holds one slotted ``Op`` per
+operation, about 100 B with its key and (for a write) its payload;
+with a per-instance ``__dict__`` it was 140 B.
 """
 
 import gc
@@ -20,7 +25,9 @@ from repro.workloads import YCSBWorkload
 OPS = 4000
 CLIENTS = 4
 #: retained bytes per operation a run may keep after ``gc.collect()``
-BOUND_B_PER_OP = 256
+BOUND_B_PER_OP = 128
+#: bytes per operation a listed YCSB-B op stream may hold
+OP_STREAM_BOUND_B_PER_OP = 112
 
 
 @pytest.mark.parametrize(
@@ -46,3 +53,19 @@ def test_run_online_retains_costs_not_lock_sets(engine, mix, kwargs):
         tracemalloc.stop()
     assert result.ops == len(ctx.records) == OPS
     assert retained / OPS < BOUND_B_PER_OP
+
+
+def test_ycsb_op_stream_is_slotted():
+    nops = 20000
+    workload = YCSBWorkload("B", 4000, 64)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ops = list(workload.run_ops(nops))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ops) == nops
+    assert held / nops < OP_STREAM_BOUND_B_PER_OP

@@ -18,34 +18,44 @@ flow through this class; see DESIGN.md §1 for the substitution argument.
 Hot-path implementation notes (the *invariance contract*, see
 ``docs/INTERNALS.md`` §8): every figure benchmark funnels millions of
 operations through this class, so the data path is written for CPython
-speed, in the standard library only.  The durable media and the
-volatile overlay are two flat byte stores of the device's size, and each
-cache line has one dirty-word mask byte (0 == clean); a dirty line's
-current bytes sit in the overlay at the line's own address.  A sub-line
-access — the dominant case for 64-byte objects — is one mask-byte test
-and one ``memoryview`` slice; a window of up to 32 lines is classified
-by one combined-integer scan of its mask bytes; a wider window is split
-into runs of dirty lines and moves one slice per run.  Copies have a
-dedicated internal path that never touches the load/store counters.
+speed, in the standard library only.  The durable media is one flat
+byte store of the device's size, and each cache line has one dirty-word
+mask byte (0 == clean).  The volatile overlay holds a dirty line's
+current bytes only while it is dirty: a dict maps each 4 KiB page that
+holds a dirty line to a buffer of that page, created at the page's
+first dirty line and dropped when a flush, a crash or
+:meth:`NVMDevice.persist_all` leaves the page clean (one test of its 64
+mask bytes), so the overlay costs the working set, not the device.  A
+few dropped buffers are kept for the next pages to be dirtied, so a
+page dirtied and flushed once per transaction allocates nothing.  A
+sub-line access — the dominant case for 64-byte objects — is one
+mask-byte test, one dict lookup and one ``memoryview`` slice; a window
+of up to 32 lines is classified by one combined-integer scan of its
+mask bytes; a wider window is split into runs of dirty lines and moves
+one slice per run and page.  Copies have a dedicated internal path that
+never touches the load/store counters.  No path but construction maps,
+unmaps or advises memory.
 
 The crash checker builds, crashes, fingerprints and clones thousands of
 devices per sweep, so those cost the lines a run wrote rather than the
-pool: all three stores are lazily-zeroed mappings (:func:`lazy_zeros`),
-every persist path records the 4 KiB pages it writes (a digest forgets
-the recorded pages that hold zeros again), a set holds the pages that
-may hold a dirty line, and :meth:`NVMDevice.crash`,
-:meth:`NVMDevice.persist_all`, :meth:`NVMDevice.overlay_fingerprint`,
-:meth:`NVMDevice.clone_durable` and :meth:`NVMDevice.read_gather` visit
-only those.  The two bulk moves follow the same rule: a copy, and a
+pool: the media and the mask bytes are lazily-zeroed mappings
+(:func:`lazy_zeros`), every persist path records the 4 KiB pages it
+writes (a digest forgets the recorded pages that hold zeros again), and
+:meth:`NVMDevice.crash`, :meth:`NVMDevice.persist_all`,
+:meth:`NVMDevice.overlay_fingerprint`, :meth:`NVMDevice.clone_durable`
+and :meth:`NVMDevice.read_gather` visit only the recorded pages and the
+overlay's.  The two bulk moves follow the same rule: a copy, and a
 flush run, wider than a page move page by page, and a chunk whose pages
 are known zero on both sides moves no bytes — only its mask bytes are
 set or cleared.  For a copy that is every source page it overlaps never
 written and holding no dirty line, and its destination page never
-written and all zero in the overlay; for a flush run, its page never
-written and its overlay lines all zero.  Seeding a fresh full mirror
-(a heap's worth of zeros) therefore costs its mask bytes, not two heaps
-of resident pages; the page-scale leg of the differential tests holds
-these moves to the reference.
+written and holding no dirty line (its lines are then dirty zeros, and
+the page's overlay is one shared read-only zero page until a store
+lands on it); for a flush run, its page never written and its overlay
+lines all zero.  Seeding a fresh full mirror (a heap's worth of zeros)
+therefore costs its mask bytes, not two heaps of resident pages; the
+page-scale leg of the differential tests holds these moves to the
+reference.
 None of this may be visible in simulated results: durable bytes,
 :class:`~repro.nvm.stats.NVMStats`, and crash-surviving state must be
 bit-identical to the naive :class:`~repro.nvm.reference.ReferenceNVMDevice`
@@ -60,9 +70,10 @@ import mmap
 import random
 import struct
 import threading
+from collections import deque
 from enum import Enum
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import DeviceCrashedError, OutOfBoundsError
 from .latency import CACHE_LINE, WORD, NVDIMM, LatencyModel
@@ -119,9 +130,19 @@ def _partial_lines(first: int, n: int, combined: int) -> List[int]:
 #: is never resident, see :func:`lazy_zeros`)
 PAGE = 4096
 _PAGE_SHIFT = PAGE.bit_length() - 1
+_PAGE_MASK = PAGE - 1
 _PAGE_LINE_SHIFT = _PAGE_SHIFT - _LINE_SHIFT  # line index -> page index
+_PAGE_LINES = PAGE >> _LINE_SHIFT  # mask bytes per page
 _ZERO_PAGE = bytes(PAGE)
+#: the overlay of a page whose dirty lines all hold zeros and that no
+#: store reached yet (see :meth:`NVMDevice._mark`); read-only, so a
+#: store that forgot to give the page a buffer of its own raises
+_ZERO_VIEW = memoryview(_ZERO_PAGE)
 assert 1 << _PAGE_SHIFT == PAGE
+
+#: page buffers a device keeps for reuse once their pages come clean, so
+#: pages dirtied and flushed over and over allocate nothing
+_SPARE_BUFFERS = 32
 
 #: the widest window of mask bytes a walk for dirty-line runs copies at
 #: once (1 MiB of device), so a run over a whole mirror costs no
@@ -138,7 +159,8 @@ def lazy_zeros(n: int) -> mmap.mmap:
     ``mmap.mmap(-1, n)`` is *shared* anonymous memory, where a mere read
     allocates a real page.)  A simulated pool is mostly untouched space,
     so this is what keeps constructing, cloning and dropping a device
-    proportional to the lines a run wrote, not to the pool.
+    proportional to the lines a run wrote, not to the pool.  A device
+    makes two, when it is built: its media and its mask bytes.
     """
     return mmap.mmap(-1, n, access=mmap.ACCESS_COPY)
 
@@ -295,24 +317,103 @@ class NVMDevice:
     # -- helpers -----------------------------------------------------------
 
     def _alloc_store(self, size: int) -> None:
-        """Allocate the durable media and the volatile overlay.
+        """Allocate the durable media, the mask bytes and the (empty)
+        volatile overlay.
 
         ``self._durable`` is the one part of the representation other
         modules see: a byte-addressable, slice-assignable buffer of
         exactly ``size`` bytes that starts out zero *without being
         written* — the media-fault model, the scrubber, and tests read
         it directly; whoever writes it goes through :meth:`poke_durable`.
+        The media and the mask bytes are the only device-sized stores;
+        the overlay grows and shrinks with the pages holding dirty lines.
         """
         self._n_lines = (size + _LINE_MASK) >> _LINE_SHIFT
         self._durable = memoryview(lazy_zeros(size))
-        self._overlay = memoryview(lazy_zeros(size))
         #: per-line dirty-word bitmask; 0 == clean line
         self._masks = memoryview(lazy_zeros(self._n_lines))
         #: number of nonzero mask bytes, so the hot paths never scan
         self._dirty_count = 0
-        #: pages that may hold a dirty line: a superset, emptied whenever
-        #: the count drops to zero, and all that whole-device walks visit
-        self._dirty_pages: Set[int] = set()
+        #: page index -> a view of the page's current bytes, for exactly
+        #: the pages that hold a dirty line (a clean line's bytes in it
+        #: are stale and never read); all that whole-device walks visit
+        self._overlay: Dict[int, memoryview] = {}
+        #: the last page if the device ends inside it (its buffer is
+        #: short, and never the shared zero page), else -1
+        self._short_page = size >> _PAGE_SHIFT if size & _PAGE_MASK else -1
+        #: dropped page-sized buffers, their bytes stale
+        self._spare: Deque[memoryview] = deque(maxlen=_SPARE_BUFFERS)
+
+    def _buffer(self, page: int) -> memoryview:
+        """``page``'s overlay, writable.  A page with no entry holds no
+        dirty line, so it takes a spare buffer as it is; one with the
+        shared zero page gets a fresh zeroed one (its dirty lines are
+        zeros).  A buffer spans the device's bytes of its page, so the
+        last page of a device that ends mid-page has a short one, and
+        every slice of a buffer is as long as the same slice of the
+        media."""
+        buf = self._overlay.get(page)
+        if buf is None and self._spare and page != self._short_page:
+            buf = self._overlay[page] = self._spare.pop()
+        elif buf is None or buf is _ZERO_VIEW:
+            size = self.size & _PAGE_MASK if page == self._short_page else PAGE
+            buf = self._overlay[page] = memoryview(bytearray(size))
+        return buf
+
+    def _release(self, buf: memoryview) -> None:
+        """Keep a dropped page's buffer for reuse (the oldest spare goes
+        when there are enough)."""
+        if buf is not _ZERO_VIEW and buf.nbytes == PAGE:
+            self._spare.append(buf)
+
+    def _drop_all(self) -> None:
+        """Drop every page's buffer: no line is dirty any more."""
+        for buf in self._overlay.values():
+            self._release(buf)
+        self._overlay.clear()
+
+    def _store(self, lo: int, data) -> None:
+        """Put ``data`` into the overlay at ``lo``, page by page."""
+        hi = lo + len(data)
+        base = lo & ~_PAGE_MASK
+        if hi - base <= PAGE:
+            self._buffer(base >> _PAGE_SHIFT)[lo - base : hi - base] = data
+            return
+        data = memoryview(data)
+        pos = 0
+        while lo < hi:
+            end = min(hi, base + PAGE)
+            self._buffer(base >> _PAGE_SHIFT)[lo - base : end - base] = data[pos : pos + end - lo]
+            pos += end - lo
+            lo = base = end
+
+    def _cached(self, lo: int, hi: int):
+        """The overlay's bytes ``[lo, hi)``, every line of which is dirty:
+        a view for a range inside one page, else the joined bytes."""
+        overlay = self._overlay
+        base = lo & ~_PAGE_MASK
+        if hi - base <= PAGE:
+            return overlay[base >> _PAGE_SHIFT][lo - base : hi - base]
+        parts = []
+        while lo < hi:
+            end = min(hi, base + PAGE)
+            parts.append(overlay[base >> _PAGE_SHIFT][lo - base : end - base])
+            lo = base = end
+        return b"".join(parts)
+
+    def _drop_clean(self, first: int, last: int) -> None:
+        """Forget the overlay of each page of lines ``first..last`` that
+        holds no dirty line any more (after lines there were cleaned)."""
+        if not self._dirty_count:
+            self._drop_all()
+            return
+        overlay = self._overlay
+        masks = self._masks
+        is_clean = _ZERO_PAGE.startswith
+        for page in range(first >> _PAGE_LINE_SHIFT, (last >> _PAGE_LINE_SHIFT) + 1):
+            lo = page << _PAGE_LINE_SHIFT
+            if page in overlay and is_clean(masks[lo : lo + _PAGE_LINES]):
+                self._release(overlay.pop(page))
 
     def _touch(self, first: int, last: int) -> None:
         """Durable lines ``first..last`` were just written."""
@@ -421,14 +522,14 @@ class NVMDevice:
         """Maximal runs ``[start, end)`` of dirty lines among lines
         ``first..last``, ascending.
 
-        Reads the mask bytes of the pages that may hold a dirty line and
-        no others, so a walk over the whole device costs its dirty pages,
-        not the pool.  Adjacent pages are scanned as one window of up to
-        :data:`_SCAN_PAGES` pages, and a run that reaches the end of a
-        window is joined with the one that starts the next, so a run
-        never splits at a page boundary (a run is a flush burst).
+        Reads the mask bytes of the pages in the overlay (those holding a
+        dirty line) and no others, so a walk over the whole device costs
+        its dirty pages, not the pool.  Adjacent pages are scanned as one
+        window of up to :data:`_SCAN_PAGES` pages, and a run that reaches
+        the end of a window is joined with the one that starts the next,
+        so a run never splits at a page boundary (a run is a flush burst).
         """
-        pages = self._dirty_pages
+        pages = self._overlay
         p0 = first >> _PAGE_LINE_SHIFT
         p1 = last >> _PAGE_LINE_SHIFT
         if len(pages) <= p1 - p0:
@@ -476,35 +577,37 @@ class NVMDevice:
             masks[start:end] = bytes(end - start)
             flushed += end - start
         self._dirty_count -= flushed
-        if not self._dirty_count:
-            self._dirty_pages.clear()
+        for start, end in runs:
+            self._drop_clean(start, end - 1)
         return flushed, persisted, partial
 
     def _move_to_media(self, start: int, end: int) -> None:
         """Copy the overlay's lines ``start..end-1`` onto the media and
         record the pages written.
 
-        Up to a page, one slice.  Wider, a page at a time, and a page
-        that is known zero on both sides — never written on the media,
-        all zero in the overlay — moves nothing and stays out of the
-        record: it would write zeros over zeros and make the page
-        resident (a fresh full mirror is a heap's worth of such pages).
+        Up to a page, one slice per page.  Wider, and a page that is
+        known zero on both sides — never written on the media, all zero
+        in the overlay — moves nothing and stays out of the record: it
+        would write zeros over zeros and make the page resident (a fresh
+        full mirror is a heap's worth of such pages).
         """
         lo = start << _LINE_SHIFT
         hi = end << _LINE_SHIFT
         durable = self._durable
-        overlay = self._overlay
         if hi - lo <= PAGE:
-            durable[lo:hi] = overlay[lo:hi]
+            durable[lo:hi] = self._cached(lo, hi)
             self._touch(start, end - 1)
             return
+        overlay = self._overlay
         touched = self._touched
         is_zero = _ZERO_PAGE.startswith
         for page in range(lo >> _PAGE_SHIFT, ((hi - 1) >> _PAGE_SHIFT) + 1):
-            a = max(lo, page << _PAGE_SHIFT)
-            b = min(hi, (page + 1) << _PAGE_SHIFT)
-            if page in touched or not is_zero(overlay[a:b]):
-                durable[a:b] = overlay[a:b]
+            base = page << _PAGE_SHIFT
+            a = max(lo, base)
+            b = min(hi, base + PAGE)
+            data = overlay[page][a - base : b - base]
+            if page in touched or not is_zero(data):
+                durable[a:b] = data
                 touched.add(page)
 
     # -- raw overlay data path (no stats, no checks) -----------------------
@@ -519,11 +622,11 @@ class NVMDevice:
         if first >= last:
             # one line (or, for size 0, none)
             if first == last and masks[first]:
-                return bytes(self._overlay[addr : addr + size])
+                off = addr & _PAGE_MASK
+                return bytes(self._overlay[first >> _PAGE_LINE_SHIFT][off : off + size])
             return bytes(self._durable[addr : addr + size])
         end = addr + size
         durable = self._durable
-        overlay = self._overlay
         n = last - first + 1
         if n <= _SWAR_LINES:
             # one buffer scan classifies the whole window: the combined
@@ -533,7 +636,7 @@ class NVMDevice:
             if not combined:
                 return bytes(durable[addr:end])
             if not ((combined - _SWAR_LOW[n]) & ~combined & _SWAR_HIGH[n]):
-                return bytes(overlay[addr:end])
+                return bytes(self._cached(addr, end))
             runs = [
                 (first + i, first + i + 1)
                 for i in range(n)
@@ -544,7 +647,7 @@ class NVMDevice:
             if not runs:
                 return bytes(durable[addr:end])
             if runs[0] == (first, last + 1):
-                return bytes(overlay[addr:end])
+                return bytes(self._cached(addr, end))
         out = bytearray(durable[addr:end])
         for start, stop in runs:
             lo = start << _LINE_SHIFT
@@ -553,7 +656,7 @@ class NVMDevice:
             hi = stop << _LINE_SHIFT
             if hi > end:
                 hi = end
-            out[lo - addr : hi - addr] = overlay[lo:hi]
+            out[lo - addr : hi - addr] = self._cached(lo, hi)
         return bytes(out)
 
     def _poke(self, addr: int, data) -> None:
@@ -564,70 +667,51 @@ class NVMDevice:
         first = addr >> _LINE_SHIFT
         last = (addr + size - 1) >> _LINE_SHIFT
         masks = self._masks
-        overlay = self._overlay
         if first == last:
+            buf = self._buffer(first >> _PAGE_LINE_SHIFT)
             off = addr & _LINE_MASK
             m = masks[first]
             if not m:
                 base = first << _LINE_SHIFT
-                overlay[base : base + CACHE_LINE] = self._durable[base : base + CACHE_LINE]
+                at = base & _PAGE_MASK
+                buf[at : at + CACHE_LINE] = self._durable[base : base + CACHE_LINE]
                 self._dirty_count += 1
-                self._dirty_pages.add(first >> _PAGE_LINE_SHIFT)
                 masks[first] = _SPAN_MASKS[off >> _WORD_SHIFT][(off + size - 1) >> _WORD_SHIFT]
             elif m != _FULL_MASK:
                 masks[first] = m | _SPAN_MASKS[off >> _WORD_SHIFT][
                     (off + size - 1) >> _WORD_SHIFT
                 ]
-            overlay[addr : addr + size] = data
+            off = addr & _PAGE_MASK
+            buf[off : off + size] = data
             return
-        durable = self._durable
         end = addr + size
-        n = last - first + 1
-        if n <= _SWAR_LINES:
-            combined = int.from_bytes(masks[first : last + 1], "little")
-            if (combined - _SWAR_LOW[n]) & ~combined & _SWAR_HIGH[n]:
-                # some covered line is clean: fault it in from the media
-                if not combined:
-                    lo = first << _LINE_SHIFT
-                    hi = (last + 1) << _LINE_SHIFT
-                    overlay[lo:hi] = durable[lo:hi]
-                    self._dirty_count += n
-                else:
-                    for i in range(n):
-                        if not combined & (0xFF << (i << 3)):
-                            base = (first + i) << _LINE_SHIFT
-                            overlay[base : base + CACHE_LINE] = durable[
-                                base : base + CACHE_LINE
-                            ]
-                            self._dirty_count += 1
-                pages = self._dirty_pages
-                pages.add(first >> _PAGE_LINE_SHIFT)
-                pages.add(last >> _PAGE_LINE_SHIFT)
-            if n > 2:
-                masks[first + 1 : last] = _FULLS[n - 2]
-        else:
-            # wide store: interior lines are fully overwritten, so only
-            # the partial head/tail lines can need a durable fault-in
-            self._dirty_count += bytes(masks[first : last + 1]).count(0)
+        lo, hi = addr, end
+        clean = bytes(masks[first : last + 1]).count(0)
+        if clean:
+            # interior lines are overwritten whole; a clean partial head
+            # or tail line keeps the media's bytes beside the store's,
+            # which ride along with the data
+            self._dirty_count += clean
             if addr & _LINE_MASK and not masks[first]:
-                base = first << _LINE_SHIFT
-                overlay[base:addr] = durable[base:addr]
-            tail_end = (last + 1) << _LINE_SHIFT
-            if end < tail_end and not masks[last]:
-                overlay[end:tail_end] = durable[end:tail_end]
-            masks[first + 1 : last] = bytes([_FULL_MASK]) * (n - 2)
-            self._dirty_pages.update(
-                range(first >> _PAGE_LINE_SHIFT, (last >> _PAGE_LINE_SHIFT) + 1)
-            )
-        overlay[addr:end] = data
+                lo = first << _LINE_SHIFT
+            if end & _LINE_MASK and not masks[last]:
+                hi = (last + 1) << _LINE_SHIFT
+            if lo < addr or end < hi:
+                durable = self._durable
+                data = b"".join((durable[lo:addr], data, durable[end:hi]))
+        n = last - first - 1
+        if n > 0:
+            masks[first + 1 : last] = _FULLS[n] if n <= _SWAR_LINES else bytes([_FULL_MASK]) * n
+        self._store(lo, data)
         masks[first] |= _SPAN_MASKS[(addr & _LINE_MASK) >> _WORD_SHIFT][_WORDS_PER_LINE - 1]
         masks[last] |= _SPAN_MASKS[0][((end - 1) & _LINE_MASK) >> _WORD_SHIFT]
 
     def _mark(self, addr: int, end: int) -> None:
-        """Dirty ``[addr, end)`` exactly as :meth:`_poke` of those bytes
-        would, moving none: for bytes the overlay already holds (zeros
-        over a zero overlay page and a never-written media page, where
-        the fault-in of a clean partial line moves zeros too)."""
+        """Dirty ``[addr, end)`` exactly as :meth:`_poke` of zeros there
+        would, moving none: for pages that hold no dirty line and were
+        never written on the media (where the fault-in of a clean partial
+        line moves zeros too), which get the shared zero page as their
+        overlay (a short last page, a zeroed buffer of its own)."""
         first = addr >> _LINE_SHIFT
         last = (end - 1) >> _LINE_SHIFT
         masks = self._masks
@@ -640,9 +724,11 @@ class NVMDevice:
             masks[first + 1 : last] = bytes([_FULL_MASK]) * (last - first - 1)
             masks[first] |= _SPAN_MASKS[head][_WORDS_PER_LINE - 1]
             masks[last] |= _SPAN_MASKS[0][tail]
-        self._dirty_pages.update(
-            range(first >> _PAGE_LINE_SHIFT, (last >> _PAGE_LINE_SHIFT) + 1)
-        )
+        pages = range(first >> _PAGE_LINE_SHIFT, (last >> _PAGE_LINE_SHIFT) + 1)
+        self._overlay.update(zip(pages, repeat(_ZERO_VIEW)))
+        if pages[-1] == self._short_page:
+            del self._overlay[pages[-1]]
+            self._buffer(pages[-1])
 
     # -- data path ---------------------------------------------------------
 
@@ -666,7 +752,8 @@ class NVMDevice:
         first = addr >> _LINE_SHIFT
         if first == (addr + size - 1) >> _LINE_SHIFT:
             if self._masks[first]:
-                return bytes(self._overlay[addr : addr + size])
+                off = addr & _PAGE_MASK
+                return bytes(self._overlay[first >> _PAGE_LINE_SHIFT][off : off + size])
             return bytes(self._durable[addr : addr + size])
         return self._peek(addr, size)
 
@@ -764,22 +851,24 @@ class NVMDevice:
         first = addr >> _LINE_SHIFT
         if first == (addr + size - 1) >> _LINE_SHIFT:
             # the single-line _poke, inlined
+            buf = self._overlay.get(first >> _PAGE_LINE_SHIFT, _ZERO_VIEW)
+            if buf is _ZERO_VIEW:
+                buf = self._buffer(first >> _PAGE_LINE_SHIFT)
             masks = self._masks
             off = addr & _LINE_MASK
             m = masks[first]
             if not m:
                 base = first << _LINE_SHIFT
-                self._overlay[base : base + CACHE_LINE] = self._durable[
-                    base : base + CACHE_LINE
-                ]
+                at = base & _PAGE_MASK
+                buf[at : at + CACHE_LINE] = self._durable[base : base + CACHE_LINE]
                 self._dirty_count += 1
-                self._dirty_pages.add(first >> _PAGE_LINE_SHIFT)
                 masks[first] = _SPAN_MASKS[off >> _WORD_SHIFT][(off + size - 1) >> _WORD_SHIFT]
             elif m != _FULL_MASK:
                 masks[first] = m | _SPAN_MASKS[off >> _WORD_SHIFT][
                     (off + size - 1) >> _WORD_SHIFT
                 ]
-            self._overlay[addr : addr + size] = data
+            off = addr & _PAGE_MASK
+            buf[off : off + size] = data
             return
         self._poke(addr, data)
 
@@ -819,12 +908,11 @@ class NVMDevice:
         no chunk reads bytes an earlier chunk wrote.
 
         A chunk whose pages are all known zero on both sides moves no
-        bytes and is only marked dirty (:meth:`_mark`): every source
-        page it overlaps was never written and holds no dirty line, and
-        its destination page was never written and reads zero in the
-        overlay.  A run of such chunks is marked in one go, before the
-        next chunk that moves bytes: while it waits, its lines read as
-        the zeros they will hold either way.
+        bytes and is only marked dirty (:meth:`_mark`): every page it
+        overlaps, source and destination, was never written and has no
+        overlay (holds no dirty line).  A run of such chunks is marked
+        in one go, before the next chunk that moves bytes: while it
+        waits, its lines read as the zeros they will hold either way.
         """
         end = dst + size
         pages = range(dst >> _PAGE_SHIFT, ((end - 1) >> _PAGE_SHIFT) + 1)
@@ -832,9 +920,7 @@ class NVMDevice:
             pages = reversed(pages)
         shift = src - dst
         touched = self._touched
-        dirty_pages = self._dirty_pages
-        overlay = self._overlay
-        is_zero = _ZERO_PAGE.startswith
+        cached = self._overlay.keys()
         waiting: Optional[Tuple[int, int]] = None
         for page in pages:
             lo = max(dst, page << _PAGE_SHIFT)
@@ -842,9 +928,9 @@ class NVMDevice:
             sources = range((lo + shift) >> _PAGE_SHIFT, ((hi - 1 + shift) >> _PAGE_SHIFT) + 1)
             if (
                 page not in touched
+                and page not in cached
                 and touched.isdisjoint(sources)
-                and dirty_pages.isdisjoint(sources)
-                and is_zero(overlay[page << _PAGE_SHIFT : (page + 1) << _PAGE_SHIFT])
+                and cached.isdisjoint(sources)
             ):
                 if waiting is not None:
                     lo, hi = min(lo, waiting[0]), max(hi, waiting[1])
@@ -900,17 +986,20 @@ class NVMDevice:
                 if combined:
                     durable = self._durable
                     overlay = self._overlay
+                    page = first >> _PAGE_LINE_SHIFT
                     if not ((combined - _SWAR_LOW[n]) & ~combined & _SWAR_HIGH[n]):
                         # fully dirty window: one slice copy, one burst
                         lo = first << _LINE_SHIFT
                         hi = (last + 1) << _LINE_SHIFT
-                        durable[lo:hi] = overlay[lo:hi]
                         masks[first : last + 1] = _ZEROS[n]
-                        # self._touch(first, last), inlined: the hot flush
-                        page = first >> _PAGE_LINE_SHIFT
+                        # self._cached(lo, hi) and self._touch(first, last),
+                        # inlined for a window inside one page: the hot flush
                         if page == last >> _PAGE_LINE_SHIFT:
+                            base = lo & ~_PAGE_MASK
+                            durable[lo:hi] = overlay[page][lo - base : hi - base]
                             self._touched.add(page)
                         else:
+                            durable[lo:hi] = self._cached(lo, hi)
                             self._touched.update(range(page, (last >> _PAGE_LINE_SHIFT) + 1))
                         flushed = n
                         bursts = 1
@@ -924,9 +1013,10 @@ class NVMDevice:
                             if combined & (0xFF << (i << 3)):
                                 line = first + i
                                 base = line << _LINE_SHIFT
+                                off = base & _PAGE_MASK
                                 durable[base : base + CACHE_LINE] = overlay[
-                                    base : base + CACHE_LINE
-                                ]
+                                    line >> _PAGE_LINE_SHIFT
+                                ][off : off + CACHE_LINE]
                                 touch(line >> _PAGE_LINE_SHIFT)
                                 masks[line] = 0
                                 flushed += 1
@@ -939,8 +1029,17 @@ class NVMDevice:
                     if self._media is not None:
                         partial = _partial_lines(first, n, combined)
                     self._dirty_count -= flushed
-                    if not self._dirty_count:
-                        self._dirty_pages.clear()
+                    if page != last >> _PAGE_LINE_SHIFT:
+                        self._drop_clean(first, last)
+                    elif not self._dirty_count or _ZERO_PAGE.startswith(
+                        masks[page << _PAGE_LINE_SHIFT : (page + 1) << _PAGE_LINE_SHIFT]
+                    ):
+                        # self._drop_clean(first, last), inlined: the page
+                        # came clean (the overlay's only page, if no line
+                        # is dirty any more)
+                        buf = overlay.pop(page)
+                        if buf is not _ZERO_VIEW and buf.nbytes == PAGE:
+                            self._spare.append(buf)
         stats = self.stats
         stats.flushes += 1
         stats.flushed_lines += flushed
@@ -1044,14 +1143,16 @@ class NVMDevice:
                     for line in range(start, end):
                         mask = masks[line]
                         base = line << _LINE_SHIFT
+                        buf = overlay[line >> _PAGE_LINE_SHIFT]
                         for w in range(_WORDS_PER_LINE):
                             if mask & (1 << w) and (keep_all or rng() < survival_prob):
                                 off = base + (w << _WORD_SHIFT)
-                                durable[off : off + WORD] = overlay[off : off + WORD]
+                                at = off & _PAGE_MASK
+                                durable[off : off + WORD] = buf[at : at + WORD]
             for start, end in runs:
                 masks[start:end] = bytes(end - start)
             self._dirty_count = 0
-            self._dirty_pages.clear()
+            self._drop_all()
         if crash_lines:
             media.on_crash(crash_lines)
         self._crashed = True
@@ -1073,9 +1174,9 @@ class NVMDevice:
         if not self._dirty_count:
             return []
         masks = self._masks
-        overlay = self._overlay
+        cached = self._cached
         return [
-            (line, masks[line], overlay[line << _LINE_SHIFT : (line + 1) << _LINE_SHIFT])
+            (line, masks[line], cached(line << _LINE_SHIFT, (line + 1) << _LINE_SHIFT))
             for start, end in self._dirty_runs(0, self._n_lines - 1)
             for line in range(start, end)
         ]
@@ -1148,15 +1249,12 @@ class NVMDevice:
             clone.poke_durable(page << _PAGE_SHIFT, data)
 
     def _copy_overlay_to(self, clone: "NVMDevice") -> None:
-        if not self._dirty_count:
-            return
-        for start, end in self._dirty_runs(0, self._n_lines - 1):
-            lo = start << _LINE_SHIFT
-            hi = end << _LINE_SHIFT
-            clone._overlay[lo:hi] = self._overlay[lo:hi]
-            clone._masks[start:end] = self._masks[start:end]
+        masks = self._masks
+        for page, buf in self._overlay.items():
+            lo = page << _PAGE_LINE_SHIFT
+            clone._masks[lo : lo + _PAGE_LINES] = masks[lo : lo + _PAGE_LINES]
+            clone._overlay[page] = buf if buf is _ZERO_VIEW else memoryview(bytearray(buf))
         clone._dirty_count = self._dirty_count
-        clone._dirty_pages = set(self._dirty_pages)
 
     def poke_durable(self, addr: int, data) -> None:
         """Write ``data`` straight onto the media — no overlay, no

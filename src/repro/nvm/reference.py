@@ -8,8 +8,9 @@ read and a gather are one read per declared load, and the crash
 fingerprint and the durable clone walk the whole pool.  It shares no
 representation with the device it checks: its media is a plain
 ``bytearray`` and its overlay a dict of per-line buffers and dirty-word
-masks, where :class:`~repro.nvm.device.NVMDevice` keeps flat stores and
-mask bytes.  It is the executable specification of the *invariance contract*
+masks, where :class:`~repro.nvm.device.NVMDevice` keeps a flat media
+store, mask bytes and per-page buffers.  It is the executable
+specification of the *invariance contract*
 (docs/INTERNALS.md §8): the differential tests drive randomized
 operation / crash / recovery sequences through both devices and assert
 bit-identical durable bytes, crash-surviving state, and
@@ -37,7 +38,7 @@ class ReferenceNVMDevice(NVMDevice):
     # -- the crash image, naively --------------------------------------------
     #
     # The optimized device remembers which pages it wrote and hashes /
-    # copies only those, and carries an overlay over as dirty-line runs.
+    # copies only those, and carries an overlay over as page buffers.
     # This one keeps no such record: its fingerprint scans every page of
     # the pool, its clone copies all of it and every per-line entry,
     # which is the spec the tracked walk is tested against.

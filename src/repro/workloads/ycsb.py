@@ -90,13 +90,15 @@ class YCSBWorkload:
         else:
             self._keys = ScrambledZipfianGenerator(nrecords, seed=seed + 1)
         self._scan_rng = random.Random(seed + 2)
+        # a payload is one byte repeated, so there are 256 of them: an op
+        # stream shares these instead of holding one copy per write
+        self._payloads = [bytes([pattern]) * min(64, value_size) for pattern in range(256)]
 
     # -- trace generation ------------------------------------------------------
 
     def _value(self, key: int) -> bytes:
         """A deterministic, key-dependent record payload."""
-        pattern = (key * 2654435761 + self._rng.randrange(256)) & 0xFF
-        return bytes([pattern]) * min(64, self.value_size)
+        return self._payloads[(key * 2654435761 + self._rng.randrange(256)) & 0xFF]
 
     def load_ops(self) -> Iterator[Op]:
         """The initial load phase: one insert per record."""

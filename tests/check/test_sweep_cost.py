@@ -19,13 +19,9 @@ things pin that:
   stack on any engine.
 """
 
-import os
-import subprocess
-import sys
 import time
 from collections import Counter
 
-import repro
 from repro import ExecutionContext
 from repro.check import CrashExplorer, explorer as explorer_module
 from repro.check.workload import KVWorkload, build_stack
@@ -33,6 +29,7 @@ from repro.nvm import CrashPolicy, NVMDevice
 from repro.nvm.device import PAGE
 from repro.runtime.registry import engine_info, registered_engines
 from repro.tx.backup import BACKUP_REGION
+from tests.fresh_process import ROOT, run_probe
 
 SMALL_POOL = 8 << 20
 BIG_POOL = 256 << 20
@@ -181,17 +178,7 @@ def test_crash_image_memory_does_not_scale_with_the_pool():
     """A fresh process (``ru_maxrss`` is a high-water mark) builds,
     crashes, fingerprints and clones a 256 MiB pool: flat images would
     need 3-6 pools' worth of resident memory."""
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join([src, root, os.environ.get("PYTHONPATH", "")]),
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", _RSS_PROBE],
-        env=env, cwd=root, capture_output=True, text=True, timeout=120, check=True,
-    )
-    grown_kib = int(out.stdout.strip())
+    grown_kib = int(run_probe(_RSS_PROBE, ROOT).strip())
     assert grown_kib < 64 << 10, f"ru_maxrss grew {grown_kib >> 10} MiB"
 
 
@@ -214,14 +201,7 @@ def test_creating_a_stack_does_not_scale_with_the_heap():
     mirror is provisioned at twice the heap, yet a fresh one copies and
     flushes pages of zeros only, so it must stay as cheap as the rest:
     resident memory follows what setup wrote, not the pool."""
-    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", _CREATE_PROBE],
-        env=env, cwd=root, capture_output=True, text=True, timeout=120, check=True,
-    )
-    grown = dict(line.split() for line in out.stdout.splitlines())
+    grown = dict(line.split() for line in run_probe(_CREATE_PROBE).splitlines())
     assert sorted(grown) == sorted(registered_engines())
     for name, kib in grown.items():
         assert int(kib) < 24 << 10, f"{name}: ru_maxrss grew {int(kib) >> 10} MiB"

@@ -2,9 +2,12 @@
 
 ``ReferenceNVMDevice`` re-implements every data-path internal with the
 straightforward per-word loops and per-line dict the optimized device
-replaced (flat stores, mask bytes, single-line fast paths, mask-integer
-window scans, dirty-line runs).  Driving both with identical op / crash
-/ recovery sequences must be indistinguishable in every observable: read
+replaced (a flat media store, mask bytes, per-page overlay buffers,
+single-line fast paths, mask-integer window scans, dirty-line runs).
+The optimized device must also keep a buffer for exactly the pages that
+hold a dirty line, which the rigs check after every op.  Driving both
+with identical op / crash / recovery sequences must be
+indistinguishable in every observable: read
 results, ``NVMStats``, dirty-line counts, post-crash durable bytes under
 every crash policy, typed media errors, and the crash image the checker
 works from — ``overlay_fingerprint`` digests and ``clone_durable``
@@ -16,7 +19,7 @@ enforcement arm of the invariance contract in docs/INTERNALS.md §8.
 
 Two generators drive it: seeded random tapes, and Hypothesis sequences
 that also fire scheduled crashes mid-op, rot the media, go on on durable
-clones with and without their overlay, and aim at the shapes the flat
+clones with and without their overlay, and aim at the shapes the
 layout branches on — zero-length
 ops, windows of exactly 1 / 32 / 33 lines, wide stores with partial
 head and tail lines over mixed clean/dirty lines, wide overlapping
@@ -24,12 +27,13 @@ copies, sparse flush windows, and dirty lines pages apart.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import DeviceCrashedError, MediaError
-from repro.nvm import CrashPolicy, NVMDevice, ReferenceNVMDevice
+from repro.nvm import CrashPolicy, DeclaredLoads, NVMDevice, ReferenceNVMDevice
 from repro.nvm import device as device_module
 from repro.nvm.device import PAGE
 
@@ -557,6 +561,7 @@ def _run_against_reference(ops, seed, size):
         assert got == want, (i, op)
         assert dev.dirty_lines == ref.dirty_lines, (i, op)
         assert dev.stats.snapshot() == ref.stats.snapshot(), (i, op)
+        _overlay_matches_masks(dev)
     # whole-device sweep, line by line so dead lines stay typed
     for addr in range(0, size, LINE):
         n = min(LINE, size - addr)
@@ -781,6 +786,7 @@ def _same_image(opt, ref):
     dirty-line count, counters, checksum sidecar, digest and volatile
     view now, and the image every crash policy resolves a fork to."""
     assert opt.dirty_lines == ref.dirty_lines
+    _overlay_matches_masks(opt)
     assert opt.stats.snapshot() == ref.stats.snapshot()
     assert opt.media.sidecar._crcs == ref.media.sidecar._crcs
     assert opt.overlay_fingerprint() == ref.overlay_fingerprint()
@@ -854,3 +860,163 @@ def test_a_chunk_straddling_into_written_data_moves_it(shift):
         dev.flush(150 * PAGE + shift, 21 * PAGE)
     _same_image(opt, ref)
     assert b"\x5a" in opt.read(100 * PAGE - shift, 31 * PAGE)  # the data did move
+
+
+# -- the overlay's page buffers ------------------------------------------------
+#
+# The device keeps a dirty line's bytes in a buffer of its page only while
+# the page holds a dirty line.  These legs aim at what that can get wrong:
+# a durable byte changed under a dirty line, a dirty run split between two
+# pages' buffers, and a fork taken after buffers were dropped.
+
+
+def _overlay_matches_masks(dev):
+    """The device's buffered pages are exactly its dirty lines' pages."""
+    if type(dev) is NVMDevice:
+        dirty = re.finditer(rb"[^\x00]", dev._masks)
+        assert set(dev._overlay) == {m.start() * LINE // PAGE for m in dirty}
+
+
+@pytest.mark.parametrize("finish", ["read", "flush", *POLICIES],
+                         ids=lambda f: f if isinstance(f, str) else f.value)
+def test_a_media_fault_under_a_dirty_line_matches_the_reference(finish):
+    """``poke_durable`` rewrites media bytes under dirty lines, partly and
+    fully masked, on two pages: a read still sees the cache, a flush
+    writes the cached line over the fault, and each crash policy keeps
+    the fault exactly where no surviving word lands on it."""
+    devs = NVMDevice(SMALL, seed=11), ReferenceNVMDevice(SMALL, seed=11)
+    for dev in devs:
+        dev.write(0, b"\x01" * 3 * PAGE)
+        dev.persist_all()
+        dev.write(PAGE - LINE + 8, b"\x02" * 8)  # page 0, one word
+        dev.write(PAGE, b"\x03" * LINE)  # page 1, whole line
+        dev.write(2 * PAGE + 5 * LINE + 16, b"\x04" * 20)
+        for addr in (PAGE - LINE, PAGE + 4, 2 * PAGE + 5 * LINE + 30):
+            dev.poke_durable(addr, b"\xee" * 24)
+    opt, ref = devs
+    assert opt.overlay_fingerprint() == ref.overlay_fingerprint()
+    for dev in devs:
+        if finish == "read":
+            continue
+        if finish == "flush":
+            dev.flush(PAGE - LINE, 2 * LINE)
+        else:
+            dev.crash(finish, survival_prob=0.5)
+            dev.restart()
+    _overlay_matches_masks(opt)
+    assert opt.read(0, SMALL) == ref.read(0, SMALL)
+    assert opt.durable_read(0, SMALL) == ref.durable_read(0, SMALL)
+    assert opt.dirty_lines == ref.dirty_lines
+    assert opt.stats.snapshot() == ref.stats.snapshot()
+    assert opt.overlay_fingerprint() == ref.overlay_fingerprint()
+
+
+def test_a_dirty_run_across_a_page_boundary_reads_like_the_reference():
+    """Lines 56-71 dirty (two of them in part), split between the
+    buffers of pages 0 and 1, read through every read path: plain reads
+    inside, across and around the run, a 40-line window, a declared
+    read and a gather whose loads straddle the boundary."""
+    devs = NVMDevice(SMALL, seed=4), ReferenceNVMDevice(SMALL, seed=4)
+    for dev in devs:
+        dev.write(0, bytes(range(256)) * 48)
+        dev.persist_all()
+        dev.write(56 * LINE, b"\x5a" * 16 * LINE)
+        dev.write(60 * LINE + 8, b"\xa5" * 8)
+        dev.crash(CrashPolicy.DROP_ALL)
+        dev.restart()
+        dev.write(56 * LINE, b"\x11" * 7 * LINE)
+        dev.write(63 * LINE + 24, b"\x22" * 20)  # a partial line, page 0
+        dev.write(64 * LINE + 8, b"\x33" * 8)  # a partial line, page 1
+        dev.write(65 * LINE, b"\x44" * 7 * LINE)
+    opt, ref = devs
+    _overlay_matches_masks(opt)
+    assert set(opt._overlay) == {0, 1}
+    windows = [
+        (56 * LINE, 16 * LINE), (63 * LINE + 30, 2 * LINE), (PAGE - 8, 16),
+        (50 * LINE + 3, 40 * LINE), (40 * LINE, 48 * LINE), (60 * LINE, 5 * LINE + 1),
+    ]
+    for addr, size in windows:
+        assert opt.read(addr, size) == ref.read(addr, size), (addr, size)
+    loads = DeclaredLoads([(0, 8), (LINE - 4, 8), (2 * LINE, 64), (7 * LINE + 40, 48)])
+    for addr in (60 * LINE, PAGE - 3 * LINE, PAGE - 7 * LINE - 44):
+        assert opt.read_declared(addr, 8 * LINE, loads) == ref.read_declared(
+            addr, 8 * LINE, loads
+        )
+        assert opt.read_gather(addr, loads) == ref.read_gather(addr, loads)
+    strided = DeclaredLoads.strided(12, 24, LINE + 8)
+    assert opt.read_gather(55 * LINE, strided) == ref.read_gather(55 * LINE, strided)
+    assert opt.stats.snapshot() == ref.stats.snapshot()
+    for dev in devs:
+        dev.flush(62 * LINE, 3 * LINE)  # the boundary lines only
+    _overlay_matches_masks(opt)
+    assert opt.read(0, SMALL) == ref.read(0, SMALL)
+    assert opt.durable_read(0, SMALL) == ref.durable_read(0, SMALL)
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+def test_a_fork_after_dropped_buffers_matches_the_reference(policy):
+    """Pages 1, 2, 3 and 5 hold dirty lines; flushes leave 2 and 5
+    clean, which drops their buffers.  A fork with its overlay then
+    reads, digests and crashes like the reference's fork, and a store on
+    a dropped page afterwards starts a fresh buffer from the media."""
+    devs = NVMDevice(SMALL, seed=6), ReferenceNVMDevice(SMALL, seed=6)
+    for dev in devs:
+        for page in (1, 2, 3):
+            dev.write(page * PAGE + 7 * LINE, bytes([page]) * 3 * LINE)
+        dev.write(3 * PAGE - 8, b"\x09" * 16)  # page 2's last line, page 3's first
+        dev.flush(2 * PAGE, PAGE - LINE)
+        dev.write(SMALL - 20, b"\x05" * 20)
+        dev.flush(SMALL - LINE, LINE)
+    opt, ref = devs
+    _overlay_matches_masks(opt)
+    assert set(opt._overlay) == {1, 2, 3}
+    for dev in devs:
+        dev.flush(3 * PAGE - LINE, LINE)
+    assert set(opt._overlay) == {1, 3}
+    forks = [dev.clone_durable(seed=2, overlay=True) for dev in devs]
+    _overlay_matches_masks(forks[0])
+    assert forks[0].dirty_lines == forks[1].dirty_lines == opt.dirty_lines
+    assert forks[0].overlay_fingerprint() == forks[1].overlay_fingerprint()
+    assert forks[0].read(0, SMALL) == forks[1].read(0, SMALL) == ref.read(0, SMALL)
+    for fork in forks:
+        fork.write(2 * PAGE + 7 * LINE + 4, b"\x77" * 4)
+        fork.write(PAGE + 8 * LINE, b"\x78" * 8)
+    _overlay_matches_masks(forks[0])
+    assert forks[0].read(0, SMALL) == forks[1].read(0, SMALL)
+    for fork in forks:
+        fork.crash(policy, survival_prob=0.5)
+    _overlay_matches_masks(forks[0])
+    assert forks[0].durable_read(0, SMALL) == forks[1].durable_read(0, SMALL)
+    assert opt.read(0, SMALL) == ref.read(0, SMALL)  # the originals are untouched
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+def test_zeros_marked_onto_a_short_last_page_match_the_reference(policy):
+    """A device that ends 40 bytes into a page gives that page a short
+    buffer.  A copy of zeros onto zeros reaching the end marks it dirty
+    without moving bytes; stores, a fork, a flush and a crash then treat
+    its lines like the reference's."""
+    size = 3 * PAGE + 40
+    devs = NVMDevice(size, seed=8), ReferenceNVMDevice(size, seed=8)
+    for dev in devs:
+        dev.copy(PAGE + 40, 0, 2 * PAGE)
+        dev.write(size - 3, b"\x01\x02\x03")
+        dev.write(2 * PAGE + 8, b"\x04" * 8)
+    opt, ref = devs
+    _overlay_matches_masks(opt)
+    assert set(opt._overlay) == {1, 2, 3}
+    assert opt.read(0, size) == ref.read(0, size)
+    assert opt.overlay_fingerprint() == ref.overlay_fingerprint()
+    forks = [dev.clone_durable(seed=3, overlay=True) for dev in devs]
+    for dev in (*devs, *forks):
+        dev.flush(2 * PAGE, PAGE)
+    for fork in forks:
+        fork.crash(policy, survival_prob=0.5)
+    _overlay_matches_masks(opt)
+    assert opt.dirty_lines == ref.dirty_lines
+    assert opt.stats.snapshot() == ref.stats.snapshot()
+    assert forks[0].durable_read(0, size) == forks[1].durable_read(0, size)
+    opt.persist_all()
+    ref.persist_all()
+    assert opt.durable_read(0, size) == ref.durable_read(0, size)
+    assert not opt._overlay

@@ -10,8 +10,10 @@ of record tuples retained about 220 B, and tuples that carried two
 frozensets about 550-700 B.
 
 The op stream a YCSB run is driven from holds one slotted ``Op`` per
-operation, about 100 B with its key and (for a write) its payload;
-with a per-instance ``__dict__`` it was 140 B.
+operation, about 95 B with its key: a write's payload is one of the
+workload's 256 shared ones.  With a per-instance ``__dict__`` an op was
+140 B, and with a 97 B payload built per write YCSB-A's stream held
+about 144 B per op.
 """
 
 import gc
@@ -26,8 +28,8 @@ OPS = 4000
 CLIENTS = 4
 #: retained bytes per operation a run may keep after ``gc.collect()``
 BOUND_B_PER_OP = 128
-#: bytes per operation a listed YCSB-B op stream may hold
-OP_STREAM_BOUND_B_PER_OP = 112
+#: bytes per operation a listed YCSB op stream may hold
+OP_STREAM_BOUND_B_PER_OP = 104
 
 
 @pytest.mark.parametrize(
@@ -56,16 +58,39 @@ def test_run_online_retains_costs_not_lock_sets(engine, mix, kwargs):
 
 
 def test_ycsb_op_stream_is_slotted():
+    """Read-mostly B and half-writes A hold the same per op: slotted
+    ops, and no payload of their own."""
     nops = 20000
-    workload = YCSBWorkload("B", 4000, 64)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        ops = list(workload.run_ops(nops))
+    for mix in ("B", "A"):
+        workload = YCSBWorkload(mix, 4000, 64)
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert len(ops) == nops
-    assert held / nops < OP_STREAM_BOUND_B_PER_OP
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ops = list(workload.run_ops(nops))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ops) == nops
+        assert held / nops < OP_STREAM_BOUND_B_PER_OP, mix
+        del ops
+
+
+def test_ycsb_payloads_are_shared_and_unchanged():
+    """Equal payloads are one object, and the stream is the one the
+    per-write ``bytes([pattern]) * n`` built: same draws, same bytes."""
+    ops = list(YCSBWorkload("A", 500, 1024, seed=3).run_ops(2000))
+    values = [op.value for op in ops if op.value is not None]
+    assert len({id(v) for v in values}) == len(set(values)) <= 256
+    rng = YCSBWorkload("A", 500, 1024, seed=3)._rng
+    keys = YCSBWorkload("A", 500, 1024, seed=3)._keys
+    for op in ops:
+        r = rng.random()
+        key = keys.next()
+        assert op.key == key
+        if r < 0.5:
+            assert op.value is None
+        else:
+            pattern = (key * 2654435761 + rng.randrange(256)) & 0xFF
+            assert op.value == bytes([pattern]) * 64
